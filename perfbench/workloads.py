@@ -35,7 +35,7 @@ class CheckFailed(Exception):
 
 
 class GuardError(RuntimeError):
-    """The run touched state outside its own scratch directory."""
+    """The run touched state outside its own run directory."""
 
 
 def expect(cond, message):
