@@ -14,22 +14,29 @@ these.  ``BENCHMARK.json`` lists the same names, units and directions.
 
 from collections import defaultdict
 
+from tracing import CLI_SUBCOMMANDS
+
 GFP = ("binlin.gfp_rref", "binlin.gfp_solve", "binlin.gfp_nullspace", "binlin.gfp_rank")
 FIELD = ("binlin.field_element", "binlin.field_pow", "binlin.field_trace")
-CLI_SUBCOMMANDS = ("measures", "chi", "lattice", "wigner", "mbqc", "haar", "welch")
+BP, LP = "solvers.solve_basis_pursuit", "solvers.solve_lp"
+DENSE, STREAM = "stabdict.enumerate_stabilizer_states", "stabdict.iter_stabilizer_states"
 
 # name, unit, better, how, moves, on
 METRICS = [
+    # on certify the Haar states hold most basis-pursuit time but sit above the
+    # tail percentile; the tail falls on hypergraph states, whose extent solve
+    # is about a quarter of their time and their robustness LP most of the rest
     ("solvers.bp_s", "s", "lower", "self s/op of solve_basis_pursuit",
-     "ops_per_s, latency_tail_s", "certify (the Haar states are the tail)"),
+     "ops_per_s; latency_tail_s only through the hypergraph extent solves", "certify"),
     ("solvers.bp_iterations", "count", "lower", "ADMM iterations per solve_basis_pursuit call",
-     "ops_per_s, latency_tail_s", "certify"),
+     "ops_per_s; latency_tail_s only through the hypergraph extent solves", "certify"),
     ("solvers.bp_converged_ratio", "1", "higher", "solve_basis_pursuit calls that returned / calls",
-     "ops_per_s, latency_tail_s", "certify"),
+     "ops_per_s", "certify"),
     ("solvers.lp_s", "s", "lower", "self s/op of solve_lp",
-     "latency_p50_s", "certify (mixed and qutrit ops); cli measures"),
+     "latency_p50_s (mixed states), latency_tail_s (hypergraph states)",
+     "certify; cli measures"),
     ("solvers.lp_iterations", "count", "lower", "simplex pivots per solve_lp call",
-     "latency_p50_s", "certify; cli measures"),
+     "latency_p50_s, latency_tail_s", "certify; cli measures"),
     ("measures.robustness_self_s", "s", "lower",
      "self s/op of free_robustness (Pauli rows and certificate checks, outside solve_lp)",
      "latency_p50_s", "certify"),
@@ -88,52 +95,10 @@ METRICS = [
      "latency_tail_s, peak_rss_mb", "cli"),
     ("cli.mbqc_cold_s", "s", "lower", "inclusive s of cmd_mbqc (n = 4) on a cold cache",
      "latency_tail_s, peak_rss_mb", "cli"),
-    ("trace.ops_per_s_untraced", "ops/s", "higher", "ops_per_s of the untraced half of this run",
-     "tracing overhead", "all"),
-    ("trace.ops_per_s_traced", "ops/s", "higher", "ops_per_s of the traced half of this run",
-     "tracing overhead", "all"),
-    ("trace.overhead_ops_per_s", "ops/s", "lower", "untraced minus traced ops_per_s",
+    ("trace.overhead_ops_per_s", "ops/s", "lower",
+     "ops_per_s of the untraced phase minus that of the traced phase (both in the note)",
      "tracing overhead", "all"),
 ]
-
-# which wrapped spans each metric needs; a metric whose spans were never
-# wrapped (the function is gone) is reported as absent with that reason
-NEEDS = {
-    "solvers.bp_": ("solvers.solve_basis_pursuit",),
-    "solvers.lp_": ("solvers.solve_lp",),
-    "measures.robustness_self_s": ("measures.free_robustness",),
-    "measures.extent_self_s": ("measures.extent",),
-    "measures.report_s": ("measures.magic_report",),
-    "measures.dmin_s": ("measures.dmin",),
-    "haar.sample_dmin_s": ("haar.sample_dmin",),
-    "mbqc.pbound_check_s": ("mbqc.pbound_check",),
-    "stabdict.enumerate_s": ("stabdict.enumerate_stabilizer_states",),
-    "stabdict.states_per_s": ("stabdict.enumerate_stabilizer_states",),
-    "stabdict.stream_states_per_s": ("stabdict.iter_stabilizer_states",),
-    "stabdict.states": ("stabdict.enumerate_stabilizer_states", "stabdict.iter_stabilizer_states"),
-    "binlin.gfp_": GFP,
-    "pauli.tableau_to_state_s": ("pauli.tableau_to_state",),
-    "boolfn.nonquadraticity_s": ("boolfn.nonquadraticity",),
-    "boolfn.welch_s": ("boolfn.welch_function",),
-    "boolfn.hypergraph_state_s": ("boolfn.hypergraph_state",),
-    "binlin.field_": FIELD,
-    "lattice.": ("lattice.lattice_bound",),
-    "wigner.function_s": ("wigner.wigner_function",),
-    "wigner.mana_lr_check_s": ("wigner.mana_lr_check",),
-    "cli.import_s": ("cli.import",),
-    "cli.cache_hit_ratio": ("stabdict.get_dictionary", "stabdict.load_dictionary"),
-    "cli.measures_warm_s": ("cli.cmd_measures",),
-    "cli.mbqc_": ("cli.cmd_mbqc",),
-    **{f"cli.{sub}_s": (f"cli.cmd_{sub}",) for sub in CLI_SUBCOMMANDS},
-}
-
-
-def _needs(metric):
-    for prefix, spans in NEEDS.items():
-        if metric.startswith(prefix):
-            return spans
-    return ()
-
 
 def self_times(spans):
     """Self time of every span: its duration minus its direct children's."""
@@ -151,10 +116,11 @@ def derive(spans, ops, op_labels, absent, extra):
     kept in ``parent``), ``ops`` the number of operations completed in the
     phase, ``op_labels`` maps op id to the workload's operation label,
     ``absent`` the targets that could not be wrapped, and ``extra`` metrics
-    the client measured itself (cache bytes, phase throughput).
+    the client measured itself (cache bytes, tracing overhead).
 
-    Returns (values, notes): every metric has a value; a note explains each
-    metric that is absent or that the workload does not exercise.
+    Returns (values, notes): every metric has a value.  A metric is noted as
+    absent when a span its formula looked up could not be wrapped, or when
+    none of those spans was recorded (the workload does not exercise it).
     """
     selfs = self_times(spans)
     by_name = defaultdict(list)
@@ -162,86 +128,91 @@ def derive(spans, ops, op_labels, absent, extra):
         if s["op"] is not None and s["op"] != "setup":
             by_name[s["name"]].append(i)
     per_op = 1.0 / max(ops, 1)
+    read = {}  # span names the metric being computed looked up, in order
+
+    def of(name):
+        read[name] = None
+        return by_name[name]
+
+    def attrs(i):
+        return spans[i]["attrs"] or {}
+
+    def ratio(num, den):
+        return num / den if den else 0.0
 
     def self_s(*names):
-        return sum(selfs[i] for n in names for i in by_name[n]) * 1e-9 * per_op
+        return sum(selfs[i] for n in names for i in of(n)) * 1e-9 * per_op
 
     def incl(name, label=None):
-        idx = [i for i in by_name[name] if label is None or op_labels.get(spans[i]["op"]) == label]
+        idx = [i for i in of(name) if label is None or op_labels.get(spans[i]["op"]) == label]
         return sum(spans[i]["end"] - spans[i]["start"] for i in idx) * 1e-9, len(idx)
 
-    def attr_sum(name, key):
-        return sum((spans[i]["attrs"] or {}).get(key, 0) for i in by_name[name])
-
     def mean_incl(name, label=None):
-        total, count = incl(name, label)
-        return total / count if count else 0.0
+        return ratio(*incl(name, label))
+
+    def attr_sum(name, key):
+        return sum(attrs(i).get(key, 0) for i in of(name))
 
     def calls(*names):
-        return sum(len(by_name[n]) for n in names)
+        return sum(len(of(n)) for n in names)
 
-    def per_call(name, key):
-        count = calls(name)
-        return attr_sum(name, key) / count if count else 0.0
+    def count_where(name, pred):
+        return sum(1 for i in of(name) if pred(attrs(i)))
 
-    def rate(name, key):
-        total, _ = incl(name)
-        return attr_sum(name, key) / total if total else 0.0
-
-    bp, lp = "solvers.solve_basis_pursuit", "solvers.solve_lp"
-    bp_calls = calls(bp)
-    bp_ok = sum(1 for i in by_name[bp] if "error" not in (spans[i]["attrs"] or {}))
-    dense, stream = "stabdict.enumerate_stabilizer_states", "stabdict.iter_stabilizer_states"
-    gets = calls("stabdict.get_dictionary")
-    hits = sum(1 for i in by_name["stabdict.load_dictionary"] if (spans[i]["attrs"] or {}).get("hit"))
-    imports = by_name["cli.import"]
-
-    values = {
-        "solvers.bp_s": self_s(bp),
-        "solvers.bp_iterations": per_call(bp, "iterations"),
-        "solvers.bp_converged_ratio": bp_ok / bp_calls if bp_calls else 0.0,
-        "solvers.lp_s": self_s(lp),
-        "solvers.lp_iterations": per_call(lp, "iterations"),
-        "measures.robustness_self_s": self_s("measures.free_robustness"),
-        "measures.extent_self_s": self_s("measures.extent"),
-        "measures.report_s": incl("measures.magic_report")[0] * per_op,
-        "measures.dmin_s": self_s("measures.dmin"),
-        "haar.sample_dmin_s": self_s("haar.sample_dmin"),
-        "mbqc.pbound_check_s": self_s("mbqc.pbound_check"),
-        "stabdict.enumerate_s": self_s(dense),
-        "stabdict.states_per_s": rate(dense, "states"),
-        "stabdict.stream_states_per_s": rate(stream, "items"),
-        "stabdict.states": (attr_sum(dense, "states") + attr_sum(stream, "items")) * per_op,
-        "binlin.gfp_s": self_s(*GFP),
-        "binlin.gfp_calls": calls(*GFP) * per_op,
-        "pauli.tableau_to_state_s": self_s("pauli.tableau_to_state"),
-        "boolfn.nonquadraticity_s": self_s("boolfn.nonquadraticity"),
-        "boolfn.welch_s": self_s("boolfn.welch_function"),
-        "boolfn.hypergraph_state_s": self_s("boolfn.hypergraph_state"),
-        "binlin.field_s": self_s(*FIELD),
-        "binlin.field_calls": calls(*FIELD) * per_op,
-        "lattice.bound_s": self_s("lattice.lattice_bound"),
-        "lattice.qubits_per_s": rate("lattice.lattice_bound", "qubits"),
-        "wigner.function_s": self_s("wigner.wigner_function"),
-        "wigner.mana_lr_check_s": self_s("wigner.mana_lr_check"),
-        "cli.import_s": sum(selfs[i] for i in imports) * 1e-9 / len(imports) if imports else 0.0,
-        **{f"cli.{sub}_s": mean_incl(f"cli.cmd_{sub}") for sub in CLI_SUBCOMMANDS},
-        "cli.cache_hit_ratio": hits / gets if gets else 0.0,
-        "cli.measures_warm_s": mean_incl("cli.cmd_measures", "measures-warm"),
-        "cli.mbqc_warm_s": mean_incl("cli.cmd_mbqc", "mbqc-warm"),
-        "cli.mbqc_cold_s": mean_incl("cli.cmd_mbqc", "mbqc-cold"),
-        **extra,
+    formulas = {
+        "solvers.bp_s": lambda: self_s(BP),
+        "solvers.bp_iterations": lambda: ratio(attr_sum(BP, "iterations"), calls(BP)),
+        "solvers.bp_converged_ratio": lambda: ratio(count_where(BP, lambda a: "error" not in a),
+                                                    calls(BP)),
+        "solvers.lp_s": lambda: self_s(LP),
+        "solvers.lp_iterations": lambda: ratio(attr_sum(LP, "iterations"), calls(LP)),
+        "measures.robustness_self_s": lambda: self_s("measures.free_robustness"),
+        "measures.extent_self_s": lambda: self_s("measures.extent"),
+        "measures.report_s": lambda: incl("measures.magic_report")[0] * per_op,
+        "measures.dmin_s": lambda: self_s("measures.dmin"),
+        "haar.sample_dmin_s": lambda: self_s("haar.sample_dmin"),
+        "mbqc.pbound_check_s": lambda: self_s("mbqc.pbound_check"),
+        "stabdict.enumerate_s": lambda: self_s(DENSE),
+        "stabdict.states_per_s": lambda: ratio(attr_sum(DENSE, "states"), incl(DENSE)[0]),
+        "stabdict.stream_states_per_s": lambda: ratio(attr_sum(STREAM, "items"), incl(STREAM)[0]),
+        "stabdict.states": lambda: (attr_sum(DENSE, "states") + attr_sum(STREAM, "items")) * per_op,
+        "binlin.gfp_s": lambda: self_s(*GFP),
+        "binlin.gfp_calls": lambda: calls(*GFP) * per_op,
+        "pauli.tableau_to_state_s": lambda: self_s("pauli.tableau_to_state"),
+        "boolfn.nonquadraticity_s": lambda: self_s("boolfn.nonquadraticity"),
+        "boolfn.welch_s": lambda: self_s("boolfn.welch_function"),
+        "boolfn.hypergraph_state_s": lambda: self_s("boolfn.hypergraph_state"),
+        "binlin.field_s": lambda: self_s(*FIELD),
+        "binlin.field_calls": lambda: calls(*FIELD) * per_op,
+        "lattice.bound_s": lambda: self_s("lattice.lattice_bound"),
+        "lattice.qubits_per_s": lambda: ratio(attr_sum("lattice.lattice_bound", "qubits"),
+                                              incl("lattice.lattice_bound")[0]),
+        "wigner.function_s": lambda: self_s("wigner.wigner_function"),
+        "wigner.mana_lr_check_s": lambda: self_s("wigner.mana_lr_check"),
+        "cli.import_s": lambda: ratio(sum(selfs[i] for i in of("cli.import")) * 1e-9,
+                                      calls("cli.import")),
+        **{f"cli.{sub}_s": (lambda sub=sub: mean_incl(f"cli.cmd_{sub}")) for sub in CLI_SUBCOMMANDS},
+        "cli.cache_hit_ratio": lambda: ratio(count_where("stabdict.load_dictionary",
+                                                         lambda a: a.get("hit")),
+                                             calls("stabdict.get_dictionary")),
+        "cli.measures_warm_s": lambda: mean_incl("cli.cmd_measures", "measures-warm"),
+        "cli.mbqc_warm_s": lambda: mean_incl("cli.cmd_mbqc", "mbqc-warm"),
+        "cli.mbqc_cold_s": lambda: mean_incl("cli.cmd_mbqc", "mbqc-cold"),
     }
-    notes = {}
+    values, notes = {}, {}
     for name, *_ in METRICS:
-        if name not in values:
+        if name in extra:
+            values[name] = extra[name]
+            continue
+        if name not in formulas:
             values[name] = 0.0
             notes[name] = "absent: not measured by this workload"
             continue
-        needs = _needs(name)
-        missing = [n for n in needs if n in absent]
+        read.clear()
+        values[name] = formulas[name]()
+        missing = [n for n in read if n in absent]
         if missing:
             notes[name] = "absent: " + "; ".join(absent[n] for n in missing)
-        elif needs and not any(by_name[n] for n in needs):
-            notes[name] = "absent: this workload does not call " + ", ".join(needs)
-    return {name: values[name] for name, *_ in METRICS}, notes
+        elif not any(by_name[n] for n in read):
+            notes[name] = "absent: this workload does not call " + ", ".join(read)
+    return values, notes

@@ -7,12 +7,16 @@ Run from anywhere inside a checkout; the package is imported from the
 checkout's ``src/``, never from an installed copy.  Each workload runs in a
 fresh interpreter as one closed-loop client (see ``workloads.py``).
 
-With ``--trace 0`` the workload runs untraced for ``--seconds`` (whole
-cycles) and is set up two more times in fresh interpreters; the run prints
-the end-to-end metrics.  With ``--trace 1`` it runs once untraced and once
-traced, ``--seconds / 2`` each, and prints the per-layer metrics derived from
-the spans (see ``layers.py``) and the tracing overhead.  ``--smoke`` runs one
-cycle at the smallest sizes.
+``--seconds`` sets how many whole cycles of the workload run: as many as
+take about that long on the machine the benchmark was built on (at least
+one; see ``Workload.cycles``).  The count does not depend on how fast the
+code under test is, so every commit runs the same operations.  With
+``--trace 0`` the workload runs untraced and is set up two more times in
+fresh interpreters; the run prints the end-to-end metrics.  With
+``--trace 1`` it runs the cycles of ``--seconds / 2`` once untraced and once
+traced, and prints the per-layer metrics derived from the spans (see
+``layers.py``) and the tracing overhead.  ``--smoke`` runs one cycle at the
+smallest sizes.
 
 Times are in reference seconds: wall seconds corrected for the momentary
 speed of the CPU, which the run pins itself to (see ``speed.py``); the
@@ -220,9 +224,6 @@ def main(argv=None):
     if args.trace:
         metrics, notes = main_run["layers"], main_run["notes"]
         units = {name: unit for name, unit, *_ in LAYER_METRICS}
-        overhead = metrics["trace.overhead_ops_per_s"]
-        base = metrics["trace.ops_per_s_untraced"]
-        notes["trace.overhead_ops_per_s"] = f"{100 * overhead / base:.1f}% of the untraced ops_per_s"
     else:
         metrics, notes = end_to_end(records, setups, main_run["peak_rss_mb"])
         units = dict(END_TO_END)

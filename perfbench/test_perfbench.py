@@ -56,6 +56,15 @@ def test_tail_has_ten_samples_beyond_it():
     assert run.tail([3.0, 1.0, 2.0]) == (3.0, 100.0, 0)
 
 
+def test_cycle_count_depends_only_on_seconds():
+    from workloads import WORKLOADS
+
+    seconds = BENCH["run_seconds"]
+    assert {name: w.cycles(seconds) for name, w in WORKLOADS.items()} == {
+        "certify": 3, "enumerate": 7, "bounds": 6, "cli": 1}
+    assert all(w.cycles(0) == 1 for w in WORKLOADS.values())
+
+
 def _run(*args, cwd=ROOT):
     return subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=cwd,
                           capture_output=True, text=True, timeout=180)

@@ -49,7 +49,6 @@ TARGETS = [
     ("stabdict", "iter_stabilizer_states", None),
     ("stabdict", "get_dictionary", None),
     ("stabdict", "load_dictionary", _cache_hit),
-    ("stabdict", "save_dictionary", None),
     ("binlin", "gfp_rref", None),
     ("binlin", "gfp_solve", None),
     ("binlin", "gfp_nullspace", None),
@@ -61,7 +60,6 @@ TARGETS = [
     ("boolfn", "nonquadraticity", None),
     ("boolfn", "welch_function", None),
     ("boolfn", "hypergraph_state", None),
-    ("boolfn", "overlap_from_weight", None),
     ("lattice", "lattice_bound", _lattice_qubits),
     ("haar", "sample_dmin", None),
     ("mbqc", "pbound_check", None),
@@ -69,10 +67,8 @@ TARGETS = [
     ("wigner", "mana_lr_check", None),
 ]
 
-CLI_TARGETS = [
-    ("cli", f"cmd_{sub}", None)
-    for sub in ("measures", "chi", "lattice", "wigner", "mbqc", "haar", "welch")
-]
+CLI_SUBCOMMANDS = ("measures", "chi", "lattice", "wigner", "mbqc", "haar", "welch")
+CLI_TARGETS = [("cli", f"cmd_{sub}", None) for sub in CLI_SUBCOMMANDS]
 
 
 class Tracer:

@@ -5,9 +5,9 @@ Started by ``run.py`` with one JSON argument:
     {"workload", "seed", "seconds", "mode", "smoke", "spawn_ns", "root", "tmp", "traces"}
 
 ``mode`` is ``setup`` (set up, report the set-up time, exit), ``timed`` (set
-up, then run whole cycles for about ``seconds``) or ``traced`` (set
-up with the tracer installed, run an untraced phase and then a traced phase
-of ``seconds / 2`` each over the same cycles).  Prints one JSON line.
+up, then run the cycles that ``seconds`` stands for) or ``traced`` (set up
+with the tracer installed, run an untraced phase and then a traced phase of
+``seconds / 2`` each over the same cycles).  Prints one JSON line.
 """
 
 import json
@@ -21,19 +21,15 @@ from tracing import TARGETS, Tracer, now_ns
 from workloads import WORKLOADS, CheckFailed
 
 
-def run_phase(workload, seconds, tracer, first_op):
-    """Run whole cycles, one record per op.
+def run_phase(workload, cycles, tracer, first_op):
+    """Run ``cycles`` whole cycles, one record per op.
 
-    The first cycle always runs; another starts only while it is expected to
-    end within ``seconds`` (judged by the mean cycle so far), so a run lasts
-    about ``seconds`` however long one cycle takes.  The calibration kernel
-    runs before the first op and after each op (see ``speed.py``).
+    The calibration kernel runs before the first op and after each op (see
+    ``speed.py``).
     """
     records = []
-    start = now_ns()
-    c = 0
     before = calibrate()
-    while True:
+    for c in range(cycles):
         for op in workload.cycle(c):
             op_id = first_op + len(records)
             if tracer:
@@ -64,10 +60,7 @@ def run_phase(workload, seconds, tracer, first_op):
                             "error": error})
             before = after
         workload.finish_cycle(c)
-        c += 1
-        elapsed = now_ns() - start
-        if elapsed + elapsed / c > seconds * 1e9:
-            return records
+    return records
 
 
 def environment():
@@ -106,26 +99,29 @@ def main():
         tracer.op = None
         tracer.enabled = False
         tracer.uninstall()
-        untraced = run_phase(workload, cfg["seconds"] / 2, None, 0)
+        cycles = workload.cycles(cfg["seconds"] / 2)
+        untraced = run_phase(workload, cycles, None, 0)
         tracer.install(TARGETS)
         workload.traced = True
-        traced = run_phase(workload, cfg["seconds"] / 2, tracer, len(untraced))
+        traced = run_phase(workload, cycles, tracer, len(untraced))
         from layers import derive
 
+        base, slowed = ops_per_s(untraced), ops_per_s(traced)
         extra = dict(workload.extra)
-        extra["trace.ops_per_s_untraced"] = ops_per_s(untraced)
-        extra["trace.ops_per_s_traced"] = ops_per_s(traced)
-        extra["trace.overhead_ops_per_s"] = ops_per_s(untraced) - ops_per_s(traced)
+        extra["trace.overhead_ops_per_s"] = base - slowed
         spans = list(tracer.records())
         labels = {r["op"]: r["label"] for r in traced}
         absent = dict(tracer.absent)
         absent.update(workload.child_absent)  # targets the CLI children could not wrap
         out["layers"], out["notes"] = derive(spans, len(traced), labels, absent, extra)
+        out["notes"]["trace.overhead_ops_per_s"] = (
+            f"{100 * (base - slowed) / base:.1f}% of the untraced phase's ops_per_s: "
+            f"untraced {base:.4g}, traced {slowed:.4g} ops/s")
         tracer.uninstall()
         tracer.dump(cfg["traces"])
         out["records"] = untraced + traced
     else:
-        out["records"] = run_phase(workload, cfg["seconds"], None, 0)
+        out["records"] = run_phase(workload, workload.cycles(cfg["seconds"]), None, 0)
     who = resource.RUSAGE_CHILDREN if cfg["workload"] == "cli" else resource.RUSAGE_SELF
     out["peak_rss_mb"] = resource.getrusage(who).ru_maxrss / 1024
     print(json.dumps(out))

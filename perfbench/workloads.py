@@ -184,6 +184,11 @@ ROUNDED_PER_QUBIT = {"triangular": 0.5534, "union-jack": 0.4562}
 
 class Workload:
     name = ""
+    # about the wall seconds one cycle takes on the 2-vCPU machine the
+    # benchmark was built on.  It only turns --seconds into a fixed number of
+    # cycles (see ``cycles``), so every commit runs the same operations and
+    # the tail percentile stays the same however fast the commit is.
+    cycle_s: float
 
     def __init__(self, seed, smoke, tmp, root):
         self.seed = seed
@@ -194,6 +199,11 @@ class Workload:
         self.traced = False  # set for the traced phase; the cli workload then runs its shim
         self.extra = {}
         self.child_absent = {}
+
+    @classmethod
+    def cycles(cls, seconds):
+        """Cycles a phase of ``seconds`` runs: at least one."""
+        return max(1, round(seconds / cls.cycle_s))
 
     def rng(self, c, *salt):
         return np.random.default_rng([self.seed, c, *salt])
@@ -220,6 +230,7 @@ class Certify(Workload):
     """magic_report with all three measures certified, on a mix of states."""
 
     name = "certify"
+    cycle_s = 6.5
 
     def setup(self):
         enum = self.ml.stabdict.enumerate_stabilizer_states
@@ -288,7 +299,7 @@ class Certify(Workload):
         one qutrit state with its Wigner function and mana check.  The Haar
         states, whose extent solves vary most in cost, stay a small share of
         the work and sit above the tail percentile, which falls among the
-        hypergraph states for any run of two or more cycles; the mixed states
+        hypergraph states (p80 of the 51 ops of a 20 s run); the mixed states
         hold the median."""
         rng = self.rng(c)
         nq = self.nq
@@ -341,6 +352,7 @@ class Enumerate(Workload):
     """Dictionary-bound work that never calls the convex solvers."""
 
     name = "enumerate"
+    cycle_s = 2.8
 
     def setup(self):
         if self.smoke:
@@ -470,6 +482,7 @@ class Bounds(Workload):
     """Boolean-function and lattice analysis, with no dictionaries at all."""
 
     name = "bounds"
+    cycle_s = 3.2
 
     def setup(self):
         if self.smoke:
@@ -556,6 +569,7 @@ class Cli(Workload):
     """One `python -m magiclab.cli` child at a time; cache cold then warm."""
 
     name = "cli"
+    cycle_s = 22.0
 
     def setup(self):
         self.version = self.ml.__version__
