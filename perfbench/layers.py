@@ -23,7 +23,7 @@ DENSE, STREAM = "stabdict.enumerate_stabilizer_states", "stabdict.iter_stabilize
 
 # name, unit, better, how, moves, on
 METRICS = [
-    # on certify the Haar states hold most basis-pursuit time but sit above the
+    # on certify the generic 3-qubit states hold most basis-pursuit time but sit above the
     # tail percentile; the tail falls on hypergraph states, whose extent solve
     # is about a quarter of their time and their robustness LP most of the rest
     ("solvers.bp_s", "s", "lower", "self s/op of solve_basis_pursuit",

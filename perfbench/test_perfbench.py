@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -63,6 +64,31 @@ def test_cycle_count_depends_only_on_seconds():
     assert {name: w.cycles(seconds) for name, w in WORKLOADS.items()} == {
         "certify": 3, "enumerate": 7, "bounds": 6, "cli": 1}
     assert all(w.cycles(0) == 1 for w in WORKLOADS.values())
+
+
+def test_clifford_generators_permute_the_dictionary():
+    from magiclab.stabdict import enumerate_stabilizer_states
+    from workloads import clifford_gates
+
+    for n, d in [(3, 2), (2, 3)]:
+        states = enumerate_stabilizer_states(n, d).states
+        for gate in clifford_gates(n, d):
+            overlaps = np.abs(states.conj().T @ (gate @ states))
+            assert np.all(np.sum(np.abs(overlaps - 1) < 1e-9, axis=0) == 1)
+
+
+def test_pool_values_are_the_base_states_values():
+    from magiclab.measures import magic_report
+    from magiclab.stabdict import enumerate_stabilizer_states
+    from workloads import POOL, pool_state
+
+    for (n, d), values in POOL.items():
+        dic = enumerate_stabilizer_states(n, d)
+        for k, (xi, lr) in enumerate(values):
+            identity = [np.eye(d**n)]  # a Clifford image under the identity is the base
+            psi, _ = pool_state(np.random.default_rng(0), n, d, k, identity)
+            rep = magic_report(psi, dic)
+            assert abs(rep.xi - xi) < 1e-5 and abs(rep.lr - lr) < 1e-7
 
 
 def _run(*args, cwd=ROOT):

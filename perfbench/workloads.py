@@ -5,7 +5,9 @@ operations of cycle ``c`` and the client runs them one after another, each
 only after the previous one returned.  Every cycle has the same operations
 at the same sizes; the seed (with the cycle index) only chooses the inputs,
 so runs of different seeds differ in work only where the cost depends on the
-input itself (the convex solves on random states).
+input itself (the robustness LPs of the random mixed states).  Where a
+solve's cost or success depends strongly on the input, the inputs come from
+fixed lists instead (``POOL``, ``CCZ_CLASS``).
 
 An operation's ``call`` is the timed library call (or CLI child process);
 its ``check`` compares the output with an oracle that does not go through
@@ -113,6 +115,69 @@ def haar_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+# Generic pure states are random Clifford images of a fixed pool of Haar-drawn
+# base states.  About 1% of Haar-random 3-qubit and 2-qutrit states make the
+# package's basis pursuit stop unconverged after 500k iterations (SolverError),
+# e.g. haar_vector(np.random.default_rng([1921437797, 1]), 8).  The solver is
+# Clifford-equivariant (a Clifford permutes the dictionary's columns up to
+# phases), so every image of a base converges in the base's iteration count,
+# and extent and robustness must equal the base's: an oracle independent of
+# the solve, at a cost that does not depend on the seed.  Every base of the
+# pool converges; (xi, LR) below are their certified values.
+POOL_SEED = 2020
+POOL = {
+    (3, 2): [(1.8942340494832355, 0.9546868406668889), (1.9082693964773205, 0.9506691254490102),
+             (1.973308841802733, 0.9914903817696029), (1.899280127946179, 0.9496851321850486)],
+    (2, 3): [(2.4412075772302515, 1.405010255395327), (2.679171907162352, 1.5479645153055364),
+             (2.4239789325615417, 1.3765612024232612), (2.725319977318681, 1.5861104882628532),
+             (2.2978961379778076, 1.335213400173367), (2.749911717457886, 1.5184667269477758),
+             (2.6549111010306534, 1.534615144589167), (2.574887258379569, 1.4624041279980697)],
+    # smoke sizes
+    (2, 2): [(1.4398232390157293, 0.6086508155099347), (1.4257077805142992, 0.5859300751368075),
+             (1.5416759574743804, 0.6639842235530959), (1.4928241303427607, 0.5828374333683037)],
+    (1, 3): [(1.6802456900792129, 0.7486721923169349), (1.5963581327413534, 0.6747843416370235),
+             (1.7494149160044907, 0.8068724913189186), (1.5031589174126787, 0.6630991990284851),
+             (1.5000745729652796, 0.6307891510196438), (1.6496017016511744, 0.7221177190046326),
+             (1.5141406221642162, 0.5984991952998315), (1.5345331710790493, 0.6177998275226871)],
+}
+CLIFFORD_LENGTH = 40  # random generators multiplied into one Clifford
+
+
+def _on_site(n, d, site, gate):
+    out = np.eye(1, dtype=complex)
+    for i in range(n):
+        out = np.kron(gate if i == site else np.eye(d), out)  # site 0 least significant
+    return out
+
+
+def _sum_gate(n, d, ctrl, tgt):
+    """|..a..b..> -> |..a..a+b..> on the ctrl and tgt digits."""
+    xs = np.arange(d**n)
+    digit = lambda i: (xs // d**i) % d  # noqa: E731
+    ys = xs + (((digit(tgt) + digit(ctrl)) % d) - digit(tgt)) * d**tgt
+    out = np.zeros((d**n, d**n), dtype=complex)
+    out[ys, xs] = 1
+    return out
+
+
+def clifford_gates(n, d):
+    """Generators of the n-qudit Clifford group: Fourier and phase gates on
+    every site and SUM (CNOT for d = 2) on every ordered pair."""
+    w = np.exp(2j * np.pi / d)
+    fourier = w ** np.outer(np.arange(d), np.arange(d)) / math.sqrt(d)
+    phase = np.diag([1, 1j] if d == 2 else [w ** (j * (j - 1) // 2) for j in range(d)])
+    gates = [_on_site(n, d, i, g) for i in range(n) for g in (fourier, phase)]
+    return gates + [_sum_gate(n, d, a, b) for a, b in itertools.permutations(range(n), 2)]
+
+
+def pool_state(rng, n, d, k, gates):
+    """A random Clifford image of base state k; returns it with the base's (xi, LR)."""
+    base = haar_vector(np.random.default_rng([POOL_SEED, n, d, k]), d**n)
+    u = reduce(lambda acc, g: gates[g] @ acc, rng.integers(len(gates), size=CLIFFORD_LENGTH),
+               np.eye(d**n, dtype=complex))
+    return u @ base, POOL[(n, d)][k]
+
+
 def truth_table(n, monomials):
     """f(x) for every x as a 0/1 array (bit i of x is variable i)."""
     xs = np.arange(1 << n)
@@ -139,6 +204,15 @@ def random_cubic(rng, n):
             if combo != (0, 1, 2) and rng.random() < (0.3 if size == 3 else 0.5):
                 monos.add(frozenset(combo))
     return frozenset(monos)
+
+
+# The 64 functions x1 x2 x3 + q(x) with q linear plus quadratic, in a fixed
+# order.  Their robustness LPs take 400 to 1300 simplex pivots depending on q,
+# so certify walks this list instead of drawing q: every run of the same
+# length solves the same functions and the seed cannot move the tail.
+LOW_TERMS = [frozenset(t) for t in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))]
+CCZ_CLASS = [frozenset({frozenset({0, 1, 2})} | {t for i, t in enumerate(LOW_TERMS) if k >> i & 1})
+             for k in np.random.default_rng(POOL_SEED).permutation(64)]
 
 
 def distance_to_quadratics(n, monomials):
@@ -239,6 +313,8 @@ class Certify(Workload):
         self.dq = enum(self.nq, 2)
         self.d3 = self.dq if self.nq == 3 else enum(3, 2)
         self.dt = enum(self.nt, 3)
+        self.gates_q = clifford_gates(self.nq, 2)
+        self.gates_t = clifford_gates(self.nt, 3)
 
     def _certificate(self, rep, rho, dic):
         """Re-verify the robustness LP from its returned primal and dual."""
@@ -287,6 +363,14 @@ class Certify(Workload):
         return check
 
     @staticmethod
+    def _invariant(xi, lr):
+        """Extent and robustness equal those of the image's base state."""
+        def check(rep, overlaps):
+            expect(abs(rep.xi - xi) < 1e-5, f"extent {rep.xi} != {xi} of the base state")
+            expect(abs(rep.lr - lr) < 1e-7, f"LR {rep.lr} != {lr} of the base state")
+        return check
+
+    @staticmethod
     def _ccz(rep, overlaps):
         expect(abs(math.sqrt(overlaps.max()) - 0.75) < 1e-12, "CCZ-class best overlap != 3/4")
         expect(abs(rep.xi - 16 / 9) < 1e-5, f"CCZ-class extent {rep.xi} != 16/9")
@@ -295,17 +379,21 @@ class Certify(Workload):
         return lambda: self.ml.measures.magic_report(state, dic)
 
     def cycle(self, c):
-        """One Haar state, then twice: two mixed and three hypergraph states and
-        one qutrit state with its Wigner function and mana check.  The Haar
-        states, whose extent solves vary most in cost, stay a small share of
+        """One generic 3-qubit state, then twice: two mixed and three hypergraph
+        states and one qutrit state with its Wigner function and mana check.
+        The generic states are Clifford images of base c of the pool, the
+        qutrit states of bases 2c and 2c + 1 (see ``POOL``), and the
+        hypergraph states are entries 6c to 6c + 5 of ``CCZ_CLASS``.  The generic
+        3-qubit states, whose extent solves cost most, stay a small share of
         the work and sit above the tail percentile, which falls among the
         hypergraph states (p80 of the 51 ops of a 20 s run); the mixed states
         hold the median."""
         rng = self.rng(c)
         nq = self.nq
-        haar = haar_vector(rng, 2**nq)
-        ops = [Op("haar", self._report(haar, self.dq), self._pure_check(haar, self.dq))]
-        for _ in range(2):
+        haar, (xi, lr) = pool_state(rng, nq, 2, c % len(POOL[(nq, 2)]), self.gates_q)
+        ops = [Op("haar", self._report(haar, self.dq),
+                  self._pure_check(haar, self.dq, self._invariant(xi, lr)))]
+        for half in range(2):
             for i in range(3):
                 if i < 2:
                     v = haar_vector(rng, 2**nq)
@@ -313,13 +401,14 @@ class Certify(Workload):
                     rho = (1 - p) * np.outer(v, v.conj()) + p * np.eye(2**nq) / 2**nq
                     ops.append(Op("mixed", self._report(rho, self.dq),
                                   self._mixed_check(rho, self.dq)))
-                psi = hypergraph_vector(3, random_cubic(rng, 3))
+                psi = hypergraph_vector(3, CCZ_CLASS[(6 * c + 3 * half + i) % len(CCZ_CLASS)])
                 ops.append(Op("hypergraph", self._report(psi, self.d3),
                               self._pure_check(psi, self.d3, self._ccz)))
-            ops += self._qutrit_ops(haar_vector(rng, 3**self.nt))
+            k = (2 * c + half) % len(POOL[(self.nt, 3)])
+            ops += self._qutrit_ops(*pool_state(rng, self.nt, 3, k, self.gates_t))
         return ops
 
-    def _qutrit_ops(self, qutrit):
+    def _qutrit_ops(self, qutrit, invariant):
         nt = self.nt
         ml = self.ml
         reports = {}
@@ -342,7 +431,7 @@ class Certify(Workload):
 
         return [
             Op("qutrit", lambda: keep(ml.measures.magic_report(qutrit, self.dt)),
-               self._pure_check(qutrit, self.dt)),
+               self._pure_check(qutrit, self.dt, self._invariant(*invariant))),
             Op("wigner", lambda: ml.wigner.wigner_function(qutrit), wigner_check),
             Op("mana", lambda: ml.wigner.mana_lr_check(qutrit, self.dt), mana_check),
         ]
@@ -627,12 +716,13 @@ class Cli(Workload):
         big, qn = (2, 1) if self.smoke else (4, 2)
         ccz_vec = hypergraph_vector(3, [frozenset({0, 1, 2})])
         ccz = self._write_state(cycle_dir / "ccz.json", 3, 2, ccz_vec)
-        h3_vec = haar_vector(rng, 2**3)
+        h3_vec, h3_values = pool_state(rng, 3, 2, c % len(POOL[(3, 2)]), clifford_gates(3, 2))
         h3 = self._write_state(cycle_dir / "h3.json", 3, 2, h3_vec)
         h4_vec = haar_vector(rng, 2**big)
         h4 = self._write_state(cycle_dir / "h4.json", big, 2, h4_vec)
         layout = ",".join(z_layout(rng, big))
-        q = self._write_state(cycle_dir / "q.json", qn, 3, haar_vector(rng, 3**qn))
+        q_vec, _ = pool_state(rng, qn, 3, c % len(POOL[(qn, 3)]), clifford_gates(qn, 3))
+        q = self._write_state(cycle_dir / "q.json", qn, 3, q_vec)
         chi_n = 4 if self.smoke else 5
         chi_monos = random_cubic(rng, chi_n)
         anf = " + ".join("*".join(f"x{i + 1}" for i in sorted(m)) or "1" for m in chi_monos)
@@ -646,7 +736,7 @@ class Cli(Workload):
             basis_bound = -math.log2(float(np.max(np.abs(vec) ** 2)))
             expect(-1e-12 <= p["dmin"] <= basis_bound + 1e-9, "dmin outside its basis bound")
 
-        def measures_check(vec, ccz_state=False):
+        def measures_check(vec, ccz_state=False, base_values=None):
             # the package skips the convex solves for large dictionaries (n = 4)
             def check(p):
                 dmin_check(p, vec)
@@ -662,6 +752,10 @@ class Cli(Workload):
                 if ccz_state:
                     expect(abs(p["fidelity"] - 9 / 16) < 1e-12, "CCZ overlap != 3/4")
                     expect(abs(p["xi"] - 16 / 9) < 1e-5, "CCZ extent != 16/9")
+                if base_values:
+                    xi, lr = base_values
+                    expect(abs(p["xi"] - xi) < 1e-5 and abs(p["lr"] - lr) < 1e-7,
+                           "extent or LR differs from the base state's")
             return check
 
         def mbqc_check(p):
@@ -701,7 +795,8 @@ class Cli(Workload):
         kind, rows, cols = lattice
         return [
             child("measures-cold", ["measures", "--state", ccz], measures_check(ccz_vec, True)),
-            child("measures-warm", ["measures", "--state", h3], measures_check(h3_vec)),
+            child("measures-warm", ["measures", "--state", h3],
+                  measures_check(h3_vec, base_values=h3_values)),
             child("mbqc-cold", ["mbqc", "--state", h4, "--layout", layout], mbqc_check),
             child("mbqc-warm", ["mbqc", "--state", h4, "--layout", layout], mbqc_check),
             child("wigner", ["wigner", "--state", q, "--check"], wigner_check),
