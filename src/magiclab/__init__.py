@@ -3,15 +3,12 @@
 __version__ = "0.1.0"
 
 from .binlin import (
-    BitMatrix,
     FieldElement,
     IRREDUCIBLE_POLY,
     field_element,
     field_pow,
     field_trace,
-    gf2_nullspace,
     gf2_rank,
-    gf2_solve,
 )
 from .boolfn import (
     BooleanFunction,
@@ -98,7 +95,6 @@ from .stabdict import (
     count_stabilizer_states,
     enumerate_quadratic_states,
     enumerate_stabilizer_states,
-    get_dictionary,
     iter_stabilizer_states,
 )
 from .wigner import (

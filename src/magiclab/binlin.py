@@ -2,7 +2,7 @@
 
 Bit convention used across the package: variable/site k (1-indexed in text
 formats) lives on bit k-1, least significant bit first.  This applies to
-packed truth tables, basis-state indices, and BitMatrix rows alike.
+packed truth tables, basis-state indices, and packed bit rows alike.
 """
 
 from dataclasses import dataclass
@@ -31,66 +31,13 @@ IRREDUCIBLE_POLY = {
 }
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Dense matrix over GF(2) with packed row-major bit storage.
-
-    Row i is an int whose bit j is the (i, j) entry; column j is bit j.
-    """
-
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != self.rows:
-            raise ValueError("bit storage length must equal row count")
-        mask = (1 << self.cols) - 1
-        if any(row & ~mask for row in self.bits):
-            raise ValueError("row has bits outside the column range")
-
-    @classmethod
-    def from_rows(cls, rows: list[int], cols: int) -> "BitMatrix":
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
-    def from_array(cls, arr) -> "BitMatrix":
-        arr = np.asarray(arr, dtype=np.uint8) % 2
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        rows = [int(sum(int(v) << j for j, v in enumerate(r))) for r in arr]
-        return cls(arr.shape[0], arr.shape[1], tuple(rows))
-
-    def to_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, row in enumerate(self.bits):
-            for j in range(self.cols):
-                out[i, j] = (row >> j) & 1
-        return out
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            col = 0
-            for i, row in enumerate(self.bits):
-                col |= ((row >> j) & 1) << i
-            cols.append(col)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
-
-
-def _as_bit_rows(M) -> tuple[list[int], int]:
-    if isinstance(M, BitMatrix):
-        return list(M.bits), M.cols
+def gf2_rank(M) -> int:
+    """Rank over GF(2) via Gaussian elimination on packed bit rows."""
     arr = np.asarray(M, dtype=np.uint8) % 2
     if arr.ndim != 2:
-        raise ValueError("expected a 2-D array or BitMatrix")
-    rows = [int(sum(int(v) << j for j, v in enumerate(r))) for r in arr]
-    return rows, arr.shape[1]
-
-
-def gf2_rank(M) -> int:
-    """Rank over GF(2) via Gaussian elimination.  Accepts BitMatrix or array."""
-    work, cols = _as_bit_rows(M)
+        raise ValueError("expected a 2-D array")
+    work = [int(sum(int(v) << j for j, v in enumerate(r))) for r in arr]
+    cols = arr.shape[1]
     rank = 0
     for col in range(cols):
         pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
@@ -104,65 +51,6 @@ def gf2_rank(M) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def gf2_solve(M, rhs: list[int]) -> list[int] | None:
-    """One solution x of M x = rhs over GF(2), or None if inconsistent.
-
-    Free variables are set to zero, so the solution is deterministic.
-    """
-    work, cols = _as_bit_rows(M)
-    b = list(int(v) % 2 for v in rhs)
-    if len(b) != len(work):
-        raise ValueError("rhs length must equal row count")
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        b[rank], b[pivot] = b[pivot], b[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-                b[i] ^= b[rank]
-        pivots.append(col)
-        rank += 1
-    if any(b[i] for i in range(rank, len(work))):
-        return None
-    x = [0] * cols
-    for i, col in enumerate(pivots):
-        x[col] = b[i]
-    return x
-
-
-def gf2_nullspace(M) -> list[list[int]]:
-    """Basis of the right nullspace of M over GF(2) (one vector per free column)."""
-    work, cols = _as_bit_rows(M)
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for i, col in enumerate(pivots):
-            v[col] = (work[i] >> free) & 1
-        basis.append(v)
-    return basis
 
 
 # --- dense row reduction over a prime field, used by the Pauli/tableau code ---

@@ -28,7 +28,8 @@ from .measures import dmin as dmin_measure
 from .measures import magic_report
 from .mbqc import MeasurementLayout, outcome_distribution, pbound_check
 from .pauli import pauli_from_string
-from .stabdict import cache_path, count_stabilizer_states, get_dictionary
+from .solvers import SolverError
+from .stabdict import count_stabilizer_states, enumerate_stabilizer_states
 from .wigner import mana, mana_lr_check, sum_negativity, wigner_csv, wigner_function
 
 TOOL = "magiclab"
@@ -37,8 +38,11 @@ TOOL = "magiclab"
 def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
     with open(path) as fh:
         payload = json.load(fh)
-    n, d = int(payload["n"]), int(payload.get("d", 2))
-    amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
+    try:
+        n, d = int(payload["n"]), int(payload.get("d", 2))
+        amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed state file {path}: {exc!r}") from exc
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     norm = np.linalg.norm(amps)
@@ -65,7 +69,7 @@ def _emit(payload: dict) -> None:
 
 def cmd_measures(args) -> int:
     n, d, psi = load_state_file(args.state)
-    dic = get_dictionary(n, d, cache_root=args.cache_dir)
+    dic = enumerate_stabilizer_states(n, d)
     report = magic_report(psi, dic)
     _emit(json.loads(report.to_json()))
     return 0
@@ -123,7 +127,7 @@ def cmd_lattice(args) -> int:
     if args.dense_measures:
         if L.n > 4:
             raise ValueError("dense measures need n <= 4")
-        dic = get_dictionary(L.n, 2, cache_root=args.cache_dir)
+        dic = enumerate_stabilizer_states(L.n, 2)
         report = magic_report(hypergraph_state(f), dic)
         payload["measures"] = json.loads(report.to_json())
     _emit(payload)
@@ -143,7 +147,7 @@ def cmd_wigner(args) -> int:
         "mana": mana(W),
     }
     if args.check and n <= 2:
-        dic = get_dictionary(n, 3, cache_root=args.cache_dir)
+        dic = enumerate_stabilizer_states(n, 3)
         ok, m, lr = mana_lr_check(psi, dic)
         payload["mana_lr_check"] = {"pass": bool(ok), "mana": m, "lr": lr}
     if args.csv:
@@ -161,7 +165,7 @@ def cmd_mbqc(args) -> int:
     obs = tuple(pauli_from_string(s) for s in args.layout.split(","))
     layout = MeasurementLayout(n, obs)
     dist = outcome_distribution(psi, layout)
-    dic = get_dictionary(n, 2, cache_root=args.cache_dir)
+    dic = enumerate_stabilizer_states(n, 2)
     dval, _ = dmin_measure(psi, dic)
     ok, max_p, bound = pbound_check(psi, layout, dval)
     _emit(
@@ -192,7 +196,7 @@ def cmd_haar(args) -> int:
             }
         )
         return 0
-    dic = get_dictionary(args.n, 2, cache_root=args.cache_dir)
+    dic = enumerate_stabilizer_states(args.n, 2)
     exp = dmin_distribution(ExperimentConfig(args.n, args.samples, args.seed), dic)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -211,14 +215,13 @@ def cmd_haar(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    dic = get_dictionary(args.n, args.d, cache_root=args.cache_dir)
+    dic = enumerate_stabilizer_states(args.n, args.d)
     _emit(
         {
             "n": args.n,
             "d": args.d,
             "count": dic.size,
             "count_formula": count_stabilizer_states(args.n, args.d),
-            "cache_file": str(cache_path(args.n, args.d, args.cache_dir)),
         }
     )
     return 0
@@ -252,12 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds, Wigner negativity, and Pauli-MBQC checks",
     )
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="override the dictionary cache root (default: MAGICLAB_CACHE_DIR "
-        "or ~/.cache/magiclab)",
-    )
+    # ignored; kept so that existing command lines still parse
+    parser.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measures", help="magic monotones of a state file")
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_haar)
 
-    p = sub.add_parser("enum", help="build / refresh the stabilizer dictionary cache")
+    p = sub.add_parser("enum", help="count the stabilizer states by enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2, choices=[2, 3])
     p.set_defaults(func=cmd_enum)
@@ -319,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # computational failure -> JSON error body, exit 1
+    except (OSError, ValueError, SolverError) as exc:  # JSON error body, exit 1
         json.dump(
             {"error": type(exc).__name__, "message": str(exc), "tool_version": __version__},
             sys.stdout,

@@ -26,6 +26,9 @@ import numpy as np
 from . import __version__
 from .pauli import hermitian_pauli, pauli_to_string
 from .solvers import (
+    BP_GAP_TOL,
+    BP_RESIDUAL_TOL,
+    LP_TOL,
     BasisPursuitProblem,
     LinearProgram,
     SolverError,
@@ -35,9 +38,9 @@ from .solvers import (
 from .stabdict import StabilizerDictionary
 
 TOLERANCES = {
-    "lp": 1e-9,
-    "bp_residual": 1e-8,
-    "bp_gap": 1e-6,
+    "lp": LP_TOL,
+    "bp_residual": BP_RESIDUAL_TOL,
+    "bp_gap": BP_GAP_TOL,
     "chain": 1e-5,
     "reconstruction": 1e-8,
     "support_eigenvalue": 1e-10,

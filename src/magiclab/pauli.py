@@ -277,68 +277,62 @@ def canonical_tableau(tab: StabilizerTableau) -> StabilizerTableau:
     return StabilizerTableau(tab.n, tab.d, tuple(gens))
 
 
-def _state_from_canonical(
-    gens: list[PauliOperator], k: int, n: int, d: int
-) -> np.ndarray:
-    """Joint +1 eigenstate from canonical generators (exact phase arithmetic)."""
-    zeta_exp = np.exp(1j * np.pi / d)
-    x_rows = gens[:k]
-    z_rows = gens[k:]
-    # support coset from the pure-Z constraints: z.w = -t/2 (mod d)
-    if z_rows:
-        for g in z_rows:
-            if g.phase % 2:
-                raise InconsistentTableauError("pure-Z generator with odd phase")
-        A = np.array([g.zvec for g in z_rows], dtype=np.int64)
-        rhs = np.array([(-(g.phase // 2)) % d for g in z_rows], dtype=np.int64)
-        w0 = gfp_solve(A, rhs, d)
-        if w0 is None:
-            raise InconsistentTableauError("contradictory pure-Z constraints")
-    else:
-        w0 = np.zeros(n, dtype=np.int64)
+def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
 
-    powers = d ** np.arange(n)
-    amps_exp: dict[int, int] = {}
-    points: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    start = tuple(int(v) for v in w0)
-    points[start] = 0
-    order.append(start)
-    amps_exp[int(w0 @ powers)] = 0
-    # walk the support in counting order over the X-row coefficients
-    for y in itertools.product(range(d), repeat=k):
-        if not any(y):
-            continue
-        i = next(j for j in range(k) if y[j])
-        prev = list(y)
-        prev[i] -= 1
-        gi = x_rows[i]
-        w_prev = (np.array(start) + np.array(prev) @ np.array([g.xvec for g in x_rows])) % d
-        w_new = (w_prev + np.array(gi.xvec)) % d
-        e_prev = amps_exp[int(w_prev @ powers)]
-        zdot = int(np.dot(gi.zvec, w_new)) % d
-        amps_exp[int(w_new @ powers)] = (e_prev + gi.phase + 2 * zdot) % (2 * d)
+    X, Z (k x n) and t (k) are the canonical X rows; W0 (m x n) holds one coset
+    offset per row.  Walking y in counting order, each step by X row i onto
+    the point w multiplies the amplitude by zeta**(t_i + 2 z_i.w), giving
 
-    psi = np.zeros(d**n, dtype=complex)
-    mag = d ** (-k / 2)
-    for index, e in amps_exp.items():
-        psi[index] = mag * zeta_exp**e
-    # global phase convention: first nonzero amplitude real positive
-    first = min(amps_exp)
-    psi *= zeta_exp ** (-amps_exp[first])
-    if len(amps_exp) != d**k:
-        raise AssertionError("support size mismatch")
-    return psi
+        e(y) = y.t + 2 [y.(Z w0) + sum_{i<j} y_i y_j z_i.x_j
+                        + sum_i C(y_i + 1, 2) z_i.x_i]     (mod 2d).
+
+    Returns (m, d^k) basis indices and exponents, y little-endian in d.
+
+    Both callers solve w0 from the RREF pure-Z rows with free variables zero,
+    so w0 vanishes on the trailing columns of X's row space (the complement of
+    the Z rows' leading columns).  Then y = 0 gives the least index of each
+    coset, and e(0) = 0 makes the first nonzero amplitude real positive.
+    """
+    X, Z = np.asarray(X, dtype=np.int64), np.asarray(Z, dtype=np.int64)
+    W0 = np.asarray(W0, dtype=np.int64)
+    k, n = X.shape
+    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
+    W = (W0[:, None, :] + ys @ X) % d
+    G = Z @ X.T
+    quad = np.einsum("yi,ij,yj->y", ys, np.triu(G, 1), ys)
+    quad += (ys * (ys + 1) // 2) @ np.diag(G)
+    e = ys @ np.asarray(t, dtype=np.int64) + 2 * (W0 @ Z.T @ ys.T + quad)
+    return W @ d ** np.arange(n), e % (2 * d)
 
 
 def tableau_to_state(tab: StabilizerTableau, validate: bool = True) -> np.ndarray:
     """Unique joint +1 eigenstate of the tableau's generators.
 
-    Raises InconsistentTableauError when the generated group contains a
-    nontrivial scalar (no common eigenstate exists).
+    The global phase makes the first nonzero amplitude real positive.  Raises
+    InconsistentTableauError when the generated group contains a nontrivial
+    scalar (no common eigenstate exists).
     """
+    n, d = tab.n, tab.d
     gens, k = canonicalize_generators(list(tab.generators))
-    psi = _state_from_canonical(gens, k, tab.n, tab.d)
+    # support coset from the pure-Z constraints: z.w = -t/2 (mod d)
+    w0 = np.zeros(n, dtype=np.int64)
+    if k < n:
+        if any(g.phase % 2 for g in gens[k:]):
+            raise InconsistentTableauError("pure-Z generator with odd phase")
+        A = np.array([g.zvec for g in gens[k:]], dtype=np.int64)
+        rhs = np.array([(-(g.phase // 2)) % d for g in gens[k:]], dtype=np.int64)
+        w0 = gfp_solve(A, rhs, d)
+        if w0 is None:
+            raise InconsistentTableauError("contradictory pure-Z constraints")
+    X = np.array([g.xvec for g in gens[:k]], dtype=np.int64).reshape(k, n)
+    Z = np.array([g.zvec for g in gens[:k]], dtype=np.int64).reshape(k, n)
+    (idx,), (e,) = _coset_phases(w0[None], X, Z, [g.phase for g in gens[:k]], d)
+    if len(np.unique(idx)) != d**k:
+        raise AssertionError("support size mismatch")
+    zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
+    psi = np.zeros(d**n, dtype=complex)
+    psi[idx] = d ** (-k / 2) * zeta_pow[e]
     if validate:
         for g in tab.generators:
             if np.linalg.norm(g.apply(psi) - psi) > 1e-12:

@@ -1,4 +1,4 @@
-"""Exhaustive stabilizer-state enumeration, quadratic states, and the cache.
+"""Exhaustive stabilizer-state enumeration and quadratic states.
 
 Enumeration walks canonical tableaux directly: every maximal isotropic
 (Lagrangian) subspace of F_d^{2n} has a unique normal form given by a
@@ -8,25 +8,20 @@ No dedup pass is needed and the total matches the closed-form count
 d^n * prod_k (d^{n-k} + 1) by construction.
 
 States are built with exact integer phase arithmetic (powers of
-zeta = exp(i*pi/d)), then canonicalized so the first nonzero amplitude is
-real positive.
+zeta = exp(i*pi/d)) by pauli._coset_phases, as in pauli.tableau_to_state,
+one call per (R, S) pair; the first nonzero amplitude of each comes out real
+positive.  Dense enumeration is cheap at desk scale (n = 4 qubits takes
+about a second), so dictionaries are rebuilt on demand rather than stored.
 """
 
 import itertools
-import os
-import struct
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
-from .binlin import gfp_nullspace, gfp_rref, gfp_solve
+from .binlin import gfp_nullspace, gfp_rref
 from .boolfn import BooleanFunction, hypergraph_state, quadratic_basis
-from .pauli import PauliOperator, StabilizerTableau
-
-CACHE_MAGIC = b"MSTB"
-CACHE_CONVENTION = 1
+from .pauli import PauliOperator, StabilizerTableau, _coset_phases
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
@@ -80,25 +75,27 @@ def _symmetric_matrices(k: int, d: int):
 
 def _char_table(k: int, d: int) -> np.ndarray:
     """(d^k, d^k) table of 2 * y.eps phase offsets for all supports/characters."""
-    ys = np.array(
-        [[(yi // d**i) % d for i in range(k)] for yi in range(d**k)], dtype=np.int64
-    )
+    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
     return ys, (2 * (ys @ ys.T)) % (2 * d)
 
 
 def _iter_entries(n: int, d: int):
     """Yield (gen_x, gen_z, gen_t, psi) over all stabilizer states, in a fixed
     deterministic order (subspace dimension ascending, then lex)."""
-    powers = d ** np.arange(n)
-    zeta = np.exp(1j * np.pi / d)
-    zeta_pow = zeta ** np.arange(2 * d)
+    zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
     for k in range(n + 1):
         ys, char_tab = _char_table(k, d)
+        mag = float(d) ** (-k / 2)
+        eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
         for R in _rref_matrices(n, k, d):
             if k < n:
                 znull, zpiv = gfp_rref(gfp_nullspace(R, d), d)
             else:
                 znull, zpiv = np.zeros((0, n), dtype=np.int64), []
+            # the coset offset solving znull.w = -eps_z, with znull in RREF
+            W0 = np.zeros((len(eps), n), dtype=np.int64)
+            W0[:, zpiv] = (-eps) % d
+            gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
             for S in _symmetric_matrices(k, d):
                 # lifts: start supported on the pivot columns of R, then make
                 # them canonical by clearing the Z-block pivot columns
@@ -109,7 +106,6 @@ def _iter_entries(n: int, d: int):
                         lifts[i, pivcols[j]] = S[j, i]
                 if zpiv:
                     lifts = (lifts - lifts[:, zpiv] @ znull) % d
-                gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
                 gen_z = np.vstack([lifts, znull])
                 if d == 2:
                     t0x = np.array(
@@ -120,31 +116,12 @@ def _iter_entries(n: int, d: int):
                         [(2 * int(lifts[i] @ R[i])) % 6 for i in range(k)],
                         dtype=np.int64,
                     )
-                wbase = (ys @ R) % d if k else np.zeros((1, n), dtype=np.int64)
-                mag = float(d) ** (-k / 2)
-                for eps_z in itertools.product(range(d), repeat=n - k):
-                    if n - k:
-                        w0 = gfp_solve(
-                            znull, np.array([(-e) % d for e in eps_z]), d
-                        )
-                    else:
-                        w0 = np.zeros(n, dtype=np.int64)
-                    W = (w0 + wbase) % d
-                    idx = W @ powers
-                    e0 = np.zeros(d**k, dtype=np.int64)
-                    for yi in range(1, d**k):
-                        i = next(j for j in range(k) if (yi // d**j) % d)
-                        prev = yi - d**i
-                        e0[yi] = (
-                            e0[prev] + t0x[i] + 2 * int(gen_z[i] @ W[yi])
-                        ) % (2 * d)
-                    anchor = int(np.argmin(idx))
-                    tz = np.array([(2 * e) % (2 * d) for e in eps_z], dtype=np.int64)
+                idx, e0 = _coset_phases(W0, R, lifts, t0x, d)
+                for idx_z, e_z, eps_z in zip(idx, e0, eps):
+                    tz = (2 * eps_z) % (2 * d)
                     for ci in range(d**k):
-                        e = (e0 + char_tab[ci]) % (2 * d)
-                        e = (e - e[anchor]) % (2 * d)
                         psi = np.zeros(d**n, dtype=complex)
-                        psi[idx] = mag * zeta_pow[e]
+                        psi[idx_z] = mag * zeta_pow[(e_z + char_tab[ci]) % (2 * d)]
                         gen_t = np.concatenate([(t0x + 2 * ys[ci]) % (2 * d), tz])
                         yield gen_x, gen_z, gen_t, psi
 
@@ -159,8 +136,6 @@ class StabilizerDictionary:
     gen_x: np.ndarray  # (N, n, n) int8
     gen_z: np.ndarray  # (N, n, n) int8
     gen_t: np.ndarray  # (N, n) int8, zeta exponents mod 2d
-    created_at: str = ""
-    convention: int = CACHE_CONVENTION
 
     @property
     def size(self) -> int:
@@ -231,15 +206,7 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     count = i + 1
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
-    return StabilizerDictionary(
-        n,
-        d,
-        states,
-        gen_x,
-        gen_z,
-        gen_t,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+    return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)
 
 
 # --- quadratic states ---------------------------------------------------------
@@ -273,137 +240,3 @@ def enumerate_quadratic_states(n: int) -> QuadraticStateSet:
         states[:, bits] = hypergraph_state(f)
     assert abs(states[0, 0] - scale) < 1e-15
     return QuadraticStateSet(n, functions, states)
-
-
-# --- persistent cache ---------------------------------------------------------
-
-def cache_path(n: int, d: int, cache_root: str | os.PathLike | None = None) -> Path:
-    """magic-stab-cache/v1/n{n}d{d}.bin under the cache root.
-
-    The root defaults to ~/.cache/magiclab and honors MAGICLAB_CACHE_DIR.
-    """
-    if cache_root is None:
-        cache_root = os.environ.get(
-            "MAGICLAB_CACHE_DIR", Path.home() / ".cache" / "magiclab"
-        )
-    return Path(cache_root) / "magic-stab-cache" / "v1" / f"n{n}d{d}.bin"
-
-
-def save_dictionary(dic: StabilizerDictionary, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    dim = dic.d**dic.n
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III Q", dic.convention, dic.n, dic.d, dic.size))
-        for i in range(dic.size):
-            fh.write(dic.gen_x[i].astype(np.uint8).tobytes())
-            fh.write(dic.gen_z[i].astype(np.uint8).tobytes())
-            fh.write(dic.gen_t[i].astype(np.uint8).tobytes())
-            fh.write(dic.states[:, i].astype(np.complex64).tobytes())
-
-
-def _state_from_arrays(n, d, gx, gz, gt) -> np.ndarray:
-    """Rebuild the exact state from one packed canonical tableau."""
-    zeta = np.exp(1j * np.pi / d)
-    k = int(np.sum(np.any(gx != 0, axis=1)))
-    powers = d ** np.arange(n)
-    zrows = gz[k:]
-    if n - k:
-        rhs = np.array([(-(int(t) // 2)) % d for t in gt[k:]], dtype=np.int64)
-        w0 = gfp_solve(zrows.astype(np.int64), rhs, d)
-    else:
-        w0 = np.zeros(n, dtype=np.int64)
-    amps = {}
-    amps[tuple(int(v) for v in w0)] = 0
-    for y in itertools.product(*(range(d) for _ in range(k))):
-        if not any(y):
-            continue
-        i = next(j for j in range(k) if y[j])
-        prev = list(y)
-        prev[i] -= 1
-        w_prev = (w0 + np.array(prev) @ gx[:k]) % d
-        w_new = (w_prev + gx[i]) % d
-        e = (
-            amps[tuple(int(v) for v in w_prev)]
-            + int(gt[i])
-            + 2 * int(gz[i] @ w_new)
-        ) % (2 * d)
-        amps[tuple(int(v) for v in w_new)] = e
-    psi = np.zeros(d**n, dtype=complex)
-    indexed = {int(np.array(w) @ powers): e for w, e in amps.items()}
-    anchor = min(indexed)
-    for index, e in indexed.items():
-        psi[index] = d ** (-k / 2) * zeta ** ((e - indexed[anchor]) % (2 * d))
-    return psi
-
-
-def load_dictionary(path: Path, n: int, d: int) -> StabilizerDictionary | None:
-    """Load a cache file; returns None on any mismatch so callers regenerate.
-
-    Stored complex64 amplitudes are interchange data only: exact complex128
-    states are rebuilt from the packed tableaux and cross-checked against
-    the stored values.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return None
-    header = struct.calcsize("<III Q")
-    if len(raw) < 4 + header or raw[:4] != CACHE_MAGIC:
-        return None
-    convention, fn, fd, count = struct.unpack("<III Q", raw[4 : 4 + header])
-    if convention != CACHE_CONVENTION or fn != n or fd != d:
-        return None
-    if count != count_stabilizer_states(n, d):
-        return None
-    dim = d**n
-    entry = 2 * n * n + n + 8 * dim
-    if len(raw) != 4 + header + count * entry:
-        return None
-    states = np.empty((dim, count), dtype=complex)
-    gen_x = np.empty((count, n, n), dtype=np.int8)
-    gen_z = np.empty((count, n, n), dtype=np.int8)
-    gen_t = np.empty((count, n), dtype=np.int8)
-    off = 4 + header
-    for i in range(count):
-        gx = np.frombuffer(raw, dtype=np.uint8, count=n * n, offset=off).reshape(n, n)
-        off += n * n
-        gz = np.frombuffer(raw, dtype=np.uint8, count=n * n, offset=off).reshape(n, n)
-        off += n * n
-        gt = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off)
-        off += n
-        stored = np.frombuffer(raw, dtype=np.complex64, count=dim, offset=off)
-        off += 8 * dim
-        if gx.max() >= d or gz.max() >= d or gt.max() >= 2 * d:
-            return None
-        try:
-            psi = _state_from_arrays(
-                n, d, gx.astype(np.int64), gz.astype(np.int64), gt
-            )
-        except Exception:
-            return None
-        if np.max(np.abs(psi - stored)) > 2e-6:
-            return None
-        states[:, i] = psi
-        gen_x[i] = gx
-        gen_z[i] = gz
-        gen_t[i] = gt
-    return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)
-
-
-def get_dictionary(
-    n: int,
-    d: int = 2,
-    cache_root: str | os.PathLike | None = None,
-    use_cache: bool = True,
-) -> StabilizerDictionary:
-    """Load the (n, d) dictionary from cache, regenerating on any mismatch."""
-    path = cache_path(n, d, cache_root)
-    if use_cache:
-        dic = load_dictionary(path, n, d)
-        if dic is not None:
-            return dic
-    dic = enumerate_stabilizer_states(n, d)
-    if use_cache:
-        save_dictionary(dic, path)
-    return dic

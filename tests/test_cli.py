@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from magiclab import cli
 from magiclab.cli import dump_state_file, load_state_file, main
 from magiclab.measures import golden_state
 
@@ -205,7 +206,22 @@ def test_enum_command(capsys, tmp_path):
     )
     assert code == 0
     assert payload["count"] == 60 == payload["count_formula"]
-    assert (tmp_path / "magic-stab-cache" / "v1" / "n2d2.bin").exists()
+
+
+def test_dictionary_commands_write_no_files(capsys, tmp_path, monkeypatch, golden_file):
+    watched = tmp_path / "watched"
+    watched.mkdir()
+    monkeypatch.setenv("HOME", str(watched))
+    bell = tmp_path / "bell.json"
+    dump_state_file(str(bell), 2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    for argv in (
+        ["measures", "--state", golden_file],
+        ["mbqc", "--state", str(bell), "--layout", "XX,ZZ"],
+        ["enum", "--n", "2"],
+    ):
+        code, _ = run_cli(capsys, "--cache-dir", str(watched), *argv)
+        assert code == 0
+    assert list(watched.rglob("*")) == []
 
 
 def test_welch_command(capsys):
@@ -219,6 +235,24 @@ def test_error_exit_code_and_body(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["error"] == "FileNotFoundError"
+
+
+def test_state_file_without_amplitudes(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"n": 1, "d": 2}))
+    code = main(["measures", "--state", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == "ValueError"
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(args):
+        raise TypeError("a bug, not a computational failure")
+
+    monkeypatch.setattr(cli, "cmd_welch", broken)
+    with pytest.raises(TypeError):
+        main(["welch", "--n", "3"])
 
 
 def test_usage_exit_code():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,13 +7,10 @@ import pytest
 from magiclab.pauli import canonical_tableau, tableau_to_state
 from magiclab.stabdict import (
     ResourceLimitError,
-    cache_path,
     count_stabilizer_states,
     enumerate_quadratic_states,
     enumerate_stabilizer_states,
-    get_dictionary,
     iter_stabilizer_states,
-    load_dictionary,
 )
 
 
@@ -84,13 +82,32 @@ def test_streaming_matches_dense(dict2_2):
         assert np.max(np.abs(psi - dict2_2.state(i))) < 1e-12
 
 
-def test_qutrit_states_satisfy_generators(dict3_2):
-    rng = np.random.default_rng(1)
-    for i in rng.integers(0, dict3_2.size, 20):
-        tab = dict3_2.tableau(int(i))
-        psi = dict3_2.state(int(i))
-        for g in tab.generators:
-            assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
+def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
+    # every column of the (3, 2) and (2, 3) dictionaries; PauliOperator.apply
+    # is a second path, independent of pauli._coset_phases
+    for dic in (dict2_3, dict3_2):
+        for i in range(dic.size):
+            psi = dic.state(i)
+            for g in dic.tableau(i).generators:
+                assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fixture,digest",
+    [
+        ("dict2_3", "f9d9af97ab86be462fa7abaf224ac20534e7cee3660548414e09feaf72d66c93"),
+        ("dict3_2", "feab6d3adea0abcbffa1e9ad739e7514180ee3a1d2cd9b7253262d65bc518d6b"),
+        ("dict2_4", "a04171a57d2eee2eee2ec46f0d5d3bb67a23be19b81f76fa31b1b2b5d6c596cf"),
+    ],
+)
+def test_dictionary_digest(fixture, digest, request):
+    # digests taken from the step-by-step phase walk that _coset_phases replaced
+    dic = request.getfixturevalue(fixture)
+    h = hashlib.sha256()
+    for gens in (dic.gen_x, dic.gen_z, dic.gen_t):
+        h.update(gens.astype(np.int8).tobytes())
+    h.update((np.round(dic.states, 12) + 0j).tobytes())
+    assert h.hexdigest() == digest
 
 
 def _ray_key(v):
@@ -120,34 +137,3 @@ def test_qutrit_dictionary_has_nonnegative_wigner(dict3_1):
     for i in range(dict3_1.size):
         W = wigner_function(dict3_1.state(i))
         assert W.values.min() > -1e-12
-
-
-def test_cache_round_trip(tmp_path):
-    dic = get_dictionary(2, 2, cache_root=tmp_path)
-    path = cache_path(2, 2, tmp_path)
-    assert path.exists()
-    loaded = load_dictionary(path, 2, 2)
-    assert loaded is not None
-    assert loaded.size == dic.size
-    assert np.max(np.abs(loaded.states - dic.states)) < 1e-12
-    assert np.array_equal(loaded.gen_x, dic.gen_x)
-
-
-def test_cache_rejects_mismatch(tmp_path):
-    dic = get_dictionary(1, 2, cache_root=tmp_path)
-    path = cache_path(1, 2, tmp_path)
-    assert load_dictionary(path, 2, 2) is None  # wrong n
-    # corrupt the first packed tableau byte
-    raw = bytearray(path.read_bytes())
-    raw[24] ^= 0x01
-    path.write_bytes(bytes(raw))
-    assert load_dictionary(path, 1, 2) is None
-    # regeneration recovers
-    again = get_dictionary(1, 2, cache_root=tmp_path)
-    assert again.size == 6
-
-
-def test_cache_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGICLAB_CACHE_DIR", str(tmp_path))
-    assert str(cache_path(3, 2)).startswith(str(tmp_path))
-    assert cache_path(3, 2).name == "n3d2.bin"
