@@ -15,7 +15,6 @@ experiments are reproducible and parallelizable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .stabdict import StabilizerDictionary
 
@@ -47,6 +46,8 @@ def overlap_survival(n: int, beta: np.ndarray) -> np.ndarray:
 
 def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None = None) -> float:
     """KS test of the fixed-reference overlap law; returns the p-value."""
+    from scipy import stats  # imported here: it dominates `import magiclab`
+
     dim = 2**n
     if phi is None:
         phi = np.zeros(dim, dtype=complex)

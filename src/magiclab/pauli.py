@@ -280,14 +280,16 @@ def canonical_tableau(tab: StabilizerTableau) -> StabilizerTableau:
 def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
 
-    X, Z (k x n) and t (k) are the canonical X rows; W0 (m x n) holds one coset
+    X (k x n) holds the canonical X rows; Z (..., k, n) and t (..., k) stack
+    any number of Z parts and phases over them.  W0 (m x n) holds one coset
     offset per row.  Walking y in counting order, each step by X row i onto
     the point w multiplies the amplitude by zeta**(t_i + 2 z_i.w), giving
 
         e(y) = y.t + 2 [y.(Z w0) + sum_{i<j} y_i y_j z_i.x_j
                         + sum_i C(y_i + 1, 2) z_i.x_i]     (mod 2d).
 
-    Returns (m, d^k) basis indices and exponents, y little-endian in d.
+    Returns (m, d^k) basis indices, shared by the whole stack, and (..., m,
+    d^k) exponents, y little-endian in d.
 
     Both callers solve w0 from the RREF pure-Z rows with free variables zero,
     so w0 vanishes on the trailing columns of X's row space (the complement of
@@ -295,14 +297,15 @@ def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
     coset, and e(0) = 0 makes the first nonzero amplitude real positive.
     """
     X, Z = np.asarray(X, dtype=np.int64), np.asarray(Z, dtype=np.int64)
-    W0 = np.asarray(W0, dtype=np.int64)
+    W0, t = np.asarray(W0, dtype=np.int64), np.asarray(t, dtype=np.int64)
     k, n = X.shape
     ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
     W = (W0[:, None, :] + ys @ X) % d
     G = Z @ X.T
-    quad = np.einsum("yi,ij,yj->y", ys, np.triu(G, 1), ys)
-    quad += (ys * (ys + 1) // 2) @ np.diag(G)
-    e = ys @ np.asarray(t, dtype=np.int64) + 2 * (W0 @ Z.T @ ys.T + quad)
+    quad = ((ys @ np.triu(G, 1)) * ys).sum(-1)
+    quad += np.diagonal(G, axis1=-2, axis2=-1) @ (ys * (ys + 1) // 2).T
+    lin = (Z @ W0.T).swapaxes(-1, -2) @ ys.T
+    e = (t @ ys.T + 2 * quad)[..., None, :] + 2 * lin
     return W @ d ** np.arange(n), e % (2 * d)
 
 

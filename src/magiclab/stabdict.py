@@ -7,11 +7,12 @@ fixing the Z-part lifts, and each subspace carries d^n phase characters.
 No dedup pass is needed and the total matches the closed-form count
 d^n * prod_k (d^{n-k} + 1) by construction.
 
-States are built with exact integer phase arithmetic (powers of
-zeta = exp(i*pi/d)) by pauli._coset_phases, as in pauli.tableau_to_state,
-one call per (R, S) pair; the first nonzero amplitude of each comes out real
-positive.  Dense enumeration is cheap at desk scale (n = 4 qubits takes
-about a second), so dictionaries are rebuilt on demand rather than stored.
+States are built in blocks, one RREF R and a run of its S matrices at a
+time, with exact integer phase arithmetic (powers of zeta = exp(i*pi/d)) by
+pauli._coset_phases, as in pauli.tableau_to_state; the first nonzero
+amplitude of each comes out real positive.  Dense enumeration is cheap at
+desk scale (n = 4 qubits takes about 0.05 s), so dictionaries are rebuilt
+on demand rather than stored.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from .pauli import PauliOperator, StabilizerTableau, _coset_phases
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
+_BLOCK_STATES = 1024  # most states in one _iter_blocks block (one S always fits)
 
 
 class ResourceLimitError(ValueError):
@@ -63,30 +65,36 @@ def _rref_matrices(n: int, k: int, d: int):
             yield R
 
 
-def _symmetric_matrices(k: int, d: int):
-    entries = [(i, j) for i in range(k) for j in range(i, k)]
-    for values in itertools.product(range(d), repeat=len(entries)):
-        S = np.zeros((k, k), dtype=np.int64)
-        for (i, j), v in zip(entries, values):
-            S[i, j] = v
-            S[j, i] = v
-        yield S
+def _symmetric_matrices(k: int, d: int) -> np.ndarray:
+    """(d^(k(k+1)/2), k, k) array of all symmetric k x k matrices, lex order."""
+    rows, cols = np.triu_indices(k)
+    values = np.array(list(itertools.product(range(d), repeat=len(rows))), dtype=np.int64)
+    S = np.zeros((len(values), k, k), dtype=np.int64)
+    S[:, rows, cols] = values.reshape(len(values), len(rows))
+    S[:, cols, rows] = S[:, rows, cols]
+    return S
 
 
-def _char_table(k: int, d: int) -> np.ndarray:
-    """(d^k, d^k) table of 2 * y.eps phase offsets for all supports/characters."""
-    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
-    return ys, (2 * (ys @ ys.T)) % (2 * d)
+def _iter_blocks(n: int, d: int):
+    """Yield (gen_x, gen_z, gen_t, psi) blocks over all stabilizer states.
 
-
-def _iter_entries(n: int, d: int):
-    """Yield (gen_x, gen_z, gen_t, psi) over all stabilizer states, in a fixed
-    deterministic order (subspace dimension ascending, then lex)."""
+    Each block is one RREF X-block R and a run of its symmetric matrices S,
+    with every eps_z and every character: gen_x (n, n) is shared, and gen_z
+    (B, n, n), gen_t (B, n) and psi (B, d^n) hold B <= max(d^n, _BLOCK_STATES)
+    states.  Concatenated, the blocks give every state in a fixed
+    deterministic order: subspace dimension ascending, then R and S lex, then
+    eps_z lex, then the character.
+    """
     zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
+    run = max(1, _BLOCK_STATES // d**n)
     for k in range(n + 1):
-        ys, char_tab = _char_table(k, d)
+        ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
+        char_tab = (2 * (ys @ ys.T)) % (2 * d)
         mag = float(d) ** (-k / 2)
         eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
+        tz = (2 * eps) % (2 * d)
+        per_s = len(eps) * d**k
+        all_S = _symmetric_matrices(k, d)
         for R in _rref_matrices(n, k, d):
             if k < n:
                 znull, zpiv = gfp_rref(gfp_nullspace(R, d), d)
@@ -96,34 +104,29 @@ def _iter_entries(n: int, d: int):
             W0 = np.zeros((len(eps), n), dtype=np.int64)
             W0[:, zpiv] = (-eps) % d
             gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
-            for S in _symmetric_matrices(k, d):
+            pivcols = np.argmax(R != 0, axis=1)
+            for s0 in range(0, len(all_S), run):
+                S = all_S[s0 : s0 + run]
+                m = len(S)
                 # lifts: start supported on the pivot columns of R, then make
                 # them canonical by clearing the Z-block pivot columns
-                lifts = np.zeros((k, n), dtype=np.int64)
-                pivcols = [int(np.argmax(R[i] != 0)) for i in range(k)]
-                for i in range(k):
-                    for j in range(k):
-                        lifts[i, pivcols[j]] = S[j, i]
+                lifts = np.zeros((m, k, n), dtype=np.int64)
+                lifts[:, :, pivcols] = S
                 if zpiv:
-                    lifts = (lifts - lifts[:, zpiv] @ znull) % d
-                gen_z = np.vstack([lifts, znull])
-                if d == 2:
-                    t0x = np.array(
-                        [(-int(R[i] @ lifts[i])) % 4 for i in range(k)], dtype=np.int64
-                    )
-                else:
-                    t0x = np.array(
-                        [(2 * int(lifts[i] @ R[i])) % 6 for i in range(k)],
-                        dtype=np.int64,
-                    )
+                    lifts = (lifts - lifts[:, :, zpiv] @ znull) % d
+                rx = np.einsum("ij,sij->si", R, lifts)
+                t0x = (-rx) % 4 if d == 2 else (2 * rx) % 6
                 idx, e0 = _coset_phases(W0, R, lifts, t0x, d)
-                for idx_z, e_z, eps_z in zip(idx, e0, eps):
-                    tz = (2 * eps_z) % (2 * d)
-                    for ci in range(d**k):
-                        psi = np.zeros(d**n, dtype=complex)
-                        psi[idx_z] = mag * zeta_pow[(e_z + char_tab[ci]) % (2 * d)]
-                        gen_t = np.concatenate([(t0x + 2 * ys[ci]) % (2 * d), tz])
-                        yield gen_x, gen_z, gen_t, psi
+                expo = (e0[:, :, None, :] + char_tab) % (2 * d)
+                # state (S, eps_z, character) is one row, supported on idx[eps_z]
+                rows = np.arange(m * per_s).reshape(m, len(eps), d**k, 1)
+                psi = np.zeros((m * per_s, d**n), dtype=complex)
+                psi.flat[rows * d**n + idx[:, None, :]] = mag * zeta_pow[expo]
+                gen_t = np.empty((m, len(eps), d**k, n), dtype=np.int64)
+                gen_t[..., :k] = (t0x[:, None, None, :] + 2 * ys) % (2 * d)
+                gen_t[..., k:] = tz[:, None, :]
+                gen_z = np.concatenate([lifts, np.broadcast_to(znull, (m, n - k, n))], 1)
+                yield gen_x, np.repeat(gen_z, per_s, 0), gen_t.reshape(-1, n), psi
 
 
 @dataclass
@@ -170,23 +173,20 @@ def iter_stabilizer_states(n: int, d: int = 2):
         raise ResourceLimitError(
             f"streaming enumeration supports d=2 n<=5 and d=3 n<=2, got n={n} d={d}"
         )
-    for gen_x, gen_z, gen_t, psi in _iter_entries(n, d):
-        gens = tuple(
-            PauliOperator(
-                n,
-                d,
-                tuple(int(v) for v in gen_x[r]),
-                tuple(int(v) for v in gen_z[r]),
-                int(gen_t[r]),
+    for gen_x, gen_z, gen_t, psi in _iter_blocks(n, d):
+        xvecs = [tuple(row) for row in gen_x.tolist()]
+        for zs, ts, phi in zip(gen_z.tolist(), gen_t.tolist(), psi):
+            gens = tuple(
+                PauliOperator(n, d, xvecs[r], tuple(zs[r]), ts[r]) for r in range(n)
             )
-            for r in range(n)
-        )
-        yield StabilizerTableau(n, d, gens), psi
+            yield StabilizerTableau(n, d, gens), phi
 
 
 def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     """Dense dictionary of all stabilizer states; exact count by construction."""
-    if d not in DENSE_LIMITS or n < 1:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if d not in DENSE_LIMITS:
         raise ResourceLimitError(f"unsupported local dimension d={d}")
     if n > DENSE_LIMITS[d]:
         raise ResourceLimitError(
@@ -198,12 +198,14 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     gen_x = np.empty((total, n, n), dtype=np.int8)
     gen_z = np.empty((total, n, n), dtype=np.int8)
     gen_t = np.empty((total, n), dtype=np.int8)
-    for i, (gx, gz, gt, psi) in enumerate(_iter_entries(n, d)):
-        states[:, i] = psi
-        gen_x[i] = gx
-        gen_z[i] = gz
-        gen_t[i] = gt
-    count = i + 1
+    count = 0
+    for gx, gz, gt, psi in _iter_blocks(n, d):
+        block = slice(count, count + len(psi))
+        states[:, block] = psi.T
+        gen_x[block] = gx
+        gen_z[block] = gz
+        gen_t[block] = gt
+        count = block.stop
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
     return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from magiclab.haar import (
     overlap_cdf_pvalue,
     sample_dmin,
 )
+import magiclab
 from magiclab.measures import dmin
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -46,6 +51,20 @@ def test_overlap_cdf_other_reference():
     phi = rng.normal(size=4) + 1j * rng.normal(size=4)
     phi /= np.linalg.norm(phi)
     assert overlap_cdf_pvalue(2, 4000, seed=21, phi=phi) > 0.01
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only the KS test needs it
+    paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, magiclab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    # the p-value the KS test gave while scipy.stats was imported with the module
+    pvalue = overlap_cdf_pvalue(2, 100, seed=7)
+    assert pvalue == pytest.approx(0.7214547201574213, rel=1e-12)
 
 
 def test_batch_reproducibility():

@@ -4,9 +4,16 @@ import itertools
 import numpy as np
 import pytest
 
-from magiclab.pauli import canonical_tableau, tableau_to_state
+from magiclab.pauli import (
+    PauliOperator,
+    StabilizerTableau,
+    canonical_tableau,
+    tableau_to_state,
+)
 from magiclab.stabdict import (
+    _BLOCK_STATES,
     ResourceLimitError,
+    _iter_blocks,
     count_stabilizer_states,
     enumerate_quadratic_states,
     enumerate_stabilizer_states,
@@ -67,6 +74,12 @@ def test_dense_limits():
         enumerate_stabilizer_states(2, 5)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_dense_needs_positive_n(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_stabilizer_states(n, 2)
+
+
 def test_streaming_prefix_n5():
     total = 0
     for tab, psi in itertools.islice(iter_stabilizer_states(5, 2), 500):
@@ -77,9 +90,35 @@ def test_streaming_prefix_n5():
         next(iter_stabilizer_states(6, 2))
 
 
-def test_streaming_matches_dense(dict2_2):
-    for i, (tab, psi) in enumerate(itertools.islice(iter_stabilizer_states(2, 2), 60)):
-        assert np.max(np.abs(psi - dict2_2.state(i))) < 1e-12
+def test_streaming_matches_dense(dict2_2, dict2_3, dict3_2):
+    # every state and tableau of (2, 2), (3, 2) and (2, 3), in dictionary order
+    for dic in (dict2_2, dict2_3, dict3_2):
+        count = 0
+        for i, (tab, psi) in enumerate(iter_stabilizer_states(dic.n, dic.d)):
+            assert np.array_equal(psi, dic.state(i))
+            assert tab == dic.tableau(i)
+            count += 1
+        assert count == dic.size
+
+
+def test_blocks_cover_n5():
+    # every block of (5, 2): sizes add up to the closed-form count, no block
+    # exceeds the cap, and the first and last state of each block match
+    # tableau_to_state on their own tableaux
+    total = 0
+    for gen_x, gen_z, gen_t, psi in _iter_blocks(5, 2):
+        size = len(psi)
+        assert 0 < size <= _BLOCK_STATES
+        assert gen_z.shape == (size, 5, 5) and gen_t.shape == (size, 5)
+        total += size
+        for j in (0, size - 1):
+            gens = tuple(
+                PauliOperator(5, 2, tuple(x), tuple(z), t)
+                for x, z, t in zip(gen_x.tolist(), gen_z[j].tolist(), gen_t[j].tolist())
+            )
+            phi = tableau_to_state(StabilizerTableau(5, 2, gens))
+            assert np.max(np.abs(phi - psi[j])) < 1e-12
+    assert total == count_stabilizer_states(5, 2)
 
 
 def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
@@ -90,6 +129,14 @@ def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
             psi = dic.state(i)
             for g in dic.tableau(i).generators:
                 assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
+
+
+def _digest(gen_x, gen_z, gen_t, states):
+    h = hashlib.sha256()
+    for gens in (gen_x, gen_z, gen_t):
+        h.update(gens.astype(np.int8).tobytes())
+    h.update((np.round(states, 12) + 0j).tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -103,11 +150,20 @@ def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
 def test_dictionary_digest(fixture, digest, request):
     # digests taken from the step-by-step phase walk that _coset_phases replaced
     dic = request.getfixturevalue(fixture)
-    h = hashlib.sha256()
-    for gens in (dic.gen_x, dic.gen_z, dic.gen_t):
-        h.update(gens.astype(np.int8).tobytes())
-    h.update((np.round(dic.states, 12) + 0j).tobytes())
-    assert h.hexdigest() == digest
+    assert _digest(dic.gen_x, dic.gen_z, dic.gen_t, dic.states) == digest
+
+
+def test_stream_digest_n5():
+    # the first 3000 states of the n = 5 stream cross k = 0 (32 states) and
+    # k = 1 (1984) into k = 2; digest taken from the per-state enumerator
+    # that the block enumerator replaced
+    tabs, psis = zip(*itertools.islice(iter_stabilizer_states(5, 2), 3000))
+    gens = [[(g.xvec, g.zvec, g.phase) for g in tab.generators] for tab in tabs]
+    gen_x = np.array([[x for x, _, _ in row] for row in gens])
+    gen_z = np.array([[z for _, z, _ in row] for row in gens])
+    gen_t = np.array([[t for _, _, t in row] for row in gens])
+    digest = _digest(gen_x, gen_z, gen_t, np.column_stack(psis))
+    assert digest == "e7788656e5ca3bd941fb769d9f52169dc5eb20c8aff23b95b0ea92f03eab9314"
 
 
 def _ray_key(v):
