@@ -150,7 +150,7 @@ def _qubit_state_expectations(rho: np.ndarray, n: int):
                 tuple((xm >> i) & 1 for i in range(n)),
                 tuple((zm >> i) & 1 for i in range(n)),
             )
-            out[r] = float(np.real(np.trace(rho @ P.dense())))
+            out[r] = np.real(np.trace(P.apply(rho)))
             r += 1
     return out
 

@@ -1,15 +1,16 @@
-"""In-house convex solvers: dense primal simplex and complex basis pursuit.
+"""In-house convex solvers: revised primal simplex and complex basis pursuit.
 
-The LP path is a two-phase dense tableau simplex on standard form
+The LP path is a two-phase revised simplex on standard form
 
     min c.x  s.t.  A x = b,  x >= 0,
 
-with the dual vector extracted from the final basis.  Entering columns are
-picked by largest violation; the leaving row uses the lexicographic rule
-(the phase-1 artificial identity block doubles as the lexicographic block),
-which keeps the heavily degenerate dictionary LPs from cycling.  The final
-basis is re-solved against the original data so tableau round-off never
-reaches the reported solution.
+with the dual vector extracted from the final basis.  Only B^{-1} and the
+basic values are kept; every column is priced with one product
+c - (c_B B^{-1}) A.  Entering columns are picked by largest violation; the
+leaving row uses the lexicographic rule on the rows of B^{-1}, which keeps
+the heavily degenerate dictionary LPs from cycling.  The final basis is
+re-solved against the original data so B^{-1} round-off never reaches the
+reported solution.
 
 Basis pursuit minimizes the complex l1 norm subject to D c = t via ADMM
 (projection onto the affine constraint + complex soft thresholding), with
@@ -59,57 +60,56 @@ class LPSolution:
     kept_rows: np.ndarray | None = None  # rows surviving presolve
 
 
-def _tableau_pivot(tab, basis, leave, enter):
-    piv = tab[leave, enter]
-    tab[leave] /= piv
-    col = tab[:, enter].copy()
+def _pivot(Binv, xb, basis, d, leave, enter):
+    """Bring column ``enter``, whose image under B^{-1} is ``d``, into the
+    basis at position ``leave``."""
+    piv = d[leave]
+    Binv[leave] /= piv
+    xb[leave] /= piv
+    col = d.copy()
     col[leave] = 0.0
-    tab -= np.outer(col, tab[leave])
-    tab[:, enter] = 0.0
-    tab[leave, enter] = 1.0
+    Binv -= np.outer(col, Binv[leave])
+    xb -= col * xb[leave]
     basis[leave] = enter
 
 
-def _tableau_simplex(tab, basis, c, eligible, lex_cols, tol, max_iter):
-    """Dense tableau simplex with the lexicographic anti-cycling ratio test.
+def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter):
+    """Revised simplex with the lexicographic anti-cycling ratio test.
 
-    ``tab`` is [B^{-1}A_full | B^{-1}b]; ``lex_cols`` index an identity block
-    of A_full (so those tableau columns carry B^{-1}), which makes the
-    lexicographic comparison well posed and termination guaranteed even on
-    heavily degenerate problems.
+    ``Binv`` (B^{-1}, one row per basic position, one column per original
+    row) and the basic values ``xb`` are updated in place.  Rows of B^{-1}
+    start as the identity, which makes the lexicographic order well posed.
     """
-    m = tab.shape[0]
     for it in range(max_iter):
-        reduced = c[eligible] - c[basis] @ tab[:, eligible]
-        j = int(np.argmin(reduced))
-        if reduced[j] >= -tol:
+        reduced = cost - (cost[basis] @ Binv) @ cols
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= -tol:
             return "optimal", it
-        enter = int(eligible[j])
-        d = tab[:, enter]
+        d = Binv @ cols[:, enter]
         candidates = np.nonzero(d > tol)[0]
         if candidates.size == 0:
             return "unbounded", it
-        ratios = tab[candidates, -1] / d[candidates]
+        ratios = xb[candidates] / d[candidates]
         best = float(np.min(ratios))
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
         if tied.size > 1:
-            lex = tab[np.ix_(tied, lex_cols)] / d[tied, None]
+            lex = Binv[tied] / d[tied, None]
             order = np.lexsort(lex.T[::-1])
             leave = int(tied[order[0]])
         else:
             leave = int(tied[0])
-        _tableau_pivot(tab, basis, leave, enter)
-        tab[:, -1] = np.maximum(tab[:, -1], 0.0)  # clamp float dust
+        _pivot(Binv, xb, basis, d, leave, enter)
+        np.maximum(xb, 0.0, out=xb)  # clamp float dust
     raise SolverError(f"simplex did not converge within {max_iter} iterations")
 
 
 def solve_lp(prog: LinearProgram, tol: float = LP_TOL, max_iter: int = 50_000) -> LPSolution:
-    """Two-phase tableau simplex with dual extraction.
+    """Two-phase revised simplex with dual extraction.
 
     Redundant equality rows found in phase 1 are dropped (presolve to full
     row rank); the returned dual covers the surviving rows, indexed by
     ``kept_rows``.  The final basis is re-solved against the original data,
-    so the reported solution does not inherit tableau round-off.
+    so the reported solution does not inherit the round-off of B^{-1}.
     """
     A = prog.A.copy()
     b = prog.b.copy()
@@ -120,56 +120,52 @@ def solve_lp(prog: LinearProgram, tol: float = LP_TOL, max_iter: int = 50_000) -
     b[flip] *= -1.0
     rows = np.arange(m)
 
-    # phase 1: artificial identity block doubles as the lexicographic block
-    full = np.hstack([A, np.eye(m), b[:, None]])
+    # phase 1 from the artificial basis, where B^{-1} = I
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    basis = list(range(ncols, ncols + m))
-    lex_cols = np.arange(ncols, ncols + m)
-    eligible = np.arange(ncols + m)
-    status, it1 = _tableau_simplex(full, basis, c1, eligible, lex_cols, tol, max_iter)
+    basis = np.arange(ncols, ncols + m)
+    Binv = np.eye(m)
+    xb = b.copy()
+    status, it1 = _revised_simplex(
+        np.hstack([A, np.eye(m)]), c1, basis, Binv, xb, tol, max_iter
+    )
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
-    if float(c1[basis] @ full[:, -1]) > 1e-7:
+    if float(c1[basis] @ xb) > 1e-7:
         return LPSolution(status="infeasible", iterations=it1)
 
-    # pivot artificials out of the basis; rows none can leave are redundant
+    # pivot artificials out of the basis; an artificial none can replace
+    # marks its own row as redundant (its basis position can differ, once it
+    # has left and re-entered), and dropping that row keeps B nonsingular
     drop = []
     for pos in range(m):
         if basis[pos] < ncols:
             continue
-        row = full[pos, :ncols]
+        row = Binv[pos] @ A
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > 1e-9:
-            _tableau_pivot(full, basis, pos, j)
+            _pivot(Binv, xb, basis, Binv @ A[:, j], pos, j)
         else:
             drop.append(pos)
     if drop:
-        keep = [i for i in range(m) if i not in drop]
-        full = full[keep]
-        rows = rows[keep]
-        basis = [basis[i] for i in keep]
+        rows = np.setdiff1d(rows, basis[drop] - ncols)
+        keep = np.setdiff1d(np.arange(m), drop)
+        Binv, xb, basis = Binv[keep], xb[keep], basis[keep]
         m = len(keep)
 
-    c2 = np.concatenate([c, np.zeros(full.shape[1] - 1 - ncols)])
-    eligible = np.arange(ncols)
-    status, it2 = _tableau_simplex(full, basis, c2, eligible, lex_cols, tol, max_iter)
+    status, it2 = _revised_simplex(A, c, basis, Binv, xb, tol, max_iter)
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=it1 + it2)
 
-    # re-solve the final basis against the original (sign-flipped) data
-    A = prog.A.copy()
-    A[flip] *= -1.0
-    A = A[rows]
-    bfin = prog.b.copy()
-    bfin[flip] *= -1.0
-    bfin = bfin[rows]
+    # re-solve the final basis against the (sign-flipped) data, which the
+    # iterations never modify
+    A, b = A[rows], b[rows]
     B = A[:, basis]
     x = np.zeros(ncols)
-    x[basis] = np.linalg.solve(B, bfin)
+    x[basis] = np.linalg.solve(B, b)
     y = np.linalg.solve(B.T, c[basis])
     obj = float(c @ x)
-    gap = abs(obj - float(bfin @ y))
-    feas = float(np.max(np.abs(A @ x - bfin))) if m else 0.0
+    gap = abs(obj - float(b @ y))
+    feas = float(np.max(np.abs(A @ x - b))) if m else 0.0
     if gap > 1e-8 * max(1.0, abs(obj)) or feas > 1e-7:
         raise SolverError(f"simplex accuracy check failed: gap={gap:.2e} feas={feas:.2e}")
     # undo row flips so the dual matches the caller's rows

@@ -1,10 +1,17 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magiclab
+from magiclab.boolfn import hypergraph_state, parse_anf
 from magiclab.measures import (
     TOLERANCES,
     dmin,
@@ -215,3 +222,123 @@ def test_magic_report_json_round_trip(dict2_1, golden):
 def test_dimension_mismatch_rejected(dict2_1):
     with pytest.raises(ValueError):
         dmin(np.zeros(4, dtype=complex), dict2_1)
+
+
+# l1 = 1 + 2R of each state of _pinned_states(), taken with the dense tableau
+# simplex that the revised simplex replaced
+PINNED_L1 = [
+    2.122664321762553,
+    2.4880944197950727,
+    2.36610634498172,
+    2.2315310588040482,
+    2.3414331952659717,
+    2.40352621280055,
+    3.913118166201939,
+    4.48578194870418,
+    4.620263234422479,
+    4.002628502730676,
+    1.469002179589714,
+    1.5470621090566046,
+]
+
+
+def _pinned_states():
+    """(state, n, d): six depolarized 3-qubit states, four 2-qutrit and two
+    single-qubit pure states."""
+    rng = np.random.default_rng(2020)
+    out = []
+    for _ in range(6):
+        v = random_state(8, rng)
+        p = rng.uniform(0.05, 0.3)
+        out.append(((1 - p) * np.outer(v, v.conj()) + p * np.eye(8) / 8, 3, 2))
+    out += [(random_state(9, rng), 2, 3) for _ in range(4)]
+    out += [(random_state(2, rng), 1, 2) for _ in range(2)]
+    return out
+
+
+_SITE = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def _witness_operator(witness, n, d):
+    """The witness sum_k y_k B_k as a matrix, built from its labels with
+    Kronecker products (qubits) or matrix units (Hermitian entries), not
+    through the LP's constraint rows."""
+    dim = d**n
+    W = np.zeros((dim, dim), dtype=complex)
+    for label, y in witness:
+        if d == 2:
+            sign = -1.0 if label[0] == "-" else 1.0
+            mats = [_SITE[ch] for ch in label.lstrip("+-")]
+            W += y * sign * reduce(lambda acc, m: np.kron(m, acc), mats)
+            continue
+        i, j = (int(v) for v in label[3:-1].split(","))
+        if i == j:
+            W[i, i] += y
+        elif label.startswith("re"):
+            W[i, j] += y / 2
+            W[j, i] += y / 2
+        else:
+            W[i, j] += 1j * y / 2
+            W[j, i] -= 1j * y / 2
+    return W
+
+
+@pytest.mark.parametrize("k", range(len(PINNED_L1)))
+def test_free_robustness_pinned_certificate(k, dict2_1, dict2_3, dict3_2):
+    state, n, d = _pinned_states()[k]
+    dic = {(1, 2): dict2_1, (3, 2): dict2_3, (2, 3): dict3_2}[(n, d)]
+    res = free_robustness(state, dic)
+    assert abs(res.l1 - PINNED_L1[k]) < 1e-10
+    diag = res.diagnostics
+    assert diag["witness_max_abs"] <= 1 + 1e-9
+    assert diag["duality_gap"] < 1e-8
+    assert abs(diag["witness_value"] - res.l1) <= 1e-8 * res.l1
+    assert diag["reconstruction_error"] <= 1e-8
+    # the same certificate, re-derived over the full dictionary
+    W = _witness_operator(res.witness, n, d)
+    D = dic.states
+    tr_phi_w = np.real(np.einsum("ij,ij->j", D.conj(), W @ D))
+    assert np.max(np.abs(tr_phi_w)) <= 1 + 1e-9
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    assert abs(np.real(np.trace(rho @ W)) - res.l1) <= 1e-8 * res.l1
+
+
+def test_free_robustness_leaves_scipy_optimize_unloaded():
+    paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys\n"
+        "from magiclab.measures import free_robustness, golden_state\n"
+        "from magiclab.stabdict import enumerate_stabilizer_states\n"
+        "free_robustness(golden_state(), enumerate_stabilizer_states(1, 2))\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "anf",
+    [
+        "x1*x2*x3 + x1",
+        "x1*x2*x3 + x2 + x3",
+        "x1*x2*x3 + x1*x2",
+        "x1*x2*x3 + x1*x3 + x2",
+        "x1*x2*x3 + x2*x3 + x1 + x3",
+        "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3",
+        "x1*x2*x3 + x1*x2 + x2*x3 + x1 + x2",
+        "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3 + x1 + x2 + x3",
+    ],
+)
+def test_ccz_class_robustness_closed_form(anf, dict2_3):
+    # a diagonal quadratic phase is Clifford, so every x1x2x3 + q(x) has
+    # CCZ's l1 = 1 + 2R = 23/9, the 2.5556 of Howard & Campbell
+    res = free_robustness(hypergraph_state(parse_anf(anf)), dict2_3)
+    assert abs(res.l1 - 23 / 9) < 1e-9

@@ -37,6 +37,60 @@ def test_lp_redundant_rows_dropped():
     assert len(sol.kept_rows) == 1
 
 
+def test_lp_redundant_rows_dual_certifies():
+    A = np.array([[1.0, 1.0], [2.0, 2.0]])
+    b = np.array([1.0, 2.0])
+    c = np.array([1.0, 2.0])
+    sol = solve_lp(LinearProgram(c, A, b))
+    kept = sol.kept_rows
+    assert np.min(c - A[kept].T @ sol.dual) >= -1e-9
+    assert abs(b[kept] @ sol.dual - sol.objective) < 1e-12
+
+
+def test_lp_drops_the_row_of_a_stuck_artificial():
+    # rank 3 with seven rows; phase 1 ends with artificials basic at
+    # positions other than their own rows, so dropping rows by basis position
+    # left a singular basis
+    A = np.array(
+        [
+            [1, -4, 2, 0],
+            [4, -5, -3, 4],
+            [3, 1, 2, -1],
+            [-2, -4, -2, 2],
+            [2, 0, -1, 1],
+            [2, -5, -2, 3],
+            [3, 5, 5, -4],
+        ],
+        dtype=float,
+    )
+    b = np.array([-7, -6, 5, -10, 2, -8, 13], dtype=float)
+    c = np.array([1.0, 0.0, 3.0, 0.0])
+    sol = solve_lp(LinearProgram(c, A, b))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - 1.0) < 1e-12
+    assert np.max(np.abs(A @ sol.x - b)) < 1e-12
+    kept = sol.kept_rows
+    assert len(kept) == np.linalg.matrix_rank(A) == 3
+    assert np.min(c - A[kept].T @ sol.dual) >= -1e-9
+    assert abs(b[kept] @ sol.dual - sol.objective) < 1e-12
+
+
+def test_lp_beale_cycling_example():
+    # Beale's LP, on which Dantzig's rule with a naive ratio test cycles
+    A = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    sol = solve_lp(LinearProgram(c, A, [0.0, 0.0, 1.0]))
+    assert sol.status == "optimal"
+    assert abs(sol.objective + 1.25) < 1e-12
+    assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
 def test_lp_random_duality_and_feasibility():
     rng = np.random.default_rng(0)
     for _ in range(25):
