@@ -81,11 +81,10 @@ from .pauli import (
     weyl_operator,
 )
 from .solvers import (
-    BasisPursuitProblem,
     LinearProgram,
     SolverError,
     basis_pursuit_polygon_lp,
-    solve_basis_pursuit,
+    solve_extent,
     solve_lp,
 )
 from .stabdict import (

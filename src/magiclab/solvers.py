@@ -1,4 +1,5 @@
-"""In-house convex solvers: revised primal simplex and complex basis pursuit.
+"""In-house convex solver: a revised primal simplex, and the stabilizer
+extent by phase column generation on the same simplex.
 
 The LP path is a two-phase revised simplex on standard form
 
@@ -12,11 +13,10 @@ the heavily degenerate dictionary LPs from cycling.  The final basis is
 re-solved against the original data so B^{-1} round-off never reaches the
 reported solution.
 
-Basis pursuit minimizes the complex l1 norm subject to D c = t via ADMM
-(projection onto the affine constraint + complex soft thresholding), with
-over-relaxation and residual-balanced step adaptation.  A feasible dual
-point is rescaled at every check so the returned value carries a certified
-optimality gap.
+The extent's complex l1 minimum subject to D c = t is a real LP over
+nonnegative weights of phase-rotated dictionary columns.  Column generation
+adds the exact phase for every column the current dual violates, until the
+primal l1 norm and the rescaled dual value agree to a relative BP_GAP_TOL.
 """
 
 from dataclasses import dataclass
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LP_TOL = 1e-9
-BP_RESIDUAL_TOL = 1e-8
-BP_GAP_TOL = 1e-6
+BP_GAP_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -181,101 +180,68 @@ def solve_lp(prog: LinearProgram, tol: float = LP_TOL, max_iter: int = 50_000) -
     )
 
 
-# --- complex basis pursuit -----------------------------------------------------
+# --- stabilizer extent --------------------------------------------------------
 
-@dataclass
-class BasisPursuitProblem:
-    """min sum_j |c_j| over complex c subject to dictionary @ c = target."""
-
-    dictionary: np.ndarray
-    target: np.ndarray
-    residual_tol: float = BP_RESIDUAL_TOL
-    gap_tol: float = BP_GAP_TOL
-
-    def __post_init__(self):
-        self.dictionary = np.asarray(self.dictionary, dtype=complex)
-        self.target = np.asarray(self.target, dtype=complex)
-        if self.dictionary.shape[0] != self.target.shape[0]:
-            raise ValueError("dictionary/target dimension mismatch")
+_EXTENT_MAX_ROUNDS = 100
 
 
-@dataclass
-class BPSolution:
-    coefficients: np.ndarray
-    l1: float
-    lower_bound: float
-    gap: float
-    iterations: int
-    primal_residual: float
-    dual_residual: float
+def _phase_columns(D, idx, phases):
+    """Real LP columns [Re; Im] of the phase-rotated dictionary columns
+    phases[k] * D[:, idx[k]]."""
+    cols = D[:, idx] * phases
+    return np.vstack([cols.real, cols.imag])
 
 
-def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
-    mags = np.abs(v)
-    scale = np.maximum(mags - kappa, 0.0)
-    out = np.zeros_like(v)
-    nz = mags > 0
-    out[nz] = scale[nz] * v[nz] / mags[nz]
-    return out
+def solve_extent(D: np.ndarray, t: np.ndarray):
+    """min sum_j |c_j| over complex c subject to D c = t, by phase column
+    generation on the simplex.
 
+    With c_j = sum_k w_jk e^{i theta_k} and w >= 0 this is a real LP with 2m
+    rows.  Round 0 puts the phases {1, i, -1, -i} on every column and keeps
+    the columns of its solution's support.  Each later round adds, for every
+    j with |<phi_j|y>| > 1 under the simplex dual y, the column at phase
+    arg <phi_j|y>; no column is dropped.  ||c||_1 bounds the optimum from
+    above, and Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.
+    The lower bound is taken at the least-norm y tight on the support of c:
+    on a degenerate LP such as CCZ x |+> the simplex's vertex dual wanders
+    over the optimal face and never certifies.  Stops when the bounds agree
+    to a relative ``BP_GAP_TOL``.
 
-def solve_basis_pursuit(
-    prob: BasisPursuitProblem,
-    rho: float | None = None,
-    max_iter: int = 500_000,
-    over_relax: float = 1.6,
-) -> BPSolution:
-    D = prob.dictionary
-    t = prob.target
+    Returns (c, y, pivots, rounds) with y the certifying dual vector.
+    """
+    D = np.asarray(D, dtype=complex)
+    t = np.asarray(t, dtype=complex)
     m, N = D.shape
-    G = D @ D.conj().T
-    Ginv = np.linalg.pinv(G, rcond=1e-12)
-    Dh = D.conj().T
-
-    lsq = Dh @ (Ginv @ t)
-    if np.linalg.norm(D @ lsq - t) > 1e-9:
-        raise ValueError("target is not in the span of the dictionary")
-    if rho is None:
-        # the threshold 1/rho must sit below the working coefficient scale,
-        # which shrinks as the dictionary grows
-        rho = 10.0 / max(float(np.max(np.abs(lsq))), 1e-12)
-
-    def project(v):
-        return v - Dh @ (Ginv @ (D @ v - t))
-
-    z = lsq.copy()
-    u = np.zeros(N, dtype=complex)
-    c = z.copy()
-    r_norm = s_norm = np.inf
-    for it in range(1, max_iter + 1):
-        c = project(z - u)
-        c_hat = over_relax * c + (1 - over_relax) * z
-        z_new = _soft_threshold(c_hat + u, 1.0 / rho)
-        u = u + c_hat - z_new
-        r_norm = float(np.linalg.norm(c - z_new))
-        s_norm = float(rho * np.linalg.norm(z_new - z))
-        z = z_new
-        if it % 25 == 0 or (r_norm < prob.residual_tol and s_norm < prob.residual_tol):
-            y = rho * (Ginv @ (D @ u))
-            corr = np.abs(Dh @ y)
-            scale = max(1.0, float(np.max(corr)))
-            lower = float(np.real(np.vdot(y, t))) / scale
-            l1 = float(np.sum(np.abs(c)))
-            gap = l1 - lower
-            if (
-                r_norm < prob.residual_tol
-                and s_norm < prob.residual_tol
-                and gap < prob.gap_tol
-            ):
-                return BPSolution(c, l1, lower, gap, it, r_norm, s_norm)
-            if r_norm > 10 * s_norm and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10 * r_norm and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
+    b = np.concatenate([t.real, t.imag])
+    idx = np.repeat(np.arange(N), 4)
+    phases = np.tile(np.array([1, 1j, -1, -1j]), N)
+    pivots = 0
+    for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
+        A = _phase_columns(D, idx, phases)
+        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b))
+        if sol.status == "infeasible":
+            raise ValueError("target is not in the span of the dictionary")
+        pivots += sol.iterations
+        support = sol.x > 1e-12  # degenerate basics would pin y to a vertex
+        c = np.zeros(N, dtype=complex)
+        np.add.at(c, idx, sol.x * phases)
+        yr = np.linalg.lstsq(A[:, support].T, np.ones(support.sum()), rcond=None)[0]
+        y = yr[:m] + 1j * yr[m:]
+        upper = float(np.sum(np.abs(c)))
+        lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(D.conj().T @ y)))
+        if upper - lower <= BP_GAP_TOL * upper:
+            return c, y, pivots, rounds
+        if rounds == 1:
+            idx, phases = idx[support], phases[support]
+        yr = np.zeros(2 * m)
+        yr[sol.kept_rows] = sol.dual
+        corr = D.conj().T @ (yr[:m] + 1j * yr[m:])
+        new = np.nonzero(np.abs(corr) > 1.0)[0]
+        idx = np.concatenate([idx, new])
+        phases = np.concatenate([phases, np.exp(1j * np.angle(corr[new]))])
     raise SolverError(
-        f"basis pursuit did not converge: primal={r_norm:.2e} dual={s_norm:.2e}"
+        f"extent column generation stopped after {_EXTENT_MAX_ROUNDS} rounds "
+        f"with {lower!r} <= l1 <= {upper!r}"
     )
 
 
@@ -290,10 +256,9 @@ def basis_pursuit_polygon_lp(
     """
     D = np.asarray(D, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    m, N = D.shape
+    N = D.shape[1]
     phases = np.exp(2j * np.pi * np.arange(sides) / sides)
-    cols = (D[:, :, None] * phases[None, None, :]).reshape(m, N * sides)
-    A = np.vstack([cols.real, cols.imag])
+    A = _phase_columns(D, np.repeat(np.arange(N), sides), np.tile(phases, N))
     b = np.concatenate([t.real, t.imag])
     sol = solve_lp(LinearProgram(np.ones(N * sides), A, b))
     if sol.status != "optimal":

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import magiclab
+from magiclab import measures
 from magiclab.boolfn import hypergraph_state, parse_anf
 from magiclab.measures import (
     TOLERANCES,
@@ -23,6 +24,7 @@ from magiclab.measures import (
     stab_rank_bound,
     stabilizer_fidelity,
 )
+from magiclab.solvers import SolverError, solve_extent
 from conftest import random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -106,6 +108,82 @@ def test_extent_weak_additivity_two_golden(dict2_2, golden):
     assert abs(res.dmax - 2 * GOLDEN_DMIN) < 1e-5
     value, _ = dmin(GG, dict2_2)
     assert abs(value - 2 * GOLDEN_DMIN) < 1e-12
+
+
+T_STATE = np.array([1, np.exp(1j * np.pi / 4)]) / math.sqrt(2)
+PLUS = np.array([1, 1]) / math.sqrt(2)
+ZERO = np.array([1, 0], dtype=complex)
+XI_T = 1 / math.cos(math.pi / 8) ** 2
+XI_GOLDEN = 3 - math.sqrt(3)
+CCZ = hypergraph_state(parse_anf("x1*x2*x3"))
+
+
+def _kron(*states):
+    return reduce(np.kron, states)
+
+
+def _random_clifford(n, seed, layers=8):
+    """Layers of H or S on every qubit, each followed by CZ or CNOT on a
+    random pair of qubits (bit i of a basis index is qubit i)."""
+    rng = np.random.default_rng(seed)
+    H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    S = np.diag([1, 1j])
+    x = np.arange(2**n)
+    U = np.eye(2**n, dtype=complex)
+    for _ in range(layers):
+        U = _kron(*(H if rng.random() < 0.5 else S for _ in range(n))) @ U
+        a, b = rng.choice(n, size=2, replace=False)
+        bit_a = (x >> a) & 1
+        if rng.random() < 0.5:
+            U = (1 - 2 * (bit_a & (x >> b) & 1))[:, None] * U  # CZ
+        else:
+            U = U[x ^ (bit_a << b)]  # CNOT, control a, target b
+    return U
+
+
+def test_extent_haar_regression_state(dict2_3):
+    # a Haar state on which a first-order (ADMM) extent solve stalls
+    psi = random_state(8, np.random.default_rng([1921437797, 1]))
+    res = extent(psi, dict2_3)
+    assert abs(res.xi - 1.77987856) < 1e-8
+    assert res.diagnostics["l1_gap"] < 1e-8
+    assert res.diagnostics["reconstruction_error"] <= TOLERANCES["reconstruction"]
+
+
+@pytest.mark.parametrize("tamper", ["coefficients", "dual"])
+def test_extent_rejects_what_it_cannot_certify(monkeypatch, dict2_1, golden, tamper):
+    c, y, pivots, rounds = solve_extent(dict2_1.states, golden)
+    if tamper == "coefficients":
+        c = c * (1 + 1e-6)  # D c misses psi
+    else:
+        y = dict2_1.states[:, 0]  # a feasible dual far from optimal
+    monkeypatch.setattr(measures, "solve_extent", lambda D, t: (c, y, pivots, rounds))
+    with pytest.raises(SolverError, match="extent certificate failed"):
+        extent(golden, dict2_1)
+
+
+_HAAR2 = random_state(4, np.random.default_rng(21))
+_HAAR3 = random_state(8, np.random.default_rng(31))
+
+
+@pytest.mark.parametrize(
+    "n, psi, reference",
+    [
+        # multiplicativity: xi(psi x phi) = xi(psi) xi(phi) for n <= 3 factors
+        pytest.param(3, _kron(T_STATE, T_STATE, T_STATE), XI_T**3, id="T-T-T"),
+        pytest.param(3, _kron(T_STATE, golden_state(), T_STATE), XI_T**2 * XI_GOLDEN, id="T-G-T"),
+        pytest.param(3, _kron(T_STATE, PLUS, ZERO), XI_T, id="T-plus-zero"),
+        pytest.param(4, _kron(T_STATE, T_STATE, T_STATE, T_STATE), XI_T**4, id="T-T-T-T"),
+        # Clifford invariance: the reference is the extent of the preimage
+        pytest.param(2, _random_clifford(2, 1) @ _HAAR2, _HAAR2, id="clifford-haar-2"),
+        pytest.param(3, _random_clifford(3, 2) @ _HAAR3, _HAAR3, id="clifford-haar-3"),
+        pytest.param(3, _random_clifford(3, 3) @ CCZ, CCZ, id="clifford-ccz"),
+    ],
+)
+def test_extent_oracles(request, n, psi, reference):
+    dic = request.getfixturevalue(f"dict2_{n}")
+    want = reference if np.isscalar(reference) else extent(reference, dic).xi
+    assert abs(extent(psi, dic).xi / want - 1) < 1e-8
 
 
 def test_free_robustness_golden_matches_oracle(dict2_1, golden):
@@ -215,7 +293,7 @@ def test_magic_report_json_round_trip(dict2_1, golden):
     payload = json.loads(rep.to_json())
     assert payload["n"] == 1 and payload["d"] == 2
     assert abs(payload["dmin"] - GOLDEN_DMIN) < 1e-9
-    assert payload["tolerances"]["bp_gap"] == 1e-6
+    assert payload["tolerances"]["bp_gap"] == 1e-9
     assert payload["version"]
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from magiclab import solvers
 from magiclab.solvers import (
-    BasisPursuitProblem,
     LinearProgram,
+    SolverError,
     basis_pursuit_polygon_lp,
-    solve_basis_pursuit,
+    solve_extent,
     solve_lp,
 )
 
@@ -121,20 +122,28 @@ def test_lp_degenerate_many_zero_rhs():
     assert sol.objective <= 1.0 + 1e-9
 
 
+def _extent_bracket(D, t):
+    """solve_extent's decomposition with its l1 norm and certified lower bound."""
+    c, y, _, _ = solve_extent(D, t)
+    l1 = float(np.sum(np.abs(c)))
+    lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(D.conj().T @ y)))
+    return c, l1, lower
+
+
 def test_bp_single_column():
     rng = np.random.default_rng(1)
     D = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
     D /= np.linalg.norm(D, axis=0)
-    sol = solve_basis_pursuit(BasisPursuitProblem(D, D[:, 5]))
-    assert abs(sol.l1 - 1.0) < 1e-6
-    assert sol.gap < 1e-6
-    assert np.linalg.norm(D @ sol.coefficients - D[:, 5]) < 1e-7
+    c, l1, lower = _extent_bracket(D, D[:, 5])
+    assert abs(l1 - 1.0) < 1e-6
+    assert l1 - lower < 1e-6
+    assert np.linalg.norm(D @ c - D[:, 5]) < 1e-7
 
 
 def test_bp_out_of_span_rejected():
     D = np.array([[1.0 + 0j], [0.0 + 0j]])
     with pytest.raises(ValueError):
-        solve_basis_pursuit(BasisPursuitProblem(D, np.array([0.0, 1.0 + 0j])))
+        solve_extent(D, np.array([0.0, 1.0 + 0j]))
 
 
 def test_bp_phase_invariance():
@@ -143,10 +152,10 @@ def test_bp_phase_invariance():
     D /= np.linalg.norm(D, axis=0)
     t = D @ (rng.normal(size=10) + 1j * rng.normal(size=10))
     t /= np.linalg.norm(t)
-    base = solve_basis_pursuit(BasisPursuitProblem(D, t)).l1
+    base = _extent_bracket(D, t)[1]
     for seed in range(3):
         phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=10))
-        rotated = solve_basis_pursuit(BasisPursuitProblem(D * phases, t)).l1
+        rotated = _extent_bracket(D * phases, t)[1]
         assert abs(rotated - base) < 5e-6
 
 
@@ -156,19 +165,27 @@ def test_bp_value_between_dual_and_any_feasible():
     D /= np.linalg.norm(D, axis=0)
     greedy = rng.normal(size=8) + 1j * rng.normal(size=8)
     t = D @ greedy
-    sol = solve_basis_pursuit(BasisPursuitProblem(D, t))
-    assert sol.lower_bound <= sol.l1 + 1e-12
-    assert sol.l1 <= np.sum(np.abs(greedy)) + 1e-8  # any feasible point is above
+    _, l1, lower = _extent_bracket(D, t)
+    assert lower <= l1 + 1e-12
+    assert l1 <= np.sum(np.abs(greedy)) + 1e-8  # any feasible point is above
+
+
+def test_extent_round_cap_reports_the_bracket(monkeypatch, dict2_2):
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=4) + 1j * rng.normal(size=4)
+    monkeypatch.setattr(solvers, "_EXTENT_MAX_ROUNDS", 1)
+    with pytest.raises(SolverError, match=r"after 1 rounds with .* <= l1 <= "):
+        solve_extent(dict2_2.states, t / np.linalg.norm(t))
 
 
 def test_polygon_lp_brackets_true_value(dict2_1, golden):
-    true_l1 = solve_basis_pursuit(BasisPursuitProblem(dict2_1.states, golden)).l1
+    true_l1 = _extent_bracket(dict2_1.states, golden)[1]
     poly, coeffs = basis_pursuit_polygon_lp(dict2_1.states, golden, sides=16)
     assert true_l1 - 1e-6 <= poly <= true_l1 / np.cos(np.pi / 16) + 1e-6
     assert np.linalg.norm(dict2_1.states @ coeffs - golden) < 1e-7
 
 
 def test_golden_extent_anchor(dict2_1, golden):
-    sol = solve_basis_pursuit(BasisPursuitProblem(dict2_1.states, golden))
-    assert abs(sol.l1**2 - (3 - np.sqrt(3))) < 1e-6
-    assert sol.gap < 1e-6
+    _, l1, lower = _extent_bracket(dict2_1.states, golden)
+    assert abs(l1**2 - (3 - np.sqrt(3))) < 1e-6
+    assert l1 - lower < 1e-6
