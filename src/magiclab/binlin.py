@@ -9,9 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed table of irreducible (primitive) polynomials over GF(2) for
-# m = 1..15, encoded as bit masks with bit m set.  A fixed table keeps field
-# constructions (and everything derived from them) reproducible.
+# Fixed table of primitive polynomials over GF(2) for m = 1..15, encoded as
+# bit masks with bit m set: the class of x generates the multiplicative group,
+# which `field_log_tables` and the MUB spread in `pauli` rely on.  A fixed
+# table keeps field constructions (and everything derived from them)
+# reproducible.
 IRREDUCIBLE_POLY = {
     1: 0b11,                 # x + 1
     2: 0b111,                # x^2 + x + 1
@@ -176,3 +178,27 @@ def field_trace(x: FieldElement) -> int:
     if acc.value not in (0, 1):
         raise AssertionError("trace must land in GF(2)")
     return acc.value
+
+
+def field_log_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Antilog and log tables of GF(2^m) under the fixed primitive modulus.
+
+    ``antilog[k]`` is the bit mask of x^k for 0 <= k < 2^m - 1, and
+    ``log[antilog[k]] = k``; ``log[0]`` is unused (left 0).  Products and
+    powers of whole arrays of nonzero elements then reduce to integer
+    arithmetic on logs modulo 2^m - 1.
+    """
+    if not 1 <= m <= 15:
+        raise ValueError("supported extension degrees are 1..15")
+    mod = IRREDUCIBLE_POLY[m]
+    order = (1 << m) - 1
+    antilog = np.empty(order, dtype=np.int64)
+    v = 1
+    for k in range(order):
+        antilog[k] = v
+        v <<= 1
+        if v >> m:
+            v ^= mod
+    log = np.zeros(order + 1, dtype=np.int64)
+    log[antilog] = np.arange(order)
+    return antilog, log

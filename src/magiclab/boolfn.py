@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binlin import field_element, field_pow, field_trace
+from .binlin import field_log_tables
 
 
 def variable_mask(n: int, i: int) -> int:
@@ -83,21 +83,21 @@ class BooleanFunction:
     def compose_affine(self, A: np.ndarray, b: np.ndarray) -> "BooleanFunction":
         """f(Ax + b) by permuting (or collapsing) the truth table."""
         n = self.n
-        tt = self.truth_table
-        out = 0
-        A = np.asarray(A) % 2
-        b = np.asarray(b) % 2
-        for x in range(1 << n):
-            xv = np.array([(x >> i) & 1 for i in range(n)])
-            y = (A @ xv + b) % 2
-            yi = int(sum(int(v) << i for i, v in enumerate(y)))
-            if (tt >> yi) & 1:
-                out |= 1 << x
-        return from_truth_table(n, out)
+        x = np.arange(1 << n)
+        x_bits = (x[:, None] >> np.arange(n)) & 1
+        y_bits = (x_bits @ (np.asarray(A) % 2).T + np.asarray(b) % 2) % 2
+        y = y_bits @ (1 << np.arange(n))
+        bits = _table_bits(n, self.truth_table)[y]
+        return from_truth_table(n, _pack_bits(bits))
 
 
 def from_truth_table(n: int, table: int) -> BooleanFunction:
-    """ANF via the Moebius transform of a packed truth table."""
+    """ANF via the Moebius transform of a packed truth table.
+
+    Raises ``ValueError`` if the table has a bit set at or above 2^n.
+    """
+    if table >> (1 << n):
+        raise ValueError(f"truth table has bits beyond the 2^{n} inputs")
     tt = table
     for i in range(n):
         lo = ~variable_mask(n, i)
@@ -160,6 +160,19 @@ def from_truth_table_hex(n: int, dump: str) -> BooleanFunction:
     return from_truth_table(n, int.from_bytes(bytes.fromhex(dump), "little"))
 
 
+def _table_bits(n: int, table: int) -> np.ndarray:
+    """Packed truth table as a uint8 array of its 2^n bits, bit x at index x."""
+    dim = 1 << n
+    raw = table.to_bytes((dim + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:dim]
+
+
+def _pack_bits(bits: np.ndarray) -> int:
+    """Inverse of `_table_bits`: bit x of the result is bits[x]."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 # --- hypergraph states --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -193,10 +206,8 @@ def hypergraph_state(H: Hypergraph | BooleanFunction) -> np.ndarray:
     f = characteristic_function(H) if isinstance(H, Hypergraph) else H
     if f.n > 20:
         raise ValueError("dense hypergraph states are limited to n <= 20")
-    dim = 1 << f.n
-    raw = f.truth_table.to_bytes((dim + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:dim]
-    return (1.0 - 2.0 * bits) / math.sqrt(dim) + 0j
+    bits = _table_bits(f.n, f.truth_table)
+    return (1.0 - 2.0 * bits) / math.sqrt(bits.size) + 0j
 
 
 def overlap_from_weight(f: BooleanFunction, g: BooleanFunction) -> float:
@@ -216,35 +227,83 @@ def quadratic_basis(n: int) -> list[frozenset[int]]:
     return basis
 
 
+# log2 of the rows x 2^n spectrum entries per Hadamard product in
+# `nonquadraticity` (512 rows at n = 6: small enough to stay in cache)
+_WALSH_CHUNK_BITS = 15
+
+
 def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     """Minimum Hamming distance from f to RM(2, n), plus one minimizer.
 
-    Exhaustive Gray-code sweep over all 2^(1 + n + C(n,2)) quadratics with an
-    incremental table update; zero iff deg f <= 2.  The sweep partitions
-    cleanly over the coefficient space if parallelism is ever needed.
+    Exhaustive over all 2^(1 + n + C(n,2)) quadratics, one Walsh-Hadamard
+    spectrum per pair part q: with W_q(a) = sum_x (-1)^(f(x) + q(x) + a.x),
+    the distance from f to q + a.x + c is (2^n - W_q(a))/2 for c = 0 and
+    (2^n + W_q(a))/2 for c = 1, so the nearest quadratics sit at the
+    largest |W|.  The +-1 rows (-1)^(f + q) of the pair parts come in
+    chunks of fixed size: an int8 block over the low pair monomials, built by
+    doubling one monomial at a time, times one sign row for the high ones.
+    Each chunk is multiplied by the Sylvester Hadamard matrix; |W| <= 2^n <=
+    64, so the float32 product is exact.  Zero iff deg f <= 2.
+
+    Among tied minimizers the result is the one a Gray-code sweep over the
+    `quadratic_basis` coefficients meets first: the least g whose subset
+    g ^ (g >> 1) spells it.
     """
     n = f.n
     if n > 6:
         raise ValueError(
             "exhaustive search supports n <= 6; use decomposition bounds beyond"
         )
+    dim = 1 << n
     basis = quadratic_basis(n)
-    tables = [monomial_table(n, m) for m in basis]
-    cur = f.truth_table
-    best_w = cur.bit_count()
-    best_g = 0
-    for g in range(1, 1 << len(basis)):
-        cur ^= tables[(g & -g).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best_w:
+    x = np.arange(dim)
+    pairs = basis[n + 1:]
+    signs = np.array(
+        [1 - 2 * ((x >> i) & (x >> j) & 1) for i, j in map(sorted, pairs)], dtype=np.int8
+    ).reshape(len(pairs), dim)
+    # row p holds (-1)^(f + q_p), bit k of p selecting pairs[k]; the low bits
+    # of p index `block`, and each value of the high bits is one chunk
+    low = min(len(pairs), _WALSH_CHUNK_BITS - n)
+    block = np.empty((1 << low, dim), dtype=np.int8)
+    block[0] = 1 - 2 * _table_bits(n, f.truth_table).astype(np.int8)
+    for k in range(low):
+        np.multiply(block[:1 << k], signs[k], out=block[1 << k:2 << k])
+    hadamard = np.ones((1, 1), dtype=np.float32)
+    for _ in range(n):
+        hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.float32), hadamard)
+
+    best_w, best_g = dim + 1, 0
+    upper = signs[low:]
+    for high in range(1 << len(upper)):
+        chosen = ((high >> np.arange(len(upper))) & 1).astype(bool)
+        sign = upper[chosen].prod(axis=0, dtype=np.int8)
+        walsh = (block * sign).astype(np.float32) @ hadamard
+        magnitude = np.abs(walsh)
+        peak = magnitude.max()  # > 0 by Parseval, so the best c is unique
+        w = (dim - int(peak)) // 2
+        if w > best_w:
+            continue
+        p, a = np.nonzero(magnitude == peak)
+        c = walsh[p, a] < 0
+        subset = c | (a << 1) | (((high << low) + p) << (n + 1))
+        g = int(_gray_rank(subset, len(basis)).min())
+        if w < best_w or g < best_g:
             best_w, best_g = w, g
-            if w == 0:
-                break
     subset = best_g ^ (best_g >> 1)
     argmin = BooleanFunction(
         n, frozenset(basis[i] for i in range(len(basis)) if (subset >> i) & 1)
     )
     return best_w, argmin
+
+
+def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
+    """Inverse Gray code: the g with g ^ (g >> 1) == subset, elementwise."""
+    g = subset.copy()
+    shift = 1
+    while shift < bits:
+        g ^= g >> shift
+        shift <<= 1
+    return g
 
 
 def dmin_bound_from_chi(f: BooleanFunction, chi: int | None = None) -> float:
@@ -261,7 +320,10 @@ def welch_function(n: int) -> BooleanFunction:
     """The modified Welch power function x -> tr(x^(2^r + 3)), r = (n+1)/2.
 
     Defined for odd n under the package's fixed GF(2^n) modulus; algebraic
-    degree 3 (the exponent has binary weight 3).
+    degree 3 (the exponent has binary weight 3).  The table is array
+    arithmetic on discrete logs: with x = alpha^k for the primitive alpha,
+    x^e = alpha^(k e mod 2^n - 1), and tr(alpha^j) is the XOR of the
+    Frobenius orbit alpha^(j 2^i), i < n.  0^e = 0 has trace 0.
     """
     if n % 2 == 0:
         raise ValueError("n must be odd")
@@ -269,8 +331,10 @@ def welch_function(n: int) -> BooleanFunction:
         raise ValueError("supported range is 3 <= n <= 15")
     r = (n + 1) // 2
     e = (1 << r) + 3
-    table = 0
-    for v in range(1 << n):
-        if field_trace(field_pow(field_element(n, v), e)):
-            table |= 1 << v
-    return from_truth_table(n, table)
+    order = (1 << n) - 1
+    antilog, log = field_log_tables(n)
+    j = np.arange(order)
+    trace = np.bitwise_xor.reduce([antilog[(j << i) % order] for i in range(n)])
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    bits[1:] = trace[log[1:] * e % order]
+    return from_truth_table(n, _pack_bits(bits))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from magiclab.binlin import (
     IRREDUCIBLE_POLY,
     field_element,
+    field_log_tables,
     field_pow,
     field_trace,
     gf2_rank,
@@ -123,6 +124,31 @@ def test_modulus_table_is_irreducible(m):
     for q in primes:
         if m // q >= 1 and m > 1:
             assert frob_power(m // q) != x0
+
+
+@pytest.mark.parametrize("m", sorted(IRREDUCIBLE_POLY))
+def test_irreducible_table_is_primitive(m):
+    # x has multiplicative order exactly 2^m - 1: its powers before reaching
+    # 1 again are all the nonzero elements
+    mod = IRREDUCIBLE_POLY[m]
+    x = _poly_mul_mod(1, 0b10, mod, m)  # the class of x (for m = 1, x = 1)
+    v, order = x, 1
+    while v != 1:
+        v = _poly_mul_mod(v, x, mod, m)
+        order += 1
+    assert order == (1 << m) - 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6])
+def test_log_tables_match_field_arithmetic(m):
+    antilog, log = field_log_tables(m)
+    order = (1 << m) - 1
+    assert sorted(antilog.tolist()) == list(range(1, order + 1))
+    assert np.array_equal(log[antilog], np.arange(order))
+    for a in range(1, 1 << m):
+        for b in range(1, 1 << m):
+            product = (field_element(m, a) * field_element(m, b)).value
+            assert antilog[(log[a] + log[b]) % order] == product
 
 
 def test_trace_examples():

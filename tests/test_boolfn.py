@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magiclab.binlin import field_element, field_pow, field_trace, gfp_rank
 from magiclab.boolfn import (
     BooleanFunction,
     Hypergraph,
@@ -14,9 +16,11 @@ from magiclab.boolfn import (
     from_truth_table,
     from_truth_table_hex,
     hypergraph_state,
+    monomial_table,
     nonquadraticity,
     overlap_from_weight,
     parse_anf,
+    quadratic_basis,
     truth_table_hex,
     welch_function,
 )
@@ -63,6 +67,16 @@ def test_moebius_round_trip(n, seed):
 def test_hex_dump_round_trip():
     f = parse_anf("x1*x2 + x3")
     assert from_truth_table_hex(3, truth_table_hex(f)).monomials == f.monomials
+
+
+def test_truth_table_bits_beyond_inputs_rejected():
+    with pytest.raises(ValueError):
+        from_truth_table_hex(3, "ff01")
+    with pytest.raises(ValueError):
+        from_truth_table(2, 1 << 4)
+    with pytest.raises(ValueError):
+        from_truth_table(2, -1)
+    assert from_truth_table(3, 0xFF).weight() == 8
 
 
 def test_hypergraph_state_examples():
@@ -159,18 +173,74 @@ def test_covering_radius_n3():
 
 def test_nonquadraticity_affine_invariance():
     rng = np.random.default_rng(3)
-    for _ in range(6):
-        n = int(rng.integers(2, 5))
-        f = from_truth_table(n, int(rng.integers(0, 1 << (1 << n))))
+    for n in [int(rng.integers(2, 5)) for _ in range(6)] + [5, 5, 6, 6]:
+        f = from_truth_table(n, _random_table(n, rng))
         while True:
             A = rng.integers(0, 2, size=(n, n))
-            from magiclab.binlin import gfp_rank
-
             if gfp_rank(A, 2) == n:
                 break
         b = rng.integers(0, 2, size=n)
         g = f.compose_affine(A, b)
         assert nonquadraticity(f)[0] == nonquadraticity(g)[0]
+
+
+def test_compose_affine_matches_pointwise_evaluation():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 5):
+        f = from_truth_table(n, _random_table(n, rng))
+        A = rng.integers(0, 2, size=(n, n))  # singular maps collapse the table
+        b = rng.integers(0, 2, size=n)
+        g = f.compose_affine(A, b)
+        for x in range(1 << n):
+            xv = np.array([(x >> i) & 1 for i in range(n)])
+            y = (A @ xv + b) % 2
+            assert g.evaluate(x) == f.evaluate(int(sum(int(v) << i for i, v in enumerate(y))))
+
+
+def _gray_code_sweep(f):
+    """Reference nonquadraticity: walk all quadratics in Gray-code order,
+    keeping the first one met at the least distance."""
+    n = f.n
+    basis = quadratic_basis(n)
+    tables = [monomial_table(n, m) for m in basis]
+    cur = f.truth_table
+    best_w, best_g = cur.bit_count(), 0
+    for g in range(1, 1 << len(basis)):
+        cur ^= tables[(g & -g).bit_length() - 1]
+        w = cur.bit_count()
+        if w < best_w:
+            best_w, best_g = w, g
+            if w == 0:
+                break
+    subset = best_g ^ (best_g >> 1)
+    return best_w, frozenset(basis[i] for i in range(len(basis)) if (subset >> i) & 1)
+
+
+def _assert_matches_sweep(f):
+    chi, argmin = nonquadraticity(f)
+    assert (chi, argmin.monomials) == _gray_code_sweep(f), anf_string(f)
+
+
+def test_nonquadraticity_matches_gray_code_sweep():
+    for n in (1, 2):
+        for tt in range(1 << (1 << n)):
+            _assert_matches_sweep(from_truth_table(n, tt))
+    for tt in range(256):
+        _assert_matches_sweep(from_truth_table(3, tt))
+    rng = np.random.default_rng(12)
+    for n, count in ((4, 300), (5, 30)):
+        for _ in range(count):
+            _assert_matches_sweep(from_truth_table(n, _random_table(n, rng)))
+
+
+def test_nonquadraticity_matches_gray_code_sweep_n6_cubics():
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        cubics = {frozenset(int(i) for i in rng.choice(6, 3, replace=False)) for _ in range(3)}
+        lower = {m for m in quadratic_basis(6) if rng.random() < 0.5}
+        f = BooleanFunction(6, frozenset(cubics | lower))
+        assert f.degree == 3
+        _assert_matches_sweep(f)
 
 
 def test_nonquadraticity_size_guard():
@@ -214,6 +284,33 @@ def test_welch_rejects_even_or_large():
         welch_function(4)
     with pytest.raises(ValueError):
         welch_function(17)
+
+
+# SHA-256 of the little-endian packed truth table, pinned from the
+# per-element FieldElement construction
+WELCH_DIGESTS = {
+    3: "aa687b58b0e73e2e383f8c500d75b591e188efe0168b3ffbcd3771caaa6dd4c7",
+    5: "0f45a51d15f8b1ed3f14c75995a86cc6526f9b11d0a7114c487f7c3550b2f6ea",
+    7: "316ea3304ed9854e400e4358157796ba2d0ea477a746ce01dd02675eae34be03",
+    9: "3ceca0ef9349e9d6b2dc9c0d9de3bfe00873c773c82c17bab21af418b090f352",
+    11: "a2ec75ff05b978b8112d732c414fdfb4fbabc8761f1bf637965d083d8bfc4052",
+    13: "8ab4cf4d02c3201dadf6c5e09798d93cce971164cda99be31a205ed84a7c0762",
+    15: "4f928785ba8335c9a2d1df7f86a383261a63b91447ce4a5544066640a1059e0c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WELCH_DIGESTS))
+def test_welch_truth_table_digest(n):
+    raw = welch_function(n).truth_table.to_bytes(max(1, (1 << n) >> 3), "little")
+    assert hashlib.sha256(raw).hexdigest() == WELCH_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_welch_matches_scalar_field_arithmetic(n):
+    e = (1 << (n + 1) // 2) + 3
+    f = welch_function(n)
+    for v in range(1 << n):
+        assert f.evaluate(v) == field_trace(field_pow(field_element(n, v), e))
 
 
 def test_characteristic_function_matches_edges():
