@@ -32,6 +32,7 @@ from .solvers import (
     LP_TOL,
     LinearProgram,
     SolverError,
+    crash_basis,
     solve_extent,
     solve_lp,
 )
@@ -199,6 +200,17 @@ def _hermitian_entry_vector(rho: np.ndarray):
     return np.array(out)
 
 
+def _robustness_rows(dic: StabilizerDictionary):
+    """The robustness LP's constraint rows and their labels, built once per
+    dictionary and kept on it read-only."""
+    if dic._robustness_rows is None:
+        build = _qubit_expectation_rows if dic.d == 2 else _hermitian_entry_rows
+        rows, labels = build(dic)
+        rows.flags.writeable = False
+        dic._robustness_rows = (rows, tuple(labels))
+    return dic._robustness_rows
+
+
 @dataclass
 class RobustnessResult:
     r: float
@@ -216,7 +228,11 @@ def free_robustness(
 
     The optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.  The dual vector
     defines a witness operator A (returned in the constraint basis) with
-    |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1.
+    |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1; a
+    witness above 1 + ``tol`` anywhere on the dictionary raises
+    ``SolverError``.  The simplex starts at a crash basis taken in
+    descending |a_j . b|, the overlap of each state's constraint column with
+    rho's (2^n Tr(phi_j rho) for qubits).
     """
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if not _is_density_matrix(state) else state
@@ -224,15 +240,17 @@ def free_robustness(
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("density matrix must have unit trace")
+    A, labels = _robustness_rows(dic)
     if dic.d == 2:
-        A, labels = _qubit_expectation_rows(dic)
         b = _qubit_state_expectations(rho, dic.n)
     else:
-        A, labels = _hermitian_entry_rows(dic)
         b = _hermitian_entry_vector(rho)
     N = A.shape[1]
     prog = LinearProgram(np.ones(2 * N), np.hstack([A, -A]), b)
-    sol = solve_lp(prog, tol=tol)
+    # start at the states of largest overlap, each signed so x_B >= 0
+    order = np.argsort(-np.abs(b @ A), kind="stable")
+    twin = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
+    sol = solve_lp(prog, tol=tol, basis=crash_basis(prog.A, b, order, twin))
     if sol.status != "optimal":
         raise SolverError(f"robustness LP ended with status {sol.status}")
     coeffs = sol.x[:N] - sol.x[N:]
@@ -251,6 +269,8 @@ def free_robustness(
     dual_full = np.zeros(A.shape[0])
     dual_full[sol.kept_rows] = sol.dual
     witness_feas = float(np.max(np.abs(A.T @ dual_full)))
+    if witness_feas > 1.0 + tol:
+        raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
     witness = [
         (labels[i], float(dual_full[i]))
         for i in np.nonzero(np.abs(dual_full) > 1e-12)[0]

@@ -1,22 +1,28 @@
 """In-house convex solver: a revised primal simplex, and the stabilizer
 extent by phase column generation on the same simplex.
 
-The LP path is a two-phase revised simplex on standard form
+The LP path is a revised simplex on standard form
 
     min c.x  s.t.  A x = b,  x >= 0,
 
 with the dual vector extracted from the final basis.  Only B^{-1} and the
 basic values are kept; every column is priced with one product
-c - (c_B B^{-1}) A.  Entering columns are picked by largest violation; the
-leaving row uses the lexicographic rule on the rows of B^{-1}, which keeps
-the heavily degenerate dictionary LPs from cycling.  The final basis is
-re-solved against the original data so B^{-1} round-off never reaches the
-reported solution.
+c - (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
+B0^{-1} b >= 0, such as ``crash_basis`` builds from the columns it expects
+in the optimum; phase 1 runs only for cold starts, from the artificial basis
+(B0 = diag(sign b)).  Entering columns are picked by largest violation; the leaving row
+uses the lexicographic rule on the rows of B^{-1} B0, which keeps the heavily
+degenerate dictionary LPs from cycling from any start, and no pivot element
+below _PIVOT_TOL is accepted.  The final basis is re-solved against the
+original data so B^{-1} round-off never reaches the reported solution, and
+the re-solved pair must pass A x = b, x >= 0 and A^T y <= c: since
+c.x = b.y holds for any basis, these are what certify optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real LP over
 nonnegative weights of phase-rotated dictionary columns.  Column generation
 adds the exact phase for every column the current dual violates, until the
 primal l1 norm and the rescaled dual value agree to a relative BP_GAP_TOL.
+Each round starts from the previous round's basis.
 """
 
 from dataclasses import dataclass
@@ -25,6 +31,9 @@ import numpy as np
 
 LP_TOL = 1e-9
 BP_GAP_TOL = 1e-9
+_PIVOT_TOL = 1e-7  # least pivot element the ratio test accepts
+_FEAS_TOL = 1e-7  # primal residual and sign tolerance of the final check
+_CRASH_SHARE = 0.1  # least orthogonal share of a column the crash basis takes
 
 
 class SolverError(RuntimeError):
@@ -57,6 +66,7 @@ class LPSolution:
     iterations: int = 0
     gap: float | None = None
     kept_rows: np.ndarray | None = None  # rows surviving presolve
+    basis: np.ndarray | None = None  # final basic columns, one per kept row
 
 
 def _pivot(Binv, xb, basis, d, leave, enter):
@@ -72,12 +82,14 @@ def _pivot(Binv, xb, basis, d, leave, enter):
     basis[leave] = enter
 
 
-def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter):
+def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter, B0):
     """Revised simplex with the lexicographic anti-cycling ratio test.
 
     ``Binv`` (B^{-1}, one row per basic position, one column per original
-    row) and the basic values ``xb`` are updated in place.  Rows of B^{-1}
-    start as the identity, which makes the lexicographic order well posed.
+    row) and the basic values ``xb`` are updated in place.  Ties are ranked
+    by the rows of B^{-1} B0, where B0 is the starting basis matrix: they
+    start as the identity, which makes the lexicographic order well posed
+    from any feasible start.
     """
     for it in range(max_iter):
         reduced = cost - (cost[basis] @ Binv) @ cols
@@ -85,14 +97,14 @@ def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter):
         if reduced[enter] >= -tol:
             return "optimal", it
         d = Binv @ cols[:, enter]
-        candidates = np.nonzero(d > tol)[0]
+        candidates = np.nonzero(d > _PIVOT_TOL)[0]
         if candidates.size == 0:
             return "unbounded", it
         ratios = xb[candidates] / d[candidates]
         best = float(np.min(ratios))
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
         if tied.size > 1:
-            lex = Binv[tied] / d[tied, None]
+            lex = (Binv[tied] @ B0) / d[tied, None]
             order = np.lexsort(lex.T[::-1])
             leave = int(tied[order[0]])
         else:
@@ -102,35 +114,103 @@ def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter):
     raise SolverError(f"simplex did not converge within {max_iter} iterations")
 
 
-def solve_lp(prog: LinearProgram, tol: float = LP_TOL, max_iter: int = 50_000) -> LPSolution:
-    """Two-phase revised simplex with dual extraction.
+def solve_lp(
+    prog: LinearProgram,
+    tol: float = LP_TOL,
+    max_iter: int = 50_000,
+    basis=None,
+) -> LPSolution:
+    """Revised simplex with dual extraction, from a cold or a warm start.
 
-    Redundant equality rows found in phase 1 are dropped (presolve to full
-    row rank); the returned dual covers the surviving rows, indexed by
-    ``kept_rows``.  The final basis is re-solved against the original data,
-    so the reported solution does not inherit the round-off of B^{-1}.
+    Cold (``basis`` None): phase 1 from the artificial basis; redundant
+    equality rows found there are dropped (presolve to full row rank), and
+    the returned dual covers the surviving rows, indexed by ``kept_rows``.
+    Warm: ``basis`` names m columns whose matrix B0 is nonsingular with
+    B0^{-1} b >= 0 (a ``ValueError`` otherwise), and phase 2 starts there.
+
+    The final basis is re-solved against the original data, so the reported
+    solution does not inherit the round-off of B^{-1}, and is then checked:
+    A x = b, x >= 0 and A^T y <= c, each within a tolerance above ``tol``.
+    A basis that fails raises ``SolverError``.
     """
-    A = prog.A.copy()
-    b = prog.b.copy()
-    c = prog.objective
+    A, b, c = prog.A, prog.b, prog.objective
     m, ncols = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
     rows = np.arange(m)
 
-    # phase 1 from the artificial basis, where B^{-1} = I
+    if basis is None:
+        # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
+        B0 = np.diag(np.where(b < 0, -1.0, 1.0))
+        basis, Binv, xb, rows, it1 = _phase_one(A, b, B0, tol, max_iter)
+        if basis is None:
+            return LPSolution(status="infeasible", iterations=it1)
+    else:
+        basis = np.array(basis, dtype=np.intp)
+        if basis.shape != (m,):
+            raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
+        B0 = A[:, basis]
+        try:
+            Binv = np.linalg.inv(B0)
+            xb = np.linalg.solve(B0, b)  # as the final re-solve computes x
+        except np.linalg.LinAlgError:
+            raise ValueError("start basis is singular") from None
+        if xb.min(initial=0.0) < -tol:
+            raise ValueError(f"start basis is not primal feasible: min x_B = {xb.min():.2e}")
+        np.maximum(xb, 0.0, out=xb)
+        it1 = 0
+
+    status, it2 = _revised_simplex(A, c, basis, Binv, xb, tol, max_iter, B0)
+    if status == "unbounded":
+        return LPSolution(status="unbounded", iterations=it1 + it2)
+
+    # re-solve the final basis against the data, which the iterations never
+    # modify, and check it: c.x = b.y holds for any basis, so optimality is
+    # x >= 0 and the reduced costs c - A^T y >= 0
+    if rows.size < m:
+        A, b = A[rows], b[rows]
+    B = A[:, basis]
+    x = np.zeros(ncols)
+    x[basis] = np.linalg.solve(B, b)
+    y = np.linalg.solve(B.T, c[basis])
+    obj = float(c @ x)
+    gap = abs(obj - float(b @ y))
+    feas = float(np.max(np.abs(A @ x - b))) if len(rows) else 0.0
+    x_min = float(x.min(initial=0.0))
+    reduced_min = float((c - y @ A).min(initial=0.0))
+    dual_tol = 10 * tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -dual_tol:
+        raise SolverError(
+            f"simplex accuracy check failed: feas={feas:.2e} "
+            f"min x={x_min:.2e} min reduced cost={reduced_min:.2e}"
+        )
+    return LPSolution(
+        status="optimal",
+        x=x,
+        dual=y,
+        objective=obj,
+        iterations=it1 + it2,
+        gap=gap,
+        kept_rows=rows,
+        basis=basis,
+    )
+
+
+def _phase_one(A, b, B0, tol, max_iter):
+    """Phase 1 from the artificial basis B0, a diagonal of signs with
+    B0 b >= 0.  Returns (basis, Binv, xb, kept_rows, pivots), with basis
+    None when the LP is infeasible."""
+    m, ncols = A.shape
+    rows = np.arange(m)
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     basis = np.arange(ncols, ncols + m)
-    Binv = np.eye(m)
-    xb = b.copy()
+    Binv = B0.copy()
+    xb = B0 @ b
     status, it1 = _revised_simplex(
-        np.hstack([A, np.eye(m)]), c1, basis, Binv, xb, tol, max_iter
+        np.hstack([A, B0]), c1, basis, Binv, xb, tol, max_iter, B0
     )
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
     if float(c1[basis] @ xb) > 1e-7:
-        return LPSolution(status="infeasible", iterations=it1)
+        return None, None, None, rows, it1
 
     # pivot artificials out of the basis; an artificial none can replace
     # marks its own row as redundant (its basis position can differ, once it
@@ -149,35 +229,48 @@ def solve_lp(prog: LinearProgram, tol: float = LP_TOL, max_iter: int = 50_000) -
         rows = np.setdiff1d(rows, basis[drop] - ncols)
         keep = np.setdiff1d(np.arange(m), drop)
         Binv, xb, basis = Binv[keep], xb[keep], basis[keep]
-        m = len(keep)
+    return basis, Binv, xb, rows, it1
 
-    status, it2 = _revised_simplex(A, c, basis, Binv, xb, tol, max_iter)
-    if status == "unbounded":
-        return LPSolution(status="unbounded", iterations=it1 + it2)
 
-    # re-solve the final basis against the (sign-flipped) data, which the
-    # iterations never modify
-    A, b = A[rows], b[rows]
-    B = A[:, basis]
-    x = np.zeros(ncols)
-    x[basis] = np.linalg.solve(B, b)
-    y = np.linalg.solve(B.T, c[basis])
-    obj = float(c @ x)
-    gap = abs(obj - float(b @ y))
-    feas = float(np.max(np.abs(A @ x - b))) if m else 0.0
-    if gap > 1e-8 * max(1.0, abs(obj)) or feas > 1e-7:
-        raise SolverError(f"simplex accuracy check failed: gap={gap:.2e} feas={feas:.2e}")
-    # undo row flips so the dual matches the caller's rows
-    sign = np.where(flip[rows], -1.0, 1.0)
-    return LPSolution(
-        status="optimal",
-        x=x,
-        dual=y * sign,
-        objective=obj,
-        iterations=it1 + it2,
-        gap=gap,
-        kept_rows=rows,
-    )
+def crash_basis(A: np.ndarray, b: np.ndarray, order, twin) -> np.ndarray | None:
+    """A feasible starting basis for A x = b, x >= 0, or None.
+
+    Scans the columns of A in ``order`` and keeps each one that leaves the
+    chosen set well conditioned (its component orthogonal to the columns
+    already kept is at least a fixed share of its norm), until m are kept.
+    ``twin[j]`` is a column equal to -A[:, j]; every kept column whose basic
+    value is negative is replaced by its twin, which makes the basis
+    feasible.  Returns None when the scan finds fewer than m columns.
+    """
+    m = A.shape[0]
+    order = np.asarray(order)
+    Q = np.empty((m, m))  # orthonormal basis of the kept columns' span
+    kept = []
+    for start in range(0, order.size, m):
+        chunk = order[start : start + m]
+        C = A[:, chunk]
+        Qk = Q[:, : len(kept)]
+        R = C - Qk @ (Qk.T @ C)
+        R -= Qk @ (Qk.T @ R)  # a second pass keeps Q orthonormal
+        left = np.einsum("ij,ij->j", R, R)  # squared residual norms
+        floor = _CRASH_SHARE**2 * np.einsum("ij,ij->j", C, C)
+        i = -1
+        while True:
+            ahead = np.nonzero(left[i + 1 :] > floor[i + 1 :])[0]
+            if ahead.size == 0:
+                break
+            i += 1 + int(ahead[0])
+            q = R[:, i] / np.sqrt(R[:, i] @ R[:, i])
+            proj = q @ R[:, i + 1 :]
+            R[:, i + 1 :] -= q[:, None] * proj
+            left[i + 1 :] -= proj**2
+            Q[:, len(kept)] = q
+            kept.append(int(chunk[i]))
+            if len(kept) == m:
+                kept = np.array(kept)
+                xb = np.linalg.solve(A[:, kept], b)
+                return np.where(xb < 0, np.asarray(twin)[kept], kept)
+    return None
 
 
 # --- stabilizer extent --------------------------------------------------------
@@ -197,28 +290,36 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     generation on the simplex.
 
     With c_j = sum_k w_jk e^{i theta_k} and w >= 0 this is a real LP with 2m
-    rows.  Round 0 puts the phases {1, i, -1, -i} on every column and keeps
-    the columns of its solution's support.  Each later round adds, for every
-    j with |<phi_j|y>| > 1 under the simplex dual y, the column at phase
-    arg <phi_j|y>; no column is dropped.  ||c||_1 bounds the optimum from
-    above, and Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.
-    The lower bound is taken at the least-norm y tight on the support of c:
-    on a degenerate LP such as CCZ x |+> the simplex's vertex dual wanders
-    over the optimal face and never certifies.  Stops when the bounds agree
-    to a relative ``BP_GAP_TOL``.
+    rows.  Round 0 puts the phases {1, i, -1, -i} on every column and starts
+    at a crash basis over the phases 1 and i of the states of largest
+    overlap |<phi_j|t>|, a basic column with a negative value turned to the
+    opposite phase.  It keeps the columns of its solution's support and of
+    its final basis.  Each later round adds, for every j with
+    |<phi_j|y>| > 1 under the simplex dual y, the column at phase
+    arg <phi_j|y>; no column is dropped, so the last round's basis is a
+    feasible start for the next, once each basic column whose re-solved
+    value came out negative is turned to its phase-+pi twin.  ||c||_1 bounds the optimum from above, and
+    Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.  The lower
+    bound is taken at the least-norm y tight on the support of c: on a
+    degenerate LP such as CCZ x |+> the simplex's vertex dual wanders over
+    the optimal face and never certifies.  Stops when the bounds agree to a
+    relative ``BP_GAP_TOL``.
 
     Returns (c, y, pivots, rounds) with y the certifying dual vector.
     """
     D = np.asarray(D, dtype=complex)
     t = np.asarray(t, dtype=complex)
     m, N = D.shape
+    Dh = D.conj().T  # Dh @ y is <phi_j|y> for every j
     b = np.concatenate([t.real, t.imag])
     idx = np.repeat(np.arange(N), 4)
     phases = np.tile(np.array([1, 1j, -1, -1j]), N)
+    A = _phase_columns(D, idx, phases)
+    best = np.argsort(-np.abs(Dh @ t), kind="stable")
+    basis = crash_basis(A, b, (4 * best[:, None] + [0, 1]).ravel(), np.arange(4 * N) ^ 2)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
-        A = _phase_columns(D, idx, phases)
-        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b))
+        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)
         if sol.status == "infeasible":
             raise ValueError("target is not in the span of the dictionary")
         pivots += sol.iterations
@@ -228,21 +329,46 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
         yr = np.linalg.lstsq(A[:, support].T, np.ones(support.sum()), rcond=None)[0]
         y = yr[:m] + 1j * yr[m:]
         upper = float(np.sum(np.abs(c)))
-        lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(D.conj().T @ y)))
+        lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(Dh @ y)))
         if upper - lower <= BP_GAP_TOL * upper:
             return c, y, pivots, rounds
+        # a cold solve may have dropped rows, and then cannot hand its basis on
+        basis = sol.basis if sol.kept_rows.size == b.size else None
         if rounds == 1:
-            idx, phases = idx[support], phases[support]
+            keep = support.copy()
+            if basis is not None:
+                keep[basis] = True
+                basis = np.cumsum(keep)[basis] - 1
+            idx, phases = idx[keep], phases[keep]
         yr = np.zeros(2 * m)
         yr[sol.kept_rows] = sol.dual
-        corr = D.conj().T @ (yr[:m] + 1j * yr[m:])
+        corr = Dh @ (yr[:m] + 1j * yr[m:])
         new = np.nonzero(np.abs(corr) > 1.0)[0]
         idx = np.concatenate([idx, new])
         phases = np.concatenate([phases, np.exp(1j * np.angle(corr[new]))])
+        if basis is not None:
+            idx, phases = _turn_negative_basics(idx, phases, basis, sol.x[sol.basis])
+        A = _phase_columns(D, idx, phases)
     raise SolverError(
         f"extent column generation stopped after {_EXTENT_MAX_ROUNDS} rounds "
         f"with {lower!r} <= l1 <= {upper!r}"
     )
+
+
+def _turn_negative_basics(idx, phases, basis, xb):
+    """Make ``basis`` a feasible start again: each basic column whose value
+    ``xb`` came out negative is replaced, in place, by its phase-+pi twin,
+    which is appended to (idx, phases) when absent."""
+    for pos in np.nonzero(xb < 0)[0]:
+        j = basis[pos]
+        twin = np.nonzero((idx == idx[j]) & (phases == -phases[j]))[0]
+        if twin.size:
+            basis[pos] = twin[0]
+        else:
+            basis[pos] = idx.size
+            idx = np.append(idx, idx[j])
+            phases = np.append(phases, -phases[j])
+    return idx, phases
 
 
 def basis_pursuit_polygon_lp(

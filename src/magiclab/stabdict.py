@@ -16,7 +16,7 @@ on demand rather than stored.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,6 +139,9 @@ class StabilizerDictionary:
     gen_x: np.ndarray  # (N, n, n) int8
     gen_z: np.ndarray  # (N, n, n) int8
     gen_t: np.ndarray  # (N, n) int8, zeta exponents mod 2d
+    # (rows, labels) of the robustness LP's constraints, built on first use
+    # by measures.free_robustness; read-only once set
+    _robustness_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:

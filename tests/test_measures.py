@@ -25,6 +25,7 @@ from magiclab.measures import (
     stabilizer_fidelity,
 )
 from magiclab.solvers import SolverError, solve_extent
+from magiclab.stabdict import enumerate_stabilizer_states
 from conftest import random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -196,6 +197,21 @@ def test_free_robustness_golden_matches_oracle(dict2_1, golden):
     A, _ = _qubit_expectation_rows(dict2_1)
     b = _qubit_state_expectations(np.outer(golden, golden.conj()), 1)
     assert abs(_l1_vertex_oracle(A, b) - res.l1) < 1e-7
+
+
+def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
+    dic = enumerate_stabilizer_states(1, 2)
+    builds = []
+    real = measures._qubit_expectation_rows
+    monkeypatch.setattr(
+        measures, "_qubit_expectation_rows", lambda d: builds.append(d) or real(d)
+    )
+    first = free_robustness(golden, dic)
+    second = free_robustness(np.eye(2, dtype=complex) / 2, dic)
+    assert len(builds) == 1
+    assert abs(first.r - GOLDEN_R) < 1e-7 and second.r < 1e-9
+    rows, _ = dic._robustness_rows
+    assert not rows.flags.writeable
 
 
 def test_free_robustness_witness_contract(dict2_1, golden):
@@ -402,21 +418,53 @@ def test_free_robustness_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "anf",
-    [
-        "x1*x2*x3 + x1",
-        "x1*x2*x3 + x2 + x3",
-        "x1*x2*x3 + x1*x2",
-        "x1*x2*x3 + x1*x3 + x2",
-        "x1*x2*x3 + x2*x3 + x1 + x3",
-        "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3",
-        "x1*x2*x3 + x1*x2 + x2*x3 + x1 + x2",
-        "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3 + x1 + x2 + x3",
-    ],
-)
+CCZ_CLASS = [
+    "x1*x2*x3 + x1",
+    "x1*x2*x3 + x2 + x3",
+    "x1*x2*x3 + x1*x2",
+    "x1*x2*x3 + x1*x3 + x2",
+    "x1*x2*x3 + x2*x3 + x1 + x3",
+    "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3",
+    "x1*x2*x3 + x1*x2 + x2*x3 + x1 + x2",
+    "x1*x2*x3 + x1*x2 + x1*x3 + x2*x3 + x1 + x2 + x3",
+]
+
+
+@pytest.mark.parametrize("anf", CCZ_CLASS)
 def test_ccz_class_robustness_closed_form(anf, dict2_3):
     # a diagonal quadratic phase is Clifford, so every x1x2x3 + q(x) has
     # CCZ's l1 = 1 + 2R = 23/9, the 2.5556 of Howard & Campbell
     res = free_robustness(hypergraph_state(parse_anf(anf)), dict2_3)
     assert abs(res.l1 - 23 / 9) < 1e-9
+
+
+# pivots the eight CCZ_CLASS LPs take together when the simplex starts cold
+# from artificials (phase 1 and phase 2)
+CCZ_CLASS_COLD_PIVOTS = 6188
+
+
+def test_ccz_class_robustness_pivot_budget(dict2_3):
+    pivots = sum(
+        free_robustness(hypergraph_state(parse_anf(anf)), dict2_3).diagnostics["iterations"]
+        for anf in CCZ_CLASS
+    )
+    assert pivots < CCZ_CLASS_COLD_PIVOTS
+
+
+def _random_mixed_state(n, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = M @ M.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n, seed", [(2, 41), (2, 42), (3, 43), (3, 44)])
+def test_free_robustness_clifford_invariance(request, n, seed):
+    # l1 is invariant under Cliffords, which permute the dictionary; the
+    # image starts the simplex from a different crash basis
+    dic = request.getfixturevalue(f"dict2_{n}")
+    rho = _random_mixed_state(n, seed)
+    want = free_robustness(rho, dic).l1
+    for word in range(2):
+        U = _random_clifford(n, 100 * seed + word)
+        assert abs(free_robustness(U @ rho @ U.conj().T, dic).l1 - want) < 1e-9

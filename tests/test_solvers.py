@@ -6,6 +6,7 @@ from magiclab.solvers import (
     LinearProgram,
     SolverError,
     basis_pursuit_polygon_lp,
+    crash_basis,
     solve_extent,
     solve_lp,
 )
@@ -77,16 +78,7 @@ def test_lp_drops_the_row_of_a_stuck_artificial():
 
 
 def test_lp_beale_cycling_example():
-    # Beale's LP, on which Dantzig's rule with a naive ratio test cycles
-    A = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
-            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
-    sol = solve_lp(LinearProgram(c, A, [0.0, 0.0, 1.0]))
+    sol = solve_lp(_beale()[0])
     assert sol.status == "optimal"
     assert abs(sol.objective + 1.25) < 1e-12
     assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
@@ -120,6 +112,94 @@ def test_lp_degenerate_many_zero_rhs():
     sol = solve_lp(LinearProgram(np.ones(40), A, b))
     assert sol.status == "optimal"
     assert sol.objective <= 1.0 + 1e-9
+
+
+def _beale():
+    """Beale's LP, on which Dantzig's rule with a naive ratio test cycles;
+    its first three columns are the identity, a feasible start."""
+    A = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    return LinearProgram(c, A, [0.0, 0.0, 1.0]), [0, 1, 2]
+
+
+def _degenerate_l1():
+    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], with column j + 40
+    the negative (twin) of column j; most of the right-hand side is zero."""
+    rng = np.random.default_rng(3)
+    M = rng.integers(-1, 2, size=(6, 40)).astype(float)
+    M[:, 1:7] += np.eye(6)  # full row rank
+    b = M[:, 0].copy()
+    prog = LinearProgram(np.ones(80), np.hstack([M, -M]), b)
+    order = np.argsort(-np.abs(b @ M), kind="stable")
+    start = crash_basis(prog.A, b, order, (np.arange(80) + 40) % 80)
+    return prog, start
+
+
+@pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
+def test_lp_warm_start_matches_cold(make):
+    prog, start = make()
+    cold = solve_lp(prog)
+    warm = solve_lp(prog, basis=start)
+    assert warm.status == cold.status == "optimal"
+    assert abs(warm.objective - cold.objective) < 1e-12
+    assert np.max(np.abs(prog.A @ warm.x - prog.b)) < 1e-12
+    assert np.min(prog.objective - prog.A.T @ warm.dual) >= -1e-9
+
+
+def test_lp_start_basis_must_be_feasible_and_nonsingular():
+    prog = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [1.0, 3.0])
+    with pytest.raises(ValueError, match="not primal feasible"):
+        solve_lp(prog, basis=[0, 1])  # x = (2, -1)
+    with pytest.raises(ValueError, match="singular"):
+        solve_lp(prog, basis=[0, 0])
+    with pytest.raises(ValueError, match="needs 2 columns"):
+        solve_lp(prog, basis=[0])
+    assert solve_lp(prog, basis=[0, 2]).status == "optimal"  # x = (1, 2)
+
+
+@pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
+def test_lp_returned_basis_resolves_to_x(make):
+    prog, _ = make()
+    sol = solve_lp(prog)
+    again = solve_lp(prog, basis=sol.basis)
+    assert again.iterations == 0
+    assert np.array_equal(again.basis, sol.basis)
+    assert np.max(np.abs(again.x - sol.x)) < 1e-12
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch, warm):
+    # phase 1 (cold) runs as usual; phase 2 claims optimality before any
+    # pivot, so the returned basis is feasible but not optimal
+    prog, start = _beale()
+    real = solvers._revised_simplex
+
+    def stop_at_once(cols, cost, *args):
+        if cols.shape[1] > prog.A.shape[1]:  # phase 1 carries the artificials
+            return real(cols, cost, *args)
+        return "optimal", 0
+
+    monkeypatch.setattr(solvers, "_revised_simplex", stop_at_once)
+    with pytest.raises(SolverError, match="min reduced cost"):
+        solve_lp(prog, basis=start if warm else None)
+
+
+def test_extent_negative_basics_turn_to_their_twins():
+    # state 0 at phase 1 has its twin (phase -1) present; state 1 at phase
+    # e^{0.3i} does not, so the twin is appended
+    idx = np.array([0, 0, 1, 2])
+    phases = np.array([1, -1, np.exp(0.3j), 1j])
+    basis = np.array([0, 2, 3])
+    idx, phases = solvers._turn_negative_basics(idx, phases, basis, np.array([-1e-8, -2e-8, 0.5]))
+    assert basis.tolist() == [1, 4, 3]
+    assert idx.tolist() == [0, 0, 1, 2, 1]
+    assert phases[4] == -np.exp(0.3j)
 
 
 def _extent_bracket(D, t):
