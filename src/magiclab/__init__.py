@@ -88,11 +88,9 @@ from .solvers import (
     solve_lp,
 )
 from .stabdict import (
-    QuadraticStateSet,
     ResourceLimitError,
     StabilizerDictionary,
     count_stabilizer_states,
-    enumerate_quadratic_states,
     enumerate_stabilizer_states,
     iter_stabilizer_states,
 )

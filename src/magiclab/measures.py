@@ -14,6 +14,9 @@ Measures computed here, all in bits (base-2 logs):
                 mixtures; the optimal pseudomixture has l1 mass 1 + 2s, and
                 the LP dual provides an operator witness A with
                 |Tr phi A| <= 1 on the dictionary and Tr rho A = 1 + 2s.
+                Both sides of sum_j c_j phi_j = rho go through one coordinate
+                map per local dimension (Pauli expectations for qubits,
+                density-matrix entries for qutrits).
 
 Every report validates the sandwich dmin <= dmax <= log2(1 + R) within the
 stated tolerance before it is returned.
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .pauli import hermitian_pauli, pauli_to_string
+from .pauli import _QUBIT_SITE
 from .solvers import (
     BP_GAP_TOL,
     LP_TOL,
@@ -131,83 +134,69 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
     )
 
 
-def _qubit_expectation_rows(dic: StabilizerDictionary):
-    """Real Pauli expectations Tr(phi P) for every Pauli, one row per (x, z)."""
-    n, d = dic.n, dic.d
-    dim = d**n
-    D = dic.states
-    idx = np.arange(dim)
-    labels = []
-    rows = np.empty((4**n, D.shape[1]))
-    r = 0
-    for xm in range(dim):
-        for zm in range(dim):
-            P = hermitian_pauli(
-                n,
-                tuple((xm >> i) & 1 for i in range(n)),
-                tuple((zm >> i) & 1 for i in range(n)),
-            )
-            PD = P.apply(D)
-            rows[r] = np.real(np.einsum("ij,ij->j", D.conj(), PD))
-            labels.append(pauli_to_string(P))
-            r += 1
-    return rows, labels
+def _pauli_coordinates(V: np.ndarray, n: int) -> np.ndarray:
+    """Tr(|v><v| P) for every column v of V and every Hermitian Pauli P, one
+    row per (x, z), x major.  With P = i^{-|x & z|} Z^z X^x,
+
+        Tr(|v><v| Z^z X^x) = sum_u (-1)^{z.u} v[u ^ x] conj(v[u]),
+
+    one Walsh-Hadamard transform (Hadamard matrix product) per X part x."""
+    dim = 1 << n
+    u = np.arange(dim)
+    bits = (u[:, None] >> np.arange(n)) & 1
+    weight = bits @ bits.T  # |x & z|, and z.u mod 2 by parity
+    hadamard = (-1.0) ** weight
+    phase = np.array([1, -1j, -1, 1j])[weight % 4]  # i^{-|x & z|}
+    out = np.empty((dim, dim, V.shape[1]))
+    for x in range(dim):
+        s = V[u ^ x]
+        s *= V.conj()  # in place: one more (dim, N) temporary raises the peak at n = 4
+        s = hadamard @ s
+        s *= phase[x, :, None]
+        out[x] = s.real
+    return out.reshape(dim * dim, -1)
 
 
-def _qubit_state_expectations(rho: np.ndarray, n: int):
-    out = np.empty(4**n)
-    r = 0
-    for xm in range(2**n):
-        for zm in range(2**n):
-            P = hermitian_pauli(
-                n,
-                tuple((xm >> i) & 1 for i in range(n)),
-                tuple((zm >> i) & 1 for i in range(n)),
-            )
-            out[r] = np.real(np.trace(P.apply(rho)))
-            r += 1
+def _entry_coordinates(V: np.ndarray) -> np.ndarray:
+    """Entries of |v><v| for every column v of V: the diagonal, then the
+    real and imaginary parts of each upper-triangle entry (i, j), row major."""
+    dim = V.shape[0]
+    i, j = np.triu_indices(dim, 1)
+    upper = V[i] * V[j].conj()
+    out = np.empty((dim * dim, V.shape[1]))
+    out[:dim] = (V * V.conj()).real
+    out[dim::2] = upper.real
+    out[dim + 1 :: 2] = upper.imag
     return out
 
 
-def _hermitian_entry_rows(dic: StabilizerDictionary):
-    """Real coordinates of each projector in the Hermitian entry basis
-    (diagonal, then real and imaginary parts of the upper triangle)."""
-    dim = dic.d**dic.n
-    D = dic.states
-    N = D.shape[1]
-    rows = []
-    labels = []
-    outer = np.einsum("ik,jk->kij", D, D.conj())  # (N, dim, dim)
-    for i in range(dim):
-        rows.append(np.real(outer[:, i, i]))
-        labels.append(f"re[{i},{i}]")
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            rows.append(np.real(outer[:, i, j]))
-            labels.append(f"re[{i},{j}]")
-            rows.append(np.imag(outer[:, i, j]))
-            labels.append(f"im[{i},{j}]")
-    return np.array(rows), labels
+def _coordinates(V: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Real coordinates of each |v><v|, in the robustness LP's row order:
+    Pauli expectations for qubits, density-matrix entries for qutrits."""
+    return _pauli_coordinates(V, n) if d == 2 else _entry_coordinates(V)
 
 
-def _hermitian_entry_vector(rho: np.ndarray):
-    dim = rho.shape[0]
-    out = [float(np.real(rho[i, i])) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            out.append(float(np.real(rho[i, j])))
-            out.append(float(np.imag(rho[i, j])))
-    return np.array(out)
+def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
+    """Row labels of ``_coordinates``: Pauli strings, or re/im[i,j] entries."""
+    dim = d**n
+    if d == 2:
+        return tuple(
+            "+" + "".join(_QUBIT_SITE[(x >> k & 1, z >> k & 1)] for k in range(n))
+            for x in range(dim)
+            for z in range(dim)
+        )
+    diagonal = [f"re[{i},{i}]" for i in range(dim)]
+    upper = zip(*np.triu_indices(dim, 1))
+    return tuple(diagonal + [f"{p}[{i},{j}]" for i, j in upper for p in ("re", "im")])
 
 
 def _robustness_rows(dic: StabilizerDictionary):
     """The robustness LP's constraint rows and their labels, built once per
     dictionary and kept on it read-only."""
     if dic._robustness_rows is None:
-        build = _qubit_expectation_rows if dic.d == 2 else _hermitian_entry_rows
-        rows, labels = build(dic)
+        rows = _coordinates(dic.states, dic.n, dic.d)
         rows.flags.writeable = False
-        dic._robustness_rows = (rows, tuple(labels))
+        dic._robustness_rows = (rows, _coordinate_labels(dic.n, dic.d))
     return dic._robustness_rows
 
 
@@ -221,55 +210,50 @@ class RobustnessResult:
     diagnostics: dict
 
 
-def free_robustness(
-    state: np.ndarray, dic: StabilizerDictionary, tol: float = TOLERANCES["lp"]
-) -> RobustnessResult:
+def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessResult:
     """Free robustness via the pseudomixture LP min ||c||_1, sum c_phi phi = rho.
 
-    The optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.  The dual vector
+    The columns are the real coordinates of the dictionary's projectors, and
+    b is sum_k lambda_k times those of |v_k><v_k| over rho's eigenpairs.  The
+    optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.  The dual vector
     defines a witness operator A (returned in the constraint basis) with
     |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1; a
-    witness above 1 + ``tol`` anywhere on the dictionary raises
+    witness above 1 + the ``lp`` tolerance anywhere on the dictionary raises
     ``SolverError``.  The simplex starts at a crash basis taken in
     descending |a_j . b|, the overlap of each state's constraint column with
     rho's (2^n Tr(phi_j rho) for qubits).
     """
     state = np.asarray(state, dtype=complex)
-    rho = np.outer(state, state.conj()) if not _is_density_matrix(state) else state
+    pure = not _is_density_matrix(state)
+    rho = np.outer(state, state.conj()) if pure else state
     if not np.allclose(rho, rho.conj().T, atol=1e-10):
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("density matrix must have unit trace")
     A, labels = _robustness_rows(dic)
-    if dic.d == 2:
-        b = _qubit_state_expectations(rho, dic.n)
-    else:
-        b = _hermitian_entry_vector(rho)
+    vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
+    b = _coordinates(vecs, dic.n, dic.d) @ vals
     N = A.shape[1]
     prog = LinearProgram(np.ones(2 * N), np.hstack([A, -A]), b)
     # start at the states of largest overlap, each signed so x_B >= 0
     order = np.argsort(-np.abs(b @ A), kind="stable")
     twin = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
-    sol = solve_lp(prog, tol=tol, basis=crash_basis(prog.A, b, order, twin))
+    sol = solve_lp(prog, basis=crash_basis(prog.A, b, order, twin))
     if sol.status != "optimal":
         raise SolverError(f"robustness LP ended with status {sol.status}")
     coeffs = sol.x[:N] - sol.x[N:]
     l1 = float(sol.objective)
-    r = (l1 - 1.0) / 2.0
-    r = max(r, 0.0)
-    support = [(int(j), float(coeffs[j])) for j in np.nonzero(np.abs(coeffs) > 1e-12)[0]]
-    # reconstruction check on the sparse support
-    rec = np.zeros_like(rho)
-    for j, cj in support:
-        phi = dic.state(j)
-        rec += cj * np.outer(phi, phi.conj())
-    rec_err = float(np.max(np.abs(rec - rho)))
+    r = max((l1 - 1.0) / 2.0, 0.0)
+    keep = np.nonzero(np.abs(coeffs) > 1e-12)[0]
+    support = [(int(j), float(coeffs[j])) for j in keep]
+    phis = dic.states[:, keep]
+    rec_err = float(np.max(np.abs((phis * coeffs[keep]) @ phis.conj().T - rho)))
     if rec_err > TOLERANCES["reconstruction"]:
         raise SolverError(f"pseudomixture reconstruction error {rec_err:.2e}")
     dual_full = np.zeros(A.shape[0])
     dual_full[sol.kept_rows] = sol.dual
     witness_feas = float(np.max(np.abs(A.T @ dual_full)))
-    if witness_feas > 1.0 + tol:
+    if witness_feas > 1.0 + TOLERANCES["lp"]:
         raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
     witness = [
         (labels[i], float(dual_full[i]))
@@ -362,29 +346,20 @@ class MagicReport:
 SOLVER_DICTIONARY_LIMIT = 5000
 
 
-def magic_report(
-    state: np.ndarray,
-    dic: StabilizerDictionary,
-    compute_extent: bool | None = None,
-    compute_robustness: bool | None = None,
-) -> MagicReport:
+def magic_report(state: np.ndarray, dic: StabilizerDictionary) -> MagicReport:
     """Compute dmin, extent (pure states), and free robustness; validate the
     consistency sandwich dmin <= dmax <= LR before returning.
 
-    By default the convex solves run only while the dictionary stays at desk
-    scale (n <= 3 qubits / n <= 2 qutrits); pass the booleans to force either
-    way.  Skipped measures are reported as None.
+    The convex solves run only while the dictionary stays at desk scale
+    (``SOLVER_DICTIONARY_LIMIT`` states: n <= 3 qubits / n <= 2 qutrits);
+    skipped measures are reported as None.
     """
     state = np.asarray(state, dtype=complex)
     pure = not _is_density_matrix(state)
     affordable = dic.size <= SOLVER_DICTIONARY_LIMIT
-    if compute_extent is None:
-        compute_extent = pure and affordable
-    if compute_robustness is None:
-        compute_robustness = affordable
     dmin_value, best = dmin(state, dic)
-    ext = extent(state, dic) if compute_extent and pure else None
-    rob = free_robustness(state, dic) if compute_robustness else None
+    ext = extent(state, dic) if pure and affordable else None
+    rob = free_robustness(state, dic) if affordable else None
     diagnostics = {}
     if rob is not None:
         diagnostics["robustness"] = rob.diagnostics

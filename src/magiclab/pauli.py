@@ -272,11 +272,6 @@ def canonicalize_generators(
     return work, k
 
 
-def canonical_tableau(tab: StabilizerTableau) -> StabilizerTableau:
-    gens, _ = canonicalize_generators(list(tab.generators))
-    return StabilizerTableau(tab.n, tab.d, tuple(gens))
-
-
 def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
 
@@ -309,12 +304,13 @@ def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
     return W @ d ** np.arange(n), e % (2 * d)
 
 
-def tableau_to_state(tab: StabilizerTableau, validate: bool = True) -> np.ndarray:
+def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     """Unique joint +1 eigenstate of the tableau's generators.
 
     The global phase makes the first nonzero amplitude real positive.  Raises
     InconsistentTableauError when the generated group contains a nontrivial
-    scalar (no common eigenstate exists).
+    scalar (no common eigenstate exists).  The eigenvalue equation of every
+    generator is checked on the result.
     """
     n, d = tab.n, tab.d
     gens, k = canonicalize_generators(list(tab.generators))
@@ -336,10 +332,9 @@ def tableau_to_state(tab: StabilizerTableau, validate: bool = True) -> np.ndarra
     zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
     psi = np.zeros(d**n, dtype=complex)
     psi[idx] = d ** (-k / 2) * zeta_pow[e]
-    if validate:
-        for g in tab.generators:
-            if np.linalg.norm(g.apply(psi) - psi) > 1e-12:
-                raise AssertionError("eigenvalue equation violated")
+    for g in tab.generators:
+        if np.linalg.norm(g.apply(psi) - psi) > 1e-12:
+            raise AssertionError("eigenvalue equation violated")
     return psi
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 LP_TOL = 1e-9
 BP_GAP_TOL = 1e-9
+_MAX_PIVOTS = 50_000  # most pivots one solve_lp call may take
 _PIVOT_TOL = 1e-7  # least pivot element the ratio test accepts
 _FEAS_TOL = 1e-7  # primal residual and sign tolerance of the final check
 _CRASH_SHARE = 0.1  # least orthogonal share of a column the crash basis takes
@@ -82,7 +83,7 @@ def _pivot(Binv, xb, basis, d, leave, enter):
     basis[leave] = enter
 
 
-def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter, B0):
+def _revised_simplex(cols, cost, basis, Binv, xb, B0):
     """Revised simplex with the lexicographic anti-cycling ratio test.
 
     ``Binv`` (B^{-1}, one row per basic position, one column per original
@@ -91,10 +92,10 @@ def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter, B0):
     start as the identity, which makes the lexicographic order well posed
     from any feasible start.
     """
-    for it in range(max_iter):
+    for it in range(_MAX_PIVOTS):
         reduced = cost - (cost[basis] @ Binv) @ cols
         enter = int(np.argmin(reduced))
-        if reduced[enter] >= -tol:
+        if reduced[enter] >= -LP_TOL:
             return "optimal", it
         d = Binv @ cols[:, enter]
         candidates = np.nonzero(d > _PIVOT_TOL)[0]
@@ -111,15 +112,10 @@ def _revised_simplex(cols, cost, basis, Binv, xb, tol, max_iter, B0):
             leave = int(tied[0])
         _pivot(Binv, xb, basis, d, leave, enter)
         np.maximum(xb, 0.0, out=xb)  # clamp float dust
-    raise SolverError(f"simplex did not converge within {max_iter} iterations")
+    raise SolverError(f"simplex did not converge within {_MAX_PIVOTS} iterations")
 
 
-def solve_lp(
-    prog: LinearProgram,
-    tol: float = LP_TOL,
-    max_iter: int = 50_000,
-    basis=None,
-) -> LPSolution:
+def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     """Revised simplex with dual extraction, from a cold or a warm start.
 
     Cold (``basis`` None): phase 1 from the artificial basis; redundant
@@ -130,7 +126,7 @@ def solve_lp(
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}, and is then checked:
-    A x = b, x >= 0 and A^T y <= c, each within a tolerance above ``tol``.
+    A x = b, x >= 0 and A^T y <= c, each within a tolerance above ``LP_TOL``.
     A basis that fails raises ``SolverError``.
     """
     A, b, c = prog.A, prog.b, prog.objective
@@ -140,7 +136,7 @@ def solve_lp(
     if basis is None:
         # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
         B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, Binv, xb, rows, it1 = _phase_one(A, b, B0, tol, max_iter)
+        basis, Binv, xb, rows, it1 = _phase_one(A, b, B0)
         if basis is None:
             return LPSolution(status="infeasible", iterations=it1)
     else:
@@ -153,12 +149,12 @@ def solve_lp(
             xb = np.linalg.solve(B0, b)  # as the final re-solve computes x
         except np.linalg.LinAlgError:
             raise ValueError("start basis is singular") from None
-        if xb.min(initial=0.0) < -tol:
+        if xb.min(initial=0.0) < -LP_TOL:
             raise ValueError(f"start basis is not primal feasible: min x_B = {xb.min():.2e}")
         np.maximum(xb, 0.0, out=xb)
         it1 = 0
 
-    status, it2 = _revised_simplex(A, c, basis, Binv, xb, tol, max_iter, B0)
+    status, it2 = _revised_simplex(A, c, basis, Binv, xb, B0)
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=it1 + it2)
 
@@ -176,7 +172,7 @@ def solve_lp(
     feas = float(np.max(np.abs(A @ x - b))) if len(rows) else 0.0
     x_min = float(x.min(initial=0.0))
     reduced_min = float((c - y @ A).min(initial=0.0))
-    dual_tol = 10 * tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    dual_tol = 10 * LP_TOL * max(1.0, float(np.max(np.abs(c), initial=0.0)))
     if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -dual_tol:
         raise SolverError(
             f"simplex accuracy check failed: feas={feas:.2e} "
@@ -194,7 +190,7 @@ def solve_lp(
     )
 
 
-def _phase_one(A, b, B0, tol, max_iter):
+def _phase_one(A, b, B0):
     """Phase 1 from the artificial basis B0, a diagonal of signs with
     B0 b >= 0.  Returns (basis, Binv, xb, kept_rows, pivots), with basis
     None when the LP is infeasible."""
@@ -204,9 +200,7 @@ def _phase_one(A, b, B0, tol, max_iter):
     basis = np.arange(ncols, ncols + m)
     Binv = B0.copy()
     xb = B0 @ b
-    status, it1 = _revised_simplex(
-        np.hstack([A, B0]), c1, basis, Binv, xb, tol, max_iter, B0
-    )
+    status, it1 = _revised_simplex(np.hstack([A, B0]), c1, basis, Binv, xb, B0)
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
     if float(c1[basis] @ xb) > 1e-7:

@@ -1,4 +1,4 @@
-"""Exhaustive stabilizer-state enumeration and quadratic states.
+"""Exhaustive stabilizer-state enumeration.
 
 Enumeration walks canonical tableaux directly: every maximal isotropic
 (Lagrangian) subspace of F_d^{2n} has a unique normal form given by a
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binlin import gfp_nullspace, gfp_rref
-from .boolfn import BooleanFunction, hypergraph_state, quadratic_basis
 from .pauli import PauliOperator, StabilizerTableau, _coset_phases
 
 DENSE_LIMITS = {2: 4, 3: 2}
@@ -212,36 +211,3 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
     return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)
-
-
-# --- quadratic states ---------------------------------------------------------
-
-@dataclass
-class QuadraticStateSet:
-    """Hypergraph states of all degree <= 2 characteristic functions.
-
-    Constant terms only flip the global sign, so entries are deduplicated to
-    one representative per ray (constant term dropped): 2^(n + C(n,2)) states
-    out of the 2^(1 + n + C(n,2)) functions.
-    """
-
-    n: int
-    functions: list[BooleanFunction]
-    states: np.ndarray  # (2^n, N) complex128
-
-
-def enumerate_quadratic_states(n: int) -> QuadraticStateSet:
-    if not 1 <= n <= 5:
-        raise ResourceLimitError("quadratic-state enumeration supports 1 <= n <= 5")
-    basis = quadratic_basis(n)[1:]  # drop the constant: global phase only
-    functions = []
-    dim = 1 << n
-    states = np.empty((dim, 1 << len(basis)), dtype=complex)
-    scale = dim ** -0.5
-    for bits in range(1 << len(basis)):
-        monos = frozenset(basis[i] for i in range(len(basis)) if (bits >> i) & 1)
-        f = BooleanFunction(n, monos)
-        functions.append(f)
-        states[:, bits] = hypergraph_state(f)
-    assert abs(states[0, 0] - scale) < 1e-15
-    return QuadraticStateSet(n, functions, states)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magiclab.boolfn import hypergraph_state, parse_anf
+from magiclab.boolfn import BooleanFunction, hypergraph_state, parse_anf, quadratic_basis
 from magiclab.measures import golden_state
 from magiclab.stabdict import enumerate_stabilizer_states
 
@@ -70,3 +70,15 @@ def single_qubit_cliffords():
 def random_state(dim: int, rng) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def quadratic_states(n: int):
+    """Hypergraph states of every degree <= 2 function with no constant term
+    (the constant only flips the global sign): one per ray, 2^(n + C(n,2)) in
+    all.  Returns (functions, (2^n, count) states)."""
+    basis = quadratic_basis(n)[1:]
+    functions = [
+        BooleanFunction(n, frozenset(m for i, m in enumerate(basis) if bits >> i & 1))
+        for bits in range(1 << len(basis))
+    ]
+    return functions, np.column_stack([hypergraph_state(f) for f in functions])

@@ -24,6 +24,7 @@ from magiclab.boolfn import (
     truth_table_hex,
     welch_function,
 )
+from conftest import quadratic_states
 
 
 def test_parse_and_format_round_trip():
@@ -351,12 +352,11 @@ def test_quadratic_vs_full_dictionary_gap(dict2_3):
     # with the full dictionary exposes the local-gate gap (reported relation
     # only: quadratics can never beat the full set)
     from magiclab.measures import dmin
-    from magiclab.stabdict import enumerate_quadratic_states
 
-    qs = enumerate_quadratic_states(3)
+    _, states = quadratic_states(3)
     rng = np.random.default_rng(9)
     for tt in rng.integers(0, 256, 8):
         psi = hypergraph_state(from_truth_table(3, int(tt)))
-        over_q = -np.log2(np.max(np.abs(qs.states.conj().T @ psi) ** 2))
+        over_q = -np.log2(np.max(np.abs(states.conj().T @ psi) ** 2))
         over_stab, _ = dmin(psi, dict2_3)
         assert over_stab <= over_q + 1e-12

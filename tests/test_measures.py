@@ -24,6 +24,7 @@ from magiclab.measures import (
     stab_rank_bound,
     stabilizer_fidelity,
 )
+from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
 from magiclab.stabdict import enumerate_stabilizer_states
 from conftest import random_state
@@ -48,6 +49,33 @@ def _l1_vertex_oracle(A, b):
             continue
         best = min(best, float(np.sum(np.abs(c))))
     return best
+
+
+_SITE_MATRIX = {
+    (0, 0): np.eye(2),
+    (1, 0): np.array([[0, 1], [1, 0]]),
+    (0, 1): np.diag([1, -1]),
+    (1, 1): np.array([[0, -1j], [1j, 0]]),
+}
+
+
+def _dense_paulis(n):
+    """(x bits, z bits, P) for every n-qubit Hermitian Pauli in the LP's row
+    order (X part major); P is a dense np.kron product with site 1, the least
+    significant index bit, as the rightmost factor."""
+    for x in range(2**n):
+        for z in range(2**n):
+            xs = [x >> k & 1 for k in range(n)]
+            zs = [z >> k & 1 for k in range(n)]
+            yield xs, zs, reduce(np.kron, [_SITE_MATRIX[s] for s in zip(xs[::-1], zs[::-1])])
+
+
+def _dense_pauli_lp(dic, rho):
+    """The robustness LP's A and b from dense Pauli matrices: Tr(phi_j P) and
+    Tr(rho P), one row per Pauli."""
+    paulis = [P for _, _, P in _dense_paulis(dic.n)]
+    A = np.array([np.einsum("ik,ij,jk->k", dic.states.conj(), P, dic.states).real for P in paulis])
+    return A, np.array([np.trace(P @ rho).real for P in paulis])
 
 
 def test_golden_state_is_pure_unit():
@@ -192,26 +220,53 @@ def test_free_robustness_golden_matches_oracle(dict2_1, golden):
     assert abs(res.r - GOLDEN_R) < 1e-7
     assert abs(res.l1 - (1 + 2 * res.r)) < 1e-12
     # independent exhaustive vertex search over the 6-state dictionary
-    from magiclab.measures import _qubit_expectation_rows, _qubit_state_expectations
-
-    A, _ = _qubit_expectation_rows(dict2_1)
-    b = _qubit_state_expectations(np.outer(golden, golden.conj()), 1)
+    A, b = _dense_pauli_lp(dict2_1, np.outer(golden, golden.conj()))
     assert abs(_l1_vertex_oracle(A, b) - res.l1) < 1e-7
 
 
 def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
     dic = enumerate_stabilizer_states(1, 2)
     builds = []
-    real = measures._qubit_expectation_rows
-    monkeypatch.setattr(
-        measures, "_qubit_expectation_rows", lambda d: builds.append(d) or real(d)
-    )
+    real = measures._pauli_coordinates
+
+    def count_dictionary_builds(V, n):
+        if V is dic.states:
+            builds.append(V)
+        return real(V, n)
+
+    monkeypatch.setattr(measures, "_pauli_coordinates", count_dictionary_builds)
     first = free_robustness(golden, dic)
     second = free_robustness(np.eye(2, dtype=complex) / 2, dic)
     assert len(builds) == 1
     assert abs(first.r - GOLDEN_R) < 1e-7 and second.r < 1e-9
     rows, _ = dic._robustness_rows
     assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_coordinate_maps_match_dense_oracles(n, d):
+    rng = np.random.default_rng(10 * d + n)
+    V = rng.normal(size=(d**n, 4)) + 1j * rng.normal(size=(d**n, 4))
+    got = measures._coordinates(V, n, d)
+    labels = measures._coordinate_labels(n, d)
+    if d == 2:
+        paulis = list(_dense_paulis(n))
+        assert got.shape == (len(paulis), 4) and len(labels) == len(paulis)
+        for row, label, (xs, zs, P) in zip(got, labels, paulis):
+            assert np.max(np.abs(row - np.einsum("ik,ij,jk->k", V.conj(), P, V).real)) < 1e-12
+            op = hermitian_pauli(n, xs, zs)
+            assert np.max(np.abs(op.dense() - P)) < 1e-12
+            assert label == pauli_to_string(op)
+        return
+    dim = d**n
+    entries = [("re", i, i) for i in range(dim)]
+    entries += [(p, i, j) for i in range(dim) for j in range(i + 1, dim) for p in ("re", "im")]
+    assert got.shape == (dim * dim, 4) and len(labels) == dim * dim
+    for row, label, (part, i, j) in zip(got, labels, entries):
+        outer = np.array([np.outer(v, v.conj())[i, j] for v in V.T])
+        want = outer.real if part == "re" else outer.imag
+        assert np.max(np.abs(row - want)) < 1e-12
+        assert label == f"{part}[{i},{j}]"
 
 
 def test_free_robustness_witness_contract(dict2_1, golden):
@@ -233,10 +288,7 @@ def test_free_robustness_mixed_random_oracle(dict2_1):
     rho = M @ M.conj().T
     rho /= np.trace(rho).real
     res = free_robustness(rho, dict2_1)
-    from magiclab.measures import _qubit_expectation_rows, _qubit_state_expectations
-
-    A, _ = _qubit_expectation_rows(dict2_1)
-    b = _qubit_state_expectations(rho, 1)
+    A, b = _dense_pauli_lp(dict2_1, rho)
     assert abs(_l1_vertex_oracle(A, b) - res.l1) < 1e-7
 
 

@@ -7,7 +7,7 @@ from magiclab.pauli import (
     InconsistentTableauError,
     PauliOperator,
     StabilizerTableau,
-    canonical_tableau,
+    canonicalize_generators,
     hermitian_pauli,
     is_hermitian_involution,
     mub_partition,
@@ -131,7 +131,7 @@ def test_canonicalization_invariant_under_presentation(dict2_2):
         g1, g2 = tab.generators
         # same group, different presentation
         shuffled = StabilizerTableau(2, 2, (g2, g1 * g2))
-        assert canonical_tableau(shuffled).generators == tab.generators
+        assert tuple(canonicalize_generators(list(shuffled.generators))[0]) == tab.generators
 
 
 def test_group_vectors_size(dict2_2, dict3_1):
