@@ -66,20 +66,26 @@ def _is_density_matrix(state: np.ndarray) -> bool:
 def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     """Min-relative entropy of magic and the index of the best dictionary state.
 
-    Ties break toward the lowest dictionary index.
+    Ties break toward the lowest dictionary index.  A pure state must have
+    unit norm, and a density matrix unit trace, within 1e-9.
     """
     state = np.asarray(state, dtype=complex)
     dim = dic.d**dic.n
     if state.shape[0] != dim:
         raise ValueError("state dimension does not match the dictionary")
     if _is_density_matrix(state):
+        if not abs(np.trace(state) - 1.0) <= 1e-9:
+            raise ValueError("density matrix must have unit trace")
         vals, vecs = np.linalg.eigh(state)
         support = vecs[:, vals > TOLERANCES["support_eigenvalue"]]
         overlaps = np.sum(np.abs(support.conj().T @ dic.states) ** 2, axis=0)
+        best = int(np.argmax(overlaps))
+        fidelity = float(overlaps[best])
     else:
-        overlaps = np.abs(dic.overlaps(state)) ** 2
-    best = int(np.argmax(overlaps))
-    fidelity = float(overlaps[best])
+        if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
+            raise ValueError("pure state must have unit norm")
+        fidelities, indices = dic.best_overlaps(state[:, None])
+        best, fidelity = int(indices[0]), float(fidelities[0])
     return -math.log2(fidelity), best
 
 

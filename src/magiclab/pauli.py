@@ -197,9 +197,11 @@ class StabilizerTableau:
         for g in self.generators:
             if g.n != self.n or g.d != self.d:
                 raise ValueError("generator acts on the wrong system")
-        for a, b in itertools.combinations(self.generators, 2):
-            if not pauli_commutes(a, b):
-                raise ValueError("generators must commute pairwise")
+        # pairwise symplectic products x_a.z_b - z_a.x_b, all at once
+        X = np.array([g.xvec for g in self.generators])
+        Z = np.array([g.zvec for g in self.generators])
+        if np.any((X @ Z.T - Z @ X.T) % self.d):
+            raise ValueError("generators must commute pairwise")
 
     def symplectic_matrix(self) -> np.ndarray:
         return np.array(

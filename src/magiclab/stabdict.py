@@ -26,6 +26,8 @@ from .pauli import PauliOperator, StabilizerTableau, _coset_phases
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
 _BLOCK_STATES = 1024  # most states in one _iter_blocks block (one S always fits)
+_OVERLAP_TILE = 1 << 16  # most overlaps in one best_overlaps tile (1 MiB complex)
+_TARGET_CHUNK = 256  # most targets in one best_overlaps tile
 
 
 class ResourceLimitError(ValueError):
@@ -167,6 +169,40 @@ class StabilizerDictionary:
         if psi.shape[0] != self.states.shape[0]:
             raise ValueError("state dimension mismatch")
         return self.states.conj().T @ psi
+
+    def best_overlaps(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """max_j |<phi_j|v>|^2 for every column v of V, and the lowest j
+        attaining it.
+
+        Never holds the overlap matrix: each tile is one product of at most
+        _TARGET_CHUNK targets (as rows, so the reductions run along
+        contiguous memory) with a block of dictionary states, at most
+        _OVERLAP_TILE overlaps in all.  |z|^2 is re^2 + im^2, squared in
+        place on a float view of the tile, and blocks merge on a strict >,
+        so ties keep the lowest j.
+        """
+        if V.ndim != 2 or V.shape[0] != self.states.shape[0]:
+            raise ValueError("state dimension mismatch")
+        m = V.shape[1]
+        fidelities = np.full(m, -1.0)
+        indices = np.zeros(m, dtype=np.int64)
+        chunk = max(1, min(m, _TARGET_CHUNK))
+        block = _OVERLAP_TILE // chunk
+        for t0 in range(0, m, chunk):
+            W = V[:, t0 : t0 + chunk].conj().T
+            rows = np.arange(len(W))
+            best = fidelities[t0 : t0 + chunk]
+            arg = indices[t0 : t0 + chunk]
+            for s0 in range(0, self.size, block):
+                sq = (W @ self.states[:, s0 : s0 + block]).view(np.float64)
+                sq *= sq
+                p = sq[:, ::2] + sq[:, 1::2]
+                a = p.argmax(axis=1)
+                v = p[rows, a]
+                up = v > best
+                best[up] = v[up]
+                arg[up] = a[up] + s0
+        return fidelities, indices
 
 
 def iter_stabilizer_states(n: int, d: int = 2):

@@ -7,7 +7,6 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 import math
 
 import numpy as np
-import pytest
 
 from magiclab.boolfn import (
     from_truth_table,
@@ -120,7 +119,6 @@ def test_acceptance_5_lattice_bounds():
     )
 
 
-@pytest.mark.slow
 def test_acceptance_6_robustness_guard(dict2_1, dict2_2, dict2_3):
     worst_gap = 0.0
     checked = 0

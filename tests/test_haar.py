@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,29 @@ def test_clifford_push_leaves_distribution(dict2_2, single_qubit_cliffords):
     assert np.max(np.abs(pushed_values - values)) < 1e-10
     # ... hence distribution invariance
     assert stats.ks_2samp(values, pushed_values).pvalue > 0.01
+
+
+@pytest.mark.parametrize(
+    "n, samples, seed", [(1, 5000, 7), (2, 400, 13), (3, 500, 17), (2, 300, 31)]
+)
+def test_sample_dmin_matches_dense(request, n, samples, seed):
+    dic = request.getfixturevalue(f"dict2_{n}")
+    values = sample_dmin(ExperimentConfig(n, samples, seed), dic)
+    states = haar_state_batch(2**n, samples, seed)
+    dense = -np.log2(np.max(np.abs(dic.states.conj().T @ states) ** 2, axis=0))
+    assert np.max(np.abs(values - dense)) < 1e-12
+
+
+def test_sample_dmin_memory(dict2_4):
+    # the best-overlap kernel never holds the 36,720 x 256 overlap matrix
+    # (150 MB complex): a few 1 MiB tiles at a time
+    tracemalloc.start()
+    try:
+        sample_dmin(ExperimentConfig(4, 256, seed=5), dict2_4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_bound_curve_shape():

@@ -370,6 +370,20 @@ def test_dimension_mismatch_rejected(dict2_1):
         dmin(np.zeros(4, dtype=complex), dict2_1)
 
 
+def test_dmin_rejects_unnormalised_states(dict2_2, golden):
+    psi = np.kron(golden, golden)
+    with pytest.raises(ValueError, match="unit norm"):
+        dmin(2 * psi, dict2_2)
+    with pytest.raises(ValueError, match="unit norm"):
+        stabilizer_fidelity(2 * psi, dict2_2)
+    rho = np.outer(psi, psi.conj())
+    with pytest.raises(ValueError, match="unit trace"):
+        dmin(2 * rho, dict2_2)
+    # within 1e-9 of unit norm / trace is accepted
+    assert abs(dmin((1 + 1e-10) * psi, dict2_2)[0] - 2 * GOLDEN_DMIN) < 1e-9
+    assert abs(dmin((1 + 1e-10) * rho, dict2_2)[0] - 2 * GOLDEN_DMIN) < 1e-9
+
+
 # l1 = 1 + 2R of each state of _pinned_states(), taken with the dense tableau
 # simplex that the revised simplex replaced
 PINNED_L1 = [

@@ -110,6 +110,30 @@ def test_tableau_rejects_non_commuting():
         StabilizerTableau(2, 2, (pauli_from_string("XI"), pauli_from_string("ZI")))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_tableau_rejects_one_non_commuting_pair(d):
+    # Z1, X2 and Z3 commute pairwise; swapping X2 for X1 breaks one pair
+    Z1 = PauliOperator(3, d, (0, 0, 0), (1, 0, 0), 0)
+    Z3 = PauliOperator(3, d, (0, 0, 0), (0, 0, 1), 0)
+    X2 = PauliOperator(3, d, (0, 1, 0), (0, 0, 0), 0)
+    X1 = PauliOperator(3, d, (1, 0, 0), (0, 0, 0), 0)
+    StabilizerTableau(3, d, (Z1, X2, Z3))
+    with pytest.raises(ValueError, match="commute pairwise"):
+        StabilizerTableau(3, d, (Z1, X1, Z3))
+    # X (x) X and Z (x) Z: symplectic product 2, zero mod 2 but not mod 3
+    XX = PauliOperator(2, d, (1, 1), (0, 0), 0)
+    ZZ = PauliOperator(2, d, (0, 0), (1, 1), 0)
+    if d == 2:
+        StabilizerTableau(2, d, (XX, ZZ))
+    else:
+        with pytest.raises(ValueError, match="commute pairwise"):
+            StabilizerTableau(2, d, (XX, ZZ))
+        # XXX and ZZZ: product 3, zero mod 3
+        XXX = PauliOperator(3, d, (1, 1, 1), (0, 0, 0), 0)
+        ZZZ = PauliOperator(3, d, (0, 0, 0), (1, 1, 1), 0)
+        StabilizerTableau(3, d, (XXX, ZZZ, PauliOperator(3, d, (0, 0, 0), (1, 2, 0), 0)))
+
+
 def test_tableau_rejects_minus_identity_group():
     # <iZ> squares to -I
     bad = PauliOperator(1, 2, (0,), (1,), 1)

@@ -10,9 +10,12 @@ from magiclab.pauli import (
     canonicalize_generators,
     tableau_to_state,
 )
+from magiclab import stabdict
+from magiclab.haar import haar_state_batch
 from magiclab.stabdict import (
     _BLOCK_STATES,
     ResourceLimitError,
+    StabilizerDictionary,
     _iter_blocks,
     count_stabilizer_states,
     enumerate_stabilizer_states,
@@ -119,6 +122,77 @@ def test_blocks_cover_n5():
             phi = tableau_to_state(StabilizerTableau(5, 2, gens))
             assert np.max(np.abs(phi - psi[j])) < 1e-12
     assert total == count_stabilizer_states(5, 2)
+
+
+def _dense_best(states, V, chunk=64):
+    """Dense oracle: |<phi_j|v>|^2 maxima and np.argmax, a few targets at a time."""
+    best, arg = [], []
+    for t0 in range(0, V.shape[1], chunk):
+        overlaps = np.abs(states.conj().T @ V[:, t0 : t0 + chunk]) ** 2
+        best.append(overlaps.max(axis=0))
+        arg.append(overlaps.argmax(axis=0))
+    return np.concatenate(best), np.concatenate(arg)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4", "dict3_1", "dict3_2"]
+)
+def test_best_overlaps_match_dense_oracle(fixture, request):
+    dic = request.getfixturevalue(fixture)
+    dim = dic.d**dic.n
+    # Haar targets: fidelities to 1e-12, and the returned index attains them
+    haar = haar_state_batch(dim, 300, seed=dim)
+    fid, idx = dic.best_overlaps(haar)
+    dense_fid, _ = _dense_best(dic.states, haar)
+    assert np.max(np.abs(fid - dense_fid)) < 1e-12
+    chosen = np.abs(np.sum(dic.states[:, idx].conj() * haar, axis=0)) ** 2
+    assert np.max(np.abs(chosen - dense_fid)) < 1e-12
+    # dictionary columns and basis states, whose squared overlaps are dyadic:
+    # indices equal the dense argmax.  At n = 4 the 4096 targets fill 16
+    # target chunks, and their best states lie in every dictionary block.
+    cols = np.linspace(0, dic.size - 1, min(dic.size, 4096 - dim)).astype(int)
+    exact = np.hstack([dic.states[:, cols], np.eye(dim, dtype=complex)])
+    fid, idx = dic.best_overlaps(exact)
+    dense_fid, dense_idx = _dense_best(dic.states, exact)
+    assert np.max(np.abs(fid - dense_fid)) < 1e-12
+    assert np.array_equal(idx, dense_idx)
+    assert np.array_equal(idx[: len(cols)], cols)
+
+
+def test_best_overlaps_ties_across_blocks(monkeypatch, dict2_3):
+    # tiles of 8 targets x 8 states, over the dictionary written out twice:
+    # every basis state attains |<phi|x>|^2 = 1 exactly at two indices
+    # 1080 apart, in different blocks, and the lower one must win
+    monkeypatch.setattr(stabdict, "_OVERLAP_TILE", 64)
+    monkeypatch.setattr(stabdict, "_TARGET_CHUNK", 8)
+    dic = dict2_3
+    twice = StabilizerDictionary(
+        dic.n,
+        dic.d,
+        np.hstack([dic.states, dic.states]),
+        np.concatenate([dic.gen_x, dic.gen_x]),
+        np.concatenate([dic.gen_z, dic.gen_z]),
+        np.concatenate([dic.gen_t, dic.gen_t]),
+    )
+    basis = np.eye(8, dtype=complex)
+    fid, idx = twice.best_overlaps(basis)
+    dense_fid, dense_idx = _dense_best(twice.states, basis)
+    assert np.array_equal(fid, dense_fid) and np.all(fid == 1.0)
+    assert np.array_equal(idx, dense_idx) and np.all(idx < dic.size)
+    # Haar targets through the same small tiles: the dense maxima, and the
+    # index of a duplicated state is always the first copy
+    haar = haar_state_batch(8, 50, seed=3)
+    fid, idx = twice.best_overlaps(haar)
+    dense_fid, _ = _dense_best(dic.states, haar)
+    assert np.max(np.abs(fid - dense_fid)) < 1e-12
+    assert np.all(idx < dic.size)
+
+
+def test_best_overlaps_rejects_wrong_shape(dict2_2):
+    with pytest.raises(ValueError):
+        dict2_2.best_overlaps(np.ones((8, 1), dtype=complex))
+    with pytest.raises(ValueError):
+        dict2_2.best_overlaps(np.ones(4, dtype=complex))
 
 
 def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
