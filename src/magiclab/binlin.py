@@ -55,7 +55,7 @@ def gf2_rank(M) -> int:
     return rank
 
 
-# --- dense row reduction over a prime field, used by the Pauli/tableau code ---
+# --- dense row reduction over a prime field, used by stabilizer enumeration ---
 
 def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).  Returns (rref, pivot columns)."""
@@ -81,20 +81,6 @@ def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def gfp_rank(mat: np.ndarray, p: int) -> int:
     return len(gfp_rref(mat, p)[1])
-
-
-def gfp_solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over GF(p) (free variables zero), or None."""
-    M = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = gfp_rref(np.hstack([M, b]), p)
-    n = M.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, n]
-    return x
 
 
 def gfp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:

@@ -39,11 +39,6 @@ def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def overlap_survival(n: int, beta: np.ndarray) -> np.ndarray:
-    """Pr{ |<phi|psi>|^2 >= beta } = (1 - beta)^(2^n - 1)."""
-    return (1.0 - np.asarray(beta)) ** (2**n - 1)
-
-
 def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None = None) -> float:
     """KS test of the fixed-reference overlap law; returns the p-value."""
     from scipy import stats  # imported here: it dominates `import magiclab`

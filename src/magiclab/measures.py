@@ -67,13 +67,16 @@ def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     """Min-relative entropy of magic and the index of the best dictionary state.
 
     Ties break toward the lowest dictionary index.  A pure state must have
-    unit norm, and a density matrix unit trace, within 1e-9.
+    unit norm, and a density matrix unit trace, within 1e-9; a density matrix
+    must also be Hermitian within 1e-10.
     """
     state = np.asarray(state, dtype=complex)
     dim = dic.d**dic.n
     if state.shape[0] != dim:
         raise ValueError("state dimension does not match the dictionary")
     if _is_density_matrix(state):
+        if not np.allclose(state, state.conj().T, atol=1e-10):
+            raise ValueError("density matrix must be Hermitian")
         if not abs(np.trace(state) - 1.0) <= 1e-9:
             raise ValueError("density matrix must have unit trace")
         vals, vecs = np.linalg.eigh(state)

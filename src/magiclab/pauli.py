@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binlin import gfp_solve
-
 
 @dataclass(frozen=True)
 class PauliOperator:
@@ -56,12 +54,6 @@ class PauliOperator:
         z = tuple((a + b) % d for a, b in zip(self.zvec, other.zvec))
         return PauliOperator(self.n, d, x, z, t)
 
-    def __pow__(self, e: int) -> "PauliOperator":
-        result = identity_pauli(self.n, self.d)
-        for _ in range(e % (2 * self.d)):
-            result = result * self
-        return result
-
     def dagger(self) -> "PauliOperator":
         d = self.d
         xz = sum(a * b for a, b in zip(self.xvec, self.zvec)) % d
@@ -93,9 +85,6 @@ class PauliOperator:
     def dense(self) -> np.ndarray:
         dim = self.d**self.n
         return np.column_stack([self.apply(e) for e in np.eye(dim, dtype=complex)])
-
-    def phase_factor(self) -> complex:
-        return np.exp(1j * np.pi * self.phase / self.d)
 
 
 def identity_pauli(n: int, d: int = 2) -> PauliOperator:
@@ -218,122 +207,42 @@ class StabilizerTableau:
         return out
 
 
-def canonicalize_generators(
-    gens: list[PauliOperator],
-) -> tuple[list[PauliOperator], int]:
-    """Reduced row echelon form of a commuting generating set, phases tracked.
-
-    X columns are eliminated first, then Z columns of the pure-Z rows, and
-    finally the Z parts of the X rows are reduced modulo the pure-Z rows.
-    Returns (canonical generators, x-block rank).  Raises
-    InconsistentTableauError if the set is dependent or produces a scalar
-    other than the identity.
-    """
-    if not gens:
-        return [], 0
-    d = gens[0].d
-    work = list(gens)
-
-    def eliminate(block: str, start: int) -> list[int]:
-        r = start
-        pivots = []
-        n = work[0].n
-        for c in range(n):
-            vec = lambda g: g.xvec if block == "x" else g.zvec
-            pivot = next((i for i in range(r, len(work)) if vec(work[i])[c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            if d == 3 and vec(work[r])[c] == 2:
-                work[r] = work[r] * work[r]
-            for i in range(len(work)):
-                if i != r and vec(work[i])[c]:
-                    mult = work[r] ** ((d - vec(work[i])[c]) % d)
-                    work[i] = work[i] * mult
-            pivots.append(c)
-            r += 1
-        return pivots
-
-    x_pivots = eliminate("x", 0)
-    k = len(x_pivots)
-    z_pivots = eliminate("z", k)
-    # canonical lifts: clear the Z-pivot coordinates of the X rows
-    for zi, c in enumerate(z_pivots):
-        zrow = work[k + zi]
-        for i in range(k):
-            coef = work[i].zvec[c]
-            if coef:
-                work[i] = work[i] * zrow ** ((d - coef) % d)
-    for g in work:
-        if g.is_identity_vector():
-            if g.phase % (2 * d):
-                raise InconsistentTableauError(
-                    "group contains a scalar other than the identity"
-                )
-            raise InconsistentTableauError("generators are not independent")
-    return work, k
-
-
-def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
-
-    X (k x n) holds the canonical X rows; Z (..., k, n) and t (..., k) stack
-    any number of Z parts and phases over them.  W0 (m x n) holds one coset
-    offset per row.  Walking y in counting order, each step by X row i onto
-    the point w multiplies the amplitude by zeta**(t_i + 2 z_i.w), giving
-
-        e(y) = y.t + 2 [y.(Z w0) + sum_{i<j} y_i y_j z_i.x_j
-                        + sum_i C(y_i + 1, 2) z_i.x_i]     (mod 2d).
-
-    Returns (m, d^k) basis indices, shared by the whole stack, and (..., m,
-    d^k) exponents, y little-endian in d.
-
-    Both callers solve w0 from the RREF pure-Z rows with free variables zero,
-    so w0 vanishes on the trailing columns of X's row space (the complement of
-    the Z rows' leading columns).  Then y = 0 gives the least index of each
-    coset, and e(0) = 0 makes the first nonzero amplitude real positive.
-    """
-    X, Z = np.asarray(X, dtype=np.int64), np.asarray(Z, dtype=np.int64)
-    W0, t = np.asarray(W0, dtype=np.int64), np.asarray(t, dtype=np.int64)
-    k, n = X.shape
-    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
-    W = (W0[:, None, :] + ys @ X) % d
-    G = Z @ X.T
-    quad = ((ys @ np.triu(G, 1)) * ys).sum(-1)
-    quad += np.diagonal(G, axis1=-2, axis2=-1) @ (ys * (ys + 1) // 2).T
-    lin = (Z @ W0.T).swapaxes(-1, -2) @ ys.T
-    e = (t @ ys.T + 2 * quad)[..., None, :] + 2 * lin
-    return W @ d ** np.arange(n), e % (2 * d)
-
-
 def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     """Unique joint +1 eigenstate of the tableau's generators.
 
-    The global phase makes the first nonzero amplitude real positive.  Raises
-    InconsistentTableauError when the generated group contains a nontrivial
-    scalar (no common eigenstate exists).  The eigenvalue equation of every
-    generator is checked on the result.
+    Built as the product of the generators' projectors (1/d) sum_{k<d} g^k,
+    which is |psi><psi| for an independent set whose group holds no scalar
+    but I (Gottesman, quant-ph/9705052).  The projector is dense, d^n x d^n
+    (32 x 32 at n = 5, 64 x 64 at n = 6).  The global phase makes the first
+    nonzero amplitude real positive.  Raises InconsistentTableauError when
+    the generated group contains a nontrivial scalar (no common eigenstate
+    exists) or the generators are dependent.  The eigenvalue equation of
+    every generator is checked on the result.
     """
     n, d = tab.n, tab.d
-    gens, k = canonicalize_generators(list(tab.generators))
-    # support coset from the pure-Z constraints: z.w = -t/2 (mod d)
-    w0 = np.zeros(n, dtype=np.int64)
-    if k < n:
-        if any(g.phase % 2 for g in gens[k:]):
-            raise InconsistentTableauError("pure-Z generator with odd phase")
-        A = np.array([g.zvec for g in gens[k:]], dtype=np.int64)
-        rhs = np.array([(-(g.phase // 2)) % d for g in gens[k:]], dtype=np.int64)
-        w0 = gfp_solve(A, rhs, d)
-        if w0 is None:
-            raise InconsistentTableauError("contradictory pure-Z constraints")
-    X = np.array([g.xvec for g in gens[:k]], dtype=np.int64).reshape(k, n)
-    Z = np.array([g.zvec for g in gens[:k]], dtype=np.int64).reshape(k, n)
-    (idx,), (e,) = _coset_phases(w0[None], X, Z, [g.phase for g in gens[:k]], d)
-    if len(np.unique(idx)) != d**k:
-        raise AssertionError("support size mismatch")
-    zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
-    psi = np.zeros(d**n, dtype=complex)
-    psi[idx] = d ** (-k / 2) * zeta_pow[e]
+    for g in tab.generators:
+        # g^d is the scalar zeta^(d t - d(d-1) x.z)
+        xz = sum(a * b for a, b in zip(g.xvec, g.zvec))
+        if (d * g.phase - d * (d - 1) * xz) % (2 * d):
+            raise InconsistentTableauError(
+                "group contains a scalar other than the identity"
+            )
+    rho = np.eye(d**n, dtype=complex)
+    for g in tab.generators:
+        term, acc = rho, rho.copy()
+        for _ in range(d - 1):
+            term = g.apply(term)
+            acc += term
+        rho = acc / d
+    # tr rho = d^(n - rank), or 0 when the group holds a scalar other than I
+    diag = rho.diagonal().real
+    trace = diag.sum()
+    if trace < 0.5:
+        raise InconsistentTableauError("group contains a scalar other than the identity")
+    if trace > 1.5:
+        raise InconsistentTableauError("generators are not independent")
+    w = int(np.argmax(diag > diag.max() / 2))
+    psi = rho[:, w] / np.sqrt(diag[w])
     for g in tab.generators:
         if np.linalg.norm(g.apply(psi) - psi) > 1e-12:
             raise AssertionError("eigenvalue equation violated")

@@ -9,10 +9,11 @@ d^n * prod_k (d^{n-k} + 1) by construction.
 
 States are built in blocks, one RREF R and a run of its S matrices at a
 time, with exact integer phase arithmetic (powers of zeta = exp(i*pi/d)) by
-pauli._coset_phases, as in pauli.tableau_to_state; the first nonzero
-amplitude of each comes out real positive.  Dense enumeration is cheap at
-desk scale (n = 4 qubits takes about 0.05 s), so dictionaries are rebuilt
-on demand rather than stored.
+_coset_phases; the first nonzero amplitude of each comes out real positive.
+pauli.tableau_to_state builds the same vectors by a second path, the
+product of the generators' projectors, with no elimination.  Dense
+enumeration is cheap at desk scale (n = 4 qubits takes about 0.05 s), so
+dictionaries are rebuilt on demand rather than stored.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binlin import gfp_nullspace, gfp_rref
-from .pauli import PauliOperator, StabilizerTableau, _coset_phases
+from .pauli import PauliOperator, StabilizerTableau
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
@@ -74,6 +75,39 @@ def _symmetric_matrices(k: int, d: int) -> np.ndarray:
     S[:, rows, cols] = values.reshape(len(values), len(rows))
     S[:, cols, rows] = S[:, rows, cols]
     return S
+
+
+def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
+
+    X (k x n) holds the canonical X rows; Z (..., k, n) and t (..., k) stack
+    any number of Z parts and phases over them.  W0 (m x n) holds one coset
+    offset per row.  Walking y in counting order, each step by X row i onto
+    the point w multiplies the amplitude by zeta**(t_i + 2 z_i.w), giving
+
+        e(y) = y.t + 2 [y.(Z w0) + sum_{i<j} y_i y_j z_i.x_j
+                        + sum_i C(y_i + 1, 2) z_i.x_i]     (mod 2d).
+
+    Returns (m, d^k) basis indices, shared by the whole stack, and (..., m,
+    d^k) exponents, y little-endian in d.
+
+    _iter_blocks solves w0 from the RREF pure-Z rows with free variables
+    zero, so w0 vanishes on the trailing columns of X's row space (the
+    complement of the Z rows' leading columns).  Then y = 0 gives the least
+    index of each coset, and e(0) = 0 makes the first nonzero amplitude real
+    positive.
+    """
+    X, Z = np.asarray(X, dtype=np.int64), np.asarray(Z, dtype=np.int64)
+    W0, t = np.asarray(W0, dtype=np.int64), np.asarray(t, dtype=np.int64)
+    k, n = X.shape
+    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
+    W = (W0[:, None, :] + ys @ X) % d
+    G = Z @ X.T
+    quad = ((ys @ np.triu(G, 1)) * ys).sum(-1)
+    quad += np.diagonal(G, axis1=-2, axis2=-1) @ (ys * (ys + 1) // 2).T
+    lin = (Z @ W0.T).swapaxes(-1, -2) @ ys.T
+    e = (t @ ys.T + 2 * quad)[..., None, :] + 2 * lin
+    return W @ d ** np.arange(n), e % (2 * d)
 
 
 def _iter_blocks(n: int, d: int):

@@ -337,6 +337,44 @@ def test_clifford_invariance_of_dmin(dict2_2, single_qubit_cliffords, golden):
         assert abs(value - base) < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_entangling_clifford_invariance_of_dmin(request, n):
+    # H/S/CZ/CNOT words permute the dictionary, so dmin is unchanged and the
+    # returned state attains 2^-dmin on the image, pure and mixed alike
+    dic = request.getfixturevalue(f"dict2_{n}")
+    rng = np.random.default_rng(60 + n)
+    M = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
+    rho = M @ M.conj().T
+    for state in (random_state(2**n, rng), rho / np.trace(rho).real):
+        base, _ = dmin(state, dic)
+        for word in range(3):
+            U = _random_clifford(n, 10 * n + word)
+            if state.ndim == 1:
+                pushed = U @ state
+                support = pushed[:, None]
+            else:
+                pushed = U @ state @ U.conj().T
+                vals, vecs = np.linalg.eigh(pushed)
+                support = vecs[:, vals > 1e-12]
+            value, best = dmin(pushed, dic)
+            assert abs(value - base) < 1e-10
+            attained = np.sum(np.abs(support.conj().T @ dic.state(best)) ** 2)
+            assert abs(attained - 2.0**-value) < 1e-10
+
+
+def test_dmin_rejects_non_hermitian_density_matrix(dict2_1):
+    # eigh reads one triangle, so this matrix used to pass as rank 2 (dmin 0)
+    bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        dmin(bad, dict2_1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        stabilizer_fidelity(bad, dict2_1)
+    # within 1e-10 of Hermitian is accepted
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    rho[0, 1] = 1e-12
+    assert abs(dmin(rho, dict2_1)[0]) < 1e-9
+
+
 def test_robustness_bound_check(dict2_1, dict2_2):
     rng = np.random.default_rng(9)
     ok, r, bound = robustness_bound_check(random_state(2, rng), dict2_1)

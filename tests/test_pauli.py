@@ -7,7 +7,6 @@ from magiclab.pauli import (
     InconsistentTableauError,
     PauliOperator,
     StabilizerTableau,
-    canonicalize_generators,
     hermitian_pauli,
     is_hermitian_involution,
     mub_partition,
@@ -106,7 +105,6 @@ def test_tableau_eigenequations_random(dict2_3):
 
 def test_tableau_rejects_non_commuting():
     with pytest.raises(ValueError):
-        StabilizerTableau(1, 2, (pauli_from_string("X"),)).generators
         StabilizerTableau(2, 2, (pauli_from_string("XI"), pauli_from_string("ZI")))
 
 
@@ -139,6 +137,11 @@ def test_tableau_rejects_minus_identity_group():
     bad = PauliOperator(1, 2, (0,), (1,), 1)
     with pytest.raises(InconsistentTableauError):
         tableau_to_state(StabilizerTableau(1, 2, (bad,)))
+    # qutrit zeta X and zeta Z (zeta = exp(i pi/3)) both cube to -I
+    for x, z in (((1,), (0,)), ((0,), (1,))):
+        bad = PauliOperator(1, 3, x, z, 1)
+        with pytest.raises(InconsistentTableauError):
+            tableau_to_state(StabilizerTableau(1, 3, (bad,)))
 
 
 def test_tableau_rejects_dependent_generators():
@@ -153,9 +156,9 @@ def test_canonicalization_invariant_under_presentation(dict2_2):
     for i in rng.integers(0, dict2_2.size, 20):
         tab = dict2_2.tableau(int(i))
         g1, g2 = tab.generators
-        # same group, different presentation
+        # same group, different presentation, same state
         shuffled = StabilizerTableau(2, 2, (g2, g1 * g2))
-        assert tuple(canonicalize_generators(list(shuffled.generators))[0]) == tab.generators
+        assert np.max(np.abs(tableau_to_state(shuffled) - tableau_to_state(tab))) < 1e-12
 
 
 def test_group_vectors_size(dict2_2, dict3_1):
