@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .binlin import (
-    FieldElement,
-    IRREDUCIBLE_POLY,
-    field_element,
-    field_pow,
-    field_trace,
-    gf2_rank,
-)
+from .binlin import IRREDUCIBLE_POLY, gf2_rank
 from .boolfn import (
     BooleanFunction,
     Hypergraph,
@@ -28,7 +21,6 @@ from .haar import (
     ExperimentConfig,
     dmin_bound_curve,
     dmin_distribution,
-    haar_sample,
     haar_state,
     overlap_cdf_pvalue,
     sample_dmin,
@@ -62,18 +54,14 @@ from .measures import (
     free_robustness,
     golden_state,
     magic_report,
-    robustness_bound_check,
     stab_rank_bound,
-    stabilizer_fidelity,
 )
 from .pauli import (
     InconsistentTableauError,
     PauliOperator,
     StabilizerTableau,
     hermitian_pauli,
-    identity_pauli,
     is_hermitian_involution,
-    mub_partition,
     pauli_commutes,
     pauli_from_string,
     pauli_to_string,
@@ -98,7 +86,6 @@ from .wigner import (
     WignerFunction,
     mana,
     mana_lr_check,
-    negativity_robustness_check,
     phase_point_operator,
     sum_negativity,
     wigner_function,

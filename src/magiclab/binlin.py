@@ -1,19 +1,16 @@
-"""GF(2) linear algebra, prime-field (GF(p)) row reduction, and GF(2^m) fields.
+"""GF(2) linear algebra, prime-field (GF(p)) row reduction, and GF(2^m) log tables.
 
 Bit convention used across the package: variable/site k (1-indexed in text
 formats) lives on bit k-1, least significant bit first.  This applies to
 packed truth tables, basis-state indices, and packed bit rows alike.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Fixed table of primitive polynomials over GF(2) for m = 1..15, encoded as
 # bit masks with bit m set: the class of x generates the multiplicative group,
-# which `field_log_tables` and the MUB spread in `pauli` rely on.  A fixed
-# table keeps field constructions (and everything derived from them)
-# reproducible.
+# which `field_log_tables` relies on.  A fixed table keeps field constructions
+# (and the Welch function built on them) reproducible.
 IRREDUCIBLE_POLY = {
     1: 0b11,                 # x + 1
     2: 0b111,                # x^2 + x + 1
@@ -96,75 +93,7 @@ def gfp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-# --- GF(2^m) field elements -------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(2^m) as a polynomial bit mask modulo a fixed irreducible."""
-
-    m: int
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= 15:
-            raise ValueError("supported extension degrees are 1..15")
-        if self.value >> self.m:
-            raise ValueError("value must have fewer than m significant bits")
-        if self.modulus >> self.m != 1:
-            raise ValueError("modulus must have degree exactly m")
-
-    def _check(self, other: "FieldElement"):
-        if self.m != other.m or self.modulus != other.modulus:
-            raise ValueError("mismatched field moduli")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.m, self.value ^ other.value, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        a, b, out = self.value, other.value, 0
-        while b:
-            if b & 1:
-                out ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.m:
-                a ^= self.modulus
-        return FieldElement(self.m, out, self.modulus)
-
-
-def field_element(m: int, value: int) -> FieldElement:
-    """Element of GF(2^m) under the package's fixed modulus table."""
-    return FieldElement(m, value, IRREDUCIBLE_POLY[m])
-
-
-def field_pow(x: FieldElement, e: int) -> FieldElement:
-    """x**e by square-and-multiply; x**0 is 1."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    result = FieldElement(x.m, 1, x.modulus)
-    base = x
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
-
-
-def field_trace(x: FieldElement) -> int:
-    """Field trace tr(x) = sum of the Frobenius orbit, reduced to GF(2)."""
-    acc = FieldElement(x.m, 0, x.modulus)
-    y = x
-    for _ in range(x.m):
-        acc = acc + y
-        y = y * y
-    if acc.value not in (0, 1):
-        raise AssertionError("trace must land in GF(2)")
-    return acc.value
-
+# --- GF(2^m) by discrete logs ------------------------------------------------
 
 def field_log_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Antilog and log tables of GF(2^m) under the fixed primitive modulus.

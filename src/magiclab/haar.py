@@ -25,12 +25,6 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
-    if n > 20:
-        raise ValueError("dense Haar samples are limited to n <= 20")
-    return haar_state(2**n, rng)
-
-
 def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     """(dim, count) matrix of independent Haar states from one master seed."""
     out = np.empty((dim, count), dtype=complex)

@@ -63,39 +63,40 @@ def _is_density_matrix(state: np.ndarray) -> bool:
     return state.ndim == 2
 
 
-def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
-    """Min-relative entropy of magic and the index of the best dictionary state.
-
-    Ties break toward the lowest dictionary index.  A pure state must have
-    unit norm, and a density matrix unit trace, within 1e-9; a density matrix
-    must also be Hermitian within 1e-10.
-    """
+def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
+    """The state as a complex array of the dictionary's dimension.  A pure
+    state must have unit norm, and a density matrix unit trace, within 1e-9;
+    a density matrix must also be Hermitian within 1e-10."""
     state = np.asarray(state, dtype=complex)
-    dim = dic.d**dic.n
-    if state.shape[0] != dim:
+    if state.shape[0] != dic.d**dic.n:
         raise ValueError("state dimension does not match the dictionary")
     if _is_density_matrix(state):
         if not np.allclose(state, state.conj().T, atol=1e-10):
             raise ValueError("density matrix must be Hermitian")
         if not abs(np.trace(state) - 1.0) <= 1e-9:
             raise ValueError("density matrix must have unit trace")
+    elif not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
+        raise ValueError("pure state must have unit norm")
+    return state
+
+
+def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
+    """Min-relative entropy of magic and the index of the best dictionary state.
+
+    Ties break toward the lowest dictionary index.  The state is checked as
+    ``_checked_state`` describes.
+    """
+    state = _checked_state(state, dic)
+    if _is_density_matrix(state):
         vals, vecs = np.linalg.eigh(state)
         support = vecs[:, vals > TOLERANCES["support_eigenvalue"]]
         overlaps = np.sum(np.abs(support.conj().T @ dic.states) ** 2, axis=0)
         best = int(np.argmax(overlaps))
         fidelity = float(overlaps[best])
     else:
-        if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
-            raise ValueError("pure state must have unit norm")
         fidelities, indices = dic.best_overlaps(state[:, None])
         best, fidelity = int(indices[0]), float(fidelities[0])
     return -math.log2(fidelity), best
-
-
-def stabilizer_fidelity(psi: np.ndarray, dic: StabilizerDictionary) -> float:
-    """Best stabilizer overlap squared; equals 2**(-dmin)."""
-    value, _ = dmin(psi, dic)
-    return 2.0**-value
 
 
 @dataclass
@@ -114,9 +115,10 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
     dual vector y over the full dictionary, so the certificate does not trust
     the solver: sqrt(xi) <= ||c||_1 once D c = psi within the reconstruction
     tolerance, and sqrt(xi) >= Re<y, psi> / max_j |<phi_j|y>|.  The two must
-    agree to a relative ``bp_gap``.
+    agree to a relative ``bp_gap``.  The state is checked as ``_checked_state``
+    describes.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _checked_state(psi, dic)
     if _is_density_matrix(psi):
         raise ValueError("extent is defined here for pure states only")
     c, y, pivots, rounds = solve_extent(dic.states, psi)
@@ -230,15 +232,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     witness above 1 + the ``lp`` tolerance anywhere on the dictionary raises
     ``SolverError``.  The simplex starts at a crash basis taken in
     descending |a_j . b|, the overlap of each state's constraint column with
-    rho's (2^n Tr(phi_j rho) for qubits).
+    rho's (2^n Tr(phi_j rho) for qubits).  The state is checked as
+    ``_checked_state`` describes.
     """
-    state = np.asarray(state, dtype=complex)
+    state = _checked_state(state, dic)
     pure = not _is_density_matrix(state)
     rho = np.outer(state, state.conj()) if pure else state
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError("density matrix must have unit trace")
     A, labels = _robustness_rows(dic)
     vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
     b = _coordinates(vecs, dic.n, dic.d) @ vals
@@ -259,14 +258,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     rec_err = float(np.max(np.abs((phis * coeffs[keep]) @ phis.conj().T - rho)))
     if rec_err > TOLERANCES["reconstruction"]:
         raise SolverError(f"pseudomixture reconstruction error {rec_err:.2e}")
-    dual_full = np.zeros(A.shape[0])
-    dual_full[sol.kept_rows] = sol.dual
-    witness_feas = float(np.max(np.abs(A.T @ dual_full)))
+    witness_feas = float(np.max(np.abs(A.T @ sol.dual)))
     if witness_feas > 1.0 + TOLERANCES["lp"]:
         raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
     witness = [
-        (labels[i], float(dual_full[i]))
-        for i in np.nonzero(np.abs(dual_full) > 1e-12)[0]
+        (labels[i], float(sol.dual[i]))
+        for i in np.nonzero(np.abs(sol.dual) > 1e-12)[0]
     ]
     return RobustnessResult(
         r=r,
@@ -278,20 +275,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
             "iterations": sol.iterations,
             "duality_gap": sol.gap,
             "witness_max_abs": witness_feas,
-            "witness_value": float(b @ dual_full),
+            "witness_value": float(b @ sol.dual),
             "reconstruction_error": rec_err,
         },
     )
-
-
-def robustness_bound_check(
-    state: np.ndarray, dic: StabilizerDictionary
-) -> tuple[bool, float, float]:
-    """Guard R(rho) <= sqrt(2^n (2^n + 1)); returns (ok, R, bound)."""
-    res = free_robustness(state, dic)
-    dim = dic.d**dic.n
-    bound = math.sqrt(dim * (dim + 1))
-    return res.r <= bound + 1e-9, res.r, bound
 
 
 def stab_rank_bound(

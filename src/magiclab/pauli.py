@@ -1,4 +1,4 @@
-"""Pauli / Weyl operators, stabilizer tableaux, and the MUB partition.
+"""Pauli / Weyl operators, stabilizer tableaux, and tableau-to-state.
 
 Internal operator representation, uniform for qubits (d=2) and qutrits (d=3):
 
@@ -16,7 +16,6 @@ displacement operators carry t = 2*(z.x) mod 6 (the half-power uses the
 inverse of 2 mod 3).
 """
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -54,14 +53,6 @@ class PauliOperator:
         z = tuple((a + b) % d for a, b in zip(self.zvec, other.zvec))
         return PauliOperator(self.n, d, x, z, t)
 
-    def dagger(self) -> "PauliOperator":
-        d = self.d
-        xz = sum(a * b for a, b in zip(self.xvec, self.zvec)) % d
-        t = (-self.phase - 2 * xz) % (2 * d)
-        x = tuple((-a) % d for a in self.xvec)
-        z = tuple((-a) % d for a in self.zvec)
-        return PauliOperator(self.n, d, x, z, t)
-
     def is_identity_vector(self) -> bool:
         return not any(self.xvec) and not any(self.zvec)
 
@@ -85,10 +76,6 @@ class PauliOperator:
     def dense(self) -> np.ndarray:
         dim = self.d**self.n
         return np.column_stack([self.apply(e) for e in np.eye(dim, dtype=complex)])
-
-
-def identity_pauli(n: int, d: int = 2) -> PauliOperator:
-    return PauliOperator(n, d, (0,) * n, (0,) * n, 0)
 
 
 def hermitian_pauli(n: int, xvec, zvec) -> PauliOperator:
@@ -192,20 +179,6 @@ class StabilizerTableau:
         if np.any((X @ Z.T - Z @ X.T) % self.d):
             raise ValueError("generators must commute pairwise")
 
-    def symplectic_matrix(self) -> np.ndarray:
-        return np.array(
-            [list(g.xvec) + list(g.zvec) for g in self.generators], dtype=np.int64
-        )
-
-    def group_vectors(self) -> set[tuple[int, ...]]:
-        """All d^n group elements as (x|z) tuples, phases quotiented."""
-        M = self.symplectic_matrix()
-        out = set()
-        for coeffs in itertools.product(range(self.d), repeat=self.n):
-            v = (np.array(coeffs) @ M) % self.d
-            out.add(tuple(int(t) for t in v))
-        return out
-
 
 def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     """Unique joint +1 eigenstate of the tableau's generators.
@@ -248,38 +221,3 @@ def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
             raise AssertionError("eigenvalue equation violated")
     return psi
 
-
-# --- mutually unbiased bases / Pauli group partition --------------------------
-
-def mub_partition(n: int) -> list[StabilizerTableau]:
-    """Partition of the n-qubit Pauli group (mod phases) into 2^n + 1
-    maximal abelian subgroups, via the field spread construction.
-
-    X parts are written in the polynomial basis of GF(2^n) and Z parts in its
-    trace-dual basis, which turns the coordinate dot product into the field
-    trace form and makes every spread line symplectically isotropic.
-    """
-    if not 1 <= n <= 5:
-        raise ValueError("supported range is 1 <= n <= 5")
-    from .binlin import field_element, field_trace
-
-    alpha_pows = [field_element(n, 1)]
-    gen = field_element(n, 2 % (1 << n)) if n > 1 else field_element(n, 1)
-    for _ in range(2 * n):
-        alpha_pows.append(alpha_pows[-1] * gen)
-
-    tableaux = []
-    for lam_value in range(1 << n):
-        lam = field_element(n, lam_value)
-        gens = []
-        for i in range(n):
-            x = tuple(1 if j == i else 0 for j in range(n))
-            z = tuple(field_trace(lam * alpha_pows[i + j]) for j in range(n))
-            gens.append(hermitian_pauli(n, x, z))
-        tableaux.append(StabilizerTableau(n, 2, tuple(gens)))
-    z_gens = tuple(
-        hermitian_pauli(n, (0,) * n, tuple(1 if j == i else 0 for j in range(n)))
-        for i in range(n)
-    )
-    tableaux.append(StabilizerTableau(n, 2, z_gens))
-    return tableaux

@@ -10,13 +10,18 @@ basic values are kept; every column is priced with one product
 c - (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
 B0^{-1} b >= 0, such as ``crash_basis`` builds from the columns it expects
 in the optimum; phase 1 runs only for cold starts, from the artificial basis
-(B0 = diag(sign b)).  Entering columns are picked by largest violation; the leaving row
-uses the lexicographic rule on the rows of B^{-1} B0, which keeps the heavily
-degenerate dictionary LPs from cycling from any start, and no pivot element
-below _PIVOT_TOL is accepted.  The final basis is re-solved against the
-original data so B^{-1} round-off never reaches the reported solution, and
-the re-solved pair must pass A x = b, x >= 0 and A^T y <= c: since
-c.x = b.y holds for any basis, these are what certify optimality.
+(B0 = diag(sign b)).  A must have full row rank: there is no presolve, and a
+cold start whose phase 1 cannot pivot an artificial out of the basis raises
+``ValueError``.  Entering columns are picked by largest violation; the
+leaving row uses the lexicographic rule on the rows of B^{-1} B0, which keeps
+the heavily degenerate dictionary LPs from cycling from any start, and no
+pivot element below _PIVOT_TOL is accepted.  Ties in the ratio and in each
+lexicographic column are decided within the same relative 1e-10, so entries
+equal in exact arithmetic are not ranked by round-off.  The final basis is
+re-solved against the original data so B^{-1} round-off never reaches the
+reported solution, and the re-solved pair must pass A x = b, x >= 0 and
+A^T y <= c: since c.x = b.y holds for any basis, these are what certify
+optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real LP over
 nonnegative weights of phase-rotated dictionary columns.  Column generation
@@ -66,8 +71,7 @@ class LPSolution:
     objective: float | None = None
     iterations: int = 0
     gap: float | None = None
-    kept_rows: np.ndarray | None = None  # rows surviving presolve
-    basis: np.ndarray | None = None  # final basic columns, one per kept row
+    basis: np.ndarray | None = None  # final basic columns, one per row
 
 
 def _pivot(Binv, xb, basis, d, leave, enter):
@@ -83,6 +87,23 @@ def _pivot(Binv, xb, basis, d, leave, enter):
     basis[leave] = enter
 
 
+def _lex_least(rows, lex):
+    """The ``rows`` whose rows of ``lex`` are lexicographically least, each
+    column deciding within a relative 1e-10 of its least entry among the rows
+    still tied.  Columns that cannot decide for any subset are dropped first."""
+    least = lex.min(axis=0)
+    live = lex.max(axis=0) > least + 1e-10 * (1.0 + np.abs(least))
+    keep = range(rows.size)
+    for col in lex[:, live].T.tolist():
+        values = [col[i] for i in keep]
+        bound = min(values)
+        bound += 1e-10 * (1.0 + abs(bound))
+        keep = [i for i, v in zip(keep, values) if v <= bound]
+        if len(keep) == 1:
+            break
+    return rows[keep]
+
+
 def _revised_simplex(cols, cost, basis, Binv, xb, B0):
     """Revised simplex with the lexicographic anti-cycling ratio test.
 
@@ -90,7 +111,9 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0):
     row) and the basic values ``xb`` are updated in place.  Ties are ranked
     by the rows of B^{-1} B0, where B0 is the starting basis matrix: they
     start as the identity, which makes the lexicographic order well posed
-    from any feasible start.
+    from any feasible start.  Each tie, in the ratio and then column by
+    column of B^{-1} B0 / d, keeps the rows within a relative 1e-10 of the
+    least value, and the lowest basic position left leaves.
     """
     for it in range(_MAX_PIVOTS):
         reduced = cost - (cost[basis] @ Binv) @ cols
@@ -105,12 +128,8 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0):
         best = float(np.min(ratios))
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
         if tied.size > 1:
-            lex = (Binv[tied] @ B0) / d[tied, None]
-            order = np.lexsort(lex.T[::-1])
-            leave = int(tied[order[0]])
-        else:
-            leave = int(tied[0])
-        _pivot(Binv, xb, basis, d, leave, enter)
+            tied = _lex_least(tied, (Binv[tied] @ B0) / d[tied, None])
+        _pivot(Binv, xb, basis, d, int(tied[0]), enter)
         np.maximum(xb, 0.0, out=xb)  # clamp float dust
     raise SolverError(f"simplex did not converge within {_MAX_PIVOTS} iterations")
 
@@ -118,11 +137,11 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0):
 def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     """Revised simplex with dual extraction, from a cold or a warm start.
 
-    Cold (``basis`` None): phase 1 from the artificial basis; redundant
-    equality rows found there are dropped (presolve to full row rank), and
-    the returned dual covers the surviving rows, indexed by ``kept_rows``.
-    Warm: ``basis`` names m columns whose matrix B0 is nonsingular with
-    B0^{-1} b >= 0 (a ``ValueError`` otherwise), and phase 2 starts there.
+    Cold (``basis`` None): phase 1 from the artificial basis.  A must have
+    full row rank: an artificial that phase 1 cannot pivot out of the basis
+    marks a redundant row, and raises ``ValueError``.  Warm: ``basis`` names
+    m columns whose matrix B0 is nonsingular with B0^{-1} b >= 0 (a
+    ``ValueError`` otherwise), and phase 2 starts there.
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}, and is then checked:
@@ -131,12 +150,11 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     """
     A, b, c = prog.A, prog.b, prog.objective
     m, ncols = A.shape
-    rows = np.arange(m)
 
     if basis is None:
         # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
         B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, Binv, xb, rows, it1 = _phase_one(A, b, B0)
+        basis, Binv, xb, it1 = _phase_one(A, b, B0)
         if basis is None:
             return LPSolution(status="infeasible", iterations=it1)
     else:
@@ -161,15 +179,13 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: c.x = b.y holds for any basis, so optimality is
     # x >= 0 and the reduced costs c - A^T y >= 0
-    if rows.size < m:
-        A, b = A[rows], b[rows]
     B = A[:, basis]
     x = np.zeros(ncols)
     x[basis] = np.linalg.solve(B, b)
     y = np.linalg.solve(B.T, c[basis])
     obj = float(c @ x)
     gap = abs(obj - float(b @ y))
-    feas = float(np.max(np.abs(A @ x - b))) if len(rows) else 0.0
+    feas = float(np.max(np.abs(A @ x - b), initial=0.0))
     x_min = float(x.min(initial=0.0))
     reduced_min = float((c - y @ A).min(initial=0.0))
     dual_tol = 10 * LP_TOL * max(1.0, float(np.max(np.abs(c), initial=0.0)))
@@ -185,17 +201,15 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
         objective=obj,
         iterations=it1 + it2,
         gap=gap,
-        kept_rows=rows,
         basis=basis,
     )
 
 
 def _phase_one(A, b, B0):
     """Phase 1 from the artificial basis B0, a diagonal of signs with
-    B0 b >= 0.  Returns (basis, Binv, xb, kept_rows, pivots), with basis
-    None when the LP is infeasible."""
+    B0 b >= 0.  Returns (basis, Binv, xb, pivots), with basis None when the
+    LP is infeasible."""
     m, ncols = A.shape
-    rows = np.arange(m)
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     basis = np.arange(ncols, ncols + m)
     Binv = B0.copy()
@@ -204,26 +218,17 @@ def _phase_one(A, b, B0):
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
     if float(c1[basis] @ xb) > 1e-7:
-        return None, None, None, rows, it1
+        return None, None, None, it1
 
-    # pivot artificials out of the basis; an artificial none can replace
-    # marks its own row as redundant (its basis position can differ, once it
-    # has left and re-entered), and dropping that row keeps B nonsingular
-    drop = []
-    for pos in range(m):
-        if basis[pos] < ncols:
-            continue
+    # pivot the artificials out of the basis; one that no column of A can
+    # replace marks a row that depends on the others
+    for pos in np.nonzero(basis >= ncols)[0]:
         row = Binv[pos] @ A
         j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > 1e-9:
-            _pivot(Binv, xb, basis, Binv @ A[:, j], pos, j)
-        else:
-            drop.append(pos)
-    if drop:
-        rows = np.setdiff1d(rows, basis[drop] - ncols)
-        keep = np.setdiff1d(np.arange(m), drop)
-        Binv, xb, basis = Binv[keep], xb[keep], basis[keep]
-    return basis, Binv, xb, rows, it1
+        if abs(row[j]) <= 1e-9:
+            raise ValueError("constraint matrix does not have full row rank")
+        _pivot(Binv, xb, basis, Binv @ A[:, j], pos, j)
+    return basis, Binv, xb, it1
 
 
 def crash_basis(A: np.ndarray, b: np.ndarray, order, twin) -> np.ndarray | None:
@@ -297,7 +302,8 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     bound is taken at the least-norm y tight on the support of c: on a
     degenerate LP such as CCZ x |+> the simplex's vertex dual wanders over
     the optimal face and never certifies.  Stops when the bounds agree to a
-    relative ``BP_GAP_TOL``.
+    relative ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row
+    rank.
 
     Returns (c, y, pivots, rounds) with y the certifying dual vector.
     """
@@ -326,22 +332,17 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
         lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(Dh @ y)))
         if upper - lower <= BP_GAP_TOL * upper:
             return c, y, pivots, rounds
-        # a cold solve may have dropped rows, and then cannot hand its basis on
-        basis = sol.basis if sol.kept_rows.size == b.size else None
+        basis = sol.basis
         if rounds == 1:
             keep = support.copy()
-            if basis is not None:
-                keep[basis] = True
-                basis = np.cumsum(keep)[basis] - 1
+            keep[basis] = True
+            basis = np.cumsum(keep)[basis] - 1
             idx, phases = idx[keep], phases[keep]
-        yr = np.zeros(2 * m)
-        yr[sol.kept_rows] = sol.dual
-        corr = Dh @ (yr[:m] + 1j * yr[m:])
+        corr = Dh @ (sol.dual[:m] + 1j * sol.dual[m:])
         new = np.nonzero(np.abs(corr) > 1.0)[0]
         idx = np.concatenate([idx, new])
         phases = np.concatenate([phases, np.exp(1j * np.angle(corr[new]))])
-        if basis is not None:
-            idx, phases = _turn_negative_basics(idx, phases, basis, sol.x[sol.basis])
+        idx, phases = _turn_negative_basics(idx, phases, basis, sol.x[sol.basis])
         A = _phase_columns(D, idx, phases)
     raise SolverError(
         f"extent column generation stopped after {_EXTENT_MAX_ROUNDS} rounds "

@@ -6,7 +6,7 @@ sum_s (a1_s + 3 a2_s) * 9^s (site 1 least significant).
 
 The point operators derive from the displacement operators T_u with the
 half-power phase convention (inverse of 2 mod 3): A_0 averages all T_u and
-A_u = T_u A_0 T_u^dagger.  The map rho -> W_rho(u) = Tr(A_u rho) / 3^n is a
+A_u = T_u A_0 T_u^{-1}.  The map rho -> W_rho(u) = Tr(A_u rho) / 3^n is a
 bijection onto normalized real functions, pure stabilizer states are exactly
 the pure states with non-negative W, negative mass lower-bounds the free
 robustness, and mana log2(2N + 1) sits below LR + 1.
@@ -99,13 +99,6 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     return WignerFunction(n, values)
 
 
-def reconstruct_density(W: WignerFunction) -> np.ndarray:
-    rho = np.zeros((D**W.n, D**W.n), dtype=complex)
-    for u in phase_space_points(W.n):
-        rho += W.values[point_index(u)] * phase_point_operator(u, W.n)
-    return rho
-
-
 def sum_negativity(W: WignerFunction) -> float:
     """Total negative mass sum_{W<0} |W|."""
     return float(-np.sum(W.values[W.values < 0.0]))
@@ -114,18 +107,6 @@ def sum_negativity(W: WignerFunction) -> float:
 def mana(W: WignerFunction) -> float:
     """log2(2 * negativity + 1) = log2 of the l1 mass; zero iff W >= 0."""
     return math.log2(2.0 * sum_negativity(W) + 1.0)
-
-
-def negativity_robustness_check(
-    state: np.ndarray, dic: StabilizerDictionary
-) -> tuple[bool, float, float]:
-    """Negativity never exceeds the free robustness (its LP relaxation)."""
-    if dic.d != D:
-        raise ValueError("check needs a qutrit dictionary")
-    W = wigner_function(state)
-    neg = sum_negativity(W)
-    rob = free_robustness(state, dic)
-    return neg <= rob.r + TOLERANCES["chain"], neg, rob.r
 
 
 def mana_lr_check(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magiclab.binlin import IRREDUCIBLE_POLY
 from magiclab.boolfn import BooleanFunction, hypergraph_state, parse_anf, quadratic_basis
 from magiclab.measures import golden_state
 from magiclab.stabdict import enumerate_stabilizer_states
@@ -82,3 +83,39 @@ def quadratic_states(n: int):
         for bits in range(1 << len(basis))
     ]
     return functions, np.column_stack([hypergraph_state(f) for f in functions])
+
+
+# --- scalar GF(2^m) arithmetic: the oracle for the library's log tables ------
+
+def gf_mul(a: int, b: int, m: int) -> int:
+    """Product in GF(2^m) by shift-and-add modulo ``IRREDUCIBLE_POLY[m]``."""
+    mod, out = IRREDUCIBLE_POLY[m], 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= mod
+    return out
+
+
+def gf_pow(a: int, e: int, m: int) -> int:
+    """a**e by square-and-multiply; a**0 is 1."""
+    out = 1
+    while e:
+        if e & 1:
+            out = gf_mul(out, a, m)
+        a = gf_mul(a, a, m)
+        e >>= 1
+    return out
+
+
+def gf_trace(a: int, m: int) -> int:
+    """Field trace: the XOR of the Frobenius orbit a, a^2, ..., a^(2^(m-1))."""
+    acc = 0
+    for _ in range(m):
+        acc ^= a
+        a = gf_mul(a, a, m)
+    assert acc in (0, 1), "the trace must land in GF(2)"
+    return acc

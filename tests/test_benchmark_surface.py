@@ -1,0 +1,83 @@
+"""The package names the benchmark reaches stay in place.
+
+``perfbench/workloads.py`` calls the package through attribute chains on the
+imported module (``self.ml.measures.magic_report``) and through local
+aliases of it (``ml = self.ml``, ``bf = self.ml.boolfn``).  A deletion that
+would make benchmark operations fail then fails these tests first.
+"""
+
+import ast
+from pathlib import Path
+
+import magiclab
+from magiclab.cli import build_parser
+from magiclab.stabdict import StabilizerDictionary
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _package_path(node, aliases):
+    """The names below the package that an attribute chain such as
+    ``self.ml.haar.sample_dmin`` or ``bf.nonquadraticity`` reaches, or None
+    when the chain does not start at the package."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        if node.attr == "ml":
+            return tuple(reversed(names))
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases:
+        return aliases[node.id] + tuple(reversed(names))
+    return None
+
+
+def _reached_names():
+    """Every package path the workloads reach, each with its line number.
+    Aliases are resolved within each top-level function or method."""
+    tree = ast.parse(WORKLOADS.read_text())
+    scopes = [
+        node
+        for top in tree.body
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+        if isinstance(node, ast.FunctionDef)
+    ]
+    reached = []
+    for scope in scopes:
+        aliases = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                path = _package_path(node.value, aliases)
+                if isinstance(target, ast.Name) and path is not None:
+                    aliases[target.id] = path
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute):
+                path = _package_path(node, aliases)
+                if path:
+                    reached.append((path, node.lineno))
+    return reached
+
+
+def test_workloads_reach_only_existing_names():
+    reached = _reached_names()
+    # the parse must see the workloads' calls, or the check below is empty
+    assert {("measures", "magic_report"), ("boolfn", "welch_function")} <= {
+        path for path, _ in reached
+    }
+    missing = []
+    for path, line in reached:
+        obj = magiclab
+        for name in path:
+            if not hasattr(obj, name):
+                missing.append(f"line {line}: magiclab.{'.'.join(path)}")
+                break
+            obj = getattr(obj, name)
+    assert not missing, missing
+
+
+def test_dictionary_tableau_and_cli_cache_dir_remain():
+    # the enumerate workload rebuilds states from dic.tableau(i), and the cli
+    # workload passes --cache-dir to every child
+    assert callable(StabilizerDictionary.tableau)
+    args = build_parser().parse_args(["--cache-dir", "cache", "enum", "--n", "1", "--d", "2"])
+    assert args.cache_dir == "cache"

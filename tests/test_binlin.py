@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from magiclab.binlin import (
     IRREDUCIBLE_POLY,
-    field_element,
     field_log_tables,
-    field_pow,
-    field_trace,
     gf2_rank,
     gfp_nullspace,
     gfp_rank,
     gfp_rref,
 )
+
+from conftest import gf_mul, gf_pow, gf_trace
 
 
 def cycle_adjacency(m):
@@ -82,29 +81,40 @@ def test_gfp_mod3():
     assert np.all((M @ null.T) % 3 == 0)
 
 
-# --- GF(2^m) fields -----------------------------------------------------------
+# --- GF(2^m) fields: log tables against the scalar oracle -------------------
 
-def _poly_mul_mod(a, b, mod, m):
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= mod
+def _log_mul(m):
+    """Multiplication table of GF(2^m) from the log tables."""
+    antilog, log = field_log_tables(m)
+    order = (1 << m) - 1
+    table = antilog[(log[:, None] + log[None, :]) % order]
+    table[0, :] = table[:, 0] = 0
+    return table
+
+
+def _log_pow(m, e):
+    """x**e for every element x from the log tables; 0**e is 0 for e > 0."""
+    antilog, log = field_log_tables(m)
+    out = antilog[log * e % ((1 << m) - 1)]
+    out[0] = 0 if e else 1
+    return out
+
+
+def _log_traces(m):
+    """tr(x) for every element x from the log tables: the XOR of the
+    Frobenius orbit, as ``welch_function`` computes it."""
+    out = np.bitwise_xor.reduce([_log_pow(m, 1 << i) for i in range(m)])
+    out[0] = 0
     return out
 
 
 @pytest.mark.parametrize("m", sorted(IRREDUCIBLE_POLY))
 def test_modulus_table_is_irreducible(m):
     # Rabin: x^(2^m) = x mod p, and x^(2^(m/q)) != x for every prime q | m
-    mod = IRREDUCIBLE_POLY[m]
-
     def frob_power(k):
         x = 0b10 if m > 1 else 1  # the class of x (for m=1, x = 1 mod x+1)
         for _ in range(k):
-            x = _poly_mul_mod(x, x, mod, m)
+            x = gf_mul(x, x, m)
         return x
 
     x0 = 0b10 if m > 1 else 1
@@ -126,11 +136,10 @@ def test_modulus_table_is_irreducible(m):
 def test_irreducible_table_is_primitive(m):
     # x has multiplicative order exactly 2^m - 1: its powers before reaching
     # 1 again are all the nonzero elements
-    mod = IRREDUCIBLE_POLY[m]
-    x = _poly_mul_mod(1, 0b10, mod, m)  # the class of x (for m = 1, x = 1)
+    x = gf_mul(1, 0b10, m)  # the class of x (for m = 1, x = 1)
     v, order = x, 1
     while v != 1:
-        v = _poly_mul_mod(v, x, mod, m)
+        v = gf_mul(v, x, m)
         order += 1
     assert order == (1 << m) - 1
 
@@ -143,52 +152,47 @@ def test_log_tables_match_field_arithmetic(m):
     assert np.array_equal(log[antilog], np.arange(order))
     for a in range(1, 1 << m):
         for b in range(1, 1 << m):
-            product = (field_element(m, a) * field_element(m, b)).value
-            assert antilog[(log[a] + log[b]) % order] == product
+            assert antilog[(log[a] + log[b]) % order] == gf_mul(a, b, m)
+
+
+def test_log_tables_reject_unsupported_degree():
+    for m in (0, 16):
+        with pytest.raises(ValueError, match="1..15"):
+            field_log_tables(m)
 
 
 def test_trace_examples():
-    assert field_trace(field_element(3, 0)) == 0
-    assert field_trace(field_element(3, 1)) == 1  # tr(1) = m mod 2
-    assert field_trace(field_element(4, 1)) == 0
+    for m in (3, 4):
+        traces = _log_traces(m)
+        assert traces[0] == gf_trace(0, m) == 0
+        assert traces[1] == gf_trace(1, m) == m % 2  # tr(1) = m mod 2
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_trace_linearity(m):
-    elements = [field_element(m, v) for v in range(1 << m)]
-    traces = [field_trace(x) for x in elements]
-    for a in range(1 << m):
-        for b in range(1 << m):
-            s = elements[a] + elements[b]
-            assert field_trace(s) == traces[a] ^ traces[b]
+    traces = _log_traces(m)
+    assert traces.tolist() == [gf_trace(v, m) for v in range(1 << m)]
+    v = np.arange(1 << m)
+    assert np.array_equal(traces[v[:, None] ^ v[None, :]], traces[:, None] ^ traces[None, :])
 
 
 def test_pow_examples():
-    one = field_element(3, 1)
-    for v in range(8):
-        x = field_element(3, v)
-        assert field_pow(x, 0).value == 1
-        if v:
-            assert field_pow(x, 7).value == 1  # multiplicative order divides 7
-            assert field_pow(x, 2**2 + 3).value == field_pow(x, 7).value
-    assert field_pow(field_element(3, 0), 5).value == 0
+    for e in range(20):
+        assert _log_pow(3, e).tolist() == [gf_pow(v, e, 3) for v in range(8)]
+    assert np.all(_log_pow(3, 7)[1:] == 1)  # multiplicative order divides 7
+    assert np.array_equal(_log_pow(3, 2**2 + 3), _log_pow(3, 7))
+    assert _log_pow(3, 5)[0] == 0
 
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_field_axioms_exhaustive(m):
-    els = [field_element(m, v) for v in range(1 << m)]
-    for x in els:
-        assert field_pow(x, 2**m).value == x.value  # Frobenius fixed point
-    for x in els:
-        for y in els:
-            for z in els:
-                assert ((x * y) * z).value == (x * (y * z)).value
-
-
-def test_modulus_mismatch_rejected():
-    a = field_element(3, 1)
-    from magiclab.binlin import FieldElement
-
-    b = FieldElement(3, 1, 0b1101)  # x^3 + x^2 + 1, also irreducible
-    with pytest.raises(ValueError):
-        _ = a * b
+    mul = _log_mul(m)
+    v = np.arange(1 << m)
+    assert np.array_equal(_log_pow(m, 2**m), v)  # Frobenius fixed point
+    assert np.array_equal(mul, mul.T)
+    # associativity, and distributivity over addition (XOR), on all triples
+    assert np.array_equal(mul[mul[:, :, None], v], mul[v[:, None, None], mul[None]])
+    assert np.array_equal(
+        mul[v[:, None, None], v[None, :, None] ^ v],
+        mul[:, :, None] ^ mul[:, None, :],
+    )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magiclab.binlin import field_element, field_pow, field_trace, gfp_rank
+from magiclab.binlin import gfp_rank
 from magiclab.boolfn import (
     BooleanFunction,
     Hypergraph,
@@ -24,7 +24,7 @@ from magiclab.boolfn import (
     truth_table_hex,
     welch_function,
 )
-from conftest import quadratic_states
+from conftest import gf_pow, gf_trace, quadratic_states
 
 
 def test_parse_and_format_round_trip():
@@ -287,8 +287,8 @@ def test_welch_rejects_even_or_large():
         welch_function(17)
 
 
-# SHA-256 of the little-endian packed truth table, pinned from the
-# per-element FieldElement construction
+# SHA-256 of the little-endian packed truth table, pinned from the scalar
+# field construction (shift-and-add multiply, Frobenius-orbit trace)
 WELCH_DIGESTS = {
     3: "aa687b58b0e73e2e383f8c500d75b591e188efe0168b3ffbcd3771caaa6dd4c7",
     5: "0f45a51d15f8b1ed3f14c75995a86cc6526f9b11d0a7114c487f7c3550b2f6ea",
@@ -311,7 +311,7 @@ def test_welch_matches_scalar_field_arithmetic(n):
     e = (1 << (n + 1) // 2) + 3
     f = welch_function(n)
     for v in range(1 << n):
-        assert f.evaluate(v) == field_trace(field_pow(field_element(n, v), e))
+        assert f.evaluate(v) == gf_trace(gf_pow(v, e, n), n)
 
 
 def test_characteristic_function_matches_edges():

@@ -14,7 +14,7 @@ from magiclab.haar import (
     dmin_bound_curve,
     dmin_distribution,
     experiment_csv,
-    haar_sample,
+    haar_state,
     haar_state_batch,
     overlap_cdf_pvalue,
     sample_dmin,
@@ -28,7 +28,7 @@ GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
 def test_sample_normalization():
     rng = np.random.default_rng(0)
     for n in (1, 3, 6):
-        assert abs(np.linalg.norm(haar_sample(n, rng)) - 1) < 1e-12
+        assert abs(np.linalg.norm(haar_state(2**n, rng)) - 1) < 1e-12
 
 
 def test_mean_overlap_with_reference():

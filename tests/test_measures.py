@@ -20,9 +20,7 @@ from magiclab.measures import (
     free_robustness,
     golden_state,
     magic_report,
-    robustness_bound_check,
     stab_rank_bound,
-    stabilizer_fidelity,
 )
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
@@ -91,7 +89,7 @@ def test_golden_state_is_pure_unit():
 def test_dmin_golden(dict2_1, golden):
     value, best = dmin(golden, dict2_1)
     assert abs(value - GOLDEN_DMIN) < 1e-12
-    assert abs(stabilizer_fidelity(golden, dict2_1) - (3 + math.sqrt(3)) / 6) < 1e-12
+    assert abs(2.0**-value - (3 + math.sqrt(3)) / 6) < 1e-12  # best overlap squared
 
 
 def test_dmin_faithful_on_dictionary(dict2_2):
@@ -307,7 +305,7 @@ def test_pseudomixture_reconstruction(dict2_2):
 def test_ccz_anchors(dict2_3, ccz_state):
     value, _ = dmin(ccz_state, dict2_3)
     assert abs(value - math.log2(16 / 9)) < 1e-12
-    assert abs(stabilizer_fidelity(ccz_state, dict2_3) - 9 / 16) < 1e-12
+    assert abs(2.0**-value - 9 / 16) < 1e-12  # best overlap squared
     res = extent(ccz_state, dict2_3)
     assert abs(res.xi - 16 / 9) < 1e-5
     assert abs(res.dmax - value) < 1e-5  # dmax = dmin for this state
@@ -368,7 +366,7 @@ def test_dmin_rejects_non_hermitian_density_matrix(dict2_1):
     with pytest.raises(ValueError, match="Hermitian"):
         dmin(bad, dict2_1)
     with pytest.raises(ValueError, match="Hermitian"):
-        stabilizer_fidelity(bad, dict2_1)
+        free_robustness(bad, dict2_1)
     # within 1e-10 of Hermitian is accepted
     rho = np.diag([1.0, 0.0]).astype(complex)
     rho[0, 1] = 1e-12
@@ -376,11 +374,12 @@ def test_dmin_rejects_non_hermitian_density_matrix(dict2_1):
 
 
 def test_robustness_bound_check(dict2_1, dict2_2):
+    # R(rho) <= sqrt(2^n (2^n + 1)): sqrt(6) for one qubit, sqrt(20) for two
     rng = np.random.default_rng(9)
-    ok, r, bound = robustness_bound_check(random_state(2, rng), dict2_1)
-    assert ok and bound == pytest.approx(math.sqrt(6))
-    ok2, r2, bound2 = robustness_bound_check(random_state(4, rng), dict2_2)
-    assert ok2 and bound2 == pytest.approx(math.sqrt(4 * 5))
+    for dic in (dict2_1, dict2_2):
+        dim = 2**dic.n
+        r = free_robustness(random_state(dim, rng), dic).r
+        assert r <= math.sqrt(dim * (dim + 1)) + 1e-9
 
 
 def test_stab_rank_bound_values(dict2_1, golden):
@@ -410,13 +409,14 @@ def test_dimension_mismatch_rejected(dict2_1):
 
 def test_dmin_rejects_unnormalised_states(dict2_2, golden):
     psi = np.kron(golden, golden)
-    with pytest.raises(ValueError, match="unit norm"):
-        dmin(2 * psi, dict2_2)
-    with pytest.raises(ValueError, match="unit norm"):
-        stabilizer_fidelity(2 * psi, dict2_2)
+    # every measure runs the same check: without it, extent(2 psi) is 4 xi
+    for measure in (dmin, extent, free_robustness):
+        with pytest.raises(ValueError, match="unit norm"):
+            measure(2 * psi, dict2_2)
     rho = np.outer(psi, psi.conj())
-    with pytest.raises(ValueError, match="unit trace"):
-        dmin(2 * rho, dict2_2)
+    for measure in (dmin, free_robustness):
+        with pytest.raises(ValueError, match="unit trace"):
+            measure(2 * rho, dict2_2)
     # within 1e-9 of unit norm / trace is accepted
     assert abs(dmin((1 + 1e-10) * psi, dict2_2)[0] - 2 * GOLDEN_DMIN) < 1e-9
     assert abs(dmin((1 + 1e-10) * rho, dict2_2)[0] - 2 * GOLDEN_DMIN) < 1e-9

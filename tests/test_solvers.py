@@ -31,28 +31,13 @@ def test_lp_unbounded():
     assert sol.status == "unbounded"
 
 
-def test_lp_redundant_rows_dropped():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    sol = solve_lp(LinearProgram([1.0, 2.0], A, [1.0, 2.0]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective - 1.0) < 1e-12
-    assert len(sol.kept_rows) == 1
-
-
-def test_lp_redundant_rows_dual_certifies():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    c = np.array([1.0, 2.0])
-    sol = solve_lp(LinearProgram(c, A, b))
-    kept = sol.kept_rows
-    assert np.min(c - A[kept].T @ sol.dual) >= -1e-9
-    assert abs(b[kept] @ sol.dual - sol.objective) < 1e-12
-
-
-def test_lp_drops_the_row_of_a_stuck_artificial():
-    # rank 3 with seven rows; phase 1 ends with artificials basic at
-    # positions other than their own rows, so dropping rows by basis position
-    # left a singular basis
+def test_lp_rejects_redundant_rows():
+    # phase 1 cannot pivot the artificial of a dependent row out of the
+    # basis; the second matrix has rank 3 with seven rows, and its stuck
+    # artificials sit at basis positions other than their own rows
+    duplicate = np.array([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="full row rank"):
+        solve_lp(LinearProgram([1.0, 2.0], duplicate, [1.0, 2.0]))
     A = np.array(
         [
             [1, -4, 2, 0],
@@ -66,15 +51,9 @@ def test_lp_drops_the_row_of_a_stuck_artificial():
         dtype=float,
     )
     b = np.array([-7, -6, 5, -10, 2, -8, 13], dtype=float)
-    c = np.array([1.0, 0.0, 3.0, 0.0])
-    sol = solve_lp(LinearProgram(c, A, b))
-    assert sol.status == "optimal"
-    assert abs(sol.objective - 1.0) < 1e-12
-    assert np.max(np.abs(A @ sol.x - b)) < 1e-12
-    kept = sol.kept_rows
-    assert len(kept) == np.linalg.matrix_rank(A) == 3
-    assert np.min(c - A[kept].T @ sol.dual) >= -1e-9
-    assert abs(b[kept] @ sol.dual - sol.objective) < 1e-12
+    assert np.linalg.matrix_rank(A) == 3
+    with pytest.raises(ValueError, match="full row rank"):
+        solve_lp(LinearProgram([1.0, 0.0, 3.0, 0.0], A, b))
 
 
 def test_lp_beale_cycling_example():
@@ -82,6 +61,35 @@ def test_lp_beale_cycling_example():
     assert sol.status == "optimal"
     assert abs(sol.objective + 1.25) < 1e-12
     assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_lp_lexicographic_ties_within_tolerance():
+    # Beale's LP under the row transform M, from the basis [2, 4, 6]
+    # (condition number 12.2): entries of B^{-1} B0 / d that are equal in
+    # exact arithmetic differ in their last bits here, and a tie rule that
+    # ranks them exactly cycles until the pivot cap
+    prog, _ = _beale()
+    M = np.array([[0, 2, -3], [-1, -2, -3], [2, 0, 0]], dtype=float)
+    sol = solve_lp(LinearProgram(prog.objective, M @ prog.A, M @ prog.b), basis=[2, 4, 6])
+    assert sol.status == "optimal"
+    assert abs(sol.objective + 1.25) < 1e-12
+    assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert sol.iterations <= 10
+
+
+def test_lex_least_filters_column_by_column():
+    # reference: keep the rows within a relative 1e-10 of each column's least
+    # entry among the rows still tied, one column at a time
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lex = rng.integers(-2, 3, size=(6, 5)).astype(float)
+        lex += rng.choice([0.0, 1e-13, 1e-6], size=lex.shape)
+        keep = np.arange(6)
+        for col in lex.T:
+            vals = col[keep]
+            keep = keep[vals <= vals.min() + 1e-10 * (1.0 + abs(vals.min()))]
+        rows = np.arange(10, 16)
+        assert solvers._lex_least(rows, lex).tolist() == (keep + 10).tolist()
 
 
 def test_lp_random_duality_and_feasibility():
