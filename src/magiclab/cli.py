@@ -62,9 +62,12 @@ def dump_state_file(path: str, n: int, d: int, amps: np.ndarray) -> None:
 
 
 def _emit(payload: dict) -> None:
+    """Write the payload as one strict JSON document.  It is serialized before
+    anything is written, so a non-finite value raises ``ValueError`` (and
+    becomes the error body) instead of printing NaN or Infinity."""
     payload.setdefault("tool_version", __version__)
-    json.dump(payload, sys.stdout, indent=2, default=float)
-    sys.stdout.write("\n")
+    text = json.dumps(payload, indent=2, default=float, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def cmd_measures(args) -> int:

@@ -16,10 +16,16 @@ def golden_file(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
 def run_cli(capsys, *argv):
+    """Exit code and the one strict JSON document on stdout (json.loads
+    alone would accept NaN and Infinity)."""
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_state_file_round_trip(tmp_path):
@@ -198,6 +204,19 @@ def test_haar_command(capsys, tmp_path):
     )
     assert code2 == 0
     assert 0 <= payload2["overlap_ks_pvalue"] <= 1
+
+
+def test_haar_overlap_rejects_zero_samples(capsys):
+    code, out = run_cli(capsys, "haar", "--n", "2", "--samples", "0", "--overlap-only")
+    assert code == 1
+    assert out["error"] == "ValueError"
+
+
+def test_non_finite_output_becomes_error_body(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "overlap_cdf_pvalue", lambda n, samples, seed: float("nan"))
+    code, out = run_cli(capsys, "haar", "--n", "2", "--samples", "5", "--overlap-only")
+    assert code == 1
+    assert out["error"] == "ValueError"
 
 
 def test_enum_command(capsys, tmp_path):

@@ -11,6 +11,7 @@ from scipy import stats
 
 from magiclab.haar import (
     ExperimentConfig,
+    _kolmogorov_sf,
     dmin_bound_curve,
     dmin_distribution,
     experiment_csv,
@@ -46,12 +47,15 @@ def test_overlap_cdf_ks(n):
     assert overlap_cdf_pvalue(n, 4000, seed=11 * n) > 0.01
 
 
-def test_overlap_cdf_other_reference():
-    # the law holds for any fixed reference state, not just |0...0>
+def _other_reference():
     rng = np.random.default_rng(5)
     phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    phi /= np.linalg.norm(phi)
-    assert overlap_cdf_pvalue(2, 4000, seed=21, phi=phi) > 0.01
+    return phi / np.linalg.norm(phi)
+
+
+def test_overlap_cdf_other_reference():
+    # the law holds for any fixed reference state, not just |0...0>
+    assert overlap_cdf_pvalue(2, 4000, seed=21, phi=_other_reference()) > 0.01
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -66,6 +70,69 @@ def test_import_leaves_scipy_stats_unloaded():
     # the p-value the KS test gave while scipy.stats was imported with the module
     pvalue = overlap_cdf_pvalue(2, 100, seed=7)
     assert pvalue == pytest.approx(0.7214547201574213, rel=1e-12)
+
+
+def test_overlap_test_leaves_scipy_unloaded():
+    paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys, magiclab; magiclab.overlap_cdf_pvalue(3, 2000, seed=4); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _branch_edges(n):
+    """D on both sides of every boundary of the p-value's branch rule, and of
+    n d^2 = 0.754693, where scipy hands n <= 140 from Durbin to Pomeranz."""
+    edges = [0.5 / n, 1 / n, (n - 1) / n, 0.5, math.sqrt(0.754693 / n)]
+    edges += [math.sqrt(c / n) for c in (2.2, 4.0, 370.0)] + [(1.4 / n) ** (2 / 3)]
+    ds = [e * f for e in edges for f in (0.97, 1 - 1e-9, 1 + 1e-9, 1.03)]
+    return sorted(d for d in ds if 0 < d <= 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 50, 100, 140, 141, 500, 2000, 10000])
+def test_kolmogorov_sf_matches_scipy_kstwo(n):
+    for d in _branch_edges(n):
+        assert abs(_kolmogorov_sf(n, d) - stats.kstwo.sf(d, n)) <= 1e-12, d
+
+
+def _scipy_overlap_pvalue(n, samples, seed, phi=None):
+    dim = 2**n
+    if phi is None:
+        phi = np.eye(dim)[0]
+    alphas = np.abs(phi.conj() @ haar_state_batch(dim, samples, seed)) ** 2
+    return stats.kstest(alphas, lambda a: 1.0 - (1.0 - a) ** (dim - 1)).pvalue
+
+
+# every overlap test configuration in this file and in test_acceptance_9
+@pytest.mark.parametrize(
+    "n, samples, seed, phi",
+    [(n, 4000, 11 * n, None) for n in (1, 2, 3)]
+    + [(2, 4000, 21, _other_reference()), (2, 100, 7, None)]
+    + [(n, 10_000, 90 + n, None) for n in (1, 2, 3)],
+)
+def test_overlap_pvalue_matches_scipy_kstest(n, samples, seed, phi):
+    expected = _scipy_overlap_pvalue(n, samples, seed, phi)
+    assert abs(overlap_cdf_pvalue(n, samples, seed, phi=phi) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, samples, phi, message",
+    [
+        (0, 10, None, "n >= 1"),
+        (2, 0, None, "at least one sample"),
+        (2, 10, np.ones(4), "unit norm"),
+        (2, 10, np.eye(8)[0], r"shape \(4,\)"),
+    ],
+    ids=["n0", "samples0", "unnormalised", "wrong_size"],
+)
+def test_overlap_pvalue_rejects_bad_input(n, samples, phi, message):
+    with pytest.raises(ValueError, match=message):
+        overlap_cdf_pvalue(n, samples, seed=1, phi=phi)
 
 
 def test_batch_reproducibility():
