@@ -181,7 +181,6 @@ def cmd_mbqc(args) -> int:
             "max_p": max_p,
             "bound": bound,
             "pass": bool(ok),
-            "seed": args.seed,
         }
     )
     return 0
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mbqc", help="joint Pauli outcome distribution + cap check")
     p.add_argument("--state", required=True)
     p.add_argument("--layout", required=True, help='comma-separated, e.g. "XX,ZZ"')
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mbqc)
 
     p = sub.add_parser("haar", help="Haar-random magic statistics")

@@ -146,7 +146,6 @@ def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
                 triangles.append(tri)
                 edges.add(tuple(sorted((a, b))))
                 edges.add(tuple(sorted((a, center))))
-            edges.add(tuple(sorted((corners[3], center))))
     if len(set(triangles)) != len(triangles):
         raise ValueError("degenerate wrap produced duplicate triangles")
     return Lattice(

@@ -25,9 +25,10 @@ optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real LP over
 nonnegative weights of phase-rotated dictionary columns.  Column generation
-adds the exact phase for every column the current dual violates, until the
-primal l1 norm and the rescaled dual value agree to a relative BP_GAP_TOL.
-Each round starts from the previous round's basis.
+starts from the crash basis alone; every round solves warm from the last
+basis, keeps the states of its basis and adds the exact phase for every
+state the dual violates, until the primal l1 norm and the rescaled dual
+value agree to a relative BP_GAP_TOL.
 """
 
 from dataclasses import dataclass
@@ -289,15 +290,13 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     generation on the simplex.
 
     With c_j = sum_k w_jk e^{i theta_k} and w >= 0 this is a real LP with 2m
-    rows.  Round 0 puts the phases {1, i, -1, -i} on every column and starts
-    at a crash basis over the phases 1 and i of the states of largest
-    overlap |<phi_j|t>|, a basic column with a negative value turned to the
-    opposite phase.  It keeps the columns of its solution's support and of
-    its final basis.  Each later round adds, for every j with
-    |<phi_j|y>| > 1 under the simplex dual y, the column at phase
-    arg <phi_j|y>; no column is dropped, so the last round's basis is a
-    feasible start for the next, once each basic column whose re-solved
-    value came out negative is turned to its phase-+pi twin.  ||c||_1 bounds the optimum from above, and
+    rows over a working set of phase-rotated columns.  The first working set
+    is the crash basis over the phases 1 and i of the states of largest
+    overlap |<phi_j|t>| (a negative basic column turned to the opposite
+    phase); when the scan finds none, it is all four phases of every state,
+    solved cold.
+    Every round solves warm from the last basis, certifies, and moves on to
+    ``_next_working_set``.  ||c||_1 bounds the optimum from above, and
     Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.  The lower
     bound is taken at the least-norm y tight on the support of c: on a
     degenerate LP such as CCZ x |+> the simplex's vertex dual wanders over
@@ -317,6 +316,9 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     A = _phase_columns(D, idx, phases)
     best = np.argsort(-np.abs(Dh @ t), kind="stable")
     basis = crash_basis(A, b, (4 * best[:, None] + [0, 1]).ravel(), np.arange(4 * N) ^ 2)
+    if basis is not None:
+        idx, phases, A = idx[basis], phases[basis], A[:, basis]
+        basis = np.arange(2 * m)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
         sol = solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)
@@ -332,17 +334,7 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
         lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(Dh @ y)))
         if upper - lower <= BP_GAP_TOL * upper:
             return c, y, pivots, rounds
-        basis = sol.basis
-        if rounds == 1:
-            keep = support.copy()
-            keep[basis] = True
-            basis = np.cumsum(keep)[basis] - 1
-            idx, phases = idx[keep], phases[keep]
-        corr = Dh @ (sol.dual[:m] + 1j * sol.dual[m:])
-        new = np.nonzero(np.abs(corr) > 1.0)[0]
-        idx = np.concatenate([idx, new])
-        phases = np.concatenate([phases, np.exp(1j * np.angle(corr[new]))])
-        idx, phases = _turn_negative_basics(idx, phases, basis, sol.x[sol.basis])
+        idx, phases, basis = _next_working_set(Dh, idx, phases, sol)
         A = _phase_columns(D, idx, phases)
     raise SolverError(
         f"extent column generation stopped after {_EXTENT_MAX_ROUNDS} rounds "
@@ -350,20 +342,23 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     )
 
 
-def _turn_negative_basics(idx, phases, basis, xb):
-    """Make ``basis`` a feasible start again: each basic column whose value
-    ``xb`` came out negative is replaced, in place, by its phase-+pi twin,
-    which is appended to (idx, phases) when absent."""
-    for pos in np.nonzero(xb < 0)[0]:
-        j = basis[pos]
-        twin = np.nonzero((idx == idx[j]) & (phases == -phases[j]))[0]
-        if twin.size:
-            basis[pos] = twin[0]
-        else:
-            basis[pos] = idx.size
-            idx = np.append(idx, idx[j])
-            phases = np.append(phases, -phases[j])
-    return idx, phases
+def _next_working_set(Dh, idx, phases, sol):
+    """The next extent round's working set (idx, phases) and the positions
+    of ``sol``'s basis in it.  Keeps every column of a state basic in ``sol``
+    (keeping only the basic columns cycles), turns each basic column whose
+    re-solved value came out negative by pi, so the basis stays a feasible
+    start, and appends the column at phase arg <phi_j|y> for every j with
+    |<phi_j|y>| > 1 under the simplex dual y."""
+    basic = np.zeros(Dh.shape[0], dtype=bool)  # a mask, not np.isin: no numpy.ma import
+    basic[idx[sol.basis]] = True
+    keep = basic[idx]
+    phases = np.where(sol.x < 0, -phases, phases)  # only basic values are nonzero
+    m = sol.dual.size // 2
+    corr = Dh @ (sol.dual[:m] + 1j * sol.dual[m:])
+    new = np.nonzero(np.abs(corr) > 1.0)[0]
+    idx = np.concatenate([idx[keep], new])
+    phases = np.concatenate([phases[keep], np.exp(1j * np.angle(corr[new]))])
+    return idx, phases, np.cumsum(keep)[sol.basis] - 1
 
 
 def basis_pursuit_polygon_lp(

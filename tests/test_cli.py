@@ -178,6 +178,7 @@ def test_mbqc_command(capsys, tmp_path):
     assert payload["pass"]
     assert abs(payload["distribution"][0] - 1.0) < 1e-9
     assert payload["k"] == 2
+    assert "seed" not in payload  # the command draws no random numbers
 
 
 def test_haar_command(capsys, tmp_path):

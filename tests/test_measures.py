@@ -191,6 +191,7 @@ def test_extent_rejects_what_it_cannot_certify(monkeypatch, dict2_1, golden, tam
 
 _HAAR2 = random_state(4, np.random.default_rng(21))
 _HAAR3 = random_state(8, np.random.default_rng(31))
+_HAAR4 = random_state(16, np.random.default_rng(41))
 
 
 @pytest.mark.parametrize(
@@ -204,6 +205,7 @@ _HAAR3 = random_state(8, np.random.default_rng(31))
         # Clifford invariance: the reference is the extent of the preimage
         pytest.param(2, _random_clifford(2, 1) @ _HAAR2, _HAAR2, id="clifford-haar-2"),
         pytest.param(3, _random_clifford(3, 2) @ _HAAR3, _HAAR3, id="clifford-haar-3"),
+        pytest.param(4, _random_clifford(4, 4) @ _HAAR4, _HAAR4, id="clifford-haar-4"),
         pytest.param(3, _random_clifford(3, 3) @ CCZ, CCZ, id="clifford-ccz"),
     ],
 )
@@ -211,6 +213,15 @@ def test_extent_oracles(request, n, psi, reference):
     dic = request.getfixturevalue(f"dict2_{n}")
     want = reference if np.isscalar(reference) else extent(reference, dic).xi
     assert abs(extent(psi, dic).xi / want - 1) < 1e-8
+
+
+def test_extent_t4_pivot_budget(dict2_4):
+    # from the crash basis T^4 certifies in 172-240 pivots, as round-off in
+    # the state moves them; a first round over all four phases of every
+    # state took 2,429-2,590
+    res = extent(_kron(T_STATE, T_STATE, T_STATE, T_STATE), dict2_4)
+    assert abs(res.xi / XI_T**4 - 1) < 1e-8
+    assert res.diagnostics["iterations"] < 1000
 
 
 def test_free_robustness_golden_matches_oracle(dict2_1, golden):

@@ -198,16 +198,26 @@ def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch, warm):
         solve_lp(prog, basis=start if warm else None)
 
 
-def test_extent_negative_basics_turn_to_their_twins():
-    # state 0 at phase 1 has its twin (phase -1) present; state 1 at phase
-    # e^{0.3i} does not, so the twin is appended
-    idx = np.array([0, 0, 1, 2])
-    phases = np.array([1, -1, np.exp(0.3j), 1j])
-    basis = np.array([0, 2, 3])
-    idx, phases = solvers._turn_negative_basics(idx, phases, basis, np.array([-1e-8, -2e-8, 0.5]))
-    assert basis.tolist() == [1, 4, 3]
-    assert idx.tolist() == [0, 0, 1, 2, 1]
-    assert phases[4] == -np.exp(0.3j)
+def test_extent_next_working_set():
+    # one complex row and four states.  The working set holds state 0 at
+    # phases 1 and i, state 1 at 1, and state 2 at 1 and -1; the basis is
+    # state 0 at i, whose value came out slightly negative, and state 2 at 1
+    D = np.array([[0.5, 2.0, 0.5, 3j]])
+    idx = np.array([0, 0, 1, 2, 2])
+    phases = np.array([1, 1j, 1, 1, -1])
+    x = np.array([0.0, -1e-8, 0.0, 0.5, 0.0])
+    b = solvers._phase_columns(D, idx, phases) @ x
+    sol = solvers.LPSolution("optimal", x=x, dual=np.array([1.0, 0.0]), basis=np.array([1, 3]))
+    idx, phases, basis = solvers._next_working_set(D.conj().T, idx, phases, sol)
+    # state 1 is not basic and leaves; the basic states keep both phases,
+    # state 0's basic column is turned by pi, and <phi_j|y> = (0.5, 2, 0.5, -3i)
+    # appends states 1 and 3 at their exact phases
+    assert idx.tolist() == [0, 0, 2, 2, 1, 3]
+    assert np.allclose(phases, [1, -1j, 1, -1, 1, -1j])
+    assert basis.tolist() == [1, 2]
+    # and the basis is a feasible start for the next round's LP
+    A = solvers._phase_columns(D, idx, phases)
+    assert solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis).status == "optimal"
 
 
 def _extent_bracket(D, t):
