@@ -237,11 +237,8 @@ def dmin_distribution(cfg: ExperimentConfig, dic: StabilizerDictionary) -> DminE
     return DminExperiment(cfg, values, grid, ecdf, curve, summary)
 
 
-def experiment_csv(values, dmax_values=None, lr_values=None) -> str:
-    """CSV rows (sample id, dmin, dmax, lr); missing measures stay blank."""
+def experiment_csv(values) -> str:
+    """CSV rows (sample id, dmin, dmax, lr); dmax and lr stay blank."""
     lines = ["sample,dmin,dmax,lr"]
-    for i, v in enumerate(values):
-        dmax = "" if dmax_values is None else repr(float(dmax_values[i]))
-        lr = "" if lr_values is None else repr(float(lr_values[i]))
-        lines.append(f"{i},{float(v)!r},{dmax},{lr}")
+    lines += [f"{i},{float(v)!r},," for i, v in enumerate(values)]
     return "\n".join(lines) + "\n"

@@ -55,10 +55,6 @@ class Lattice:
     triangles: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
 
 def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
     if rows < 2 or cols < 2:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .pauli import _QUBIT_SITE
+from .pauli import hermitian_pauli, pauli_to_string
 from .solvers import (
     BP_GAP_TOL,
     LP_TOL,
@@ -191,11 +191,8 @@ def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
     """Row labels of ``_coordinates``: Pauli strings, or re/im[i,j] entries."""
     dim = d**n
     if d == 2:
-        return tuple(
-            "+" + "".join(_QUBIT_SITE[(x >> k & 1, z >> k & 1)] for k in range(n))
-            for x in range(dim)
-            for z in range(dim)
-        )
+        bits = [[v >> k & 1 for k in range(n)] for v in range(dim)]
+        return tuple(pauli_to_string(hermitian_pauli(n, x, z)) for x in bits for z in bits)
     diagonal = [f"re[{i},{i}]" for i in range(dim)]
     upper = zip(*np.triu_indices(dim, 1))
     return tuple(diagonal + [f"{p}[{i},{j}]" for i, j in upper for p in ("re", "im")])
@@ -243,10 +240,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     b = _coordinates(vecs, dic.n, dic.d) @ vals
     N = A.shape[1]
     prog = LinearProgram(np.ones(2 * N), np.hstack([A, -A]), b)
-    # start at the states of largest overlap, each signed so x_B >= 0
-    order = np.argsort(-np.abs(b @ A), kind="stable")
-    twin = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
-    sol = solve_lp(prog, basis=crash_basis(prog.A, b, order, twin))
+    # start at the states of largest overlap, a negative one at its -A column
+    start = crash_basis(A, b, np.argsort(-np.abs(b @ A), kind="stable"))
+    if start is not None:
+        kept, negative = start
+        start = kept + N * negative
+    sol = solve_lp(prog, basis=start)
     if sol.status != "optimal":
         raise SolverError(f"robustness LP ended with status {sol.status}")
     coeffs = sol.x[:N] - sol.x[N:]

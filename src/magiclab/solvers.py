@@ -8,27 +8,29 @@ The LP path is a revised simplex on standard form
 with the dual vector extracted from the final basis.  Only B^{-1} and the
 basic values are kept; every column is priced with one product
 c - (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
-B0^{-1} b >= 0, such as ``crash_basis`` builds from the columns it expects
-in the optimum; phase 1 runs only for cold starts, from the artificial basis
-(B0 = diag(sign b)).  A must have full row rank: there is no presolve, and a
-cold start whose phase 1 cannot pivot an artificial out of the basis raises
-``ValueError``.  Entering columns are picked by largest violation; the
-leaving row uses the lexicographic rule on the rows of B^{-1} B0, which keeps
-the heavily degenerate dictionary LPs from cycling from any start, and no
-pivot element below _PIVOT_TOL is accepted.  Ties in the ratio and in each
-lexicographic column are decided within the same relative 1e-10, so entries
-equal in exact arithmetic are not ranked by round-off.  The final basis is
-re-solved against the original data so B^{-1} round-off never reaches the
-reported solution, and the re-solved pair must pass A x = b, x >= 0 and
-A^T y <= c: since c.x = b.y holds for any basis, these are what certify
-optimality.
+B0^{-1} b >= 0: ``crash_basis`` picks one among the columns the caller
+expects in the optimum and marks those with a negative basic value, and the
+caller swaps each for its negative, a column of its own LP.  Phase 1 runs
+only for cold starts, from the artificial basis (B0 = diag(sign b)).  A must
+have full row rank: there is no presolve, and a cold start whose phase 1
+cannot pivot an artificial out of the basis raises ``ValueError``.  Entering
+columns are picked by largest violation; the leaving row uses the
+lexicographic rule on the rows of B^{-1} B0, which keeps the heavily
+degenerate dictionary LPs from cycling from any start, and no pivot element
+below _PIVOT_TOL is accepted.  Ties in the ratio and in each lexicographic
+column are decided within the same relative 1e-10, so entries equal in exact
+arithmetic are not ranked by round-off.  The final basis is re-solved
+against the original data so B^{-1} round-off never reaches the reported
+solution, and the re-solved pair must pass A x = b, x >= 0 and A^T y <= c:
+since c.x = b.y holds for any basis, these are what certify optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real LP over
 nonnegative weights of phase-rotated dictionary columns.  Column generation
-starts from the crash basis alone; every round solves warm from the last
-basis, keeps the states of its basis and adds the exact phase for every
-state the dual violates, until the primal l1 norm and the rescaled dual
-value agree to a relative BP_GAP_TOL.
+starts from the crash basis over the phases 1 and i alone, a negative basic
+column turned by pi; every round solves warm from the last basis, keeps the
+states of its basis and adds the exact phase for every state the dual
+violates, until the primal l1 norm and the rescaled dual value agree to a
+relative BP_GAP_TOL.
 """
 
 from dataclasses import dataclass
@@ -232,15 +234,16 @@ def _phase_one(A, b, B0):
     return basis, Binv, xb, it1
 
 
-def crash_basis(A: np.ndarray, b: np.ndarray, order, twin) -> np.ndarray | None:
-    """A feasible starting basis for A x = b, x >= 0, or None.
+def crash_basis(A: np.ndarray, b: np.ndarray, order) -> tuple[np.ndarray, np.ndarray] | None:
+    """A start for A x = b from the columns of A, or None.
 
     Scans the columns of A in ``order`` and keeps each one that leaves the
     chosen set well conditioned (its component orthogonal to the columns
     already kept is at least a fixed share of its norm), until m are kept.
-    ``twin[j]`` is a column equal to -A[:, j]; every kept column whose basic
-    value is negative is replaced by its twin, which makes the basis
-    feasible.  Returns None when the scan finds fewer than m columns.
+    Returns (columns, negative): the m kept column indices in scan order,
+    and a mask of those whose basic value is negative.  The basis is
+    feasible for x >= 0 once the caller replaces each negative column by its
+    negative; None when the scan finds fewer than m columns.
     """
     m = A.shape[0]
     order = np.asarray(order)
@@ -268,8 +271,7 @@ def crash_basis(A: np.ndarray, b: np.ndarray, order, twin) -> np.ndarray | None:
             kept.append(int(chunk[i]))
             if len(kept) == m:
                 kept = np.array(kept)
-                xb = np.linalg.solve(A[:, kept], b)
-                return np.where(xb < 0, np.asarray(twin)[kept], kept)
+                return kept, np.linalg.solve(A[:, kept], b) < 0
     return None
 
 
@@ -290,11 +292,12 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     generation on the simplex.
 
     With c_j = sum_k w_jk e^{i theta_k} and w >= 0 this is a real LP with 2m
-    rows over a working set of phase-rotated columns.  The first working set
-    is the crash basis over the phases 1 and i of the states of largest
-    overlap |<phi_j|t>| (a negative basic column turned to the opposite
-    phase); when the scan finds none, it is all four phases of every state,
-    solved cold.
+    rows over a working set of phase-rotated columns.  Only the 2N columns
+    of phases 1 and i are built for ``crash_basis``, which scans them in
+    descending overlap |<phi_j|t>|; the first working set is the basis it
+    finds, each column it marks negative turned by pi to the phase -1 or -i.
+    When the scan finds none, the first working set is all four phases of
+    every state, solved cold.
     Every round solves warm from the last basis, certifies, and moves on to
     ``_next_working_set``.  ||c||_1 bounds the optimum from above, and
     Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.  The lower
@@ -311,14 +314,18 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     m, N = D.shape
     Dh = D.conj().T  # Dh @ y is <phi_j|y> for every j
     b = np.concatenate([t.real, t.imag])
-    idx = np.repeat(np.arange(N), 4)
-    phases = np.tile(np.array([1, 1j, -1, -1j]), N)
-    A = _phase_columns(D, idx, phases)
-    best = np.argsort(-np.abs(Dh @ t), kind="stable")
-    basis = crash_basis(A, b, (4 * best[:, None] + [0, 1]).ravel(), np.arange(4 * N) ^ 2)
-    if basis is not None:
-        idx, phases, A = idx[basis], phases[basis], A[:, basis]
+    idx = np.repeat(np.argsort(-np.abs(Dh @ t), kind="stable"), 2)
+    phases = np.tile(np.array([1, 1j]), N)
+    start = crash_basis(_phase_columns(D, idx, phases), b, np.arange(2 * N))
+    if start is None:
+        idx = np.repeat(np.arange(N), 4)
+        phases = np.tile(np.array([1, 1j, -1, -1j]), N)
+        basis = None
+    else:
+        kept, negative = start
+        idx, phases = idx[kept], np.where(negative, -phases[kept], phases[kept])
         basis = np.arange(2 * m)
+    A = _phase_columns(D, idx, phases)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
         sol = solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)

@@ -188,7 +188,6 @@ def test_dmin_distribution_chain(dict2_2):
 
 def test_clifford_push_leaves_distribution(dict2_2, single_qubit_cliffords):
     values = sample_dmin(ExperimentConfig(2, 300, seed=31), dict2_2)
-    rng = np.random.default_rng(31)
     U = np.kron(single_qubit_cliffords[7], single_qubit_cliffords[19])
     states = haar_state_batch(4, 300, seed=31)
     pushed = U @ states
@@ -197,7 +196,7 @@ def test_clifford_push_leaves_distribution(dict2_2, single_qubit_cliffords):
     # per-sample invariance (the dictionary is Clifford closed) ...
     assert np.max(np.abs(pushed_values - values)) < 1e-10
     # ... hence distribution invariance
-    assert stats.ks_2samp(values, pushed_values).pvalue > 0.01
+    assert stats.ks_2samp(values, pushed_values, method="asymp").pvalue > 0.01
 
 
 @pytest.mark.parametrize(
@@ -231,10 +230,10 @@ def test_bound_curve_shape():
 
 
 def test_experiment_csv_format():
-    text = experiment_csv(np.array([0.25, 0.5]), dmax_values=[0.3, 0.6])
+    text = experiment_csv(np.array([0.25, 0.5]))
     lines = text.strip().splitlines()
     assert lines[0] == "sample,dmin,dmax,lr"
-    assert lines[1] == "0,0.25,0.3,"
+    assert lines[1] == "0,0.25,,"
     assert len(lines) == 3
 
 

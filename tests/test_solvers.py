@@ -137,21 +137,22 @@ def _beale():
 
 
 def _degenerate_l1():
-    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], with column j + 40
-    the negative (twin) of column j; most of the right-hand side is zero."""
+    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], started from the
+    crash basis of M with each negative column j mapped to j + 40; most of
+    the right-hand side is zero."""
     rng = np.random.default_rng(3)
     M = rng.integers(-1, 2, size=(6, 40)).astype(float)
     M[:, 1:7] += np.eye(6)  # full row rank
     b = M[:, 0].copy()
     prog = LinearProgram(np.ones(80), np.hstack([M, -M]), b)
-    order = np.argsort(-np.abs(b @ M), kind="stable")
-    start = crash_basis(prog.A, b, order, (np.arange(80) + 40) % 80)
-    return prog, start
+    kept, negative = crash_basis(M, b, np.argsort(-np.abs(b @ M), kind="stable"))
+    return prog, kept + 40 * negative
 
 
 @pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
 def test_lp_warm_start_matches_cold(make):
     prog, start = make()
+    assert np.linalg.solve(prog.A[:, start], prog.b).min() >= 0.0  # x_B of the start
     cold = solve_lp(prog)
     warm = solve_lp(prog, basis=start)
     assert warm.status == cold.status == "optimal"
@@ -266,6 +267,23 @@ def test_bp_value_between_dual_and_any_feasible():
     _, l1, lower = _extent_bracket(D, t)
     assert lower <= l1 + 1e-12
     assert l1 <= np.sum(np.abs(greedy)) + 1e-8  # any feasible point is above
+
+
+def test_extent_cold_fallback_certifies():
+    # states 1 and 2 lie within 0.05 of state 0, below the crash scan's
+    # share, so no crash basis exists although D has full rank, and the
+    # first round runs cold over all four phases of every state
+    D = np.array([[1.0, 1.0, 1.0], [0.0, 0.05, -0.05j]])
+    D /= np.linalg.norm(D, axis=0)
+    t = np.array([0.6, 0.8j])
+    b = np.concatenate([t.real, t.imag])
+    scanned = solvers._phase_columns(D, np.repeat(np.arange(3), 2), np.tile([1, 1j], 3))
+    assert crash_basis(scanned, b, np.arange(6)) is None
+    c, l1, lower = _extent_bracket(D, t)
+    assert np.linalg.norm(D @ c - t) < 1e-9
+    assert l1 - lower <= 1e-9 * l1
+    poly = basis_pursuit_polygon_lp(D, t, sides=64)[0]
+    assert np.cos(np.pi / 64) * poly - 1e-9 <= l1 <= poly + 1e-9
 
 
 def test_extent_round_cap_reports_the_bracket(monkeypatch, dict2_2):
