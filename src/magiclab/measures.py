@@ -227,10 +227,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     defines a witness operator A (returned in the constraint basis) with
     |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1; a
     witness above 1 + the ``lp`` tolerance anywhere on the dictionary raises
-    ``SolverError``.  The simplex starts at a crash basis taken in
-    descending |a_j . b|, the overlap of each state's constraint column with
-    rho's (2^n Tr(phi_j rho) for qubits).  The state is checked as
-    ``_checked_state`` describes.
+    ``SolverError``.  The LP is free in sign, so each column enters the
+    simplex once, as a_j or -a_j, and the solver reports the signed c.  It
+    starts at a crash basis taken in descending |a_j . b|, the overlap of
+    each state's constraint column with rho's (2^n Tr(phi_j rho) for
+    qubits), whose columns with a negative value the solver turns itself.
+    The state is checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic)
     pure = not _is_density_matrix(state)
@@ -238,17 +240,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     A, labels = _robustness_rows(dic)
     vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
     b = _coordinates(vecs, dic.n, dic.d) @ vals
-    N = A.shape[1]
-    prog = LinearProgram(np.ones(2 * N), np.hstack([A, -A]), b)
-    # start at the states of largest overlap, a negative one at its -A column
+    prog = LinearProgram(np.ones(A.shape[1]), A, b, free=True)
     start = crash_basis(A, b, np.argsort(-np.abs(b @ A), kind="stable"))
-    if start is not None:
-        kept, negative = start
-        start = kept + N * negative
-    sol = solve_lp(prog, basis=start)
+    sol = solve_lp(prog, basis=None if start is None else start[0])
     if sol.status != "optimal":
         raise SolverError(f"robustness LP ended with status {sol.status}")
-    coeffs = sol.x[:N] - sol.x[N:]
+    coeffs = sol.x
     l1 = float(sol.objective)
     r = max((l1 - 1.0) / 2.0, 0.0)
     keep = np.nonzero(np.abs(coeffs) > 1e-12)[0]

@@ -5,24 +5,32 @@ The LP path is a revised simplex on standard form
 
     min c.x  s.t.  A x = b,  x >= 0,
 
-with the dual vector extracted from the final basis.  Only B^{-1} and the
-basic values are kept; every column is priced with one product
-c - (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
-B0^{-1} b >= 0: ``crash_basis`` picks one among the columns the caller
-expects in the optimum and marks those with a negative basic value, and the
-caller swaps each for its negative, a column of its own LP.  Phase 1 runs
-only for cold starts, from the artificial basis (B0 = diag(sign b)).  A must
-have full row rank: there is no presolve, and a cold start whose phase 1
-cannot pivot an artificial out of the basis raises ``ValueError``.  Entering
-columns are picked by largest violation; the leaving row uses the
-lexicographic rule on the rows of B^{-1} B0, which keeps the heavily
-degenerate dictionary LPs from cycling from any start, and no pivot element
-below _PIVOT_TOL is accepted.  Ties in the ratio and in each lexicographic
-column are decided within the same relative 1e-10, so entries equal in exact
-arithmetic are not ranked by round-off.  The final basis is re-solved
-against the original data so B^{-1} round-off never reaches the reported
-solution, and the re-solved pair must pass A x = b, x >= 0 and A^T y <= c:
-since c.x = b.y holds for any basis, these are what certify optimality.
+or on a free LP, min sum_j c_j |x_j| s.t. A x = b with c >= 0 and every x_j
+free in sign, with the dual vector extracted from the final basis.  A free
+LP is the nonnegative LP over [A, -A] without building -A: column j prices
+at c_j - |y.a_j| and enters as s a_j with s = sign(y.a_j) (+1 on a tie, as
++a_j comes first in [A, -A]), and the solver keeps that +-1 for each basic
+position, so B is A[:, basis] times the signs and the basic values are
+|x_B|.  Only B^{-1} and the basic values are kept; every column is priced
+with one product (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
+B0^{-1} b >= 0; a free LP turns each column with a negative value itself, so
+any nonsingular B0 will do.  ``crash_basis`` picks a start among the columns
+the caller expects in the optimum and marks those with a negative value, a
+mask that only the extent uses: it turns each such column by pi.  Phase 1
+runs only for cold starts, from the artificial basis (B0 = diag(sign b)),
+whose artificials are nonnegative in a free LP too.  A must have full row
+rank: there is no presolve, and a cold start whose phase 1 cannot pivot an
+artificial out of the basis raises ``ValueError``.  Entering columns are
+picked by largest violation; the leaving row uses the lexicographic rule on
+the rows of B^{-1} B0, which keeps the heavily degenerate dictionary LPs
+from cycling from any start, and no pivot element below _PIVOT_TOL is
+accepted.  Ties in the ratio and in each lexicographic column are decided
+within the same relative 1e-10, so entries equal in exact arithmetic are not
+ranked by round-off.  The final basis is re-solved against the original
+data so B^{-1} round-off never reaches the reported solution, and the
+re-solved pair must pass A x = b, x_B >= 0 on the signed columns and
+c - A^T y >= 0 (c - |A^T y| >= 0 when free): since c.x = b.y holds for any
+basis, these are what certify optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real LP over
 nonnegative weights of phase-rotated dictionary columns.  Column generation
@@ -51,11 +59,13 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min objective.x subject to A x = b, x >= 0 (split free variables)."""
+    """min objective.x subject to A x = b, x >= 0; or, when ``free``, every
+    x_j free in sign at cost objective_j |x_j|, which needs objective >= 0."""
 
     objective: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    free: bool = False
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -64,6 +74,8 @@ class LinearProgram:
         m, ncols = self.A.shape
         if self.objective.shape != (ncols,) or self.b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
+        if self.free and self.objective.min(initial=0.0) < 0:
+            raise ValueError("a free LP needs a nonnegative objective")
 
 
 @dataclass
@@ -107,23 +119,37 @@ def _lex_least(rows, lex):
     return rows[keep]
 
 
-def _revised_simplex(cols, cost, basis, Binv, xb, B0):
+def _revised_simplex(cols, cost, basis, Binv, xb, B0, sign, free=0):
     """Revised simplex with the lexicographic anti-cycling ratio test.
 
     ``Binv`` (B^{-1}, one row per basic position, one column per original
-    row) and the basic values ``xb`` are updated in place.  Ties are ranked
-    by the rows of B^{-1} B0, where B0 is the starting basis matrix: they
-    start as the identity, which makes the lexicographic order well posed
-    from any feasible start.  Each tie, in the ratio and then column by
-    column of B^{-1} B0 / d, keeps the rows within a relative 1e-10 of the
-    least value, and the lowest basic position left leaves.
+    row), the basic values ``xb`` and the column sign ``sign`` of each basic
+    position are updated in place.  The first ``free`` columns are free in
+    sign: column j prices at cost_j - |y.a_j|, the lesser of its two sides
+    cost_j -+ y.a_j, and enters as s a_j.  An exact tie for the least
+    reduced cost goes to the first column of [A, -A, the columns past
+    ``free``], as np.argmin over those split columns would.  Ties in the ratio
+    are ranked by the rows of B^{-1} B0, where B0 is the starting basis
+    matrix: they start as the identity, which makes the lexicographic order
+    well posed from any feasible start.  Each tie, in the ratio and then
+    column by column of B^{-1} B0 / d, keeps the rows within a relative
+    1e-10 of the least value, and the lowest basic position left leaves.
     """
     for it in range(_MAX_PIVOTS):
-        reduced = cost - (cost[basis] @ Binv) @ cols
+        priced = (cost[basis] @ Binv) @ cols
+        reduced = cost - priced
         enter = int(np.argmin(reduced))
-        if reduced[enter] >= -LP_TOL:
+        least, s = reduced[enter], 1.0
+        if free:
+            twin = cost[:free] + priced[:free]  # the reduced costs of -a_j
+            k = int(np.argmin(twin))
+            if twin[k] < least or (twin[k] == least and enter >= free):
+                enter, least, s = k, twin[k], -1.0
+        if least >= -LP_TOL:
             return "optimal", it
         d = Binv @ cols[:, enter]
+        if s < 0:
+            d = -d
         candidates = np.nonzero(d > _PIVOT_TOL)[0]
         if candidates.size == 0:
             return "unbounded", it
@@ -132,7 +158,9 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0):
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
         if tied.size > 1:
             tied = _lex_least(tied, (Binv[tied] @ B0) / d[tied, None])
-        _pivot(Binv, xb, basis, d, int(tied[0]), enter)
+        leave = int(tied[0])
+        _pivot(Binv, xb, basis, d, leave, enter)
+        sign[leave] = s
         np.maximum(xb, 0.0, out=xb)  # clamp float dust
     raise SolverError(f"simplex did not converge within {_MAX_PIVOTS} iterations")
 
@@ -144,12 +172,15 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     full row rank: an artificial that phase 1 cannot pivot out of the basis
     marks a redundant row, and raises ``ValueError``.  Warm: ``basis`` names
     m columns whose matrix B0 is nonsingular with B0^{-1} b >= 0 (a
-    ``ValueError`` otherwise), and phase 2 starts there.
+    ``ValueError`` otherwise), and phase 2 starts there.  A free LP takes any
+    nonsingular ``basis`` and turns each column with a negative value.
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}, and is then checked:
-    A x = b, x >= 0 and A^T y <= c, each within a tolerance above ``LP_TOL``.
-    A basis that fails raises ``SolverError``.
+    A x = b, x_B >= 0 on the signed columns and c - A^T y >= 0 (c - |A^T y|
+    when free), each within a tolerance above ``LP_TOL``.  A basis that fails
+    raises ``SolverError``.  A free LP reports the signed x and its objective
+    c.|x|.
     """
     A, b, c = prog.A, prog.b, prog.objective
     m, ncols = A.shape
@@ -157,7 +188,7 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     if basis is None:
         # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
         B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, Binv, xb, it1 = _phase_one(A, b, B0)
+        basis, Binv, xb, sign, it1 = _phase_one(A, b, B0, prog.free)
         if basis is None:
             return LPSolution(status="infeasible", iterations=it1)
     else:
@@ -165,9 +196,14 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
         if basis.shape != (m,):
             raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
         B0 = A[:, basis]
+        sign = np.ones(m)
         try:
-            Binv = np.linalg.inv(B0)
             xb = np.linalg.solve(B0, b)  # as the final re-solve computes x
+            if prog.free:  # turn each column with a negative value
+                sign[xb < 0] = -1.0
+                B0 = B0 * sign
+                xb = np.abs(xb)
+            Binv = np.linalg.inv(B0)
         except np.linalg.LinAlgError:
             raise ValueError("start basis is singular") from None
         if xb.min(initial=0.0) < -LP_TOL:
@@ -175,22 +211,24 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
         np.maximum(xb, 0.0, out=xb)
         it1 = 0
 
-    status, it2 = _revised_simplex(A, c, basis, Binv, xb, B0)
+    status, it2 = _revised_simplex(A, c, basis, Binv, xb, B0, sign, ncols if prog.free else 0)
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=it1 + it2)
 
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: c.x = b.y holds for any basis, so optimality is
-    # x >= 0 and the reduced costs c - A^T y >= 0
-    B = A[:, basis]
+    # x_B >= 0 on the signed columns and the reduced costs are >= 0
+    B = A[:, basis] * sign
+    xb = np.linalg.solve(B, b)
     x = np.zeros(ncols)
-    x[basis] = np.linalg.solve(B, b)
+    x[basis] = sign * xb
     y = np.linalg.solve(B.T, c[basis])
-    obj = float(c @ x)
+    obj = float(c @ (np.abs(x) if prog.free else x))
     gap = abs(obj - float(b @ y))
     feas = float(np.max(np.abs(A @ x - b), initial=0.0))
-    x_min = float(x.min(initial=0.0))
-    reduced_min = float((c - y @ A).min(initial=0.0))
+    x_min = float(xb.min(initial=0.0))
+    priced = y @ A
+    reduced_min = float((c - (np.abs(priced) if prog.free else priced)).min(initial=0.0))
     dual_tol = 10 * LP_TOL * max(1.0, float(np.max(np.abs(c), initial=0.0)))
     if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -dual_tol:
         raise SolverError(
@@ -208,30 +246,35 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     )
 
 
-def _phase_one(A, b, B0):
+def _phase_one(A, b, B0, free):
     """Phase 1 from the artificial basis B0, a diagonal of signs with
-    B0 b >= 0.  Returns (basis, Binv, xb, pivots), with basis None when the
-    LP is infeasible."""
+    B0 b >= 0; the columns of A are free in sign when ``free``, the
+    artificials never.  Returns (basis, Binv, xb, sign, pivots), with basis
+    None when the LP is infeasible."""
     m, ncols = A.shape
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     basis = np.arange(ncols, ncols + m)
     Binv = B0.copy()
     xb = B0 @ b
-    status, it1 = _revised_simplex(np.hstack([A, B0]), c1, basis, Binv, xb, B0)
+    sign = np.ones(m)
+    status, it1 = _revised_simplex(
+        np.hstack([A, B0]), c1, basis, Binv, xb, B0, sign, ncols if free else 0
+    )
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
     if float(c1[basis] @ xb) > 1e-7:
-        return None, None, None, it1
+        return None, None, None, None, it1
 
-    # pivot the artificials out of the basis; one that no column of A can
-    # replace marks a row that depends on the others
+    # pivot the artificials out of the basis, each for a column +a_j (the
+    # first of a tie in [A, -A]); one that no column of A can replace marks
+    # a row that depends on the others
     for pos in np.nonzero(basis >= ncols)[0]:
         row = Binv[pos] @ A
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) <= 1e-9:
             raise ValueError("constraint matrix does not have full row rank")
         _pivot(Binv, xb, basis, Binv @ A[:, j], pos, j)
-    return basis, Binv, xb, it1
+    return basis, Binv, xb, sign, it1
 
 
 def crash_basis(A: np.ndarray, b: np.ndarray, order) -> tuple[np.ndarray, np.ndarray] | None:
@@ -243,7 +286,8 @@ def crash_basis(A: np.ndarray, b: np.ndarray, order) -> tuple[np.ndarray, np.nda
     Returns (columns, negative): the m kept column indices in scan order,
     and a mask of those whose basic value is negative.  The basis is
     feasible for x >= 0 once the caller replaces each negative column by its
-    negative; None when the scan finds fewer than m columns.
+    negative, and for a free LP as it is; None when the scan finds fewer
+    than m columns.
     """
     m = A.shape[0]
     order = np.asarray(order)
@@ -373,19 +417,24 @@ def basis_pursuit_polygon_lp(
 ) -> tuple[float, np.ndarray]:
     """Polyhedral cross-check for the complex l1 minimum.
 
-    Each complex coefficient is written as a nonnegative combination of
-    ``sides`` unit phasors, giving a real LP whose value lies within a factor
-    1/cos(pi/sides) above the true minimum (0.5% for a 16-gon).
+    Each complex coefficient is written as a combination of ``sides`` unit
+    phasors with nonnegative weights, giving a real LP whose value lies
+    within a factor 1/cos(pi/sides) above the true minimum (0.5% for a
+    16-gon).  The phasor e^{2 pi i k/sides} with k >= sides/2 is the
+    negative of the one at k - sides/2, so the LP is free over the first
+    sides/2 phases alone, and ``sides`` must be even.  It is solved cold.
     """
+    if sides % 2:
+        raise ValueError(f"the polygon needs an even number of sides, got {sides}")
     D = np.asarray(D, dtype=complex)
     t = np.asarray(t, dtype=complex)
     N = D.shape[1]
-    phases = np.exp(2j * np.pi * np.arange(sides) / sides)
-    A = _phase_columns(D, np.repeat(np.arange(N), sides), np.tile(phases, N))
+    half = sides // 2
+    phases = np.exp(2j * np.pi * np.arange(half) / sides)
+    A = _phase_columns(D, np.repeat(np.arange(N), half), np.tile(phases, N))
     b = np.concatenate([t.real, t.imag])
-    sol = solve_lp(LinearProgram(np.ones(N * sides), A, b))
+    sol = solve_lp(LinearProgram(np.ones(N * half), A, b, free=True))
     if sol.status != "optimal":
         raise SolverError(f"polygon LP ended {sol.status}")
-    w = sol.x.reshape(N, sides)
-    coeffs = w @ phases
+    coeffs = sol.x.reshape(N, half) @ phases
     return float(sol.objective), coeffs

@@ -136,17 +136,33 @@ def _beale():
     return LinearProgram(c, A, [0.0, 0.0, 1.0]), [0, 1, 2]
 
 
-def _degenerate_l1():
-    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], started from the
-    crash basis of M with each negative column j mapped to j + 40; most of
-    the right-hand side is zero."""
+def _degenerate_matrix():
+    """A 6 x 40 matrix over {-1, 0, 1, 2} and b = M e_0: most of b is zero."""
     rng = np.random.default_rng(3)
     M = rng.integers(-1, 2, size=(6, 40)).astype(float)
     M[:, 1:7] += np.eye(6)  # full row rank
-    b = M[:, 0].copy()
-    prog = LinearProgram(np.ones(80), np.hstack([M, -M]), b)
-    kept, negative = crash_basis(M, b, np.argsort(-np.abs(b @ M), kind="stable"))
-    return prog, kept + 40 * negative
+    return M, M[:, 0].copy()
+
+
+def _random_signs():
+    """An 8 x 30 matrix of random signs and b = M u for a 3-sparse u in {-1, 1}."""
+    rng = np.random.default_rng(17)
+    M = rng.choice([-1.0, 1.0], size=(8, 30))
+    u = np.zeros(30)
+    u[[4, 11, 25]] = [1.0, -1.0, 1.0]
+    return M, M @ u
+
+
+def _crash_start(M, b):
+    return crash_basis(M, b, np.argsort(-np.abs(b @ M), kind="stable"))
+
+
+def _degenerate_l1():
+    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], started from the
+    crash basis of M with each negative column j mapped to j + 40."""
+    M, b = _degenerate_matrix()
+    kept, negative = _crash_start(M, b)
+    return LinearProgram(np.ones(80), np.hstack([M, -M]), b), kept + 40 * negative
 
 
 @pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
@@ -170,6 +186,42 @@ def test_lp_start_basis_must_be_feasible_and_nonsingular():
     with pytest.raises(ValueError, match="needs 2 columns"):
         solve_lp(prog, basis=[0])
     assert solve_lp(prog, basis=[0, 2]).status == "optimal"  # x = (1, 2)
+    # a free LP turns column 1 of [0, 1] itself; min |x_0| + |x_1| + |x_2|
+    # is 3 on the segment from (1, 0, 2) to (2, -1, 0)
+    free = LinearProgram(prog.objective, prog.A, prog.b, free=True)
+    sol = solve_lp(free, basis=[0, 1])
+    assert sol.status == "optimal"
+    assert abs(sol.objective - 3.0) < 1e-12
+    assert abs(np.sum(np.abs(sol.x)) - 3.0) < 1e-12
+    assert np.max(np.abs(prog.A @ sol.x - prog.b)) < 1e-12
+
+
+def test_free_lp_needs_a_nonnegative_objective():
+    with pytest.raises(ValueError, match="nonnegative objective"):
+        LinearProgram([1.0, -0.5], [[1.0, 1.0]], [1.0], free=True)
+    LinearProgram([1.0, -0.5], [[1.0, 1.0]], [1.0])  # fine without free
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
+def test_free_lp_is_the_lp_over_a_and_minus_a(make, warm):
+    # the free LP over M takes the pivots of the nonnegative LP over
+    # [M, -M]; warm, the free LP starts from the crash columns as they are
+    M, b = make()
+    N = M.shape[1]
+    split = LinearProgram(np.ones(2 * N), np.hstack([M, -M]), b)
+    free = LinearProgram(np.ones(N), M, b, free=True)
+    if warm:
+        kept, negative = _crash_start(M, b)
+        s, f = solve_lp(split, basis=kept + N * negative), solve_lp(free, basis=kept)
+    else:
+        s, f = solve_lp(split), solve_lp(free)
+    assert s.status == f.status == "optimal"
+    assert f.iterations == s.iterations > 0
+    assert abs(f.objective - s.objective) < 1e-12
+    assert np.array_equal(f.x, s.x[:N] - s.x[N:])
+    assert np.array_equal(f.dual, s.dual)
+    assert np.array_equal(f.basis, s.basis % N)
 
 
 @pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
@@ -299,6 +351,8 @@ def test_polygon_lp_brackets_true_value(dict2_1, golden):
     poly, coeffs = basis_pursuit_polygon_lp(dict2_1.states, golden, sides=16)
     assert true_l1 - 1e-6 <= poly <= true_l1 / np.cos(np.pi / 16) + 1e-6
     assert np.linalg.norm(dict2_1.states @ coeffs - golden) < 1e-7
+    with pytest.raises(ValueError, match="even number of sides"):
+        basis_pursuit_polygon_lp(dict2_1.states, golden, sides=15)
 
 
 def test_golden_extent_anchor(dict2_1, golden):
