@@ -58,22 +58,36 @@ def test_overlap_cdf_other_reference():
     assert overlap_cdf_pvalue(2, 4000, seed=21, phi=_other_reference()) > 0.01
 
 
-def test_overlap_test_leaves_scipy_unloaded():
-    # no magiclab module imports scipy, not even the KS test, and every CLI
-    # child process pays for every module that `import magiclab` loads
+@pytest.fixture(scope="module")
+def scipy_modules_in_child():
+    """The scipy modules loaded in one child process, after a bare `import
+    magiclab` and again after a KS test; one interpreter start serves both."""
     paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
-        "import sys, magiclab; magiclab.overlap_cdf_pvalue(3, 2000, seed=4); "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys, magiclab; "
+        "loaded = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "print(loaded()); magiclab.overlap_cdf_pvalue(3, 2000, seed=4); print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    after_import, after_test = out.stdout.strip().splitlines()
+    return after_import, after_test
+
+
+def test_import_leaves_scipy_stats_unloaded(scipy_modules_in_child):
+    # no magiclab module imports scipy, and every CLI child process pays for
+    # every module that `import magiclab` loads
+    assert scipy_modules_in_child[0] == "[]"
     # the numpy KS kernel keeps the p-value that scipy.stats.kstest gives here
     pvalue = overlap_cdf_pvalue(2, 100, seed=7)
     assert pvalue == pytest.approx(0.7214547201574213, rel=1e-12)
+
+
+def test_overlap_test_leaves_scipy_unloaded(scipy_modules_in_child):
+    # not even the KS test imports scipy
+    assert scipy_modules_in_child[1] == "[]"
 
 
 def _branch_edges(n):
