@@ -30,26 +30,31 @@ IRREDUCIBLE_POLY = {
 }
 
 
+def gf2_row_rank(rows) -> int:
+    """Rank over GF(2) of rows packed as ints (bit j holds column j).
+
+    Each row is reduced by the kept rows with the same leading bit until it
+    vanishes or brings a new leading bit.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return len(pivots)
+
+
 def gf2_rank(M) -> int:
-    """Rank over GF(2) via Gaussian elimination on packed bit rows."""
+    """Rank over GF(2) of a 0/1 matrix (entries taken mod 2)."""
     arr = np.asarray(M, dtype=np.uint8) % 2
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
-    work = [int(sum(int(v) << j for j, v in enumerate(r))) for r in arr]
-    cols = arr.shape[1]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    return gf2_row_rank(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
 # --- dense row reduction over a prime field, used by stabilizer enumeration ---

@@ -46,12 +46,11 @@ class BooleanFunction:
     monomials: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "monomials", frozenset(frozenset(m) for m in self.monomials)
-        )
-        for m in self.monomials:
-            if any(not 0 <= i < self.n for i in m):
-                raise ValueError("monomial variable out of range")
+        monomials = frozenset(map(frozenset, self.monomials))
+        object.__setattr__(self, "monomials", monomials)
+        used = frozenset().union(*monomials)
+        if used and not 0 <= min(used) <= max(used) < self.n:
+            raise ValueError("monomial variable out of range")
 
     @cached_property
     def truth_table(self) -> int:
@@ -183,14 +182,13 @@ class Hypergraph:
     hyperedges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "hyperedges", frozenset(frozenset(e) for e in self.hyperedges)
-        )
-        for e in self.hyperedges:
-            if not e:
-                raise ValueError("hyperedges must contain at least one vertex")
-            if any(not 0 <= v < self.n for v in e):
-                raise ValueError("hyperedge vertex out of range")
+        hyperedges = frozenset(map(frozenset, self.hyperedges))
+        object.__setattr__(self, "hyperedges", hyperedges)
+        if frozenset() in hyperedges:
+            raise ValueError("hyperedges must contain at least one vertex")
+        used = frozenset().union(*hyperedges)
+        if used and not 0 <= min(used) <= max(used) < self.n:
+            raise ValueError("hyperedge vertex out of range")
 
 
 def characteristic_function(H: Hypergraph) -> BooleanFunction:

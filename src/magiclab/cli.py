@@ -114,10 +114,10 @@ def cmd_lattice(args) -> int:
             "centers": list(deco.centers),
             "h_nominal": list(bound.h_nominal),
             "h_rank": list(bound.h_rank),
-            "chi_bound": float(bound.chi_bound),
+            "chi_bound": str(bound.chi_bound),
             "magic_bound": bound.magic_bound,
             "magic_bound_per_qubit": bound.magic_bound_per_qubit,
-            "chi_bound_rank": float(bound.chi_bound_rank),
+            "chi_bound_rank": str(bound.chi_bound_rank),
             "magic_bound_rank": bound.magic_bound_rank,
         },
     }

@@ -29,15 +29,18 @@ only weakens the bound, so both are valid; the nominal value reproduces the
 standard per-cell constants for these lattices (0.5534 n triangular,
 0.4562 n union jack), while the rank value is sharper whenever the ring
 form is degenerate (even cycles).
+
+The chi bounds are exact ``Fraction`` values; ``magiclab lattice`` prints
+them as exact strings (``str(Fraction)``), since 2^(n-1) leaves the float
+range once n > 1024.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .binlin import gf2_rank
+from .binlin import gf2_row_rank
 from .boolfn import BooleanFunction, Hypergraph
 
 TRIANGULAR_BOUND_PER_QUBIT = 2 / 3 - (2 / 3) * math.log2(9 / 8)
@@ -219,19 +222,24 @@ class CellDecomposition:
     def verify(self) -> bool:
         rebuilt = set(self.residual.monomials)
         for c, q in zip(self.centers, self.quadratics):
+            center = frozenset((c,))
             for m in q.monomials:
-                rebuilt ^= {m | {c}}
-        return frozenset(rebuilt) == self.f.monomials
+                cubic = m | center
+                if cubic in rebuilt:
+                    rebuilt.remove(cubic)
+                else:
+                    rebuilt.add(cubic)
+        return rebuilt == self.f.monomials
 
 
 def cell_decompose(f: BooleanFunction, centers: list[int]) -> CellDecomposition:
     if f.degree > 3:
         raise ValueError("decomposition applies to cubic functions")
-    center_set = set(centers)
+    center_set = frozenset(centers)
     if len(center_set) != len(centers):
         raise ValueError("duplicate centers")
-    per_center: dict[int, set] = {c: set() for c in centers}
-    residual = set()
+    per_center: dict[int, list] = {c: [] for c in centers}
+    residual = []
     for m in f.monomials:
         if len(m) == 3:
             hits = m & center_set
@@ -242,31 +250,17 @@ def cell_decompose(f: BooleanFunction, centers: list[int]) -> CellDecomposition:
                     f"cubic monomial {sorted(m)} contains several centers"
                 )
             (c,) = hits
-            per_center[c].add(m - {c})
+            per_center[c].append(m - hits)
         else:
-            residual.add(m)
-    quadratics = tuple(
-        BooleanFunction(f.n, frozenset(per_center[c])) for c in centers
-    )
+            residual.append(m)
+    quadratics = tuple(BooleanFunction(f.n, per_center[c]) for c in centers)
     for q in quadratics:
         if q.degree > 2:
             raise ValueError("non-quadratic cell function")
-    deco = CellDecomposition(f, tuple(centers), quadratics, BooleanFunction(f.n, frozenset(residual)))
+    deco = CellDecomposition(f, tuple(centers), quadratics, BooleanFunction(f.n, residual))
     if not deco.verify():
         raise AssertionError("ANF identity lost during decomposition")
     return deco
-
-
-def _pair_graph_matrix(q: BooleanFunction) -> tuple[np.ndarray, int]:
-    """Adjacency matrix of the degree-2 part of q on its own variables."""
-    pairs = [tuple(sorted(m)) for m in q.monomials if len(m) == 2]
-    variables = sorted({v for m in q.monomials for v in m})
-    pos = {v: i for i, v in enumerate(variables)}
-    B = np.zeros((len(variables), len(variables)), dtype=np.uint8)
-    for a, b in pairs:
-        B[pos[a], pos[b]] ^= 1
-        B[pos[b], pos[a]] ^= 1
-    return B, len(variables)
 
 
 def quadratic_h_invariants(q: BooleanFunction) -> tuple[int, int]:
@@ -278,11 +272,17 @@ def quadratic_h_invariants(q: BooleanFunction) -> tuple[int, int]:
     form is nondegenerate (single edges, paths); even cycles are degenerate
     and get h_rank = v/2 - 1.
     """
-    B, v = _pair_graph_matrix(q)
-    rank = gf2_rank(B) if v else 0
+    # row a of Q + Q^T, one per variable of q, with bit b set for each pair ab
+    rows = dict.fromkeys(frozenset().union(*q.monomials), 0)
+    for m in q.monomials:
+        if len(m) == 2:
+            a, b = m
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+    rank = gf2_row_rank(rows.values())
     if rank % 2:
         raise AssertionError("alternating form rank must be even")
-    return rank // 2, v // 2
+    return rank // 2, len(rows) // 2
 
 
 @dataclass(frozen=True)
@@ -305,10 +305,13 @@ class DecompositionBound:
 
 def _bounds_from_h(n: int, s: int, hs: list[int]) -> tuple[Fraction, float, Fraction]:
     prod = Fraction(1)
-    for h in hs:
-        prod *= 1 + Fraction(1, 2**h)
+    for h, count in Counter(hs).items():
+        prod *= Fraction(2**h + 1, 2**h) ** count
     chi = Fraction(2) ** (n - 1) - Fraction(2) ** (n - s - 1) * prod
-    magic = 2 * s - 2 * math.log2(prod)
+    # log2(prod) as a whole shift plus the log of a factor in (1/2, 2):
+    # float(prod) overflows once prod passes 2^1024
+    shift = prod.numerator.bit_length() - prod.denominator.bit_length()
+    magic = 2 * s - 2 * (shift + math.log2(prod / Fraction(2) ** shift))
     return chi, magic, prod
 
 

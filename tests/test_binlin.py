@@ -7,6 +7,7 @@ from magiclab.binlin import (
     IRREDUCIBLE_POLY,
     field_log_tables,
     gf2_rank,
+    gf2_row_rank,
     gfp_nullspace,
     gfp_rank,
     gfp_rref,
@@ -63,6 +64,17 @@ def test_rank_transpose_invariance(rows, cols, seed):
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
     assert gf2_rank(M) == gf2_rank(M.T)
+
+
+def test_row_rank_on_wide_packed_rows():
+    # rows wider than a machine word: columns 0, 100 and 1000
+    rows = [1 | 1 << 100, 1 << 100 | 1 << 1000, 1 | 1 << 1000, 1 << 1000]
+    assert gf2_row_rank(rows) == 3
+    assert gf2_row_rank([]) == 0 and gf2_row_rank([0, 0]) == 0
+    M = np.zeros((4, 1001), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        M[i, [j for j in range(1001) if (row >> j) & 1]] = 1
+    assert gf2_rank(M) == 3
 
 
 def test_gfp_routines_match_gf2():

@@ -116,6 +116,18 @@ def test_hypergraph_rejects_bad_edges():
         Hypergraph(2, frozenset({frozenset({5})}))
 
 
+def test_boolean_function_rejects_out_of_range_variables():
+    with pytest.raises(ValueError, match="out of range"):
+        BooleanFunction(3, [{0, 1}, {3}])
+    with pytest.raises(ValueError, match="out of range"):
+        BooleanFunction(3, [{0, 1}, {-1, 2}])
+    with pytest.raises(ValueError, match="out of range"):
+        Hypergraph(3, [{0, 1}, {-1}])
+    # the constant monomial is fine, and any input is frozen to frozensets
+    f = BooleanFunction(3, [set(), [0, 2]])
+    assert f.monomials == frozenset({frozenset(), frozenset({0, 2})})
+
+
 def test_overlap_identity_examples():
     f = parse_anf("x1*x2*x3")
     g = BooleanFunction(3, frozenset())

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_lattice_command(capsys, tmp_path):
     assert abs(deco["magic_bound_per_qubit"] - (0.5 - 0.5 * math.log2(17 / 16))) < 1e-9
     assert all(len(e) == 3 for e in payload["edges"])
     assert payload["vertex_map"]["0"] == ["g", 0, 0]
+
+
+def test_lattice_command_chi_bounds_exact_past_float_range(capsys):
+    # n = 1152: 2^(n-1) is beyond float, so the chi bounds are exact strings
+    code, payload = run_cli(
+        capsys, "lattice", "--kind", "union-jack", "--rows", "24", "--cols", "24"
+    )
+    assert code == 0
+    n, deco = payload["n"], payload["decomposition"]
+    s = deco["s"]
+    assert (n, s) == (1152, 288)
+    top, cells = Fraction(2) ** (n - 1), Fraction(2) ** (n - s - 1)
+    assert deco["chi_bound"] == str(top - cells * Fraction(17, 16) ** s)
+    assert deco["chi_bound_rank"] == str(top - cells * Fraction(9, 8) ** s)
+    assert abs(deco["magic_bound_per_qubit"] - (0.5 - 0.5 * math.log2(17 / 16))) < 1e-12
 
 
 def test_lattice_state_dump(capsys, tmp_path):

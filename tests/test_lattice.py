@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from magiclab.binlin import gf2_rank
 from magiclab.boolfn import BooleanFunction, hypergraph_state, nonquadraticity, parse_anf
 from magiclab.lattice import (
     TRIANGULAR_BOUND_PER_QUBIT,
@@ -200,6 +202,51 @@ def test_h_invariants_on_paths_and_cycles():
         ),
     )
     assert quadratic_h_invariants(cyc) == (1, 2)
+
+
+def test_h_invariants_match_dense_rank_on_random_graphs():
+    # a second path to the packed rows: the dense adjacency matrix over all
+    # vertices, isolated ones included, through gf2_rank
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        adjacency = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        adjacency += adjacency.T
+        monomials = {frozenset(map(int, e)) for e in zip(*np.nonzero(np.triu(adjacency)))}
+        monomials |= {frozenset({i}) for i in range(n) if rng.random() < 0.2}
+        v = len(frozenset().union(*monomials))
+        q = BooleanFunction(n, monomials)
+        assert quadratic_h_invariants(q) == (gf2_rank(adjacency) // 2, v // 2)
+
+
+def test_verify_detects_broken_decompositions():
+    L = triangular_lattice(3, 3, "periodic")
+    deco, _ = lattice_bound(L, "levin-gu")
+    assert deco.verify() and deco.residual.monomials
+    lost = set(deco.residual.monomials)
+    lost.pop()
+    assert not dataclasses.replace(deco, residual=BooleanFunction(L.n, lost)).verify()
+    q = deco.quadratics[0]
+    ring = sorted(frozenset().union(*q.monomials))
+    extra = next(
+        frozenset({a, b})
+        for a in ring
+        for b in ring
+        if a < b and frozenset({a, b}) not in q.monomials
+    )
+    grown = BooleanFunction(L.n, q.monomials | {extra})
+    quadratics = (grown,) + deco.quadratics[1:]
+    assert not dataclasses.replace(deco, quadratics=quadratics).verify()
+
+
+def test_rank_bound_past_float_range():
+    # (5/4)^3267 is about 2^1052: the log must not go through float(prod)
+    L = triangular_lattice(99, 99, "periodic")
+    _, bd = lattice_bound(L, "ccz-only")
+    assert bd.log_argument_rank == Fraction(5, 4) ** (L.n // 3)
+    expected = 2 / 3 - (2 / 3) * math.log2(5 / 4)
+    assert abs(bd.magic_bound_rank / L.n - expected) < 1e-12
+    assert abs(bd.magic_bound_per_qubit - TRIANGULAR_BOUND_PER_QUBIT) < 1e-12
 
 
 def test_separable_bound_values():
