@@ -37,8 +37,8 @@ print(f"reference separable-cubic bound at n = {n}: {separable_bound(n):.4f} ({s
 print(f"best product-state value: {np.log2(3 - np.sqrt(3)):.4f} per qubit")
 
 L = triangular_lattice(3, 3, "periodic")
-_, f_lg = build_lattice_state(L, "levin-gu")
-_, f_ccz = build_lattice_state(L, "ccz-only")
+f_lg = build_lattice_state(L, "levin-gu")
+f_ccz = build_lattice_state(L, "ccz-only")
 print(
     f"\nLevin-Gu dressing adds {len(f_lg.monomials) - len(f_ccz.monomials)} "
     f"low-degree terms; the cubic part and hence the bound are unchanged."

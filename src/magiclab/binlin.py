@@ -81,10 +81,6 @@ def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return M, pivots
 
 
-def gfp_rank(mat: np.ndarray, p: int) -> int:
-    return len(gfp_rref(mat, p)[1])
-
-
 def gfp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Rows form a basis of the right nullspace of mat over GF(p)."""
     R, pivots = gfp_rref(mat, p)

@@ -98,7 +98,7 @@ def cmd_chi(args) -> int:
 
 def cmd_lattice(args) -> int:
     L = make_lattice(args.kind, args.rows, args.cols, args.boundary)
-    H, f = build_lattice_state(L, args.phase)
+    f = build_lattice_state(L, args.phase)
     deco, bound = lattice_bound(L, args.phase)
     payload = {
         "kind": L.kind,
@@ -107,7 +107,7 @@ def cmd_lattice(args) -> int:
         "boundary": L.boundary,
         "phase": args.phase,
         "n": L.n,
-        "edges": sorted(sorted(e) for e in H.hyperedges),
+        "edges": sorted(sorted(e) for e in f.monomials),
         "vertex_map": {str(i): list(lab) for i, lab in enumerate(L.labels)},
         "decomposition": {
             "s": bound.s,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .binlin import gf2_row_rank
-from .boolfn import BooleanFunction, Hypergraph
+from .boolfn import BooleanFunction
 
 TRIANGULAR_BOUND_PER_QUBIT = 2 / 3 - (2 / 3) * math.log2(9 / 8)
 UNION_JACK_BOUND_PER_QUBIT = 1 / 2 - (1 / 2) * math.log2(17 / 16)
@@ -184,8 +184,9 @@ def lattice_centers(L: Lattice) -> list[int]:
     ]
 
 
-def build_lattice_state(L: Lattice, phase: str = "ccz-only") -> tuple[Hypergraph, BooleanFunction]:
-    """Hypergraph and characteristic function of the lattice state.
+def build_lattice_state(L: Lattice, phase: str = "ccz-only") -> BooleanFunction:
+    """Characteristic function of the lattice state, one monomial per
+    hyperedge.
 
     ``ccz-only`` places one size-3 hyperedge per triangle; ``levin-gu``
     additionally places an edge per lattice edge and a vertex per site, which
@@ -199,8 +200,7 @@ def build_lattice_state(L: Lattice, phase: str = "ccz-only") -> tuple[Hypergraph
     if phase == "levin-gu":
         hyperedges |= {frozenset(e) for e in L.edges}
         hyperedges |= {frozenset({v}) for v in range(L.n)}
-    H = Hypergraph(L.n, frozenset(hyperedges))
-    return H, BooleanFunction(L.n, H.hyperedges)
+    return BooleanFunction(L.n, frozenset(hyperedges))
 
 
 # --- order-s decompositions -----------------------------------------------------
@@ -344,7 +344,7 @@ def decomposition_bound(deco: CellDecomposition) -> DecompositionBound:
 
 
 def lattice_bound(L: Lattice, phase: str = "ccz-only") -> tuple[CellDecomposition, DecompositionBound]:
-    _, f = build_lattice_state(L, phase)
+    f = build_lattice_state(L, phase)
     deco = cell_decompose(f, lattice_centers(L))
     return deco, decomposition_bound(deco)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binlin import gfp_rank
+from .binlin import gf2_rank
 from .pauli import PauliOperator, is_hermitian_involution, pauli_commutes
 
 
@@ -45,7 +45,7 @@ class MeasurementLayout:
         M = np.array(
             [list(P.xvec) + list(P.zvec) for P in self.observables], dtype=np.int64
         )
-        if gfp_rank(M, 2) != k:
+        if gf2_rank(M) != k:
             raise ValueError("observables must be independent as a group")
 
     @property

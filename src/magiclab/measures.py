@@ -241,8 +241,8 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
     b = _coordinates(vecs, dic.n, dic.d) @ vals
     prog = LinearProgram(np.ones(A.shape[1]), A, b, free=True)
-    start = crash_basis(A, b, np.argsort(-np.abs(b @ A), kind="stable"))
-    sol = solve_lp(prog, basis=None if start is None else start[0])
+    start = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
+    sol = solve_lp(prog, basis=start)
     if sol.status != "optimal":
         raise SolverError(f"robustness LP ended with status {sol.status}")
     coeffs = sol.x

@@ -14,31 +14,30 @@ position, so B is A[:, basis] times the signs and the basic values are
 |x_B|.  Only B^{-1} and the basic values are kept; every column is priced
 with one product (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
 B0^{-1} b >= 0; a free LP turns each column with a negative value itself, so
-any nonsingular B0 will do.  ``crash_basis`` picks a start among the columns
-the caller expects in the optimum and marks those with a negative value, a
-mask that only the extent uses: it turns each such column by pi.  Phase 1
-runs only for cold starts, from the artificial basis (B0 = diag(sign b)),
-whose artificials are nonnegative in a free LP too.  A must have full row
-rank: there is no presolve, and a cold start whose phase 1 cannot pivot an
-artificial out of the basis raises ``ValueError``.  Entering columns are
-picked by largest violation; the leaving row uses the lexicographic rule on
-the rows of B^{-1} B0, which keeps the heavily degenerate dictionary LPs
-from cycling from any start, and no pivot element below _PIVOT_TOL is
-accepted.  Ties in the ratio and in each lexicographic column are decided
-within the same relative 1e-10, so entries equal in exact arithmetic are not
-ranked by round-off.  The final basis is re-solved against the original
-data so B^{-1} round-off never reaches the reported solution, and the
-re-solved pair must pass A x = b, x_B >= 0 on the signed columns and
-c - A^T y >= 0 (c - |A^T y| >= 0 when free): since c.x = b.y holds for any
-basis, these are what certify optimality.
+any nonsingular B0 will do, and ``crash_basis`` picks such a start among the
+columns the caller expects in the optimum.  Phase 1 runs only for cold
+starts, from the artificial basis (B0 = diag(sign b)), whose artificials are
+nonnegative in a free LP too.  A must have full row rank: there is no
+presolve, and a cold start whose phase 1 cannot pivot an artificial out of
+the basis raises ``ValueError``.  Entering columns are picked by largest
+violation; the leaving row uses the lexicographic rule on the rows of
+B^{-1} B0, which keeps the heavily degenerate dictionary LPs from cycling
+from any start, and no pivot element below _PIVOT_TOL is accepted.  Ties in
+the ratio and in each lexicographic column are decided within the same
+relative 1e-10, so entries equal in exact arithmetic are not ranked by
+round-off.  The final basis is re-solved against the original data so
+B^{-1} round-off never reaches the reported solution, and the re-solved
+pair must pass A x = b, x_B >= 0 on the signed columns and c - A^T y >= 0
+(c - |A^T y| >= 0 when free): since c.x = b.y holds for any basis, these
+are what certify optimality.
 
-The extent's complex l1 minimum subject to D c = t is a real LP over
-nonnegative weights of phase-rotated dictionary columns.  Column generation
-starts from the crash basis over the phases 1 and i alone, a negative basic
-column turned by pi; every round solves warm from the last basis, keeps the
-states of its basis and adds the exact phase for every state the dual
-violates, until the primal l1 norm and the rescaled dual value agree to a
-relative BP_GAP_TOL.
+The extent's complex l1 minimum subject to D c = t is a free real LP over
+the weights of phase-rotated dictionary columns, so a weight's sign is the
+simplex's to choose, as in the robustness LP.  Column generation starts from
+the crash basis over the phases 1 and i alone; every round solves warm from
+the last basis, keeps the states of its basis and adds the exact phase for
+every state the dual violates, until the primal l1 norm and the rescaled
+dual value agree to a relative BP_GAP_TOL.
 """
 
 from dataclasses import dataclass
@@ -277,17 +276,15 @@ def _phase_one(A, b, B0, free):
     return basis, Binv, xb, sign, it1
 
 
-def crash_basis(A: np.ndarray, b: np.ndarray, order) -> tuple[np.ndarray, np.ndarray] | None:
-    """A start for A x = b from the columns of A, or None.
+def crash_basis(A: np.ndarray, order) -> np.ndarray | None:
+    """A start for a free LP over the columns of A, or None.
 
     Scans the columns of A in ``order`` and keeps each one that leaves the
     chosen set well conditioned (its component orthogonal to the columns
     already kept is at least a fixed share of its norm), until m are kept.
-    Returns (columns, negative): the m kept column indices in scan order,
-    and a mask of those whose basic value is negative.  The basis is
-    feasible for x >= 0 once the caller replaces each negative column by its
-    negative, and for a free LP as it is; None when the scan finds fewer
-    than m columns.
+    Returns the m kept column indices in scan order: a nonsingular basis,
+    whose columns with a negative value the free simplex turns itself.
+    None when the scan finds fewer than m columns.
     """
     m = A.shape[0]
     order = np.asarray(order)
@@ -314,8 +311,7 @@ def crash_basis(A: np.ndarray, b: np.ndarray, order) -> tuple[np.ndarray, np.nda
             Q[:, len(kept)] = q
             kept.append(int(chunk[i]))
             if len(kept) == m:
-                kept = np.array(kept)
-                return kept, np.linalg.solve(A[:, kept], b) < 0
+                return np.array(kept)
     return None
 
 
@@ -335,21 +331,19 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     """min sum_j |c_j| over complex c subject to D c = t, by phase column
     generation on the simplex.
 
-    With c_j = sum_k w_jk e^{i theta_k} and w >= 0 this is a real LP with 2m
-    rows over a working set of phase-rotated columns.  Only the 2N columns
-    of phases 1 and i are built for ``crash_basis``, which scans them in
-    descending overlap |<phi_j|t>|; the first working set is the basis it
-    finds, each column it marks negative turned by pi to the phase -1 or -i.
-    When the scan finds none, the first working set is all four phases of
-    every state, solved cold.
-    Every round solves warm from the last basis, certifies, and moves on to
-    ``_next_working_set``.  ||c||_1 bounds the optimum from above, and
-    Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.  The lower
-    bound is taken at the least-norm y tight on the support of c: on a
-    degenerate LP such as CCZ x |+> the simplex's vertex dual wanders over
-    the optimal face and never certifies.  Stops when the bounds agree to a
-    relative ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row
-    rank.
+    With c_j = sum_k w_jk e^{i theta_k} and real w this is a free real LP,
+    min sum |w| with 2m rows, over a working set of phase-rotated columns.
+    The first working set is the 2N columns of phases 1 and i, scanned by
+    ``crash_basis`` in descending overlap |<phi_j|t>|; the basis it finds is
+    kept and solved warm, and when it finds none the round solves cold over
+    all 2N.  Every later round solves warm from the last basis, certifies,
+    and moves on to ``_next_working_set``.  ||c||_1 bounds the optimum from
+    above, and Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.
+    The lower bound is taken at the least-norm y tight on the support of w,
+    a_k.y = sign(w_k) on each column with w_k != 0: on a degenerate LP such
+    as CCZ x |+> the simplex's vertex dual wanders over the optimal face and
+    never certifies.  Stops when the bounds agree to a relative
+    ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row rank.
 
     Returns (c, y, pivots, rounds) with y the certifying dual vector.
     """
@@ -360,26 +354,21 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     b = np.concatenate([t.real, t.imag])
     idx = np.repeat(np.argsort(-np.abs(Dh @ t), kind="stable"), 2)
     phases = np.tile(np.array([1, 1j]), N)
-    start = crash_basis(_phase_columns(D, idx, phases), b, np.arange(2 * N))
-    if start is None:
-        idx = np.repeat(np.arange(N), 4)
-        phases = np.tile(np.array([1, 1j, -1, -1j]), N)
-        basis = None
-    else:
-        kept, negative = start
-        idx, phases = idx[kept], np.where(negative, -phases[kept], phases[kept])
-        basis = np.arange(2 * m)
     A = _phase_columns(D, idx, phases)
+    basis = crash_basis(A, np.arange(2 * N))
+    if basis is not None:
+        idx, phases, A = idx[basis], phases[basis], A[:, basis]
+        basis = np.arange(2 * m)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
-        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)
+        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b, free=True), basis=basis)
         if sol.status == "infeasible":
             raise ValueError("target is not in the span of the dictionary")
         pivots += sol.iterations
-        support = sol.x > 1e-12  # degenerate basics would pin y to a vertex
+        support = np.abs(sol.x) > 1e-12  # degenerate basics would pin y to a vertex
         c = np.zeros(N, dtype=complex)
         np.add.at(c, idx, sol.x * phases)
-        yr = np.linalg.lstsq(A[:, support].T, np.ones(support.sum()), rcond=None)[0]
+        yr = np.linalg.lstsq(A[:, support].T, np.sign(sol.x[support]), rcond=None)[0]
         y = yr[:m] + 1j * yr[m:]
         upper = float(np.sum(np.abs(c)))
         lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(Dh @ y)))
@@ -396,14 +385,12 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
 def _next_working_set(Dh, idx, phases, sol):
     """The next extent round's working set (idx, phases) and the positions
     of ``sol``'s basis in it.  Keeps every column of a state basic in ``sol``
-    (keeping only the basic columns cycles), turns each basic column whose
-    re-solved value came out negative by pi, so the basis stays a feasible
-    start, and appends the column at phase arg <phi_j|y> for every j with
-    |<phi_j|y>| > 1 under the simplex dual y."""
+    at its phase (keeping only the basic columns cycles), so the basis stays
+    a start for the free LP, and appends the column at phase arg <phi_j|y>
+    for every j with |<phi_j|y>| > 1 under the simplex dual y."""
     basic = np.zeros(Dh.shape[0], dtype=bool)  # a mask, not np.isin: no numpy.ma import
     basic[idx[sol.basis]] = True
     keep = basic[idx]
-    phases = np.where(sol.x < 0, -phases, phases)  # only basic values are nonzero
     m = sol.dual.size // 2
     corr = Dh @ (sol.dual[:m] + 1j * sol.dual[m:])
     new = np.nonzero(np.abs(corr) > 1.0)[0]

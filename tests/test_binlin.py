@@ -9,7 +9,6 @@ from magiclab.binlin import (
     gf2_rank,
     gf2_row_rank,
     gfp_nullspace,
-    gfp_rank,
     gfp_rref,
 )
 
@@ -81,7 +80,7 @@ def test_gfp_routines_match_gf2():
     rng = np.random.default_rng(3)
     for _ in range(20):
         M = rng.integers(0, 2, size=(4, 5))
-        assert gfp_rank(M, 2) == gf2_rank(M.astype(np.uint8))
+        assert len(gfp_rref(M, 2)[1]) == gf2_rank(M.astype(np.uint8))
 
 
 def test_gfp_mod3():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magiclab.binlin import gfp_rank
+from magiclab.binlin import gfp_rref
 from magiclab.boolfn import (
     BooleanFunction,
     Hypergraph,
@@ -190,7 +190,7 @@ def test_nonquadraticity_affine_invariance():
         f = from_truth_table(n, _random_table(n, rng))
         while True:
             A = rng.integers(0, 2, size=(n, n))
-            if gfp_rank(A, 2) == n:
+            if len(gfp_rref(A, 2)[1]) == n:
                 break
         b = rng.integers(0, 2, size=n)
         g = f.compose_affine(A, b)

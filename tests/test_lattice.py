@@ -140,8 +140,8 @@ def test_union_jack_bound_constants():
 
 def test_levin_gu_only_changes_low_degree():
     L = triangular_lattice(3, 3, "periodic")
-    _, f_ccz = build_lattice_state(L, "ccz-only")
-    _, f_lg = build_lattice_state(L, "levin-gu")
+    f_ccz = build_lattice_state(L, "ccz-only")
+    f_lg = build_lattice_state(L, "levin-gu")
     assert (f_ccz ^ f_lg).degree <= 2
     # bounds are insensitive to the quadratic part
     _, bd1 = lattice_bound(L, "ccz-only")
@@ -158,7 +158,7 @@ def test_open_boundary_center_count_near_third():
 
 def test_small_open_lattice_exhaustive_chi():
     L = triangular_lattice(2, 3, "open")
-    _, f = build_lattice_state(L, "ccz-only")
+    f = build_lattice_state(L, "ccz-only")
     deco = cell_decompose(f, lattice_centers(L))
     bd = decomposition_bound(deco)
     chi, _ = nonquadraticity(f)

@@ -216,9 +216,8 @@ def test_extent_oracles(request, n, psi, reference):
 
 
 def test_extent_t4_pivot_budget(dict2_4):
-    # from the crash basis T^4 certifies in 172-240 pivots, as round-off in
-    # the state moves them; a first round over all four phases of every
-    # state took 2,429-2,590
+    # from the crash basis T^4 certifies in 2 rounds and 415 pivots; a
+    # first round over all four phases of every state took 2,429-2,590
     res = extent(_kron(T_STATE, T_STATE, T_STATE, T_STATE), dict2_4)
     assert abs(res.xi / XI_T**4 - 1) < 1e-8
     assert res.diagnostics["iterations"] < 1000

@@ -153,16 +153,19 @@ def _random_signs():
     return M, M @ u
 
 
-def _crash_start(M, b):
-    return crash_basis(M, b, np.argsort(-np.abs(b @ M), kind="stable"))
+def _split_start(M, b):
+    """The crash basis of M as a start of the LP over [M, -M]: the crash
+    columns, each with a negative value j mapped to its twin j + N."""
+    kept = crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
+    negative = np.linalg.solve(M[:, kept], b) < 0
+    return kept, kept + M.shape[1] * negative
 
 
 def _degenerate_l1():
     """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], started from the
-    crash basis of M with each negative column j mapped to j + 40."""
+    crash basis of M."""
     M, b = _degenerate_matrix()
-    kept, negative = _crash_start(M, b)
-    return LinearProgram(np.ones(80), np.hstack([M, -M]), b), kept + 40 * negative
+    return LinearProgram(np.ones(80), np.hstack([M, -M]), b), _split_start(M, b)[1]
 
 
 @pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
@@ -212,8 +215,8 @@ def test_free_lp_is_the_lp_over_a_and_minus_a(make, warm):
     split = LinearProgram(np.ones(2 * N), np.hstack([M, -M]), b)
     free = LinearProgram(np.ones(N), M, b, free=True)
     if warm:
-        kept, negative = _crash_start(M, b)
-        s, f = solve_lp(split, basis=kept + N * negative), solve_lp(free, basis=kept)
+        kept, twins = _split_start(M, b)
+        s, f = solve_lp(split, basis=twins), solve_lp(free, basis=kept)
     else:
         s, f = solve_lp(split), solve_lp(free)
     assert s.status == f.status == "optimal"
@@ -262,15 +265,22 @@ def test_extent_next_working_set():
     b = solvers._phase_columns(D, idx, phases) @ x
     sol = solvers.LPSolution("optimal", x=x, dual=np.array([1.0, 0.0]), basis=np.array([1, 3]))
     idx, phases, basis = solvers._next_working_set(D.conj().T, idx, phases, sol)
-    # state 1 is not basic and leaves; the basic states keep both phases,
-    # state 0's basic column is turned by pi, and <phi_j|y> = (0.5, 2, 0.5, -3i)
+    # state 1 is not basic and leaves; the basic states keep both columns at
+    # their phases, the negative one included, and <phi_j|y> = (0.5, 2, 0.5, -3i)
     # appends states 1 and 3 at their exact phases
     assert idx.tolist() == [0, 0, 2, 2, 1, 3]
-    assert np.allclose(phases, [1, -1j, 1, -1, 1, -1j])
+    assert np.allclose(phases, [1, 1j, 1, -1, 1, -1j])
+    # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2
     assert basis.tolist() == [1, 2]
-    # and the basis is a feasible start for the next round's LP
+    # the nonnegative LP rejects that basis for its negative value; the free
+    # LP takes it as its warm start and puts Re t / 3 on state 3 at phase -i,
+    # while state 0's column at phase i keeps its value -1e-8 for Im t
     A = solvers._phase_columns(D, idx, phases)
-    assert solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis).status == "optimal"
+    with pytest.raises(ValueError, match="not primal feasible"):
+        solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)
+    sol = solve_lp(LinearProgram(np.ones(idx.size), A, b, free=True), basis=basis)
+    assert sol.status == "optimal"
+    assert abs(sol.objective - (0.25 / 3 + 1e-8)) < 1e-12
 
 
 def _extent_bracket(D, t):
@@ -324,13 +334,12 @@ def test_bp_value_between_dual_and_any_feasible():
 def test_extent_cold_fallback_certifies():
     # states 1 and 2 lie within 0.05 of state 0, below the crash scan's
     # share, so no crash basis exists although D has full rank, and the
-    # first round runs cold over all four phases of every state
+    # first round runs cold over the free columns of phases 1 and i
     D = np.array([[1.0, 1.0, 1.0], [0.0, 0.05, -0.05j]])
     D /= np.linalg.norm(D, axis=0)
     t = np.array([0.6, 0.8j])
-    b = np.concatenate([t.real, t.imag])
     scanned = solvers._phase_columns(D, np.repeat(np.arange(3), 2), np.tile([1, 1j], 3))
-    assert crash_basis(scanned, b, np.arange(6)) is None
+    assert crash_basis(scanned, np.arange(6)) is None
     c, l1, lower = _extent_bracket(D, t)
     assert np.linalg.norm(D @ c - t) < 1e-9
     assert l1 - lower <= 1e-9 * l1
