@@ -11,10 +11,11 @@ LP is the nonnegative LP over [A, -A] without building -A: column j prices
 at c_j - |y.a_j| and enters as s a_j with s = sign(y.a_j) (+1 on a tie, as
 +a_j comes first in [A, -A]), and the solver keeps that +-1 for each basic
 position, so B is A[:, basis] times the signs and the basic values are
-|x_B|.  Only B^{-1} and the basic values are kept; every column is priced
-with one product (c_B B^{-1}) A.  A caller may pass a starting basis B0 with
-B0^{-1} b >= 0; a free LP turns each column with a negative value itself, so
-any nonsingular B0 will do, and ``crash_basis`` picks such a start among the
+|x_B|.  The basis lives in one array T = [B^{-1} | x_B], which a pivot
+updates with a single rank-1 update; every column is priced with one product
+(c_B B^{-1}) A.  A caller may pass a starting basis B0 with B0^{-1} b >= 0;
+a free LP turns each column with a negative value itself, so any
+nonsingular B0 will do, and ``crash_basis`` picks such a start among the
 columns the caller expects in the optimum.  Phase 1 runs only for cold
 starts, from the artificial basis (B0 = diag(sign b)), whose artificials are
 nonnegative in a free LP too.  A must have full row rank: there is no
@@ -88,16 +89,12 @@ class LPSolution:
     basis: np.ndarray | None = None  # final basic columns, one per row
 
 
-def _pivot(Binv, xb, basis, d, leave, enter):
+def _pivot(T, basis, d, leave, enter):
     """Bring column ``enter``, whose image under B^{-1} is ``d``, into the
-    basis at position ``leave``."""
-    piv = d[leave]
-    Binv[leave] /= piv
-    xb[leave] /= piv
-    col = d.copy()
-    col[leave] = 0.0
-    Binv -= np.outer(col, Binv[leave])
-    xb -= col * xb[leave]
+    basis at position ``leave`` of T = [B^{-1} | x_B]."""
+    row = T[leave] / d[leave]
+    T -= np.multiply.outer(d, row)
+    T[leave] = row
     basis[leave] = enter
 
 
@@ -118,13 +115,13 @@ def _lex_least(rows, lex):
     return rows[keep]
 
 
-def _revised_simplex(cols, cost, basis, Binv, xb, B0, sign, free=0):
+def _revised_simplex(cols, cost, basis, T, B0, sign, free=0):
     """Revised simplex with the lexicographic anti-cycling ratio test.
 
-    ``Binv`` (B^{-1}, one row per basic position, one column per original
-    row), the basic values ``xb`` and the column sign ``sign`` of each basic
-    position are updated in place.  The first ``free`` columns are free in
-    sign: column j prices at cost_j - |y.a_j|, the lesser of its two sides
+    ``T`` = [B^{-1} | x_B] (one row per basic position, B^{-1} with one
+    column per original row, x_B last) and the column sign ``sign`` of each
+    basic position are updated in place.  The first ``free`` columns are free
+    in sign: column j prices at cost_j - |y.a_j|, the lesser of its two sides
     cost_j -+ y.a_j, and enters as s a_j.  An exact tie for the least
     reduced cost goes to the first column of [A, -A, the columns past
     ``free``], as np.argmin over those split columns would.  Ties in the ratio
@@ -134,14 +131,16 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0, sign, free=0):
     column by column of B^{-1} B0 / d, keeps the rows within a relative
     1e-10 of the least value, and the lowest basic position left leaves.
     """
+    m = basis.size
+    Binv, xb = T[:, :m], T[:, m]  # views: every pivot updates both at once
     for it in range(_MAX_PIVOTS):
         priced = (cost[basis] @ Binv) @ cols
         reduced = cost - priced
-        enter = int(np.argmin(reduced))
+        enter = int(reduced.argmin())
         least, s = reduced[enter], 1.0
         if free:
             twin = cost[:free] + priced[:free]  # the reduced costs of -a_j
-            k = int(np.argmin(twin))
+            k = int(twin.argmin())
             if twin[k] < least or (twin[k] == least and enter >= free):
                 enter, least, s = k, twin[k], -1.0
         if least >= -LP_TOL:
@@ -149,16 +148,16 @@ def _revised_simplex(cols, cost, basis, Binv, xb, B0, sign, free=0):
         d = Binv @ cols[:, enter]
         if s < 0:
             d = -d
-        candidates = np.nonzero(d > _PIVOT_TOL)[0]
+        candidates = (d > _PIVOT_TOL).nonzero()[0]
         if candidates.size == 0:
             return "unbounded", it
         ratios = xb[candidates] / d[candidates]
-        best = float(np.min(ratios))
+        best = float(ratios.min())
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
         if tied.size > 1:
             tied = _lex_least(tied, (Binv[tied] @ B0) / d[tied, None])
         leave = int(tied[0])
-        _pivot(Binv, xb, basis, d, leave, enter)
+        _pivot(T, basis, d, leave, enter)
         sign[leave] = s
         np.maximum(xb, 0.0, out=xb)  # clamp float dust
     raise SolverError(f"simplex did not converge within {_MAX_PIVOTS} iterations")
@@ -187,7 +186,7 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
     if basis is None:
         # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
         B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, Binv, xb, sign, it1 = _phase_one(A, b, B0, prog.free)
+        basis, T, sign, it1 = _phase_one(A, b, B0, prog.free)
         if basis is None:
             return LPSolution(status="infeasible", iterations=it1)
     else:
@@ -207,10 +206,10 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
             raise ValueError("start basis is singular") from None
         if xb.min(initial=0.0) < -LP_TOL:
             raise ValueError(f"start basis is not primal feasible: min x_B = {xb.min():.2e}")
-        np.maximum(xb, 0.0, out=xb)
+        T = np.column_stack([Binv, np.maximum(xb, 0.0)])
         it1 = 0
 
-    status, it2 = _revised_simplex(A, c, basis, Binv, xb, B0, sign, ncols if prog.free else 0)
+    status, it2 = _revised_simplex(A, c, basis, T, B0, sign, ncols if prog.free else 0)
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=it1 + it2)
 
@@ -248,32 +247,31 @@ def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
 def _phase_one(A, b, B0, free):
     """Phase 1 from the artificial basis B0, a diagonal of signs with
     B0 b >= 0; the columns of A are free in sign when ``free``, the
-    artificials never.  Returns (basis, Binv, xb, sign, pivots), with basis
-    None when the LP is infeasible."""
+    artificials never.  Returns (basis, T, sign, pivots) with T = [B^{-1} |
+    x_B], and basis None when the LP is infeasible."""
     m, ncols = A.shape
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     basis = np.arange(ncols, ncols + m)
-    Binv = B0.copy()
-    xb = B0 @ b
+    T = np.column_stack([B0, B0 @ b])
     sign = np.ones(m)
     status, it1 = _revised_simplex(
-        np.hstack([A, B0]), c1, basis, Binv, xb, B0, sign, ncols if free else 0
+        np.hstack([A, B0]), c1, basis, T, B0, sign, ncols if free else 0
     )
     if status != "optimal":
         raise SolverError(f"phase 1 ended {status}")
-    if float(c1[basis] @ xb) > 1e-7:
-        return None, None, None, None, it1
+    if float(c1[basis] @ T[:, m]) > 1e-7:
+        return None, None, None, it1
 
     # pivot the artificials out of the basis, each for a column +a_j (the
     # first of a tie in [A, -A]); one that no column of A can replace marks
     # a row that depends on the others
     for pos in np.nonzero(basis >= ncols)[0]:
-        row = Binv[pos] @ A
+        row = T[pos, :m] @ A
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) <= 1e-9:
             raise ValueError("constraint matrix does not have full row rank")
-        _pivot(Binv, xb, basis, Binv @ A[:, j], pos, j)
-    return basis, Binv, xb, sign, it1
+        _pivot(T, basis, T[:, :m] @ A[:, j], pos, j)
+    return basis, T, sign, it1
 
 
 def crash_basis(A: np.ndarray, order) -> np.ndarray | None:

@@ -92,6 +92,25 @@ def test_lex_least_filters_column_by_column():
         assert solvers._lex_least(rows, lex).tolist() == (keep + 10).tolist()
 
 
+def test_pivot_updates_the_inverse_and_the_basic_values_together():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(6, 6)) + 4 * np.eye(6)  # nonsingular, well conditioned
+    b = rng.normal(size=6)
+    Binv = np.linalg.inv(B)
+    T = np.column_stack([Binv, Binv @ b])
+    basis = np.arange(6)
+    a = rng.normal(size=6)  # the entering column
+    d = Binv @ a
+    leave = 2
+    row = T[leave] / d[leave]
+    solvers._pivot(T, basis, d, leave, 9)
+    B[:, leave] = a
+    new_inv = np.linalg.inv(B)
+    assert np.array_equal(T[leave], row)
+    assert np.max(np.abs(T - np.column_stack([new_inv, new_inv @ b]))) < 1e-12
+    assert basis.tolist() == [0, 1, 9, 3, 4, 5]
+
+
 def test_lp_random_duality_and_feasibility():
     rng = np.random.default_rng(0)
     for _ in range(25):

@@ -44,8 +44,7 @@ def test_displacement_z_convention():
 
 def test_point_index_order():
     pts = list(phase_space_points(2))
-    assert len(pts) == 81
-    assert sorted(point_index(u) for u in pts) == list(range(81))
+    assert [point_index(u) for u in pts] == list(range(81))
 
 
 def test_wigner_maximally_mixed():
@@ -66,6 +65,25 @@ def test_wigner_normalization_and_reconstruction():
             W.values[point_index(u)] * phase_point_operator(u, n) for u in phase_space_points(n)
         )
         assert np.max(np.abs(rec - rho)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wigner_matches_the_per_point_traces(n):
+    rng = np.random.default_rng(20 + n)
+    psi = random_state(3**n, rng)
+    vecs = np.array([random_state(3**n, rng) for _ in range(3)])
+    weights = rng.dirichlet(np.ones(3))
+    mixed = (vecs.T * weights) @ vecs.conj()
+    for state, rho in ((psi, np.outer(psi, psi.conj())), (mixed, mixed)):
+        W = wigner_function(state)
+        for u in phase_space_points(n):
+            ref = np.trace(phase_point_operator(u, n) @ rho) / 3**n
+            assert abs(W.values[point_index(u)] - ref) < 1e-14
+
+
+def test_wigner_refuses_four_qutrits():
+    with pytest.raises(ValueError, match="n <= 3"):
+        wigner_function(np.eye(81, dtype=complex) / 81)
 
 
 def test_wigner_rejects_non_hermitian():
