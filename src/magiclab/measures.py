@@ -39,7 +39,7 @@ from .solvers import (
     solve_extent,
     solve_lp,
 )
-from .stabdict import StabilizerDictionary
+from .stabdict import StabilizerDictionary, _pauli_coordinates
 
 TOLERANCES = {
     "lp": LP_TOL,
@@ -123,7 +123,7 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
         raise ValueError("extent is defined here for pure states only")
     c, y, pivots, rounds = solve_extent(dic.states, psi)
     l1 = float(np.sum(np.abs(c)))
-    lower = float(np.real(np.vdot(y, psi))) / float(np.max(np.abs(dic.overlaps(y))))
+    lower = float(np.real(np.vdot(y, psi))) / math.sqrt(dic.best_overlaps(y[:, None])[0][0])
     rec_err = float(np.max(np.abs(dic.states @ c - psi)))
     if l1 - lower > TOLERANCES["bp_gap"] * l1 or rec_err > TOLERANCES["reconstruction"]:
         raise SolverError(
@@ -143,29 +143,6 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
             "reconstruction_error": rec_err,
         },
     )
-
-
-def _pauli_coordinates(V: np.ndarray, n: int) -> np.ndarray:
-    """Tr(|v><v| P) for every column v of V and every Hermitian Pauli P, one
-    row per (x, z), x major.  With P = i^{-|x & z|} Z^z X^x,
-
-        Tr(|v><v| Z^z X^x) = sum_u (-1)^{z.u} v[u ^ x] conj(v[u]),
-
-    one Walsh-Hadamard transform (Hadamard matrix product) per X part x."""
-    dim = 1 << n
-    u = np.arange(dim)
-    bits = (u[:, None] >> np.arange(n)) & 1
-    weight = bits @ bits.T  # |x & z|, and z.u mod 2 by parity
-    hadamard = (-1.0) ** weight
-    phase = np.array([1, -1j, -1, 1j])[weight % 4]  # i^{-|x & z|}
-    out = np.empty((dim, dim, V.shape[1]))
-    for x in range(dim):
-        s = V[u ^ x]
-        s *= V.conj()  # in place: one more (dim, N) temporary raises the peak at n = 4
-        s = hadamard @ s
-        s *= phase[x, :, None]
-        out[x] = s.real
-    return out.reshape(dim * dim, -1)
 
 
 def _entry_coordinates(V: np.ndarray) -> np.ndarray:

@@ -14,8 +14,18 @@ pauli.tableau_to_state builds the same vectors by a second path, the
 product of the generators' projectors, with no elimination.  Dense
 enumeration is cheap at desk scale (n = 4 qubits takes about 0.05 s), so
 dictionaries are rebuilt on demand rather than stored.
+
+Each run of d^n consecutive states (one R and S, every eps_z and every
+character) is the joint eigenbasis of one stabilizer group.  Best
+overlaps go group by group: a target's fidelities over a group are a
+character sum of its Pauli expectations on the group's elements, so
+Parseval bounds their maximum, and exact sums are taken only for the
+groups whose bound reaches the best exact value found.  The group tables
+(element rows and phases, packed in small integers) are built on first
+use from the tableaux.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -27,8 +37,7 @@ from .pauli import PauliOperator, StabilizerTableau
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
 _BLOCK_STATES = 1024  # most states in one _iter_blocks block (one S always fits)
-_OVERLAP_TILE = 1 << 16  # most overlaps in one best_overlaps tile (1 MiB complex)
-_TARGET_CHUNK = 256  # most targets in one best_overlaps tile
+_TILE = 1 << 17  # most entries in one working array of best_overlaps
 
 
 class ResourceLimitError(ValueError):
@@ -164,6 +173,180 @@ def _iter_blocks(n: int, d: int):
                 yield gen_x, np.repeat(gen_z, per_s, 0), gen_t.reshape(-1, n), psi
 
 
+# zeta**t = exp(i pi t / d) for t mod 2d, exact for qubits.  Written out:
+# computing them at import (a complex power) pages in code most runs never use.
+_ISIN = 0.75**0.5 * 1j  # i sin(pi / 3)
+_ZETA = {
+    2: np.array([1, 1j, -1, -1j]),
+    3: np.array([1, 0.5 + _ISIN, -0.5 + _ISIN, -1, -0.5 - _ISIN, 0.5 - _ISIN]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Lookup tables over Z_d^n, each element a little-endian integer in d:
+    the sums a + b, the negations -a, the dot products a.b over the integers
+    (|a & b| for qubits), the characters omega^(a.b) and the phases
+    zeta^(-a.b).  Read-only."""
+    place = d ** np.arange(n)
+    digits = (np.arange(d**n)[:, None] // place) % d
+    weight = digits @ digits.T
+    tables = (
+        ((digits[:, None] + digits) % d) @ place,
+        (-digits % d) @ place,
+        weight,
+        _ZETA[d][2 * weight % (2 * d)],
+        _ZETA[d][-weight % (2 * d)],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _pauli_coordinates(V: np.ndarray, n: int, d: int = 2) -> np.ndarray:
+    """<v|P_xz|v> for every column v of V and every P_xz = zeta^(-x.z) Z^z X^x
+    (x.z over the integers), one row per (x, z), x major.  For qubits P_xz is
+    the Hermitian Pauli and the rows are real; for qutrits they are complex.
+    With omega = zeta^2,
+
+        <v|Z^z X^x|v> = sum_u omega^(z.u) conj(v[u]) v[u - x],
+
+    one Fourier transform (a Hadamard matrix product for qubits) per X part
+    x, as many X parts at a time as keep the temporaries within _TILE / d^n
+    entries: a whole target chunk of best_overlaps at once, a dictionary's
+    rows one X part at a time."""
+    dim = d**n
+    add, neg, _, fourier, phase = _tables(n, d)
+    out = np.empty((dim, dim, V.shape[1]), dtype=float if d == 2 else complex)
+    step = max(1, _TILE // max(1, dim * dim * V.shape[1]))
+    for x in range(0, dim, step):
+        s = V[add[neg[x : x + step]]]
+        s *= V.conj()  # in place: one more temporary raises the peak at n = 4
+        s = fourier @ s
+        s *= phase[x : x + step, :, None]
+        out[x : x + step] = s.real if d == 2 else s
+    return out.reshape(dim * dim, -1)
+
+
+def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element tables of the stabilizer groups whose joint eigenbases are the
+    runs of d^n consecutive columns, as _iter_blocks lays them out.
+
+    Returns read-only (groups, d^n) tables, see ``_run_tables``, in the
+    smallest integer types.  They are allocated first, so that they sit below the
+    build's temporaries in the heap, and built a slice of runs at a time, so
+    that the temporaries stay within _TILE entries.
+    """
+    total, n = gen_t.shape
+    dim = d**n
+    if total % dim:
+        raise ValueError(f"{total} columns are not whole runs of {dim}")
+    elements = np.empty((total // dim, dim), dtype=np.min_scalar_type(dim * dim - 1))
+    phases = np.empty((total // dim, dim), dtype=np.int8)
+    step = max(1, _TILE // (dim * n * n))
+    for r0 in range(0, len(elements), step):
+        cols = slice(r0 * dim, (r0 + step) * dim)
+        run = _run_tables(gen_x[cols], gen_z[cols], gen_t[cols], d)
+        elements[r0 : r0 + step], phases[r0 : r0 + step] = run
+    elements.flags.writeable = phases.flags.writeable = False
+    return elements, phases
+
+
+def _run_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_stabilizer_groups`` of whole runs, in int64.
+
+    A run shares its X and Z generators g_i, taken with the phases of its
+    first column; column j of the run is the state on which g_i takes the
+    eigenvalue omega^-sigma_i, and the digits sigma count j little-endian
+    over the generators in some order, which the run's columns j = d^i fix.
+    The elements P_c = prod_i g_i^c_i, c little-endian over the generators
+    in that order, come by doubling, P_(c + e_i) = P_c g_i, on
+    integer-coded X and Z parts.  Returns each element's row x d^n + z of
+    ``_pauli_coordinates``, and its zeta exponent relative to that row's
+    P_xz.  Raises ValueError when a run does not share its X/Z generators
+    or its columns are not its characters in that order.
+    """
+    total, n = gen_t.shape
+    dim = d**n
+    count = total // dim
+    for gens in (gen_x, gen_z):
+        run = gens.reshape(count, dim * n * n)
+        if np.any(run[:, n * n :] != run[:, : -n * n]):
+            raise ValueError("a run of d^n columns does not share its X/Z generators")
+    # (generator, column, run) arrays below, so that numpy loops run over the runs
+    gen_t = gen_t.reshape(count, dim, n).T.astype(np.int64, order="C")
+    shift = (gen_t - gen_t[:, :1]) % (2 * d)
+    sigma = shift // 2
+    place = d ** np.arange(n)
+    runs = np.arange(count)
+    order = np.argmax(sigma[:, place], axis=0)  # generator order[i] steps at column d^i
+    # sigma counts j in that order iff sum_i sigma_order(i) d^i = j for every j
+    weights = np.zeros((n, count), dtype=np.int64)
+    weights[order, runs] = place[:, None]
+    counts = (sigma * weights[:, None]).sum(axis=0)
+    if np.any(shift % 2) or np.any(counts != np.arange(dim)[:, None]):
+        raise ValueError("a run's columns are not its group's characters in counting order")
+    gx, gz = ((gens[::dim].astype(np.int64) @ place)[runs, order] for gens in (gen_x, gen_z))
+    gt = gen_t[order, 0, runs]
+    add, _, weight = (table.ravel() for table in _tables(n, d)[:3])
+    x, z, t = (np.zeros((dim, count), dtype=np.int64) for _ in range(3))
+    for i in range(n):
+        for a in range(d**i, d ** (i + 1), d**i):
+            old, new = slice(a - d**i, a), slice(a, a + d**i)
+            # zeta^t Z^z X^x zeta^t_i Z^z_i X^x_i = zeta^(t + t_i - 2 x.z_i) Z^(z+z_i) X^(x+x_i)
+            t[new] = t[old] + gt[i] - 2 * weight[x[old] * dim + gz[i]]
+            x[new] = add[x[old] * dim + gx[i]]
+            z[new] = add[z[old] * dim + gz[i]]
+    elements = x * dim + z
+    return elements.T, ((t + weight[elements]) % (2 * d)).T
+
+
+def _best_in_groups(groups, phases, coords, n: int, d: int):
+    """``best_overlaps`` of the targets whose ``_pauli_coordinates`` are the
+    columns of coords, over the groups of ``_stabilizer_groups``."""
+    dim = d**n
+    count, m = len(groups), coords.shape[1]
+    fourier = _tables(n, d)[3]
+
+    def exact(g, t):
+        """All d^n fidelities of the pairs (group g, target t), in column order."""
+        u = _ZETA[d][phases[g]] * coords[groups[g], t[:, None]]
+        return (u @ fourier).real / dim
+
+    if groups.size * dim * m <= _TILE:  # so few sums that bounding them costs more
+        u = _ZETA[d][phases][:, None] * coords[groups].transpose(0, 2, 1)
+        f = (u.reshape(-1, dim) @ fourier).real.reshape(count, m, dim)
+        f = f.transpose(1, 0, 2).reshape(m, count * dim)
+        j = f.argmax(axis=1)
+        return f[np.arange(m), j] / dim, j
+    # d^n max F^2 <= sum_c |u_c|^2, one (groups, targets) gather per element c
+    squares = np.abs(coords)
+    squares *= squares
+    bound = squares[groups[:, 0]]
+    for c in range(1, dim):
+        bound += squares[groups[:, c]]
+    targets = np.arange(m)
+    top = bound.argmax(axis=0)
+    f = exact(top, targets)
+    lower = f.max(axis=1)
+    g, t = np.nonzero(bound >= dim * (lower * (1 - 1e-9)) ** 2)
+    if np.all(g == top[t]):  # no other group can reach the maxima
+        return lower, top * dim + f.argmax(axis=1)
+    best, arg = np.empty(len(g)), np.empty(len(g), dtype=np.int64)
+    step = max(1, _TILE // dim)
+    for s0 in range(0, len(g), step):
+        f = exact(g[s0 : s0 + step], t[s0 : s0 + step])
+        arg[s0 : s0 + step] = f.argmax(axis=1)
+        best[s0 : s0 + step] = f[np.arange(len(f)), arg[s0 : s0 + step]]
+    # per target, the pair of largest maximum, the lowest group on ties;
+    # (g, t) comes sorted, so a pair's position is found by its key
+    bound.fill(-np.inf)
+    bound[g, t] = best
+    top = bound.argmax(axis=0)
+    pair = np.searchsorted(g * m + t, top * m + targets)
+    return bound[top, targets], top * dim + arg[pair]
+
+
 @dataclass
 class StabilizerDictionary:
     """All pure stabilizer states for (n, d): canonical tableaux + dense vectors."""
@@ -177,6 +360,9 @@ class StabilizerDictionary:
     # (rows, labels) of the robustness LP's constraints, built on first use
     # by measures.free_robustness; read-only once set
     _robustness_rows: tuple | None = field(default=None, compare=False, repr=False)
+    # (elements, phases) of _stabilizer_groups, built on first use by
+    # best_overlaps; read-only once set
+    _groups: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -198,44 +384,43 @@ class StabilizerDictionary:
     def state(self, i: int) -> np.ndarray:
         return self.states[:, i]
 
-    def overlaps(self, psi: np.ndarray) -> np.ndarray:
-        """<phi_i|psi> for every dictionary state at once."""
-        if psi.shape[0] != self.states.shape[0]:
-            raise ValueError("state dimension mismatch")
-        return self.states.conj().T @ psi
-
     def best_overlaps(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """max_j |<phi_j|v>|^2 for every column v of V, and the lowest j
         attaining it.
 
-        Never holds the overlap matrix: each tile is one product of at most
-        _TARGET_CHUNK targets (as rows, so the reductions run along
-        contiguous memory) with a block of dictionary states, at most
-        _OVERLAP_TILE overlaps in all.  |z|^2 is re^2 + im^2, squared in
-        place on a float view of the tile, and blocks merge on a strict >,
-        so ties keep the lowest j.
+        Works group by group (see ``_stabilizer_groups``) and never forms the
+        overlap matrix.  For a target v and a group with elements g^c, let
+        u_c = <v|g^c|v>.  The group's d^n states have the fidelities
+
+            F(sigma) = d^-n sum_c omega^(sigma.c) u_c,
+
+        a Walsh-Hadamard transform for qubits and a Z_3^n character sum for
+        qutrits, so Parseval bounds max_sigma F by sqrt(d^-n sum_c |u_c|^2).
+        Every (group, target) pair gets that bound, a sum of gathered
+        squared Pauli expectations.  The exact maximum over each target's
+        group of largest bound is a lower bound L, and only the pairs whose
+        bound reaches L (1 - 1e-9) get their exact fidelities, one
+        character-matrix product; a chunk with at most _TILE entries of
+        sums in all (n <= 3 qubits and n <= 2 qutrits, a few targets) takes
+        every group's sums at once.  Ties keep the lowest j.  Targets go in
+        even chunks of at most _TILE (group, target) pairs, and the group
+        tables are built on first use and kept read-only.  Raises
+        ValueError when the dictionary's columns are not runs of whole
+        groups (see ``_stabilizer_groups``).
         """
         if V.ndim != 2 or V.shape[0] != self.states.shape[0]:
             raise ValueError("state dimension mismatch")
+        if self._groups is None:
+            self._groups = _stabilizer_groups(self.gen_x, self.gen_z, self.gen_t, self.d)
         m = V.shape[1]
-        fidelities = np.full(m, -1.0)
-        indices = np.zeros(m, dtype=np.int64)
-        chunk = max(1, min(m, _TARGET_CHUNK))
-        block = _OVERLAP_TILE // chunk
-        for t0 in range(0, m, chunk):
-            W = V[:, t0 : t0 + chunk].conj().T
-            rows = np.arange(len(W))
-            best = fidelities[t0 : t0 + chunk]
-            arg = indices[t0 : t0 + chunk]
-            for s0 in range(0, self.size, block):
-                sq = (W @ self.states[:, s0 : s0 + block]).view(np.float64)
-                sq *= sq
-                p = sq[:, ::2] + sq[:, 1::2]
-                a = p.argmax(axis=1)
-                v = p[rows, a]
-                up = v > best
-                best[up] = v[up]
-                arg[up] = a[up] + s0
+        fidelities = np.empty(m)
+        indices = np.empty(m, dtype=np.int64)
+        chunks = max(1, -(-m * len(self._groups[0]) // _TILE))
+        step = max(1, -(-m // chunks))  # even chunks of at most _TILE bounds
+        for t0 in range(0, m, step):
+            coords = _pauli_coordinates(V[:, t0 : t0 + step], self.n, self.d)
+            best = _best_in_groups(*self._groups, coords, self.n, self.d)
+            fidelities[t0 : t0 + step], indices[t0 : t0 + step] = best
         return fidelities, indices
 
 

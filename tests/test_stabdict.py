@@ -158,33 +158,139 @@ def test_best_overlaps_match_dense_oracle(fixture, request):
     assert np.array_equal(idx[: len(cols)], cols)
 
 
-def test_best_overlaps_ties_across_blocks(monkeypatch, dict2_3):
-    # tiles of 8 targets x 8 states, over the dictionary written out twice:
-    # every basis state attains |<phi|x>|^2 = 1 exactly at two indices
-    # 1080 apart, in different blocks, and the lower one must win
-    monkeypatch.setattr(stabdict, "_OVERLAP_TILE", 64)
-    monkeypatch.setattr(stabdict, "_TARGET_CHUNK", 8)
-    dic = dict2_3
-    twice = StabilizerDictionary(
-        dic.n,
-        dic.d,
-        np.hstack([dic.states, dic.states]),
-        np.concatenate([dic.gen_x, dic.gen_x]),
-        np.concatenate([dic.gen_z, dic.gen_z]),
-        np.concatenate([dic.gen_t, dic.gen_t]),
-    )
-    basis = np.eye(8, dtype=complex)
-    fid, idx = twice.best_overlaps(basis)
-    dense_fid, dense_idx = _dense_best(twice.states, basis)
-    assert np.array_equal(fid, dense_fid) and np.all(fid == 1.0)
-    assert np.array_equal(idx, dense_idx) and np.all(idx < dic.size)
-    # Haar targets through the same small tiles: the dense maxima, and the
-    # index of a duplicated state is always the first copy
-    haar = haar_state_batch(8, 50, seed=3)
-    fid, idx = twice.best_overlaps(haar)
+@pytest.mark.parametrize("fixture,count", [("dict2_1", 12000), ("dict2_2", 2000), ("dict3_1", 4000)])
+def test_best_overlaps_bounded_on_small_dictionaries(fixture, count, request):
+    # with this many targets the small dictionaries go through the Parseval
+    # bounds too, which are nearly tight there: the dense maxima, attained
+    dic = request.getfixturevalue(fixture)
+    haar = haar_state_batch(dic.d**dic.n, count, seed=count)
+    fid, idx = dic.best_overlaps(haar)
     dense_fid, _ = _dense_best(dic.states, haar)
     assert np.max(np.abs(fid - dense_fid)) < 1e-12
-    assert np.all(idx < dic.size)
+    chosen = np.abs(np.sum(dic.states[:, idx].conj() * haar, axis=0)) ** 2
+    assert np.max(np.abs(chosen - dense_fid)) < 1e-12
+
+
+def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
+    # over the dictionary written out twice, every basis state attains
+    # |<phi|x>|^2 = 1 exactly at two indices dic.size apart, in different
+    # groups, and the lower one must win; (2, 2) takes every group's sums,
+    # (3, 2) bounds them first
+    for dic in (dict2_2, dict2_3):
+        dim = dic.d**dic.n
+        twice = StabilizerDictionary(
+            dic.n,
+            dic.d,
+            np.hstack([dic.states, dic.states]),
+            np.concatenate([dic.gen_x, dic.gen_x]),
+            np.concatenate([dic.gen_z, dic.gen_z]),
+            np.concatenate([dic.gen_t, dic.gen_t]),
+        )
+        basis = np.eye(dim, dtype=complex)
+        fid, idx = twice.best_overlaps(basis)
+        dense_fid, dense_idx = _dense_best(twice.states, basis)
+        assert np.array_equal(fid, dense_fid) and np.all(fid == 1.0)
+        assert np.array_equal(idx, dense_idx) and np.all(idx < dic.size)
+        # Haar targets: the dense maxima, and the index of a duplicated state
+        # is always the first copy
+        haar = haar_state_batch(dim, 50, seed=3)
+        fid, idx = twice.best_overlaps(haar)
+        dense_fid, _ = _dense_best(dic.states, haar)
+        assert np.max(np.abs(fid - dense_fid)) < 1e-12
+        assert np.all(idx < dic.size)
+
+
+def _group_expectations(dic, V):
+    """<v|g|v> for every element g of every run's stabilizer group, (runs,
+    d^n, targets), from PauliOperator products of the run's first tableau:
+    a path independent of stabdict._stabilizer_groups."""
+    dim = dic.d**dic.n
+    out = np.empty((dic.size // dim, dim, V.shape[1]), dtype=complex)
+    identity = PauliOperator(dic.n, dic.d, (0,) * dic.n, (0,) * dic.n, 0)
+    for b in range(len(out)):
+        gens = dic.tableau(b * dim).generators
+        for c, powers in enumerate(itertools.product(range(dic.d), repeat=dic.n)):
+            g = identity
+            for gen, p in zip(gens, powers):
+                for _ in range(p):
+                    g = g * gen
+            out[b, c] = np.sum(V.conj() * g.apply(V), axis=0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4", "dict3_1", "dict3_2"]
+)
+def test_runs_are_stabilizer_group_eigenbases(fixture, request):
+    # the structure best_overlaps relies on: every run of d^n columns is
+    # orthonormal, the fidelities of a target over a run sum to ||v||^2, and
+    # none exceeds the Parseval bound sqrt(d^-n sum_c |<v|g^c|v>|^2) of the
+    # run's group, whose squares they sum to
+    dic = request.getfixturevalue(fixture)
+    dim = dic.d**dic.n
+    runs = dic.states.reshape(dim, -1, dim).transpose(1, 0, 2)
+    gram = np.einsum("rij,rik->rjk", runs.conj(), runs)
+    assert np.max(np.abs(gram - np.eye(dim))) < 1e-12
+    rng = np.random.default_rng(dim)
+    V = haar_state_batch(dim, 6, seed=dim) * rng.uniform(0.5, 2.0, size=6)
+    fid = (np.abs(dic.states.conj().T @ V) ** 2).reshape(-1, dim, V.shape[1])
+    norms = np.sum(np.abs(V) ** 2, axis=0)
+    assert np.max(np.abs(fid.sum(axis=1) - norms)) < 1e-12 * np.max(norms)
+    squares = np.sum(np.abs(_group_expectations(dic, V)) ** 2, axis=1) / dim
+    assert np.all(fid <= np.sqrt(squares)[:, None] + 1e-12)
+    assert np.max(np.abs(np.sum(fid**2, axis=1) - squares)) < 1e-12
+
+
+def test_best_overlaps_rejects_runs_that_are_not_groups(dict2_2):
+    # columns permuted across runs: a run no longer shares its X/Z
+    # generators, and best_overlaps refuses rather than returning a wrong
+    # maximum.  The first columns of two runs with the same phases swap
+    # places, which leaves every run's characters in order; then a random
+    # permutation; then two characters swapped inside a run.
+    dic = dict2_2
+    firsts = [tuple(t) for t in dic.gen_t[::4].tolist()]
+    a = firsts.index(firsts[-1])
+    swap = np.arange(dic.size)
+    swap[[4 * a, dic.size - 4]] = swap[[dic.size - 4, 4 * a]]
+    assert a < len(firsts) - 1 and not np.array_equal(dic.gen_z[4 * a], dic.gen_z[-4])
+    rng = np.random.default_rng(7)
+    for perm in (swap, rng.permutation(dic.size), np.r_[0, 3, 2, 1, 4 : dic.size]):
+        shuffled = StabilizerDictionary(
+            dic.n, dic.d, dic.states[:, perm], dic.gen_x[perm], dic.gen_z[perm], dic.gen_t[perm]
+        )
+        with pytest.raises(ValueError):
+            shuffled.best_overlaps(np.eye(4, dtype=complex))
+    # a run whose generators are relabelled (columns 1 and 2 swapped) is the
+    # same group in another counting order: accepted, with the dense answers
+    perm = np.r_[0, 2, 1, 3 : dic.size]
+    relabelled = StabilizerDictionary(
+        dic.n, dic.d, dic.states[:, perm], dic.gen_x[perm], dic.gen_z[perm], dic.gen_t[perm]
+    )
+    V = np.hstack([np.eye(4, dtype=complex), haar_state_batch(4, 20, seed=2)])
+    fid, idx = relabelled.best_overlaps(V)
+    dense_fid, dense_idx = _dense_best(relabelled.states, V)
+    assert np.max(np.abs(fid - dense_fid)) < 1e-12
+    assert np.array_equal(idx[:4], dense_idx[:4])
+    # the group tables stay on the dictionary, read-only
+    assert not any(table.flags.writeable for table in relabelled._groups)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
+def test_pauli_coordinates_match_dense_operators(n, d):
+    # <v|P_xz|v> with P_xz = zeta^(-x.z) Z^z X^x, row x d^n + z, against the
+    # dense matrices of PauliOperator
+    rng = np.random.default_rng(10 * d + n)
+    dim = d**n
+    V = rng.normal(size=(dim, 5)) + 1j * rng.normal(size=(dim, 5))
+    got = stabdict._pauli_coordinates(V, n, d)
+    assert got.dtype == (float if d == 2 else complex)
+    digits = list(itertools.product(range(d), repeat=n))
+    for row, (x, z) in enumerate(itertools.product(digits, digits)):
+        # itertools.product counts big-endian; indices are little-endian
+        x, z = x[::-1], z[::-1]
+        P = PauliOperator(n, d, x, z, -sum(a * b for a, b in zip(x, z)) % (2 * d)).dense()
+        want = np.einsum("ik,ij,jk->k", V.conj(), P, V)
+        assert np.max(np.abs(got[row] - want)) < 1e-12
 
 
 def test_best_overlaps_rejects_wrong_shape(dict2_2):
