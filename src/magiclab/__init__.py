@@ -71,7 +71,6 @@ from .pauli import (
 from .solvers import (
     LinearProgram,
     SolverError,
-    basis_pursuit_polygon_lp,
     solve_extent,
     solve_lp,
 )
@@ -86,7 +85,6 @@ from .wigner import (
     WignerFunction,
     mana,
     mana_lr_check,
-    phase_point_operator,
     sum_negativity,
     wigner_function,
 )

@@ -68,26 +68,10 @@ class BooleanFunction:
     def weight(self) -> int:
         return self.truth_table.bit_count()
 
-    def evaluate(self, x: int) -> int:
-        value = 0
-        for m in self.monomials:
-            value ^= all((x >> i) & 1 for i in m)
-        return int(value)
-
     def __xor__(self, other: "BooleanFunction") -> "BooleanFunction":
         if self.n != other.n:
             raise ValueError("mismatched variable counts")
         return BooleanFunction(self.n, self.monomials ^ other.monomials)
-
-    def compose_affine(self, A: np.ndarray, b: np.ndarray) -> "BooleanFunction":
-        """f(Ax + b) by permuting (or collapsing) the truth table."""
-        n = self.n
-        x = np.arange(1 << n)
-        x_bits = (x[:, None] >> np.arange(n)) & 1
-        y_bits = (x_bits @ (np.asarray(A) % 2).T + np.asarray(b) % 2) % 2
-        y = y_bits @ (1 << np.arange(n))
-        bits = _table_bits(n, self.truth_table)[y]
-        return from_truth_table(n, _pack_bits(bits))
 
 
 def from_truth_table(n: int, table: int) -> BooleanFunction:
@@ -153,10 +137,6 @@ def truth_table_hex(f: BooleanFunction) -> str:
     """Hex dump of the packed table (2^n bits, LSB-first byte order)."""
     nbytes = max(1, (1 << f.n) + 7 >> 3)
     return f.truth_table.to_bytes(nbytes, "little").hex()
-
-
-def from_truth_table_hex(n: int, dump: str) -> BooleanFunction:
-    return from_truth_table(n, int.from_bytes(bytes.fromhex(dump), "little"))
 
 
 def _table_bits(n: int, table: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .boolfn import (
     welch_function,
 )
 from .haar import ExperimentConfig, dmin_distribution, experiment_csv, overlap_cdf_pvalue
-from .lattice import build_lattice_state, lattice_bound, make_lattice
+from .lattice import lattice_bound, make_lattice
 from .measures import dmin as dmin_measure
 from .measures import magic_report
 from .mbqc import MeasurementLayout, outcome_distribution, pbound_check
@@ -98,8 +98,8 @@ def cmd_chi(args) -> int:
 
 def cmd_lattice(args) -> int:
     L = make_lattice(args.kind, args.rows, args.cols, args.boundary)
-    f = build_lattice_state(L, args.phase)
     deco, bound = lattice_bound(L, args.phase)
+    f = deco.f
     payload = {
         "kind": L.kind,
         "rows": L.rows,

@@ -396,30 +396,3 @@ def _next_working_set(Dh, idx, phases, sol):
     phases = np.concatenate([phases[keep], np.exp(1j * np.angle(corr[new]))])
     return idx, phases, np.cumsum(keep)[sol.basis] - 1
 
-
-def basis_pursuit_polygon_lp(
-    D: np.ndarray, t: np.ndarray, sides: int = 16
-) -> tuple[float, np.ndarray]:
-    """Polyhedral cross-check for the complex l1 minimum.
-
-    Each complex coefficient is written as a combination of ``sides`` unit
-    phasors with nonnegative weights, giving a real LP whose value lies
-    within a factor 1/cos(pi/sides) above the true minimum (0.5% for a
-    16-gon).  The phasor e^{2 pi i k/sides} with k >= sides/2 is the
-    negative of the one at k - sides/2, so the LP is free over the first
-    sides/2 phases alone, and ``sides`` must be even.  It is solved cold.
-    """
-    if sides % 2:
-        raise ValueError(f"the polygon needs an even number of sides, got {sides}")
-    D = np.asarray(D, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    N = D.shape[1]
-    half = sides // 2
-    phases = np.exp(2j * np.pi * np.arange(half) / sides)
-    A = _phase_columns(D, np.repeat(np.arange(N), half), np.tile(phases, N))
-    b = np.concatenate([t.real, t.imag])
-    sol = solve_lp(LinearProgram(np.ones(N * half), A, b, free=True))
-    if sol.status != "optimal":
-        raise SolverError(f"polygon LP ended {sol.status}")
-    coeffs = sol.x.reshape(N, half) @ phases
-    return float(sol.objective), coeffs

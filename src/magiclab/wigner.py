@@ -4,41 +4,34 @@ Phase space is (Z_3 x Z_3)^n.  A point is a tuple (a1_1, a2_1, ..., a1_n,
 a2_n) of Z and X exponents per site; its flat index is
 sum_s (a1_s + 3 a2_s) * 9^s (site 1 least significant).
 
-The point operators derive from the displacement operators T_u with the
-half-power phase convention (inverse of 2 mod 3): A_0 averages all T_u and
-A_u = T_u A_0 T_u^{-1}.  The map rho -> W_rho(u) = Tr(A_u rho) / 3^n is a
-bijection onto normalized real functions, pure stabilizer states are exactly
-the pure states with non-negative W, negative mass lower-bounds the free
-robustness, and mana log2(2N + 1) sits below LR + 1.
+W is the symplectic Fourier transform of the Weyl expectations
+c[x, z] = Tr(rho P_xz), P_xz = zeta^(-x.z) Z^z X^x as in
+``stabdict._pauli_coordinates``:
+
+    W(a1, a2) = 9^-n sum_{x,z} omega^(a1.x - a2.z) (-1)^(x.z) c[x, z],
+
+with x.z over the integers and a1, a2, x, z read as little-endian integers
+in base 3.  That is two 3^n x 3^n products with the character table, after
+which W(a1, a2) goes to flat index spread(a1) + 3 spread(a2), where
+spread(a) reads a's base-3 digits in base 9.  It equals Tr(A_u rho) / 3^n for the point operators of
+the displacement operators T_u with the half-power phase convention
+(inverse of 2 mod 3): A_0 averages all T_u and A_u = T_u A_0 T_u^{-1}.  The
+map is a bijection onto normalized real functions, pure stabilizer states
+are exactly the pure states with non-negative W, negative mass
+lower-bounds the free robustness, and mana log2(2N + 1) sits below LR + 1.
+Up to n = 4 qutrits (6,561 values) are supported.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
 from .measures import TOLERANCES, free_robustness
-from .pauli import weyl_operator
-from .stabdict import StabilizerDictionary
+from .stabdict import StabilizerDictionary, _pauli_coordinates, _tables
 
 D = 3
-
-
-@lru_cache(maxsize=None)
-def _single_site_points() -> dict[tuple[int, int], np.ndarray]:
-    a0 = np.zeros((3, 3), dtype=complex)
-    for a1 in range(3):
-        for a2 in range(3):
-            a0 += weyl_operator(1, (a1,), (a2,)).dense()
-    a0 /= 3.0
-    points = {}
-    for a1 in range(3):
-        for a2 in range(3):
-            T = weyl_operator(1, (a1,), (a2,)).dense()
-            points[(a1, a2)] = T @ a0 @ T.conj().T
-    return points
 
 
 def phase_space_points(n: int):
@@ -53,29 +46,6 @@ def point_index(u: tuple[int, ...]) -> int:
     return sum((u[2 * s] + 3 * u[2 * s + 1]) * 9**s for s in range(n))
 
 
-def phase_point_operator(u: tuple[int, ...], n: int) -> np.ndarray:
-    """Hermitian, trace-one A_u as a tensor product of single-site operators."""
-    if len(u) != 2 * n:
-        raise ValueError("point must supply (a1, a2) for every site")
-    if any(not 0 <= v < 3 for v in u):
-        raise ValueError("point components must lie in Z_3")
-    if n > 3:
-        raise ValueError("dense point operators are limited to n <= 3")
-    singles = _single_site_points()
-    sites = [singles[(u[2 * s], u[2 * s + 1])] for s in range(n)]
-    # site 1 is the least significant index digit, so it sits rightmost in kron
-    return reduce(lambda acc, s: np.kron(s, acc), sites)
-
-
-@lru_cache(maxsize=None)
-def _point_stack(n: int) -> np.ndarray:
-    """Every A_u in flat-index order, shape (9^n, 3^n, 3^n); read-only.
-    Built on first use, as n = 3 takes 8.5 MB (n = 4 is refused)."""
-    stack = np.array([phase_point_operator(u, n) for u in phase_space_points(n)])
-    stack.flags.writeable = False
-    return stack
-
-
 @dataclass
 class WignerFunction:
     n: int
@@ -88,16 +58,28 @@ class WignerFunction:
 
 
 def wigner_function(rho: np.ndarray) -> WignerFunction:
+    """W of a state vector or a Hermitian density matrix, by the transform in
+    the module docstring.  A matrix's Weyl expectations are those of its
+    eigenvectors weighted by its eigenvalues; a vector is its own single
+    eigenvector."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        rho = np.outer(rho, rho.conj())
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+    if rho.ndim == 2 and not np.allclose(rho, rho.conj().T, atol=1e-10):
         raise ValueError("input must be Hermitian")
     dim = rho.shape[0]
     n = round(math.log(dim, D))
     if D**n != dim:
         raise ValueError("dimension is not a power of 3")
-    values = np.einsum("kij,ji->k", _point_stack(n), rho) / D**n  # Tr(A_u rho) / 3^n
+    if n > 4:
+        raise ValueError(f"the Wigner function is limited to n <= 4 qutrits, got {n}")
+    vals, vecs = (np.ones(1), rho[:, None]) if rho.ndim == 1 else np.linalg.eigh(rho)
+    _, _, dot, char, _ = _tables(n, D)
+    c = (_pauli_coordinates(vecs, n, D) @ vals).reshape(dim, dim)  # c[x, z]
+    c[dot % 2 == 1] *= -1
+    w = char @ c @ char.conj() / D ** (2 * n)  # w[a1, a2]
+    digits = (np.arange(dim)[:, None] // D ** np.arange(n)) % D
+    spread = digits @ (D * D) ** np.arange(n)  # a's base-3 digits read in base 9
+    values = np.empty(dim * dim, dtype=complex)
+    values[spread[:, None] + D * spread] = w
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("Wigner value acquired an imaginary part")
     return WignerFunction(n, values.real.copy())

@@ -1,9 +1,12 @@
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
 
 from magiclab.binlin import IRREDUCIBLE_POLY
 from magiclab.boolfn import BooleanFunction, hypergraph_state, parse_anf, quadratic_basis
 from magiclab.measures import golden_state
+from magiclab.pauli import weyl_operator
 from magiclab.stabdict import enumerate_stabilizer_states
 
 
@@ -83,6 +86,29 @@ def quadratic_states(n: int):
         for bits in range(1 << len(basis))
     ]
     return functions, np.column_stack([hypergraph_state(f) for f in functions])
+
+
+# --- dense phase-point operators: the oracle for the qutrit Wigner function --
+
+@lru_cache(maxsize=None)
+def _single_site_points() -> dict[tuple[int, int], np.ndarray]:
+    a0 = sum(weyl_operator(1, (a1,), (a2,)).dense() for a1 in range(3) for a2 in range(3)) / 3
+    points = {}
+    for a1 in range(3):
+        for a2 in range(3):
+            T = weyl_operator(1, (a1,), (a2,)).dense()
+            points[(a1, a2)] = T @ a0 @ T.conj().T
+    return points
+
+
+def phase_point_operator(u: tuple[int, ...], n: int) -> np.ndarray:
+    """Hermitian, trace-one A_u as a tensor product of single-site operators:
+    A_0 averages the displacements T_u and A_u = T_u A_0 T_u^{-1}."""
+    assert len(u) == 2 * n, "a point supplies (a1, a2) for every site"
+    singles = _single_site_points()
+    sites = [singles[(u[2 * s], u[2 * s + 1])] for s in range(n)]
+    # site 1 is the least significant index digit, so it sits rightmost in kron
+    return reduce(lambda acc, s: np.kron(s, acc), sites)
 
 
 # --- scalar GF(2^m) arithmetic: the oracle for the library's log tables ------

@@ -33,14 +33,13 @@ from magiclab.mbqc import (
 from magiclab.stabdict import count_stabilizer_states, enumerate_stabilizer_states
 from magiclab.wigner import (
     mana_lr_check,
-    phase_point_operator,
     phase_space_points,
     point_index,
     sum_negativity,
     wigner_function,
 )
 
-from conftest import random_state
+from conftest import phase_point_operator, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
 CHAIN_TOL = 1e-5

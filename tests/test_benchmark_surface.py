@@ -3,7 +3,10 @@
 ``perfbench/workloads.py`` calls the package through attribute chains on the
 imported module (``self.ml.measures.magic_report``) and through local
 aliases of it (``ml = self.ml``, ``bf = self.ml.boolfn``).  A deletion that
-would make benchmark operations fail then fails these tests first.
+would make benchmark operations fail then fails these tests first.  The
+tracer in ``perfbench/tracing.py`` wraps the functions in its ``TARGETS``
+and reports a missing one only as an empty per-layer row, so the set of
+missing targets is pinned here too.
 """
 
 import ast
@@ -13,7 +16,8 @@ import magiclab
 from magiclab.cli import build_parser
 from magiclab.stabdict import StabilizerDictionary
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _package_path(node, aliases):
@@ -81,3 +85,28 @@ def test_dictionary_tableau_and_cli_cache_dir_remain():
     assert callable(StabilizerDictionary.tableau)
     args = build_parser().parse_args(["--cache-dir", "cache", "enum", "--n", "1", "--d", "2"])
     assert args.cache_dir == "cache"
+
+
+def test_traced_targets_missing_from_the_package_are_the_known_ones():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert ("wigner", "wigner_function") in pairs  # the parse sees the list
+    missing = {func for module, func in pairs if not hasattr(getattr(magiclab, module), func)}
+    # these went with earlier deletions; a deletion that adds a name here
+    # would silently empty a per-layer benchmark row
+    assert missing == {
+        "solve_basis_pursuit",
+        "get_dictionary",
+        "load_dictionary",
+        "gfp_solve",
+        "gfp_rank",
+        "field_element",
+        "field_pow",
+        "field_trace",
+    }

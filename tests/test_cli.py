@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from magiclab import cli
+from magiclab import cli, lattice
 from magiclab.cli import dump_state_file, load_state_file, main
 from magiclab.measures import golden_state
 
@@ -92,6 +92,21 @@ def test_lattice_command(capsys, tmp_path):
     assert payload["vertex_map"]["0"] == ["g", 0, 0]
 
 
+def test_lattice_command_builds_the_state_once(capsys, monkeypatch):
+    calls = []
+    original = lattice.build_lattice_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "build_lattice_state", counted)
+    monkeypatch.setattr(cli, "build_lattice_state", counted, raising=False)
+    code, payload = run_cli(capsys, "lattice", "--kind", "union-jack", "--rows", "4", "--cols", "4")
+    assert code == 0 and payload["n"] == 32
+    assert len(calls) == 1
+
+
 def test_lattice_command_chi_bounds_exact_past_float_range(capsys):
     # n = 1152: 2^(n-1) is beyond float, so the chi bounds are exact strings
     code, payload = run_cli(
@@ -173,6 +188,17 @@ def test_wigner_command(capsys, tmp_path):
     assert payload["negativity"] > 0.3
     assert payload["mana_lr_check"]["pass"]
     assert csv_path.read_text().startswith("index,a1_1,a2_1,value")
+
+
+def test_wigner_command_on_four_qutrits(capsys, tmp_path):
+    path = tmp_path / "strange4.json"
+    strange = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
+    dump_state_file(str(path), 4, 3, np.kron(np.kron(strange, strange), np.kron(strange, strange)))
+    code, payload = run_cli(capsys, "wigner", "--state", str(path), "--check")
+    assert code == 0
+    # mana is additive on products; --check runs only up to two qutrits
+    assert abs(payload["mana"] - 4 * math.log2(5 / 3)) < 1e-12
+    assert "mana_lr_check" not in payload
 
 
 def test_mbqc_command(capsys, tmp_path):

@@ -5,7 +5,6 @@ from magiclab import solvers
 from magiclab.solvers import (
     LinearProgram,
     SolverError,
-    basis_pursuit_polygon_lp,
     crash_basis,
     solve_extent,
     solve_lp,
@@ -300,6 +299,32 @@ def test_extent_next_working_set():
     sol = solve_lp(LinearProgram(np.ones(idx.size), A, b, free=True), basis=basis)
     assert sol.status == "optimal"
     assert abs(sol.objective - (0.25 / 3 + 1e-8)) < 1e-12
+
+
+def basis_pursuit_polygon_lp(D, t, sides=16):
+    """Polyhedral cross-check for the complex l1 minimum.
+
+    Each complex coefficient is written as a combination of ``sides`` unit
+    phasors with nonnegative weights, giving a real LP whose value lies
+    within a factor 1/cos(pi/sides) above the true minimum (0.5% for a
+    16-gon).  The phasor e^{2 pi i k/sides} with k >= sides/2 is the
+    negative of the one at k - sides/2, so the LP is free over the first
+    sides/2 phases alone, and ``sides`` must be even.  It is solved cold.
+    Returns (value, coefficients).
+    """
+    if sides % 2:
+        raise ValueError(f"the polygon needs an even number of sides, got {sides}")
+    D = np.asarray(D, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    N = D.shape[1]
+    half = sides // 2
+    phases = np.exp(2j * np.pi * np.arange(half) / sides)
+    A = solvers._phase_columns(D, np.repeat(np.arange(N), half), np.tile(phases, N))
+    b = np.concatenate([t.real, t.imag])
+    sol = solve_lp(LinearProgram(np.ones(N * half), A, b, free=True))
+    if sol.status != "optimal":
+        raise SolverError(f"polygon LP ended {sol.status}")
+    return float(sol.objective), sol.x.reshape(N, half) @ phases
 
 
 def _extent_bracket(D, t):

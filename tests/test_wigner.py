@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import magiclab
 from magiclab.measures import TOLERANCES, free_robustness
 from magiclab.pauli import weyl_operator
 from magiclab.wigner import (
     mana,
     mana_lr_check,
-    phase_point_operator,
     phase_space_points,
     point_index,
     sum_negativity,
@@ -14,7 +19,7 @@ from magiclab.wigner import (
     wigner_function,
 )
 
-from conftest import random_state
+from conftest import phase_point_operator, random_state
 
 
 def test_point_operators_single_qutrit():
@@ -81,9 +86,41 @@ def test_wigner_matches_the_per_point_traces(n):
             assert abs(W.values[point_index(u)] - ref) < 1e-14
 
 
-def test_wigner_refuses_four_qutrits():
-    with pytest.raises(ValueError, match="n <= 3"):
-        wigner_function(np.eye(81, dtype=complex) / 81)
+def test_wigner_of_a_four_qutrit_product_is_the_product():
+    rng = np.random.default_rng(24)
+    a, b = random_state(9, rng), random_state(9, rng)
+    W_a, W_b = wigner_function(a).values, wigner_function(b).values
+    # a on sites 1, 2 and b on sites 3, 4: site 1 sits rightmost in kron
+    W = wigner_function(np.kron(b, a)).values
+    assert np.max(np.abs(W - np.outer(W_b, W_a).ravel())) < 1e-14
+    assert abs(np.sum(W) - 1) < 1e-14
+    assert abs(3**4 * np.sum(W**2) - 1) < 1e-14  # purity Tr rho^2 = 3^n sum W^2
+
+
+def test_first_three_qutrit_wigner_stays_small():
+    # a fresh interpreter, so no earlier call has built anything; dense point
+    # operators for n = 3 would take 729 * 27 * 27 complex values, 8.5 MB
+    paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from magiclab.wigner import wigner_function\n"
+        "psi = np.random.default_rng(3).normal(size=27) + 0j\n"
+        "psi /= np.linalg.norm(psi)\n"
+        "tracemalloc.start()\n"
+        "wigner_function(psi)\n"
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 1 << 20
+
+
+def test_wigner_refuses_five_qutrits():
+    with pytest.raises(ValueError, match="n <= 4"):
+        wigner_function(np.eye(243, dtype=complex) / 243)
 
 
 def test_wigner_rejects_non_hermitian():
