@@ -69,7 +69,6 @@ from .pauli import (
     weyl_operator,
 )
 from .solvers import (
-    LinearProgram,
     SolverError,
     solve_extent,
     solve_lp,

@@ -33,7 +33,6 @@ from .pauli import hermitian_pauli, pauli_to_string
 from .solvers import (
     BP_GAP_TOL,
     LP_TOL,
-    LinearProgram,
     SolverError,
     crash_basis,
     solve_extent,
@@ -204,11 +203,13 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     defines a witness operator A (returned in the constraint basis) with
     |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1; a
     witness above 1 + the ``lp`` tolerance anywhere on the dictionary raises
-    ``SolverError``.  The LP is free in sign, so each column enters the
-    simplex once, as a_j or -a_j, and the solver reports the signed c.  It
-    starts at a crash basis taken in descending |a_j . b|, the overlap of
-    each state's constraint column with rho's (2^n Tr(phi_j rho) for
-    qubits), whose columns with a negative value the solver turns itself.
+    ``SolverError``.  This is ``solve_lp``'s one LP form, min ||c||_1 over
+    coefficients free in sign, so each column enters the simplex once, as
+    a_j or -a_j, and the solver reports the signed c; it raises instead of
+    returning a status.  It starts at a crash basis taken in descending
+    |a_j . b|, the overlap of each state's constraint column with rho's
+    (2^n Tr(phi_j rho) for qubits), whose columns with a negative value the
+    solver turns itself.
     The state is checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic)
@@ -217,13 +218,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     A, labels = _robustness_rows(dic)
     vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
     b = _coordinates(vecs, dic.n, dic.d) @ vals
-    prog = LinearProgram(np.ones(A.shape[1]), A, b, free=True)
     start = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
-    sol = solve_lp(prog, basis=start)
-    if sol.status != "optimal":
-        raise SolverError(f"robustness LP ended with status {sol.status}")
+    sol = solve_lp(A, b, basis=start)
     coeffs = sol.x
-    l1 = float(sol.objective)
+    l1 = sol.objective
     r = max((l1 - 1.0) / 2.0, 0.0)
     keep = np.nonzero(np.abs(coeffs) > 1e-12)[0]
     support = [(int(j), float(coeffs[j])) for j in keep]

@@ -1,39 +1,39 @@
-"""In-house convex solver: a revised primal simplex, and the stabilizer
-extent by phase column generation on the same simplex.
+"""In-house convex solver: one LP, min ||x||_1 over free columns, on a
+revised simplex, and the stabilizer extent by phase column generation on it.
 
-The LP path is a revised simplex on standard form
+``solve_lp`` solves
 
-    min c.x  s.t.  A x = b,  x >= 0,
+    min sum_j |x_j|  s.t.  A x = b,  every x_j free in sign,
 
-or on a free LP, min sum_j c_j |x_j| s.t. A x = b with c >= 0 and every x_j
-free in sign, with the dual vector extracted from the final basis.  A free
-LP is the nonnegative LP over [A, -A] without building -A: column j prices
-at c_j - |y.a_j| and enters as s a_j with s = sign(y.a_j) (+1 on a tie, as
-+a_j comes first in [A, -A]), and the solver keeps that +-1 for each basic
-position, so B is A[:, basis] times the signs and the basic values are
-|x_B|.  The basis lives in one array T = [B^{-1} | x_B], which a pivot
-updates with a single rank-1 update; every column is priced with one product
-(c_B B^{-1}) A.  A caller may pass a starting basis B0 with B0^{-1} b >= 0;
-a free LP turns each column with a negative value itself, so any
-nonsingular B0 will do, and ``crash_basis`` picks such a start among the
-columns the caller expects in the optimum.  Phase 1 runs only for cold
-starts, from the artificial basis (B0 = diag(sign b)), whose artificials are
-nonnegative in a free LP too.  A must have full row rank: there is no
-presolve, and a cold start whose phase 1 cannot pivot an artificial out of
-the basis raises ``ValueError``.  Entering columns are picked by largest
-violation; the leaving row uses the lexicographic rule on the rows of
-B^{-1} B0, which keeps the heavily degenerate dictionary LPs from cycling
+the form of both convex measures: the robustness pseudomixture and every
+round of the extent.  It is the nonnegative LP over [A, -A] at unit cost
+without building -A: column j prices at 1 - |y.a_j| and enters as s a_j with
+s = sign(y.a_j) (+1 on a tie, as +a_j comes first in [A, -A]), and the
+solver keeps that +-1 for each basic position, so B is A[:, basis] times the
+signs and the basic values are |x_B|.  The basis lives in one array
+T = [B^{-1} | x_B], which a pivot updates with a single rank-1 update; every
+column is priced with one product (c_B B^{-1}) A.  A caller may pass any
+nonsingular starting basis B0, whose columns with a negative value the
+solver turns, and ``crash_basis`` picks such a start among the columns the
+caller expects in the optimum.  Phase 1 runs only for cold starts, from the
+artificial basis (B0 = diag(sign b)), whose artificials stay nonnegative.
+A must have full row rank: there is no presolve, and a cold start whose
+phase 1 cannot pivot an artificial out of the basis, or cannot drive the
+artificials to zero, raises ``ValueError``.  There are no statuses: an l1 LP
+is bounded below by 0, so a ratio test that finds no leaving row is
+round-off and raises ``SolverError``.  Entering columns are picked by
+largest violation; the leaving row uses the lexicographic rule on the rows
+of B^{-1} B0, which keeps the heavily degenerate dictionary LPs from cycling
 from any start, and no pivot element below _PIVOT_TOL is accepted.  Ties in
 the ratio and in each lexicographic column are decided within the same
 relative 1e-10, so entries equal in exact arithmetic are not ranked by
 round-off.  The final basis is re-solved against the original data so
 B^{-1} round-off never reaches the reported solution, and the re-solved
-pair must pass A x = b, x_B >= 0 on the signed columns and c - A^T y >= 0
-(c - |A^T y| >= 0 when free): since c.x = b.y holds for any basis, these
-are what certify optimality.
+pair must pass A x = b, x_B >= 0 on the signed columns and |A^T y| <= 1:
+since ||x||_1 = b.y holds for any basis, these are what certify optimality.
 
-The extent's complex l1 minimum subject to D c = t is a free real LP over
-the weights of phase-rotated dictionary columns, so a weight's sign is the
+The extent's complex l1 minimum subject to D c = t is a real l1 LP over the
+weights of phase-rotated dictionary columns, so a weight's sign is the
 simplex's to choose, as in the robustness LP.  Column generation starts from
 the crash basis over the phases 1 and i alone; every round solves warm from
 the last basis, keeps the states of its basis and adds the exact phase for
@@ -58,35 +58,13 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class LinearProgram:
-    """min objective.x subject to A x = b, x >= 0; or, when ``free``, every
-    x_j free in sign at cost objective_j |x_j|, which needs objective >= 0."""
-
-    objective: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    free: bool = False
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        m, ncols = self.A.shape
-        if self.objective.shape != (ncols,) or self.b.shape != (m,):
-            raise ValueError("inconsistent LP dimensions")
-        if self.free and self.objective.min(initial=0.0) < 0:
-            raise ValueError("a free LP needs a nonnegative objective")
-
-
-@dataclass
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded
-    x: np.ndarray | None = None
-    dual: np.ndarray | None = None
-    objective: float | None = None
-    iterations: int = 0
-    gap: float | None = None
-    basis: np.ndarray | None = None  # final basic columns, one per row
+    x: np.ndarray  # signed
+    dual: np.ndarray
+    objective: float  # ||x||_1
+    iterations: int
+    gap: float
+    basis: np.ndarray  # final basic columns, one per row
 
 
 def _pivot(T, basis, d, leave, enter):
@@ -115,21 +93,24 @@ def _lex_least(rows, lex):
     return rows[keep]
 
 
-def _revised_simplex(cols, cost, basis, T, B0, sign, free=0):
-    """Revised simplex with the lexicographic anti-cycling ratio test.
+def _revised_simplex(cols, cost, basis, T, B0, sign, free):
+    """Revised simplex with the lexicographic anti-cycling ratio test;
+    returns the number of pivots.
 
     ``T`` = [B^{-1} | x_B] (one row per basic position, B^{-1} with one
     column per original row, x_B last) and the column sign ``sign`` of each
     basic position are updated in place.  The first ``free`` columns are free
     in sign: column j prices at cost_j - |y.a_j|, the lesser of its two sides
-    cost_j -+ y.a_j, and enters as s a_j.  An exact tie for the least
-    reduced cost goes to the first column of [A, -A, the columns past
-    ``free``], as np.argmin over those split columns would.  Ties in the ratio
-    are ranked by the rows of B^{-1} B0, where B0 is the starting basis
-    matrix: they start as the identity, which makes the lexicographic order
-    well posed from any feasible start.  Each tie, in the ratio and then
-    column by column of B^{-1} B0 / d, keeps the rows within a relative
-    1e-10 of the least value, and the lowest basic position left leaves.
+    cost_j -+ y.a_j, and enters as s a_j; the columns past ``free`` are
+    nonnegative.  An exact tie for the least reduced cost goes to the first
+    column of [A, -A, the columns past ``free``], as np.argmin over those
+    split columns would.  Ties in the ratio are ranked by the rows of
+    B^{-1} B0, where B0 is the starting basis matrix: they start as the
+    identity, which makes the lexicographic order well posed from any
+    feasible start.  Each tie, in the ratio and then column by column of
+    B^{-1} B0 / d, keeps the rows within a relative 1e-10 of the least
+    value, and the lowest basic position left leaves.  A column that no row
+    bounds raises ``SolverError``.
     """
     m = basis.size
     Binv, xb = T[:, :m], T[:, m]  # views: every pivot updates both at once
@@ -144,13 +125,13 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free=0):
             if twin[k] < least or (twin[k] == least and enter >= free):
                 enter, least, s = k, twin[k], -1.0
         if least >= -LP_TOL:
-            return "optimal", it
+            return it
         d = Binv @ cols[:, enter]
         if s < 0:
             d = -d
         candidates = (d > _PIVOT_TOL).nonzero()[0]
         if candidates.size == 0:
-            return "unbounded", it
+            raise SolverError(f"unbounded: no row bounds entering column {enter}")
         ratios = xb[candidates] / d[candidates]
         best = float(ratios.min())
         tied = candidates[ratios <= best + 1e-10 * (1.0 + abs(best))]
@@ -163,104 +144,79 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free=0):
     raise SolverError(f"simplex did not converge within {_MAX_PIVOTS} iterations")
 
 
-def solve_lp(prog: LinearProgram, basis=None) -> LPSolution:
-    """Revised simplex with dual extraction, from a cold or a warm start.
+def solve_lp(A, b, basis=None) -> LPSolution:
+    """min ||x||_1 subject to A x = b over free x, with dual extraction,
+    from a cold or a warm start.
 
     Cold (``basis`` None): phase 1 from the artificial basis.  A must have
     full row rank: an artificial that phase 1 cannot pivot out of the basis
-    marks a redundant row, and raises ``ValueError``.  Warm: ``basis`` names
-    m columns whose matrix B0 is nonsingular with B0^{-1} b >= 0 (a
-    ``ValueError`` otherwise), and phase 2 starts there.  A free LP takes any
-    nonsingular ``basis`` and turns each column with a negative value.
+    marks a redundant row, and b outside the span of A leaves artificials
+    positive; both raise ``ValueError``.  Warm: ``basis`` names m columns
+    whose matrix B0 is nonsingular (a ``ValueError`` otherwise), and phase 2
+    starts there after turning each column with a negative value.
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}, and is then checked:
-    A x = b, x_B >= 0 on the signed columns and c - A^T y >= 0 (c - |A^T y|
-    when free), each within a tolerance above ``LP_TOL``.  A basis that fails
-    raises ``SolverError``.  A free LP reports the signed x and its objective
-    c.|x|.
+    A x = b, x_B >= 0 on the signed columns and |A^T y| <= 1, each within a
+    tolerance above ``LP_TOL``.  A basis that fails raises ``SolverError``.
     """
-    A, b, c = prog.A, prog.b, prog.objective
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     m, ncols = A.shape
+    c = np.ones(ncols)
 
     if basis is None:
         # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
         B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, T, sign, it1 = _phase_one(A, b, B0, prog.free)
-        if basis is None:
-            return LPSolution(status="infeasible", iterations=it1)
+        basis, T, sign, it1 = _phase_one(A, b, B0)
     else:
         basis = np.array(basis, dtype=np.intp)
         if basis.shape != (m,):
             raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
-        B0 = A[:, basis]
-        sign = np.ones(m)
         try:
-            xb = np.linalg.solve(B0, b)  # as the final re-solve computes x
-            if prog.free:  # turn each column with a negative value
-                sign[xb < 0] = -1.0
-                B0 = B0 * sign
-                xb = np.abs(xb)
+            xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
+            sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
+            B0 = A[:, basis] * sign
             Binv = np.linalg.inv(B0)
         except np.linalg.LinAlgError:
             raise ValueError("start basis is singular") from None
-        if xb.min(initial=0.0) < -LP_TOL:
-            raise ValueError(f"start basis is not primal feasible: min x_B = {xb.min():.2e}")
-        T = np.column_stack([Binv, np.maximum(xb, 0.0)])
+        T = np.column_stack([Binv, np.abs(xb)])
         it1 = 0
 
-    status, it2 = _revised_simplex(A, c, basis, T, B0, sign, ncols if prog.free else 0)
-    if status == "unbounded":
-        return LPSolution(status="unbounded", iterations=it1 + it2)
+    it2 = _revised_simplex(A, c, basis, T, B0, sign, ncols)
 
     # re-solve the final basis against the data, which the iterations never
-    # modify, and check it: c.x = b.y holds for any basis, so optimality is
-    # x_B >= 0 on the signed columns and the reduced costs are >= 0
+    # modify, and check it: ||x||_1 = b.y holds for any basis, so optimality
+    # is x_B >= 0 on the signed columns and |A^T y| <= 1
     B = A[:, basis] * sign
     xb = np.linalg.solve(B, b)
     x = np.zeros(ncols)
     x[basis] = sign * xb
     y = np.linalg.solve(B.T, c[basis])
-    obj = float(c @ (np.abs(x) if prog.free else x))
-    gap = abs(obj - float(b @ y))
+    obj = float(c @ np.abs(x))
     feas = float(np.max(np.abs(A @ x - b), initial=0.0))
     x_min = float(xb.min(initial=0.0))
-    priced = y @ A
-    reduced_min = float((c - (np.abs(priced) if prog.free else priced)).min(initial=0.0))
-    dual_tol = 10 * LP_TOL * max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -dual_tol:
+    reduced_min = float((c - np.abs(y @ A)).min(initial=0.0))
+    if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -10 * LP_TOL:
         raise SolverError(
             f"simplex accuracy check failed: feas={feas:.2e} "
             f"min x={x_min:.2e} min reduced cost={reduced_min:.2e}"
         )
-    return LPSolution(
-        status="optimal",
-        x=x,
-        dual=y,
-        objective=obj,
-        iterations=it1 + it2,
-        gap=gap,
-        basis=basis,
-    )
+    return LPSolution(x, y, obj, it1 + it2, abs(obj - float(b @ y)), basis)
 
 
-def _phase_one(A, b, B0, free):
+def _phase_one(A, b, B0):
     """Phase 1 from the artificial basis B0, a diagonal of signs with
-    B0 b >= 0; the columns of A are free in sign when ``free``, the
-    artificials never.  Returns (basis, T, sign, pivots) with T = [B^{-1} |
-    x_B], and basis None when the LP is infeasible."""
+    B0 b >= 0; the columns of A are free in sign, the artificials
+    nonnegative.  Returns (basis, T, sign, pivots) with T = [B^{-1} | x_B]."""
     m, ncols = A.shape
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     basis = np.arange(ncols, ncols + m)
     T = np.column_stack([B0, B0 @ b])
     sign = np.ones(m)
-    status, it1 = _revised_simplex(
-        np.hstack([A, B0]), c1, basis, T, B0, sign, ncols if free else 0
-    )
-    if status != "optimal":
-        raise SolverError(f"phase 1 ended {status}")
+    it1 = _revised_simplex(np.hstack([A, B0]), c1, basis, T, B0, sign, ncols)
     if float(c1[basis] @ T[:, m]) > 1e-7:
-        return None, None, None, it1
+        raise ValueError("b is outside the span of A, which does not have full row rank")
 
     # pivot the artificials out of the basis, each for a column +a_j (the
     # first of a tie in [A, -A]); one that no column of A can replace marks
@@ -329,8 +285,9 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     """min sum_j |c_j| over complex c subject to D c = t, by phase column
     generation on the simplex.
 
-    With c_j = sum_k w_jk e^{i theta_k} and real w this is a free real LP,
-    min sum |w| with 2m rows, over a working set of phase-rotated columns.
+    With c_j = sum_k w_jk e^{i theta_k} and real w this is the l1 LP of
+    ``solve_lp``, min sum |w| with 2m rows, over a working set of
+    phase-rotated columns.
     The first working set is the 2N columns of phases 1 and i, scanned by
     ``crash_basis`` in descending overlap |<phi_j|t>|; the basis it finds is
     kept and solved warm, and when it finds none the round solves cold over
@@ -341,7 +298,8 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     a_k.y = sign(w_k) on each column with w_k != 0: on a degenerate LP such
     as CCZ x |+> the simplex's vertex dual wanders over the optimal face and
     never certifies.  Stops when the bounds agree to a relative
-    ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row rank.
+    ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row rank, and
+    ``solve_lp`` raises ``ValueError`` when it does not.
 
     Returns (c, y, pivots, rounds) with y the certifying dual vector.
     """
@@ -359,9 +317,7 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
         basis = np.arange(2 * m)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
-        sol = solve_lp(LinearProgram(np.ones(idx.size), A, b, free=True), basis=basis)
-        if sol.status == "infeasible":
-            raise ValueError("target is not in the span of the dictionary")
+        sol = solve_lp(A, b, basis=basis)
         pivots += sol.iterations
         support = np.abs(sol.x) > 1e-12  # degenerate basics would pin y to a vertex
         c = np.zeros(N, dtype=complex)

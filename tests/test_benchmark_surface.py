@@ -6,14 +6,17 @@ aliases of it (``ml = self.ml``, ``bf = self.ml.boolfn``).  A deletion that
 would make benchmark operations fail then fails these tests first.  The
 tracer in ``perfbench/tracing.py`` wraps the functions in its ``TARGETS``
 and reports a missing one only as an empty per-layer row, so the set of
-missing targets is pinned here too.
+missing targets is pinned here too, and so are the attributes its extractors
+read from the results and arguments of the traced calls.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import magiclab
 from magiclab.cli import build_parser
+from magiclab.lattice import triangular_lattice
 from magiclab.stabdict import StabilizerDictionary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -110,3 +113,23 @@ def test_traced_targets_missing_from_the_package_are_the_known_ones():
         "field_pow",
         "field_trace",
     }
+
+
+def test_traced_extractors_read_existing_attributes():
+    # an extractor that reads a renamed attribute raises only in a traced
+    # benchmark run; here each one runs on a real call through the tracer
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        magiclab.solvers.solve_lp([[1.0]], [1.0])
+        magiclab.stabdict.enumerate_stabilizer_states(1)
+        magiclab.lattice.lattice_bound(triangular_lattice(3, 3))
+    finally:
+        tracer.uninstall()
+    attrs = {rec["name"]: rec["attrs"] for rec in tracer.records()}
+    assert attrs["solvers.solve_lp"] == {"iterations": 1}  # one phase-1 pivot
+    assert attrs["stabdict.enumerate_stabilizer_states"] == {"states": 6}
+    assert attrs["lattice.lattice_bound"] == {"qubits": 9}

@@ -2,41 +2,46 @@ import numpy as np
 import pytest
 
 from magiclab import solvers
-from magiclab.solvers import (
-    LinearProgram,
-    SolverError,
-    crash_basis,
-    solve_extent,
-    solve_lp,
-)
+from magiclab.solvers import SolverError, crash_basis, solve_extent, solve_lp
 
 
 def test_lp_trivial():
-    sol = solve_lp(LinearProgram([1.0], [[1.0]], [1.0]))
-    assert sol.status == "optimal"
+    sol = solve_lp([[1.0]], [1.0])
     assert abs(sol.x[0] - 1.0) < 1e-12
     assert abs(sol.dual[0] - 1.0) < 1e-12
 
 
-def test_lp_infeasible():
-    # x1 + x2 = -1 with x >= 0
-    sol = solve_lp(LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]))
-    assert sol.status == "infeasible"
+def _kernel(A, c, basis, b):
+    """Run the simplex kernel on the nonnegative LP min c.x, A x = b, x >= 0
+    from ``basis``, with T = [B0^{-1} | B0^{-1} b]; returns the final basis,
+    its re-solved x and the pivot count."""
+    A, c, b = (np.asarray(v, dtype=float) for v in (A, c, b))
+    basis = np.array(basis)
+    B0 = A[:, basis]
+    T = np.column_stack([np.linalg.inv(B0), np.linalg.solve(B0, b)])
+    pivots = solvers._revised_simplex(A, c, basis, T, B0, np.ones(basis.size), 0)
+    x = np.zeros(A.shape[1])
+    x[basis] = np.linalg.solve(A[:, basis], b)
+    return basis, x, pivots
 
 
 def test_lp_unbounded():
-    # min -x1 s.t. x1 - x2 = 0: pushes both to infinity
-    sol = solve_lp(LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0]))
-    assert sol.status == "unbounded"
+    # min -x1 s.t. x1 - x2 = 0 over x >= 0: pushes both to infinity, which
+    # an l1 LP cannot, so the kernel raises
+    with pytest.raises(SolverError, match="unbounded"):
+        _kernel([[1.0, -1.0]], [-1.0, 0.0], [0], [0.0])
 
 
 def test_lp_rejects_redundant_rows():
     # phase 1 cannot pivot the artificial of a dependent row out of the
     # basis; the second matrix has rank 3 with seven rows, and its stuck
-    # artificials sit at basis positions other than their own rows
+    # artificials sit at basis positions other than their own rows.  With b
+    # outside the span of a rank-deficient A phase 1 cannot reach zero
     duplicate = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="full row rank"):
-        solve_lp(LinearProgram([1.0, 2.0], duplicate, [1.0, 2.0]))
+        solve_lp(duplicate, [1.0, 2.0])
+    with pytest.raises(ValueError, match="outside the span"):
+        solve_lp(duplicate, [1.0, 3.0])
     A = np.array(
         [
             [1, -4, 2, 0],
@@ -52,14 +57,14 @@ def test_lp_rejects_redundant_rows():
     b = np.array([-7, -6, 5, -10, 2, -8, 13], dtype=float)
     assert np.linalg.matrix_rank(A) == 3
     with pytest.raises(ValueError, match="full row rank"):
-        solve_lp(LinearProgram([1.0, 0.0, 3.0, 0.0], A, b))
+        solve_lp(A, b)
 
 
 def test_lp_beale_cycling_example():
-    sol = solve_lp(_beale()[0])
-    assert sol.status == "optimal"
-    assert abs(sol.objective + 1.25) < 1e-12
-    assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    A, b, c = _beale()
+    _, x, _ = _kernel(A, c, [0, 1, 2], b)
+    assert abs(c @ x + 1.25) < 1e-12
+    assert np.allclose(x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_lp_lexicographic_ties_within_tolerance():
@@ -67,13 +72,12 @@ def test_lp_lexicographic_ties_within_tolerance():
     # (condition number 12.2): entries of B^{-1} B0 / d that are equal in
     # exact arithmetic differ in their last bits here, and a tie rule that
     # ranks them exactly cycles until the pivot cap
-    prog, _ = _beale()
+    A, b, c = _beale()
     M = np.array([[0, 2, -3], [-1, -2, -3], [2, 0, 0]], dtype=float)
-    sol = solve_lp(LinearProgram(prog.objective, M @ prog.A, M @ prog.b), basis=[2, 4, 6])
-    assert sol.status == "optimal"
-    assert abs(sol.objective + 1.25) < 1e-12
-    assert np.allclose(sol.x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
-    assert sol.iterations <= 10
+    _, x, pivots = _kernel(M @ A, c, [2, 4, 6], M @ b)
+    assert abs(c @ x + 1.25) < 1e-12
+    assert np.allclose(x, [0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert pivots <= 10
 
 
 def test_lex_least_filters_column_by_column():
@@ -115,17 +119,13 @@ def test_lp_random_duality_and_feasibility():
     for _ in range(25):
         m, nc = rng.integers(2, 6), rng.integers(6, 14)
         A = rng.normal(size=(m, nc))
-        x0 = rng.uniform(0.1, 1.0, size=nc)
-        b = A @ x0  # feasible by construction
-        c = rng.uniform(0.1, 2.0, size=nc)  # bounded below on x >= 0... not
-        sol = solve_lp(LinearProgram(c, A, b))
-        if sol.status != "optimal":
-            continue
+        b = A @ rng.normal(size=nc)
+        sol = solve_lp(A, b)
         assert sol.gap < 1e-8
         assert np.max(np.abs(A @ sol.x - b)) < 1e-7
-        assert np.min(sol.x) > -1e-9
-        # dual feasibility: c - A^T y >= -tol
-        assert np.min(c - A.T @ sol.dual) > -1e-7
+        assert abs(sol.objective - np.sum(np.abs(sol.x))) < 1e-12
+        # dual feasibility: |A^T y| <= 1 + tol
+        assert np.max(np.abs(A.T @ sol.dual)) < 1 + 1e-7
 
 
 def test_lp_degenerate_many_zero_rhs():
@@ -135,14 +135,13 @@ def test_lp_degenerate_many_zero_rhs():
     x0 = np.zeros(40)
     x0[0] = 1.0
     b = A @ x0
-    sol = solve_lp(LinearProgram(np.ones(40), A, b))
-    assert sol.status == "optimal"
+    sol = solve_lp(A, b)
     assert sol.objective <= 1.0 + 1e-9
 
 
 def _beale():
-    """Beale's LP, on which Dantzig's rule with a naive ratio test cycles;
-    its first three columns are the identity, a feasible start."""
+    """Beale's LP (A, b, c), on which Dantzig's rule with a naive ratio test
+    cycles; its first three columns are the identity, a feasible start."""
     A = np.array(
         [
             [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
@@ -151,7 +150,7 @@ def _beale():
         ]
     )
     c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
-    return LinearProgram(c, A, [0.0, 0.0, 1.0]), [0, 1, 2]
+    return A, np.array([0.0, 0.0, 1.0]), c
 
 
 def _degenerate_matrix():
@@ -171,85 +170,66 @@ def _random_signs():
     return M, M @ u
 
 
-def _split_start(M, b):
-    """The crash basis of M as a start of the LP over [M, -M]: the crash
-    columns, each with a negative value j mapped to its twin j + N."""
-    kept = crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
-    negative = np.linalg.solve(M[:, kept], b) < 0
-    return kept, kept + M.shape[1] * negative
+def _crash_start(M, b):
+    return crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
 
 
-def _degenerate_l1():
-    """min ||u||_1 s.t. M u = M e_0 as an LP over [M, -M], started from the
-    crash basis of M."""
-    M, b = _degenerate_matrix()
-    return LinearProgram(np.ones(80), np.hstack([M, -M]), b), _split_start(M, b)[1]
-
-
-@pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
+@pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
 def test_lp_warm_start_matches_cold(make):
-    prog, start = make()
-    assert np.linalg.solve(prog.A[:, start], prog.b).min() >= 0.0  # x_B of the start
-    cold = solve_lp(prog)
-    warm = solve_lp(prog, basis=start)
-    assert warm.status == cold.status == "optimal"
+    M, b = make()
+    cold = solve_lp(M, b)
+    warm = solve_lp(M, b, basis=_crash_start(M, b))
     assert abs(warm.objective - cold.objective) < 1e-12
-    assert np.max(np.abs(prog.A @ warm.x - prog.b)) < 1e-12
-    assert np.min(prog.objective - prog.A.T @ warm.dual) >= -1e-9
+    assert np.max(np.abs(M @ warm.x - b)) < 1e-12
+    assert np.max(np.abs(M.T @ warm.dual)) <= 1 + 1e-9
 
 
 def test_lp_start_basis_must_be_feasible_and_nonsingular():
-    prog = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [1.0, 3.0])
-    with pytest.raises(ValueError, match="not primal feasible"):
-        solve_lp(prog, basis=[0, 1])  # x = (2, -1)
+    A, b = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]), np.array([1.0, 3.0])
     with pytest.raises(ValueError, match="singular"):
-        solve_lp(prog, basis=[0, 0])
+        solve_lp(A, b, basis=[0, 0])
     with pytest.raises(ValueError, match="needs 2 columns"):
-        solve_lp(prog, basis=[0])
-    assert solve_lp(prog, basis=[0, 2]).status == "optimal"  # x = (1, 2)
-    # a free LP turns column 1 of [0, 1] itself; min |x_0| + |x_1| + |x_2|
-    # is 3 on the segment from (1, 0, 2) to (2, -1, 0)
-    free = LinearProgram(prog.objective, prog.A, prog.b, free=True)
-    sol = solve_lp(free, basis=[0, 1])
-    assert sol.status == "optimal"
+        solve_lp(A, b, basis=[0])
+    assert abs(solve_lp(A, b, basis=[0, 2]).objective - 3.0) < 1e-12  # x = (1, 0, 2)
+    # any nonsingular start is feasible: the solver turns column 1 of [0, 1]
+    # itself; min |x_0| + |x_1| + |x_2| is 3 on the segment from (1, 0, 2)
+    # to (2, -1, 0)
+    sol = solve_lp(A, b, basis=[0, 1])
     assert abs(sol.objective - 3.0) < 1e-12
     assert abs(np.sum(np.abs(sol.x)) - 3.0) < 1e-12
-    assert np.max(np.abs(prog.A @ sol.x - prog.b)) < 1e-12
+    assert np.max(np.abs(A @ sol.x - b)) < 1e-12
 
 
-def test_free_lp_needs_a_nonnegative_objective():
-    with pytest.raises(ValueError, match="nonnegative objective"):
-        LinearProgram([1.0, -0.5], [[1.0, 1.0]], [1.0], free=True)
-    LinearProgram([1.0, -0.5], [[1.0, 1.0]], [1.0])  # fine without free
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
-def test_free_lp_is_the_lp_over_a_and_minus_a(make, warm):
-    # the free LP over M takes the pivots of the nonnegative LP over
-    # [M, -M]; warm, the free LP starts from the crash columns as they are
+@pytest.mark.parametrize(
+    "make", [_degenerate_matrix, _random_signs], ids=["degenerate-warm", "signs-warm"]
+)
+def test_free_lp_is_the_lp_over_a_and_minus_a(make):
+    # solve_lp over M takes the pivots of the kernel on the nonnegative LP
+    # over [M, -M], each from the crash columns of M, whose columns with a
+    # negative value the split start replaces by their twins j + N
     M, b = make()
     N = M.shape[1]
-    split = LinearProgram(np.ones(2 * N), np.hstack([M, -M]), b)
-    free = LinearProgram(np.ones(N), M, b, free=True)
-    if warm:
-        kept, twins = _split_start(M, b)
-        s, f = solve_lp(split, basis=twins), solve_lp(free, basis=kept)
-    else:
-        s, f = solve_lp(split), solve_lp(free)
-    assert s.status == f.status == "optimal"
-    assert f.iterations == s.iterations > 0
-    assert abs(f.objective - s.objective) < 1e-12
-    assert np.array_equal(f.x, s.x[:N] - s.x[N:])
-    assert np.array_equal(f.dual, s.dual)
-    assert np.array_equal(f.basis, s.basis % N)
+    kept = _crash_start(M, b)
+    twins = kept + N * (np.linalg.solve(M[:, kept], b) < 0)
+    free = solve_lp(M, b, basis=kept)
+    split = np.hstack([M, -M])
+    basis, x, pivots = _kernel(split, np.ones(2 * N), twins, b)
+    assert free.iterations == pivots > 0
+    assert abs(free.objective - np.sum(x)) < 1e-12
+    assert np.array_equal(free.x, x[:N] - x[N:])
+    assert np.array_equal(free.dual, np.linalg.solve(split[:, basis].T, np.ones(basis.size)))
+    assert np.array_equal(free.basis, basis % N)
 
 
-@pytest.mark.parametrize("make", [_beale, _degenerate_l1], ids=["beale", "degenerate"])
+@pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
 def test_lp_returned_basis_resolves_to_x(make):
-    prog, _ = make()
-    sol = solve_lp(prog)
-    again = solve_lp(prog, basis=sol.basis)
+    # over [M, -M] the basis names the side of every basic column, zero
+    # values included, so it restarts without a pivot; over M a restart
+    # re-derives the sign of a zero basic value from round-off
+    M, b = make()
+    A = np.hstack([M, -M])
+    sol = solve_lp(A, b)
+    again = solve_lp(A, b, basis=sol.basis)
     assert again.iterations == 0
     assert np.array_equal(again.basis, sol.basis)
     assert np.max(np.abs(again.x - sol.x)) < 1e-12
@@ -259,17 +239,17 @@ def test_lp_returned_basis_resolves_to_x(make):
 def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch, warm):
     # phase 1 (cold) runs as usual; phase 2 claims optimality before any
     # pivot, so the returned basis is feasible but not optimal
-    prog, start = _beale()
+    M, b = _degenerate_matrix()
     real = solvers._revised_simplex
 
     def stop_at_once(cols, cost, *args):
-        if cols.shape[1] > prog.A.shape[1]:  # phase 1 carries the artificials
+        if cols.shape[1] > M.shape[1]:  # phase 1 carries the artificials
             return real(cols, cost, *args)
-        return "optimal", 0
+        return 0
 
     monkeypatch.setattr(solvers, "_revised_simplex", stop_at_once)
     with pytest.raises(SolverError, match="min reduced cost"):
-        solve_lp(prog, basis=start if warm else None)
+        solve_lp(M, b, basis=_crash_start(M, b) if warm else None)
 
 
 def test_extent_next_working_set():
@@ -281,7 +261,7 @@ def test_extent_next_working_set():
     phases = np.array([1, 1j, 1, 1, -1])
     x = np.array([0.0, -1e-8, 0.0, 0.5, 0.0])
     b = solvers._phase_columns(D, idx, phases) @ x
-    sol = solvers.LPSolution("optimal", x=x, dual=np.array([1.0, 0.0]), basis=np.array([1, 3]))
+    sol = solvers.LPSolution(x, np.array([1.0, 0.0]), 0.5 + 1e-8, 0, 0.0, np.array([1, 3]))
     idx, phases, basis = solvers._next_working_set(D.conj().T, idx, phases, sol)
     # state 1 is not basic and leaves; the basic states keep both columns at
     # their phases, the negative one included, and <phi_j|y> = (0.5, 2, 0.5, -3i)
@@ -290,14 +270,10 @@ def test_extent_next_working_set():
     assert np.allclose(phases, [1, 1j, 1, -1, 1, -1j])
     # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2
     assert basis.tolist() == [1, 2]
-    # the nonnegative LP rejects that basis for its negative value; the free
-    # LP takes it as its warm start and puts Re t / 3 on state 3 at phase -i,
-    # while state 0's column at phase i keeps its value -1e-8 for Im t
-    A = solvers._phase_columns(D, idx, phases)
-    with pytest.raises(ValueError, match="not primal feasible"):
-        solve_lp(LinearProgram(np.ones(idx.size), A, b), basis=basis)
-    sol = solve_lp(LinearProgram(np.ones(idx.size), A, b, free=True), basis=basis)
-    assert sol.status == "optimal"
+    # the LP takes that basis as its warm start, turning the negative column,
+    # and puts Re t / 3 on state 3 at phase -i, while state 0's column at
+    # phase i keeps its value -1e-8 for Im t
+    sol = solve_lp(solvers._phase_columns(D, idx, phases), b, basis=basis)
     assert abs(sol.objective - (0.25 / 3 + 1e-8)) < 1e-12
 
 
@@ -321,10 +297,8 @@ def basis_pursuit_polygon_lp(D, t, sides=16):
     phases = np.exp(2j * np.pi * np.arange(half) / sides)
     A = solvers._phase_columns(D, np.repeat(np.arange(N), half), np.tile(phases, N))
     b = np.concatenate([t.real, t.imag])
-    sol = solve_lp(LinearProgram(np.ones(N * half), A, b, free=True))
-    if sol.status != "optimal":
-        raise SolverError(f"polygon LP ended {sol.status}")
-    return float(sol.objective), sol.x.reshape(N, half) @ phases
+    sol = solve_lp(A, b)
+    return sol.objective, sol.x.reshape(N, half) @ phases
 
 
 def _extent_bracket(D, t):
