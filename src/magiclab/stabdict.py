@@ -16,8 +16,9 @@ enumeration is cheap at desk scale (n = 4 qubits takes about 0.05 s), so
 dictionaries are rebuilt on demand rather than stored.
 
 Each run of d^n consecutive states (one R and S, every eps_z and every
-character) is the joint eigenbasis of one stabilizer group.  Best
-overlaps go group by group: a target's fidelities over a group are a
+character) is the joint eigenbasis of one stabilizer group, whose one
+tableau the dictionary stores (_generator_order gives the run's order).
+Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
 Parseval bounds their maximum, and exact sums are taken only for the
 groups whose bound reaches the best exact value found.  The group tables
@@ -27,6 +28,7 @@ use from the tableaux.
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,12 +124,12 @@ def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _iter_blocks(n: int, d: int):
     """Yield (gen_x, gen_z, gen_t, psi) blocks over all stabilizer states.
 
-    Each block is one RREF X-block R and a run of its symmetric matrices S,
-    with every eps_z and every character: gen_x (n, n) is shared, and gen_z
-    (B, n, n), gen_t (B, n) and psi (B, d^n) hold B <= max(d^n, _BLOCK_STATES)
-    states.  Concatenated, the blocks give every state in a fixed
-    deterministic order: subspace dimension ascending, then R and S lex, then
-    eps_z lex, then the character.
+    Each block is one RREF X-block R and a run of m of its symmetric
+    matrices S, one group each: gen_x (n, n) is shared, gen_z (m, n, n) and
+    gen_t (m, n) hold each group's generators and first state's phases, and
+    psi (m d^n, d^n) every state, m d^n <= max(d^n, _BLOCK_STATES).  In all,
+    the blocks give every state in a fixed deterministic order: subspace
+    dimension ascending, then R and S lex, then ``_generator_order``.
     """
     zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
     run = max(1, _BLOCK_STATES // d**n)
@@ -136,8 +138,6 @@ def _iter_blocks(n: int, d: int):
         char_tab = (2 * (ys @ ys.T)) % (2 * d)
         mag = float(d) ** (-k / 2)
         eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
-        tz = (2 * eps) % (2 * d)
-        per_s = len(eps) * d**k
         all_S = _symmetric_matrices(k, d)
         for R in _rref_matrices(n, k, d):
             if k < n:
@@ -163,14 +163,39 @@ def _iter_blocks(n: int, d: int):
                 idx, e0 = _coset_phases(W0, R, lifts, t0x, d)
                 expo = (e0[:, :, None, :] + char_tab) % (2 * d)
                 # state (S, eps_z, character) is one row, supported on idx[eps_z]
-                rows = np.arange(m * per_s).reshape(m, len(eps), d**k, 1)
-                psi = np.zeros((m * per_s, d**n), dtype=complex)
+                rows = np.arange(m * d**n).reshape(m, len(eps), d**k, 1)
+                psi = np.zeros((m * d**n, d**n), dtype=complex)
                 psi.flat[rows * d**n + idx[:, None, :]] = mag * zeta_pow[expo]
-                gen_t = np.empty((m, len(eps), d**k, n), dtype=np.int64)
-                gen_t[..., :k] = (t0x[:, None, None, :] + 2 * ys) % (2 * d)
-                gen_t[..., k:] = tz[:, None, :]
                 gen_z = np.concatenate([lifts, np.broadcast_to(znull, (m, n - k, n))], 1)
-                yield gen_x, np.repeat(gen_z, per_s, 0), gen_t.reshape(-1, n), psi
+                gen_t = np.concatenate([t0x, np.zeros((m, n - k), dtype=np.int64)], 1)
+                yield gen_x, gen_z, gen_t, psi
+
+
+def _generator_order(k: int, n: int) -> list[int]:
+    """Generator order[i] steps at column d^i of its group, k the number of
+    X-type (nonzero, leading) rows of gen_x: the characters count them
+    little-endian and eps_z counts the Z-type rows lex, last fastest.  So
+    column j has phases (gen_t + 2 sigma) mod 2d, sigma_order[i] = digit i
+    of j little-endian in d."""
+    return [*range(k), *range(n - 1, k - 1, -1)]
+
+
+def _group_orders(gen_x) -> np.ndarray:
+    """(..., n) ``_generator_order`` of the groups with X parts gen_x (..., n, n)."""
+    n = gen_x.shape[-1]
+    orders = np.array([_generator_order(k, n) for k in range(n + 1)])
+    return orders[np.count_nonzero(gen_x.any(axis=-1), axis=-1)]
+
+
+def _state_phases(gen_x, gen_t, d: int) -> np.ndarray:
+    """(..., d^n, n) zeta exponents of every state of the groups with X parts
+    gen_x (..., n, n) and first-state phases gen_t (..., n), broadcast: the
+    phases (gen_t + 2 sigma) mod 2d of ``_generator_order``."""
+    n = gen_t.shape[-1]
+    digits = (np.arange(d**n)[:, None] // d ** np.arange(n)) % d  # digit i of column j
+    # sigma_r is the digit i with order[i] = r
+    sigma = np.moveaxis(digits[:, np.argsort(_group_orders(gen_x), axis=-1)], 0, -2)
+    return (gen_t[..., None, :] + 2 * sigma) % (2 * d)
 
 
 # zeta**t = exp(i pi t / d) for t mod 2d, exact for qubits.  Written out:
@@ -229,65 +254,45 @@ def _pauli_coordinates(V: np.ndarray, n: int, d: int = 2) -> np.ndarray:
 
 
 def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element tables of the stabilizer groups whose joint eigenbases are the
-    runs of d^n consecutive columns, as _iter_blocks lays them out.
+    """Element tables of the stabilizer groups with generators gen_x, gen_z
+    (groups, n, n) and first-state phases gen_t (groups, n).
 
-    Returns read-only (groups, d^n) tables, see ``_run_tables``, in the
+    Returns read-only (groups, d^n) tables, see ``_group_tables``, in the
     smallest integer types.  They are allocated first, so that they sit below the
-    build's temporaries in the heap, and built a slice of runs at a time, so
+    build's temporaries in the heap, and built a slice of groups at a time, so
     that the temporaries stay within _TILE entries.
     """
-    total, n = gen_t.shape
+    count, n = gen_t.shape
     dim = d**n
-    if total % dim:
-        raise ValueError(f"{total} columns are not whole runs of {dim}")
-    elements = np.empty((total // dim, dim), dtype=np.min_scalar_type(dim * dim - 1))
-    phases = np.empty((total // dim, dim), dtype=np.int8)
+    elements = np.empty((count, dim), dtype=np.min_scalar_type(dim * dim - 1))
+    phases = np.empty((count, dim), dtype=np.int8)
     step = max(1, _TILE // (dim * n * n))
-    for r0 in range(0, len(elements), step):
-        cols = slice(r0 * dim, (r0 + step) * dim)
-        run = _run_tables(gen_x[cols], gen_z[cols], gen_t[cols], d)
-        elements[r0 : r0 + step], phases[r0 : r0 + step] = run
+    for g0 in range(0, count, step):
+        groups = slice(g0, g0 + step)
+        tables = _group_tables(gen_x[groups], gen_z[groups], gen_t[groups], d)
+        elements[groups], phases[groups] = tables
     elements.flags.writeable = phases.flags.writeable = False
     return elements, phases
 
 
-def _run_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_stabilizer_groups`` of whole runs, in int64.
+def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_stabilizer_groups`` in int64.
 
-    A run shares its X and Z generators g_i, taken with the phases of its
-    first column; column j of the run is the state on which g_i takes the
-    eigenvalue omega^-sigma_i, and the digits sigma count j little-endian
-    over the generators in some order, which the run's columns j = d^i fix.
-    The elements P_c = prod_i g_i^c_i, c little-endian over the generators
-    in that order, come by doubling, P_(c + e_i) = P_c g_i, on
-    integer-coded X and Z parts.  Returns each element's row x d^n + z of
-    ``_pauli_coordinates``, and its zeta exponent relative to that row's
-    P_xz.  Raises ValueError when a run does not share its X/Z generators
-    or its columns are not its characters in that order.
+    Takes each group's generators g_i in ``_generator_order``, with the
+    phases of its first state, so that the element P_c = prod_i g_i^c_i, c
+    little-endian over the generators in that order, is the one whose
+    character sigma.c orders the group's states.  The elements come by
+    doubling, P_(c + e_i) = P_c g_i, on integer-coded X and Z parts.
+    Returns each element's row x d^n + z of ``_pauli_coordinates``, and its
+    zeta exponent relative to that row's P_xz.
     """
-    total, n = gen_t.shape
+    count, n = gen_t.shape
     dim = d**n
-    count = total // dim
-    for gens in (gen_x, gen_z):
-        run = gens.reshape(count, dim * n * n)
-        if np.any(run[:, n * n :] != run[:, : -n * n]):
-            raise ValueError("a run of d^n columns does not share its X/Z generators")
-    # (generator, column, run) arrays below, so that numpy loops run over the runs
-    gen_t = gen_t.reshape(count, dim, n).T.astype(np.int64, order="C")
-    shift = (gen_t - gen_t[:, :1]) % (2 * d)
-    sigma = shift // 2
+    # (generator, group) arrays below, so that numpy loops run over the groups
+    groups, order = np.arange(count)[:, None], _group_orders(gen_x)
     place = d ** np.arange(n)
-    runs = np.arange(count)
-    order = np.argmax(sigma[:, place], axis=0)  # generator order[i] steps at column d^i
-    # sigma counts j in that order iff sum_i sigma_order(i) d^i = j for every j
-    weights = np.zeros((n, count), dtype=np.int64)
-    weights[order, runs] = place[:, None]
-    counts = (sigma * weights[:, None]).sum(axis=0)
-    if np.any(shift % 2) or np.any(counts != np.arange(dim)[:, None]):
-        raise ValueError("a run's columns are not its group's characters in counting order")
-    gx, gz = ((gens[::dim].astype(np.int64) @ place)[runs, order] for gens in (gen_x, gen_z))
-    gt = gen_t[order, 0, runs]
+    gx, gz = ((gens.astype(np.int64) @ place)[groups, order].T for gens in (gen_x, gen_z))
+    gt = gen_t.astype(np.int64)[groups, order].T
     add, _, weight = (table.ravel() for table in _tables(n, d)[:3])
     x, z, t = (np.zeros((dim, count), dtype=np.int64) for _ in range(3))
     for i in range(n):
@@ -349,14 +354,15 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 
 @dataclass
 class StabilizerDictionary:
-    """All pure stabilizer states for (n, d): canonical tableaux + dense vectors."""
+    """All pure stabilizer states for (n, d): dense vectors, and one canonical
+    tableau per group of d^n consecutive columns (see ``_generator_order``)."""
 
     n: int
     d: int
     states: np.ndarray  # (d^n, N) complex128, columns normalized
-    gen_x: np.ndarray  # (N, n, n) int8
-    gen_z: np.ndarray  # (N, n, n) int8
-    gen_t: np.ndarray  # (N, n) int8, zeta exponents mod 2d
+    gen_x: np.ndarray  # (N / d^n, n, n) int8, one row per group
+    gen_z: np.ndarray  # (N / d^n, n, n) int8
+    gen_t: np.ndarray  # (N / d^n, n) int8, zeta exponents mod 2d of each group's first state
     # (rows, labels) of the robustness LP's constraints, built on first use
     # by measures.free_robustness; read-only once set
     _robustness_rows: tuple | None = field(default=None, compare=False, repr=False)
@@ -364,20 +370,24 @@ class StabilizerDictionary:
     # best_overlaps; read-only once set
     _groups: tuple | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        dim = self.d**self.n
+        groups, rest = divmod(self.size, dim)
+        if rest or any(len(gens) != groups for gens in (self.gen_x, self.gen_z, self.gen_t)):
+            raise ValueError(f"{self.size} states need {dim} per group, one generator row each")
+
     @property
     def size(self) -> int:
         return self.states.shape[1]
 
     def tableau(self, i: int) -> StabilizerTableau:
+        g, j = divmod(operator.index(i), self.d**self.n)
+        xs, zs, ts = (gens[g].tolist() for gens in (self.gen_x, self.gen_z, self.gen_t))
+        for r in _generator_order(sum(map(any, xs)), self.n):
+            j, sigma = divmod(j, self.d)
+            ts[r] = (ts[r] + 2 * sigma) % (2 * self.d)
         gens = tuple(
-            PauliOperator(
-                self.n,
-                self.d,
-                tuple(int(v) for v in self.gen_x[i, r]),
-                tuple(int(v) for v in self.gen_z[i, r]),
-                int(self.gen_t[i, r]),
-            )
-            for r in range(self.n)
+            PauliOperator(self.n, self.d, tuple(x), tuple(z), t) for x, z, t in zip(xs, zs, ts)
         )
         return StabilizerTableau(self.n, self.d, gens)
 
@@ -404,9 +414,7 @@ class StabilizerDictionary:
         sums in all (n <= 3 qubits and n <= 2 qutrits, a few targets) takes
         every group's sums at once.  Ties keep the lowest j.  Targets go in
         even chunks of at most _TILE (group, target) pairs, and the group
-        tables are built on first use and kept read-only.  Raises
-        ValueError when the dictionary's columns are not runs of whole
-        groups (see ``_stabilizer_groups``).
+        tables are built on first use and kept read-only.
         """
         if V.ndim != 2 or V.shape[0] != self.states.shape[0]:
             raise ValueError("state dimension mismatch")
@@ -432,10 +440,9 @@ def iter_stabilizer_states(n: int, d: int = 2):
         )
     for gen_x, gen_z, gen_t, psi in _iter_blocks(n, d):
         xvecs = [tuple(row) for row in gen_x.tolist()]
-        for zs, ts, phi in zip(gen_z.tolist(), gen_t.tolist(), psi):
-            gens = tuple(
-                PauliOperator(n, d, xvecs[r], tuple(zs[r]), ts[r]) for r in range(n)
-            )
+        phases = _state_phases(gen_x, gen_t, d).reshape(len(psi), n)
+        for zs, ts, phi in zip(np.repeat(gen_z, d**n, 0).tolist(), phases.tolist(), psi):
+            gens = tuple(PauliOperator(n, d, xvecs[r], tuple(zs[r]), ts[r]) for r in range(n))
             yield StabilizerTableau(n, d, gens), phi
 
 
@@ -446,23 +453,22 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     if d not in DENSE_LIMITS:
         raise ResourceLimitError(f"unsupported local dimension d={d}")
     if n > DENSE_LIMITS[d]:
+        stream = STREAM_LIMITS[d] > DENSE_LIMITS[d]
         raise ResourceLimitError(
-            f"dense enumeration supports n <= {DENSE_LIMITS[d]} for d={d}; "
-            "use iter_stabilizer_states to stream larger systems"
+            f"dense enumeration supports n <= {DENSE_LIMITS[d]} for d={d}"
+            + ("; use iter_stabilizer_states to stream larger systems" if stream else "")
         )
     total = count_stabilizer_states(n, d)
+    groups = total // d**n
     states = np.empty((d**n, total), dtype=complex)
-    gen_x = np.empty((total, n, n), dtype=np.int8)
-    gen_z = np.empty((total, n, n), dtype=np.int8)
-    gen_t = np.empty((total, n), dtype=np.int8)
+    gen_x, gen_z = (np.empty((groups, n, n), dtype=np.int8) for _ in range(2))
+    gen_t = np.empty((groups, n), dtype=np.int8)
     count = 0
     for gx, gz, gt, psi in _iter_blocks(n, d):
-        block = slice(count, count + len(psi))
-        states[:, block] = psi.T
-        gen_x[block] = gx
-        gen_z[block] = gz
-        gen_t[block] = gt
-        count = block.stop
+        states[:, count : count + len(psi)] = psi.T
+        block = slice(count // d**n, count // d**n + len(gz))
+        gen_x[block], gen_z[block], gen_t[block] = gx, gz, gt
+        count += len(psi)
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
     return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)

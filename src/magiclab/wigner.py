@@ -35,15 +35,10 @@ D = 3
 
 
 def phase_space_points(n: int):
-    """All 9^n points in flat-index order."""
+    """All 9^n points in flat-index order: the k-th point has flat index k."""
     # the last digit varies fastest; reversed, it is a1 of site 1
     for digits in itertools.product(range(3), repeat=2 * n):
         yield digits[::-1]
-
-
-def point_index(u: tuple[int, ...]) -> int:
-    n = len(u) // 2
-    return sum((u[2 * s] + 3 * u[2 * s + 1]) * 9**s for s in range(n))
 
 
 @dataclass
@@ -111,7 +106,6 @@ def wigner_csv(W: WignerFunction) -> str:
     """CSV dump: flat index, per-site (a1, a2) pairs, value."""
     header_sites = ",".join(f"a1_{s + 1},a2_{s + 1}" for s in range(W.n))
     lines = [f"index,{header_sites},value"]
-    for u in phase_space_points(W.n):
-        i = point_index(u)
+    for i, u in enumerate(phase_space_points(W.n)):
         lines.append(f"{i}," + ",".join(str(v) for v in u) + f",{W.values[i]!r}")
     return "\n".join(lines) + "\n"

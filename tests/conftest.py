@@ -90,6 +90,12 @@ def quadratic_states(n: int):
 
 # --- dense phase-point operators: the oracle for the qutrit Wigner function --
 
+def point_index(u: tuple[int, ...]) -> int:
+    """Flat index sum_s (a1_s + 3 a2_s) 9^s of the phase-space point u."""
+    n = len(u) // 2
+    return sum((u[2 * s] + 3 * u[2 * s + 1]) * 9**s for s in range(n))
+
+
 @lru_cache(maxsize=None)
 def _single_site_points() -> dict[tuple[int, int], np.ndarray]:
     a0 = sum(weyl_operator(1, (a1,), (a2,)).dense() for a1 in range(3) for a2 in range(3)) / 3

@@ -34,12 +34,11 @@ from magiclab.stabdict import count_stabilizer_states, enumerate_stabilizer_stat
 from magiclab.wigner import (
     mana_lr_check,
     phase_space_points,
-    point_index,
     sum_negativity,
     wigner_function,
 )
 
-from conftest import phase_point_operator, random_state
+from conftest import phase_point_operator, point_index, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
 CHAIN_TOL = 1e-5

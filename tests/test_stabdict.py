@@ -68,9 +68,10 @@ def test_entries_match_object_builder(dict2_1, dict2_2, dict2_3, dict3_1, dict3_
 
 
 def test_dense_limits():
-    with pytest.raises(ResourceLimitError):
+    # streaming is offered only where it reaches further than dense
+    with pytest.raises(ResourceLimitError, match="n <= 4 for d=2; use iter_stabilizer_states"):
         enumerate_stabilizer_states(5, 2)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="n <= 2 for d=3$"):
         enumerate_stabilizer_states(3, 3)
     with pytest.raises(ResourceLimitError):
         enumerate_stabilizer_states(2, 5)
@@ -105,18 +106,23 @@ def test_streaming_matches_dense(dict2_2, dict2_3, dict3_2):
 
 def test_blocks_cover_n5():
     # every block of (5, 2): sizes add up to the closed-form count, no block
-    # exceeds the cap, and the first and last state of each block match
-    # tableau_to_state on their own tableaux
+    # exceeds the cap, each block holds whole groups with one generator row
+    # each, and the first and last state of each block match tableau_to_state
+    # on their own tableaux
     total = 0
     for gen_x, gen_z, gen_t, psi in _iter_blocks(5, 2):
-        size = len(psi)
-        assert 0 < size <= _BLOCK_STATES
-        assert gen_z.shape == (size, 5, 5) and gen_t.shape == (size, 5)
+        size, groups = len(psi), len(gen_t)
+        assert 0 < size <= _BLOCK_STATES and size == 32 * groups
+        assert gen_x.shape == (5, 5) and gen_z.shape == (groups, 5, 5)
+        assert gen_t.shape == (groups, 5) and psi.shape == (size, 32)
+        phases = stabdict._state_phases(gen_x, gen_t, 2)
         total += size
         for j in (0, size - 1):
             gens = tuple(
                 PauliOperator(5, 2, tuple(x), tuple(z), t)
-                for x, z, t in zip(gen_x.tolist(), gen_z[j].tolist(), gen_t[j].tolist())
+                for x, z, t in zip(
+                    gen_x.tolist(), gen_z[j // 32].tolist(), phases[j // 32, j % 32].tolist()
+                )
             )
             phi = tableau_to_state(StabilizerTableau(5, 2, gens))
             assert np.max(np.abs(phi - psi[j])) < 1e-12
@@ -198,6 +204,8 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
         dense_fid, _ = _dense_best(dic.states, haar)
         assert np.max(np.abs(fid - dense_fid)) < 1e-12
         assert np.all(idx < dic.size)
+        # the group tables stay on the dictionary, read-only
+        assert not any(table.flags.writeable for table in twice._groups)
 
 
 def _group_expectations(dic, V):
@@ -241,38 +249,18 @@ def test_runs_are_stabilizer_group_eigenbases(fixture, request):
     assert np.max(np.abs(np.sum(fid**2, axis=1) - squares)) < 1e-12
 
 
-def test_best_overlaps_rejects_runs_that_are_not_groups(dict2_2):
-    # columns permuted across runs: a run no longer shares its X/Z
-    # generators, and best_overlaps refuses rather than returning a wrong
-    # maximum.  The first columns of two runs with the same phases swap
-    # places, which leaves every run's characters in order; then a random
-    # permutation; then two characters swapped inside a run.
+def test_dictionary_needs_whole_groups_and_one_generator_row_each(dict2_2):
+    # states that are not whole groups, a group short of generators, and the
+    # tableaux written out once per state
     dic = dict2_2
-    firsts = [tuple(t) for t in dic.gen_t[::4].tolist()]
-    a = firsts.index(firsts[-1])
-    swap = np.arange(dic.size)
-    swap[[4 * a, dic.size - 4]] = swap[[dic.size - 4, 4 * a]]
-    assert a < len(firsts) - 1 and not np.array_equal(dic.gen_z[4 * a], dic.gen_z[-4])
-    rng = np.random.default_rng(7)
-    for perm in (swap, rng.permutation(dic.size), np.r_[0, 3, 2, 1, 4 : dic.size]):
-        shuffled = StabilizerDictionary(
-            dic.n, dic.d, dic.states[:, perm], dic.gen_x[perm], dic.gen_z[perm], dic.gen_t[perm]
-        )
-        with pytest.raises(ValueError):
-            shuffled.best_overlaps(np.eye(4, dtype=complex))
-    # a run whose generators are relabelled (columns 1 and 2 swapped) is the
-    # same group in another counting order: accepted, with the dense answers
-    perm = np.r_[0, 2, 1, 3 : dic.size]
-    relabelled = StabilizerDictionary(
-        dic.n, dic.d, dic.states[:, perm], dic.gen_x[perm], dic.gen_z[perm], dic.gen_t[perm]
-    )
-    V = np.hstack([np.eye(4, dtype=complex), haar_state_batch(4, 20, seed=2)])
-    fid, idx = relabelled.best_overlaps(V)
-    dense_fid, dense_idx = _dense_best(relabelled.states, V)
-    assert np.max(np.abs(fid - dense_fid)) < 1e-12
-    assert np.array_equal(idx[:4], dense_idx[:4])
-    # the group tables stay on the dictionary, read-only
-    assert not any(table.flags.writeable for table in relabelled._groups)
+    gens = (dic.gen_x, dic.gen_z, dic.gen_t)
+    for states, gen_x, gen_z, gen_t in [
+        (dic.states[:, :-1], *gens),
+        (dic.states, *(g[:-1] for g in gens)),
+        (dic.states, *(np.repeat(g, 4, axis=0) for g in gens)),
+    ]:
+        with pytest.raises(ValueError, match="need 4 per group, one generator row each"):
+            StabilizerDictionary(dic.n, dic.d, states, gen_x, gen_z, gen_t)
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
@@ -310,6 +298,13 @@ def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
                 assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
 
 
+def _per_state(dic):
+    """(gen_x, gen_z, gen_t) written out once per state, in column order."""
+    dim = dic.d**dic.n
+    phases = stabdict._state_phases(dic.gen_x, dic.gen_t, dic.d).reshape(dic.size, dic.n)
+    return np.repeat(dic.gen_x, dim, axis=0), np.repeat(dic.gen_z, dim, axis=0), phases
+
+
 def _digest(gen_x, gen_z, gen_t, states):
     h = hashlib.sha256()
     for gens in (gen_x, gen_z, gen_t):
@@ -329,7 +324,23 @@ def _digest(gen_x, gen_z, gen_t, states):
 def test_dictionary_digest(fixture, digest, request):
     # digests taken from the step-by-step phase walk that _coset_phases replaced
     dic = request.getfixturevalue(fixture)
-    assert _digest(dic.gen_x, dic.gen_z, dic.gen_t, dic.states) == digest
+    assert _digest(*_per_state(dic), dic.states) == digest
+
+
+@pytest.mark.parametrize(
+    "fixture,digest",
+    [
+        ("dict2_3", "637c40345b960621131eaae0984d69320bfd28b04b28e60e51c0eefc6bb03cef"),
+        ("dict2_4", "8c23ba002d279f3b3880456b4f9049ba3f5b45ed2b43a1905fd5792399dc4be3"),
+        ("dict3_2", "13b6f3c2d81e2694cf0f351edf7239636a9376b608ac9242472f763e2743eaab"),
+    ],
+)
+def test_group_table_digest(fixture, digest, request):
+    # digests taken from the group tables built from one tableau per state,
+    # with each group's generator order read off its phases
+    dic = request.getfixturevalue(fixture)
+    elements, phases = stabdict._stabilizer_groups(dic.gen_x, dic.gen_z, dic.gen_t, dic.d)
+    assert hashlib.sha256(elements.tobytes() + phases.tobytes()).hexdigest() == digest
 
 
 def test_stream_digest_n5():

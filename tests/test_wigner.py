@@ -13,13 +13,12 @@ from magiclab.wigner import (
     mana,
     mana_lr_check,
     phase_space_points,
-    point_index,
     sum_negativity,
     wigner_csv,
     wigner_function,
 )
 
-from conftest import phase_point_operator, random_state
+from conftest import phase_point_operator, point_index, random_state
 
 
 def test_point_operators_single_qutrit():
@@ -186,3 +185,13 @@ def test_wigner_csv_shape():
     assert lines[0] == "index,a1_1,a2_1,value"
     assert len(lines) == 10
     assert lines[1].startswith("0,0,0,")
+
+
+def test_wigner_csv_rows_follow_the_flat_index():
+    # row k holds the point of flat index k and its value, in full precision
+    W = wigner_function(random_state(9, np.random.default_rng(4)))
+    assert len(set(W.values)) == 81
+    rows = wigner_csv(W).strip().splitlines()[1:]
+    assert len(rows) == 81
+    for k, (row, u) in enumerate(zip(rows, phase_space_points(2))):
+        assert row == f"{k}," + ",".join(map(str, u)) + f",{W.values[k]!r}"
