@@ -34,7 +34,6 @@ from .solvers import (
     BP_GAP_TOL,
     LP_TOL,
     SolverError,
-    crash_basis,
     solve_extent,
     solve_lp,
 )
@@ -206,10 +205,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     ``SolverError``.  This is ``solve_lp``'s one LP form, min ||c||_1 over
     coefficients free in sign, so each column enters the simplex once, as
     a_j or -a_j, and the solver reports the signed c; it raises instead of
-    returning a status.  It starts at a crash basis taken in descending
-    |a_j . b|, the overlap of each state's constraint column with rho's
-    (2^n Tr(phi_j rho) for qubits), whose columns with a negative value the
-    solver turns itself.
+    returning a status.  It starts at ``solve_lp``'s crash basis, taken in
+    descending |a_j . b|, the overlap of each state's constraint column with
+    rho's (2^n Tr(phi_j rho) for qubits), whose columns with a negative value
+    the solver turns itself.
     The state is checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic)
@@ -218,8 +217,7 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     A, labels = _robustness_rows(dic)
     vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
     b = _coordinates(vecs, dic.n, dic.d) @ vals
-    start = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
-    sol = solve_lp(A, b, basis=start)
+    sol = solve_lp(A, b)
     coeffs = sol.x
     l1 = sol.objective
     r = max((l1 - 1.0) / 2.0, 0.0)

@@ -12,25 +12,24 @@ s = sign(y.a_j) (+1 on a tie, as +a_j comes first in [A, -A]), and the
 solver keeps that +-1 for each basic position, so B is A[:, basis] times the
 signs and the basic values are |x_B|.  The basis lives in one array
 T = [B^{-1} | x_B], which a pivot updates with a single rank-1 update; every
-column is priced with one product (c_B B^{-1}) A.  A caller may pass any
-nonsingular starting basis B0, whose columns with a negative value the
-solver turns, and ``crash_basis`` picks such a start among the columns the
-caller expects in the optimum.  Phase 1 runs only for cold starts, from the
-artificial basis (B0 = diag(sign b)), whose artificials stay nonnegative.
-A must have full row rank: there is no presolve, and a cold start whose
-phase 1 cannot pivot an artificial out of the basis, or cannot drive the
-artificials to zero, raises ``ValueError``.  There are no statuses: an l1 LP
-is bounded below by 0, so a ratio test that finds no leaving row is
-round-off and raises ``SolverError``.  Entering columns are picked by
-largest violation; the leaving row uses the lexicographic rule on the rows
-of B^{-1} B0, which keeps the heavily degenerate dictionary LPs from cycling
-from any start, and no pivot element below _PIVOT_TOL is accepted.  Ties in
-the ratio and in each lexicographic column are decided within the same
-relative 1e-10, so entries equal in exact arithmetic are not ranked by
-round-off.  The final basis is re-solved against the original data so
-B^{-1} round-off never reaches the reported solution, and the re-solved
-pair must pass A x = b, x_B >= 0 on the signed columns and |A^T y| <= 1:
-since ||x||_1 = b.y holds for any basis, these are what certify optimality.
+column is priced with one product (c_B B^{-1}) A.  Every nonsingular basis
+of free columns is primal feasible once the solver turns its columns with a
+negative value, so the simplex starts from any nonsingular B0 a caller
+passes, or else from ``crash_basis`` over the columns in descending |b.a_j|.
+A must have full row rank: there is no presolve, and ``crash_basis`` raises
+``ValueError`` when A has fewer than m independent columns.  There are no
+statuses: an l1 LP is bounded below by 0, so a ratio test that finds no
+leaving row is round-off and raises ``SolverError``.  Entering columns are
+picked by largest violation; the leaving row uses the lexicographic rule on
+the rows of B^{-1} B0, which keeps the heavily degenerate dictionary LPs
+from cycling from any start, and no pivot element below _PIVOT_TOL is
+accepted.  Ties in the ratio and in each lexicographic column are decided
+within the same relative 1e-10, so entries equal in exact arithmetic are not
+ranked by round-off.  The final basis is re-solved against the original
+data so B^{-1} round-off never reaches the reported solution, and the
+re-solved pair must pass A x = b, x_B >= 0 on the signed columns and
+|A^T y| <= 1: since ||x||_1 = b.y holds for any basis, these are what
+certify optimality.
 
 The extent's complex l1 minimum subject to D c = t is a real l1 LP over the
 weights of phase-rotated dictionary columns, so a weight's sign is the
@@ -51,6 +50,7 @@ _MAX_PIVOTS = 50_000  # most pivots one solve_lp call may take
 _PIVOT_TOL = 1e-7  # least pivot element the ratio test accepts
 _FEAS_TOL = 1e-7  # primal residual and sign tolerance of the final check
 _CRASH_SHARE = 0.1  # least orthogonal share of a column the crash basis takes
+_CRASH_LEAST = 1e-9  # least share in its second scan: any new direction
 
 
 class SolverError(RuntimeError):
@@ -145,15 +145,13 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free):
 
 
 def solve_lp(A, b, basis=None) -> LPSolution:
-    """min ||x||_1 subject to A x = b over free x, with dual extraction,
-    from a cold or a warm start.
+    """min ||x||_1 subject to A x = b over free x, with dual extraction.
 
-    Cold (``basis`` None): phase 1 from the artificial basis.  A must have
-    full row rank: an artificial that phase 1 cannot pivot out of the basis
-    marks a redundant row, and b outside the span of A leaves artificials
-    positive; both raise ``ValueError``.  Warm: ``basis`` names m columns
-    whose matrix B0 is nonsingular (a ``ValueError`` otherwise), and phase 2
-    starts there after turning each column with a negative value.
+    ``basis`` names m columns whose matrix B0 is nonsingular (a
+    ``ValueError`` otherwise); None takes ``crash_basis`` over the columns in
+    descending |b.a_j|, which raises ``ValueError`` unless A has full row
+    rank.  The simplex starts there after turning each column with a
+    negative value.
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}, and is then checked:
@@ -166,24 +164,19 @@ def solve_lp(A, b, basis=None) -> LPSolution:
     c = np.ones(ncols)
 
     if basis is None:
-        # artificial columns sign(b_i) e_i make B0 = B0^{-1} and x_B = |b|
-        B0 = np.diag(np.where(b < 0, -1.0, 1.0))
-        basis, T, sign, it1 = _phase_one(A, b, B0)
-    else:
-        basis = np.array(basis, dtype=np.intp)
-        if basis.shape != (m,):
-            raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
-        try:
-            xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
-            sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
-            B0 = A[:, basis] * sign
-            Binv = np.linalg.inv(B0)
-        except np.linalg.LinAlgError:
-            raise ValueError("start basis is singular") from None
-        T = np.column_stack([Binv, np.abs(xb)])
-        it1 = 0
-
-    it2 = _revised_simplex(A, c, basis, T, B0, sign, ncols)
+        basis = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
+    basis = np.array(basis, dtype=np.intp)
+    if basis.shape != (m,):
+        raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
+    try:
+        xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
+        sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
+        B0 = A[:, basis] * sign
+        Binv = np.linalg.inv(B0)
+    except np.linalg.LinAlgError:
+        raise ValueError("start basis is singular") from None
+    T = np.column_stack([Binv, np.abs(xb)])
+    iterations = _revised_simplex(A, c, basis, T, B0, sign, ncols)
 
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: ||x||_1 = b.y holds for any basis, so optimality
@@ -202,71 +195,50 @@ def solve_lp(A, b, basis=None) -> LPSolution:
             f"simplex accuracy check failed: feas={feas:.2e} "
             f"min x={x_min:.2e} min reduced cost={reduced_min:.2e}"
         )
-    return LPSolution(x, y, obj, it1 + it2, abs(obj - float(b @ y)), basis)
+    return LPSolution(x, y, obj, iterations, abs(obj - float(b @ y)), basis)
 
 
-def _phase_one(A, b, B0):
-    """Phase 1 from the artificial basis B0, a diagonal of signs with
-    B0 b >= 0; the columns of A are free in sign, the artificials
-    nonnegative.  Returns (basis, T, sign, pivots) with T = [B^{-1} | x_B]."""
-    m, ncols = A.shape
-    c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    basis = np.arange(ncols, ncols + m)
-    T = np.column_stack([B0, B0 @ b])
-    sign = np.ones(m)
-    it1 = _revised_simplex(np.hstack([A, B0]), c1, basis, T, B0, sign, ncols)
-    if float(c1[basis] @ T[:, m]) > 1e-7:
-        raise ValueError("b is outside the span of A, which does not have full row rank")
-
-    # pivot the artificials out of the basis, each for a column +a_j (the
-    # first of a tie in [A, -A]); one that no column of A can replace marks
-    # a row that depends on the others
-    for pos in np.nonzero(basis >= ncols)[0]:
-        row = T[pos, :m] @ A
-        j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) <= 1e-9:
-            raise ValueError("constraint matrix does not have full row rank")
-        _pivot(T, basis, T[:, :m] @ A[:, j], pos, j)
-    return basis, T, sign, it1
-
-
-def crash_basis(A: np.ndarray, order) -> np.ndarray | None:
-    """A start for a free LP over the columns of A, or None.
+def crash_basis(A: np.ndarray, order) -> np.ndarray:
+    """A start for a free LP over the columns of A.
 
     Scans the columns of A in ``order`` and keeps each one that leaves the
     chosen set well conditioned (its component orthogonal to the columns
     already kept is at least a fixed share of its norm), until m are kept.
-    Returns the m kept column indices in scan order: a nonsingular basis,
-    whose columns with a negative value the free simplex turns itself.
-    None when the scan finds fewer than m columns.
+    A scan that ends short is followed by a second over the same order that
+    keeps any column adding a direction (a share of _CRASH_LEAST).
+    Returns the m kept column indices in the order kept: a nonsingular
+    basis, whose columns with a negative value the free simplex turns
+    itself.  Raises ``ValueError`` when A has fewer than m independent
+    columns.
     """
     m = A.shape[0]
     order = np.asarray(order)
     Q = np.empty((m, m))  # orthonormal basis of the kept columns' span
     kept = []
-    for start in range(0, order.size, m):
-        chunk = order[start : start + m]
-        C = A[:, chunk]
-        Qk = Q[:, : len(kept)]
-        R = C - Qk @ (Qk.T @ C)
-        R -= Qk @ (Qk.T @ R)  # a second pass keeps Q orthonormal
-        left = np.einsum("ij,ij->j", R, R)  # squared residual norms
-        floor = _CRASH_SHARE**2 * np.einsum("ij,ij->j", C, C)
-        i = -1
-        while True:
-            ahead = np.nonzero(left[i + 1 :] > floor[i + 1 :])[0]
-            if ahead.size == 0:
-                break
-            i += 1 + int(ahead[0])
-            q = R[:, i] / np.sqrt(R[:, i] @ R[:, i])
-            proj = q @ R[:, i + 1 :]
-            R[:, i + 1 :] -= q[:, None] * proj
-            left[i + 1 :] -= proj**2
-            Q[:, len(kept)] = q
-            kept.append(int(chunk[i]))
-            if len(kept) == m:
-                return np.array(kept)
-    return None
+    for share in (_CRASH_SHARE, _CRASH_LEAST):
+        for start in range(0, order.size, m):
+            chunk = order[start : start + m]
+            C = A[:, chunk]
+            Qk = Q[:, : len(kept)]
+            R = C - Qk @ (Qk.T @ C)
+            R -= Qk @ (Qk.T @ R)  # a second pass keeps Q orthonormal
+            left = np.einsum("ij,ij->j", R, R)  # squared residual norms
+            floor = share**2 * np.einsum("ij,ij->j", C, C)
+            i = -1
+            while True:
+                ahead = np.nonzero(left[i + 1 :] > floor[i + 1 :])[0]
+                if ahead.size == 0:
+                    break
+                i += 1 + int(ahead[0])
+                q = R[:, i] / np.sqrt(R[:, i] @ R[:, i])
+                proj = q @ R[:, i + 1 :]
+                R[:, i + 1 :] -= q[:, None] * proj
+                left[i + 1 :] -= proj**2
+                Q[:, len(kept)] = q
+                kept.append(int(chunk[i]))
+                if len(kept) == m:
+                    return np.array(kept)
+    raise ValueError("constraint matrix does not have full row rank")
 
 
 # --- stabilizer extent --------------------------------------------------------
@@ -288,10 +260,9 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     With c_j = sum_k w_jk e^{i theta_k} and real w this is the l1 LP of
     ``solve_lp``, min sum |w| with 2m rows, over a working set of
     phase-rotated columns.
-    The first working set is the 2N columns of phases 1 and i, scanned by
-    ``crash_basis`` in descending overlap |<phi_j|t>|; the basis it finds is
-    kept and solved warm, and when it finds none the round solves cold over
-    all 2N.  Every later round solves warm from the last basis, certifies,
+    The first working set is the basis that ``crash_basis`` finds among
+    the 2N columns of phases 1 and i, scanned in descending overlap
+    |<phi_j|t>|.  Every round solves warm from the last basis, certifies,
     and moves on to ``_next_working_set``.  ||c||_1 bounds the optimum from
     above, and Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.
     The lower bound is taken at the least-norm y tight on the support of w,
@@ -299,7 +270,7 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     as CCZ x |+> the simplex's vertex dual wanders over the optimal face and
     never certifies.  Stops when the bounds agree to a relative
     ``BP_GAP_TOL``.  D must have rank m, as the LP needs full row rank, and
-    ``solve_lp`` raises ``ValueError`` when it does not.
+    ``crash_basis`` raises ``ValueError`` when it does not.
 
     Returns (c, y, pivots, rounds) with y the certifying dual vector.
     """
@@ -311,10 +282,9 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     idx = np.repeat(np.argsort(-np.abs(Dh @ t), kind="stable"), 2)
     phases = np.tile(np.array([1, 1j]), N)
     A = _phase_columns(D, idx, phases)
-    basis = crash_basis(A, np.arange(2 * N))
-    if basis is not None:
-        idx, phases, A = idx[basis], phases[basis], A[:, basis]
-        basis = np.arange(2 * m)
+    kept = crash_basis(A, np.arange(2 * N))
+    idx, phases, A = idx[kept], phases[kept], A[:, kept]
+    basis = np.arange(2 * m)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
         sol = solve_lp(A, b, basis=basis)

@@ -266,7 +266,7 @@ def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndar
     dim = d**n
     elements = np.empty((count, dim), dtype=np.min_scalar_type(dim * dim - 1))
     phases = np.empty((count, dim), dtype=np.int8)
-    step = max(1, _TILE // (dim * n * n))
+    step = max(1, _TILE // dim)
     for g0 in range(0, count, step):
         groups = slice(g0, g0 + step)
         tables = _group_tables(gen_x[groups], gen_z[groups], gen_t[groups], d)
@@ -382,10 +382,8 @@ class StabilizerDictionary:
 
     def tableau(self, i: int) -> StabilizerTableau:
         g, j = divmod(operator.index(i), self.d**self.n)
-        xs, zs, ts = (gens[g].tolist() for gens in (self.gen_x, self.gen_z, self.gen_t))
-        for r in _generator_order(sum(map(any, xs)), self.n):
-            j, sigma = divmod(j, self.d)
-            ts[r] = (ts[r] + 2 * sigma) % (2 * self.d)
+        xs, zs = self.gen_x[g].tolist(), self.gen_z[g].tolist()
+        ts = _state_phases(self.gen_x[g], self.gen_t[g], self.d)[j].tolist()
         gens = tuple(
             PauliOperator(self.n, self.d, tuple(x), tuple(z), t) for x, z, t in zip(xs, zs, ts)
         )
@@ -434,9 +432,11 @@ class StabilizerDictionary:
 
 def iter_stabilizer_states(n: int, d: int = 2):
     """Stream (tableau, state) pairs without materializing the dictionary."""
-    if d not in STREAM_LIMITS or n > STREAM_LIMITS[d] or n < 1:
+    if d not in STREAM_LIMITS:
+        raise ResourceLimitError(f"unsupported local dimension d={d}")
+    if not 1 <= n <= STREAM_LIMITS[d]:
         raise ResourceLimitError(
-            f"streaming enumeration supports d=2 n<=5 and d=3 n<=2, got n={n} d={d}"
+            f"streaming enumeration supports 1 <= n <= {STREAM_LIMITS[d]} for d={d}, got n={n}"
         )
     for gen_x, gen_z, gen_t, psi in _iter_blocks(n, d):
         xvecs = [tuple(row) for row in gen_x.tolist()]

@@ -130,6 +130,6 @@ def test_traced_extractors_read_existing_attributes():
     finally:
         tracer.uninstall()
     attrs = {rec["name"]: rec["attrs"] for rec in tracer.records()}
-    assert attrs["solvers.solve_lp"] == {"iterations": 1}  # one phase-1 pivot
+    assert attrs["solvers.solve_lp"] == {"iterations": 0}  # the crash start is optimal
     assert attrs["stabdict.enumerate_stabilizer_states"] == {"states": 6}
     assert attrs["lattice.lattice_bound"] == {"qubits": 9}

@@ -552,8 +552,8 @@ def test_ccz_class_robustness_closed_form(anf, dict2_3):
     assert abs(res.l1 - 23 / 9) < 1e-9
 
 
-# pivots the eight CCZ_CLASS LPs take together when the simplex starts cold
-# from artificials (phase 1 and phase 2)
+# pivots the eight CCZ_CLASS LPs took together when the simplex started cold,
+# with a phase 1 from artificial columns
 CCZ_CLASS_COLD_PIVOTS = 6188
 
 

@@ -33,14 +33,13 @@ def test_lp_unbounded():
 
 
 def test_lp_rejects_redundant_rows():
-    # phase 1 cannot pivot the artificial of a dependent row out of the
-    # basis; the second matrix has rank 3 with seven rows, and its stuck
-    # artificials sit at basis positions other than their own rows.  With b
-    # outside the span of a rank-deficient A phase 1 cannot reach zero
+    # no crash basis exists when a row depends on the others, whether b lies
+    # in the span of A or outside it; the second matrix has rank 3 with
+    # seven rows
     duplicate = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="full row rank"):
         solve_lp(duplicate, [1.0, 2.0])
-    with pytest.raises(ValueError, match="outside the span"):
+    with pytest.raises(ValueError, match="full row rank"):
         solve_lp(duplicate, [1.0, 3.0])
     A = np.array(
         [
@@ -170,18 +169,30 @@ def _random_signs():
     return M, M @ u
 
 
-def _crash_start(M, b):
-    return crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
-
-
 @pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
 def test_lp_warm_start_matches_cold(make):
+    # the default start, the crash basis in descending |b.a_j|, against the
+    # crash basis in ascending |b.a_j|, another nonsingular start
     M, b = make()
-    cold = solve_lp(M, b)
-    warm = solve_lp(M, b, basis=_crash_start(M, b))
-    assert abs(warm.objective - cold.objective) < 1e-12
+    order = np.argsort(-np.abs(b @ M), kind="stable")
+    other = crash_basis(M, order[::-1])
+    assert set(other) != set(crash_basis(M, order))
+    default = solve_lp(M, b)
+    warm = solve_lp(M, b, basis=other)
+    assert abs(warm.objective - default.objective) < 1e-12
     assert np.max(np.abs(M @ warm.x - b)) < 1e-12
     assert np.max(np.abs(M.T @ warm.dual)) <= 1 + 1e-9
+
+
+def test_crash_basis_rescans_short_and_rejects_rank_deficient():
+    # columns 1 and 2 lie within 0.01 of column 0, below the first scan's
+    # share, so only the second scan completes the basis
+    A = np.array([[1.0, 1.0, 1.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
+    kept = crash_basis(A, np.arange(3))
+    assert kept.tolist() == [0, 1, 2]
+    assert np.linalg.matrix_rank(A[:, kept]) == 3
+    with pytest.raises(ValueError, match="full row rank"):
+        crash_basis(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), np.arange(3))
 
 
 def test_lp_start_basis_must_be_feasible_and_nonsingular():
@@ -209,7 +220,7 @@ def test_free_lp_is_the_lp_over_a_and_minus_a(make):
     # negative value the split start replaces by their twins j + N
     M, b = make()
     N = M.shape[1]
-    kept = _crash_start(M, b)
+    kept = crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
     twins = kept + N * (np.linalg.solve(M[:, kept], b) < 0)
     free = solve_lp(M, b, basis=kept)
     split = np.hstack([M, -M])
@@ -235,21 +246,13 @@ def test_lp_returned_basis_resolves_to_x(make):
     assert np.max(np.abs(again.x - sol.x)) < 1e-12
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch, warm):
-    # phase 1 (cold) runs as usual; phase 2 claims optimality before any
-    # pivot, so the returned basis is feasible but not optimal
+def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch):
+    # the simplex claims optimality before any pivot, so the returned basis,
+    # the crash start, is feasible but not optimal
     M, b = _degenerate_matrix()
-    real = solvers._revised_simplex
-
-    def stop_at_once(cols, cost, *args):
-        if cols.shape[1] > M.shape[1]:  # phase 1 carries the artificials
-            return real(cols, cost, *args)
-        return 0
-
-    monkeypatch.setattr(solvers, "_revised_simplex", stop_at_once)
+    monkeypatch.setattr(solvers, "_revised_simplex", lambda *args: 0)
     with pytest.raises(SolverError, match="min reduced cost"):
-        solve_lp(M, b, basis=_crash_start(M, b) if warm else None)
+        solve_lp(M, b)
 
 
 def test_extent_next_working_set():
@@ -285,7 +288,8 @@ def basis_pursuit_polygon_lp(D, t, sides=16):
     within a factor 1/cos(pi/sides) above the true minimum (0.5% for a
     16-gon).  The phasor e^{2 pi i k/sides} with k >= sides/2 is the
     negative of the one at k - sides/2, so the LP is free over the first
-    sides/2 phases alone, and ``sides`` must be even.  It is solved cold.
+    sides/2 phases alone, and ``sides`` must be even.  It is solved from
+    ``solve_lp``'s crash start.
     Returns (value, coefficients).
     """
     if sides % 2:
@@ -351,13 +355,13 @@ def test_bp_value_between_dual_and_any_feasible():
 
 def test_extent_cold_fallback_certifies():
     # states 1 and 2 lie within 0.05 of state 0, below the crash scan's
-    # share, so no crash basis exists although D has full rank, and the
-    # first round runs cold over the free columns of phases 1 and i
+    # share, so the first scan keeps state 0 alone although D has full rank,
+    # and the second scan adds state 1 at phases 1 and i
     D = np.array([[1.0, 1.0, 1.0], [0.0, 0.05, -0.05j]])
     D /= np.linalg.norm(D, axis=0)
     t = np.array([0.6, 0.8j])
     scanned = solvers._phase_columns(D, np.repeat(np.arange(3), 2), np.tile([1, 1j], 3))
-    assert crash_basis(scanned, np.arange(6)) is None
+    assert crash_basis(scanned, np.arange(6)).tolist() == [0, 1, 2, 3]
     c, l1, lower = _extent_bracket(D, t)
     assert np.linalg.norm(D @ c - t) < 1e-9
     assert l1 - lower <= 1e-9 * l1

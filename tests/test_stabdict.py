@@ -89,7 +89,7 @@ def test_streaming_prefix_n5():
         total += 1
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
     assert total == 500
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="supports 1 <= n <= 5 for d=2, got n=6"):
         next(iter_stabilizer_states(6, 2))
 
 
