@@ -89,26 +89,7 @@ def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
                             "rows, cols >= 3"
                         )
                     triangles.append(tuple(sorted(tri)))
-    if len(set(triangles)) != len(triangles):
-        raise ValueError("degenerate wrap produced duplicate triangles")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            a = vid(r, c)
-            for dr, dc in ((0, 1), (1, 0), (1, -1)):
-                bvid = vid(r + dr, c + dc)
-                if bvid is not None and bvid != a:
-                    edges.add(tuple(sorted((a, bvid))))
-    return Lattice(
-        "triangular",
-        rows,
-        cols,
-        boundary,
-        rows * cols,
-        labels,
-        tuple(triangles),
-        tuple(sorted(edges)),
-    )
+    return _lattice("triangular", rows, cols, boundary, labels, triangles)
 
 
 def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
@@ -130,7 +111,6 @@ def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
         return index[("g", r, c)]
 
     triangles = []
-    edges = set()
     for r in range(rows):
         for c in range(cols):
             center = index[("c", r, c)]
@@ -140,22 +120,17 @@ def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
                     "degenerate wrap: periodic union-jack lattices need rows, cols >= 3"
                 )
             for i in range(4):
-                a, b = corners[i], corners[(i + 1) % 4]
-                tri = tuple(sorted((a, b, center)))
-                triangles.append(tri)
-                edges.add(tuple(sorted((a, b))))
-                edges.add(tuple(sorted((a, center))))
+                triangles.append(tuple(sorted((corners[i], corners[(i + 1) % 4], center))))
+    return _lattice("union-jack", rows, cols, boundary, labels, triangles)
+
+
+def _lattice(kind: str, rows: int, cols: int, boundary: str, labels, triangles) -> Lattice:
+    """The lattice of these sorted triangles, whose sides are its edges."""
     if len(set(triangles)) != len(triangles):
         raise ValueError("degenerate wrap produced duplicate triangles")
+    edges = {side for a, b, c in triangles for side in ((a, b), (a, c), (b, c))}
     return Lattice(
-        "union-jack",
-        rows,
-        cols,
-        boundary,
-        len(labels),
-        labels,
-        tuple(triangles),
-        tuple(sorted(edges)),
+        kind, rows, cols, boundary, len(labels), labels, tuple(triangles), tuple(sorted(edges))
     )
 
 

@@ -159,7 +159,7 @@ def _entry_coordinates(V: np.ndarray) -> np.ndarray:
 def _coordinates(V: np.ndarray, n: int, d: int) -> np.ndarray:
     """Real coordinates of each |v><v|, in the robustness LP's row order:
     Pauli expectations for qubits, density-matrix entries for qutrits."""
-    return _pauli_coordinates(V, n) if d == 2 else _entry_coordinates(V)
+    return _pauli_coordinates(V, n, d) if d == 2 else _entry_coordinates(V)
 
 
 def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
@@ -301,10 +301,7 @@ class MagicReport:
         return self
 
     def to_json(self, **kwargs) -> str:
-        payload = asdict(self)
-        payload["pseudomixture"] = [[j, c] for j, c in self.pseudomixture]
-        payload["witness"] = [[lbl, c] for lbl, c in self.witness]
-        return json.dumps(payload, **kwargs)
+        return json.dumps(asdict(self), **kwargs)
 
 
 # above this dictionary size the convex solves outgrow the desk scale

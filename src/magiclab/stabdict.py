@@ -16,14 +16,15 @@ enumeration is cheap at desk scale (n = 4 qubits takes about 0.05 s), so
 dictionaries are rebuilt on demand rather than stored.
 
 Each run of d^n consecutive states (one R and S, every eps_z and every
-character) is the joint eigenbasis of one stabilizer group, whose one
-tableau the dictionary stores (_generator_order gives the run's order).
+character) is the joint eigenbasis of one stabilizer group, and the
+dictionary stores each group as its element table (element rows and
+phases, packed in small integers), built once at enumeration from the
+group's generators.  ``_generator_order`` states the run's order, and
+``_tableaux`` decodes a column's canonical tableau from the generators.
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
 Parseval bounds their maximum, and exact sums are taken only for the
-groups whose bound reaches the best exact value found.  The group tables
-(element rows and phases, packed in small integers) are built on first
-use from the tableaux.
+groups whose bound reaches the best exact value found.
 """
 
 import functools
@@ -126,10 +127,12 @@ def _iter_blocks(n: int, d: int):
 
     Each block is one RREF X-block R and a run of m of its symmetric
     matrices S, one group each: gen_x (n, n) is shared, gen_z (m, n, n) and
-    gen_t (m, n) hold each group's generators and first state's phases, and
-    psi (m d^n, d^n) every state, m d^n <= max(d^n, _BLOCK_STATES).  In all,
-    the blocks give every state in a fixed deterministic order: subspace
-    dimension ascending, then R and S lex, then ``_generator_order``.
+    gen_t (m, n) hold each group's generators in step order (generator i
+    moves at column d^i of the group, see ``_generator_order``) and its first
+    state's phases, and psi (m d^n, d^n) every state, m d^n <=
+    max(d^n, _BLOCK_STATES).  In all, the blocks give every state in a fixed
+    deterministic order: subspace dimension ascending, then R and S lex, then
+    the group's column order.
     """
     zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
     run = max(1, _BLOCK_STATES // d**n)
@@ -166,36 +169,33 @@ def _iter_blocks(n: int, d: int):
                 rows = np.arange(m * d**n).reshape(m, len(eps), d**k, 1)
                 psi = np.zeros((m * d**n, d**n), dtype=complex)
                 psi.flat[rows * d**n + idx[:, None, :]] = mag * zeta_pow[expo]
-                gen_z = np.concatenate([lifts, np.broadcast_to(znull, (m, n - k, n))], 1)
+                # the canonical rows in step order: the Z-type rows reversed
+                gen_z = np.concatenate([lifts, np.broadcast_to(znull[::-1], (m, n - k, n))], 1)
                 gen_t = np.concatenate([t0x, np.zeros((m, n - k), dtype=np.int64)], 1)
                 yield gen_x, gen_z, gen_t, psi
 
 
 def _generator_order(k: int, n: int) -> list[int]:
-    """Generator order[i] steps at column d^i of its group, k the number of
-    X-type (nonzero, leading) rows of gen_x: the characters count them
-    little-endian and eps_z counts the Z-type rows lex, last fastest.  So
-    column j has phases (gen_t + 2 sigma) mod 2d, sigma_order[i] = digit i
-    of j little-endian in d."""
+    """Canonical row order[i] of a group's tableau is its generator i in step
+    order, the one that moves at column d^i of the group, with k the number
+    of X-type (nonzero, leading) rows of gen_x: the characters count them
+    little-endian and eps_z counts the Z-type rows lex, last fastest.  The
+    order is its own inverse."""
     return [*range(k), *range(n - 1, k - 1, -1)]
 
 
-def _group_orders(gen_x) -> np.ndarray:
-    """(..., n) ``_generator_order`` of the groups with X parts gen_x (..., n, n)."""
-    n = gen_x.shape[-1]
-    orders = np.array([_generator_order(k, n) for k in range(n + 1)])
-    return orders[np.count_nonzero(gen_x.any(axis=-1), axis=-1)]
-
-
-def _state_phases(gen_x, gen_t, d: int) -> np.ndarray:
-    """(..., d^n, n) zeta exponents of every state of the groups with X parts
-    gen_x (..., n, n) and first-state phases gen_t (..., n), broadcast: the
-    phases (gen_t + 2 sigma) mod 2d of ``_generator_order``."""
-    n = gen_t.shape[-1]
-    digits = (np.arange(d**n)[:, None] // d ** np.arange(n)) % d  # digit i of column j
-    # sigma_r is the digit i with order[i] = r
-    sigma = np.moveaxis(digits[:, np.argsort(_group_orders(gen_x), axis=-1)], 0, -2)
-    return (gen_t[..., None, :] + 2 * sigma) % (2 * d)
+def _tableaux(xs, zs, ts, d: int, columns):
+    """Canonical tableaux of the given columns of one group, from its
+    generators in step order: X and Z rows xs, zs and the first state's zeta
+    exponents ts, as lists.  Column j reorders the generators by
+    ``_generator_order`` and adds 2 digit_i(j) to the exponent of generator
+    i, digits little-endian in d."""
+    n = len(ts)
+    order = _generator_order(sum(map(any, xs)), n)
+    rows = [(tuple(xs[i]), tuple(zs[i]), ts[i], d**i) for i in order]
+    for j in columns:
+        gens = (PauliOperator(n, d, x, z, (t + 2 * (j // s % d)) % (2 * d)) for x, z, t, s in rows)
+        yield StabilizerTableau(n, d, tuple(gens))
 
 
 # zeta**t = exp(i pi t / d) for t mod 2d, exact for qubits.  Written out:
@@ -228,7 +228,7 @@ def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _pauli_coordinates(V: np.ndarray, n: int, d: int = 2) -> np.ndarray:
+def _pauli_coordinates(V: np.ndarray, n: int, d: int) -> np.ndarray:
     """<v|P_xz|v> for every column v of V and every P_xz = zeta^(-x.z) Z^z X^x
     (x.z over the integers), one row per (x, z), x major.  For qubits P_xz is
     the Hermitian Pauli and the rows are real; for qutrits they are complex.
@@ -255,18 +255,20 @@ def _pauli_coordinates(V: np.ndarray, n: int, d: int = 2) -> np.ndarray:
 
 def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Element tables of the stabilizer groups with generators gen_x, gen_z
-    (groups, n, n) and first-state phases gen_t (groups, n).
+    (groups, n, n) in step order and first-state phases gen_t (groups, n),
+    as ``_iter_blocks`` yields them.
 
     Returns read-only (groups, d^n) tables, see ``_group_tables``, in the
-    smallest integer types.  They are allocated first, so that they sit below the
-    build's temporaries in the heap, and built a slice of groups at a time, so
-    that the temporaries stay within _TILE entries.
+    smallest integer types: the tables of ``StabilizerDictionary``.  They are
+    allocated first, so that they sit below the build's temporaries in the
+    heap, and built a slice of _TILE / d^2n groups at a time, so that each
+    int64 temporary stays within _TILE / d^n entries.
     """
     count, n = gen_t.shape
     dim = d**n
     elements = np.empty((count, dim), dtype=np.min_scalar_type(dim * dim - 1))
     phases = np.empty((count, dim), dtype=np.int8)
-    step = max(1, _TILE // dim)
+    step = max(1, _TILE // (dim * dim))
     for g0 in range(0, count, step):
         groups = slice(g0, g0 + step)
         tables = _group_tables(gen_x[groups], gen_z[groups], gen_t[groups], d)
@@ -278,21 +280,21 @@ def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndar
 def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``_stabilizer_groups`` in int64.
 
-    Takes each group's generators g_i in ``_generator_order``, with the
-    phases of its first state, so that the element P_c = prod_i g_i^c_i, c
-    little-endian over the generators in that order, is the one whose
-    character sigma.c orders the group's states.  The elements come by
-    doubling, P_(c + e_i) = P_c g_i, on integer-coded X and Z parts.
+    Takes each group's generators g_i in step order, with the phases of its
+    first state, so that the element P_c = prod_i g_i^c_i, c little-endian
+    over the generators, is the one whose character sigma.c orders the
+    group's states (sigma the column's digits); element d^i is g_i itself.
+    The elements come by doubling, P_(c + e_i) = P_c g_i, on integer-coded X
+    and Z parts.
     Returns each element's row x d^n + z of ``_pauli_coordinates``, and its
     zeta exponent relative to that row's P_xz.
     """
     count, n = gen_t.shape
     dim = d**n
     # (generator, group) arrays below, so that numpy loops run over the groups
-    groups, order = np.arange(count)[:, None], _group_orders(gen_x)
     place = d ** np.arange(n)
-    gx, gz = ((gens.astype(np.int64) @ place)[groups, order].T for gens in (gen_x, gen_z))
-    gt = gen_t.astype(np.int64)[groups, order].T
+    gx, gz = ((gens.astype(np.int64) @ place).T for gens in (gen_x, gen_z))
+    gt = gen_t.astype(np.int64).T
     add, _, weight = (table.ravel() for table in _tables(n, d)[:3])
     x, z, t = (np.zeros((dim, count), dtype=np.int64) for _ in range(3))
     for i in range(n):
@@ -354,40 +356,39 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 
 @dataclass
 class StabilizerDictionary:
-    """All pure stabilizer states for (n, d): dense vectors, and one canonical
-    tableau per group of d^n consecutive columns (see ``_generator_order``)."""
+    """All pure stabilizer states for (n, d): dense vectors, and the element
+    table of each group of d^n consecutive columns (see ``_stabilizer_groups``)."""
 
     n: int
     d: int
     states: np.ndarray  # (d^n, N) complex128, columns normalized
-    gen_x: np.ndarray  # (N / d^n, n, n) int8, one row per group
-    gen_z: np.ndarray  # (N / d^n, n, n) int8
-    gen_t: np.ndarray  # (N / d^n, n) int8, zeta exponents mod 2d of each group's first state
+    # (N / d^n, d^n) read-only tables of _stabilizer_groups, one row per group:
+    # each element's row x d^n + z of _pauli_coordinates, and its zeta exponent
+    elements: np.ndarray
+    phases: np.ndarray
     # (rows, labels) of the robustness LP's constraints, built on first use
     # by measures.free_robustness; read-only once set
     _robustness_rows: tuple | None = field(default=None, compare=False, repr=False)
-    # (elements, phases) of _stabilizer_groups, built on first use by
-    # best_overlaps; read-only once set
-    _groups: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         dim = self.d**self.n
         groups, rest = divmod(self.size, dim)
-        if rest or any(len(gens) != groups for gens in (self.gen_x, self.gen_z, self.gen_t)):
-            raise ValueError(f"{self.size} states need {dim} per group, one generator row each")
+        if rest or any(table.shape != (groups, dim) for table in (self.elements, self.phases)):
+            raise ValueError(f"{self.size} states need {dim} per group, one table row each")
 
     @property
     def size(self) -> int:
         return self.states.shape[1]
 
     def tableau(self, i: int) -> StabilizerTableau:
-        g, j = divmod(operator.index(i), self.d**self.n)
-        xs, zs = self.gen_x[g].tolist(), self.gen_z[g].tolist()
-        ts = _state_phases(self.gen_x[g], self.gen_t[g], self.d)[j].tolist()
-        gens = tuple(
-            PauliOperator(self.n, self.d, tuple(x), tuple(z), t) for x, z, t in zip(xs, zs, ts)
-        )
-        return StabilizerTableau(self.n, self.d, gens)
+        """Canonical tableau of column i, decoded from its group's table
+        entries d^q: the group's generators in step order."""
+        d, dim = self.d, self.d**self.n
+        g, j = divmod(operator.index(i), dim)
+        steps = d ** np.arange(self.n)
+        x, z = (code[:, None] // steps % d for code in divmod(self.elements[g, steps], dim))
+        t = (self.phases[g, steps] - (x * z).sum(axis=1)) % (2 * d)
+        return next(_tableaux(x.tolist(), z.tolist(), t.tolist(), d, [j]))
 
     def state(self, i: int) -> np.ndarray:
         return self.states[:, i]
@@ -411,21 +412,18 @@ class StabilizerDictionary:
         character-matrix product; a chunk with at most _TILE entries of
         sums in all (n <= 3 qubits and n <= 2 qutrits, a few targets) takes
         every group's sums at once.  Ties keep the lowest j.  Targets go in
-        even chunks of at most _TILE (group, target) pairs, and the group
-        tables are built on first use and kept read-only.
+        even chunks of at most _TILE (group, target) pairs.
         """
         if V.ndim != 2 or V.shape[0] != self.states.shape[0]:
             raise ValueError("state dimension mismatch")
-        if self._groups is None:
-            self._groups = _stabilizer_groups(self.gen_x, self.gen_z, self.gen_t, self.d)
         m = V.shape[1]
         fidelities = np.empty(m)
         indices = np.empty(m, dtype=np.int64)
-        chunks = max(1, -(-m * len(self._groups[0]) // _TILE))
+        chunks = max(1, -(-m * len(self.elements) // _TILE))
         step = max(1, -(-m // chunks))  # even chunks of at most _TILE bounds
         for t0 in range(0, m, step):
             coords = _pauli_coordinates(V[:, t0 : t0 + step], self.n, self.d)
-            best = _best_in_groups(*self._groups, coords, self.n, self.d)
+            best = _best_in_groups(self.elements, self.phases, coords, self.n, self.d)
             fidelities[t0 : t0 + step], indices[t0 : t0 + step] = best
         return fidelities, indices
 
@@ -438,12 +436,11 @@ def iter_stabilizer_states(n: int, d: int = 2):
         raise ResourceLimitError(
             f"streaming enumeration supports 1 <= n <= {STREAM_LIMITS[d]} for d={d}, got n={n}"
         )
+    dim = d**n
     for gen_x, gen_z, gen_t, psi in _iter_blocks(n, d):
-        xvecs = [tuple(row) for row in gen_x.tolist()]
-        phases = _state_phases(gen_x, gen_t, d).reshape(len(psi), n)
-        for zs, ts, phi in zip(np.repeat(gen_z, d**n, 0).tolist(), phases.tolist(), psi):
-            gens = tuple(PauliOperator(n, d, xvecs[r], tuple(zs[r]), ts[r]) for r in range(n))
-            yield StabilizerTableau(n, d, gens), phi
+        xs = gen_x.tolist()
+        for zs, ts, phis in zip(gen_z.tolist(), gen_t.tolist(), psi.reshape(-1, dim, dim)):
+            yield from zip(_tableaux(xs, zs, ts, d, range(dim)), phis)
 
 
 def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
@@ -471,4 +468,4 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
         count += len(psi)
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
-    return StabilizerDictionary(n, d, states, gen_x, gen_z, gen_t)
+    return StabilizerDictionary(n, d, states, *_stabilizer_groups(gen_x, gen_z, gen_t, d))

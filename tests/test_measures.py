@@ -237,10 +237,10 @@ def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
     builds = []
     real = measures._pauli_coordinates
 
-    def count_dictionary_builds(V, n):
+    def count_dictionary_builds(V, n, d):
         if V is dic.states:
             builds.append(V)
-        return real(V, n)
+        return real(V, n, d)
 
     monkeypatch.setattr(measures, "_pauli_coordinates", count_dictionary_builds)
     first = free_robustness(golden, dic)

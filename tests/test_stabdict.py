@@ -4,11 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from magiclab.pauli import (
-    PauliOperator,
-    StabilizerTableau,
-    tableau_to_state,
-)
+from magiclab.pauli import PauliOperator, tableau_to_state
 from magiclab import stabdict
 from magiclab.haar import haar_state_batch
 from magiclab.stabdict import (
@@ -65,6 +61,10 @@ def test_entries_match_object_builder(dict2_1, dict2_2, dict2_3, dict3_1, dict3_
     for dic in (dict2_1, dict2_2, dict2_3, dict3_1, dict3_2):
         for i in range(dic.size):
             assert np.max(np.abs(tableau_to_state(dic.tableau(i)) - dic.state(i))) < 1e-12
+        # a numpy index gives the tableau of a Python int, Python-int phases included
+        last = dic.tableau(np.int64(dic.size - 1))
+        assert last == dic.tableau(dic.size - 1)
+        assert all(type(g.phase) is int for g in last.generators)
 
 
 def test_dense_limits():
@@ -108,23 +108,18 @@ def test_blocks_cover_n5():
     # every block of (5, 2): sizes add up to the closed-form count, no block
     # exceeds the cap, each block holds whole groups with one generator row
     # each, and the first and last state of each block match tableau_to_state
-    # on their own tableaux
+    # on their own tableaux, decoded from the generators in step order
     total = 0
     for gen_x, gen_z, gen_t, psi in _iter_blocks(5, 2):
         size, groups = len(psi), len(gen_t)
         assert 0 < size <= _BLOCK_STATES and size == 32 * groups
         assert gen_x.shape == (5, 5) and gen_z.shape == (groups, 5, 5)
         assert gen_t.shape == (groups, 5) and psi.shape == (size, 32)
-        phases = stabdict._state_phases(gen_x, gen_t, 2)
         total += size
         for j in (0, size - 1):
-            gens = tuple(
-                PauliOperator(5, 2, tuple(x), tuple(z), t)
-                for x, z, t in zip(
-                    gen_x.tolist(), gen_z[j // 32].tolist(), phases[j // 32, j % 32].tolist()
-                )
-            )
-            phi = tableau_to_state(StabilizerTableau(5, 2, gens))
+            g, column = divmod(j, 32)
+            gens = (gen_x.tolist(), gen_z[g].tolist(), gen_t[g].tolist())
+            phi = tableau_to_state(next(stabdict._tableaux(*gens, 2, [column])))
             assert np.max(np.abs(phi - psi[j])) < 1e-12
     assert total == count_stabilizer_states(5, 2)
 
@@ -188,9 +183,8 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
             dic.n,
             dic.d,
             np.hstack([dic.states, dic.states]),
-            np.concatenate([dic.gen_x, dic.gen_x]),
-            np.concatenate([dic.gen_z, dic.gen_z]),
-            np.concatenate([dic.gen_t, dic.gen_t]),
+            np.concatenate([dic.elements, dic.elements]),
+            np.concatenate([dic.phases, dic.phases]),
         )
         basis = np.eye(dim, dtype=complex)
         fid, idx = twice.best_overlaps(basis)
@@ -204,8 +198,8 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
         dense_fid, _ = _dense_best(dic.states, haar)
         assert np.max(np.abs(fid - dense_fid)) < 1e-12
         assert np.all(idx < dic.size)
-        # the group tables stay on the dictionary, read-only
-        assert not any(table.flags.writeable for table in twice._groups)
+        # an enumerated dictionary's group tables are read-only
+        assert not any(table.flags.writeable for table in (dic.elements, dic.phases))
 
 
 def _group_expectations(dic, V):
@@ -250,17 +244,17 @@ def test_runs_are_stabilizer_group_eigenbases(fixture, request):
 
 
 def test_dictionary_needs_whole_groups_and_one_generator_row_each(dict2_2):
-    # states that are not whole groups, a group short of generators, and the
-    # tableaux written out once per state
+    # states that are not whole groups, a group short of its table row, and
+    # the tables written out once per state
     dic = dict2_2
-    gens = (dic.gen_x, dic.gen_z, dic.gen_t)
-    for states, gen_x, gen_z, gen_t in [
-        (dic.states[:, :-1], *gens),
-        (dic.states, *(g[:-1] for g in gens)),
-        (dic.states, *(np.repeat(g, 4, axis=0) for g in gens)),
+    tables = (dic.elements, dic.phases)
+    for states, elements, phases in [
+        (dic.states[:, :-1], *tables),
+        (dic.states, *(table[:-1] for table in tables)),
+        (dic.states, *(np.repeat(table, 4, axis=0) for table in tables)),
     ]:
-        with pytest.raises(ValueError, match="need 4 per group, one generator row each"):
-            StabilizerDictionary(dic.n, dic.d, states, gen_x, gen_z, gen_t)
+        with pytest.raises(ValueError, match="need 4 per group, one table row each"):
+            StabilizerDictionary(dic.n, dic.d, states, elements, phases)
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
@@ -298,11 +292,30 @@ def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
                 assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
 
 
+def _step_generators(dic, g):
+    """Group g's generators in step order, as X rows, Z rows and phases: the
+    canonical tableau of its first column, reordered by _generator_order
+    (its own inverse)."""
+    gens = dic.tableau(g * dic.d**dic.n).generators
+    gens = [gens[r] for r in stabdict._generator_order(sum(any(p.xvec) for p in gens), dic.n)]
+    return [p.xvec for p in gens], [p.zvec for p in gens], [p.phase for p in gens]
+
+
+def _tableau_arrays(tabs):
+    """(gen_x, gen_z, gen_t) of the tableaux tabs, one row per tableau."""
+    gens = [[(g.xvec, g.zvec, g.phase) for g in tab.generators] for tab in tabs]
+    return tuple(np.array([[g[k] for g in row] for row in gens]) for k in range(3))
+
+
 def _per_state(dic):
-    """(gen_x, gen_z, gen_t) written out once per state, in column order."""
+    """(gen_x, gen_z, gen_t) of every column's canonical tableau, in column
+    order, decoded group by group from the step-ordered generators."""
     dim = dic.d**dic.n
-    phases = stabdict._state_phases(dic.gen_x, dic.gen_t, dic.d).reshape(dic.size, dic.n)
-    return np.repeat(dic.gen_x, dim, axis=0), np.repeat(dic.gen_z, dim, axis=0), phases
+    return _tableau_arrays(
+        tab
+        for g in range(dic.size // dim)
+        for tab in stabdict._tableaux(*_step_generators(dic, g), dic.d, range(dim))
+    )
 
 
 def _digest(gen_x, gen_z, gen_t, states):
@@ -339,8 +352,7 @@ def test_group_table_digest(fixture, digest, request):
     # digests taken from the group tables built from one tableau per state,
     # with each group's generator order read off its phases
     dic = request.getfixturevalue(fixture)
-    elements, phases = stabdict._stabilizer_groups(dic.gen_x, dic.gen_z, dic.gen_t, dic.d)
-    assert hashlib.sha256(elements.tobytes() + phases.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(dic.elements.tobytes() + dic.phases.tobytes()).hexdigest() == digest
 
 
 def test_stream_digest_n5():
@@ -348,11 +360,7 @@ def test_stream_digest_n5():
     # k = 1 (1984) into k = 2; digest taken from the per-state enumerator
     # that the block enumerator replaced
     tabs, psis = zip(*itertools.islice(iter_stabilizer_states(5, 2), 3000))
-    gens = [[(g.xvec, g.zvec, g.phase) for g in tab.generators] for tab in tabs]
-    gen_x = np.array([[x for x, _, _ in row] for row in gens])
-    gen_z = np.array([[z for _, z, _ in row] for row in gens])
-    gen_t = np.array([[t for _, _, t in row] for row in gens])
-    digest = _digest(gen_x, gen_z, gen_t, np.column_stack(psis))
+    digest = _digest(*_tableau_arrays(tabs), np.column_stack(psis))
     assert digest == "e7788656e5ca3bd941fb769d9f52169dc5eb20c8aff23b95b0ea92f03eab9314"
 
 
