@@ -2,9 +2,9 @@
 
 Measures computed here, all in bits (base-2 logs):
 
-* ``dmin``      min-relative entropy of magic; for pure states
-                -log2 max_phi |<psi|phi>|^2, for mixed states the support
-                projector replaces the rank-one projector.
+* ``dmin``      min-relative entropy of magic, -log2 max_phi Tr(Pi phi) for
+                the support projector Pi (|psi><psi| for a pure state), read
+                from Pi's Pauli coordinates through the group tables.
 * ``extent``    squared minimal complex l1 norm of a pure-state stabilizer
                 decomposition; its log is the max-relative entropy of magic.
                 Computed by phase column generation on the simplex and
@@ -14,9 +14,9 @@ Measures computed here, all in bits (base-2 logs):
                 mixtures; the optimal pseudomixture has l1 mass 1 + 2s, and
                 the LP dual provides an operator witness A with
                 |Tr phi A| <= 1 on the dictionary and Tr rho A = 1 + 2s.
-                Both sides of sum_j c_j phi_j = rho go through one coordinate
-                map per local dimension (Pauli expectations for qubits,
-                density-matrix entries for qutrits).
+                Both operator sides of sum_j c_j phi_j = rho go through one
+                coordinate map per local dimension (Pauli expectations for
+                qubits, density-matrix entries for qutrits).
 
 Every report validates the sandwich dmin <= dmax <= log2(1 + R) within the
 stated tolerance before it is returned.
@@ -37,7 +37,7 @@ from .solvers import (
     solve_extent,
     solve_lp,
 )
-from .stabdict import StabilizerDictionary, _pauli_coordinates
+from .stabdict import StabilizerDictionary, _best_in_groups, _pauli_coordinates
 
 TOLERANCES = {
     "lp": LP_TOL,
@@ -64,7 +64,8 @@ def _is_density_matrix(state: np.ndarray) -> bool:
 def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
     """The state as a complex array of the dictionary's dimension.  A pure
     state must have unit norm, and a density matrix unit trace, within 1e-9;
-    a density matrix must also be Hermitian within 1e-10."""
+    a density matrix must also be Hermitian within 1e-10 and have no
+    eigenvalue below -``support_eigenvalue``."""
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != dic.d**dic.n:
         raise ValueError("state dimension does not match the dictionary")
@@ -73,6 +74,8 @@ def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
             raise ValueError("density matrix must be Hermitian")
         if not abs(np.trace(state) - 1.0) <= 1e-9:
             raise ValueError("density matrix must have unit trace")
+        if np.linalg.eigvalsh(state)[0] < -TOLERANCES["support_eigenvalue"]:
+            raise ValueError("density matrix must be positive semidefinite")
     elif not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
         raise ValueError("pure state must have unit norm")
     return state
@@ -81,20 +84,19 @@ def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
 def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     """Min-relative entropy of magic and the index of the best dictionary state.
 
-    Ties break toward the lowest dictionary index.  The state is checked as
-    ``_checked_state`` describes.
+    Reads the Pauli coordinates of the support projector (|psi><psi| for a
+    pure state) as ``best_overlaps`` reads a vector's.  Ties break toward the
+    lowest index.  The state is checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic)
+    support = state[:, None]
     if _is_density_matrix(state):
         vals, vecs = np.linalg.eigh(state)
         support = vecs[:, vals > TOLERANCES["support_eigenvalue"]]
-        overlaps = np.sum(np.abs(support.conj().T @ dic.states) ** 2, axis=0)
-        best = int(np.argmax(overlaps))
-        fidelity = float(overlaps[best])
-    else:
-        fidelities, indices = dic.best_overlaps(state[:, None])
-        best, fidelity = int(indices[0]), float(fidelities[0])
-    return -math.log2(fidelity), best
+    projector = np.sum(support[:, None] * support.conj(), axis=2, keepdims=True)
+    coords = _pauli_coordinates(projector, dic.n, dic.d)
+    fidelity, best = _best_in_groups(dic.elements, dic.phases, coords, dic.n, dic.d)
+    return -math.log2(float(fidelity[0])), int(best[0])
 
 
 @dataclass
@@ -143,23 +145,23 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
     )
 
 
-def _entry_coordinates(V: np.ndarray) -> np.ndarray:
-    """Entries of |v><v| for every column v of V: the diagonal, then the
-    real and imaginary parts of each upper-triangle entry (i, j), row major."""
-    dim = V.shape[0]
+def _entry_coordinates(R: np.ndarray) -> np.ndarray:
+    """Entries of each operator R[:, :, k]: the real diagonal, then the real
+    and imaginary parts of each upper-triangle entry (i, j), row major."""
+    dim = R.shape[0]
     i, j = np.triu_indices(dim, 1)
-    upper = V[i] * V[j].conj()
-    out = np.empty((dim * dim, V.shape[1]))
-    out[:dim] = (V * V.conj()).real
+    upper = R[i, j]
+    out = np.empty((dim * dim, R.shape[2]))
+    out[:dim] = R[np.arange(dim), np.arange(dim)].real
     out[dim::2] = upper.real
     out[dim + 1 :: 2] = upper.imag
     return out
 
 
-def _coordinates(V: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Real coordinates of each |v><v|, in the robustness LP's row order:
-    Pauli expectations for qubits, density-matrix entries for qutrits."""
-    return _pauli_coordinates(V, n, d) if d == 2 else _entry_coordinates(V)
+def _coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Real coordinates of each Hermitian operator in the stack R, in the LP's
+    row order: Pauli expectations for qubits, entries for qutrits."""
+    return _pauli_coordinates(R, n, d) if d == 2 else _entry_coordinates(R)
 
 
 def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
@@ -177,7 +179,7 @@ def _robustness_rows(dic: StabilizerDictionary):
     """The robustness LP's constraint rows and their labels, built once per
     dictionary and kept on it read-only."""
     if dic._robustness_rows is None:
-        rows = _coordinates(dic.states, dic.n, dic.d)
+        rows = _coordinates(dic.states[:, None] * dic.states.conj(), dic.n, dic.d)
         rows.flags.writeable = False
         dic._robustness_rows = (rows, _coordinate_labels(dic.n, dic.d))
     return dic._robustness_rows
@@ -197,26 +199,23 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     """Free robustness via the pseudomixture LP min ||c||_1, sum c_phi phi = rho.
 
     The columns are the real coordinates of the dictionary's projectors, and
-    b is sum_k lambda_k times those of |v_k><v_k| over rho's eigenpairs.  The
-    optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.  The dual vector
-    defines a witness operator A (returned in the constraint basis) with
-    |Tr phi A| <= 1 for every dictionary state and Tr rho A = ||c||_1; a
-    witness above 1 + the ``lp`` tolerance anywhere on the dictionary raises
-    ``SolverError``.  This is ``solve_lp``'s one LP form, min ||c||_1 over
-    coefficients free in sign, so each column enters the simplex once, as
-    a_j or -a_j, and the solver reports the signed c; it raises instead of
-    returning a status.  It starts at ``solve_lp``'s crash basis, taken in
-    descending |a_j . b|, the overlap of each state's constraint column with
-    rho's (2^n Tr(phi_j rho) for qubits), whose columns with a negative value
-    the solver turns itself.
-    The state is checked as ``_checked_state`` describes.
+    b those of rho.  The optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.
+    The dual vector defines a witness operator A (returned in the constraint
+    basis) with |Tr phi A| <= 1 for every dictionary state and Tr rho A =
+    ||c||_1; a witness above 1 + the ``lp`` tolerance anywhere on the
+    dictionary raises ``SolverError``.  This is ``solve_lp``'s one LP form,
+    min ||c||_1 over coefficients free in sign, so each column enters the
+    simplex once, as a_j or -a_j, and the solver reports the signed c; it
+    raises instead of returning a status.  It starts at ``solve_lp``'s crash
+    basis, taken in descending |a_j . b|, the overlap of each state's
+    constraint column with rho's (2^n Tr(phi_j rho) for qubits), whose
+    columns with a negative value the solver turns itself.  The state is
+    checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic)
-    pure = not _is_density_matrix(state)
-    rho = np.outer(state, state.conj()) if pure else state
+    rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
     A, labels = _robustness_rows(dic)
-    vals, vecs = (np.ones(1), state[:, None]) if pure else np.linalg.eigh(rho)
-    b = _coordinates(vecs, dic.n, dic.d) @ vals
+    b = _coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
     sol = solve_lp(A, b)
     coeffs = sol.x
     l1 = sol.objective

@@ -228,26 +228,24 @@ def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _pauli_coordinates(V: np.ndarray, n: int, d: int) -> np.ndarray:
-    """<v|P_xz|v> for every column v of V and every P_xz = zeta^(-x.z) Z^z X^x
-    (x.z over the integers), one row per (x, z), x major.  For qubits P_xz is
-    the Hermitian Pauli and the rows are real; for qutrits they are complex.
-    With omega = zeta^2,
+def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Tr(r P_xz) for every operator r = R[:, :, k] and every P_xz =
+    zeta^(-x.z) Z^z X^x (x.z over the integers), one row per (x, z), x major.
+    For qubits P_xz is the Hermitian Pauli and the rows keep the real part,
+    exact for Hermitian r; for qutrits they are complex.  With omega = zeta^2,
 
-        <v|Z^z X^x|v> = sum_u omega^(z.u) conj(v[u]) v[u - x],
+        Tr(r Z^z X^x) = sum_u omega^(z.u) r[u - x, u],
 
-    one Fourier transform (a Hadamard matrix product for qubits) per X part
-    x, as many X parts at a time as keep the temporaries within _TILE / d^n
-    entries: a whole target chunk of best_overlaps at once, a dictionary's
-    rows one X part at a time."""
+    one gather and one Fourier transform (a Hadamard matrix product for
+    qubits) per X part x, as many X parts at a time as keep the temporaries
+    within _TILE / d^n entries: a whole target chunk of best_overlaps at
+    once, a dictionary's rows one X part at a time."""
     dim = d**n
     add, neg, _, fourier, phase = _tables(n, d)
-    out = np.empty((dim, dim, V.shape[1]), dtype=float if d == 2 else complex)
-    step = max(1, _TILE // max(1, dim * dim * V.shape[1]))
+    out = np.empty((dim, dim, R.shape[2]), dtype=float if d == 2 else complex)
+    step = max(1, _TILE // max(1, dim * dim * R.shape[2]))
     for x in range(0, dim, step):
-        s = V[add[neg[x : x + step]]]
-        s *= V.conj()  # in place: one more temporary raises the peak at n = 4
-        s = fourier @ s
+        s = fourier @ R[add[neg[x : x + step]], np.arange(dim)]
         s *= phase[x : x + step, :, None]
         out[x : x + step] = s.real if d == 2 else s
     return out.reshape(dim * dim, -1)
@@ -309,8 +307,9 @@ def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _best_in_groups(groups, phases, coords, n: int, d: int):
-    """``best_overlaps`` of the targets whose ``_pauli_coordinates`` are the
-    columns of coords, over the groups of ``_stabilizer_groups``."""
+    """max_j Tr(r phi_j), and the lowest j attaining it, for the Hermitian
+    operators r whose ``_pauli_coordinates`` are the columns of coords, over
+    the groups of ``_stabilizer_groups``: ``best_overlaps`` for r = |v><v|."""
     dim = d**n
     count, m = len(groups), coords.shape[1]
     fourier = _tables(n, d)[3]
@@ -422,7 +421,8 @@ class StabilizerDictionary:
         chunks = max(1, -(-m * len(self.elements) // _TILE))
         step = max(1, -(-m // chunks))  # even chunks of at most _TILE bounds
         for t0 in range(0, m, step):
-            coords = _pauli_coordinates(V[:, t0 : t0 + step], self.n, self.d)
+            W = V[:, t0 : t0 + step]
+            coords = _pauli_coordinates(W[:, None] * W.conj(), self.n, self.d)
             best = _best_in_groups(self.elements, self.phases, coords, self.n, self.d)
             fidelities[t0 : t0 + step], indices[t0 : t0 + step] = best
         return fidelities, indices

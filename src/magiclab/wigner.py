@@ -5,8 +5,8 @@ a2_n) of Z and X exponents per site; its flat index is
 sum_s (a1_s + 3 a2_s) * 9^s (site 1 least significant).
 
 W is the symplectic Fourier transform of the Weyl expectations
-c[x, z] = Tr(rho P_xz), P_xz = zeta^(-x.z) Z^z X^x as in
-``stabdict._pauli_coordinates``:
+c[x, z] = Tr(rho P_xz), P_xz = zeta^(-x.z) Z^z X^x, which
+``stabdict._pauli_coordinates`` reads from rho's entries rho[u - x, u]:
 
     W(a1, a2) = 9^-n sum_{x,z} omega^(a1.x - a2.z) (-1)^(x.z) c[x, z],
 
@@ -54,11 +54,12 @@ class WignerFunction:
 
 def wigner_function(rho: np.ndarray) -> WignerFunction:
     """W of a state vector or a Hermitian density matrix, by the transform in
-    the module docstring.  A matrix's Weyl expectations are those of its
-    eigenvectors weighted by its eigenvalues; a vector is its own single
-    eigenvector."""
+    the module docstring, with the Weyl expectations read from rho's entries
+    (a vector v is rho = |v><v|)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2 and not np.allclose(rho, rho.conj().T, atol=1e-10):
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    elif not np.allclose(rho, rho.conj().T, atol=1e-10):
         raise ValueError("input must be Hermitian")
     dim = rho.shape[0]
     n = round(math.log(dim, D))
@@ -66,9 +67,8 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
         raise ValueError("dimension is not a power of 3")
     if n > 4:
         raise ValueError(f"the Wigner function is limited to n <= 4 qutrits, got {n}")
-    vals, vecs = (np.ones(1), rho[:, None]) if rho.ndim == 1 else np.linalg.eigh(rho)
     _, _, dot, char, _ = _tables(n, D)
-    c = (_pauli_coordinates(vecs, n, D) @ vals).reshape(dim, dim)  # c[x, z]
+    c = _pauli_coordinates(rho[:, :, None], n, D).reshape(dim, dim)  # c[x, z]
     c[dot % 2 == 1] *= -1
     w = char @ c @ char.conj() / D ** (2 * n)  # w[a1, a2]
     digits = (np.arange(dim)[:, None] // D ** np.arange(n)) % D

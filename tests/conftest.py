@@ -76,6 +76,19 @@ def random_state(dim: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def operator_stack(rng, n: int, d: int) -> np.ndarray:
+    """(d^n, d^n, 6) stack: five rank-1 projectors of random vectors, then a
+    rank-2 Hermitian operator for qubits (their coordinate rows keep the real
+    part, exact only for Hermitian r) or an arbitrary complex one for
+    qutrits."""
+    dim = d**n
+    V = rng.normal(size=(dim, 5)) + 1j * rng.normal(size=(dim, 5))
+    M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if d == 2:
+        M = M[:, :2] @ np.diag([0.7, -1.3]) @ M[:, :2].conj().T
+    return np.concatenate([V[:, None] * V.conj(), M[:, :, None]], axis=2)
+
+
 def quadratic_states(n: int):
     """Hypergraph states of every degree <= 2 function with no constant term
     (the constant only flips the global sign): one per ray, 2^(n + C(n,2)) in

@@ -25,7 +25,7 @@ from magiclab.measures import (
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
 from magiclab.stabdict import enumerate_stabilizer_states
-from conftest import random_state
+from conftest import operator_stack, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
 GOLDEN_R = (math.sqrt(3) - 1) / 2
@@ -237,10 +237,10 @@ def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
     builds = []
     real = measures._pauli_coordinates
 
-    def count_dictionary_builds(V, n, d):
-        if V is dic.states:
-            builds.append(V)
-        return real(V, n, d)
+    def count_dictionary_builds(R, n, d):
+        if R.shape[2] == dic.size:  # one projector per dictionary state
+            builds.append(R)
+        return real(R, n, d)
 
     monkeypatch.setattr(measures, "_pauli_coordinates", count_dictionary_builds)
     first = free_robustness(golden, dic)
@@ -254,14 +254,14 @@ def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
 def test_coordinate_maps_match_dense_oracles(n, d):
     rng = np.random.default_rng(10 * d + n)
-    V = rng.normal(size=(d**n, 4)) + 1j * rng.normal(size=(d**n, 4))
-    got = measures._coordinates(V, n, d)
+    R = operator_stack(rng, n, d)
+    got = measures._coordinates(R, n, d)
     labels = measures._coordinate_labels(n, d)
     if d == 2:
         paulis = list(_dense_paulis(n))
-        assert got.shape == (len(paulis), 4) and len(labels) == len(paulis)
+        assert got.shape == (len(paulis), 6) and len(labels) == len(paulis)
         for row, label, (xs, zs, P) in zip(got, labels, paulis):
-            assert np.max(np.abs(row - np.einsum("ik,ij,jk->k", V.conj(), P, V).real)) < 1e-12
+            assert np.max(np.abs(row - np.einsum("ijk,ji->k", R, P).real)) < 1e-12
             op = hermitian_pauli(n, xs, zs)
             assert np.max(np.abs(op.dense() - P)) < 1e-12
             assert label == pauli_to_string(op)
@@ -269,10 +269,10 @@ def test_coordinate_maps_match_dense_oracles(n, d):
     dim = d**n
     entries = [("re", i, i) for i in range(dim)]
     entries += [(p, i, j) for i in range(dim) for j in range(i + 1, dim) for p in ("re", "im")]
-    assert got.shape == (dim * dim, 4) and len(labels) == dim * dim
+    assert got.shape == (dim * dim, 6) and len(labels) == dim * dim
     for row, label, (part, i, j) in zip(got, labels, entries):
-        outer = np.array([np.outer(v, v.conj())[i, j] for v in V.T])
-        want = outer.real if part == "re" else outer.imag
+        entry = np.array([r[i, j] for r in R.transpose(2, 0, 1)])
+        want = entry.real if part == "re" else entry.imag
         assert np.max(np.abs(row - want)) < 1e-12
         assert label == f"{part}[{i},{j}]"
 
@@ -381,6 +381,38 @@ def test_dmin_rejects_non_hermitian_density_matrix(dict2_1):
     rho = np.diag([1.0, 0.0]).astype(complex)
     rho[0, 1] = 1e-12
     assert abs(dmin(rho, dict2_1)[0]) < 1e-9
+
+
+def test_non_positive_density_matrix_is_rejected(dict2_1, dict2_2):
+    # Hermitian with unit trace, but not a state: it used to give dmin 0 and
+    # a pseudomixture of mass 2 that passed validate()
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    for measure in (dmin, free_robustness, magic_report):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            measure(bad, dict2_1)
+    # a rank-1 rho whose least eigenvalue rounds slightly below zero is a state
+    v = random_state(4, np.random.default_rng(9))
+    rho = np.outer(v, v.conj())
+    assert -1e-16 < np.linalg.eigvalsh(rho)[0] < 0
+    assert abs(dmin(rho, dict2_2)[0] - dmin(v, dict2_2)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)])
+def test_mixed_dmin_matches_the_dense_support_overlaps(request, n, d):
+    # max_j sum_k |<v_k|phi_j>|^2 over the support's eigenvectors v_k, for
+    # ranks 1, 2 and full; the returned state must attain the maximum
+    dic = request.getfixturevalue(f"dict{d}_{n}")
+    dim = d**n
+    rng = np.random.default_rng(70 + 10 * d + n)
+    for rank in sorted({1, 2, dim}):
+        for _ in range(3):
+            V = np.linalg.qr(rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)))[0]
+            rho = (V * rng.dirichlet(np.ones(rank))) @ V.conj().T
+            rho = (rho + rho.conj().T) / 2
+            overlaps = np.sum(np.abs(V.conj().T @ dic.states) ** 2, axis=0)
+            value, best = dmin(rho, dic)
+            assert abs(2.0**-value - overlaps.max()) < 1e-12
+            assert overlaps.max() - overlaps[best] < 1e-12
 
 
 def test_robustness_bound_check(dict2_1, dict2_2):

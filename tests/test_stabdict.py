@@ -16,7 +16,7 @@ from magiclab.stabdict import (
     enumerate_stabilizer_states,
     iter_stabilizer_states,
 )
-from conftest import quadratic_states
+from conftest import operator_stack, quadratic_states
 
 
 @pytest.mark.parametrize(
@@ -259,20 +259,17 @@ def test_dictionary_needs_whole_groups_and_one_generator_row_each(dict2_2):
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
 def test_pauli_coordinates_match_dense_operators(n, d):
-    # <v|P_xz|v> with P_xz = zeta^(-x.z) Z^z X^x, row x d^n + z, against the
-    # dense matrices of PauliOperator
-    rng = np.random.default_rng(10 * d + n)
-    dim = d**n
-    V = rng.normal(size=(dim, 5)) + 1j * rng.normal(size=(dim, 5))
-    got = stabdict._pauli_coordinates(V, n, d)
-    assert got.dtype == (float if d == 2 else complex)
+    # Tr(r P_xz) with P_xz = zeta^(-x.z) Z^z X^x, row x d^n + z, against the
+    # dense matrices of PauliOperator, for every operator of operator_stack
+    R = operator_stack(np.random.default_rng(10 * d + n), n, d)
+    got = stabdict._pauli_coordinates(R, n, d)
+    assert got.dtype == (float if d == 2 else complex) and got.shape == (d ** (2 * n), 6)
     digits = list(itertools.product(range(d), repeat=n))
     for row, (x, z) in enumerate(itertools.product(digits, digits)):
         # itertools.product counts big-endian; indices are little-endian
         x, z = x[::-1], z[::-1]
         P = PauliOperator(n, d, x, z, -sum(a * b for a, b in zip(x, z)) % (2 * d)).dense()
-        want = np.einsum("ik,ij,jk->k", V.conj(), P, V)
-        assert np.max(np.abs(got[row] - want)) < 1e-12
+        assert np.max(np.abs(got[row] - np.einsum("ijk,ji->k", R, P))) < 1e-12
 
 
 def test_best_overlaps_rejects_wrong_shape(dict2_2):
