@@ -81,19 +81,6 @@ def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return M, pivots
 
 
-def gfp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows form a basis of the right nullspace of mat over GF(p)."""
-    R, pivots = gfp_rref(mat, p)
-    n = mat.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, fc]) % p
-    return basis
-
-
 # --- GF(2^m) by discrete logs ------------------------------------------------
 
 def field_log_tables(m: int) -> tuple[np.ndarray, np.ndarray]:

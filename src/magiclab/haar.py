@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabdict import StabilizerDictionary
+from .stabdict import DENSE_LIMITS, StabilizerDictionary
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,8 +198,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.n > 4:
-            raise ValueError("magic experiments need the full dictionary (n <= 4)")
+        if self.n > DENSE_LIMITS[2]:
+            raise ValueError(f"magic experiments need the full dictionary (n <= {DENSE_LIMITS[2]})")
 
 
 @dataclass

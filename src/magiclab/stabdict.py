@@ -7,20 +7,21 @@ fixing the Z-part lifts, and each subspace carries d^n phase characters.
 No dedup pass is needed and the total matches the closed-form count
 d^n * prod_k (d^{n-k} + 1) by construction.
 
-States are built in blocks, one RREF R and a run of its S matrices at a
-time, with exact integer phase arithmetic (powers of zeta = exp(i*pi/d)) by
-_coset_phases; the first nonzero amplitude of each comes out real positive.
-pauli.tableau_to_state builds the same vectors by a second path, the
-product of the generators' projectors, with no elimination.  Dense
-enumeration is cheap at desk scale (n = 4 qubits takes about 0.05 s), so
-dictionaries are rebuilt on demand rather than stored.
-
 Each run of d^n consecutive states (one R and S, every eps_z and every
 character) is the joint eigenbasis of one stabilizer group, and the
 dictionary stores each group as its element table (element rows and
-phases, packed in small integers), built once at enumeration from the
-group's generators.  ``_generator_order`` states the run's order, and
-``_tableaux`` decodes a column's canonical tableau from the generators.
+phases, packed in small integers).  States are built in blocks, one RREF R
+and a run of its S matrices at a time: ``_group_tables`` expands each
+group's generators into its table, with exact integer phase arithmetic
+(powers of zeta = exp(i*pi/d)), and the states are read off the tables'
+X spans; the first nonzero amplitude of each comes out real positive.
+``_tableaux`` states the run's order and decodes a column's canonical
+tableau from its group's table row.  pauli.tableau_to_state builds the
+same vectors by a second path, the product of the generators' projectors,
+with no elimination.  Dense enumeration is cheap at desk scale (n = 4
+qubits takes about 0.05 s), so dictionaries are rebuilt on demand rather
+than stored.
+
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
 Parseval bounds their maximum, and exact sums are taken only for the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binlin import gfp_nullspace, gfp_rref
+from .binlin import gfp_rref
 from .pauli import PauliOperator, StabilizerTableau
 
 DENSE_LIMITS = {2: 4, 3: 2}
@@ -89,69 +90,57 @@ def _symmetric_matrices(k: int, d: int) -> np.ndarray:
     return S
 
 
-def _coset_phases(W0, X, Z, t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Supports and zeta exponents of the states sum_y zeta**e(y) |w0 + y X>.
+def _iter_blocks(n: int, d: int):
+    """Yield (elements, phases, psi) blocks over all stabilizer states.
 
-    X (k x n) holds the canonical X rows; Z (..., k, n) and t (..., k) stack
-    any number of Z parts and phases over them.  W0 (m x n) holds one coset
-    offset per row.  Walking y in counting order, each step by X row i onto
-    the point w multiplies the amplitude by zeta**(t_i + 2 z_i.w), giving
+    Each block is one RREF X-block R and a run of m of its symmetric
+    matrices S, one group each: elements and phases (m, d^n) are the groups'
+    tables (see ``_group_tables``), and psi (m d^n, d^n) every state, m d^n
+    <= max(d^n, _BLOCK_STATES).  In all, the blocks give every state in a
+    fixed deterministic order: subspace dimension ascending, then R and S
+    lex, then the group's column order (see ``_tableaux``).
 
-        e(y) = y.t + 2 [y.(Z w0) + sum_{i<j} y_i y_j z_i.x_j
-                        + sum_i C(y_i + 1, 2) z_i.x_i]     (mod 2d).
+    The states are read off the tables (Dehaene and De Moor,
+    quant-ph/0304125).  With k X-type generators, a group's first d^k
+    entries c = y, little-endian over them, are its X span: the elements
+    zeta^(phases[c] - x.z) Z^z X^x with x = yR.  The state of (eps_z, sigma)
+    is d^(-k/2) sum_y zeta^e(y) |w0 + yR>, supported on idx[eps_z], with
 
-    Returns (m, d^k) basis indices, shared by the whole stack, and (..., m,
-    d^k) exponents, y little-endian in d.
+        e(y) = phases[c] + x.z + 2 z.w0 + 2 sigma.y     (mod 2d).
 
-    _iter_blocks solves w0 from the RREF pure-Z rows with free variables
-    zero, so w0 vanishes on the trailing columns of X's row space (the
-    complement of the Z rows' leading columns).  Then y = 0 gives the least
+    w0 solves the Z rows' equations z.w = -eps_z with free variables zero,
+    so it vanishes off the Z rows' leading columns, y = 0 gives the least
     index of each coset, and e(0) = 0 makes the first nonzero amplitude real
     positive.
     """
-    X, Z = np.asarray(X, dtype=np.int64), np.asarray(Z, dtype=np.int64)
-    W0, t = np.asarray(W0, dtype=np.int64), np.asarray(t, dtype=np.int64)
-    k, n = X.shape
-    ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
-    W = (W0[:, None, :] + ys @ X) % d
-    G = Z @ X.T
-    quad = ((ys @ np.triu(G, 1)) * ys).sum(-1)
-    quad += np.diagonal(G, axis1=-2, axis2=-1) @ (ys * (ys + 1) // 2).T
-    lin = (Z @ W0.T).swapaxes(-1, -2) @ ys.T
-    e = (t @ ys.T + 2 * quad)[..., None, :] + 2 * lin
-    return W @ d ** np.arange(n), e % (2 * d)
-
-
-def _iter_blocks(n: int, d: int):
-    """Yield (gen_x, gen_z, gen_t, psi) blocks over all stabilizer states.
-
-    Each block is one RREF X-block R and a run of m of its symmetric
-    matrices S, one group each: gen_x (n, n) is shared, gen_z (m, n, n) and
-    gen_t (m, n) hold each group's generators in step order (generator i
-    moves at column d^i of the group, see ``_generator_order``) and its first
-    state's phases, and psi (m d^n, d^n) every state, m d^n <=
-    max(d^n, _BLOCK_STATES).  In all, the blocks give every state in a fixed
-    deterministic order: subspace dimension ascending, then R and S lex, then
-    the group's column order.
-    """
     zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
-    run = max(1, _BLOCK_STATES // d**n)
+    dim = d**n
+    place = d ** np.arange(n)
+    dot = _tables(n, d)[2]
+    run = max(1, _BLOCK_STATES // dim)
     for k in range(n + 1):
         ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
         char_tab = (2 * (ys @ ys.T)) % (2 * d)
-        mag = float(d) ** (-k / 2)
+        amplitudes = float(d) ** (-k / 2) * zeta_pow
         eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
         all_S = _symmetric_matrices(k, d)
+        # state (S, eps_z, sigma) is one row of psi, starting at rows[S, eps_z, sigma]
+        rows = np.arange(min(run, len(all_S)) * dim).reshape(-1, len(eps), d**k, 1) * dim
         for R in _rref_matrices(n, k, d):
-            if k < n:
-                znull, zpiv = gfp_rref(gfp_nullspace(R, d), d)
-            else:
-                znull, zpiv = np.zeros((0, n), dtype=np.int64), []
-            # the coset offset solving znull.w = -eps_z, with znull in RREF
+            pivcols = np.argmax(R != 0, axis=1)
+            free = np.ones(n, dtype=bool)
+            free[pivcols] = False
+            # the Z rows, e_f - sum_i R[i, f] e_(pivot i) for each free column f
+            znull = np.eye(n, dtype=np.int64)[free]
+            znull[:, pivcols] = (-R[:, free].T) % d
+            znull, zpiv = gfp_rref(znull, d)
+            # the coset offsets solving znull.w = -eps_z, with znull in RREF
             W0 = np.zeros((len(eps), n), dtype=np.int64)
             W0[:, zpiv] = (-eps) % d
+            w0 = (W0 @ place)[:, None]
+            idx = ((W0[:, None, :] + ys @ R) % d) @ place
+            offsets = rows + idx[:, None, :]
             gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
-            pivcols = np.argmax(R != 0, axis=1)
             for s0 in range(0, len(all_S), run):
                 S = all_S[s0 : s0 + run]
                 m = len(S)
@@ -159,39 +148,41 @@ def _iter_blocks(n: int, d: int):
                 # them canonical by clearing the Z-block pivot columns
                 lifts = np.zeros((m, k, n), dtype=np.int64)
                 lifts[:, :, pivcols] = S
-                if zpiv:
-                    lifts = (lifts - lifts[:, :, zpiv] @ znull) % d
+                lifts = (lifts - lifts[:, :, zpiv] @ znull) % d
                 rx = np.einsum("ij,sij->si", R, lifts)
-                t0x = (-rx) % 4 if d == 2 else (2 * rx) % 6
-                idx, e0 = _coset_phases(W0, R, lifts, t0x, d)
-                expo = (e0[:, :, None, :] + char_tab) % (2 * d)
-                # state (S, eps_z, character) is one row, supported on idx[eps_z]
-                rows = np.arange(m * d**n).reshape(m, len(eps), d**k, 1)
-                psi = np.zeros((m * d**n, d**n), dtype=complex)
-                psi.flat[rows * d**n + idx[:, None, :]] = mag * zeta_pow[expo]
                 # the canonical rows in step order: the Z-type rows reversed
-                gen_z = np.concatenate([lifts, np.broadcast_to(znull[::-1], (m, n - k, n))], 1)
-                gen_t = np.concatenate([t0x, np.zeros((m, n - k), dtype=np.int64)], 1)
-                yield gen_x, gen_z, gen_t, psi
+                gen_z = np.empty((m, n, n), dtype=np.int64)
+                gen_z[:, :k], gen_z[:, k:] = lifts, znull[::-1]
+                gen_t = np.zeros((m, n), dtype=np.int64)
+                gen_t[:, :k] = (-rx) % 4 if d == 2 else (2 * rx) % 6
+                elements, phases = _group_tables(gen_x, gen_z, gen_t, d)
+                # e(y) up to its character term 2 sigma.y, over each X span
+                span = elements[:, : d**k]
+                e0 = phases[:, : d**k] + dot.ravel()[span]
+                e0 = e0[:, None, :] + 2 * dot[span[:, None, :] % dim, w0]
+                expo = (e0[:, :, None, :] + char_tab) % (2 * d)
+                psi = np.zeros((m * dim, dim), dtype=complex)
+                psi.flat[offsets[:m]] = amplitudes[expo]
+                yield elements, phases, psi
 
 
-def _generator_order(k: int, n: int) -> list[int]:
-    """Canonical row order[i] of a group's tableau is its generator i in step
-    order, the one that moves at column d^i of the group, with k the number
-    of X-type (nonzero, leading) rows of gen_x: the characters count them
-    little-endian and eps_z counts the Z-type rows lex, last fastest.  The
-    order is its own inverse."""
-    return [*range(k), *range(n - 1, k - 1, -1)]
+def _tableaux(elements, phases, n: int, d: int, columns):
+    """Canonical tableaux of the given columns of one group, decoded from
+    its table row (see ``_group_tables``): entry d^i is generator i in step
+    order, the one that moves at column d^i.
 
-
-def _tableaux(xs, zs, ts, d: int, columns):
-    """Canonical tableaux of the given columns of one group, from its
-    generators in step order: X and Z rows xs, zs and the first state's zeta
-    exponents ts, as lists.  Column j reorders the generators by
-    ``_generator_order`` and adds 2 digit_i(j) to the exponent of generator
-    i, digits little-endian in d."""
-    n = len(ts)
-    order = _generator_order(sum(map(any, xs)), n)
+    The canonical rows take the k X-type generators (nonzero X part) first,
+    then the Z-type ones reversed: the characters count the former
+    little-endian and eps_z counts the latter lex, last fastest.  Column j
+    adds 2 digit_i(j) to the exponent of generator i, digits little-endian
+    in d."""
+    dim = d**n
+    steps = d ** np.arange(n)
+    x, z = (code[:, None] // steps % d for code in divmod(elements[steps], dim))
+    t = (phases[steps] - (x * z).sum(axis=1)) % (2 * d)
+    xs, zs, ts = x.tolist(), z.tolist(), t.tolist()
+    k = sum(map(any, xs))
+    order = [*range(k), *range(n - 1, k - 1, -1)]
     rows = [(tuple(xs[i]), tuple(zs[i]), ts[i], d**i) for i in order]
     for j in columns:
         gens = (PauliOperator(n, d, x, z, (t + 2 * (j // s % d)) % (2 * d)) for x, z, t, s in rows)
@@ -251,56 +242,33 @@ def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
     return out.reshape(dim * dim, -1)
 
 
-def _stabilizer_groups(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element tables of the stabilizer groups with generators gen_x, gen_z
-    (groups, n, n) in step order and first-state phases gen_t (groups, n),
-    as ``_iter_blocks`` yields them.
-
-    Returns read-only (groups, d^n) tables, see ``_group_tables``, in the
-    smallest integer types: the tables of ``StabilizerDictionary``.  They are
-    allocated first, so that they sit below the build's temporaries in the
-    heap, and built a slice of _TILE / d^2n groups at a time, so that each
-    int64 temporary stays within _TILE / d^n entries.
-    """
-    count, n = gen_t.shape
-    dim = d**n
-    elements = np.empty((count, dim), dtype=np.min_scalar_type(dim * dim - 1))
-    phases = np.empty((count, dim), dtype=np.int8)
-    step = max(1, _TILE // (dim * dim))
-    for g0 in range(0, count, step):
-        groups = slice(g0, g0 + step)
-        tables = _group_tables(gen_x[groups], gen_z[groups], gen_t[groups], d)
-        elements[groups], phases[groups] = tables
-    elements.flags.writeable = phases.flags.writeable = False
-    return elements, phases
-
-
 def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_stabilizer_groups`` in int64.
+    """Element tables of the stabilizer groups with X rows gen_x (n, n),
+    shared by the groups, Z rows gen_z (groups, n, n) and first-state zeta
+    exponents gen_t (groups, n), all in step order.
 
-    Takes each group's generators g_i in step order, with the phases of its
-    first state, so that the element P_c = prod_i g_i^c_i, c little-endian
-    over the generators, is the one whose character sigma.c orders the
-    group's states (sigma the column's digits); element d^i is g_i itself.
-    The elements come by doubling, P_(c + e_i) = P_c g_i, on integer-coded X
-    and Z parts.
-    Returns each element's row x d^n + z of ``_pauli_coordinates``, and its
-    zeta exponent relative to that row's P_xz.
+    The element P_c = prod_i g_i^c_i, c little-endian over the generators,
+    is the one whose character sigma.c orders the group's states (sigma the
+    column's digits); element d^i is g_i itself.  The elements come by
+    doubling, P_(c + e_i) = P_c g_i, on integer-coded X and Z parts.
+    Returns (groups, d^n) int64 tables: each element's row x d^n + z of
+    ``_pauli_coordinates``, and its zeta exponent relative to that row's
+    P_xz.  ``StabilizerDictionary`` keeps them in the smallest integer types.
     """
     count, n = gen_t.shape
     dim = d**n
     # (generator, group) arrays below, so that numpy loops run over the groups
     place = d ** np.arange(n)
-    gx, gz = ((gens.astype(np.int64) @ place).T for gens in (gen_x, gen_z))
-    gt = gen_t.astype(np.int64).T
+    gx, gz, gt = gen_x @ place, (gen_z @ place).T, gen_t.T
     add, _, weight = (table.ravel() for table in _tables(n, d)[:3])
     x, z, t = (np.zeros((dim, count), dtype=np.int64) for _ in range(3))
     for i in range(n):
         for a in range(d**i, d ** (i + 1), d**i):
             old, new = slice(a - d**i, a), slice(a, a + d**i)
             # zeta^t Z^z X^x zeta^t_i Z^z_i X^x_i = zeta^(t + t_i - 2 x.z_i) Z^(z+z_i) X^(x+x_i)
-            t[new] = t[old] + gt[i] - 2 * weight[x[old] * dim + gz[i]]
-            x[new] = add[x[old] * dim + gx[i]]
+            row = x[old] * dim
+            t[new] = t[old] + gt[i] - 2 * weight[row + gz[i]]
+            x[new] = add[row + gx[i]]
             z[new] = add[z[old] * dim + gz[i]]
     elements = x * dim + z
     return elements.T, ((t + weight[elements]) % (2 * d)).T
@@ -309,7 +277,8 @@ def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _best_in_groups(groups, phases, coords, n: int, d: int):
     """max_j Tr(r phi_j), and the lowest j attaining it, for the Hermitian
     operators r whose ``_pauli_coordinates`` are the columns of coords, over
-    the groups of ``_stabilizer_groups``: ``best_overlaps`` for r = |v><v|."""
+    the groups whose tables (see ``_group_tables``) are groups and phases:
+    ``best_overlaps`` for r = |v><v|."""
     dim = d**n
     count, m = len(groups), coords.shape[1]
     fourier = _tables(n, d)[3]
@@ -356,13 +325,14 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 @dataclass
 class StabilizerDictionary:
     """All pure stabilizer states for (n, d): dense vectors, and the element
-    table of each group of d^n consecutive columns (see ``_stabilizer_groups``)."""
+    table of each group of d^n consecutive columns (see ``_group_tables``)."""
 
     n: int
     d: int
     states: np.ndarray  # (d^n, N) complex128, columns normalized
-    # (N / d^n, d^n) read-only tables of _stabilizer_groups, one row per group:
-    # each element's row x d^n + z of _pauli_coordinates, and its zeta exponent
+    # (N / d^n, d^n) read-only tables of _group_tables in the smallest integer
+    # types, one row per group: each element's row x d^n + z of
+    # _pauli_coordinates, and its zeta exponent
     elements: np.ndarray
     phases: np.ndarray
     # (rows, labels) of the robustness LP's constraints, built on first use
@@ -380,14 +350,9 @@ class StabilizerDictionary:
         return self.states.shape[1]
 
     def tableau(self, i: int) -> StabilizerTableau:
-        """Canonical tableau of column i, decoded from its group's table
-        entries d^q: the group's generators in step order."""
-        d, dim = self.d, self.d**self.n
-        g, j = divmod(operator.index(i), dim)
-        steps = d ** np.arange(self.n)
-        x, z = (code[:, None] // steps % d for code in divmod(self.elements[g, steps], dim))
-        t = (self.phases[g, steps] - (x * z).sum(axis=1)) % (2 * d)
-        return next(_tableaux(x.tolist(), z.tolist(), t.tolist(), d, [j]))
+        """Canonical tableau of column i, decoded from its group's table row."""
+        g, j = divmod(operator.index(i), self.d**self.n)
+        return next(_tableaux(self.elements[g], self.phases[g], self.n, self.d, [j]))
 
     def state(self, i: int) -> np.ndarray:
         return self.states[:, i]
@@ -396,7 +361,7 @@ class StabilizerDictionary:
         """max_j |<phi_j|v>|^2 for every column v of V, and the lowest j
         attaining it.
 
-        Works group by group (see ``_stabilizer_groups``) and never forms the
+        Works group by group (see ``_group_tables``) and never forms the
         overlap matrix.  For a target v and a group with elements g^c, let
         u_c = <v|g^c|v>.  The group's d^n states have the fidelities
 
@@ -429,7 +394,8 @@ class StabilizerDictionary:
 
 
 def iter_stabilizer_states(n: int, d: int = 2):
-    """Stream (tableau, state) pairs without materializing the dictionary."""
+    """Stream (tableau, state) pairs without materializing the dictionary.
+    The limits are checked at the call, before the first step."""
     if d not in STREAM_LIMITS:
         raise ResourceLimitError(f"unsupported local dimension d={d}")
     if not 1 <= n <= STREAM_LIMITS[d]:
@@ -437,10 +403,12 @@ def iter_stabilizer_states(n: int, d: int = 2):
             f"streaming enumeration supports 1 <= n <= {STREAM_LIMITS[d]} for d={d}, got n={n}"
         )
     dim = d**n
-    for gen_x, gen_z, gen_t, psi in _iter_blocks(n, d):
-        xs = gen_x.tolist()
-        for zs, ts, phis in zip(gen_z.tolist(), gen_t.tolist(), psi.reshape(-1, dim, dim)):
-            yield from zip(_tableaux(xs, zs, ts, d, range(dim)), phis)
+    return (
+        pair
+        for elements, phases, psi in _iter_blocks(n, d)
+        for row, phase_row, phis in zip(elements, phases, psi.reshape(-1, dim, dim))
+        for pair in zip(_tableaux(row, phase_row, n, d, range(dim)), phis)
+    )
 
 
 def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
@@ -455,17 +423,19 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
             f"dense enumeration supports n <= {DENSE_LIMITS[d]} for d={d}"
             + ("; use iter_stabilizer_states to stream larger systems" if stream else "")
         )
+    dim = d**n
     total = count_stabilizer_states(n, d)
-    groups = total // d**n
-    states = np.empty((d**n, total), dtype=complex)
-    gen_x, gen_z = (np.empty((groups, n, n), dtype=np.int8) for _ in range(2))
-    gen_t = np.empty((groups, n), dtype=np.int8)
+    # allocated first, so that they sit below the build's temporaries in the heap
+    states = np.empty((dim, total), dtype=complex)
+    elements = np.empty((total // dim, dim), dtype=np.min_scalar_type(dim * dim - 1))
+    phases = np.empty((total // dim, dim), dtype=np.int8)
     count = 0
-    for gx, gz, gt, psi in _iter_blocks(n, d):
+    for block_elements, block_phases, psi in _iter_blocks(n, d):
         states[:, count : count + len(psi)] = psi.T
-        block = slice(count // d**n, count // d**n + len(gz))
-        gen_x[block], gen_z[block], gen_t[block] = gx, gz, gt
+        block = slice(count // dim, count // dim + len(block_elements))
+        elements[block], phases[block] = block_elements, block_phases
         count += len(psi)
     if count != total:
         raise AssertionError(f"enumeration produced {count} != {total} states")
-    return StabilizerDictionary(n, d, states, *_stabilizer_groups(gen_x, gen_z, gen_t, d))
+    elements.flags.writeable = phases.flags.writeable = False
+    return StabilizerDictionary(n, d, states, elements, phases)

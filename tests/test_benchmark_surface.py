@@ -108,6 +108,7 @@ def test_traced_targets_missing_from_the_package_are_the_known_ones():
         "get_dictionary",
         "load_dictionary",
         "gfp_solve",
+        "gfp_nullspace",
         "gfp_rank",
         "field_element",
         "field_pow",

@@ -166,6 +166,26 @@ def test_lattice_dense_measures(capsys, tmp_path):
     # the convex solves auto-skip beyond desk scale (36720-state dictionary)
     assert abs(m["dmin"] - math.log2(16 / 9)) < 1e-9
     assert m["dmax"] is None and m["lr"] is None
+    # six qubits exceed the dense dictionary: the enumerator's own limit is
+    # the error body
+    code, out = run_cli(
+        capsys,
+        "--cache-dir",
+        str(tmp_path),
+        "lattice",
+        "--kind",
+        "triangular",
+        "--rows",
+        "2",
+        "--cols",
+        "3",
+        "--boundary",
+        "open",
+        "--dense-measures",
+    )
+    assert code == 1
+    assert out["error"] == "ResourceLimitError"
+    assert out["message"].startswith("dense enumeration supports n <= 4 for d=2")
 
 
 def test_wigner_command(capsys, tmp_path):

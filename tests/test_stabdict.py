@@ -89,8 +89,11 @@ def test_streaming_prefix_n5():
         total += 1
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
     assert total == 500
+    # the limits are checked at the call, not at the first step
     with pytest.raises(ResourceLimitError, match="supports 1 <= n <= 5 for d=2, got n=6"):
-        next(iter_stabilizer_states(6, 2))
+        iter_stabilizer_states(6, 2)
+    with pytest.raises(ResourceLimitError, match="unsupported local dimension d=7"):
+        iter_stabilizer_states(2, 7)
 
 
 def test_streaming_matches_dense(dict2_2, dict2_3, dict3_2):
@@ -104,24 +107,25 @@ def test_streaming_matches_dense(dict2_2, dict2_3, dict3_2):
         assert count == dic.size
 
 
-def test_blocks_cover_n5():
-    # every block of (5, 2): sizes add up to the closed-form count, no block
-    # exceeds the cap, each block holds whole groups with one generator row
-    # each, and the first and last state of each block match tableau_to_state
-    # on their own tableaux, decoded from the generators in step order
+@pytest.mark.parametrize("n,d", [(5, 2), (3, 3)])
+def test_blocks_cover(n, d):
+    # every block: sizes add up to the closed-form count, no block exceeds
+    # the cap, each block holds whole groups with one table row each, and the
+    # first and last state of each block match tableau_to_state on their own
+    # tableaux, decoded from the table rows
+    dim = d**n
     total = 0
-    for gen_x, gen_z, gen_t, psi in _iter_blocks(5, 2):
-        size, groups = len(psi), len(gen_t)
-        assert 0 < size <= _BLOCK_STATES and size == 32 * groups
-        assert gen_x.shape == (5, 5) and gen_z.shape == (groups, 5, 5)
-        assert gen_t.shape == (groups, 5) and psi.shape == (size, 32)
+    for elements, phases, psi in _iter_blocks(n, d):
+        size, groups = len(psi), len(elements)
+        assert 0 < size <= _BLOCK_STATES and size == dim * groups
+        assert elements.shape == phases.shape == (groups, dim)
+        assert psi.shape == (size, dim)
         total += size
         for j in (0, size - 1):
-            g, column = divmod(j, 32)
-            gens = (gen_x.tolist(), gen_z[g].tolist(), gen_t[g].tolist())
-            phi = tableau_to_state(next(stabdict._tableaux(*gens, 2, [column])))
-            assert np.max(np.abs(phi - psi[j])) < 1e-12
-    assert total == count_stabilizer_states(5, 2)
+            g, column = divmod(j, dim)
+            tab = next(stabdict._tableaux(elements[g], phases[g], n, d, [column]))
+            assert np.max(np.abs(tableau_to_state(tab) - psi[j])) < 1e-12
+    assert total == count_stabilizer_states(n, d)
 
 
 def _dense_best(states, V, chunk=64):
@@ -205,7 +209,7 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
 def _group_expectations(dic, V):
     """<v|g|v> for every element g of every run's stabilizer group, (runs,
     d^n, targets), from PauliOperator products of the run's first tableau:
-    a path independent of stabdict._stabilizer_groups."""
+    a path independent of stabdict._group_tables."""
     dim = dic.d**dic.n
     out = np.empty((dic.size // dim, dim, V.shape[1]), dtype=complex)
     identity = PauliOperator(dic.n, dic.d, (0,) * dic.n, (0,) * dic.n, 0)
@@ -281,21 +285,12 @@ def test_best_overlaps_rejects_wrong_shape(dict2_2):
 
 def test_qutrit_states_satisfy_generators(dict2_3, dict3_2):
     # every column of the (3, 2) and (2, 3) dictionaries; PauliOperator.apply
-    # is a second path, independent of stabdict._coset_phases
+    # is a second path, independent of how the states are read off the tables
     for dic in (dict2_3, dict3_2):
         for i in range(dic.size):
             psi = dic.state(i)
             for g in dic.tableau(i).generators:
                 assert np.linalg.norm(g.apply(psi) - psi) < 1e-12
-
-
-def _step_generators(dic, g):
-    """Group g's generators in step order, as X rows, Z rows and phases: the
-    canonical tableau of its first column, reordered by _generator_order
-    (its own inverse)."""
-    gens = dic.tableau(g * dic.d**dic.n).generators
-    gens = [gens[r] for r in stabdict._generator_order(sum(any(p.xvec) for p in gens), dic.n)]
-    return [p.xvec for p in gens], [p.zvec for p in gens], [p.phase for p in gens]
 
 
 def _tableau_arrays(tabs):
@@ -306,12 +301,12 @@ def _tableau_arrays(tabs):
 
 def _per_state(dic):
     """(gen_x, gen_z, gen_t) of every column's canonical tableau, in column
-    order, decoded group by group from the step-ordered generators."""
+    order, decoded group by group from the table rows."""
     dim = dic.d**dic.n
     return _tableau_arrays(
         tab
         for g in range(dic.size // dim)
-        for tab in stabdict._tableaux(*_step_generators(dic, g), dic.d, range(dim))
+        for tab in stabdict._tableaux(dic.elements[g], dic.phases[g], dic.n, dic.d, range(dim))
     )
 
 
@@ -332,7 +327,7 @@ def _digest(gen_x, gen_z, gen_t, states):
     ],
 )
 def test_dictionary_digest(fixture, digest, request):
-    # digests taken from the step-by-step phase walk that _coset_phases replaced
+    # digests taken from an earlier enumerator's step-by-step phase walk
     dic = request.getfixturevalue(fixture)
     assert _digest(*_per_state(dic), dic.states) == digest
 
