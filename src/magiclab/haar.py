@@ -45,11 +45,15 @@ def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None =
     """KS test of the fixed-reference overlap law; returns the p-value.
 
     ``phi`` defaults to |0...0> and must be a unit vector of length 2^n
-    within 1e-9.  The statistic is D = max(D+, D-) over the sorted overlaps'
-    CDF values, and the p-value is Pr(D_samples >= D).
+    within 1e-9.  The samples' amplitudes are held at once, so n <= 24 and
+    samples * 2^n <= 2^24 (256 MiB) are checked before any allocation.  The
+    statistic is D = max(D+, D-) over the sorted overlaps' CDF values, and
+    the p-value is Pr(D_samples >= D).
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and at least one sample")
+    if n > 24 or samples * 2**n > 2**24:  # n first: 2**n itself must stay small
+        raise ValueError("need n <= 24 and at most 2^24 amplitudes (samples * 2^n)")
     dim = 2**n
     if phi is None:
         phi = np.zeros(dim, dtype=complex)

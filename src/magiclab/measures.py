@@ -14,14 +14,17 @@ Measures computed here, all in bits (base-2 logs):
                 mixtures; the optimal pseudomixture has l1 mass 1 + 2s, and
                 the LP dual provides an operator witness A with
                 |Tr phi A| <= 1 on the dictionary and Tr rho A = 1 + 2s.
-                Both operator sides of sum_j c_j phi_j = rho go through one
-                coordinate map per local dimension (Pauli expectations for
-                qubits, density-matrix entries for qutrits).
+                Both sides of sum_j c_j phi_j = rho are written in one real
+                basis per local dimension: Pauli expectations for qubits,
+                each phi_j's +-1 on its stabilizer group's elements and
+                read off the group tables, and density-matrix entries for
+                qutrits, taken from the dense projectors.
 
 Every report validates the sandwich dmin <= dmax <= log2(1 + R) within the
 stated tolerance before it is returned.
 """
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -37,7 +40,12 @@ from .solvers import (
     solve_extent,
     solve_lp,
 )
-from .stabdict import StabilizerDictionary, _best_in_groups, _pauli_coordinates
+from .stabdict import (
+    StabilizerDictionary,
+    _best_in_groups,
+    _pauli_coordinates,
+    _state_coordinates,
+)
 
 TOLERANCES = {
     "lp": LP_TOL,
@@ -62,13 +70,15 @@ def _is_density_matrix(state: np.ndarray) -> bool:
 
 
 def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
-    """The state as a complex array of the dictionary's dimension.  A pure
-    state must have unit norm, and a density matrix unit trace, within 1e-9;
-    a density matrix must also be Hermitian within 1e-10 and have no
-    eigenvalue below -``support_eigenvalue``."""
+    """The state as a complex vector (d^n,) or density matrix (d^n, d^n) of
+    the dictionary's dimension.  A pure state must have unit norm, and a
+    density matrix unit trace, within 1e-9; a density matrix must also be
+    Hermitian within 1e-10 and have no eigenvalue below
+    -``support_eigenvalue``."""
     state = np.asarray(state, dtype=complex)
-    if state.shape[0] != dic.d**dic.n:
-        raise ValueError("state dimension does not match the dictionary")
+    dim = dic.d**dic.n
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"state must have shape ({dim},) or ({dim}, {dim}) for the dictionary")
     if _is_density_matrix(state):
         if not np.allclose(state, state.conj().T, atol=1e-10):
             raise ValueError("density matrix must be Hermitian")
@@ -164,6 +174,7 @@ def _coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
     return _pauli_coordinates(R, n, d) if d == 2 else _entry_coordinates(R)
 
 
+@functools.lru_cache(maxsize=None)
 def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
     """Row labels of ``_coordinates``: Pauli strings, or re/im[i,j] entries."""
     dim = d**n
@@ -173,16 +184,6 @@ def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
     diagonal = [f"re[{i},{i}]" for i in range(dim)]
     upper = zip(*np.triu_indices(dim, 1))
     return tuple(diagonal + [f"{p}[{i},{j}]" for i, j in upper for p in ("re", "im")])
-
-
-def _robustness_rows(dic: StabilizerDictionary):
-    """The robustness LP's constraint rows and their labels, built once per
-    dictionary and kept on it read-only."""
-    if dic._robustness_rows is None:
-        rows = _coordinates(dic.states[:, None] * dic.states.conj(), dic.n, dic.d)
-        rows.flags.writeable = False
-        dic._robustness_rows = (rows, _coordinate_labels(dic.n, dic.d))
-    return dic._robustness_rows
 
 
 @dataclass
@@ -199,14 +200,18 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     """Free robustness via the pseudomixture LP min ||c||_1, sum c_phi phi = rho.
 
     The columns are the real coordinates of the dictionary's projectors, and
-    b those of rho.  The optimum splits as (1 + R) - R, so ||c||_1 = 1 + 2R.
-    The dual vector defines a witness operator A (returned in the constraint
-    basis) with |Tr phi A| <= 1 for every dictionary state and Tr rho A =
-    ||c||_1; a witness above 1 + the ``lp`` tolerance anywhere on the
-    dictionary raises ``SolverError``.  This is ``solve_lp``'s one LP form,
-    min ||c||_1 over coefficients free in sign, so each column enters the
-    simplex once, as a_j or -a_j, and the solver reports the signed c; it
-    raises instead of returning a status.  It starts at ``solve_lp``'s crash
+    b those of rho.  For qubits a column is the state's Pauli spectrum,
+    exactly +-1 on its group's elements and 0 elsewhere, read off the group
+    tables by ``_state_coordinates`` on every call; for qutrits it is the
+    entries of the dense projector.  The optimum splits as (1 + R) - R, so
+    ||c||_1 = 1 + 2R.  The dual vector defines a witness operator A
+    (returned in the constraint basis) with |Tr phi A| <= 1 for every
+    dictionary state and Tr rho A = ||c||_1; a witness above 1 + the
+    ``lp`` tolerance anywhere on the dictionary raises ``SolverError``.
+    This is ``solve_lp``'s one LP form, min ||c||_1 over coefficients free
+    in sign, so each column enters the simplex once, as a_j or -a_j, and
+    the solver reports the signed c; it raises instead of returning a
+    status.  It starts at ``solve_lp``'s crash
     basis, taken in descending |a_j . b|, the overlap of each state's
     constraint column with rho's (2^n Tr(phi_j rho) for qubits), whose
     columns with a negative value the solver turns itself.  The state is
@@ -214,7 +219,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     """
     state = _checked_state(state, dic)
     rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
-    A, labels = _robustness_rows(dic)
+    if dic.d == 2:
+        A = _state_coordinates(dic.elements, dic.phases, dic.n)
+    else:
+        A = _entry_coordinates(dic.states[:, None] * dic.states.conj())
     b = _coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
     sol = solve_lp(A, b)
     coeffs = sol.x
@@ -229,6 +237,7 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     witness_feas = float(np.max(np.abs(A.T @ sol.dual)))
     if witness_feas > 1.0 + TOLERANCES["lp"]:
         raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
+    labels = _coordinate_labels(dic.n, dic.d)
     witness = [
         (labels[i], float(sol.dual[i]))
         for i in np.nonzero(np.abs(sol.dual) > 1e-12)[0]

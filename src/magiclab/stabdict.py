@@ -31,7 +31,7 @@ groups whose bound reaches the best exact value found.
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,8 +229,9 @@ def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
 
     one gather and one Fourier transform (a Hadamard matrix product for
     qubits) per X part x, as many X parts at a time as keep the temporaries
-    within _TILE / d^n entries: a whole target chunk of best_overlaps at
-    once, a dictionary's rows one X part at a time."""
+    within _TILE / d^n entries: a whole target chunk of best_overlaps, or
+    a single state, at once.  ``_state_coordinates`` reads a qubit
+    dictionary's own coordinates off its group tables instead."""
     dim = d**n
     add, neg, _, fourier, phase = _tables(n, d)
     out = np.empty((dim, dim, R.shape[2]), dtype=float if d == 2 else complex)
@@ -272,6 +273,20 @@ def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
             z[new] = add[z[old] * dim + gz[i]]
     elements = x * dim + z
     return elements.T, ((t + weight[elements]) % (2 * d)).T
+
+
+def _state_coordinates(groups, phases, n: int) -> np.ndarray:
+    """``_pauli_coordinates`` of the qubit states of the given groups, read
+    off their tables (see ``_group_tables``): the 4^n x (2^n groups) matrix
+    whose column for state sigma of group g is (-1)^(sigma.c) zeta^phases[g, c]
+    on row groups[g, c] and 0 elsewhere, each entry exactly +-1 or 0.  It is
+    the transpose of ``_best_in_groups``' character sums."""
+    dim = 2**n
+    out = np.zeros((dim * dim, len(groups) * dim))
+    columns = np.arange(out.shape[1]).reshape(-1, dim, 1)
+    signs = _tables(n, 2)[3].real
+    out[groups[:, None, :], columns] = _ZETA[2][phases].real[:, None, :] * signs
+    return out
 
 
 def _best_in_groups(groups, phases, coords, n: int, d: int):
@@ -335,9 +350,6 @@ class StabilizerDictionary:
     # _pauli_coordinates, and its zeta exponent
     elements: np.ndarray
     phases: np.ndarray
-    # (rows, labels) of the robustness LP's constraints, built on first use
-    # by measures.free_robustness; read-only once set
-    _robustness_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         dim = self.d**self.n

@@ -275,6 +275,13 @@ def test_haar_overlap_rejects_zero_samples(capsys):
     assert out["error"] == "ValueError"
 
 
+def test_haar_overlap_rejects_too_many_qubits(capsys):
+    # refused before any of the 2^40-amplitude states is allocated
+    code, out = run_cli(capsys, "haar", "--n", "40", "--samples", "10", "--overlap-only")
+    assert code == 1
+    assert out["error"] == "ValueError"
+
+
 def test_non_finite_output_becomes_error_body(capsys, monkeypatch):
     monkeypatch.setattr(cli, "overlap_cdf_pvalue", lambda n, samples, seed: float("nan"))
     code, out = run_cli(capsys, "haar", "--n", "2", "--samples", "5", "--overlap-only")

@@ -132,8 +132,10 @@ def test_overlap_pvalue_matches_scipy_kstest(n, samples, seed, phi):
         (2, 0, None, "at least one sample"),
         (2, 10, np.ones(4), "unit norm"),
         (2, 10, np.eye(8)[0], r"shape \(4,\)"),
+        (40, 10, None, "n <= 24"),
+        (20, 17, None, r"2\^24 amplitudes"),
     ],
-    ids=["n0", "samples0", "unnormalised", "wrong_size"],
+    ids=["n0", "samples0", "unnormalised", "wrong_size", "n40", "too_many_amplitudes"],
 )
 def test_overlap_pvalue_rejects_bad_input(n, samples, phi, message):
     with pytest.raises(ValueError, match=message):

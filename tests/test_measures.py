@@ -24,7 +24,6 @@ from magiclab.measures import (
 )
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
-from magiclab.stabdict import enumerate_stabilizer_states
 from conftest import operator_stack, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -232,25 +231,6 @@ def test_free_robustness_golden_matches_oracle(dict2_1, golden):
     assert abs(_l1_vertex_oracle(A, b) - res.l1) < 1e-7
 
 
-def test_free_robustness_builds_rows_once_per_dictionary(monkeypatch, golden):
-    dic = enumerate_stabilizer_states(1, 2)
-    builds = []
-    real = measures._pauli_coordinates
-
-    def count_dictionary_builds(R, n, d):
-        if R.shape[2] == dic.size:  # one projector per dictionary state
-            builds.append(R)
-        return real(R, n, d)
-
-    monkeypatch.setattr(measures, "_pauli_coordinates", count_dictionary_builds)
-    first = free_robustness(golden, dic)
-    second = free_robustness(np.eye(2, dtype=complex) / 2, dic)
-    assert len(builds) == 1
-    assert abs(first.r - GOLDEN_R) < 1e-7 and second.r < 1e-9
-    rows, _ = dic._robustness_rows
-    assert not rows.flags.writeable
-
-
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
 def test_coordinate_maps_match_dense_oracles(n, d):
     rng = np.random.default_rng(10 * d + n)
@@ -447,6 +427,12 @@ def test_magic_report_json_round_trip(dict2_1, golden):
 def test_dimension_mismatch_rejected(dict2_1):
     with pytest.raises(ValueError):
         dmin(np.zeros(4, dtype=complex), dict2_1)
+    # the right leading dimension in the wrong shape: a (2, 1, 1) array used
+    # to pass as a pure state, and a (2, 1) column as a density matrix
+    for state in (np.ones((2, 1, 1)) / 2**0.5, np.array([[1.0], [0.0]])):
+        for measure in (dmin, extent, free_robustness, magic_report):
+            with pytest.raises(ValueError, match=r"shape \(2,\) or \(2, 2\)"):
+                measure(state, dict2_1)
 
 
 def test_dmin_rejects_unnormalised_states(dict2_2, golden):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,34 @@ def test_pauli_coordinates_match_dense_operators(n, d):
         x, z = x[::-1], z[::-1]
         P = PauliOperator(n, d, x, z, -sum(a * b for a, b in zip(x, z)) % (2 * d)).dense()
         assert np.max(np.abs(got[row] - np.einsum("ijk,ji->k", R, P))) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4"])
+def test_state_coordinates_are_the_signed_group_elements(fixture, request):
+    dic = request.getfixturevalue(fixture)
+    n, dim, count = dic.n, 2**dic.n, len(dic.elements)
+    tracemalloc.start()
+    try:
+        got = stabdict._state_coordinates(dic.elements, dic.phases, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (dim * dim, dic.size)
+    assert np.all((got == -1) | (got == 0) | (got == 1))
+    assert np.all(np.count_nonzero(got, axis=0) == dim)
+    by_group = got.reshape(dim * dim, count, dim)
+    # the dense oracle: _pauli_coordinates of each state's projector, on
+    # every 17th group at n = 4 to keep the projector stack small
+    groups = np.arange(0, count, 17 if n == 4 else 1)
+    V = dic.states.reshape(dim, count, dim)[:, groups].reshape(dim, -1)
+    want = stabdict._pauli_coordinates(V[:, None] * V.conj(), n, 2)
+    assert np.max(np.abs(by_group[:, groups].reshape(dim * dim, -1) - want)) <= 1e-15
+    # any subset of groups gives its own columns of the full matrix
+    subset = np.arange(0, count, 7)
+    part = stabdict._state_coordinates(dic.elements[subset], dic.phases[subset], n)
+    assert np.array_equal(part, by_group[:, subset].reshape(dim * dim, -1))
+    if n == 4:  # no temporary near the size of the result
+        assert peak <= 1.25 * got.nbytes
 
 
 def test_best_overlaps_rejects_wrong_shape(dict2_2):
