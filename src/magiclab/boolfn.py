@@ -205,73 +205,61 @@ def quadratic_basis(n: int) -> list[frozenset[int]]:
     return basis
 
 
-# log2 of the rows x 2^n spectrum entries per Hadamard product in
-# `nonquadraticity` (512 rows at n = 6: small enough to stay in cache)
-_WALSH_CHUNK_BITS = 15
+NONQUADRATICITY_LIMIT = 6  # largest n the exhaustive search takes
 
 
 def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     """Minimum Hamming distance from f to RM(2, n), plus one minimizer.
 
-    Exhaustive over all 2^(1 + n + C(n,2)) quadratics, one Walsh-Hadamard
-    spectrum per pair part q: with W_q(a) = sum_x (-1)^(f(x) + q(x) + a.x),
-    the distance from f to q + a.x + c is (2^n - W_q(a))/2 for c = 0 and
-    (2^n + W_q(a))/2 for c = 1, so the nearest quadratics sit at the
-    largest |W|.  The +-1 rows (-1)^(f + q) of the pair parts come in
-    chunks of fixed size: an int8 block over the low pair monomials, built by
-    doubling one monomial at a time, times one sign row for the high ones.
-    Each chunk is multiplied by the Sylvester Hadamard matrix; |W| <= 2^n <=
-    64, so the float32 product is exact.  Zero iff deg f <= 2.
+    Exhaustive over all quadratics q = Q(y) + x_1 L(y) + a.y + b x_1 + c,
+    y = (x_2 .. x_n), Q a pair part, by splitting off x_1.  With the halves
+    f_h of f at x_1 = h and W_h(a) = sum_y (-1)^(f_h(y) + Q(y) + a.y), the
+    distance from f to q is (2^n - (-1)^c W_0(a) - (-1)^(b + c) W_1(a + L))/2.
+    L, b and c are free, so chi = (2^n - max_Q (max|W_0| + max|W_1|))/2 over
+    2^C(n-1,2) pair parts Q.  Their +-1 rows (-1)^(f_h + Q) are built in int8
+    by doubling one pair monomial at a time, and take one product with the
+    2^(n-1) Sylvester Hadamard matrix; |W| <= 32, so float32 is exact.  Zero
+    iff deg f <= 2.
 
     Among tied minimizers the result is the one a Gray-code sweep over the
     `quadratic_basis` coefficients meets first: the least g whose subset
-    g ^ (g >> 1) spells it.
+    g ^ (g >> 1) spells it.  The tied minimizers are the tied Q with peaks
+    a_0 of |W_0| and a_1 of |W_1|: a = a_0, L = a_0 + a_1, signs fix b, c.
     """
     n = f.n
-    if n > 6:
+    if n > NONQUADRATICITY_LIMIT:
         raise ValueError(
-            "exhaustive search supports n <= 6; use decomposition bounds beyond"
+            f"exhaustive search supports n <= {NONQUADRATICITY_LIMIT}; "
+            "use decomposition bounds beyond"
         )
-    dim = 1 << n
-    basis = quadratic_basis(n)
-    x = np.arange(dim)
-    pairs = basis[n + 1:]
-    signs = np.array(
-        [1 - 2 * ((x >> i) & (x >> j) & 1) for i, j in map(sorted, pairs)], dtype=np.int8
-    ).reshape(len(pairs), dim)
-    # row p holds (-1)^(f + q_p), bit k of p selecting pairs[k]; the low bits
-    # of p index `block`, and each value of the high bits is one chunk
-    low = min(len(pairs), _WALSH_CHUNK_BITS - n)
-    block = np.empty((1 << low, dim), dtype=np.int8)
-    block[0] = 1 - 2 * _table_bits(n, f.truth_table).astype(np.int8)
-    for k in range(low):
-        np.multiply(block[:1 << k], signs[k], out=block[1 << k:2 << k])
+    half = 1 << (n - 1)
+    y = np.arange(half)
+    pairs = quadratic_basis(n - 1)[n:]
+    # rows[p, h] holds (-1)^(f_h + Q_p), bit k of p selecting pairs[k]
+    rows = np.empty((1 << len(pairs), 2, half), dtype=np.int8)
+    rows[0] = 1 - 2 * _table_bits(n, f.truth_table).astype(np.int8).reshape(half, 2).T
+    for k, (i, j) in enumerate(map(sorted, pairs)):
+        sign = (1 - 2 * ((y >> i) & (y >> j) & 1)).astype(np.int8)
+        np.multiply(rows[:1 << k], sign, out=rows[1 << k:2 << k])
     hadamard = np.ones((1, 1), dtype=np.float32)
-    for _ in range(n):
+    for _ in range(n - 1):
         hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.float32), hadamard)
-
-    best_w, best_g = dim + 1, 0
-    upper = signs[low:]
-    for high in range(1 << len(upper)):
-        chosen = ((high >> np.arange(len(upper))) & 1).astype(bool)
-        sign = upper[chosen].prod(axis=0, dtype=np.int8)
-        walsh = (block * sign).astype(np.float32) @ hadamard
-        magnitude = np.abs(walsh)
-        peak = magnitude.max()  # > 0 by Parseval, so the best c is unique
-        w = (dim - int(peak)) // 2
-        if w > best_w:
-            continue
-        p, a = np.nonzero(magnitude == peak)
-        c = walsh[p, a] < 0
-        subset = c | (a << 1) | (((high << low) + p) << (n + 1))
-        g = int(_gray_rank(subset, len(basis)).min())
-        if w < best_w or g < best_g:
-            best_w, best_g = w, g
-    subset = best_g ^ (best_g >> 1)
-    argmin = BooleanFunction(
-        n, frozenset(basis[i] for i in range(len(basis)) if (subset >> i) & 1)
-    )
-    return best_w, argmin
+    walsh = rows.astype(np.float32) @ hadamard
+    magnitude = np.abs(walsh)
+    peak = magnitude.max(axis=2)  # > 0 by Parseval, so the signs below are unique
+    total = peak.sum(axis=1)
+    p = np.flatnonzero(total == total.max())
+    is_peak = magnitude[p] == peak[p, :, None]
+    t, a0, a1 = np.nonzero(is_peak[:, 0, :, None] & is_peak[:, 1, None, :])
+    p = p[t]
+    c = (walsh[p, 0, a0] < 0).astype(np.int64)
+    b = c ^ (walsh[p, 1, a1] < 0)
+    # basis order: 1, x_1, x_2 .. x_n, the n - 1 pairs x_1 x_j, then Q's pairs
+    subset = c | (b << 1) | (a0 << 2) | ((a0 ^ a1) << (n + 1)) | (p << (2 * n))
+    basis = quadratic_basis(n)
+    best = int(subset[np.argmin(_gray_rank(subset, len(basis)))])
+    argmin = BooleanFunction(n, frozenset(m for i, m in enumerate(basis) if (best >> i) & 1))
+    return ((1 << n) - int(total.max())) // 2, argmin
 
 
 def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .boolfn import (
+    NONQUADRATICITY_LIMIT,
     anf_string,
     dmin_bound_from_chi,
     hypergraph_state,
@@ -46,7 +47,7 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"state norm {norm} is not 1 within 1e-9")
     return n, d, amps
 
@@ -196,8 +197,8 @@ def cmd_haar(args) -> int:
             }
         )
         return 0
-    dic = enumerate_stabilizer_states(args.n, 2)
-    exp = dmin_distribution(ExperimentConfig(args.n, args.samples, args.seed), dic)
+    cfg = ExperimentConfig(args.n, args.samples, args.seed)
+    exp = dmin_distribution(cfg, enumerate_stabilizer_states(args.n, 2))
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(experiment_csv(exp.values))
@@ -236,7 +237,7 @@ def cmd_welch(args) -> int:
         "weight": f.weight(),
         "truth_table_hex": truth_table_hex(f),
     }
-    if args.n <= 6:
+    if args.n <= NONQUADRATICITY_LIMIT:
         chi, _ = nonquadraticity(f)
         payload["chi"] = chi
         if chi < 2 ** (args.n - 1):

@@ -26,6 +26,8 @@ import numpy as np
 
 from .stabdict import DENSE_LIMITS, StabilizerDictionary
 
+MAX_BATCH_AMPLITUDES = 2**24  # samples * 2^n held at once (256 MiB)
+
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector via a normalized complex Gaussian."""
@@ -34,10 +36,13 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
-    """(dim, count) matrix of independent Haar states from one master seed."""
+    """(dim, count) matrix of independent Haar states from one master seed:
+    sample i draws from the i-th child of ``SeedSequence(seed)``, spawned one
+    at a time, so the children are those of ``spawn(count)`` but never all held."""
     out = np.empty((dim, count), dtype=complex)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
-        out[:, i] = haar_state(dim, np.random.default_rng(child))
+    seq = np.random.SeedSequence(seed)
+    for i in range(count):
+        out[:, i] = haar_state(dim, np.random.default_rng(seq.spawn(1)[0]))
     return out
 
 
@@ -52,7 +57,7 @@ def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None =
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and at least one sample")
-    if n > 24 or samples * 2**n > 2**24:  # n first: 2**n itself must stay small
+    if n > 24 or samples * 2**n > MAX_BATCH_AMPLITUDES:  # n first: 2**n must stay small
         raise ValueError("need n <= 24 and at most 2^24 amplitudes (samples * 2^n)")
     dim = 2**n
     if phi is None:
@@ -204,6 +209,8 @@ class ExperimentConfig:
             raise ValueError("need at least one sample")
         if self.n > DENSE_LIMITS[2]:
             raise ValueError(f"magic experiments need the full dictionary (n <= {DENSE_LIMITS[2]})")
+        if self.samples * 2**self.n > MAX_BATCH_AMPLITUDES:
+            raise ValueError("need at most 2^24 amplitudes (samples * 2^n)")
 
 
 @dataclass

@@ -107,5 +107,5 @@ def wigner_csv(W: WignerFunction) -> str:
     header_sites = ",".join(f"a1_{s + 1},a2_{s + 1}" for s in range(W.n))
     lines = [f"index,{header_sites},value"]
     for i, u in enumerate(phase_space_points(W.n)):
-        lines.append(f"{i}," + ",".join(str(v) for v in u) + f",{W.values[i]!r}")
+        lines.append(f"{i}," + ",".join(str(v) for v in u) + f",{float(W.values[i])!r}")
     return "\n".join(lines) + "\n"

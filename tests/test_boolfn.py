@@ -210,26 +210,33 @@ def test_compose_affine_matches_pointwise_evaluation():
 
 def _gray_code_sweep(f):
     """Reference nonquadraticity: walk all quadratics in Gray-code order,
-    keeping the first one met at the least distance."""
+    keeping the first one met at the least distance.  Also returns how many
+    quadratics tie at that distance."""
     n = f.n
     basis = quadratic_basis(n)
     tables = [monomial_table(n, m) for m in basis]
     cur = f.truth_table
-    best_w, best_g = cur.bit_count(), 0
+    best_w, best_g, ties = cur.bit_count(), 0, 1
     for g in range(1, 1 << len(basis)):
         cur ^= tables[(g & -g).bit_length() - 1]
         w = cur.bit_count()
         if w < best_w:
-            best_w, best_g = w, g
+            best_w, best_g, ties = w, g, 1
             if w == 0:
                 break
+        elif w == best_w:
+            ties += 1
     subset = best_g ^ (best_g >> 1)
-    return best_w, frozenset(basis[i] for i in range(len(basis)) if (subset >> i) & 1)
+    argmin = frozenset(basis[i] for i in range(len(basis)) if (subset >> i) & 1)
+    return best_w, argmin, ties
 
 
 def _assert_matches_sweep(f):
+    """Compare with the sweep; returns the number of tied minimizers."""
     chi, argmin = nonquadraticity(f)
-    assert (chi, argmin.monomials) == _gray_code_sweep(f), anf_string(f)
+    best_w, best, ties = _gray_code_sweep(f)
+    assert (chi, argmin.monomials) == (best_w, best), anf_string(f)
+    return ties
 
 
 def test_nonquadraticity_matches_gray_code_sweep():
@@ -252,6 +259,22 @@ def test_nonquadraticity_matches_gray_code_sweep_n6_cubics():
         f = BooleanFunction(6, frozenset(cubics | lower))
         assert f.degree == 3
         _assert_matches_sweep(f)
+
+
+@pytest.mark.parametrize(
+    "f, ties",
+    [
+        (parse_anf("x1*x2*x3 + x2*x4*x5 + x3*x4*x6 + x1*x4 + x2*x6 + x5 + 1"), 448),
+        (parse_anf("x1*x2*x3 + x4*x5*x6 + x1*x5 + x3*x6 + x2"), 64),
+        (parse_anf("x1*x2*x5 + x3*x4*x5 + x1*x3 + x2*x4 + x4"), 32),
+        (welch_function(5), 32),
+    ],
+    ids=["three_cubics", "two_disjoint_cubics", "shared_vertex", "welch5"],
+)
+def test_nonquadraticity_tie_heavy_functions_match_gray_code_sweep(f, ties):
+    # many minimizers, none of them the zero function: the least Gray rank
+    # must be picked out of every tied pair part and pair of spectral peaks
+    assert _assert_matches_sweep(f) == ties
 
 
 def test_nonquadraticity_size_guard():

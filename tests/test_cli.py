@@ -210,6 +210,17 @@ def test_wigner_command(capsys, tmp_path):
     assert csv_path.read_text().startswith("index,a1_1,a2_1,value")
 
 
+def test_wigner_command_rejects_nan_amplitudes(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 1, "d": 3, "amplitudes": [[float("nan"), 0], [0, 0], [0, 0]]}))
+    csv_path = tmp_path / "w.csv"
+    code, out = run_cli(capsys, "wigner", "--state", str(path), "--csv", str(csv_path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"].startswith("state norm nan")
+    assert not csv_path.exists()
+
+
 def test_wigner_command_on_four_qutrits(capsys, tmp_path):
     path = tmp_path / "strange4.json"
     strange = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
@@ -280,6 +291,14 @@ def test_haar_overlap_rejects_too_many_qubits(capsys):
     code, out = run_cli(capsys, "haar", "--n", "40", "--samples", "10", "--overlap-only")
     assert code == 1
     assert out["error"] == "ValueError"
+
+
+def test_haar_rejects_too_many_samples(capsys):
+    # refused before the 2^4 x 10^9 amplitudes are allocated
+    code, out = run_cli(capsys, "haar", "--n", "4", "--samples", str(10**9))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert "2^24 amplitudes" in out["message"]
 
 
 def test_non_finite_output_becomes_error_body(capsys, monkeypatch):

@@ -146,6 +146,23 @@ def test_batch_reproducibility():
     a = haar_state_batch(4, 7, seed=3)
     b = haar_state_batch(4, 7, seed=3)
     assert np.array_equal(a, b)
+    # sample i comes from the i-th child of the master seed
+    children = np.random.SeedSequence(3).spawn(7)
+    spawned = [haar_state(4, np.random.default_rng(child)) for child in children]
+    assert np.array_equal(a, np.array(spawned).T)
+
+
+def test_batch_memory_is_the_output():
+    # no list of SeedSequence children (about 470 B each) next to the
+    # 32 B of amplitudes a one-qubit sample takes
+    count = 2**13
+    tracemalloc.start()
+    try:
+        out = haar_state_batch(2, count, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
 
 
 def test_single_qubit_dmin_max_at_golden(dict2_1):
@@ -245,3 +262,7 @@ def test_config_validation():
         ExperimentConfig(5, 10, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(2, 0, seed=0)
+    # refused before any of the 2^4 x 10^9 amplitudes is drawn
+    with pytest.raises(ValueError, match=r"2\^24 amplitudes"):
+        ExperimentConfig(4, 10**9, seed=0)
+    ExperimentConfig(4, 2**20, seed=0)  # exactly 2^24 amplitudes
