@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .binlin import IRREDUCIBLE_POLY, gf2_rank
 from .boolfn import (
     BooleanFunction,
-    Hypergraph,
     anf_string,
-    characteristic_function,
     dmin_bound_from_chi,
     from_truth_table,
     hypergraph_state,
@@ -62,7 +60,6 @@ from .pauli import (
     StabilizerTableau,
     hermitian_pauli,
     is_hermitian_involution,
-    pauli_commutes,
     pauli_from_string,
     pauli_to_string,
     tableau_to_state,

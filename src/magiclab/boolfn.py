@@ -154,34 +154,13 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 # --- hypergraph states --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Hypergraph on vertices 1..n (stored 0-indexed) with hyperedges of size >= 1."""
-
-    n: int
-    hyperedges: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        hyperedges = frozenset(map(frozenset, self.hyperedges))
-        object.__setattr__(self, "hyperedges", hyperedges)
-        if frozenset() in hyperedges:
-            raise ValueError("hyperedges must contain at least one vertex")
-        used = frozenset().union(*hyperedges)
-        if used and not 0 <= min(used) <= max(used) < self.n:
-            raise ValueError("hyperedge vertex out of range")
-
-
-def characteristic_function(H: Hypergraph) -> BooleanFunction:
-    return BooleanFunction(H.n, H.hyperedges)
-
-
-def hypergraph_state(H: Hypergraph | BooleanFunction) -> np.ndarray:
+def hypergraph_state(f: BooleanFunction) -> np.ndarray:
     """Dense state with amplitudes 2^(-n/2) * (-1)^f(x).
 
-    Equals applying one multi-controlled-Z per hyperedge to the uniform
-    superposition.
+    f's monomials are the hyperedges: the state is one multi-controlled-Z
+    per monomial applied to the uniform superposition, and a constant
+    monomial is a global sign -1.
     """
-    f = characteristic_function(H) if isinstance(H, Hypergraph) else H
     if f.n > 20:
         raise ValueError("dense hypergraph states are limited to n <= 20")
     bits = _table_bits(f.n, f.truth_table)

@@ -25,8 +25,8 @@ from .boolfn import (
 )
 from .haar import ExperimentConfig, dmin_distribution, experiment_csv, overlap_cdf_pvalue
 from .lattice import lattice_bound, make_lattice
+from .measures import _checked_state, magic_report
 from .measures import dmin as dmin_measure
-from .measures import magic_report
 from .mbqc import MeasurementLayout, outcome_distribution, pbound_check
 from .pauli import pauli_from_string
 from .solvers import SolverError
@@ -46,10 +46,7 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
-    norm = np.linalg.norm(amps)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"state norm {norm} is not 1 within 1e-9")
-    return n, d, amps
+    return n, d, _checked_state(amps, d**n)
 
 
 def dump_state_file(path: str, n: int, d: int, amps: np.ndarray) -> None:

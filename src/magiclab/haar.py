@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _checked_pure_state
 from .stabdict import DENSE_LIMITS, StabilizerDictionary
 
 MAX_BATCH_AMPLITUDES = 2**24  # samples * 2^n held at once (256 MiB)
@@ -49,9 +50,10 @@ def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
 def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None = None) -> float:
     """KS test of the fixed-reference overlap law; returns the p-value.
 
-    ``phi`` defaults to |0...0> and must be a unit vector of length 2^n
-    within 1e-9.  The samples' amplitudes are held at once, so n <= 24 and
-    samples * 2^n <= 2^24 (256 MiB) are checked before any allocation.  The
+    ``phi`` defaults to |0...0> and must be a pure state of length 2^n, as
+    ``measures._checked_pure_state`` describes.  The samples' amplitudes are
+    held at once, so n <= 24 and samples * 2^n <= 2^24 (256 MiB) are checked
+    before any allocation.  The
     statistic is D = max(D+, D-) over the sorted overlaps' CDF values, and
     the p-value is Pr(D_samples >= D).
     """
@@ -63,11 +65,7 @@ def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None =
     if phi is None:
         phi = np.zeros(dim, dtype=complex)
         phi[0] = 1.0
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (dim,):
-        raise ValueError(f"reference state must have shape ({dim},)")
-    if not abs(np.linalg.norm(phi) - 1.0) <= 1e-9:
-        raise ValueError("reference state must have unit norm")
+    phi = _checked_pure_state(phi, dim)
     states = haar_state_batch(dim, samples, seed)
     cdf = 1.0 - (1.0 - np.sort(np.abs(phi.conj() @ states) ** 2)) ** (dim - 1)
     steps = np.arange(samples + 1.0) / samples

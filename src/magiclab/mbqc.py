@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binlin import gf2_rank
-from .pauli import PauliOperator, is_hermitian_involution, pauli_commutes
+from .measures import _checked_pure_state
+from .pauli import PauliOperator, _commuting, is_hermitian_involution
 
 
 @dataclass(frozen=True)
@@ -31,17 +32,13 @@ class MeasurementLayout:
         k = len(self.observables)
         if not 1 <= k <= self.n:
             raise ValueError("need between 1 and n observables")
+        if not _commuting(self.observables, self.n, 2):
+            raise ValueError("observables must be mutually compatible")
         for P in self.observables:
-            if P.n != self.n or P.d != 2:
-                raise ValueError("observables must be n-qubit Paulis")
             if not is_hermitian_involution(P):
                 raise ValueError("observables must be Hermitian involutions")
             if P.is_identity_vector():
                 raise ValueError("identity is not a valid observable")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not pauli_commutes(self.observables[i], self.observables[j]):
-                    raise ValueError("observables must be mutually compatible")
         M = np.array(
             [list(P.xvec) + list(P.zvec) for P in self.observables], dtype=np.int64
         )
@@ -60,18 +57,18 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         total = float(np.sum(self.probabilities))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total}")
-        if float(np.min(self.probabilities)) < -1e-12:
+        if not float(np.min(self.probabilities)) >= -1e-12:
             raise ValueError("negative probability")
 
 
 def outcome_distribution(psi: np.ndarray, layout: MeasurementLayout) -> OutcomeDistribution:
-    psi = np.asarray(psi, dtype=complex)
+    """Joint outcome probabilities of the layout on the pure state psi,
+    checked as ``measures._checked_pure_state`` describes."""
     if layout.n > 12:
         raise ValueError("dense outcome distributions are limited to n <= 12")
-    if psi.shape[0] != 2**layout.n:
-        raise ValueError("state dimension mismatch")
+    psi = _checked_pure_state(psi, 2**layout.n)
     k = layout.k
     probs = np.zeros(2**k)
 

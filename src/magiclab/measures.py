@@ -69,25 +69,34 @@ def _is_density_matrix(state: np.ndarray) -> bool:
     return state.ndim == 2
 
 
-def _checked_state(state, dic: StabilizerDictionary) -> np.ndarray:
-    """The state as a complex vector (d^n,) or density matrix (d^n, d^n) of
-    the dictionary's dimension.  A pure state must have unit norm, and a
-    density matrix unit trace, within 1e-9; a density matrix must also be
-    Hermitian within 1e-10 and have no eigenvalue below
-    -``support_eigenvalue``."""
+def _checked_state(state, dim: int) -> np.ndarray:
+    """The state as a complex vector (dim,) or density matrix (dim, dim), the
+    one check of every function that takes a state.  A pure state must have
+    unit norm, and a density matrix unit trace, within 1e-9; a density
+    matrix must also be Hermitian within 1e-10 and have no eigenvalue below
+    -``support_eigenvalue``.  NaN fails every test."""
     state = np.asarray(state, dtype=complex)
-    dim = dic.d**dic.n
     if state.shape not in ((dim,), (dim, dim)):
-        raise ValueError(f"state must have shape ({dim},) or ({dim}, {dim}) for the dictionary")
+        raise ValueError(f"state must have shape ({dim},) or ({dim}, {dim})")
     if _is_density_matrix(state):
-        if not np.allclose(state, state.conj().T, atol=1e-10):
+        if not np.max(np.abs(state - state.conj().T)) <= 1e-10:
             raise ValueError("density matrix must be Hermitian")
         if not abs(np.trace(state) - 1.0) <= 1e-9:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(state)[0] < -TOLERANCES["support_eigenvalue"]:
+        if not np.linalg.eigvalsh(state)[0] >= -TOLERANCES["support_eigenvalue"]:
             raise ValueError("density matrix must be positive semidefinite")
-    elif not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
-        raise ValueError("pure state must have unit norm")
+    else:
+        norm = np.linalg.norm(state)
+        if not abs(norm - 1.0) <= 1e-9:
+            raise ValueError(f"state norm {norm} is not 1 within 1e-9: need unit norm")
+    return state
+
+
+def _checked_pure_state(state, dim: int) -> np.ndarray:
+    """``_checked_state`` for the functions defined on pure states only."""
+    state = _checked_state(state, dim)
+    if _is_density_matrix(state):
+        raise ValueError("a pure state (a vector) is needed, not a density matrix")
     return state
 
 
@@ -98,7 +107,7 @@ def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     pure state) as ``best_overlaps`` reads a vector's.  Ties break toward the
     lowest index.  The state is checked as ``_checked_state`` describes.
     """
-    state = _checked_state(state, dic)
+    state = _checked_state(state, dic.d**dic.n)
     support = state[:, None]
     if _is_density_matrix(state):
         vals, vecs = np.linalg.eigh(state)
@@ -125,17 +134,15 @@ def extent(psi: np.ndarray, dic: StabilizerDictionary) -> ExtentResult:
     dual vector y over the full dictionary, so the certificate does not trust
     the solver: sqrt(xi) <= ||c||_1 once D c = psi within the reconstruction
     tolerance, and sqrt(xi) >= Re<y, psi> / max_j |<phi_j|y>|.  The two must
-    agree to a relative ``bp_gap``.  The state is checked as ``_checked_state``
-    describes.
+    agree to a relative ``bp_gap``.  The state is checked as
+    ``_checked_pure_state`` describes.
     """
-    psi = _checked_state(psi, dic)
-    if _is_density_matrix(psi):
-        raise ValueError("extent is defined here for pure states only")
+    psi = _checked_pure_state(psi, dic.d**dic.n)
     c, y, pivots, rounds = solve_extent(dic.states, psi)
     l1 = float(np.sum(np.abs(c)))
     lower = float(np.real(np.vdot(y, psi))) / math.sqrt(dic.best_overlaps(y[:, None])[0][0])
     rec_err = float(np.max(np.abs(dic.states @ c - psi)))
-    if l1 - lower > TOLERANCES["bp_gap"] * l1 or rec_err > TOLERANCES["reconstruction"]:
+    if not (l1 - lower <= TOLERANCES["bp_gap"] * l1 and rec_err <= TOLERANCES["reconstruction"]):
         raise SolverError(
             f"extent certificate failed: {lower!r} <= l1 <= {l1!r}, "
             f"reconstruction error {rec_err:.2e}"
@@ -217,7 +224,7 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     columns with a negative value the solver turns itself.  The state is
     checked as ``_checked_state`` describes.
     """
-    state = _checked_state(state, dic)
+    state = _checked_state(state, dic.d**dic.n)
     rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
     if dic.d == 2:
         A = _state_coordinates(dic.elements, dic.phases, dic.n)
@@ -232,10 +239,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     support = [(int(j), float(coeffs[j])) for j in keep]
     phis = dic.states[:, keep]
     rec_err = float(np.max(np.abs((phis * coeffs[keep]) @ phis.conj().T - rho)))
-    if rec_err > TOLERANCES["reconstruction"]:
+    if not rec_err <= TOLERANCES["reconstruction"]:
         raise SolverError(f"pseudomixture reconstruction error {rec_err:.2e}")
     witness_feas = float(np.max(np.abs(A.T @ sol.dual)))
-    if witness_feas > 1.0 + TOLERANCES["lp"]:
+    if not witness_feas <= 1.0 + TOLERANCES["lp"]:
         raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
     labels = _coordinate_labels(dic.n, dic.d)
     witness = [
@@ -294,15 +301,15 @@ class MagicReport:
 
     def validate(self):
         tol = self.tolerances["chain"]
-        if self.r is not None and self.r < -1e-12:
-            raise ValueError("negative robustness")
-        if self.dmax is not None and self.dmin > self.dmax + tol:
+        if self.r is not None and not self.r >= -1e-12:
+            raise ValueError(f"robustness {self.r} is not >= 0")
+        if self.dmax is not None and not self.dmin <= self.dmax + tol:
             raise ValueError(
                 f"measure chain violated: dmin={self.dmin} > dmax={self.dmax}"
             )
         if self.lr is not None:
             upper = self.dmax if self.dmax is not None else self.dmin
-            if upper > self.lr + tol:
+            if not upper <= self.lr + tol:
                 raise ValueError(
                     f"measure chain violated: {upper} > lr={self.lr}"
                 )

@@ -21,6 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# zeta**t = exp(i pi t / d) for t mod 2d, exact for qubits.  Written out:
+# computing them at import (a complex power) pages in code most runs never use.
+_ISIN = 0.75**0.5 * 1j  # i sin(pi / 3)
+_ZETA = {
+    2: np.array([1, 1j, -1, -1j]),
+    3: np.array([1, 0.5 + _ISIN, -0.5 + _ISIN, -1, -0.5 - _ISIN, 0.5 - _ISIN]),
+}
+
 
 @dataclass(frozen=True)
 class PauliOperator:
@@ -67,8 +75,7 @@ class PauliOperator:
         zdot = digits @ np.array(self.zvec) % d
         exps = (self.phase + 2 * zdot) % (2 * d)
         src = ((digits - np.array(self.xvec)) % d) @ (d ** np.arange(n))
-        zeta = np.exp(1j * np.pi / d)
-        factors = zeta**exps
+        factors = _ZETA[d][exps]
         if psi.ndim == 2:
             return factors[:, None] * psi[src, :]
         return factors * psi[src]
@@ -95,13 +102,15 @@ def weyl_operator(n: int, a1, a2) -> PauliOperator:
     return PauliOperator(n, 3, a2, a1, t)
 
 
-def pauli_commutes(P: PauliOperator, Q: PauliOperator) -> bool:
-    """True iff the symplectic product x_P.z_Q - z_P.x_Q vanishes mod d."""
-    P._check(Q)
-    s = sum(a * b for a, b in zip(P.xvec, Q.zvec)) - sum(
-        a * b for a, b in zip(P.zvec, Q.xvec)
-    )
-    return s % P.d == 0
+def _commuting(ops, n: int, d: int) -> bool:
+    """True iff every pairwise symplectic product x_a.z_b - z_a.x_b of the
+    operators vanishes mod d, all pairs in one array product.  Raises
+    ``ValueError`` unless every operator acts on n sites of dimension d."""
+    if any(P.n != n or P.d != d for P in ops):
+        raise ValueError(f"operators must all act on (n, d) = ({n}, {d})")
+    X = np.array([P.xvec for P in ops])
+    Z = np.array([P.zvec for P in ops])
+    return not np.any((X @ Z.T - Z @ X.T) % d)
 
 
 def is_hermitian_involution(P: PauliOperator) -> bool:
@@ -170,13 +179,7 @@ class StabilizerTableau:
     def __post_init__(self):
         if len(self.generators) != self.n:
             raise ValueError("a full tableau needs exactly n generators")
-        for g in self.generators:
-            if g.n != self.n or g.d != self.d:
-                raise ValueError("generator acts on the wrong system")
-        # pairwise symplectic products x_a.z_b - z_a.x_b, all at once
-        X = np.array([g.xvec for g in self.generators])
-        Z = np.array([g.zvec for g in self.generators])
-        if np.any((X @ Z.T - Z @ X.T) % self.d):
+        if not _commuting(self.generators, self.n, self.d):
             raise ValueError("generators must commute pairwise")
 
 
@@ -217,7 +220,7 @@ def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     w = int(np.argmax(diag > diag.max() / 2))
     psi = rho[:, w] / np.sqrt(diag[w])
     for g in tab.generators:
-        if np.linalg.norm(g.apply(psi) - psi) > 1e-12:
+        if not np.linalg.norm(g.apply(psi) - psi) <= 1e-12:
             raise AssertionError("eigenvalue equation violated")
     return psi
 

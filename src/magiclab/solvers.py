@@ -190,7 +190,7 @@ def solve_lp(A, b, basis=None) -> LPSolution:
     feas = float(np.max(np.abs(A @ x - b), initial=0.0))
     x_min = float(xb.min(initial=0.0))
     reduced_min = float((c - np.abs(y @ A)).min(initial=0.0))
-    if feas > _FEAS_TOL or x_min < -_FEAS_TOL or reduced_min < -10 * LP_TOL:
+    if not (feas <= _FEAS_TOL and x_min >= -_FEAS_TOL and reduced_min >= -10 * LP_TOL):
         raise SolverError(
             f"simplex accuracy check failed: feas={feas:.2e} "
             f"min x={x_min:.2e} min reduced cost={reduced_min:.2e}"

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binlin import gfp_rref
-from .pauli import PauliOperator, StabilizerTableau
+from .pauli import _ZETA, PauliOperator, StabilizerTableau
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
@@ -113,7 +113,6 @@ def _iter_blocks(n: int, d: int):
     index of each coset, and e(0) = 0 makes the first nonzero amplitude real
     positive.
     """
-    zeta_pow = np.exp(1j * np.pi / d) ** np.arange(2 * d)
     dim = d**n
     place = d ** np.arange(n)
     dot = _tables(n, d)[2]
@@ -121,7 +120,7 @@ def _iter_blocks(n: int, d: int):
     for k in range(n + 1):
         ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
         char_tab = (2 * (ys @ ys.T)) % (2 * d)
-        amplitudes = float(d) ** (-k / 2) * zeta_pow
+        amplitudes = float(d) ** (-k / 2) * _ZETA[d]
         eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
         all_S = _symmetric_matrices(k, d)
         # state (S, eps_z, sigma) is one row of psi, starting at rows[S, eps_z, sigma]
@@ -187,15 +186,6 @@ def _tableaux(elements, phases, n: int, d: int, columns):
     for j in columns:
         gens = (PauliOperator(n, d, x, z, (t + 2 * (j // s % d)) % (2 * d)) for x, z, t, s in rows)
         yield StabilizerTableau(n, d, tuple(gens))
-
-
-# zeta**t = exp(i pi t / d) for t mod 2d, exact for qubits.  Written out:
-# computing them at import (a complex power) pages in code most runs never use.
-_ISIN = 0.75**0.5 * 1j  # i sin(pi / 3)
-_ZETA = {
-    2: np.array([1, 1j, -1, -1j]),
-    3: np.array([1, 0.5 + _ISIN, -0.5 + _ISIN, -1, -0.5 - _ISIN, 0.5 - _ISIN]),
-}
 
 
 @functools.lru_cache(maxsize=None)

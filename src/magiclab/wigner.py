@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import TOLERANCES, free_robustness
+from .measures import TOLERANCES, _checked_state, free_robustness
 from .stabdict import StabilizerDictionary, _pauli_coordinates, _tables
 
 D = 3
@@ -48,25 +48,25 @@ class WignerFunction:
 
     def __post_init__(self):
         total = float(np.sum(self.values))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"Wigner function sums to {total}, not 1")
 
 
 def wigner_function(rho: np.ndarray) -> WignerFunction:
-    """W of a state vector or a Hermitian density matrix, by the transform in
-    the module docstring, with the Weyl expectations read from rho's entries
-    (a vector v is rho = |v><v|)."""
+    """W of a state vector or density matrix, by the transform in the module
+    docstring, with the Weyl expectations read from rho's entries (a vector
+    v is rho = |v><v|).  The state is checked as
+    ``measures._checked_state`` describes."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        rho = np.outer(rho, rho.conj())
-    elif not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("input must be Hermitian")
-    dim = rho.shape[0]
+    dim = rho.shape[0] if rho.ndim else 1
     n = round(math.log(dim, D))
     if D**n != dim:
         raise ValueError("dimension is not a power of 3")
     if n > 4:
         raise ValueError(f"the Wigner function is limited to n <= 4 qutrits, got {n}")
+    rho = _checked_state(rho, dim)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     _, _, dot, char, _ = _tables(n, D)
     c = _pauli_coordinates(rho[:, :, None], n, D).reshape(dim, dim)  # c[x, z]
     c[dot % 2 == 1] *= -1
@@ -75,14 +75,14 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     spread = digits @ (D * D) ** np.arange(n)  # a's base-3 digits read in base 9
     values = np.empty(dim * dim, dtype=complex)
     values[spread[:, None] + D * spread] = w
-    if np.abs(values.imag).max() > 1e-10:
+    if not np.abs(values.imag).max() <= 1e-10:
         raise ValueError("Wigner value acquired an imaginary part")
     return WignerFunction(n, values.real.copy())
 
 
 def sum_negativity(W: WignerFunction) -> float:
     """Total negative mass sum_{W<0} |W|."""
-    return float(-np.sum(W.values[W.values < 0.0]))
+    return float(np.sum(-W.values[W.values < 0.0]))
 
 
 def mana(W: WignerFunction) -> float:

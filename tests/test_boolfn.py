@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from magiclab.binlin import gfp_rref
 from magiclab.boolfn import (
     BooleanFunction,
-    Hypergraph,
     anf_string,
-    characteristic_function,
     dmin_bound_from_chi,
     from_truth_table,
     hypergraph_state,
@@ -71,11 +69,11 @@ def test_truth_table_bits_beyond_inputs_rejected():
 
 
 def test_hypergraph_state_examples():
-    empty = Hypergraph(2, frozenset())
+    empty = BooleanFunction(2, frozenset())
     assert np.allclose(hypergraph_state(empty), [0.5, 0.5, 0.5, 0.5])
-    cz = Hypergraph(2, frozenset({frozenset({0, 1})}))
+    cz = BooleanFunction(2, frozenset({frozenset({0, 1})}))
     assert np.allclose(hypergraph_state(cz), [0.5, 0.5, 0.5, -0.5])
-    ccz = Hypergraph(3, frozenset({frozenset({0, 1, 2})}))
+    ccz = BooleanFunction(3, frozenset({frozenset({0, 1, 2})}))
     psi = hypergraph_state(ccz)
     assert abs(psi[7] + 2**-1.5) < 1e-15
     assert np.allclose(psi[:7], 2**-1.5)
@@ -90,20 +88,20 @@ def test_hypergraph_state_equals_gate_circuit():
         for _ in range(rng.integers(1, 5)):
             size = int(rng.integers(1, min(n, 3) + 1))
             edges.add(frozenset(rng.choice(n, size=size, replace=False).tolist()))
-        H = Hypergraph(n, frozenset(edges))
+        f = BooleanFunction(n, frozenset(edges))
         psi = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
         for e in edges:
             for x in range(1 << n):
                 if all((x >> v) & 1 for v in e):
                     psi[x] = -psi[x]
-        assert np.allclose(hypergraph_state(H), psi)
+        assert np.allclose(hypergraph_state(f), psi)
 
 
-def test_hypergraph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Hypergraph(2, frozenset({frozenset()}))
-    with pytest.raises(ValueError):
-        Hypergraph(2, frozenset({frozenset({5})}))
+def test_constant_monomial_is_a_global_sign():
+    for text in ("x1*x2*x3", "x1*x2 + x3", "x2"):
+        f = parse_anf(text, n=3)
+        signed = BooleanFunction(3, f.monomials | {frozenset()})
+        assert np.array_equal(hypergraph_state(signed), -hypergraph_state(f))
 
 
 def test_boolean_function_rejects_out_of_range_variables():
@@ -112,7 +110,7 @@ def test_boolean_function_rejects_out_of_range_variables():
     with pytest.raises(ValueError, match="out of range"):
         BooleanFunction(3, [{0, 1}, {-1, 2}])
     with pytest.raises(ValueError, match="out of range"):
-        Hypergraph(3, [{0, 1}, {-1}])
+        BooleanFunction(3, [{0, 1}, {-1}])
     # the constant monomial is fine, and any input is frozen to frozensets
     f = BooleanFunction(3, [set(), [0, 2]])
     assert f.monomials == frozenset({frozenset(), frozenset({0, 2})})
@@ -345,12 +343,6 @@ def test_welch_matches_scalar_field_arithmetic(n):
     f = welch_function(n)
     for v in range(1 << n):
         assert (f.truth_table >> v) & 1 == gf_trace(gf_pow(v, e, n), n)
-
-
-def test_characteristic_function_matches_edges():
-    H = Hypergraph(3, frozenset({frozenset({0, 1, 2}), frozenset({1})}))
-    f = characteristic_function(H)
-    assert f.monomials == H.hyperedges
 
 
 def test_chi_bound_dominates_true_dmin_exhaustive_n3(dict2_3):

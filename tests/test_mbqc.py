@@ -32,6 +32,19 @@ def test_layout_validation():
         layout_of(2, "II", "ZZ")  # identity observable
 
 
+def test_outcome_distribution_checks_the_state():
+    layout = layout_of(2, "XX", "ZZ")
+    # a density matrix used to fail only in OutcomeDistribution ("sum to 0.25")
+    with pytest.raises(ValueError, match="pure state"):
+        outcome_distribution(np.eye(4) / 4, layout)
+    with pytest.raises(ValueError, match="state norm 2.0 "):
+        outcome_distribution(np.array([2, 0, 0, 0]), layout)
+    with pytest.raises(ValueError, match="unit norm"):
+        pbound_check(np.array([np.nan, 0, 0, 0]), layout, 0.0)
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        outcome_distribution(np.array([1, 0]), layout)
+
+
 def test_uniform_distribution_on_plus_layouts():
     e = np.zeros(8, dtype=complex)
     e[0] = 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -176,13 +177,15 @@ def test_extent_haar_regression_state(dict2_3):
     assert res.diagnostics["reconstruction_error"] <= TOLERANCES["reconstruction"]
 
 
-@pytest.mark.parametrize("tamper", ["coefficients", "dual"])
+@pytest.mark.parametrize("tamper", ["coefficients", "dual", "nan_dual"])
 def test_extent_rejects_what_it_cannot_certify(monkeypatch, dict2_1, golden, tamper):
     c, y, pivots, rounds = solve_extent(dict2_1.states, golden)
     if tamper == "coefficients":
         c = c * (1 + 1e-6)  # D c misses psi
-    else:
+    elif tamper == "dual":
         y = dict2_1.states[:, 0]  # a feasible dual far from optimal
+    else:
+        y = np.full_like(y, np.nan)  # NaN fails every comparison, so it must fail the check
     monkeypatch.setattr(measures, "solve_extent", lambda D, t: (c, y, pivots, rounds))
     with pytest.raises(SolverError, match="extent certificate failed"):
         extent(golden, dict2_1)
@@ -357,6 +360,13 @@ def test_dmin_rejects_non_hermitian_density_matrix(dict2_1):
         dmin(bad, dict2_1)
     with pytest.raises(ValueError, match="Hermitian"):
         free_robustness(bad, dict2_1)
+    # the tolerance is absolute: 1e-6 next to an entry of 0.3 is refused (a
+    # relative tolerance let it through, and robustness then failed its
+    # reconstruction)
+    skew = np.array([[0.5, 0.3 + 1e-6], [0.3, 0.5]], dtype=complex)
+    for measure in (dmin, free_robustness):
+        with pytest.raises(ValueError, match="Hermitian"):
+            measure(skew, dict2_1)
     # within 1e-10 of Hermitian is accepted
     rho = np.diag([1.0, 0.0]).astype(complex)
     rho[0, 1] = 1e-12
@@ -413,6 +423,15 @@ def test_stab_rank_bound_values(dict2_1, golden):
     assert stab_rank_bound(golden, dict2_1, 0.5) == pytest.approx(6.0718, abs=1e-3)
     with pytest.raises(ValueError):
         stab_rank_bound(psi, dict2_1, 1.5)
+
+
+def test_validate_fails_closed_on_nan(dict2_1, golden):
+    rep = magic_report(golden, dict2_1)
+    assert rep.dmax is not None and math.isfinite(rep.dmax)
+    for name in ("dmin", "r", "lr"):
+        bad = dataclasses.replace(rep, **{name: math.nan})
+        with pytest.raises(ValueError):
+            bad.validate()
 
 
 def test_magic_report_json_round_trip(dict2_1, golden):

@@ -8,9 +8,9 @@ from magiclab.pauli import (
     InconsistentTableauError,
     PauliOperator,
     StabilizerTableau,
+    _commuting,
     hermitian_pauli,
     is_hermitian_involution,
-    pauli_commutes,
     pauli_from_string,
     pauli_to_string,
     tableau_to_state,
@@ -21,14 +21,29 @@ from magiclab.pauli import (
 def test_commutation_examples():
     X1 = pauli_from_string("XI")
     X2 = pauli_from_string("IX")
-    assert pauli_commutes(X1, X2)
-    assert not pauli_commutes(pauli_from_string("X"), pauli_from_string("Z"))
-    assert pauli_commutes(pauli_from_string("XX"), pauli_from_string("ZZ"))
+    assert _commuting([X1, X2], 2, 2)
+    assert not _commuting([pauli_from_string("X"), pauli_from_string("Z")], 1, 2)
+    assert _commuting([pauli_from_string("XX"), pauli_from_string("ZZ")], 2, 2)
+    # one anticommuting pair among several fails the whole set
+    assert not _commuting([pauli_from_string(s) for s in ("XX", "ZZ", "ZI")], 2, 2)
+    # qutrits: X Z^2 and X Z commute only up to omega
+    assert not _commuting([weyl_operator(1, [2], [1]), weyl_operator(1, [1], [1])], 1, 3)
+    assert _commuting([weyl_operator(1, [1], [1]), weyl_operator(1, [2], [2])], 1, 3)
 
 
 def test_commutation_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"\(n, d\) = \(1, 2\)"):
+        _commuting([pauli_from_string("X"), pauli_from_string("XX")], 1, 2)
     with pytest.raises(ValueError):
-        pauli_commutes(pauli_from_string("X"), pauli_from_string("XX"))
+        _commuting([pauli_from_string("X"), weyl_operator(1, [1], [0])], 1, 2)
+
+
+def test_apply_is_exact_for_qubits():
+    # the phases come from the exact zeta table: Y|0> = i|1> with no 6e-17 real part
+    out = pauli_from_string("Y").apply(np.array([1, 0], dtype=complex))
+    assert np.array_equal(out.real, [0, 0]) and np.array_equal(out.imag, [0, 1])
+    out = pauli_from_string("-iYZ").apply(np.eye(4, dtype=complex))
+    assert set(np.unique(out.real)) | set(np.unique(out.imag)) <= {-1.0, 0.0, 1.0}
 
 
 def test_string_round_trip_qubits():

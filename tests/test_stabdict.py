@@ -305,6 +305,16 @@ def test_state_coordinates_are_the_signed_group_elements(fixture, request):
         assert peak <= 1.25 * got.nbytes
 
 
+@pytest.mark.parametrize("fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4"])
+def test_qubit_amplitudes_have_no_rounding_dust(fixture, request):
+    # each real and imaginary part is 0 or +-2^(-k/2), taken from the exact
+    # zeta table; a complex power of exp(i pi / 2) left ~6e-17 where 0 belongs
+    dic = request.getfixturevalue(fixture)
+    levels = [0.0] + [2.0 ** (-k / 2) for k in range(dic.n + 1)]
+    for part in (dic.states.real, dic.states.imag):
+        assert np.all(np.isin(np.abs(part), levels))
+
+
 def test_best_overlaps_rejects_wrong_shape(dict2_2):
     with pytest.raises(ValueError):
         dict2_2.best_overlaps(np.ones((8, 1), dtype=complex))

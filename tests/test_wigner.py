@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import magiclab
 from magiclab.measures import TOLERANCES, free_robustness
 from magiclab.pauli import weyl_operator
 from magiclab.wigner import (
+    WignerFunction,
     mana,
     mana_lr_check,
     phase_space_points,
@@ -125,6 +127,27 @@ def test_wigner_refuses_five_qutrits():
 def test_wigner_rejects_non_hermitian():
     with pytest.raises(ValueError):
         wigner_function(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        wigner_function(np.diag([1.0, 0.0, 0.0]) + np.eye(3, k=1))
+
+
+def test_wigner_rejects_what_is_not_a_state(dict3_1):
+    # diag(1.5, -0.25, -0.25) is Hermitian with unit trace; mana used to read 1.0 on it
+    bad = np.diag([1.5, -0.25, -0.25]).astype(complex)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        wigner_function(bad)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        mana_lr_check(bad, dict3_1)
+    # a NaN amplitude used to give a Wigner function of NaNs
+    with pytest.raises(ValueError, match="unit norm"):
+        wigner_function([np.nan, 0, 0])
+    with pytest.raises(ValueError, match="unit norm"):
+        wigner_function([2, 0, 0])
+    for shape in ((), (3, 3, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            wigner_function(np.ones(shape))
+    with pytest.raises(ValueError, match="sums to nan"):
+        WignerFunction(1, np.full(9, np.nan))
 
 
 def test_hudson_direction_on_stabilizers(dict3_1, dict3_2):
@@ -151,6 +174,7 @@ def test_covariance_under_displacement():
 def test_negativity_and_mana_zero_iff_nonneg(dict3_1):
     W = wigner_function(dict3_1.state(0))
     assert sum_negativity(W) < 1e-12
+    assert math.copysign(1, sum_negativity(W)) == 1  # +0.0, never -0.0 in the CLI JSON
     assert mana(W) < 1e-12
     strange = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
     Ws = wigner_function(strange)
