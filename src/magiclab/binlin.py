@@ -69,8 +69,10 @@ def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivot = next((i for i in range(r, m) if M[i, c] % p), None)
         if pivot is None:
             continue
-        M[[r, pivot]] = M[[pivot, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        if pivot != r:
+            M[[r, pivot]] = M[[pivot, r]]
+        if M[r, c] != 1:
+            M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
         for i in range(m):
             if i != r and M[i, c]:
                 M[i] = (M[i] - M[i, c] * M[r]) % p

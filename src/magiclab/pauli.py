@@ -183,6 +183,19 @@ class StabilizerTableau:
             raise ValueError("generators must commute pairwise")
 
 
+def _rephased(tab: StabilizerTableau, generators: tuple[PauliOperator, ...]) -> StabilizerTableau:
+    """tab with its generators replaced by ``generators``, which have the
+    same X and Z rows and other phases, without re-running the checks of
+    ``StabilizerTableau``: their verdicts depend on n, d and those rows
+    alone, so tab's stand.  Only ``stabdict._tableaux`` calls it, for the
+    columns of one stabilizer group."""
+    new = object.__new__(StabilizerTableau)
+    object.__setattr__(new, "n", tab.n)
+    object.__setattr__(new, "d", tab.d)
+    object.__setattr__(new, "generators", generators)
+    return new
+
+
 def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     """Unique joint +1 eigenstate of the tableau's generators.
 

@@ -16,11 +16,13 @@ group's generators into its table, with exact integer phase arithmetic
 (powers of zeta = exp(i*pi/d)), and the states are read off the tables'
 X spans; the first nonzero amplitude of each comes out real positive.
 ``_tableaux`` states the run's order and decodes a column's canonical
-tableau from its group's table row.  pauli.tableau_to_state builds the
-same vectors by a second path, the product of the generators' projectors,
-with no elimination.  Dense enumeration is cheap at desk scale (n = 4
-qubits takes about 0.05 s), so dictionaries are rebuilt on demand rather
-than stored.
+tableau from its group's table row; the columns of a group share their X
+and Z rows, so its Pauli and commutation checks run once per group, not
+once per state.  pauli.tableau_to_state builds the same vectors by a
+second path, the product of the generators' projectors, with no
+elimination.  Dense enumeration is cheap at desk scale (n = 4 qubits
+takes about 0.05 s), so dictionaries are rebuilt on demand rather than
+stored.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binlin import gfp_rref
-from .pauli import _ZETA, PauliOperator, StabilizerTableau
+from .pauli import _ZETA, PauliOperator, StabilizerTableau, _rephased
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
@@ -174,7 +176,13 @@ def _tableaux(elements, phases, n: int, d: int, columns):
     then the Z-type ones reversed: the characters count the former
     little-endian and eps_z counts the latter lex, last fastest.  Column j
     adds 2 digit_i(j) to the exponent of generator i, digits little-endian
-    in d."""
+    in d.
+
+    The columns share their X and Z rows, so every check runs once per
+    call, not once per column: each (generator, phase) PauliOperator is
+    built by its checked constructor the first time a column needs it and
+    reused after, and the first column's tableau is checked while the
+    others are ``_rephased`` from it."""
     dim = d**n
     steps = d ** np.arange(n)
     x, z = (code[:, None] // steps % d for code in divmod(elements[steps], dim))
@@ -183,9 +191,20 @@ def _tableaux(elements, phases, n: int, d: int, columns):
     k = sum(map(any, xs))
     order = [*range(k), *range(n - 1, k - 1, -1)]
     rows = [(tuple(xs[i]), tuple(zs[i]), ts[i], d**i) for i in order]
+    built = [[None] * d for _ in rows]  # each generator at each of its d phases
+    first = None
     for j in columns:
-        gens = (PauliOperator(n, d, x, z, (t + 2 * (j // s % d)) % (2 * d)) for x, z, t, s in rows)
-        yield StabilizerTableau(n, d, tuple(gens))
+        gens = []
+        for (x, z, t, s), ops in zip(rows, built):
+            digit = j // s % d
+            if ops[digit] is None:
+                ops[digit] = PauliOperator(n, d, x, z, (t + 2 * digit) % (2 * d))
+            gens.append(ops[digit])
+        if first is None:
+            first = StabilizerTableau(n, d, tuple(gens))
+            yield first
+        else:
+            yield _rephased(first, tuple(gens))
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,7 +416,9 @@ class StabilizerDictionary:
 
 def iter_stabilizer_states(n: int, d: int = 2):
     """Stream (tableau, state) pairs without materializing the dictionary.
-    The limits are checked at the call, before the first step."""
+    The limits are checked at the call, before the first step.  The
+    tableaux are checked once per stabilizer group, on its first state (see
+    ``_tableaux``)."""
     if d not in STREAM_LIMITS:
         raise ResourceLimitError(f"unsupported local dimension d={d}")
     if not 1 <= n <= STREAM_LIMITS[d]:

@@ -59,6 +59,8 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     ``measures._checked_state`` describes."""
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0] if rho.ndim else 1
+    if dim < D:
+        raise ValueError(f"a state of shape {rho.shape} has dimension {dim}, not 3^n with n >= 1")
     n = round(math.log(dim, D))
     if D**n != dim:
         raise ValueError("dimension is not a power of 3")

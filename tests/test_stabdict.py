@@ -395,6 +395,29 @@ def test_stream_digest_n5():
     assert digest == "e7788656e5ca3bd941fb769d9f52169dc5eb20c8aff23b95b0ea92f03eab9314"
 
 
+@pytest.mark.parametrize("fixture", ["dict2_3", "dict3_2"])
+def test_tableaux_check_each_group(fixture, request):
+    # _tableaux checks commutation once per group, on the first column: a
+    # table row whose generators anticommute must still fail a whole-group
+    # decode, and every single column of it
+    dic = request.getfixturevalue(fixture)
+    n, d = dic.n, dic.d
+    dim = d**n
+    # the last group has every generator X-type, generator i with x = e_i;
+    # adding e_1 to generator 0's Z part makes it anticommute with generator 1
+    row = dic.elements[-1].astype(np.int64)
+    x, z = divmod(int(row[1]), dim)
+    digit = z // d % d
+    row[1] = x * dim + z + ((digit + 1) % d - digit) * d
+    phases = dic.phases[-1]
+    assert len(list(stabdict._tableaux(dic.elements[-1], phases, n, d, range(dim)))) == dim
+    with pytest.raises(ValueError, match="generators must commute pairwise"):
+        list(stabdict._tableaux(row, phases, n, d, range(dim)))
+    for j in range(dim):
+        with pytest.raises(ValueError, match="generators must commute pairwise"):
+            next(stabdict._tableaux(row, phases, n, d, [j]))
+
+
 def _ray_key(v):
     pivot = np.argmax(np.abs(v) > 1e-9)
     return tuple(np.round(v * np.exp(-1j * np.angle(v[pivot])), 9))

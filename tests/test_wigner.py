@@ -143,7 +143,9 @@ def test_wigner_rejects_what_is_not_a_state(dict3_1):
         wigner_function([np.nan, 0, 0])
     with pytest.raises(ValueError, match="unit norm"):
         wigner_function([2, 0, 0])
-    for shape in ((), (3, 3, 3)):
+    # (0,) and (0, 0) used to raise "math domain error" from the log, and a
+    # unit vector of shape (1,) gave a Wigner function on n = 0 qutrits
+    for shape in ((), (3, 3, 3), (0,), (0, 0), (1,), (1, 1)):
         with pytest.raises(ValueError, match="shape"):
             wigner_function(np.ones(shape))
     with pytest.raises(ValueError, match="sums to nan"):
