@@ -52,7 +52,6 @@ from .measures import (
     free_robustness,
     golden_state,
     magic_report,
-    stab_rank_bound,
 )
 from .pauli import (
     InconsistentTableauError,

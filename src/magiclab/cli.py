@@ -2,13 +2,15 @@
 
 State file schema: {"n": int, "d": 2|3, "amplitudes": [[re, im], ...]} with
 amplitudes in basis order (site 1 = least significant digit) and unit norm.
-All structured output is JSON on stdout (CSV for bulk samples); exit code 2
-marks usage errors, exit 1 a computational failure with a JSON error body.
+Commands return their payloads and ``main`` alone writes them: one strict
+JSON document per run on stdout, ``tool_version`` last, error bodies too.
+Exit code 2 marks usage errors and exit 1 a computational failure.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .haar import ExperimentConfig, dmin_distribution, experiment_csv, overlap_c
 from .lattice import lattice_bound, make_lattice
 from .measures import _checked_state, magic_report
 from .measures import dmin as dmin_measure
-from .mbqc import MeasurementLayout, outcome_distribution, pbound_check
+from .mbqc import MeasurementLayout, outcome_distribution
 from .pauli import pauli_from_string
 from .solvers import SolverError
 from .stabdict import count_stabilizer_states, enumerate_stabilizer_states
@@ -40,10 +42,12 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        n, d = int(payload["n"]), int(payload.get("d", 2))
+        n, d = payload["n"], payload.get("d", 2)
         amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
+    if type(n) is not int or type(d) is not int:
+        raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     return n, d, _checked_state(amps, d**n)
@@ -59,42 +63,34 @@ def dump_state_file(path: str, n: int, d: int, amps: np.ndarray) -> None:
         json.dump(payload, fh)
 
 
-def _emit(payload: dict) -> None:
-    """Write the payload as one strict JSON document.  It is serialized before
-    anything is written, so a non-finite value raises ``ValueError`` (and
-    becomes the error body) instead of printing NaN or Infinity."""
-    payload.setdefault("tool_version", __version__)
-    text = json.dumps(payload, indent=2, default=float, allow_nan=False)
-    sys.stdout.write(text + "\n")
-
-
-def cmd_measures(args) -> int:
+def cmd_measures(args) -> dict:
     n, d, psi = load_state_file(args.state)
-    dic = enumerate_stabilizer_states(n, d)
-    report = magic_report(psi, dic)
-    _emit(json.loads(report.to_json()))
-    return 0
+    return asdict(magic_report(psi, enumerate_stabilizer_states(n, d)))
 
 
-def cmd_chi(args) -> int:
-    f = parse_anf(args.anf, n=args.n)
-    chi, argmin = nonquadraticity(f)
+def _function_payload(f, chi: int | None = None) -> dict:
+    """f's fields for ``chi`` and ``welch``, with chi and its dmin bound if given."""
     payload = {
         "n": f.n,
         "anf": anf_string(f),
         "degree": f.degree,
         "weight": f.weight(),
-        "chi": chi,
-        "nearest_quadratic": anf_string(argmin),
         "truth_table_hex": truth_table_hex(f),
     }
-    if chi < 2 ** (f.n - 1):
-        payload["dmin_bound"] = dmin_bound_from_chi(f, chi)
-    _emit(payload)
-    return 0
+    if chi is not None:
+        payload["chi"] = chi
+        if chi < 2 ** (f.n - 1):
+            payload["dmin_bound"] = dmin_bound_from_chi(f, chi)
+    return payload
 
 
-def cmd_lattice(args) -> int:
+def cmd_chi(args) -> dict:
+    f = parse_anf(args.anf, n=args.n)
+    chi, argmin = nonquadraticity(f)
+    return {**_function_payload(f, chi), "nearest_quadratic": anf_string(argmin)}
+
+
+def cmd_lattice(args) -> dict:
     L = make_lattice(args.kind, args.rows, args.cols, args.boundary)
     deco, bound = lattice_bound(L, args.phase)
     f = deco.f
@@ -127,13 +123,12 @@ def cmd_lattice(args) -> int:
         payload["state_file"] = args.dump_state
     if args.dense_measures:
         dic = enumerate_stabilizer_states(L.n, 2)
-        report = magic_report(hypergraph_state(f), dic)
-        payload["measures"] = json.loads(report.to_json())
-    _emit(payload)
-    return 0
+        report = magic_report(psi if args.dump_state else hypergraph_state(f), dic)
+        payload["measures"] = asdict(report)
+    return payload
 
 
-def cmd_wigner(args) -> int:
+def cmd_wigner(args) -> dict:
     n, d, psi = load_state_file(args.state)
     if d != 3:
         raise ValueError("the wigner command needs a qutrit (d=3) state")
@@ -146,104 +141,73 @@ def cmd_wigner(args) -> int:
         "mana": mana(W),
     }
     if args.check and n <= 2:
-        dic = enumerate_stabilizer_states(n, 3)
-        ok, m, lr = mana_lr_check(psi, dic)
+        ok, m, lr = mana_lr_check(psi, enumerate_stabilizer_states(n, 3))
         payload["mana_lr_check"] = {"pass": bool(ok), "mana": m, "lr": lr}
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(wigner_csv(W))
         payload["csv_file"] = args.csv
-    _emit(payload)
-    return 0
+    return payload
 
 
-def cmd_mbqc(args) -> int:
+def cmd_mbqc(args) -> dict:
     n, d, psi = load_state_file(args.state)
     if d != 2:
         raise ValueError("the mbqc command needs a qubit state")
-    obs = tuple(pauli_from_string(s) for s in args.layout.split(","))
-    layout = MeasurementLayout(n, obs)
+    names = args.layout.split(",")
+    layout = MeasurementLayout(n, tuple(pauli_from_string(s) for s in names))
     dist = outcome_distribution(psi, layout)
-    dic = enumerate_stabilizer_states(n, 2)
-    dval, _ = dmin_measure(psi, dic)
-    ok, max_p, bound = pbound_check(psi, layout, dval)
-    _emit(
-        {
-            "layout": args.layout.split(","),
-            "n": n,
-            "k": layout.k,
-            "distribution": [float(p) for p in dist.probabilities],
-            "dmin": dval,
-            "max_p": max_p,
-            "bound": bound,
-            "pass": bool(ok),
-        }
-    )
-    return 0
+    dval, _ = dmin_measure(psi, enumerate_stabilizer_states(n, 2))
+    ok, max_p, bound = dist.cap_check(dval)
+    return {
+        "layout": names,
+        "n": n,
+        "k": layout.k,
+        "distribution": [float(p) for p in dist.probabilities],
+        "dmin": dval,
+        "max_p": max_p,
+        "bound": bound,
+        "pass": bool(ok),
+    }
 
 
-def cmd_haar(args) -> int:
+def cmd_haar(args) -> dict:
     if args.overlap_only:
         pv = overlap_cdf_pvalue(args.n, args.samples, args.seed)
-        _emit(
-            {
-                "n": args.n,
-                "samples": args.samples,
-                "seed": args.seed,
-                "overlap_ks_pvalue": pv,
-            }
-        )
-        return 0
+        return {"n": args.n, "samples": args.samples, "seed": args.seed, "overlap_ks_pvalue": pv}
     cfg = ExperimentConfig(args.n, args.samples, args.seed)
     exp = dmin_distribution(cfg, enumerate_stabilizer_states(args.n, 2))
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(experiment_csv(exp.values))
     mask = exp.bound_curve < 1.0
-    _emit(
-        {
-            **exp.summary,
-            "csv_file": args.csv,
-            "cdf_below_union_bound": bool(
-                np.all(exp.empirical_cdf[mask] <= exp.bound_curve[mask] + 1e-12)
-            ),
-        }
-    )
-    return 0
-
-
-def cmd_enum(args) -> int:
-    dic = enumerate_stabilizer_states(args.n, args.d)
-    _emit(
-        {
-            "n": args.n,
-            "d": args.d,
-            "count": dic.size,
-            "count_formula": count_stabilizer_states(args.n, args.d),
-        }
-    )
-    return 0
-
-
-def cmd_welch(args) -> int:
-    f = welch_function(args.n)
-    payload = {
-        "n": args.n,
-        "anf": anf_string(f),
-        "degree": f.degree,
-        "weight": f.weight(),
-        "truth_table_hex": truth_table_hex(f),
+    return {
+        **exp.summary,
+        "csv_file": args.csv,
+        "cdf_below_union_bound": bool(
+            np.all(exp.empirical_cdf[mask] <= exp.bound_curve[mask] + 1e-12)
+        ),
     }
-    if args.n <= NONQUADRATICITY_LIMIT:
-        chi, _ = nonquadraticity(f)
-        payload["chi"] = chi
-        if chi < 2 ** (args.n - 1):
-            payload["dmin_bound"] = dmin_bound_from_chi(f, chi)
-        payload["asymptotic_chi_reference"] = 2 ** (args.n - 1) - 2 ** (
-            (3 * args.n - 1) / 4
-        )
-    _emit(payload)
-    return 0
+
+
+def cmd_enum(args) -> dict:
+    return {
+        "n": args.n,
+        "d": args.d,
+        "count": enumerate_stabilizer_states(args.n, args.d).size,
+        "count_formula": count_stabilizer_states(args.n, args.d),
+    }
+
+
+def cmd_welch(args) -> dict:
+    f = welch_function(args.n)
+    if args.n > NONQUADRATICITY_LIMIT:
+        return _function_payload(f)
+    chi, _ = nonquadraticity(f)
+    return {
+        **_function_payload(f, chi),
+        "asymptotic_chi_reference": 2 ** (args.n - 1) - 2 ** ((3 * args.n - 1) / 4),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,17 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its payload, serialized before anything is
+    written: a non-finite value raises ``ValueError`` and becomes the error
+    body instead of printing NaN or Infinity."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = {**args.func(args), "tool_version": __version__}
+        text, code = json.dumps(payload, indent=2, default=float, allow_nan=False), 0
     except (OSError, ValueError, SolverError) as exc:  # JSON error body, exit 1
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc), "tool_version": __version__},
-            sys.stdout,
-        )
-        sys.stdout.write("\n")
-        return 1
+        error = {"error": type(exc).__name__, "message": str(exc), "tool_version": __version__}
+        text, code = json.dumps(error), 1
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

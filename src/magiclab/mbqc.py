@@ -62,6 +62,12 @@ class OutcomeDistribution:
         if not float(np.min(self.probabilities)) >= -1e-12:
             raise ValueError("negative probability")
 
+    def cap_check(self, dmin_bits: float) -> tuple[bool, float, float]:
+        """max_y p(y) against the cap 2^(n - k - dmin): (holds, max_p, cap)."""
+        max_p = float(np.max(self.probabilities))
+        bound = 2.0 ** (self.layout.n - self.layout.k - dmin_bits)
+        return max_p <= bound + 1e-9, max_p, bound
+
 
 def outcome_distribution(psi: np.ndarray, layout: MeasurementLayout) -> OutcomeDistribution:
     """Joint outcome probabilities of the layout on the pure state psi,
@@ -88,11 +94,8 @@ def outcome_distribution(psi: np.ndarray, layout: MeasurementLayout) -> OutcomeD
 def pbound_check(
     psi: np.ndarray, layout: MeasurementLayout, dmin_bits: float
 ) -> tuple[bool, float, float]:
-    """max_y p(y) against the cap 2^(n - k - dmin)."""
-    dist = outcome_distribution(psi, layout)
-    max_p = float(np.max(dist.probabilities))
-    bound = 2.0 ** (layout.n - layout.k - dmin_bits)
-    return max_p <= bound + 1e-9, max_p, bound
+    """``OutcomeDistribution.cap_check`` on the layout's distribution on psi."""
+    return outcome_distribution(psi, layout).cap_check(dmin_bits)
 
 
 def search_repetition_bound(n: int, dmin_bits: float) -> float:

@@ -25,9 +25,8 @@ stated tolerance before it is returned.
 """
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,20 +264,6 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     )
 
 
-def stab_rank_bound(
-    psi: np.ndarray,
-    dic: StabilizerDictionary,
-    epsilon: float,
-    xi: float | None = None,
-) -> float:
-    """Approximate stabilizer-rank bound 1 + xi/epsilon^2 (reported, no search)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if xi is None:
-        xi = extent(psi, dic).xi
-    return 1.0 + xi / epsilon**2
-
-
 @dataclass
 class MagicReport:
     """Bundle of the computed monotones with solver diagnostics and tolerances."""
@@ -314,9 +299,6 @@ class MagicReport:
                     f"measure chain violated: {upper} > lr={self.lr}"
                 )
         return self
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(asdict(self), **kwargs)
 
 
 # above this dictionary size the convex solves outgrow the desk scale

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from magiclab import cli, lattice
+from magiclab import boolfn, cli, lattice, mbqc
 from magiclab.cli import dump_state_file, load_state_file, main
 from magiclab.measures import golden_state
 
@@ -50,6 +50,19 @@ def test_state_file_rejects_unnormalized(tmp_path):
         load_state_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "sizes", [{"n": 1.9, "d": 2.7}, {"n": True}, {"n": 1, "d": 2.0}, {"n": "1"}]
+)
+def test_state_file_sizes_are_json_integers(capsys, tmp_path, sizes):
+    # int() would run {"n": 1.9, "d": 2.7} and {"n": true} as one qubit
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({**sizes, "amplitudes": [[1, 0], [0, 0]]}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"].startswith("n and d must be JSON integers")
+
+
 def test_measures_command(capsys, tmp_path, golden_file):
     code, payload = run_cli(
         capsys, "--cache-dir", str(tmp_path), "measures", "--state", golden_file
@@ -92,19 +105,33 @@ def test_lattice_command(capsys, tmp_path):
     assert payload["vertex_map"]["0"] == ["g", 0, 0]
 
 
-def test_lattice_command_builds_the_state_once(capsys, monkeypatch):
+def _count_calls(monkeypatch, modules, name):
+    """Replace ``name`` in each module by one counting wrapper; returns the
+    list of recorded calls."""
     calls = []
-    original = lattice.build_lattice_state
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lattice, "build_lattice_state", counted)
-    monkeypatch.setattr(cli, "build_lattice_state", counted, raising=False)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_lattice_command_builds_the_state_once(capsys, monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, [lattice, cli], "build_lattice_state")
     code, payload = run_cli(capsys, "lattice", "--kind", "union-jack", "--rows", "4", "--cols", "4")
     assert code == 0 and payload["n"] == 32
     assert len(calls) == 1
+    # the dumped state is the one the dense measures read
+    states = _count_calls(monkeypatch, [boolfn, cli], "hypergraph_state")
+    argv = ["--kind", "triangular", "--rows", "2", "--cols", "2", "--boundary", "open"]
+    dump = str(tmp_path / "tri.json")
+    code, payload = run_cli(capsys, "lattice", *argv, "--dump-state", dump, "--dense-measures")
+    assert code == 0 and payload["state_file"] == dump
+    assert len(states) == 1
 
 
 def test_lattice_command_chi_bounds_exact_past_float_range(capsys):
@@ -252,6 +279,15 @@ def test_mbqc_command(capsys, tmp_path):
     assert abs(payload["distribution"][0] - 1.0) < 1e-9
     assert payload["k"] == 2
     assert "seed" not in payload  # the command draws no random numbers
+
+
+def test_mbqc_command_computes_the_distribution_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "ccz.json"
+    dump_state_file(str(path), 3, 2, boolfn.hypergraph_state(boolfn.parse_anf("x1*x2*x3")))
+    calls = _count_calls(monkeypatch, [mbqc, cli], "outcome_distribution")
+    code, payload = run_cli(capsys, "mbqc", "--state", str(path), "--layout", "XII,IXI,IIX")
+    assert code == 0 and payload["pass"]
+    assert len(calls) == 1
 
 
 def test_haar_command(capsys, tmp_path):

@@ -21,7 +21,6 @@ from magiclab.measures import (
     free_robustness,
     golden_state,
     magic_report,
-    stab_rank_bound,
 )
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
@@ -414,17 +413,6 @@ def test_robustness_bound_check(dict2_1, dict2_2):
         assert r <= math.sqrt(dim * (dim + 1)) + 1e-9
 
 
-def test_stab_rank_bound_values(dict2_1, golden):
-    psi = dict2_1.state(2)
-    assert stab_rank_bound(psi, dict2_1, 0.1, xi=1.0) == pytest.approx(101.0)
-    assert stab_rank_bound(psi, dict2_1, 0.1, xi=16 / 9) == pytest.approx(
-        1 + (16 / 9) / 0.01
-    )
-    assert stab_rank_bound(golden, dict2_1, 0.5) == pytest.approx(6.0718, abs=1e-3)
-    with pytest.raises(ValueError):
-        stab_rank_bound(psi, dict2_1, 1.5)
-
-
 def test_validate_fails_closed_on_nan(dict2_1, golden):
     rep = magic_report(golden, dict2_1)
     assert rep.dmax is not None and math.isfinite(rep.dmax)
@@ -436,7 +424,7 @@ def test_validate_fails_closed_on_nan(dict2_1, golden):
 
 def test_magic_report_json_round_trip(dict2_1, golden):
     rep = magic_report(golden, dict2_1)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(dataclasses.asdict(rep), allow_nan=False))
     assert payload["n"] == 1 and payload["d"] == 2
     assert abs(payload["dmin"] - GOLDEN_DMIN) < 1e-9
     assert payload["tolerances"]["bp_gap"] == 1e-9
