@@ -48,6 +48,8 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
     if type(n) is not int or type(d) is not int:
         raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
+    if n < 1:
+        raise ValueError(f"state file {path}: n must be at least 1, found {n}")
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     return n, d, _checked_state(amps, d**n)

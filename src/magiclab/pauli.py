@@ -16,6 +16,7 @@ displacement operators carry t = 2*(z.x) mod 6 (the half-power uses the
 inverse of 2 mod 3).
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -28,6 +29,16 @@ _ZETA = {
     2: np.array([1, 1j, -1, -1j]),
     3: np.array([1, 0.5 + _ISIN, -0.5 + _ISIN, -1, -0.5 - _ISIN, 0.5 - _ISIN]),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d^n, n) little-endian digits of every basis index, and the place
+    values d^i that turn a digit row back into its index.  Read-only."""
+    place = d ** np.arange(n)
+    digits = (np.arange(d**n)[:, None] // place) % d
+    digits.flags.writeable = place.flags.writeable = False
+    return digits, place
 
 
 @dataclass(frozen=True)
@@ -70,11 +81,10 @@ class PauliOperator:
         dim = d**n
         if psi.shape[0] != dim:
             raise ValueError("state dimension mismatch")
-        idx = np.arange(dim)
-        digits = (idx[:, None] // d ** np.arange(n)) % d
+        digits, place = _digits(n, d)
         zdot = digits @ np.array(self.zvec) % d
         exps = (self.phase + 2 * zdot) % (2 * d)
-        src = ((digits - np.array(self.xvec)) % d) @ (d ** np.arange(n))
+        src = ((digits - np.array(self.xvec)) % d) @ place
         factors = _ZETA[d][exps]
         if psi.ndim == 2:
             return factors[:, None] * psi[src, :]

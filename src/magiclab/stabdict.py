@@ -9,20 +9,24 @@ d^n * prod_k (d^{n-k} + 1) by construction.
 
 Each run of d^n consecutive states (one R and S, every eps_z and every
 character) is the joint eigenbasis of one stabilizer group, and the
-dictionary stores each group as its element table (element rows and
-phases, packed in small integers).  States are built in blocks, one RREF R
-and a run of its S matrices at a time: ``_group_tables`` expands each
-group's generators into its table, with exact integer phase arithmetic
-(powers of zeta = exp(i*pi/d)), and the states are read off the tables'
-X spans; the first nonzero amplitude of each comes out real positive.
-``_tableaux`` states the run's order and decodes a column's canonical
-tableau from its group's table row; the columns of a group share their X
-and Z rows, so its Pauli and commutation checks run once per group, not
-once per state.  pauli.tableau_to_state builds the same vectors by a
-second path, the product of the generators' projectors, with no
-elimination.  Dense enumeration is cheap at desk scale (n = 4 qubits
-takes about 0.05 s), so dictionaries are rebuilt on demand rather than
-stored.
+dictionary is the groups' element tables (element rows and phases, packed
+in small integers).  The tables are built eagerly, one RREF R and a run of
+its S matrices at a time: ``_group_tables`` expands each group's
+generators into its table, with exact integer phase arithmetic (powers of
+zeta = exp(i*pi/d)), and no amplitude is computed.  Dense columns are read
+on demand: ``_read_states`` reads the states of any run of groups off
+their tables' X spans, with the first nonzero amplitude of each real
+positive, for the cached ``StabilizerDictionary.states``, a single
+``state(i)`` and the n = 5 stream.  ``size``, ``tableau(i)``, ``best_overlaps``
+and the quantities built on it read only the tables, so dmin at n = 4 needs
+73 kB of tables, not the 9.4 MB dense array.  ``_tableaux`` states a
+group's column order and decodes a column's canonical tableau from its
+table row; the columns of a group share their X and Z rows, so its Pauli
+and commutation checks run once per group, not once per state.
+pauli.tableau_to_state builds the same vectors by a second path, the
+product of the generators' projectors, with no elimination.  Enumeration
+is cheap at desk scale (the n = 4 tables take about 0.01 s), so
+dictionaries are rebuilt on demand rather than stored.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
@@ -38,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binlin import gfp_rref
-from .pauli import _ZETA, PauliOperator, StabilizerTableau, _rephased
+from .pauli import _ZETA, PauliOperator, StabilizerTableau, _digits, _rephased
 
 DENSE_LIMITS = {2: 4, 3: 2}
 STREAM_LIMITS = {2: 5, 3: 2}
-_BLOCK_STATES = 1024  # most states in one _iter_blocks block (one S always fits)
+_BLOCK_STATES = 1024  # most states in one table block or read (one group always fits)
 _TILE = 1 << 17  # most entries in one working array of best_overlaps
 
 
@@ -92,41 +96,19 @@ def _symmetric_matrices(k: int, d: int) -> np.ndarray:
     return S
 
 
-def _iter_blocks(n: int, d: int):
-    """Yield (elements, phases, psi) blocks over all stabilizer states.
+def _iter_tables(n: int, d: int):
+    """Yield (elements, phases) blocks of group tables (see ``_group_tables``)
+    over all stabilizer groups, with no amplitude arithmetic.
 
-    Each block is one RREF X-block R and a run of m of its symmetric
-    matrices S, one group each: elements and phases (m, d^n) are the groups'
-    tables (see ``_group_tables``), and psi (m d^n, d^n) every state, m d^n
-    <= max(d^n, _BLOCK_STATES).  In all, the blocks give every state in a
-    fixed deterministic order: subspace dimension ascending, then R and S
-    lex, then the group's column order (see ``_tableaux``).
-
-    The states are read off the tables (Dehaene and De Moor,
-    quant-ph/0304125).  With k X-type generators, a group's first d^k
-    entries c = y, little-endian over them, are its X span: the elements
-    zeta^(phases[c] - x.z) Z^z X^x with x = yR.  The state of (eps_z, sigma)
-    is d^(-k/2) sum_y zeta^e(y) |w0 + yR>, supported on idx[eps_z], with
-
-        e(y) = phases[c] + x.z + 2 z.w0 + 2 sigma.y     (mod 2d).
-
-    w0 solves the Z rows' equations z.w = -eps_z with free variables zero,
-    so it vanishes off the Z rows' leading columns, y = 0 gives the least
-    index of each coset, and e(0) = 0 makes the first nonzero amplitude real
-    positive.
+    Each block is one RREF X-block R and a run of m <= max(1, _BLOCK_STATES
+    / d^n) of its symmetric matrices S, one group each, (m, d^n) tables.  In
+    all, the blocks give every group in a fixed deterministic order:
+    subspace dimension ascending, then R and S lex; a group's columns follow
+    the order of ``_tableaux``.
     """
-    dim = d**n
-    place = d ** np.arange(n)
-    dot = _tables(n, d)[2]
-    run = max(1, _BLOCK_STATES // dim)
+    run = max(1, _BLOCK_STATES // d**n)
     for k in range(n + 1):
-        ys = (np.arange(d**k)[:, None] // d ** np.arange(k)) % d
-        char_tab = (2 * (ys @ ys.T)) % (2 * d)
-        amplitudes = float(d) ** (-k / 2) * _ZETA[d]
-        eps = np.array(list(itertools.product(range(d), repeat=n - k)), dtype=np.int64)
         all_S = _symmetric_matrices(k, d)
-        # state (S, eps_z, sigma) is one row of psi, starting at rows[S, eps_z, sigma]
-        rows = np.arange(min(run, len(all_S)) * dim).reshape(-1, len(eps), d**k, 1) * dim
         for R in _rref_matrices(n, k, d):
             pivcols = np.argmax(R != 0, axis=1)
             free = np.ones(n, dtype=bool)
@@ -135,12 +117,6 @@ def _iter_blocks(n: int, d: int):
             znull = np.eye(n, dtype=np.int64)[free]
             znull[:, pivcols] = (-R[:, free].T) % d
             znull, zpiv = gfp_rref(znull, d)
-            # the coset offsets solving znull.w = -eps_z, with znull in RREF
-            W0 = np.zeros((len(eps), n), dtype=np.int64)
-            W0[:, zpiv] = (-eps) % d
-            w0 = (W0 @ place)[:, None]
-            idx = ((W0[:, None, :] + ys @ R) % d) @ place
-            offsets = rows + idx[:, None, :]
             gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
             for s0 in range(0, len(all_S), run):
                 S = all_S[s0 : s0 + run]
@@ -156,15 +132,58 @@ def _iter_blocks(n: int, d: int):
                 gen_z[:, :k], gen_z[:, k:] = lifts, znull[::-1]
                 gen_t = np.zeros((m, n), dtype=np.int64)
                 gen_t[:, :k] = (-rx) % 4 if d == 2 else (2 * rx) % 6
-                elements, phases = _group_tables(gen_x, gen_z, gen_t, d)
-                # e(y) up to its character term 2 sigma.y, over each X span
-                span = elements[:, : d**k]
-                e0 = phases[:, : d**k] + dot.ravel()[span]
-                e0 = e0[:, None, :] + 2 * dot[span[:, None, :] % dim, w0]
-                expo = (e0[:, :, None, :] + char_tab) % (2 * d)
-                psi = np.zeros((m * dim, dim), dtype=complex)
-                psi.flat[offsets[:m]] = amplitudes[expo]
-                yield elements, phases, psi
+                yield _group_tables(gen_x, gen_z, gen_t, d)
+
+
+def _read_states(elements, phases, n: int, d: int) -> np.ndarray:
+    """The states of the groups whose tables (see ``_group_tables``) are
+    elements and phases, any run of them: (groups d^n, d^n), one row per
+    state in column order.
+
+    The states are read off the tables (Dehaene and De Moor,
+    quant-ph/0304125).  With k X-type generators (the elements d^i whose X
+    part is nonzero), a group's first d^k entries c = y, little-endian over
+    them, are its X span: the elements zeta^(phases[c] - x.z) Z^z X^x with
+    x = yR.  The state of column (eps_z, sigma), eps_z the digits of the
+    Z-type generators and sigma those of the X-type ones, is
+    d^(-k/2) sum_y zeta^e(y) |w0 + yR>, supported on a coset, with
+
+        e(y) = phases[c] + x.z + 2 z.w0 + 2 sigma.y     (mod 2d).
+
+    w0 solves the Z-type generators' equations z.w = -eps_z with free
+    variables zero: it is -eps_z at their leading columns and zero
+    elsewhere, so y = 0 gives the least index of each coset, and e(0) = 0
+    makes the first nonzero amplitude real positive.
+    """
+    dim = d**n
+    add, _, dot = _tables(n, d)[:3]
+    digits, steps = _digits(n, d)
+    psi = np.zeros((len(elements) * dim, dim), dtype=complex)
+    # k of each group, and the runs [a, b) of groups that share it
+    ks = (elements[:, steps] >= dim).sum(axis=1)
+    cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ks)]
+    for a, b in zip(cuts, cuts[1:]):
+        k = int(ks[a])
+        x, z = np.divmod(elements[a:b, : d**k].astype(np.int64), dim)
+        # w0 for each eps_z: its digits negated, at the Z rows' leading columns
+        lead = steps[np.argmax(digits[elements[a:b, steps[k:]]] != 0, axis=2)]
+        w0 = lead @ (-digits[: d ** (n - k), : n - k] % d).T
+        # e(y) up to its character term 2 sigma.y, over each X span
+        e0 = phases[a:b, : d**k] + dot.ravel()[x * dim + z]
+        e0 = e0[:, None, :] + 2 * dot[z[:, None, :], w0[:, :, None]]
+        expo = (e0[:, :, None, :] + 2 * dot[: d**k, : d**k]) % (2 * d)
+        # state (group, eps_z, sigma) is row rows[group, eps_z, sigma] of psi
+        rows = np.arange(a * dim, b * dim).reshape(b - a, -1, d**k, 1)
+        offsets = rows * dim + add[w0[:, :, None], x[:, None, :]][:, :, None, :]
+        psi.reshape(-1)[offsets] = (float(d) ** (-k / 2) * _ZETA[d])[expo]
+    return psi
+
+
+def _iter_blocks(n: int, d: int):
+    """Yield (elements, phases, psi): each block of ``_iter_tables`` and its
+    states, read off its tables by ``_read_states``."""
+    for elements, phases in _iter_tables(n, d):
+        yield elements, phases, _read_states(elements, phases, n, d)
 
 
 def _tableaux(elements, phases, n: int, d: int, columns):
@@ -213,8 +232,7 @@ def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     the sums a + b, the negations -a, the dot products a.b over the integers
     (|a & b| for qubits), the characters omega^(a.b) and the phases
     zeta^(-a.b).  Read-only."""
-    place = d ** np.arange(n)
-    digits = (np.arange(d**n)[:, None] // place) % d
+    digits, place = _digits(n, d)
     weight = digits @ digits.T
     tables = (
         ((digits[:, None] + digits) % d) @ place,
@@ -348,12 +366,12 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 
 @dataclass
 class StabilizerDictionary:
-    """All pure stabilizer states for (n, d): dense vectors, and the element
-    table of each group of d^n consecutive columns (see ``_group_tables``)."""
+    """All pure stabilizer states for (n, d), held as the element table of
+    each group of d^n consecutive columns (see ``_group_tables``); dense
+    columns are read off the tables on first use (see ``_read_states``)."""
 
     n: int
     d: int
-    states: np.ndarray  # (d^n, N) complex128, columns normalized
     # (N / d^n, d^n) read-only tables of _group_tables in the smallest integer
     # types, one row per group: each element's row x d^n + z of
     # _pauli_coordinates, and its zeta exponent
@@ -362,13 +380,29 @@ class StabilizerDictionary:
 
     def __post_init__(self):
         dim = self.d**self.n
-        groups, rest = divmod(self.size, dim)
-        if rest or any(table.shape != (groups, dim) for table in (self.elements, self.phases)):
-            raise ValueError(f"{self.size} states need {dim} per group, one table row each")
+        shapes = self.elements.shape, self.phases.shape
+        if len(shapes[0]) != 2 or shapes[0][1] != dim or shapes[1] != shapes[0]:
+            raise ValueError(
+                f"elements and phases need one row of {dim} entries per group, got {shapes}"
+            )
 
     @property
     def size(self) -> int:
-        return self.states.shape[1]
+        return len(self.elements) * self.d**self.n
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """(d^n, N) complex128, columns normalized: every state, read off the
+        tables on first use and kept, read-only."""
+        dim = self.d**self.n
+        run = max(1, _BLOCK_STATES // dim)
+        states = np.empty((dim, self.size), dtype=complex)
+        for g in range(0, len(self.elements), run):
+            block = slice(g, g + run)
+            psi = _read_states(self.elements[block], self.phases[block], self.n, self.d)
+            states[:, g * dim : g * dim + len(psi)] = psi.T
+        states.flags.writeable = False
+        return states
 
     def tableau(self, i: int) -> StabilizerTableau:
         """Canonical tableau of column i, decoded from its group's table row."""
@@ -376,7 +410,9 @@ class StabilizerDictionary:
         return next(_tableaux(self.elements[g], self.phases[g], self.n, self.d, [j]))
 
     def state(self, i: int) -> np.ndarray:
-        return self.states[:, i]
+        """Column i, read off its group's table row alone."""
+        g, j = divmod(operator.index(i), self.d**self.n)
+        return _read_states(self.elements[[g]], self.phases[[g]], self.n, self.d)[j]
 
     def best_overlaps(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """max_j |<phi_j|v>|^2 for every column v of V, and the lowest j
@@ -399,7 +435,7 @@ class StabilizerDictionary:
         every group's sums at once.  Ties keep the lowest j.  Targets go in
         even chunks of at most _TILE (group, target) pairs.
         """
-        if V.ndim != 2 or V.shape[0] != self.states.shape[0]:
+        if V.ndim != 2 or V.shape[0] != self.d**self.n:
             raise ValueError("state dimension mismatch")
         m = V.shape[1]
         fidelities = np.empty(m)
@@ -435,7 +471,10 @@ def iter_stabilizer_states(n: int, d: int = 2):
 
 
 def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
-    """Dense dictionary of all stabilizer states; exact count by construction."""
+    """Dictionary of all stabilizer states, exact count by construction: the
+    group tables are built eagerly by ``_iter_tables``, and the dense columns
+    are read off them on demand (``StabilizerDictionary.states`` and
+    ``state``)."""
     if n < 1:
         raise ValueError("n must be positive")
     if d not in DENSE_LIMITS:
@@ -449,16 +488,14 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     dim = d**n
     total = count_stabilizer_states(n, d)
     # allocated first, so that they sit below the build's temporaries in the heap
-    states = np.empty((dim, total), dtype=complex)
     elements = np.empty((total // dim, dim), dtype=np.min_scalar_type(dim * dim - 1))
     phases = np.empty((total // dim, dim), dtype=np.int8)
     count = 0
-    for block_elements, block_phases, psi in _iter_blocks(n, d):
-        states[:, count : count + len(psi)] = psi.T
-        block = slice(count // dim, count // dim + len(block_elements))
+    for block_elements, block_phases in _iter_tables(n, d):
+        block = slice(count, count + len(block_elements))
         elements[block], phases[block] = block_elements, block_phases
-        count += len(psi)
-    if count != total:
-        raise AssertionError(f"enumeration produced {count} != {total} states")
+        count += len(block_elements)
+    if count * dim != total:
+        raise AssertionError(f"enumeration produced {count * dim} != {total} states")
     elements.flags.writeable = phases.flags.writeable = False
-    return StabilizerDictionary(n, d, states, elements, phases)
+    return StabilizerDictionary(n, d, elements, phases)

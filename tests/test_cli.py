@@ -63,6 +63,18 @@ def test_state_file_sizes_are_json_integers(capsys, tmp_path, sizes):
     assert out["message"].startswith("n and d must be JSON integers")
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_state_file_needs_a_positive_n(capsys, tmp_path, n):
+    # n = -1 was reported as "expected 0.5 amplitudes", and n = 0 reached the
+    # enumerator's "n must be positive"
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "d": 2, "amplitudes": []}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == f"state file {path}: n must be at least 1, found {n}"
+
+
 def test_measures_command(capsys, tmp_path, golden_file):
     code, payload = run_cli(
         capsys, "--cache-dir", str(tmp_path), "measures", "--state", golden_file

@@ -8,6 +8,7 @@ import pytest
 from magiclab.pauli import PauliOperator, tableau_to_state
 from magiclab import stabdict
 from magiclab.haar import haar_state_batch
+from magiclab.measures import dmin
 from magiclab.stabdict import (
     _BLOCK_STATES,
     ResourceLimitError,
@@ -187,10 +188,11 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
         twice = StabilizerDictionary(
             dic.n,
             dic.d,
-            np.hstack([dic.states, dic.states]),
             np.concatenate([dic.elements, dic.elements]),
             np.concatenate([dic.phases, dic.phases]),
         )
+        # doubled tables read off as doubled states
+        assert np.array_equal(twice.states, np.hstack([dic.states, dic.states]))
         basis = np.eye(dim, dtype=complex)
         fid, idx = twice.best_overlaps(basis)
         dense_fid, dense_idx = _dense_best(twice.states, basis)
@@ -249,17 +251,34 @@ def test_runs_are_stabilizer_group_eigenbases(fixture, request):
 
 
 def test_dictionary_needs_whole_groups_and_one_generator_row_each(dict2_2):
-    # states that are not whole groups, a group short of its table row, and
-    # the tables written out once per state
+    # a group short of its element row, a group short of its phase row,
+    # rows of half a group, and the tables flattened
     dic = dict2_2
     tables = (dic.elements, dic.phases)
-    for states, elements, phases in [
-        (dic.states[:, :-1], *tables),
-        (dic.states, *(table[:-1] for table in tables)),
-        (dic.states, *(np.repeat(table, 4, axis=0) for table in tables)),
+    for elements, phases in [
+        (dic.elements[:-1], dic.phases),
+        (dic.elements, dic.phases[:-1]),
+        tuple(table.reshape(-1, 2) for table in tables),
+        tuple(table.ravel() for table in tables),
     ]:
-        with pytest.raises(ValueError, match="need 4 per group, one table row each"):
-            StabilizerDictionary(dic.n, dic.d, states, elements, phases)
+        with pytest.raises(ValueError, match="need one row of 4 entries per group"):
+            StabilizerDictionary(dic.n, dic.d, elements, phases)
+
+
+def test_tables_only_build_and_dmin_stay_small():
+    # an n = 4 build and one dmin read only the group tables (73 kB): the
+    # dense columns alone would be 9.4 MB
+    psi = haar_state_batch(16, 1, seed=4)[:, 0]
+    tracemalloc.start()
+    try:
+        dic = enumerate_stabilizer_states(4, 2)
+        value, best = dmin(psi, dic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert abs(value + np.log2(abs(np.vdot(dic.state(best), psi)) ** 2)) < 1e-12
+    assert "states" not in vars(dic)
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
