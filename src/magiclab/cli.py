@@ -32,7 +32,7 @@ from .measures import dmin as dmin_measure
 from .mbqc import MeasurementLayout, outcome_distribution
 from .pauli import pauli_from_string
 from .solvers import SolverError
-from .stabdict import count_stabilizer_states, enumerate_stabilizer_states
+from .stabdict import _within_cap, count_stabilizer_states, enumerate_stabilizer_states
 from .wigner import mana, mana_lr_check, sum_negativity, wigner_csv, wigner_function
 
 TOOL = "magiclab"
@@ -50,6 +50,8 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
     if n < 1:
         raise ValueError(f"state file {path}: n must be at least 1, found {n}")
+    if not _within_cap(n, lambda: d**n):
+        raise ValueError(f"state file {path}: n={n} needs more than 2^24 amplitudes")
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     return n, d, _checked_state(amps, d**n)
@@ -142,7 +144,7 @@ def cmd_wigner(args) -> dict:
         "negativity": sum_negativity(W),
         "mana": mana(W),
     }
-    if args.check and n <= 2:
+    if args.check:
         ok, m, lr = mana_lr_check(psi, enumerate_stabilizer_states(n, 3))
         payload["mana_lr_check"] = {"pass": bool(ok), "mana": m, "lr": lr}
     if args.csv:

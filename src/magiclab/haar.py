@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _checked_pure_state
-from .stabdict import DENSE_LIMITS, StabilizerDictionary
-
-MAX_BATCH_AMPLITUDES = 2**24  # samples * 2^n held at once (256 MiB)
+from .stabdict import StabilizerDictionary, _within_cap
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,15 +50,11 @@ def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None =
 
     ``phi`` defaults to |0...0> and must be a pure state of length 2^n, as
     ``measures._checked_pure_state`` describes.  The samples' amplitudes are
-    held at once, so n <= 24 and samples * 2^n <= 2^24 (256 MiB) are checked
-    before any allocation.  The
-    statistic is D = max(D+, D-) over the sorted overlaps' CDF values, and
-    the p-value is Pr(D_samples >= D).
+    held at once, so their number is checked by ``ExperimentConfig`` before
+    any allocation.  The statistic is D = max(D+, D-) over the sorted
+    overlaps' CDF values, and the p-value is Pr(D_samples >= D).
     """
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and at least one sample")
-    if n > 24 or samples * 2**n > MAX_BATCH_AMPLITUDES:  # n first: 2**n must stay small
-        raise ValueError("need n <= 24 and at most 2^24 amplitudes (samples * 2^n)")
+    ExperimentConfig(n, samples, seed)
     dim = 2**n
     if phi is None:
         phi = np.zeros(dim, dtype=complex)
@@ -203,12 +197,11 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
-        if self.n > DENSE_LIMITS[2]:
-            raise ValueError(f"magic experiments need the full dictionary (n <= {DENSE_LIMITS[2]})")
-        if self.samples * 2**self.n > MAX_BATCH_AMPLITUDES:
-            raise ValueError("need at most 2^24 amplitudes (samples * 2^n)")
+        """The batch's samples * 2^n amplitudes are held at once: at most MAX_ENTRIES."""
+        if self.n < 1 or self.samples < 1:
+            raise ValueError("need n >= 1 and at least one sample")
+        if not _within_cap(self.n, lambda: self.samples * 2**self.n):
+            raise ValueError("need n <= 24 and at most 2^24 amplitudes (samples * 2^n)")
 
 
 @dataclass

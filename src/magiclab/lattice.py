@@ -270,15 +270,13 @@ class DecompositionBound:
     magic_bound: float
     chi_bound_rank: Fraction
     magic_bound_rank: float
-    log_argument: Fraction  # prod_i (1 + 2^-h_i) with nominal h
-    log_argument_rank: Fraction
 
     @property
     def magic_bound_per_qubit(self) -> float:
         return self.magic_bound / self.n
 
 
-def _bounds_from_h(n: int, s: int, hs: list[int]) -> tuple[Fraction, float, Fraction]:
+def _bounds_from_h(n: int, s: int, hs: list[int]) -> tuple[Fraction, float]:
     prod = Fraction(1)
     for h, count in Counter(hs).items():
         prod *= Fraction(2**h + 1, 2**h) ** count
@@ -287,7 +285,7 @@ def _bounds_from_h(n: int, s: int, hs: list[int]) -> tuple[Fraction, float, Frac
     # float(prod) overflows once prod passes 2^1024
     shift = prod.numerator.bit_length() - prod.denominator.bit_length()
     magic = 2 * s - 2 * (shift + math.log2(prod / Fraction(2) ** shift))
-    return chi, magic, prod
+    return chi, magic
 
 
 def decomposition_bound(deco: CellDecomposition) -> DecompositionBound:
@@ -302,8 +300,8 @@ def decomposition_bound(deco: CellDecomposition) -> DecompositionBound:
         hr, hn = quadratic_h_invariants(q)
         h_rank.append(hr)
         h_nom.append(hn)
-    chi_nom, magic_nom, prod_nom = _bounds_from_h(n, s, h_nom)
-    chi_rank, magic_rank, prod_rank = _bounds_from_h(n, s, h_rank)
+    chi_nom, magic_nom = _bounds_from_h(n, s, h_nom)
+    chi_rank, magic_rank = _bounds_from_h(n, s, h_rank)
     return DecompositionBound(
         s=s,
         n=n,
@@ -313,8 +311,6 @@ def decomposition_bound(deco: CellDecomposition) -> DecompositionBound:
         magic_bound=magic_nom,
         chi_bound_rank=chi_rank,
         magic_bound_rank=magic_rank,
-        log_argument=prod_nom,
-        log_argument_rank=prod_rank,
     )
 
 

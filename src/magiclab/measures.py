@@ -40,10 +40,12 @@ from .solvers import (
     solve_lp,
 )
 from .stabdict import (
+    ResourceLimitError,
     StabilizerDictionary,
     _best_in_groups,
     _pauli_coordinates,
     _state_coordinates,
+    _within_cap,
 )
 
 TOLERANCES = {
@@ -221,8 +223,11 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     basis, taken in descending |a_j . b|, the overlap of each state's
     constraint column with rho's (2^n Tr(phi_j rho) for qubits), whose
     columns with a negative value the solver turns itself.  The state is
-    checked as ``_checked_state`` describes.
+    checked as ``_checked_state`` describes, and the N d^2n column entries
+    against ``stabdict.MAX_ENTRIES`` (qubits n <= 4, qutrits n <= 2).
     """
+    if not _within_cap(dic.n, lambda: dic.size * dic.d ** (2 * dic.n)):
+        raise ResourceLimitError(f"robustness columns for n={dic.n}, d={dic.d} exceed 2^24 entries")
     state = _checked_state(state, dic.d**dic.n)
     rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
     if dic.d == 2:

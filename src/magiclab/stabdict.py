@@ -17,16 +17,17 @@ zeta = exp(i*pi/d)), and no amplitude is computed.  Dense columns are read
 on demand: ``_read_states`` reads the states of any run of groups off
 their tables' X spans, with the first nonzero amplitude of each real
 positive, for the cached ``StabilizerDictionary.states``, a single
-``state(i)`` and the n = 5 stream.  ``size``, ``tableau(i)``, ``best_overlaps``
-and the quantities built on it read only the tables, so dmin at n = 4 needs
-73 kB of tables, not the 9.4 MB dense array.  ``_tableaux`` states a
+``state(i)`` and the stream.  ``size``, ``tableau(i)``, ``best_overlaps``
+and the quantities built on it read only the tables, so dmin at n = 5 needs
+7.3 MB of tables, not the 1.16 GB dense array.  ``_tableaux`` states a
 group's column order and decodes a column's canonical tableau from its
 table row; the columns of a group share their X and Z rows, so its Pauli
 and commutation checks run once per group, not once per state.
 pauli.tableau_to_state builds the same vectors by a second path, the
-product of the generators' projectors, with no elimination.  Enumeration
-is cheap at desk scale (the n = 4 tables take about 0.01 s), so
-dictionaries are rebuilt on demand rather than stored.
+product of the generators' projectors, with no elimination.  The tables
+are cheap (about 0.01 s at n = 4 and 0.3 s at n = 5), so dictionaries are
+rebuilt on demand rather than stored.  One cap, MAX_ENTRIES, bounds each
+array that an operation allocates, and is checked before the allocation.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
@@ -44,14 +45,19 @@ import numpy as np
 from .binlin import gfp_rref
 from .pauli import _ZETA, PauliOperator, StabilizerTableau, _digits, _rephased
 
-DENSE_LIMITS = {2: 4, 3: 2}
-STREAM_LIMITS = {2: 5, 3: 2}
+MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operation allocates
 _BLOCK_STATES = 1024  # most states in one table block or read (one group always fits)
 _TILE = 1 << 17  # most entries in one working array of best_overlaps
 
 
 class ResourceLimitError(ValueError):
-    """Requested enumeration exceeds the supported desk-scale limits."""
+    """An unsupported local dimension, or an array over MAX_ENTRIES entries."""
+
+
+def _within_cap(n: int, entries) -> bool:
+    """Whether entries(), the size of an array over n sites (at least 2^n), is
+    at most MAX_ENTRIES; n is tested first, so entries() is formed only at n <= 24."""
+    return n < MAX_ENTRIES.bit_length() and entries() <= MAX_ENTRIES
 
 
 def count_stabilizer_states(n: int, d: int = 2) -> int:
@@ -393,7 +399,10 @@ class StabilizerDictionary:
     @functools.cached_property
     def states(self) -> np.ndarray:
         """(d^n, N) complex128, columns normalized: every state, read off the
-        tables on first use and kept, read-only."""
+        tables on first use and kept, read-only; N d^n must be within
+        MAX_ENTRIES (qubits n <= 4, qutrits n <= 3)."""
+        if not _within_cap(self.n, lambda: self.size * self.d**self.n):
+            raise ResourceLimitError(f"dense states of n={self.n}, d={self.d} exceed 2^24 amplitudes")
         dim = self.d**self.n
         run = max(1, _BLOCK_STATES // dim)
         states = np.empty((dim, self.size), dtype=complex)
@@ -450,17 +459,20 @@ class StabilizerDictionary:
         return fidelities, indices
 
 
-def iter_stabilizer_states(n: int, d: int = 2):
-    """Stream (tableau, state) pairs without materializing the dictionary.
-    The limits are checked at the call, before the first step.  The
-    tableaux are checked once per stabilizer group, on its first state (see
-    ``_tableaux``)."""
-    if d not in STREAM_LIMITS:
+def _check_tables(n: int, d: int) -> None:
+    """Refuse, at the call, d outside {2, 3}, n < 1 (by the count) and more than
+    MAX_ENTRIES states: the tables reach qubits n <= 5 and qutrits n <= 4."""
+    if d not in (2, 3):
         raise ResourceLimitError(f"unsupported local dimension d={d}")
-    if not 1 <= n <= STREAM_LIMITS[d]:
-        raise ResourceLimitError(
-            f"streaming enumeration supports 1 <= n <= {STREAM_LIMITS[d]} for d={d}, got n={n}"
-        )
+    if not _within_cap(n, lambda: count_stabilizer_states(n, d)):
+        raise ResourceLimitError(f"stabilizer tables for n={n}, d={d} exceed 2^24 states")
+
+
+def iter_stabilizer_states(n: int, d: int = 2):
+    """Stream (tableau, state) pairs without materializing the dictionary,
+    its sizes checked at the call by ``_check_tables``; the tableaux are
+    checked once per stabilizer group, on its first state (see ``_tableaux``)."""
+    _check_tables(n, d)
     dim = d**n
     return (
         pair
@@ -474,17 +486,8 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     """Dictionary of all stabilizer states, exact count by construction: the
     group tables are built eagerly by ``_iter_tables``, and the dense columns
     are read off them on demand (``StabilizerDictionary.states`` and
-    ``state``)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if d not in DENSE_LIMITS:
-        raise ResourceLimitError(f"unsupported local dimension d={d}")
-    if n > DENSE_LIMITS[d]:
-        stream = STREAM_LIMITS[d] > DENSE_LIMITS[d]
-        raise ResourceLimitError(
-            f"dense enumeration supports n <= {DENSE_LIMITS[d]} for d={d}"
-            + ("; use iter_stabilizer_states to stream larger systems" if stream else "")
-        )
+    ``state``).  ``_check_tables`` bounds the sizes at the call."""
+    _check_tables(n, d)
     dim = d**n
     total = count_stabilizer_states(n, d)
     # allocated first, so that they sit below the build's temporaries in the heap

@@ -31,6 +31,12 @@ def dict2_4():
 
 
 @pytest.fixture(scope="session")
+def dict2_5():
+    """All 2,423,520 five-qubit states: 7.3 MB of group tables, built once."""
+    return enumerate_stabilizer_states(5, 2)
+
+
+@pytest.fixture(scope="session")
 def dict3_1():
     return enumerate_stabilizer_states(1, 3)
 
@@ -38,6 +44,11 @@ def dict3_1():
 @pytest.fixture(scope="session")
 def dict3_2():
     return enumerate_stabilizer_states(2, 3)
+
+
+@pytest.fixture(scope="session")
+def dict3_3():
+    return enumerate_stabilizer_states(3, 3)
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,9 @@ def test_acceptance_5_lattice_bounds():
     _, bd = lattice_bound(tri, "ccz-only")
     assert bd.s * 3 == tri.n
     assert set(bd.h_nominal) == {3}
-    assert bd.log_argument == Fraction(9, 8) ** bd.s  # exact rational bookkeeping
+    # exact rational bookkeeping: chi = 2^(n-1) - 2^(n-s-1) prod_i (1 + 2^-h_i)
+    prod = Fraction(9, 8) ** bd.s
+    assert bd.chi_bound == 2 ** (tri.n - 1) - Fraction(2) ** (tri.n - bd.s - 1) * prod
     per_qubit = Fraction(2 * bd.s, tri.n)
     assert per_qubit == Fraction(2, 3)
     assert abs(bd.magic_bound_per_qubit - (2 / 3 - (2 / 3) * math.log2(9 / 8))) < 1e-12
@@ -110,7 +112,8 @@ def test_acceptance_5_lattice_bounds():
     _, bu = lattice_bound(uj, "ccz-only")
     assert bu.s * 4 == uj.n
     assert set(bu.h_nominal) == {4}
-    assert bu.log_argument == Fraction(17, 16) ** bu.s
+    prod = Fraction(17, 16) ** bu.s
+    assert bu.chi_bound == 2 ** (uj.n - 1) - Fraction(2) ** (uj.n - bu.s - 1) * prod
     assert abs(bu.magic_bound_per_qubit - (1 / 2 - (1 / 2) * math.log2(17 / 16))) < 1e-12
     _report(
         5,

@@ -75,6 +75,18 @@ def test_state_file_needs_a_positive_n(capsys, tmp_path, n):
     assert out["message"] == f"state file {path}: n must be at least 1, found {n}"
 
 
+@pytest.mark.parametrize("n, d", [(3_000_000, 3), (25, 2)])
+def test_state_file_with_too_many_amplitudes(capsys, tmp_path, n, d):
+    # refused on n alone: d**n is never formed (3^3000000 took about a second,
+    # then failed to print), and a 2^25-amplitude state is past the cap
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "d": d, "amplitudes": [[1, 0]]}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == f"state file {path}: n={n} needs more than 2^24 amplitudes"
+
+
 def test_measures_command(capsys, tmp_path, golden_file):
     code, payload = run_cli(
         capsys, "--cache-dir", str(tmp_path), "measures", "--state", golden_file
@@ -205,8 +217,8 @@ def test_lattice_dense_measures(capsys, tmp_path):
     # the convex solves auto-skip beyond desk scale (36720-state dictionary)
     assert abs(m["dmin"] - math.log2(16 / 9)) < 1e-9
     assert m["dmax"] is None and m["lr"] is None
-    # six qubits exceed the dense dictionary: the enumerator's own limit is
-    # the error body
+    # six qubits' 315M stabilizer states exceed the tables' 2^24: the
+    # enumerator's own limit is the error body
     code, out = run_cli(
         capsys,
         "--cache-dir",
@@ -224,7 +236,7 @@ def test_lattice_dense_measures(capsys, tmp_path):
     )
     assert code == 1
     assert out["error"] == "ResourceLimitError"
-    assert out["message"].startswith("dense enumeration supports n <= 4 for d=2")
+    assert out["message"] == "stabilizer tables for n=6, d=2 exceed 2^24 states"
 
 
 def test_wigner_command(capsys, tmp_path):
@@ -264,11 +276,17 @@ def test_wigner_command_on_four_qutrits(capsys, tmp_path):
     path = tmp_path / "strange4.json"
     strange = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
     dump_state_file(str(path), 4, 3, np.kron(np.kron(strange, strange), np.kron(strange, strange)))
-    code, payload = run_cli(capsys, "wigner", "--state", str(path), "--check")
+    code, payload = run_cli(capsys, "wigner", "--state", str(path))
     assert code == 0
-    # mana is additive on products; --check runs only up to two qutrits
+    # mana is additive on products
     assert abs(payload["mana"] - 4 * math.log2(5 / 3)) < 1e-12
     assert "mana_lr_check" not in payload
+    # the robustness LP would need 4 x 81^2 x 7,439,040 column entries, past
+    # its cap: --check is the error body
+    code, out = run_cli(capsys, "wigner", "--state", str(path), "--check")
+    assert code == 1
+    assert out["error"] == "ResourceLimitError"
+    assert out["message"] == "robustness columns for n=4, d=3 exceed 2^24 entries"
 
 
 def test_mbqc_command(capsys, tmp_path):

@@ -258,8 +258,10 @@ def test_experiment_csv_format():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(5, 10, seed=0)
+    # the batch's size is the only limit: n = 25 is refused before 2^25 is formed
+    with pytest.raises(ValueError, match="n <= 24"):
+        ExperimentConfig(25, 10, seed=0)
+    ExperimentConfig(5, 10, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(2, 0, seed=0)
     # refused before any of the 2^4 x 10^9 amplitudes is drawn

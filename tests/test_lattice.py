@@ -120,7 +120,9 @@ def test_triangular_bound_constants():
     assert all(len(q.monomials) == 6 for q in deco.quadratics)
     assert set(bd.h_nominal) == {3}
     assert set(bd.h_rank) == {2}  # even cycles are degenerate
-    assert bd.log_argument == Fraction(9, 8) ** bd.s
+    # chi = 2^(n-1) - 2^(n-s-1) prod_i (1 + 2^-h_i), exactly
+    prod = Fraction(9, 8) ** bd.s
+    assert bd.chi_bound == 2 ** (L.n - 1) - Fraction(2) ** (L.n - bd.s - 1) * prod
     assert abs(bd.magic_bound_per_qubit - TRIANGULAR_BOUND_PER_QUBIT) < 1e-12
     assert abs(
         bd.magic_bound_per_qubit - (Fraction(2, 3) - Fraction(2, 3) * math.log2(9 / 8))
@@ -134,7 +136,8 @@ def test_union_jack_bound_constants():
     assert bd.s == U.n // 4
     assert set(bd.h_nominal) == {4}
     assert set(bd.h_rank) == {3}
-    assert bd.log_argument == Fraction(17, 16) ** bd.s
+    prod = Fraction(17, 16) ** bd.s
+    assert bd.chi_bound == 2 ** (U.n - 1) - Fraction(2) ** (U.n - bd.s - 1) * prod
     assert abs(bd.magic_bound_per_qubit - UNION_JACK_BOUND_PER_QUBIT) < 1e-12
 
 
@@ -243,7 +246,8 @@ def test_rank_bound_past_float_range():
     # (5/4)^3267 is about 2^1052: the log must not go through float(prod)
     L = triangular_lattice(99, 99, "periodic")
     _, bd = lattice_bound(L, "ccz-only")
-    assert bd.log_argument_rank == Fraction(5, 4) ** (L.n // 3)
+    s = L.n // 3
+    assert bd.chi_bound_rank == 2 ** (L.n - 1) - Fraction(2) ** (L.n - s - 1) * Fraction(5, 4) ** s
     expected = 2 / 3 - (2 / 3) * math.log2(5 / 4)
     assert abs(bd.magic_bound_rank / L.n - expected) < 1e-12
     assert abs(bd.magic_bound_per_qubit - TRIANGULAR_BOUND_PER_QUBIT) < 1e-12

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import magiclab
 from magiclab import measures
-from magiclab.boolfn import hypergraph_state, parse_anf
+from magiclab.boolfn import dmin_bound_from_chi, hypergraph_state, nonquadraticity, parse_anf
 from magiclab.measures import (
     TOLERANCES,
     dmin,
@@ -24,6 +25,7 @@ from magiclab.measures import (
 )
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
+from magiclab.stabdict import ResourceLimitError
 from conftest import operator_stack, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -97,6 +99,32 @@ def test_dmin_faithful_on_dictionary(dict2_2):
         value, best = dmin(dict2_2.state(int(i)), dict2_2)
         assert abs(value) < 1e-12
         assert best == int(i) or abs(np.abs(np.vdot(dict2_2.state(best), dict2_2.state(int(i)))) - 1) < 1e-12
+
+
+def test_dmin_n5_products_match_closed_forms(dict2_5, golden):
+    # stabilizer fidelity is multiplicative on products of states of at most
+    # three qubits (Bravyi et al., arXiv:1808.00128)
+    t = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+    t_dmin = math.log2(1 / math.cos(math.pi / 8) ** 2)
+    for single, per_qubit in [(t, t_dmin), (golden, GOLDEN_DMIN)]:
+        value, _ = dmin(reduce(np.kron, [single] * 5), dict2_5)
+        assert abs(value - 5 * per_qubit) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "anf, chi, fidelity, bound",
+    [("x1*x2*x3", 4, 9 / 16, 9 / 16), ("x1*x2*x3 + x3*x4*x5", 6, 1 / 2, 25 / 64)],
+)
+def test_dmin_n5_cubic_hypergraph_states(dict2_5, anf, chi, fidelity, bound):
+    # the chi bound F >= (1 - 2^(1-n) chi)^2 is exact for one CCZ and strict
+    # for two overlapping ones
+    f = parse_anf(anf, n=5)
+    psi = hypergraph_state(f)
+    assert nonquadraticity(f)[0] == chi
+    assert abs(dmin_bound_from_chi(f, chi) + math.log2(bound)) < 1e-12
+    value, best = dmin(psi, dict2_5)
+    assert abs(value + math.log2(fidelity)) < 1e-12
+    assert abs(abs(np.vdot(dict2_5.state(best), psi)) ** 2 - fidelity) < 1e-12
 
 
 def test_dmin_argmax_deterministic(dict2_1):
@@ -270,6 +298,23 @@ def test_free_robustness_faithful(dict2_1, dict2_2):
     assert free_robustness(np.eye(2, dtype=complex) / 2, dict2_1).r < 1e-9
     psi = dict2_2.state(33)
     assert free_robustness(psi, dict2_2).r < 1e-9
+
+
+def test_free_robustness_refuses_columns_past_the_cap(dict2_5, dict3_3):
+    # N d^2n column entries: 22M for three qutrits and 2.5G for five qubits,
+    # refused before any is built
+    for dic in (dict3_3, dict2_5):
+        psi = np.zeros(dic.d**dic.n, dtype=complex)
+        psi[0] = 1.0
+        tracemalloc.start()
+        try:
+            message = rf"robustness columns for n={dic.n}, d={dic.d} exceed 2\^24 entries"
+            with pytest.raises(ResourceLimitError, match=message):
+                free_robustness(psi, dic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_free_robustness_mixed_random_oracle(dict2_1):

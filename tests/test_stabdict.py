@@ -7,7 +7,7 @@ import pytest
 
 from magiclab.pauli import PauliOperator, tableau_to_state
 from magiclab import stabdict
-from magiclab.haar import haar_state_batch
+from magiclab.haar import ExperimentConfig, haar_state_batch, sample_dmin
 from magiclab.measures import dmin
 from magiclab.stabdict import (
     _BLOCK_STATES,
@@ -18,6 +18,7 @@ from magiclab.stabdict import (
     enumerate_stabilizer_states,
     iter_stabilizer_states,
 )
+from magiclab.wigner import wigner_function
 from conftest import operator_stack, quadratic_states
 
 
@@ -69,14 +70,32 @@ def test_entries_match_object_builder(dict2_1, dict2_2, dict2_3, dict3_1, dict3_
         assert all(type(g.phase) is int for g in last.generators)
 
 
-def test_dense_limits():
-    # streaming is offered only where it reaches further than dense
-    with pytest.raises(ResourceLimitError, match="n <= 4 for d=2; use iter_stabilizer_states"):
-        enumerate_stabilizer_states(5, 2)
-    with pytest.raises(ResourceLimitError, match="n <= 2 for d=3$"):
-        enumerate_stabilizer_states(3, 3)
-    with pytest.raises(ResourceLimitError):
-        enumerate_stabilizer_states(2, 5)
+def test_dense_limits(monkeypatch, dict2_5, dict3_3):
+    # one cap of 2^24 entries: the tables reach qubits n <= 5 and qutrits
+    # n <= 4, refused at the call, and n = 10^9 before any count is formed
+    counted, count = [], stabdict.count_stabilizer_states
+    monkeypatch.setattr(
+        stabdict, "count_stabilizer_states", lambda n, d: counted.append(n) or count(n, d)
+    )
+    for build in (enumerate_stabilizer_states, iter_stabilizer_states):
+        for n, d in [(6, 2), (5, 3), (10**9, 2)]:
+            message = rf"^stabilizer tables for n={n}, d={d} exceed 2\^24 states$"
+            with pytest.raises(ResourceLimitError, match=message):
+                build(n, d)
+        with pytest.raises(ResourceLimitError, match="unsupported local dimension d=5"):
+            build(2, 5)
+    assert counted == [6, 5, 6, 5]
+    # dense columns reach qubits n <= 4 and qutrits n <= 3: five qubits'
+    # 77.6M amplitudes are refused before any is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"n=5, d=2 exceed 2\^24 amplitudes"):
+            dict2_5.states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and "states" not in vars(dict2_5)
+    assert dict3_3.states.shape == (27, 30240)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -92,7 +111,7 @@ def test_streaming_prefix_n5():
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
     assert total == 500
     # the limits are checked at the call, not at the first step
-    with pytest.raises(ResourceLimitError, match="supports 1 <= n <= 5 for d=2, got n=6"):
+    with pytest.raises(ResourceLimitError, match=r"tables for n=6, d=2 exceed 2\^24 states"):
         iter_stabilizer_states(6, 2)
     with pytest.raises(ResourceLimitError, match="unsupported local dimension d=7"):
         iter_stabilizer_states(2, 7)
@@ -281,6 +300,44 @@ def test_tables_only_build_and_dmin_stay_small():
     assert "states" not in vars(dic)
 
 
+def test_n5_dmin_reads_only_the_tables(dict2_5):
+    # the 1.16 GB of dense n = 5 columns are never built: one dmin peaks at
+    # about 1 MB beside the 7.3 MB of tables
+    psi = haar_state_batch(32, 1, seed=5)[:, 0]
+    tracemalloc.start()
+    try:
+        value, best = dmin(psi, dict2_5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(value + np.log2(abs(np.vdot(dict2_5.state(best), psi)) ** 2)) < 1e-12
+    assert "states" not in vars(dict2_5)
+    # a dictionary column is its own best state
+    i = 1_234_567
+    value, best = dmin(dict2_5.state(i), dict2_5)
+    assert abs(value) <= 1e-12 and best == i
+
+
+def test_n5_best_overlaps_match_the_dense_stream(dict2_5):
+    # a second path: every n = 5 column read off the tables block by block
+    # and its overlaps taken densely; ties keep the lowest index
+    V = haar_state_batch(32, 4, seed=55)
+    best, arg, offset = np.zeros(4), np.zeros(4, dtype=np.int64), 0
+    for _, _, psi in _iter_blocks(5, 2):
+        f = np.abs(psi.conj() @ V) ** 2
+        j = f.argmax(axis=0)
+        better = f[j, np.arange(4)] > best
+        best[better], arg[better] = f[j, np.arange(4)][better], offset + j[better]
+        offset += len(psi)
+    assert offset == dict2_5.size
+    fidelities, indices = dict2_5.best_overlaps(V)
+    assert np.max(np.abs(fidelities - best)) < 1e-12
+    assert np.array_equal(indices, arg)
+    values = sample_dmin(ExperimentConfig(5, 4, seed=55), dict2_5)
+    assert np.max(np.abs(values + np.log2(best))) < 1e-12
+
+
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (1, 3), (2, 3)])
 def test_pauli_coordinates_match_dense_operators(n, d):
     # Tr(r P_xz) with P_xz = zeta^(-x.z) Z^z X^x, row x d^n + z, against the
@@ -458,9 +515,27 @@ def test_quadratic_functions_have_low_degree():
     assert all(f.degree <= 2 for f in functions)
 
 
-def test_qutrit_dictionary_has_nonnegative_wigner(dict3_1):
-    from magiclab.wigner import wigner_function
+def test_three_qutrit_columns_are_stabilizer_states(dict3_3):
+    # for odd d the pure states with W >= 0 are exactly the stabilizer states
+    # (Gross, quant-ph/0602001); tableau_to_state is a second path to each
+    assert dict3_3.size == count_stabilizer_states(3, 3) == 30240
+    for i in np.random.default_rng(33).choice(dict3_3.size, 300, replace=False):
+        psi = dict3_3.state(i)
+        assert wigner_function(psi).values.min() > -1e-12
+        assert np.max(np.abs(tableau_to_state(dict3_3.tableau(i)) - psi)) < 1e-12
+        assert np.array_equal(dict3_3.states[:, i], psi)
 
+
+def test_four_qutrit_tables():
+    dic = enumerate_stabilizer_states(4, 3)
+    assert dic.size == count_stabilizer_states(4, 3) == 7_439_040
+    for i in (0, 81 * 12_345 + 17, dic.size // 2 + 40, dic.size - 1):
+        psi = dic.state(i)
+        assert np.max(np.abs(tableau_to_state(dic.tableau(i)) - psi)) < 1e-12
+        assert wigner_function(psi).values.min() > -1e-12
+
+
+def test_qutrit_dictionary_has_nonnegative_wigner(dict3_1):
     for i in range(dict3_1.size):
         W = wigner_function(dict3_1.state(i))
         assert W.values.min() > -1e-12
