@@ -61,25 +61,38 @@ def gf2_rank(M) -> int:
 
 def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).  Returns (rref, pivot columns)."""
-    M = np.array(mat, dtype=np.int64) % p
-    m, n = M.shape
-    pivots = []
-    r = 0
+    rref, pivots = gfp_rref_stack(np.asarray(mat)[None], p)
+    return rref[0], np.flatnonzero(pivots[0]).tolist()
+
+
+def gfp_rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over GF(p) of a (count, m, n) stack of
+    matrices, eliminated together one column at a time.  Returns the
+    (count, m, n) forms and the (count, n) mask of their pivot columns.
+
+    Each column's pivot is the first row at or below the next pivot row with
+    a nonzero entry there; that row is swapped up, scaled to a leading 1 and
+    cleared from every other row."""
+    M = np.array(mats, dtype=np.int64) % p
+    count, m, n = M.shape
+    inverse = np.array([0, *(pow(a, -1, p) for a in range(1, p))])
+    done = np.zeros(count, dtype=np.int64)  # pivot rows found so far
+    pivots = np.zeros((count, n), dtype=bool)
     for c in range(n):
-        pivot = next((i for i in range(r, m) if M[i, c] % p), None)
-        if pivot is None:
+        candidates = (M[:, :, c] != 0) & (np.arange(m) >= done[:, None])
+        g = np.flatnonzero(candidates.any(axis=1))
+        if not len(g):
             continue
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        if M[r, c] != 1:
-            M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        for i in range(m):
-            if i != r and M[i, c]:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+        r, pivot = done[g], candidates[g].argmax(axis=1)
+        lead = M[g, pivot]
+        lead = lead * inverse[lead[:, c]][:, None] % p
+        M[g, pivot] = M[g, r]
+        factor = M[g, :, c]
+        factor[np.arange(len(g)), r] = 0
+        M[g] = (M[g] - factor[:, :, None] * lead[:, None, :]) % p
+        M[g, r] = lead
+        pivots[g, c] = True
+        done[g] += 1
     return M, pivots
 
 

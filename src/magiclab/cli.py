@@ -27,7 +27,7 @@ from .boolfn import (
 )
 from .haar import ExperimentConfig, dmin_distribution, experiment_csv, overlap_cdf_pvalue
 from .lattice import lattice_bound, make_lattice
-from .measures import _checked_state, magic_report
+from .measures import _check_robustness_size, _checked_state, magic_report
 from .measures import dmin as dmin_measure
 from .mbqc import MeasurementLayout, outcome_distribution
 from .pauli import pauli_from_string
@@ -48,6 +48,8 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
     if type(n) is not int or type(d) is not int:
         raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
+    if d not in (2, 3):
+        raise ValueError(f"state file {path}: d must be 2 or 3, found {d}")
     if n < 1:
         raise ValueError(f"state file {path}: n must be at least 1, found {n}")
     if not _within_cap(n, lambda: d**n):
@@ -145,6 +147,7 @@ def cmd_wigner(args) -> dict:
         "mana": mana(W),
     }
     if args.check:
+        _check_robustness_size(n, 3)  # from the count, before any dictionary is built
         ok, m, lr = mana_lr_check(psi, enumerate_stabilizer_states(n, 3))
         payload["mana_lr_check"] = {"pass": bool(ok), "mana": m, "lr": lr}
     if args.csv:

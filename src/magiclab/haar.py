@@ -28,7 +28,7 @@ from .measures import _checked_pure_state
 from .stabdict import StabilizerDictionary, _within_cap
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-random unit vector via a normalized complex Gaussian."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -110,7 +110,7 @@ class SearchResult:
     accepted: int | None  # the accepted string, if any
 
 
-def randomized_search(verifier, k: int, budget: int, rng: np.random.Generator) -> SearchResult:
+def randomized_search(verifier, k: int, budget: int, rng: "np.random.Generator") -> SearchResult:
     """Draw uniform k-bit strings until the verifier accepts or budget runs out."""
     if budget < 1:
         raise ValueError("budget must be at least 1")

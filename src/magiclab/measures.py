@@ -46,6 +46,7 @@ from .stabdict import (
     _pauli_coordinates,
     _state_coordinates,
     _within_cap,
+    count_stabilizer_states,
 )
 
 TOLERANCES = {
@@ -204,6 +205,15 @@ class RobustnessResult:
     diagnostics: dict
 
 
+def _check_robustness_size(n: int, d: int) -> None:
+    """Refuse (n, d) whose robustness LP would have more than MAX_ENTRIES
+    column entries, N d^2n for the N stabilizer states: qubits n <= 4 and
+    qutrits n <= 2.  It needs only the closed-form count, so a caller can
+    test it before building the dictionary."""
+    if not _within_cap(n, lambda: count_stabilizer_states(n, d) * d ** (2 * n)):
+        raise ResourceLimitError(f"robustness columns for n={n}, d={d} exceed 2^24 entries")
+
+
 def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessResult:
     """Free robustness via the pseudomixture LP min ||c||_1, sum c_phi phi = rho.
 
@@ -223,11 +233,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     basis, taken in descending |a_j . b|, the overlap of each state's
     constraint column with rho's (2^n Tr(phi_j rho) for qubits), whose
     columns with a negative value the solver turns itself.  The state is
-    checked as ``_checked_state`` describes, and the N d^2n column entries
-    against ``stabdict.MAX_ENTRIES`` (qubits n <= 4, qutrits n <= 2).
+    checked as ``_checked_state`` describes, and the sizes by
+    ``_check_robustness_size``.
     """
-    if not _within_cap(dic.n, lambda: dic.size * dic.d ** (2 * dic.n)):
-        raise ResourceLimitError(f"robustness columns for n={dic.n}, d={dic.d} exceed 2^24 entries")
+    _check_robustness_size(dic.n, dic.d)
     state = _checked_state(state, dic.d**dic.n)
     rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
     if dic.d == 2:

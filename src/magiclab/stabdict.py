@@ -10,14 +10,15 @@ d^n * prod_k (d^{n-k} + 1) by construction.
 Each run of d^n consecutive states (one R and S, every eps_z and every
 character) is the joint eigenbasis of one stabilizer group, and the
 dictionary is the groups' element tables (element rows and phases, packed
-in small integers).  The tables are built eagerly, one RREF R and a run of
-its S matrices at a time: ``_group_tables`` expands each group's
-generators into its table, with exact integer phase arithmetic (powers of
-zeta = exp(i*pi/d)), and no amplitude is computed.  Dense columns are read
-on demand: ``_read_states`` reads the states of any run of groups off
-their tables' X spans, with the first nonzero amplitude of each real
-positive, for the cached ``StabilizerDictionary.states``, a single
-``state(i)`` and the stream.  ``size``, ``tableau(i)``, ``best_overlaps``
+in small integers).  The tables are built eagerly, in batches of a few
+thousand entries that span successive R of one dimension:
+``_group_tables`` expands each group's generators into its table, with
+exact integer phase arithmetic (powers of zeta = exp(i*pi/d)), and no
+amplitude is computed.  Dense columns are read on demand:
+``_read_states`` reads the states of any run of groups off their tables'
+X spans, with the first nonzero amplitude of each real positive, for the
+cached ``StabilizerDictionary.states``, a single ``state(i)`` and the
+stream.  ``size``, ``tableau(i)``, ``best_overlaps``
 and the quantities built on it read only the tables, so dmin at n = 5 needs
 7.3 MB of tables, not the 1.16 GB dense array.  ``_tableaux`` states a
 group's column order and decodes a column's canonical tableau from its
@@ -25,7 +26,7 @@ table row; the columns of a group share their X and Z rows, so its Pauli
 and commutation checks run once per group, not once per state.
 pauli.tableau_to_state builds the same vectors by a second path, the
 product of the generators' projectors, with no elimination.  The tables
-are cheap (about 0.01 s at n = 4 and 0.3 s at n = 5), so dictionaries are
+are cheap (about 5 ms at n = 4 and 0.13 s at n = 5), so dictionaries are
 rebuilt on demand rather than stored.  One cap, MAX_ENTRIES, bounds each
 array that an operation allocates, and is checked before the allocation.
 
@@ -42,11 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binlin import gfp_rref
+from .binlin import gfp_rref_stack
 from .pauli import _ZETA, PauliOperator, StabilizerTableau, _digits, _rephased
 
 MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operation allocates
-_BLOCK_STATES = 1024  # most states in one table block or read (one group always fits)
+# most states in one read, and a table batch holds 8x as many entries (one
+# group always fits): reads of more states, and batches of fewer entries, ran
+# slower at n = 4 and 5
+_BLOCK_STATES = 1024
 _TILE = 1 << 17  # most entries in one working array of best_overlaps
 
 
@@ -70,11 +74,16 @@ def count_stabilizer_states(n: int, d: int = 2) -> int:
     return count
 
 
-def _rref_matrices(n: int, k: int, d: int):
-    """All k x n reduced-row-echelon matrices of rank k over GF(d), lex order."""
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
-        return
+def _lex_digits(index, m: int, d: int) -> np.ndarray:
+    """The m base-d digits of each entry of index, most significant first:
+    over index = 0 .. d^m - 1, every vector of Z_d^m in lex order."""
+    return np.asarray(index)[:, None] // d ** np.arange(m - 1, -1, -1) % d
+
+
+def _rref_matrices(n: int, k: int, d: int) -> np.ndarray:
+    """(count, k, n) array of all k x n reduced-row-echelon matrices of rank k
+    over GF(d), lex order."""
+    blocks = []
     for pivots in itertools.combinations(range(n), k):
         free_pos = [
             (i, c)
@@ -82,63 +91,66 @@ def _rref_matrices(n: int, k: int, d: int):
             for c in range(pivots[i] + 1, n)
             if c not in pivots
         ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        for values in itertools.product(range(d), repeat=len(free_pos)):
-            R = base.copy()
-            for (i, c), v in zip(free_pos, values):
-                R[i, c] = v
-            yield R
+        values = _lex_digits(np.arange(d ** len(free_pos)), len(free_pos), d)
+        R = np.zeros((len(values), k, n), dtype=np.int64)
+        R[:, range(k), pivots] = 1
+        for (i, c), v in zip(free_pos, values.T):
+            R[:, i, c] = v
+        blocks.append(R)
+    return np.concatenate(blocks)
 
 
-def _symmetric_matrices(k: int, d: int) -> np.ndarray:
-    """(d^(k(k+1)/2), k, k) array of all symmetric k x k matrices, lex order."""
+def _symmetric_matrices(index, k: int, d: int) -> np.ndarray:
+    """(len(index), k, k) array of the symmetric k x k matrices over GF(d)
+    with the given positions in lex order (of the upper triangle, row by row)."""
     rows, cols = np.triu_indices(k)
-    values = np.array(list(itertools.product(range(d), repeat=len(rows))), dtype=np.int64)
-    S = np.zeros((len(values), k, k), dtype=np.int64)
-    S[:, rows, cols] = values.reshape(len(values), len(rows))
-    S[:, cols, rows] = S[:, rows, cols]
-    return S
+    place = np.empty((k, k), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(len(rows))
+    return _lex_digits(index, len(rows), d)[:, place]
 
 
 def _iter_tables(n: int, d: int):
-    """Yield (elements, phases) blocks of group tables (see ``_group_tables``)
+    """Yield (elements, phases) batches of group tables (see ``_group_tables``)
     over all stabilizer groups, with no amplitude arithmetic.
 
-    Each block is one RREF X-block R and a run of m <= max(1, _BLOCK_STATES
-    / d^n) of its symmetric matrices S, one group each, (m, d^n) tables.  In
-    all, the blocks give every group in a fixed deterministic order:
-    subspace dimension ascending, then R and S lex; a group's columns follow
-    the order of ``_tableaux``.
+    The groups of subspace dimension k are the pairs of an RREF X-block R
+    and a symmetric k x k matrix S, R major.  A batch is the next m =
+    max(1, 8 _BLOCK_STATES / d^n) of them, (m, d^n) tables from one
+    ``_group_tables`` call, so it spans successive R and may split an R's
+    run of S at either end; only the last batch of each k is short.  The
+    set-up of every R of one k (its Z rows by ``gfp_rref_stack``, and the
+    map that gives its lifts) is done at once, and each batch's S are
+    formed from their lex positions.  In all, the batches give every group
+    in a fixed deterministic order: subspace dimension ascending, then R
+    and S lex; a group's columns follow the order of ``_tableaux``.
     """
-    run = max(1, _BLOCK_STATES // d**n)
+    run = max(1, 8 * _BLOCK_STATES // d**n)
     for k in range(n + 1):
-        all_S = _symmetric_matrices(k, d)
-        for R in _rref_matrices(n, k, d):
-            pivcols = np.argmax(R != 0, axis=1)
-            free = np.ones(n, dtype=bool)
-            free[pivcols] = False
-            # the Z rows, e_f - sum_i R[i, f] e_(pivot i) for each free column f
-            znull = np.eye(n, dtype=np.int64)[free]
-            znull[:, pivcols] = (-R[:, free].T) % d
-            znull, zpiv = gfp_rref(znull, d)
-            gen_x = np.vstack([R, np.zeros((n - k, n), dtype=np.int64)])
-            for s0 in range(0, len(all_S), run):
-                S = all_S[s0 : s0 + run]
-                m = len(S)
-                # lifts: start supported on the pivot columns of R, then make
-                # them canonical by clearing the Z-block pivot columns
-                lifts = np.zeros((m, k, n), dtype=np.int64)
-                lifts[:, :, pivcols] = S
-                lifts = (lifts - lifts[:, :, zpiv] @ znull) % d
-                rx = np.einsum("ij,sij->si", R, lifts)
-                # the canonical rows in step order: the Z-type rows reversed
-                gen_z = np.empty((m, n, n), dtype=np.int64)
-                gen_z[:, :k], gen_z[:, k:] = lifts, znull[::-1]
-                gen_t = np.zeros((m, n), dtype=np.int64)
-                gen_t[:, :k] = (-rx) % 4 if d == 2 else (2 * rx) % 6
-                yield _group_tables(gen_x, gen_z, gen_t, d)
+        all_R, count_S = _rref_matrices(n, k, d), d ** (k * (k + 1) // 2)
+        count = len(all_R)
+        # per R: E, whose row i is e_(pivot i), and the free columns f ascending
+        E = np.eye(n, dtype=np.int64)[np.argmax(all_R != 0, axis=2)]
+        free = np.argsort(E.sum(axis=1), axis=1, kind="stable")[:, : n - k]
+        # the Z rows, e_f - sum_i R[i, f] e_(pivot i) for each free column f,
+        # made canonical, and in step order (reversed)
+        znull = np.eye(n, dtype=np.int64)[free]
+        znull -= np.take_along_axis(all_R, free[:, None, :], axis=2).transpose(0, 2, 1) @ E
+        znull, zmask = gfp_rref_stack(znull, d)
+        zrows = znull[:, ::-1]
+        # the lifts start supported on the pivot columns of R, as S E, and are
+        # made canonical by clearing the Z-block pivot columns: S lift (mod d)
+        zpiv = np.nonzero(zmask)[1].reshape(count, n - k)
+        lift = (E - np.take_along_axis(E, zpiv[:, None, :], axis=2) @ znull) % d
+        gen_x = np.zeros((count, n, n), dtype=np.int64)
+        gen_x[:, :k] = all_R
+        for g0 in range(0, count * count_S, run):
+            r, s = np.divmod(np.arange(g0, min(g0 + run, count * count_S)), count_S)
+            lifts = (_symmetric_matrices(s, k, d) @ lift[r]) % d
+            rx = np.einsum("gij,gij->gi", all_R[r], lifts)
+            gen_z = np.concatenate([lifts, zrows[r]], axis=1)
+            gen_t = np.zeros((len(r), n), dtype=np.int64)
+            gen_t[:, :k] = (-rx) % 4 if d == 2 else (2 * rx) % 6
+            yield _group_tables(gen_x[r], gen_z, gen_t, d)
 
 
 def _read_states(elements, phases, n: int, d: int) -> np.ndarray:
@@ -186,10 +198,14 @@ def _read_states(elements, phases, n: int, d: int) -> np.ndarray:
 
 
 def _iter_blocks(n: int, d: int):
-    """Yield (elements, phases, psi): each block of ``_iter_tables`` and its
-    states, read off its tables by ``_read_states``."""
+    """Yield (elements, phases, psi): each batch of ``_iter_tables`` cut into
+    runs of at most max(1, _BLOCK_STATES / d^n) groups, and their states,
+    read off their tables by ``_read_states``."""
+    run = max(1, _BLOCK_STATES // d**n)
     for elements, phases in _iter_tables(n, d):
-        yield elements, phases, _read_states(elements, phases, n, d)
+        for g in range(0, len(elements), run):
+            block = slice(g, g + run)
+            yield elements[block], phases[block], _read_states(elements[block], phases[block], n, d)
 
 
 def _tableaux(elements, phases, n: int, d: int, columns):
@@ -277,9 +293,10 @@ def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element tables of the stabilizer groups with X rows gen_x (n, n),
-    shared by the groups, Z rows gen_z (groups, n, n) and first-state zeta
-    exponents gen_t (groups, n), all in step order.
+    """Element tables of the stabilizer groups with X rows gen_x (groups, n,
+    n), Z rows gen_z (groups, n, n) and first-state zeta exponents gen_t
+    (groups, n), all in step order: any groups, of any row spaces, in one
+    call.
 
     The element P_c = prod_i g_i^c_i, c little-endian over the generators,
     is the one whose character sigma.c orders the group's states (sigma the
@@ -293,7 +310,7 @@ def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
     dim = d**n
     # (generator, group) arrays below, so that numpy loops run over the groups
     place = d ** np.arange(n)
-    gx, gz, gt = gen_x @ place, (gen_z @ place).T, gen_t.T
+    gx, gz, gt = (gen_x @ place).T, (gen_z @ place).T, gen_t.T
     add, _, weight = (table.ravel() for table in _tables(n, d)[:3])
     x, z, t = (np.zeros((dim, count), dtype=np.int64) for _ in range(3))
     for i in range(n):

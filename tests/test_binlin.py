@@ -9,6 +9,7 @@ from magiclab.binlin import (
     gf2_rank,
     gf2_row_rank,
     gfp_rref,
+    gfp_rref_stack,
 )
 
 from conftest import gf_mul, gf_pow, gf_trace
@@ -80,6 +81,45 @@ def test_gfp_routines_match_gf2():
     for _ in range(20):
         M = rng.integers(0, 2, size=(4, 5))
         assert len(gfp_rref(M, 2)[1]) == gf2_rank(M.astype(np.uint8))
+
+
+def _rref_one_at_a_time(mat, p):
+    """Reference: one matrix, one pivot row and one row operation at a time."""
+    M = np.array(mat, dtype=np.int64) % p
+    m, n = M.shape
+    pivots, r = [], 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if M[i, c]), None)
+        if pivot is None:
+            continue
+        M[[r, pivot]] = M[[pivot, r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        for i in range(m):
+            if i != r and M[i, c]:
+                M[i] = (M[i] - M[i, c] * M[r]) % p
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gfp_rref_stack_matches_one_at_a_time(p):
+    # full-rank, rank-deficient (a repeated row) and all-zero matrices, and
+    # negative entries, eliminated in one stack
+    rng = np.random.default_rng(p)
+    mats = rng.integers(-p, p, size=(60, 4, 6))
+    mats[20:40, 3] = mats[20:40, 1]
+    mats[40:45] = 0
+    rrefs, pivots = gfp_rref_stack(mats, p)
+    for mat, rref, mask in zip(mats, rrefs, pivots):
+        want, cols = _rref_one_at_a_time(mat, p)
+        assert np.array_equal(rref, want) and np.flatnonzero(mask).tolist() == cols
+        got, got_cols = gfp_rref(mat, p)
+        assert np.array_equal(got, want) and got_cols == cols
+        assert all(type(c) is int for c in got_cols)
+    # a stack of matrices with no rows
+    rrefs, pivots = gfp_rref_stack(np.zeros((3, 0, 4), dtype=np.int64), p)
+    assert rrefs.shape == (3, 0, 4) and not pivots.any()
 
 
 def test_gfp_mod3():

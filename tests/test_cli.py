@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magiclab
 from magiclab import boolfn, cli, lattice, mbqc
 from magiclab.cli import dump_state_file, load_state_file, main
 from magiclab.measures import golden_state
@@ -85,6 +90,18 @@ def test_state_file_with_too_many_amplitudes(capsys, tmp_path, n, d):
     assert code == 1
     assert out["error"] == "ValueError"
     assert out["message"] == f"state file {path}: n={n} needs more than 2^24 amplitudes"
+
+
+@pytest.mark.parametrize("d", [-3, 1])
+def test_state_file_needs_d_2_or_3(capsys, tmp_path, d):
+    # d = -3 was reported as "expected -27 amplitudes", and a d = 1 file
+    # loaded and failed later in each command
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"n": 3, "d": d, "amplitudes": [[1, 0]]}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == f"state file {path}: d must be 2 or 3, found {d}"
 
 
 def test_measures_command(capsys, tmp_path, golden_file):
@@ -272,7 +289,7 @@ def test_wigner_command_rejects_nan_amplitudes(capsys, tmp_path):
     assert not csv_path.exists()
 
 
-def test_wigner_command_on_four_qutrits(capsys, tmp_path):
+def test_wigner_command_on_four_qutrits(capsys, monkeypatch, tmp_path):
     path = tmp_path / "strange4.json"
     strange = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
     dump_state_file(str(path), 4, 3, np.kron(np.kron(strange, strange), np.kron(strange, strange)))
@@ -281,8 +298,13 @@ def test_wigner_command_on_four_qutrits(capsys, tmp_path):
     # mana is additive on products
     assert abs(payload["mana"] - 4 * math.log2(5 / 3)) < 1e-12
     assert "mana_lr_check" not in payload
-    # the robustness LP would need 4 x 81^2 x 7,439,040 column entries, past
-    # its cap: --check is the error body
+    # the robustness LP would need 81^2 x 7,439,040 column entries, past its
+    # cap: --check is the error body, refused from the count before the
+    # dictionary is built
+    def no_build(n, d):
+        raise AssertionError(f"the n={n}, d={d} dictionary was built")
+
+    monkeypatch.setattr(cli, "enumerate_stabilizer_states", no_build)
     code, out = run_cli(capsys, "wigner", "--state", str(path), "--check")
     assert code == 1
     assert out["error"] == "ResourceLimitError"
@@ -427,6 +449,18 @@ def test_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr(cli, "cmd_welch", broken)
     with pytest.raises(TypeError):
         main(["welch", "--n", "3"])
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # every CLI child imports magiclab.cli, and chi, lattice and welch draw
+    # nothing: loading numpy.random would cost them 11-16 ms
+    paths = [str(Path(magiclab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, magiclab.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_exit_code():

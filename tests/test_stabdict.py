@@ -453,11 +453,16 @@ def test_dictionary_digest(fixture, digest, request):
         ("dict2_3", "637c40345b960621131eaae0984d69320bfd28b04b28e60e51c0eefc6bb03cef"),
         ("dict2_4", "8c23ba002d279f3b3880456b4f9049ba3f5b45ed2b43a1905fd5792399dc4be3"),
         ("dict3_2", "13b6f3c2d81e2694cf0f351edf7239636a9376b608ac9242472f763e2743eaab"),
+        ("dict2_5", "8926a57e5b16f2b5c22e452896e68f7fc136b76b357a8514f77b3d85564ecd2f"),
+        ("dict3_3", "287ac80a92a32aa799638c6c8841614ee62256f861f93413e51f5caa27fed751"),
     ],
 )
 def test_group_table_digest(fixture, digest, request):
     # digests taken from the group tables built from one tableau per state,
-    # with each group's generator order read off its phases
+    # with each group's generator order read off its phases; those of (5, 2)
+    # and (3, 3), whose table batches span several X-blocks and split the
+    # longest runs of symmetric matrices, from the builder that made one
+    # batch per X-block
     dic = request.getfixturevalue(fixture)
     assert hashlib.sha256(dic.elements.tobytes() + dic.phases.tobytes()).hexdigest() == digest
 
