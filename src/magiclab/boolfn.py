@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .binlin import field_log_tables
+from .stabdict import _check_size
 
 
 def variable_mask(n: int, i: int) -> int:
@@ -54,8 +55,7 @@ class BooleanFunction:
 
     @cached_property
     def truth_table(self) -> int:
-        if self.n > 24:
-            raise ValueError("truth table too large to materialize (n > 24)")
+        _check_size(self.n, lambda: 2**self.n, f"truth table of n={self.n} exceeds 2^24 bits")
         out = 0
         for m in self.monomials:
             out ^= monomial_table(self.n, m)
@@ -161,8 +161,7 @@ def hypergraph_state(f: BooleanFunction) -> np.ndarray:
     per monomial applied to the uniform superposition, and a constant
     monomial is a global sign -1.
     """
-    if f.n > 20:
-        raise ValueError("dense hypergraph states are limited to n <= 20")
+    _check_size(f.n, lambda: 2**f.n, f"hypergraph state of n={f.n} exceeds 2^24 amplitudes")
     bits = _table_bits(f.n, f.truth_table)
     return (1.0 - 2.0 * bits) / math.sqrt(bits.size) + 0j
 

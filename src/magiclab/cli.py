@@ -32,7 +32,7 @@ from .measures import dmin as dmin_measure
 from .mbqc import MeasurementLayout, outcome_distribution
 from .pauli import pauli_from_string
 from .solvers import SolverError
-from .stabdict import _within_cap, count_stabilizer_states, enumerate_stabilizer_states
+from .stabdict import _check_size, count_stabilizer_states, enumerate_stabilizer_states
 from .wigner import mana, mana_lr_check, sum_negativity, wigner_csv, wigner_function
 
 TOOL = "magiclab"
@@ -44,7 +44,7 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
     try:
         n, d = payload["n"], payload.get("d", 2)
         amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
     if type(n) is not int or type(d) is not int:
         raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
@@ -52,8 +52,7 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"state file {path}: d must be 2 or 3, found {d}")
     if n < 1:
         raise ValueError(f"state file {path}: n must be at least 1, found {n}")
-    if not _within_cap(n, lambda: d**n):
-        raise ValueError(f"state file {path}: n={n} needs more than 2^24 amplitudes")
+    _check_size(n, lambda: d**n, f"state file {path}: n={n} needs more than 2^24 amplitudes")
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")
     return n, d, _checked_state(amps, d**n)
@@ -121,16 +120,15 @@ def cmd_lattice(args) -> dict:
             "magic_bound_rank": bound.magic_bound_rank,
         },
     }
-    if args.dump_state:
-        if L.n > 12:
-            raise ValueError("state dump is limited to n <= 12")
+    if args.dense_measures:  # built first, so that no state file is written past the tables
+        dic = enumerate_stabilizer_states(L.n, 2)
+    if args.dump_state or args.dense_measures:
         psi = hypergraph_state(f)
+    if args.dump_state:
         dump_state_file(args.dump_state, L.n, 2, psi)
         payload["state_file"] = args.dump_state
     if args.dense_measures:
-        dic = enumerate_stabilizer_states(L.n, 2)
-        report = magic_report(psi if args.dump_state else hypergraph_state(f), dic)
-        payload["measures"] = asdict(report)
+        payload["measures"] = asdict(magic_report(psi, dic))
     return payload
 
 
@@ -163,8 +161,9 @@ def cmd_mbqc(args) -> dict:
         raise ValueError("the mbqc command needs a qubit state")
     names = args.layout.split(",")
     layout = MeasurementLayout(n, tuple(pauli_from_string(s) for s in names))
+    dic = enumerate_stabilizer_states(n, 2)  # refused past the tables before the distribution
     dist = outcome_distribution(psi, layout)
-    dval, _ = dmin_measure(psi, enumerate_stabilizer_states(n, 2))
+    dval, _ = dmin_measure(psi, dic)
     ok, max_p, bound = dist.cap_check(dval)
     return {
         "layout": names,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _checked_pure_state
-from .stabdict import StabilizerDictionary, _within_cap
+from .stabdict import StabilizerDictionary, _check_size
 
 
 def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
@@ -200,8 +200,8 @@ class ExperimentConfig:
         """The batch's samples * 2^n amplitudes are held at once: at most MAX_ENTRIES."""
         if self.n < 1 or self.samples < 1:
             raise ValueError("need n >= 1 and at least one sample")
-        if not _within_cap(self.n, lambda: self.samples * 2**self.n):
-            raise ValueError("need n <= 24 and at most 2^24 amplitudes (samples * 2^n)")
+        message = "need n <= 24 and at most 2^24 amplitudes (samples * 2^n)"
+        _check_size(self.n, lambda: self.samples * 2**self.n, message)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import numpy as np
 from .binlin import gf2_rank
 from .measures import _checked_pure_state
 from .pauli import PauliOperator, _commuting, is_hermitian_involution
+from .stabdict import _check_size
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,12 @@ class OutcomeDistribution:
 
 def outcome_distribution(psi: np.ndarray, layout: MeasurementLayout) -> OutcomeDistribution:
     """Joint outcome probabilities of the layout on the pure state psi,
-    checked as ``measures._checked_pure_state`` describes."""
-    if layout.n > 12:
-        raise ValueError("dense outcome distributions are limited to n <= 12")
-    psi = _checked_pure_state(psi, 2**layout.n)
-    k = layout.k
+    checked as ``measures._checked_pure_state`` describes.  Its 2^k branches
+    write 2^(n+k) amplitudes in all, at most MAX_ENTRIES."""
+    n, k = layout.n, layout.k
+    message = f"outcome branches of n={n}, k={k} exceed 2^24 amplitudes"
+    _check_size(n + k, lambda: 2 ** (n + k), message)
+    psi = _checked_pure_state(psi, 2**n)
     probs = np.zeros(2**k)
 
     def branch(v: np.ndarray, i: int, y: int):

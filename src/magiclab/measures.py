@@ -40,12 +40,11 @@ from .solvers import (
     solve_lp,
 )
 from .stabdict import (
-    ResourceLimitError,
     StabilizerDictionary,
     _best_in_groups,
+    _check_size,
     _pauli_coordinates,
     _state_coordinates,
-    _within_cap,
     count_stabilizer_states,
 )
 
@@ -210,8 +209,8 @@ def _check_robustness_size(n: int, d: int) -> None:
     column entries, N d^2n for the N stabilizer states: qubits n <= 4 and
     qutrits n <= 2.  It needs only the closed-form count, so a caller can
     test it before building the dictionary."""
-    if not _within_cap(n, lambda: count_stabilizer_states(n, d) * d ** (2 * n)):
-        raise ResourceLimitError(f"robustness columns for n={n}, d={d} exceed 2^24 entries")
+    message = f"robustness columns for n={n}, d={d} exceed 2^24 entries"
+    _check_size(n, lambda: count_stabilizer_states(n, d) * d ** (2 * n), message)
 
 
 def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessResult:

@@ -28,7 +28,7 @@ pauli.tableau_to_state builds the same vectors by a second path, the
 product of the generators' projectors, with no elimination.  The tables
 are cheap (about 5 ms at n = 4 and 0.13 s at n = 5), so dictionaries are
 rebuilt on demand rather than stored.  One cap, MAX_ENTRIES, bounds each
-array that an operation allocates, and is checked before the allocation.
+array that an operation allocates; ``_check_size`` tests it before allocating.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
@@ -58,10 +58,12 @@ class ResourceLimitError(ValueError):
     """An unsupported local dimension, or an array over MAX_ENTRIES entries."""
 
 
-def _within_cap(n: int, entries) -> bool:
-    """Whether entries(), the size of an array over n sites (at least 2^n), is
-    at most MAX_ENTRIES; n is tested first, so entries() is formed only at n <= 24."""
-    return n < MAX_ENTRIES.bit_length() and entries() <= MAX_ENTRIES
+def _check_size(n: int, entries, message: str) -> None:
+    """Raise ResourceLimitError(message) unless entries(), the size of an array
+    over n sites (at least 2^n), is at most MAX_ENTRIES; n is tested first, so
+    entries() is formed only at n <= 24."""
+    if not (n < MAX_ENTRIES.bit_length() and entries() <= MAX_ENTRIES):
+        raise ResourceLimitError(message)
 
 
 def count_stabilizer_states(n: int, d: int = 2) -> int:
@@ -418,8 +420,8 @@ class StabilizerDictionary:
         """(d^n, N) complex128, columns normalized: every state, read off the
         tables on first use and kept, read-only; N d^n must be within
         MAX_ENTRIES (qubits n <= 4, qutrits n <= 3)."""
-        if not _within_cap(self.n, lambda: self.size * self.d**self.n):
-            raise ResourceLimitError(f"dense states of n={self.n}, d={self.d} exceed 2^24 amplitudes")
+        message = f"dense states of n={self.n}, d={self.d} exceed 2^24 amplitudes"
+        _check_size(self.n, lambda: self.size * self.d**self.n, message)
         dim = self.d**self.n
         run = max(1, _BLOCK_STATES // dim)
         states = np.empty((dim, self.size), dtype=complex)
@@ -481,8 +483,8 @@ def _check_tables(n: int, d: int) -> None:
     MAX_ENTRIES states: the tables reach qubits n <= 5 and qutrits n <= 4."""
     if d not in (2, 3):
         raise ResourceLimitError(f"unsupported local dimension d={d}")
-    if not _within_cap(n, lambda: count_stabilizer_states(n, d)):
-        raise ResourceLimitError(f"stabilizer tables for n={n}, d={d} exceed 2^24 states")
+    message = f"stabilizer tables for n={n}, d={d} exceed 2^24 states"
+    _check_size(n, lambda: count_stabilizer_states(n, d), message)
 
 
 def iter_stabilizer_states(n: int, d: int = 2):

@@ -19,7 +19,7 @@ the displacement operators T_u with the half-power phase convention
 map is a bijection onto normalized real functions, pure stabilizer states
 are exactly the pure states with non-negative W, negative mass
 lower-bounds the free robustness, and mana log2(2N + 1) sits below LR + 1.
-Up to n = 4 qutrits (6,561 values) are supported.
+The 9^n values are at most MAX_ENTRIES: up to n = 7 qutrits.
 """
 
 import itertools
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import TOLERANCES, _checked_state, free_robustness
-from .stabdict import StabilizerDictionary, _pauli_coordinates, _tables
+from .stabdict import StabilizerDictionary, _check_size, _pauli_coordinates, _tables
 
 D = 3
 
@@ -64,8 +64,7 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     n = round(math.log(dim, D))
     if D**n != dim:
         raise ValueError("dimension is not a power of 3")
-    if n > 4:
-        raise ValueError(f"the Wigner function is limited to n <= 4 qutrits, got {n}")
+    _check_size(n, lambda: dim * dim, f"the Wigner function of n={n} qutrits exceeds 2^24 values")
     rho = _checked_state(rho, dim)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())

@@ -21,6 +21,7 @@ from magiclab.boolfn import (
     truth_table_hex,
     welch_function,
 )
+from magiclab.stabdict import ResourceLimitError
 from conftest import gf_pow, gf_trace, quadratic_states
 
 
@@ -77,6 +78,18 @@ def test_hypergraph_state_examples():
     psi = hypergraph_state(ccz)
     assert abs(psi[7] + 2**-1.5) < 1e-15
     assert np.allclose(psi[:7], 2**-1.5)
+
+
+def test_dense_sizes_follow_the_entry_cap():
+    # 2^n amplitudes and truth-table bits within MAX_ENTRIES = 2^24: n = 21
+    # fits, and n = 25 is refused before its table is built
+    psi = hypergraph_state(parse_anf("x1*x2*x21"))
+    assert psi.shape == (2**21,) and psi[-1] == -psi[0] and abs(psi[0] - 2**-10.5) < 1e-18
+    message = r"^hypergraph state of n=25 exceeds 2\^24 amplitudes$"
+    with pytest.raises(ResourceLimitError, match=message):
+        hypergraph_state(parse_anf("x1*x25"))
+    with pytest.raises(ResourceLimitError, match=r"^truth table of n=25 exceeds 2\^24 bits$"):
+        BooleanFunction(25, frozenset({frozenset({0})})).truth_table
 
 
 def test_hypergraph_state_equals_gate_circuit():

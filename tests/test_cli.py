@@ -88,8 +88,23 @@ def test_state_file_with_too_many_amplitudes(capsys, tmp_path, n, d):
     path.write_text(json.dumps({"n": n, "d": d, "amplitudes": [[1, 0]]}))
     code, out = run_cli(capsys, "measures", "--state", str(path))
     assert code == 1
-    assert out["error"] == "ValueError"
+    assert out["error"] == "ResourceLimitError"
     assert out["message"] == f"state file {path}: n={n} needs more than 2^24 amplitudes"
+
+
+@pytest.mark.parametrize(
+    "amplitudes, reason",
+    [([[1, 0], [0, 0, 0]], "too many values"), ([[1, 0], [0]], "not enough values")],
+    ids=["long_pair", "short_pair"],
+)
+def test_state_file_with_a_malformed_pair(capsys, tmp_path, amplitudes, reason):
+    # a pair that is not (re, im) names the file, like every malformed field
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"n": 1, "d": 2, "amplitudes": amplitudes}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"].startswith(f"malformed state file {path}: ValueError('{reason}")
 
 
 @pytest.mark.parametrize("d", [-3, 1])
@@ -256,6 +271,17 @@ def test_lattice_dense_measures(capsys, tmp_path):
     assert out["message"] == "stabilizer tables for n=6, d=2 exceed 2^24 states"
 
 
+def test_lattice_refuses_dense_measures_before_the_dump(capsys, tmp_path):
+    # the six-qubit tables are refused before the state file is written
+    dump = tmp_path / "tri.json"
+    argv = ["--kind", "triangular", "--rows", "2", "--cols", "3", "--boundary", "open"]
+    code, out = run_cli(capsys, "lattice", *argv, "--dump-state", str(dump), "--dense-measures")
+    assert code == 1
+    assert out["error"] == "ResourceLimitError"
+    assert out["message"] == "stabilizer tables for n=6, d=2 exceed 2^24 states"
+    assert not dump.exists()
+
+
 def test_wigner_command(capsys, tmp_path):
     path = tmp_path / "strange.json"
     amps = np.array([0, 1, -1], dtype=complex) / np.sqrt(2)
@@ -342,6 +368,22 @@ def test_mbqc_command_computes_the_distribution_once(capsys, monkeypatch, tmp_pa
     assert len(calls) == 1
 
 
+def test_mbqc_command_refuses_past_the_tables_first(capsys, monkeypatch, tmp_path):
+    # the dictionary is built before the outcome distribution, so a state past
+    # the tables is refused without computing the distribution
+    path = tmp_path / "zero6.json"
+    dump_state_file(str(path), 6, 2, np.eye(64, 1, dtype=complex).ravel())
+
+    def refuse(psi, layout):
+        raise AssertionError("the outcome distribution was computed")
+
+    monkeypatch.setattr(cli, "outcome_distribution", refuse)
+    code, out = run_cli(capsys, "mbqc", "--state", str(path), "--layout", "ZZIIII")
+    assert code == 1
+    assert out["error"] == "ResourceLimitError"
+    assert out["message"] == "stabilizer tables for n=6, d=2 exceed 2^24 states"
+
+
 def test_haar_command(capsys, tmp_path):
     csv_path = tmp_path / "samples.csv"
     code, payload = run_cli(
@@ -378,14 +420,14 @@ def test_haar_overlap_rejects_too_many_qubits(capsys):
     # refused before any of the 2^40-amplitude states is allocated
     code, out = run_cli(capsys, "haar", "--n", "40", "--samples", "10", "--overlap-only")
     assert code == 1
-    assert out["error"] == "ValueError"
+    assert out["error"] == "ResourceLimitError"
 
 
 def test_haar_rejects_too_many_samples(capsys):
     # refused before the 2^4 x 10^9 amplitudes are allocated
     code, out = run_cli(capsys, "haar", "--n", "4", "--samples", str(10**9))
     assert code == 1
-    assert out["error"] == "ValueError"
+    assert out["error"] == "ResourceLimitError"
     assert "2^24 amplitudes" in out["message"]
 
 

@@ -13,6 +13,7 @@ from magiclab.mbqc import (
 )
 from magiclab.measures import dmin
 from magiclab.pauli import PauliOperator, pauli_from_string
+from magiclab.stabdict import ResourceLimitError
 
 from conftest import random_state
 
@@ -43,6 +44,24 @@ def test_outcome_distribution_checks_the_state():
         pbound_check(np.array([np.nan, 0, 0, 0]), layout, 0.0)
     with pytest.raises(ValueError, match=r"shape \(4,\)"):
         outcome_distribution(np.array([1, 0]), layout)
+
+
+def test_outcome_branches_follow_the_entry_cap(monkeypatch):
+    # the 2^k branches write 2^(n+k) amplitudes, at most MAX_ENTRIES = 2^24:
+    # n = 13 with k = 1 fits, and k = 12 is refused before any branch
+    e = np.zeros(2**13, dtype=complex)
+    e[0] = 1.0
+    zs = ["I" * i + "Z" + "I" * (12 - i) for i in range(12)]
+    assert outcome_distribution(e, layout_of(13, zs[0])).probabilities.tolist() == [1.0, 0.0]
+    layout = layout_of(13, *zs)
+
+    def apply(self, v):
+        raise AssertionError("a branch was taken")
+
+    monkeypatch.setattr(PauliOperator, "apply", apply)
+    message = r"^outcome branches of n=13, k=12 exceed 2\^24 amplitudes$"
+    with pytest.raises(ResourceLimitError, match=message):
+        outcome_distribution(e, layout)
 
 
 def test_uniform_distribution_on_plus_layouts():

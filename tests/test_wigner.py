@@ -10,6 +10,7 @@ import pytest
 import magiclab
 from magiclab.measures import TOLERANCES, free_robustness
 from magiclab.pauli import weyl_operator
+from magiclab.stabdict import ResourceLimitError
 from magiclab.wigner import (
     WignerFunction,
     mana,
@@ -119,9 +120,18 @@ def test_first_three_qutrit_wigner_stays_small():
     assert int(out.stdout) < 1 << 20
 
 
-def test_wigner_refuses_five_qutrits():
-    with pytest.raises(ValueError, match="n <= 4"):
-        wigner_function(np.eye(243, dtype=complex) / 243)
+def test_wigner_of_five_qutrits():
+    # the maximally mixed state has W = 9^-n at every point and no negativity
+    W = wigner_function(np.eye(243, dtype=complex) / 243)
+    assert W.n == 5 and np.allclose(W.values, 9.0**-5, rtol=0, atol=1e-15)
+    assert mana(W) == 0.0
+
+
+def test_wigner_refuses_eight_qutrits():
+    # 9^8 values exceed MAX_ENTRIES; seven qutrits' 9^7 do not
+    message = r"^the Wigner function of n=8 qutrits exceeds 2\^24 values$"
+    with pytest.raises(ResourceLimitError, match=message):
+        wigner_function(np.eye(3**8, 1, dtype=complex).ravel())
 
 
 def test_wigner_rejects_non_hermitian():
