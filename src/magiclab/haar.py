@@ -27,6 +27,8 @@ import numpy as np
 from .measures import _checked_pure_state
 from .stabdict import StabilizerDictionary, _check_size
 
+_RUN_ENTRIES = 1024  # most amplitudes haar_state_batch assembles at once
+
 
 def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-random unit vector via a normalized complex Gaussian."""
@@ -37,11 +39,21 @@ def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
 def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     """(dim, count) matrix of independent Haar states from one master seed:
     sample i draws from the i-th child of ``SeedSequence(seed)``, spawned one
-    at a time, so the children are those of ``spawn(count)`` but never all held."""
+    at a time, so the children are those of ``spawn(count)`` but never all held.
+
+    Each sample keeps the bits ``haar_state`` gives it: its two Gaussian
+    vectors are one ``normal(size=(2, dim))`` draw, the same stream, and
+    runs of at most _RUN_ENTRIES amplitudes are assembled and divided by
+    their norms at once, each norm ``np.linalg.norm`` of its own row."""
     out = np.empty((dim, count), dtype=complex)
     seq = np.random.SeedSequence(seed)
-    for i in range(count):
-        out[:, i] = haar_state(dim, np.random.default_rng(seq.spawn(1)[0]))
+    run = max(1, _RUN_ENTRIES // dim)
+    for i0 in range(0, count, run):
+        rngs = (np.random.default_rng(seq.spawn(1)[0]) for _ in range(min(run, count - i0)))
+        draws = np.array([rng.normal(size=(2, dim)) for rng in rngs])
+        v = draws[:, 0] + 1j * draws[:, 1]
+        norms = np.array([np.linalg.norm(row) for row in v])
+        out[:, i0 : i0 + len(v)] = (v / norms[:, None]).T
     return out
 
 

@@ -32,8 +32,12 @@ array that an operation allocates; ``_check_size`` tests it before allocating.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
-Parseval bounds their maximum, and exact sums are taken only for the
-groups whose bound reaches the best exact value found.
+Parseval, with the fidelities' sum Tr r, bounds their maximum, and exact
+sums are taken only for the groups whose bound reaches the best exact value
+found.  The bounds are float32 sums, screened with a slack of twice their
+rounding bound, (d^n + 1) 2^-24 relative; the exact sums are float64.
+Targets go in chunks of at most _TILE (group, target) pairs, or of 16
+targets where that is more.
 """
 
 import functools
@@ -51,7 +55,9 @@ MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operatio
 # group always fits): reads of more states, and batches of fewer entries, ran
 # slower at n = 4 and 5
 _BLOCK_STATES = 1024
-_TILE = 1 << 17  # most entries in one working array of best_overlaps
+# most entries in one working array of best_overlaps, but for the float32
+# sums of a 16-target chunk, which hold 16 per group
+_TILE = 1 << 17
 
 
 class ResourceLimitError(ValueError):
@@ -250,12 +256,19 @@ def _tableaux(elements, phases, n: int, d: int, columns):
             yield _rephased(first, tuple(gens))
 
 
-@functools.lru_cache(maxsize=None)
 def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Lookup tables over Z_d^n, each element a little-endian integer in d:
     the sums a + b, the negations -a, the dot products a.b over the integers
     (|a & b| for qubits), the characters omega^(a.b) and the phases
-    zeta^(-a.b).  Read-only."""
+    zeta^(-a.b).  Read-only.  Kept for the life of the process for the
+    (n, d) that ``_check_tables`` accepts (qubits n <= 5, qutrits n <= 4),
+    and built per call beyond: five 729 x 729 tables at six qutrits."""
+    if count_stabilizer_states(n, d) <= MAX_ENTRIES:
+        return _kept_tables(n, d)
+    return _build_tables(n, d)
+
+
+def _build_tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     digits, place = _digits(n, d)
     weight = digits @ digits.T
     tables = (
@@ -268,6 +281,9 @@ def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+_kept_tables = functools.lru_cache(maxsize=None)(_build_tables)
 
 
 def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -345,7 +361,22 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
     """max_j Tr(r phi_j), and the lowest j attaining it, for the Hermitian
     operators r whose ``_pauli_coordinates`` are the columns of coords, over
     the groups whose tables (see ``_group_tables``) are groups and phases:
-    ``best_overlaps`` for r = |v><v|."""
+    ``best_overlaps`` for r = |v><v|.
+
+    A group's fidelities F(sigma) are nonnegative, sum to k = Tr r = u_0 and
+    have d^n sum_sigma F^2 = sum_c |u_c|^2 (Parseval).  So a group whose
+    maximum reaches L >= k/d^n has
+
+        sum_c |u_c|^2 >= d^n (L^2 + (k - L)^2 / (d^n - 1)),
+
+    which prunes more than d^n L^2 at every rank, most for mixed r.  L is
+    the exact maximum over each target's group of largest sum, lowered by
+    1e-9.  The sums are taken in float32: a sum of d^n nonnegative float32
+    squares lies within a relative (d^n + 1) 2^-24 of the float64 one
+    (4.9e-6 at four qutrits), so the threshold is lowered by twice that and
+    keeps every pair that float64 sums would.  The exact character sums of
+    the pairs kept stay in float64, and one lexsort picks, per target, the
+    pair of largest maximum, the lowest group on ties."""
     dim = d**n
     count, m = len(groups), coords.shape[1]
     fourier = _tables(n, d)[3]
@@ -361,32 +392,30 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
         f = f.transpose(1, 0, 2).reshape(m, count * dim)
         j = f.argmax(axis=1)
         return f[np.arange(m), j] / dim, j
-    # d^n max F^2 <= sum_c |u_c|^2, one (groups, targets) gather per element c
-    squares = np.abs(coords)
-    squares *= squares
-    bound = squares[groups[:, 0]]
+    # sum_c |u_c|^2 in float32, one (groups, targets) gather per element c
+    squares = (np.abs(coords) ** 2).astype(np.float32)
+    bound = squares.take(groups[:, 0], axis=0)
     for c in range(1, dim):
-        bound += squares[groups[:, c]]
+        bound += squares.take(groups[:, c], axis=0)
     targets = np.arange(m)
     top = bound.argmax(axis=0)
     f = exact(top, targets)
-    lower = f.max(axis=1)
-    g, t = np.nonzero(bound >= dim * (lower * (1 - 1e-9)) ** 2)
+    trace = coords[0].real
+    lower = np.maximum(f.max(axis=1) * (1 - 1e-9), trace / dim)
+    need = dim * (lower**2 + (trace - lower) ** 2 / (dim - 1))
+    g, t = np.nonzero(bound >= (need * (1 - 2 * (dim + 1) * 2.0**-24)).astype(np.float32))
     if np.all(g == top[t]):  # no other group can reach the maxima
-        return lower, top * dim + f.argmax(axis=1)
+        return f.max(axis=1), top * dim + f.argmax(axis=1)
     best, arg = np.empty(len(g)), np.empty(len(g), dtype=np.int64)
     step = max(1, _TILE // dim)
     for s0 in range(0, len(g), step):
         f = exact(g[s0 : s0 + step], t[s0 : s0 + step])
         arg[s0 : s0 + step] = f.argmax(axis=1)
         best[s0 : s0 + step] = f[np.arange(len(f)), arg[s0 : s0 + step]]
-    # per target, the pair of largest maximum, the lowest group on ties;
-    # (g, t) comes sorted, so a pair's position is found by its key
-    bound.fill(-np.inf)
-    bound[g, t] = best
-    top = bound.argmax(axis=0)
-    pair = np.searchsorted(g * m + t, top * m + targets)
-    return bound[top, targets], top * dim + arg[pair]
+    # per target, the pair of largest maximum, the lowest group on ties
+    ranked = np.lexsort((g, -best, t))
+    pick = ranked[np.flatnonzero(np.diff(t[ranked], prepend=-1))]
+    return best[pick], g[pick] * dim + arg[pick]
 
 
 @dataclass
@@ -453,23 +482,30 @@ class StabilizerDictionary:
             F(sigma) = d^-n sum_c omega^(sigma.c) u_c,
 
         a Walsh-Hadamard transform for qubits and a Z_3^n character sum for
-        qutrits, so Parseval bounds max_sigma F by sqrt(d^-n sum_c |u_c|^2).
-        Every (group, target) pair gets that bound, a sum of gathered
-        squared Pauli expectations.  The exact maximum over each target's
-        group of largest bound is a lower bound L, and only the pairs whose
-        bound reaches L (1 - 1e-9) get their exact fidelities, one
-        character-matrix product; a chunk with at most _TILE entries of
-        sums in all (n <= 3 qubits and n <= 2 qutrits, a few targets) takes
-        every group's sums at once.  Ties keep the lowest j.  Targets go in
-        even chunks of at most _TILE (group, target) pairs.
+        qutrits, so Parseval bounds sum_sigma F^2 by d^-n sum_c |u_c|^2, and
+        the F sum to |v|^2.  Every (group, target) pair gets that sum of
+        gathered squared Pauli expectations, in float32.  The exact maximum
+        over each target's group of largest sum is a lower bound L, and only
+        the pairs whose sum can reach L, by the rank-aware threshold and the
+        float32 slack of ``_best_in_groups``, get their exact float64
+        fidelities, one character-matrix product; a chunk with at most _TILE
+        entries of sums in all (n <= 3 qubits and n <= 2 qutrits, a few
+        targets) takes every group's sums at once.  Ties keep the lowest j.
+
+        Targets go in even chunks of at most _TILE (group, target) pairs,
+        but of at least 16 targets where that many groups (over _TILE / 16:
+        n = 5 qubits, four qutrits) would make them smaller: each gather
+        streams one column of the group tables, and 16 targets make each
+        group's row of float32 sums 64 bytes.  Chunks of two targets cost
+        more a target than single calls at n = 5.
         """
         if V.ndim != 2 or V.shape[0] != self.d**self.n:
             raise ValueError("state dimension mismatch")
         m = V.shape[1]
         fidelities = np.empty(m)
         indices = np.empty(m, dtype=np.int64)
-        chunks = max(1, -(-m * len(self.elements) // _TILE))
-        step = max(1, -(-m // chunks))  # even chunks of at most _TILE bounds
+        chunks = max(1, min(-(-m * len(self.elements) // _TILE), -(-m // 16)))
+        step = max(1, -(-m // chunks))
         for t0 in range(0, m, step):
             W = V[:, t0 : t0 + step]
             coords = _pauli_coordinates(W[:, None] * W.conj(), self.n, self.d)

@@ -68,8 +68,10 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     rho = _checked_state(rho, dim)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    _, _, dot, char, _ = _tables(n, D)
     c = _pauli_coordinates(rho[:, :, None], n, D).reshape(dim, dim)  # c[x, z]
+    # after c, so that beyond four qutrits, where each call builds the
+    # tables, the two builds are never held at once
+    _, _, dot, char, _ = _tables(n, D)
     c[dot % 2 == 1] *= -1
     w = char @ c @ char.conj() / D ** (2 * n)  # w[a1, a2]
     digits = (np.arange(dim)[:, None] // D ** np.arange(n)) % D

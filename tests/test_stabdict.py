@@ -228,6 +228,45 @@ def test_best_overlaps_ties_across_blocks(dict2_2, dict2_3):
         assert not any(table.flags.writeable for table in (dic.elements, dic.phases))
 
 
+def test_best_overlaps_tie_heavy_batch(dict2_4):
+    # 65 n = 4 targets, enough for the float32 Parseval screen: dictionary
+    # columns, T^(x4), and sums of two stabilizer states of support 2 from
+    # different groups, on disjoint supports, whose amplitudes are exactly
+    # +-1/2 and +-i/2, so that every sum the kernel takes is exact: each sum
+    # overlaps its two states equally, and its maximum, 9/16, ties across 8
+    # states of several groups
+    dic, rng = dict2_4, np.random.default_rng(4)
+    states = dic.states
+    cols = np.linspace(0, dic.size - 1, 24).astype(int)
+    t = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+    targets = [*states[:, cols].T, np.kron(np.kron(t, t), np.kron(t, t))]
+    support = np.abs(states) > 1e-9
+    pairs = np.flatnonzero(support.sum(axis=0) == 2)
+    while len(targets) < 65:
+        a, b = rng.choice(pairs, 2, replace=False)
+        if a // 16 != b // 16 and not np.any(support[:, a] & support[:, b]):
+            targets.append(np.round(np.sqrt(2) * (states[:, a] + states[:, b])) / 2)
+    V = np.array(targets).T
+    fid, idx = dic.best_overlaps(V)
+    dense = np.abs(states.conj().T @ V) ** 2
+    top = dense.max(axis=0)
+    assert np.max(np.abs(fid - top)) < 1e-12
+    assert np.array_equal(idx, np.argmax(dense >= top - 1e-12, axis=0))
+    assert np.array_equal(idx[:24], cols)
+    ties = np.sum(dense[:, 25:] >= top[25:] - 1e-12, axis=0)
+    assert np.all(ties > 1) and len(np.unique(idx[25:] // 16)) > 1
+
+
+def test_n5_batch_matches_single_targets(dict2_5):
+    # targets in one chunk and one at a time: the same indices, and
+    # fidelities equal to the last bits
+    V = haar_state_batch(32, 8, seed=58)
+    fid, idx = dict2_5.best_overlaps(V)
+    single = [dict2_5.best_overlaps(V[:, [j]]) for j in range(8)]
+    assert np.array_equal(idx, [i[0] for _, i in single])
+    assert np.max(np.abs(fid - [f[0] for f, _ in single])) <= 1e-15
+
+
 def _group_expectations(dic, V):
     """<v|g|v> for every element g of every run's stabilizer group, (runs,
     d^n, targets), from PauliOperator products of the run's first tableau:

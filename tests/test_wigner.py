@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import magiclab
 from magiclab.measures import TOLERANCES, free_robustness
 from magiclab.pauli import weyl_operator
-from magiclab.stabdict import ResourceLimitError
+from magiclab.haar import haar_state_batch
+from magiclab.stabdict import ResourceLimitError, _tables
 from magiclab.wigner import (
     WignerFunction,
     mana,
@@ -233,3 +235,19 @@ def test_wigner_csv_rows_follow_the_flat_index():
         *point, value = row.split(",")
         assert point == [str(k), *map(str, u)]
         assert float(value) == W.values[k]
+
+
+def test_six_qutrit_tables_are_not_kept():
+    # the lookup tables of six qutrits, five 729 x 729 arrays (about 25 MB),
+    # are built for the call and freed with it; those of four qutrits, which
+    # the dictionaries use, stay cached
+    psi = haar_state_batch(3**6, 1, seed=6)[:, 0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wigner_function(psi)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 2**20
+    assert _tables(4, 3) is _tables(4, 3)
