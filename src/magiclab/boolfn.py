@@ -167,9 +167,8 @@ def hypergraph_state(f: BooleanFunction) -> np.ndarray:
 
 
 def overlap_from_weight(f: BooleanFunction, g: BooleanFunction) -> float:
-    """Inner product of the two hypergraph states, 1 - 2^(1-n) * wt(f xor g)."""
-    if f.n != g.n:
-        raise ValueError("mismatched variable counts")
+    """Inner product of the two hypergraph states, 1 - 2^(1-n) * wt(f xor g).
+    f ^ g raises ``ValueError`` when f and g have different n."""
     return 1.0 - 2.0 ** (1 - f.n) * (f ^ g).weight()
 
 

@@ -83,11 +83,6 @@ def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
             down = (vid(r, c + 1), vid(r + 1, c), vid(r + 1, c + 1))
             for tri in (up, down):
                 if None not in tri:
-                    if len(set(tri)) != 3:
-                        raise ValueError(
-                            "degenerate wrap: periodic triangular lattices need "
-                            "rows, cols >= 3"
-                        )
                     triangles.append(tuple(sorted(tri)))
     return _lattice("triangular", rows, cols, boundary, labels, triangles)
 
@@ -115,10 +110,6 @@ def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
         for c in range(cols):
             center = index[("c", r, c)]
             corners = [gid(r, c), gid(r, c + 1), gid(r + 1, c + 1), gid(r + 1, c)]
-            if len(set(corners)) != 4:
-                raise ValueError(
-                    "degenerate wrap: periodic union-jack lattices need rows, cols >= 3"
-                )
             for i in range(4):
                 triangles.append(tuple(sorted((corners[i], corners[(i + 1) % 4], center))))
     return _lattice("union-jack", rows, cols, boundary, labels, triangles)

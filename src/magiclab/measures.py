@@ -105,8 +105,9 @@ def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     """Min-relative entropy of magic and the index of the best dictionary state.
 
     Reads the Pauli coordinates of the support projector (|psi><psi| for a
-    pure state) as ``best_overlaps`` reads a vector's.  Ties break toward the
-    lowest index.  The state is checked as ``_checked_state`` describes.
+    pure state) as ``best_overlaps`` reads a vector's.  Exact ties break
+    toward the lowest index; fidelities equal only up to rounding are ranked
+    by their last bits.  The state is checked as ``_checked_state`` describes.
     """
     state = _checked_state(state, dic.d**dic.n)
     support = state[:, None]
@@ -176,15 +177,11 @@ def _entry_coordinates(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Real coordinates of each Hermitian operator in the stack R, in the LP's
-    row order: Pauli expectations for qubits, entries for qutrits."""
-    return _pauli_coordinates(R, n, d) if d == 2 else _entry_coordinates(R)
-
-
 @functools.lru_cache(maxsize=None)
 def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
-    """Row labels of ``_coordinates``: Pauli strings, or re/im[i,j] entries."""
+    """Row labels of the LP's coordinates: Pauli strings for qubits
+    (``_pauli_coordinates``), re/im[i,j] entries for qutrits
+    (``_entry_coordinates``)."""
     dim = d**n
     if d == 2:
         bits = [[v >> k & 1 for k in range(n)] for v in range(dim)]
@@ -240,9 +237,10 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
     if dic.d == 2:
         A = _state_coordinates(dic.elements, dic.phases, dic.n)
+        b = _pauli_coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
     else:
         A = _entry_coordinates(dic.states[:, None] * dic.states.conj())
-    b = _coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
+        b = _entry_coordinates(rho[:, :, None])[:, 0]
     sol = solve_lp(A, b)
     coeffs = sol.x
     l1 = sol.objective

@@ -212,30 +212,17 @@ def crash_basis(A: np.ndarray, order) -> np.ndarray:
     columns.
     """
     m = A.shape[0]
-    order = np.asarray(order)
     Q = np.empty((m, m))  # orthonormal basis of the kept columns' span
     kept = []
     for share in (_CRASH_SHARE, _CRASH_LEAST):
-        for start in range(0, order.size, m):
-            chunk = order[start : start + m]
-            C = A[:, chunk]
+        for j in order:
+            a = A[:, j]
             Qk = Q[:, : len(kept)]
-            R = C - Qk @ (Qk.T @ C)
-            R -= Qk @ (Qk.T @ R)  # a second pass keeps Q orthonormal
-            left = np.einsum("ij,ij->j", R, R)  # squared residual norms
-            floor = share**2 * np.einsum("ij,ij->j", C, C)
-            i = -1
-            while True:
-                ahead = np.nonzero(left[i + 1 :] > floor[i + 1 :])[0]
-                if ahead.size == 0:
-                    break
-                i += 1 + int(ahead[0])
-                q = R[:, i] / np.sqrt(R[:, i] @ R[:, i])
-                proj = q @ R[:, i + 1 :]
-                R[:, i + 1 :] -= q[:, None] * proj
-                left[i + 1 :] -= proj**2
-                Q[:, len(kept)] = q
-                kept.append(int(chunk[i]))
+            r = a - Qk @ (Qk.T @ a)
+            r -= Qk @ (Qk.T @ r)  # a second pass keeps Q orthonormal
+            if r @ r > share**2 * (a @ a):
+                Q[:, len(kept)] = r / np.sqrt(r @ r)
+                kept.append(int(j))
                 if len(kept) == m:
                     return np.array(kept)
     raise ValueError("constraint matrix does not have full row rank")

@@ -376,7 +376,9 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
     (4.9e-6 at four qutrits), so the threshold is lowered by twice that and
     keeps every pair that float64 sums would.  The exact character sums of
     the pairs kept stay in float64, and one lexsort picks, per target, the
-    pair of largest maximum, the lowest group on ties."""
+    pair of largest maximum, the lowest group on ties.  "Lowest j" holds
+    for exact ties only: fidelities equal up to rounding (sums of stabilizer
+    states with 1/sqrt(2)-type amplitudes) are ranked by their last bits."""
     dim = d**n
     count, m = len(groups), coords.shape[1]
     fourier = _tables(n, d)[3]
@@ -490,7 +492,9 @@ class StabilizerDictionary:
         float32 slack of ``_best_in_groups``, get their exact float64
         fidelities, one character-matrix product; a chunk with at most _TILE
         entries of sums in all (n <= 3 qubits and n <= 2 qutrits, a few
-        targets) takes every group's sums at once.  Ties keep the lowest j.
+        targets) takes every group's sums at once.  Exact ties keep the
+        lowest j; fidelities equal only up to rounding are ranked by their
+        last bits, so any of them may win.
 
         Targets go in even chunks of at most _TILE (group, target) pairs,
         but of at least 16 targets where that many groups (over _TILE / 16:

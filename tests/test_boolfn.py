@@ -137,6 +137,9 @@ def test_overlap_identity_examples():
     # balanced difference
     h = parse_anf("x1", n=3)
     assert overlap_from_weight(h, g) == 0.0
+    # x1*x2*x3 on 4 variables is another state
+    with pytest.raises(ValueError, match="mismatched variable counts"):
+        overlap_from_weight(f, parse_anf("x1*x2*x3", n=4))
 
 
 def _random_table(n, rng) -> int:

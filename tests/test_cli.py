@@ -92,6 +92,15 @@ def test_state_file_with_too_many_amplitudes(capsys, tmp_path, n, d):
     assert out["message"] == f"state file {path}: n={n} needs more than 2^24 amplitudes"
 
 
+def test_state_file_with_too_few_amplitudes(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]}))
+    code, out = run_cli(capsys, "measures", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == "expected 4 amplitudes, found 3"
+
+
 @pytest.mark.parametrize(
     "amplitudes, reason",
     [([[1, 0], [0, 0, 0]], "too many values"), ([[1, 0], [0]], "not enough values")],
@@ -304,6 +313,15 @@ def test_wigner_command(capsys, tmp_path):
     assert csv_path.read_text().startswith("index,a1_1,a2_1,value")
 
 
+def test_wigner_command_needs_a_qutrit(capsys, tmp_path):
+    path = tmp_path / "bell.json"
+    dump_state_file(str(path), 2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    code, out = run_cli(capsys, "wigner", "--state", str(path))
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == "the wigner command needs a qutrit (d=3) state"
+
+
 def test_wigner_command_rejects_nan_amplitudes(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps({"n": 1, "d": 3, "amplitudes": [[float("nan"), 0], [0, 0], [0, 0]]}))
@@ -357,6 +375,15 @@ def test_mbqc_command(capsys, tmp_path):
     assert abs(payload["distribution"][0] - 1.0) < 1e-9
     assert payload["k"] == 2
     assert "seed" not in payload  # the command draws no random numbers
+
+
+def test_mbqc_command_needs_a_qubit_state(capsys, tmp_path):
+    path = tmp_path / "qutrit.json"
+    dump_state_file(str(path), 1, 3, np.array([1, 0, 0], dtype=complex))
+    code, out = run_cli(capsys, "mbqc", "--state", str(path), "--layout", "Z")
+    assert code == 1
+    assert out["error"] == "ValueError"
+    assert out["message"] == "the mbqc command needs a qubit state"
 
 
 def test_mbqc_command_computes_the_distribution_once(capsys, monkeypatch, tmp_path):
@@ -466,6 +493,10 @@ def test_welch_command(capsys):
     code, payload = run_cli(capsys, "welch", "--n", "3")
     assert code == 0
     assert payload["weight"] == 7 and payload["degree"] == 3 and payload["chi"] == 1
+    # past NONQUADRATICITY_LIMIT the command reports f without chi
+    code, payload = run_cli(capsys, "welch", "--n", "7")
+    assert code == 0
+    assert payload["degree"] == 3 and "chi" not in payload and "dmin_bound" not in payload
 
 
 def test_error_exit_code_and_body(capsys):

@@ -246,6 +246,11 @@ def test_sample_dmin_matches_dense(request, n, samples, seed):
     assert np.max(np.abs(values - dense)) < 1e-12
 
 
+def test_sample_dmin_needs_the_experiment_dictionary(dict2_2):
+    with pytest.raises(ValueError, match="does not match the experiment"):
+        sample_dmin(ExperimentConfig(3, 10, seed=1), dict2_2)
+
+
 def test_sample_dmin_memory(dict2_4):
     # the best-overlap kernel never holds the 36,720 x 256 overlap matrix
     # (150 MB complex): a few 1 MiB tiles at a time

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -53,6 +54,21 @@ def test_lattice_validation():
         make_lattice("triangular", 2, 2, "periodic")  # degenerate wrap
     with pytest.raises(ValueError):
         make_lattice("hexagonal", 3, 3)
+
+
+@pytest.mark.parametrize("kind", ["triangular", "union-jack"])
+def test_periodic_wraps_from_two_by_two(kind):
+    # with rows, cols >= 2 a triangle's vertices differ in row or column even
+    # across the wrap; only triangular 2 x 2 wraps its up and down triangles
+    # onto the same vertex sets
+    for rows, cols in itertools.product(range(2, 5), repeat=2):
+        if (kind, rows, cols) == ("triangular", 2, 2):
+            with pytest.raises(ValueError, match="duplicate triangles"):
+                make_lattice(kind, rows, cols, "periodic")
+            continue
+        L = make_lattice(kind, rows, cols, "periodic")
+        assert all(len(set(tri)) == 3 for tri in L.triangles)
+        assert len(L.triangles) == (2 if kind == "triangular" else 4) * rows * cols
 
 
 def test_every_triangle_has_exactly_one_center():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import magiclab
-from magiclab import measures
+from magiclab import measures, solvers
 from magiclab.boolfn import dmin_bound_from_chi, hypergraph_state, nonquadraticity, parse_anf
 from magiclab.measures import (
     TOLERANCES,
@@ -25,7 +26,7 @@ from magiclab.measures import (
 )
 from magiclab.pauli import hermitian_pauli, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
-from magiclab.stabdict import ResourceLimitError
+from magiclab.stabdict import ResourceLimitError, _pauli_coordinates
 from conftest import operator_stack, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -265,7 +266,7 @@ def test_free_robustness_golden_matches_oracle(dict2_1, golden):
 def test_coordinate_maps_match_dense_oracles(n, d):
     rng = np.random.default_rng(10 * d + n)
     R = operator_stack(rng, n, d)
-    got = measures._coordinates(R, n, d)
+    got = _pauli_coordinates(R, n, d) if d == 2 else measures._entry_coordinates(R)
     labels = measures._coordinate_labels(n, d)
     if d == 2:
         paulis = list(_dense_paulis(n))
@@ -652,3 +653,47 @@ def test_free_robustness_clifford_invariance(request, n, seed):
     for word in range(2):
         U = _random_clifford(n, 100 * seed + word)
         assert abs(free_robustness(U @ rho @ U.conj().T, dic).l1 - want) < 1e-9
+
+
+def _crash_cases():
+    """(measure, state, n, d) by name: cold robustness LPs of three 3-qubit
+    states and a 2-qutrit Haar state, and the extent's first crash on T^3."""
+    rng = np.random.default_rng(39)
+    v = random_state(8, rng)
+    t3 = _kron(T_STATE, T_STATE, T_STATE)
+    return {
+        "ccz": (free_robustness, CCZ, 3, 2),
+        "t3": (free_robustness, t3, 3, 2),
+        "depolarized-haar": (
+            free_robustness, 0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(8) / 8, 3, 2
+        ),
+        "qutrit-haar": (free_robustness, random_state(9, rng), 2, 3),
+        "t3-extent": (extent, t3, 3, 2),
+    }
+
+
+# SHA-256 of the columns crash_basis keeps on each LP of _crash_cases(), in
+# the order kept, taken when the crash scanned blocks of m columns at a time
+CRASH_DIGESTS = {
+    "ccz": "e0825b499fd0072b0bbfc66cadd4156f45b33e880dfbd11ecefe34ee93b54334",
+    "t3": "42455f643d6d6d2490f75d82606d839e37fdfb26a43e8a6995c9064cb84ce0de",
+    "depolarized-haar": "af350a225b5235daaed5a478967ffebdffaed05a76b6a87ccd49e7a6537595f7",
+    "qutrit-haar": "de609779d12f2c59fb6ae9d1108680510e015aecb99be51c1ded40f344345260",
+    "t3-extent": "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+}
+
+
+@pytest.mark.parametrize("case, digest", CRASH_DIGESTS.items())
+def test_crash_basis_keeps_pinned_columns(monkeypatch, request, case, digest):
+    # the simplex starts from these columns, so its pivots depend on them
+    measure, state, n, d = _crash_cases()[case]
+    dic = request.getfixturevalue(f"dict{d}_{n}")
+    crash, kept = solvers.crash_basis, []
+
+    def recorded(A, order):
+        kept.append(crash(A, order))
+        return kept[-1]
+
+    monkeypatch.setattr(solvers, "crash_basis", recorded)
+    measure(state, dic)
+    assert hashlib.sha256(kept[0].tobytes()).hexdigest() == digest

@@ -156,6 +156,11 @@ def test_tableau_rejects_minus_identity_group():
         bad = PauliOperator(1, 3, x, z, 1)
         with pytest.raises(InconsistentTableauError):
             tableau_to_state(StabilizerTableau(1, 3, (bad,)))
+    # XX and -XX square to I, but their product is -I: no generator is a
+    # scalar, and the product of their projectors is zero
+    group = StabilizerTableau(2, 2, (pauli_from_string("XX"), pauli_from_string("-XX")))
+    with pytest.raises(InconsistentTableauError, match="scalar"):
+        tableau_to_state(group)
 
 
 def test_tableau_rejects_dependent_generators():

@@ -205,7 +205,7 @@ def test_negativity_below_robustness(dict3_1):
         assert neg <= free_robustness(psi, dict3_1).r + TOLERANCES["chain"]
 
 
-def test_mana_lr_check(dict3_1, dict3_2):
+def test_mana_lr_check(dict2_1, dict3_1, dict3_2):
     rng = np.random.default_rng(3)
     for _ in range(4):
         ok, m, lr = mana_lr_check(random_state(3, rng), dict3_1)
@@ -215,6 +215,8 @@ def test_mana_lr_check(dict3_1, dict3_2):
     # stabilizer state: 0 < 0 + 1
     ok, m, lr = mana_lr_check(dict3_1.state(4), dict3_1)
     assert ok and m < 1e-10 and lr < 1e-9
+    with pytest.raises(ValueError, match="needs a qutrit dictionary"):
+        mana_lr_check(dict3_1.state(4), dict2_1)
 
 
 def test_wigner_csv_shape():
