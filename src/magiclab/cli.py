@@ -74,7 +74,8 @@ def cmd_measures(args) -> dict:
 
 
 def _function_payload(f, chi: int | None = None) -> dict:
-    """f's fields for ``chi`` and ``welch``, with chi and its dmin bound if given."""
+    """f's fields for ``chi`` and ``welch``, with chi and its dmin bound if given
+    (a chi from ``nonquadraticity`` is below 2^(n-1), so the bound is defined)."""
     payload = {
         "n": f.n,
         "anf": anf_string(f),
@@ -84,8 +85,7 @@ def _function_payload(f, chi: int | None = None) -> dict:
     }
     if chi is not None:
         payload["chi"] = chi
-        if chi < 2 ** (f.n - 1):
-            payload["dmin_bound"] = dmin_bound_from_chi(f, chi)
+        payload["dmin_bound"] = dmin_bound_from_chi(f, chi)
     return payload
 
 

@@ -13,7 +13,12 @@ Two lattice families are generated:
 
 Vertex indexing is row-major over the grid (then row-major over face
 centers for union-jack); the full (row, col, sublattice) -> index map is
-part of the construction and dumped by the CLI.
+part of the construction and dumped by the CLI.  A cell at (r, c) finds
+its corner (r + i, c + j), i, j in {0, 1}, at (r + i mod R, c + j mod C) of
+its builder's vertex grid of R x C: rows x cols for triangular, and for
+union-jack rows x cols when periodic and (rows + 1) x (cols + 1) when open.
+So only a periodic lattice wraps; an open triangular lattice has
+(rows - 1) x (cols - 1) cells, and no corner of an open cell leaves the grid.
 
 Given an order-s split f = sum_i x_{c_i} q_i + q of a cubic characteristic
 function, the distance from f to the quadratics is bounded by
@@ -59,59 +64,47 @@ class Lattice:
     edges: tuple[tuple[int, int], ...]
 
 
-def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
+def _check_grid(rows: int, cols: int, boundary: str) -> None:
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be at least 2")
     if boundary not in ("periodic", "open"):
         raise ValueError("boundary must be 'periodic' or 'open'")
+
+
+def _corners(index, tag, r, c, grid_rows, grid_cols):
+    """The ``tag`` vertices at the corners nw, ne, sw, se of cell (r, c), by
+    the corner rule of the module docstring."""
+    return [index[(tag, (r + i) % grid_rows, (c + j) % grid_cols)] for i in (0, 1) for j in (0, 1)]
+
+
+def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
+    _check_grid(rows, cols, boundary)
     labels = tuple(("v", r, c) for r in range(rows) for c in range(cols))
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def vid(r, c):
-        if boundary == "periodic":
-            return index[("v", r % rows, c % cols)]
-        if 0 <= r < rows and 0 <= c < cols:
-            return index[("v", r, c)]
-        return None
-
+    short = boundary == "open"  # so no corner of an open cell leaves the grid
     triangles = []
-    r_range = range(rows) if boundary == "periodic" else range(rows - 1)
-    c_range = range(cols) if boundary == "periodic" else range(cols - 1)
-    for r in r_range:
-        for c in c_range:
-            up = (vid(r, c), vid(r, c + 1), vid(r + 1, c))
-            down = (vid(r, c + 1), vid(r + 1, c), vid(r + 1, c + 1))
-            for tri in (up, down):
-                if None not in tri:
-                    triangles.append(tuple(sorted(tri)))
+    for r in range(rows - short):
+        for c in range(cols - short):
+            nw, ne, sw, se = _corners(index, "v", r, c, rows, cols)
+            triangles += [tuple(sorted((nw, ne, sw))), tuple(sorted((ne, sw, se)))]
     return _lattice("triangular", rows, cols, boundary, labels, triangles)
 
 
 def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
     """rows x cols faces; grid vertices plus one face-center vertex per face."""
-    if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must be at least 2")
-    if boundary not in ("periodic", "open"):
-        raise ValueError("boundary must be 'periodic' or 'open'")
-    grid_rows = rows if boundary == "periodic" else rows + 1
-    grid_cols = cols if boundary == "periodic" else cols + 1
+    _check_grid(rows, cols, boundary)
+    grid_rows, grid_cols = (rows, cols) if boundary == "periodic" else (rows + 1, cols + 1)
     labels = [("g", r, c) for r in range(grid_rows) for c in range(grid_cols)]
     labels += [("c", r, c) for r in range(rows) for c in range(cols)]
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def gid(r, c):
-        if boundary == "periodic":
-            return index[("g", r % rows, c % cols)]
-        return index[("g", r, c)]
-
     triangles = []
     for r in range(rows):
         for c in range(cols):
+            nw, ne, sw, se = _corners(index, "g", r, c, grid_rows, grid_cols)
             center = index[("c", r, c)]
-            corners = [gid(r, c), gid(r, c + 1), gid(r + 1, c + 1), gid(r + 1, c)]
-            for i in range(4):
-                triangles.append(tuple(sorted((corners[i], corners[(i + 1) % 4], center))))
+            for a, b in ((nw, ne), (ne, se), (se, sw), (sw, nw)):
+                triangles.append(tuple(sorted((a, b, center))))
     return _lattice("union-jack", rows, cols, boundary, labels, triangles)
 
 
@@ -220,9 +213,6 @@ def cell_decompose(f: BooleanFunction, centers: list[int]) -> CellDecomposition:
         else:
             residual.append(m)
     quadratics = tuple(BooleanFunction(f.n, per_center[c]) for c in centers)
-    for q in quadratics:
-        if q.degree > 2:
-            raise ValueError("non-quadratic cell function")
     deco = CellDecomposition(f, tuple(centers), quadratics, BooleanFunction(f.n, residual))
     if not deco.verify():
         raise AssertionError("ANF identity lost during decomposition")

@@ -99,12 +99,12 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free):
 
     ``T`` = [B^{-1} | x_B] (one row per basic position, B^{-1} with one
     column per original row, x_B last) and the column sign ``sign`` of each
-    basic position are updated in place.  The first ``free`` columns are free
-    in sign: column j prices at cost_j - |y.a_j|, the lesser of its two sides
-    cost_j -+ y.a_j, and enters as s a_j; the columns past ``free`` are
-    nonnegative.  An exact tie for the least reduced cost goes to the first
-    column of [A, -A, the columns past ``free``], as np.argmin over those
-    split columns would.  Ties in the ratio are ranked by the rows of
+    basic position are updated in place.  The flag ``free`` says whether
+    every column is free in sign or every column is nonnegative.  A free
+    column j prices at cost_j - |y.a_j|, the lesser of its two sides
+    cost_j -+ y.a_j, and enters as s a_j; an exact tie for the least reduced
+    cost goes to the first column of [A, -A], as np.argmin over the split
+    columns would.  Ties in the ratio are ranked by the rows of
     B^{-1} B0, where B0 is the starting basis matrix: they start as the
     identity, which makes the lexicographic order well posed from any
     feasible start.  Each tie, in the ratio and then column by column of
@@ -120,9 +120,9 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free):
         enter = int(reduced.argmin())
         least, s = reduced[enter], 1.0
         if free:
-            twin = cost[:free] + priced[:free]  # the reduced costs of -a_j
+            twin = cost + priced  # the reduced costs of -a_j
             k = int(twin.argmin())
-            if twin[k] < least or (twin[k] == least and enter >= free):
+            if twin[k] < least:
                 enter, least, s = k, twin[k], -1.0
         if least >= -LP_TOL:
             return it
@@ -176,7 +176,7 @@ def solve_lp(A, b, basis=None) -> LPSolution:
     except np.linalg.LinAlgError:
         raise ValueError("start basis is singular") from None
     T = np.column_stack([Binv, np.abs(xb)])
-    iterations = _revised_simplex(A, c, basis, T, B0, sign, ncols)
+    iterations = _revised_simplex(A, c, basis, T, B0, sign, True)
 
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: ||x||_1 = b.y holds for any basis, so optimality

@@ -35,6 +35,11 @@ def test_rank_empty_rows():
     assert gf2_rank(np.zeros((0, 5))) == 0
 
 
+def test_rank_rejects_a_vector():
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        gf2_rank(np.array([1, 0, 1]))
+
+
 def test_hexagon_cycle_rank():
     # The 6-cycle adjacency matrix is degenerate over GF(2): its kernel holds
     # both alternating indicator vectors, so the rank is 4, not 6; the full

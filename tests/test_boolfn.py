@@ -19,6 +19,7 @@ from magiclab.boolfn import (
     parse_anf,
     quadratic_basis,
     truth_table_hex,
+    variable_mask,
     welch_function,
 )
 from magiclab.stabdict import ResourceLimitError
@@ -35,6 +36,18 @@ def test_parse_rejects_malformed():
     for bad in ("", "x0", "y1", "x1**x2", "x1*x1"):
         with pytest.raises(ValueError):
             parse_anf(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: parse_anf("x3", n=2), "variable count too small", id="parse-n"),
+        pytest.param(lambda: variable_mask(2, 2), "variable index out of range", id="mask"),
+    ],
+)
+def test_boolfn_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_truth_table_examples():
@@ -300,6 +313,9 @@ def test_dmin_bound_examples():
     f = parse_anf("x1*x2*x3")
     assert dmin_bound_from_chi(f, 0) == 0.0
     assert abs(dmin_bound_from_chi(f, 1) - math.log2(16 / 9)) < 1e-12
+    # chi omitted: the bound computes it by nonquadraticity
+    h = parse_anf("x1*x2*x3 + x2*x4*x5 + x3*x4*x6")
+    assert dmin_bound_from_chi(h) == dmin_bound_from_chi(h, nonquadraticity(h)[0])
     # n=5, chi=4
     g = BooleanFunction(5, frozenset())
     assert abs(dmin_bound_from_chi(g, 4) - (-2 * math.log2(0.75))) < 1e-12

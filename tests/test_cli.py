@@ -430,6 +430,9 @@ def test_haar_command(capsys, tmp_path):
     assert code == 0
     assert payload["samples"] == 50
     assert csv_path.read_text().startswith("sample,dmin,dmax,lr")
+    code, payload = run_cli(capsys, "haar", "--n", "2", "--samples", "50", "--seed", "1")
+    assert code == 0
+    assert payload["csv_file"] is None
     code2, payload2 = run_cli(
         capsys, "haar", "--n", "2", "--samples", "500", "--seed", "3", "--overlap-only"
     )

@@ -56,6 +56,38 @@ def test_lattice_validation():
         make_lattice("hexagonal", 3, 3)
 
 
+def _repeat_a_triangle():
+    L = triangular_lattice(3, 3, "open")
+    return dataclasses.replace(L, triangles=L.triangles + L.triangles[:1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: triangular_lattice(3, 3, "closed"), "boundary must be", id="triangular-closed"
+        ),
+        pytest.param(
+            lambda: union_jack_lattice(2, 2, "closed"), "boundary must be", id="union-jack-closed"
+        ),
+        pytest.param(lambda: union_jack_lattice(1, 3), "at least 2", id="union-jack-1x3"),
+        pytest.param(
+            lambda: build_lattice_state(triangular_lattice(3, 3), "toric"),
+            "phase must be",
+            id="toric",
+        ),
+        pytest.param(
+            lambda: build_lattice_state(_repeat_a_triangle()),
+            "duplicate triangles cannot form a hypergraph",
+            id="repeated-triangle",
+        ),
+    ],
+)
+def test_lattice_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("kind", ["triangular", "union-jack"])
 def test_periodic_wraps_from_two_by_two(kind):
     # with rows, cols >= 2 a triangle's vertices differ in row or column even

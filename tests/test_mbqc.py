@@ -5,6 +5,7 @@ import pytest
 
 from magiclab.mbqc import (
     MeasurementLayout,
+    OutcomeDistribution,
     outcome_distribution,
     pbound_check,
     planted_verifier,
@@ -31,6 +32,34 @@ def test_layout_validation():
         MeasurementLayout(1, (PauliOperator(1, 2, (1,), (0,), 1),))  # iX not Hermitian
     with pytest.raises(ValueError):
         layout_of(2, "II", "ZZ")  # identity observable
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: MeasurementLayout(2, ()), "between 1 and n", id="no-observables"),
+        pytest.param(lambda: layout_of(1, "Z", "X"), "between 1 and n", id="past-n"),
+        pytest.param(
+            lambda: OutcomeDistribution(layout_of(1, "Z"), np.array([0.5, 0.4])),
+            "sum to 0.9",
+            id="sum",
+        ),
+        pytest.param(
+            lambda: OutcomeDistribution(layout_of(1, "Z"), np.array([1.5, -0.5])),
+            "negative probability",
+            id="negative",
+        ),
+        pytest.param(
+            lambda: randomized_search(lambda y: True, 2, 0, np.random.default_rng(0)),
+            "budget must be at least 1",
+            id="budget",
+        ),
+        pytest.param(lambda: planted_verifier(2, {4}), "must be k-bit", id="planted"),
+    ],
+)
+def test_mbqc_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_outcome_distribution_checks_the_state():

@@ -262,6 +262,27 @@ def test_free_robustness_golden_matches_oracle(dict2_1, golden):
     assert abs(_l1_vertex_oracle(A, b) - res.l1) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [("x", "pseudomixture reconstruction error"), ("dual", "witness exceeds 1")],
+)
+def test_free_robustness_rejects_what_it_cannot_certify(monkeypatch, dict2_1, golden, tamper, message):
+    # the solver's own checks pass; one support entry of x moved by 1e-6
+    # no longer rebuilds rho, and a dual scaled by 1 + 1e-6 leaves the unit
+    # ball on the dictionary columns it was tight on
+    def tampered(A, b):
+        sol = solvers.solve_lp(A, b)
+        if tamper == "x":
+            sol.x[np.flatnonzero(sol.x)[0]] += 1e-6
+        else:
+            sol.dual *= 1 + 1e-6
+        return sol
+
+    monkeypatch.setattr(measures, "solve_lp", tampered)
+    with pytest.raises(SolverError, match=message):
+        free_robustness(golden, dict2_1)
+
+
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
 def test_coordinate_maps_match_dense_oracles(n, d):
     rng = np.random.default_rng(10 * d + n)

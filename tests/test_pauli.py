@@ -95,6 +95,35 @@ def test_hermitian_involution_flags():
     assert is_hermitian_involution(pauli_from_string("Y"))
     assert is_hermitian_involution(hermitian_pauli(2, (1, 0), (1, 1)))
     assert not is_hermitian_involution(pauli_from_string("iX"))
+    assert not is_hermitian_involution(pauli_from_string("X1Z0", d=3))  # qubits only
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PauliOperator(1, 5, (0,), (0,), 0), "only d=2 and d=3", id="d5"),
+        pytest.param(lambda: PauliOperator(2, 2, (0,), (0, 0), 0), "must have length n", id="length"),
+        pytest.param(lambda: PauliOperator(1, 2, (2,), (0,), 0), "lie in 0..d-1", id="exponent"),
+        pytest.param(lambda: PauliOperator(1, 2, (0,), (0,), 4), "phase exponent", id="phase"),
+        pytest.param(
+            lambda: pauli_from_string("X") * pauli_from_string("XX"), "different systems", id="mul"
+        ),
+        pytest.param(lambda: pauli_from_string("X").apply(np.ones(4)), "dimension", id="apply"),
+        pytest.param(lambda: pauli_from_string("XQ"), "malformed qubit", id="qubit-string"),
+        pytest.param(lambda: pauli_from_string("X1Z", d=3), "malformed qutrit", id="qutrit-string"),
+        pytest.param(
+            lambda: pauli_to_string(PauliOperator(1, 3, (0,), (0,), 1)), "power of omega", id="omega"
+        ),
+        pytest.param(
+            lambda: StabilizerTableau(2, 2, (pauli_from_string("ZI"),)),
+            "exactly n generators",
+            id="tableau",
+        ),
+    ],
+)
+def test_pauli_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_tableau_basic_states():

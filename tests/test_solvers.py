@@ -255,6 +255,14 @@ def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch):
         solve_lp(M, b)
 
 
+def test_lp_refuses_past_the_pivot_cap(monkeypatch):
+    # the degenerate LP takes more than one pivot from its crash basis
+    M, b = _degenerate_matrix()
+    monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
+    with pytest.raises(SolverError, match="did not converge within 1 iterations"):
+        solve_lp(M, b)
+
+
 def test_extent_next_working_set():
     # one complex row and four states.  The working set holds state 0 at
     # phases 1 and i, state 1 at 1, and state 2 at 1 and -1; the basis is

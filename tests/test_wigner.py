@@ -160,6 +160,8 @@ def test_wigner_rejects_what_is_not_a_state(dict3_1):
     for shape in ((), (3, 3, 3), (0,), (0, 0), (1,), (1, 1)):
         with pytest.raises(ValueError, match="shape"):
             wigner_function(np.ones(shape))
+    with pytest.raises(ValueError, match="not a power of 3"):
+        wigner_function(np.ones(6) / 6**0.5)
     with pytest.raises(ValueError, match="sums to nan"):
         WignerFunction(1, np.full(9, np.nan))
 
