@@ -47,6 +47,8 @@ class BooleanFunction:
     monomials: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         monomials = frozenset(map(frozenset, self.monomials))
         object.__setattr__(self, "monomials", monomials)
         used = frozenset().union(*monomials)
@@ -95,13 +97,16 @@ def from_truth_table(n: int, table: int) -> BooleanFunction:
 
 
 def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
-    """Parse "x1*x2*x3 + x2 + 1" (variables 1-indexed, whitespace ignored)."""
+    """Parse "x1*x2*x3 + x2 + 1" (variables 1-indexed, whitespace ignored);
+    a term "0" adds nothing, so "0" is the zero function ``anf_string`` writes."""
     text = re.sub(r"\s+", "", text)
     if not text:
         raise ValueError("empty ANF expression")
     monomials = set()
     max_var = 0
     for term in text.split("+"):
+        if term == "0":
+            continue
         if term == "1":
             mono = frozenset()
         else:
@@ -256,7 +261,7 @@ def dmin_bound_from_chi(f: BooleanFunction, chi: int | None = None) -> float:
         chi, _ = nonquadraticity(f)
     if chi >= 2 ** (f.n - 1):
         raise ValueError("bound undefined: chi >= 2^(n-1)")
-    return -2.0 * math.log2(1.0 - 2.0 ** (1 - f.n) * chi)
+    return 0.0 - 2.0 * math.log2(1.0 - 2.0 ** (1 - f.n) * chi)  # +0.0 at chi = 0
 
 
 def welch_function(n: int) -> BooleanFunction:

@@ -261,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", default=None, metavar="FILE")
-    p.add_argument(
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--csv", default=None, metavar="FILE")
+    output.add_argument(
         "--overlap-only",
         action="store_true",
         help="only test the fixed-reference overlap law (no dictionary needed)",

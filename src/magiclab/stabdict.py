@@ -26,7 +26,7 @@ table row; the columns of a group share their X and Z rows, so its Pauli
 and commutation checks run once per group, not once per state.
 pauli.tableau_to_state builds the same vectors by a second path, the
 product of the generators' projectors, with no elimination.  The tables
-are cheap (about 5 ms at n = 4 and 0.13 s at n = 5), so dictionaries are
+take well under a second at every supported size, so dictionaries are
 rebuilt on demand rather than stored.  One cap, MAX_ENTRIES, bounds each
 array that an operation allocates; ``_check_size`` tests it before allocating.
 
@@ -35,9 +35,9 @@ character sum of its Pauli expectations on the group's elements, so
 Parseval, with the fidelities' sum Tr r, bounds their maximum, and exact
 sums are taken only for the groups whose bound reaches the best exact value
 found.  The bounds are float32 sums, screened with a slack of twice their
-rounding bound, (d^n + 1) 2^-24 relative; the exact sums are float64.
-Targets go in chunks of at most _TILE (group, target) pairs, or of 16
-targets where that is more.
+rounding bound, (d^n + 1) 2^-24 relative; the exact sums are float64 and
+the one source of every returned fidelity.  Targets go in chunks of at
+most _TILE (group, target) pairs, or of 16 targets where that is more.
 """
 
 import functools
@@ -374,40 +374,38 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
     1e-9.  The sums are taken in float32: a sum of d^n nonnegative float32
     squares lies within a relative (d^n + 1) 2^-24 of the float64 one
     (4.9e-6 at four qutrits), so the threshold is lowered by twice that and
-    keeps every pair that float64 sums would.  The exact character sums of
-    the pairs kept stay in float64, and one lexsort picks, per target, the
-    pair of largest maximum, the lowest group on ties.  "Lowest j" holds
-    for exact ties only: fidelities equal up to rounding (sums of stabilizer
-    states with 1/sqrt(2)-type amplitudes) are ranked by their last bits."""
+    keeps every pair that float64 sums would.  When all the pairs' sums fit
+    in _TILE entries, no bound is taken and every pair is kept.
+
+    Every returned value comes from one exact stage: the kept pairs' float64
+    character sums, in chunks of _TILE / d^n pairs, and one lexsort that
+    picks, per target, the pair of largest maximum, the lowest group on
+    ties.  "Lowest j" holds for exact ties only: fidelities equal up to
+    rounding (sums of stabilizer states with 1/sqrt(2)-type amplitudes) are
+    ranked by their last bits."""
     dim = d**n
     count, m = len(groups), coords.shape[1]
     fourier = _tables(n, d)[3]
 
     def exact(g, t):
         """All d^n fidelities of the pairs (group g, target t), in column order."""
-        u = _ZETA[d][phases[g]] * coords[groups[g], t[:, None]]
+        u = _ZETA[d][phases.take(g, axis=0)] * coords[groups.take(g, axis=0), t[:, None]]
         return (u @ fourier).real / dim
 
     if groups.size * dim * m <= _TILE:  # so few sums that bounding them costs more
-        u = _ZETA[d][phases][:, None] * coords[groups].transpose(0, 2, 1)
-        f = (u.reshape(-1, dim) @ fourier).real.reshape(count, m, dim)
-        f = f.transpose(1, 0, 2).reshape(m, count * dim)
-        j = f.argmax(axis=1)
-        return f[np.arange(m), j] / dim, j
-    # sum_c |u_c|^2 in float32, one (groups, targets) gather per element c
-    squares = (np.abs(coords) ** 2).astype(np.float32)
-    bound = squares.take(groups[:, 0], axis=0)
-    for c in range(1, dim):
-        bound += squares.take(groups[:, c], axis=0)
-    targets = np.arange(m)
-    top = bound.argmax(axis=0)
-    f = exact(top, targets)
-    trace = coords[0].real
-    lower = np.maximum(f.max(axis=1) * (1 - 1e-9), trace / dim)
-    need = dim * (lower**2 + (trace - lower) ** 2 / (dim - 1))
-    g, t = np.nonzero(bound >= (need * (1 - 2 * (dim + 1) * 2.0**-24)).astype(np.float32))
-    if np.all(g == top[t]):  # no other group can reach the maxima
-        return f.max(axis=1), top * dim + f.argmax(axis=1)
+        keep = np.ones((count, m), dtype=bool)
+    else:
+        # sum_c |u_c|^2 in float32, one (groups, targets) gather per element c
+        squares = (np.abs(coords) ** 2).astype(np.float32)
+        bound = squares.take(groups[:, 0], axis=0)
+        for c in range(1, dim):
+            bound += squares.take(groups[:, c], axis=0)
+        trace = coords[0].real
+        top = exact(bound.argmax(axis=0), np.arange(m)).max(axis=1)
+        lower = np.maximum(top * (1 - 1e-9), trace / dim)
+        need = dim * (lower**2 + (trace - lower) ** 2 / (dim - 1))
+        keep = bound >= (need * (1 - 2 * (dim + 1) * 2.0**-24)).astype(np.float32)
+    g, t = np.nonzero(keep)
     best, arg = np.empty(len(g)), np.empty(len(g), dtype=np.int64)
     step = max(1, _TILE // dim)
     for s0 in range(0, len(g), step):
@@ -416,7 +414,7 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
         best[s0 : s0 + step] = f[np.arange(len(f)), arg[s0 : s0 + step]]
     # per target, the pair of largest maximum, the lowest group on ties
     ranked = np.lexsort((g, -best, t))
-    pick = ranked[np.flatnonzero(np.diff(t[ranked], prepend=-1))]
+    pick = ranked[np.searchsorted(t[ranked], np.arange(m))]
     return best[pick], g[pick] * dim + arg[pick]
 
 
@@ -489,12 +487,12 @@ class StabilizerDictionary:
         gathered squared Pauli expectations, in float32.  The exact maximum
         over each target's group of largest sum is a lower bound L, and only
         the pairs whose sum can reach L, by the rank-aware threshold and the
-        float32 slack of ``_best_in_groups``, get their exact float64
-        fidelities, one character-matrix product; a chunk with at most _TILE
-        entries of sums in all (n <= 3 qubits and n <= 2 qutrits, a few
-        targets) takes every group's sums at once.  Exact ties keep the
-        lowest j; fidelities equal only up to rounding are ranked by their
-        last bits, so any of them may win.
+        float32 slack of ``_best_in_groups``, are kept; a chunk with at most
+        _TILE entries of sums in all (n <= 3 qubits and n <= 2 qutrits, a
+        few targets) takes no bound and keeps every pair.  Every returned
+        fidelity comes from one exact stage, the kept pairs' float64
+        character sums, and one pick: exact ties keep the lowest j;
+        fidelities equal only up to rounding are ranked by their last bits.
 
         Targets go in even chunks of at most _TILE (group, target) pairs,
         but of at least 16 targets where that many groups (over _TILE / 16:

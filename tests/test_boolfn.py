@@ -50,6 +50,27 @@ def test_boolfn_refusals(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: BooleanFunction(0, frozenset()), id="zero"),
+        pytest.param(lambda: BooleanFunction(-1, frozenset()), id="negative"),
+        pytest.param(lambda: parse_anf("1", n=0), id="parse"),
+        pytest.param(lambda: from_truth_table(0, 1), id="table"),
+    ],
+)
+def test_boolean_function_needs_one_variable(call):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        call()
+
+
+def test_anf_string_reads_back():
+    functions = [from_truth_table(3, table) for table in range(256)]
+    functions += [BooleanFunction(n, frozenset()) for n in range(1, 5)]
+    for f in functions:
+        assert parse_anf(anf_string(f), n=f.n) == f
+
+
 def test_truth_table_examples():
     f = parse_anf("x1*x2*x3")
     assert f.truth_table == 1 << 7
@@ -321,6 +342,15 @@ def test_dmin_bound_examples():
     assert abs(dmin_bound_from_chi(g, 4) - (-2 * math.log2(0.75))) < 1e-12
     with pytest.raises(ValueError):
         dmin_bound_from_chi(g, 16)
+
+
+def test_dmin_bound_is_positive_zero_at_chi_zero():
+    for n in range(1, 7):
+        f = BooleanFunction(n, frozenset())
+        assert math.copysign(1.0, dmin_bound_from_chi(f, 0)) == 1.0
+        for chi in range(1, 2 ** (n - 1)):
+            expected = -2.0 * math.log2(1.0 - 2.0 ** (1 - n) * chi)
+            assert dmin_bound_from_chi(f, chi).hex() == expected.hex()
 
 
 def test_welch_function_n3():

@@ -145,6 +145,21 @@ def test_chi_command(capsys):
     assert abs(payload["dmin_bound"] - math.log2(16 / 9)) < 1e-9
 
 
+def test_chi_command_reads_the_zero_function(capsys):
+    code, payload = run_cli(capsys, "chi", "--anf", "0", "--n", "3")
+    assert code == 0
+    assert (payload["chi"], payload["anf"], payload["nearest_quadratic"]) == (0, "0", "0")
+    code, payload = run_cli(capsys, "chi", "--anf", "x1*x2 + x3")
+    assert code == 0
+    assert math.copysign(1.0, payload["dmin_bound"]) == 1.0
+
+
+def test_chi_command_refuses_zero_variables(capsys):
+    code, out = run_cli(capsys, "chi", "--anf", "1", "--n", "0")
+    assert code == 1
+    assert (out["error"], out["message"]) == ("ValueError", "n must be at least 1")
+
+
 def test_lattice_command(capsys, tmp_path):
     code, payload = run_cli(
         capsys,
@@ -438,6 +453,15 @@ def test_haar_command(capsys, tmp_path):
     )
     assert code2 == 0
     assert 0 <= payload2["overlap_ks_pvalue"] <= 1
+
+
+def test_haar_csv_and_overlap_only_are_a_usage_error(capsys, tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["haar", "--n", "2", "--samples", "5", "--overlap-only", "--csv", str(csv_path)])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_haar_overlap_rejects_zero_samples(capsys):
