@@ -79,8 +79,10 @@ class BooleanFunction:
 def from_truth_table(n: int, table: int) -> BooleanFunction:
     """ANF via the Moebius transform of a packed truth table.
 
-    Raises ``ValueError`` if the table has a bit set at or above 2^n.
+    Raises ``ValueError`` if n < 1 or the table has a bit set at or above 2^n.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if table >> (1 << n):
         raise ValueError(f"truth table has bits beyond the 2^{n} inputs")
     tt = table
@@ -124,7 +126,7 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         max_var = max(max_var, max((i + 1 for i in mono), default=0))
     if n is None:
         n = max(max_var, 1)
-    elif n < max_var:
+    elif 0 < n < max_var:  # n < 1 is BooleanFunction's to refuse
         raise ValueError("declared variable count too small for expression")
     return BooleanFunction(n, frozenset(monomials))
 

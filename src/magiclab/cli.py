@@ -136,6 +136,8 @@ def cmd_wigner(args) -> dict:
     n, d, psi = load_state_file(args.state)
     if d != 3:
         raise ValueError("the wigner command needs a qutrit (d=3) state")
+    if args.check:  # from the count, before W or any dictionary is built
+        _check_robustness_size(n, 3)
     W = wigner_function(psi)
     payload = {
         "n": n,
@@ -145,7 +147,6 @@ def cmd_wigner(args) -> dict:
         "mana": mana(W),
     }
     if args.check:
-        _check_robustness_size(n, 3)  # from the count, before any dictionary is built
         ok, m, lr = mana_lr_check(psi, enumerate_stabilizer_states(n, 3))
         payload["mana_lr_check"] = {"pass": bool(ok), "mana": m, "lr": lr}
     if args.csv:

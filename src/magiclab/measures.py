@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .pauli import hermitian_pauli, pauli_to_string
+from .pauli import _digits, hermitian_pauli, pauli_to_string
 from .solvers import (
     BP_GAP_TOL,
     LP_TOL,
@@ -66,10 +66,6 @@ def golden_state() -> np.ndarray:
     )
 
 
-def _is_density_matrix(state: np.ndarray) -> bool:
-    return state.ndim == 2
-
-
 def _checked_state(state, dim: int) -> np.ndarray:
     """The state as a complex vector (dim,) or density matrix (dim, dim), the
     one check of every function that takes a state.  A pure state must have
@@ -79,7 +75,7 @@ def _checked_state(state, dim: int) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape not in ((dim,), (dim, dim)):
         raise ValueError(f"state must have shape ({dim},) or ({dim}, {dim})")
-    if _is_density_matrix(state):
+    if state.ndim == 2:
         if not np.max(np.abs(state - state.conj().T)) <= 1e-10:
             raise ValueError("density matrix must be Hermitian")
         if not abs(np.trace(state) - 1.0) <= 1e-9:
@@ -96,7 +92,7 @@ def _checked_state(state, dim: int) -> np.ndarray:
 def _checked_pure_state(state, dim: int) -> np.ndarray:
     """``_checked_state`` for the functions defined on pure states only."""
     state = _checked_state(state, dim)
-    if _is_density_matrix(state):
+    if state.ndim == 2:
         raise ValueError("a pure state (a vector) is needed, not a density matrix")
     return state
 
@@ -107,17 +103,19 @@ def dmin(state: np.ndarray, dic: StabilizerDictionary) -> tuple[float, int]:
     Reads the Pauli coordinates of the support projector (|psi><psi| for a
     pure state) as ``best_overlaps`` reads a vector's.  Exact ties break
     toward the lowest index; fidelities equal only up to rounding are ranked
-    by their last bits.  The state is checked as ``_checked_state`` describes.
+    by their last bits.  A fidelity rounded above 1 reads as 1, so dmin is
+    never negative (+0.0 at fidelity 1).  The state is checked as
+    ``_checked_state`` describes.
     """
     state = _checked_state(state, dic.d**dic.n)
     support = state[:, None]
-    if _is_density_matrix(state):
+    if state.ndim == 2:
         vals, vecs = np.linalg.eigh(state)
         support = vecs[:, vals > TOLERANCES["support_eigenvalue"]]
     projector = np.sum(support[:, None] * support.conj(), axis=2, keepdims=True)
     coords = _pauli_coordinates(projector, dic.n, dic.d)
     fidelity, best = _best_in_groups(dic.elements, dic.phases, coords, dic.n, dic.d)
-    return -math.log2(float(fidelity[0])), int(best[0])
+    return 0.0 - math.log2(min(float(fidelity[0]), 1.0)), int(best[0])
 
 
 @dataclass
@@ -184,7 +182,7 @@ def _coordinate_labels(n: int, d: int) -> tuple[str, ...]:
     (``_entry_coordinates``)."""
     dim = d**n
     if d == 2:
-        bits = [[v >> k & 1 for k in range(n)] for v in range(dim)]
+        bits = _digits(n, 2)[0]
         return tuple(pauli_to_string(hermitian_pauli(n, x, z)) for x in bits for z in bits)
     diagonal = [f"re[{i},{i}]" for i in range(dim)]
     upper = zip(*np.triu_indices(dim, 1))
@@ -234,7 +232,7 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     """
     _check_robustness_size(dic.n, dic.d)
     state = _checked_state(state, dic.d**dic.n)
-    rho = state if _is_density_matrix(state) else np.outer(state, state.conj())
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
     if dic.d == 2:
         A = _state_coordinates(dic.elements, dic.phases, dic.n)
         b = _pauli_coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
@@ -325,7 +323,7 @@ def magic_report(state: np.ndarray, dic: StabilizerDictionary) -> MagicReport:
     skipped measures are reported as None.
     """
     state = np.asarray(state, dtype=complex)
-    pure = not _is_density_matrix(state)
+    pure = state.ndim == 1
     affordable = dic.size <= SOLVER_DICTIONARY_LIMIT
     dmin_value, best = dmin(state, dic)
     ext = extent(state, dic) if pure and affordable else None

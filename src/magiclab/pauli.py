@@ -59,19 +59,6 @@ class PauliOperator:
         if not 0 <= self.phase < 2 * self.d:
             raise ValueError("phase exponent out of range")
 
-    def _check(self, other: "PauliOperator"):
-        if self.n != other.n or self.d != other.d:
-            raise ValueError("Pauli operators act on different systems")
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        self._check(other)
-        d = self.d
-        cross = sum(a * b for a, b in zip(self.xvec, other.zvec)) % d
-        t = (self.phase + other.phase - 2 * cross) % (2 * d)
-        x = tuple((a + b) % d for a, b in zip(self.xvec, other.xvec))
-        z = tuple((a + b) % d for a, b in zip(self.zvec, other.zvec))
-        return PauliOperator(self.n, d, x, z, t)
-
     def is_identity_vector(self) -> bool:
         return not any(self.xvec) and not any(self.zvec)
 
@@ -150,28 +137,21 @@ def pauli_to_string(P: PauliOperator) -> str:
     return (f"w{k}" if k else "") + body
 
 
-def pauli_from_string(text: str, d: int = 2) -> PauliOperator:
+def pauli_from_string(text: str) -> PauliOperator:
+    """Qubit Pauli string such as "+XIZ" or "-iYY", the form ``pauli_to_string``
+    writes for qubits: a prefix +, -, i, +i or -i (none is +), then one of
+    I, X, Y, Z per site, site 1 leftmost.  Spaces are ignored."""
     text = text.replace(" ", "")
-    if d == 2:
-        m = re.fullmatch(r"([+-]?i?)([IXYZ]+)", text)
-        if not m:
-            raise ValueError(f"malformed qubit Pauli string: {text!r}")
-        pre, body = m.groups()
-        offset = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[pre]
-        sites = [_QUBIT_LETTER[ch] for ch in body]
-        x = tuple(s[0] for s in sites)
-        z = tuple(s[1] for s in sites)
-        base = (-sum(a * b for a, b in zip(x, z))) % 4
-        return PauliOperator(len(sites), 2, x, z, (base + offset) % 4)
-    m = re.fullmatch(r"(?:w(\d))?((?:X\dZ\d)+)", text)
+    m = re.fullmatch(r"([+-]?i?)([IXYZ]+)", text)
     if not m:
-        raise ValueError(f"malformed qutrit Pauli string: {text!r}")
-    k = int(m.group(1) or 0) % 3
-    sites = re.findall(r"X(\d)Z(\d)", m.group(2))
-    x = tuple(int(a) % 3 for a, _ in sites)
-    z = tuple(int(b) % 3 for _, b in sites)
-    t = (2 * k - 2 * sum(a * b for a, b in zip(x, z))) % 6
-    return PauliOperator(len(sites), 3, x, z, t)
+        raise ValueError(f"malformed qubit Pauli string: {text!r}")
+    pre, body = m.groups()
+    offset = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[pre]
+    sites = [_QUBIT_LETTER[ch] for ch in body]
+    x = tuple(s[0] for s in sites)
+    z = tuple(s[1] for s in sites)
+    base = (-sum(a * b for a, b in zip(x, z))) % 4
+    return PauliOperator(len(sites), 2, x, z, (base + offset) % 4)
 
 
 # --- stabilizer tableaux -----------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import TOLERANCES, _checked_state, free_robustness
+from .pauli import _digits
 from .stabdict import StabilizerDictionary, _check_size, _pauli_coordinates, _tables
 
 D = 3
@@ -74,8 +75,8 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     _, _, dot, char, _ = _tables(n, D)
     c[dot % 2 == 1] *= -1
     w = char @ c @ char.conj() / D ** (2 * n)  # w[a1, a2]
-    digits = (np.arange(dim)[:, None] // D ** np.arange(n)) % D
-    spread = digits @ (D * D) ** np.arange(n)  # a's base-3 digits read in base 9
+    digits, place = _digits(n, D)
+    spread = digits @ place**2  # a's base-3 digits read in base 9
     values = np.empty(dim * dim, dtype=complex)
     values[spread[:, None] + D * spread] = w
     if not np.abs(values.imag).max() <= 1e-10:
@@ -96,13 +97,13 @@ def mana(W: WignerFunction) -> float:
 def mana_lr_check(
     state: np.ndarray, dic: StabilizerDictionary
 ) -> tuple[bool, float, float]:
-    """Mana sits strictly below LR + 1."""
+    """Mana sits strictly below LR + 1.  The robustness LP runs first, so a
+    dictionary past its size limit is refused before the transform."""
     if dic.d != D:
         raise ValueError("check needs a qutrit dictionary")
-    W = wigner_function(state)
-    m = mana(W)
-    rob = free_robustness(state, dic)
-    return m < rob.lr + 1.0 + TOLERANCES["chain"], m, rob.lr
+    lr = free_robustness(state, dic).lr
+    m = mana(wigner_function(state))
+    return m < lr + 1.0 + TOLERANCES["chain"], m, lr
 
 
 def wigner_csv(W: WignerFunction) -> str:

@@ -57,6 +57,8 @@ def test_boolfn_refusals(call, message):
         pytest.param(lambda: BooleanFunction(-1, frozenset()), id="negative"),
         pytest.param(lambda: parse_anf("1", n=0), id="parse"),
         pytest.param(lambda: from_truth_table(0, 1), id="table"),
+        pytest.param(lambda: parse_anf("1", n=-1), id="parse-negative"),
+        pytest.param(lambda: from_truth_table(-1, 0), id="table-negative"),
     ],
 )
 def test_boolean_function_needs_one_variable(call):

@@ -138,6 +138,23 @@ def test_measures_command(capsys, tmp_path, golden_file):
     assert payload["version"] == payload["tool_version"]
 
 
+def test_dmin_is_positive_zero_on_stabilizer_states(capsys, tmp_path):
+    # with amplitudes 0.5**0.5 the Bell state's best fidelity rounds to
+    # 1 + 2^-52, and |00> of two qutrits has fidelity 1: neither reports
+    # negative magic, nor -0.0
+    bell, zero = tmp_path / "bell.json", tmp_path / "qutrit00.json"
+    dump_state_file(str(bell), 2, 2, np.array([1, 0, 0, 1]) * 0.5**0.5)
+    dump_state_file(str(zero), 2, 3, np.eye(9, 1, dtype=complex).ravel())
+    for argv in (
+        ["measures", "--state", str(bell)],
+        ["mbqc", "--state", str(bell), "--layout", "XX,ZZ"],
+        ["measures", "--state", str(zero)],
+    ):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 0
+        assert payload["dmin"] == 0.0 and math.copysign(1, payload["dmin"]) == 1, argv
+
+
 def test_chi_command(capsys):
     code, payload = run_cli(capsys, "chi", "--anf", "x1*x2*x3")
     assert code == 0
@@ -358,16 +375,22 @@ def test_wigner_command_on_four_qutrits(capsys, monkeypatch, tmp_path):
     assert abs(payload["mana"] - 4 * math.log2(5 / 3)) < 1e-12
     assert "mana_lr_check" not in payload
     # the robustness LP would need 81^2 x 7,439,040 column entries, past its
-    # cap: --check is the error body, refused from the count before the
-    # dictionary is built
+    # cap: --check is the error body, refused from the count before W or the
+    # dictionary is built or any file is written
     def no_build(n, d):
         raise AssertionError(f"the n={n}, d={d} dictionary was built")
 
+    def no_transform(psi):
+        raise AssertionError("the Wigner function was computed")
+
     monkeypatch.setattr(cli, "enumerate_stabilizer_states", no_build)
-    code, out = run_cli(capsys, "wigner", "--state", str(path), "--check")
+    monkeypatch.setattr(cli, "wigner_function", no_transform)
+    csv_path = tmp_path / "w.csv"
+    code, out = run_cli(capsys, "wigner", "--state", str(path), "--check", "--csv", str(csv_path))
     assert code == 1
     assert out["error"] == "ResourceLimitError"
     assert out["message"] == "robustness columns for n=4, d=3 exceed 2^24 entries"
+    assert not csv_path.exists()
 
 
 def test_mbqc_command(capsys, tmp_path):

@@ -79,6 +79,19 @@ def test_lp_lexicographic_ties_within_tolerance():
     assert pivots <= 10
 
 
+def test_lp_lexicographic_rule_is_relative_to_the_start_basis():
+    # a degenerate tie from the non-identity start B0 = A[:, [1, 0, 3]]:
+    # ranking the tied rows of B^{-1} B0 takes one pivot to [1, 0, 2], while
+    # ranking the rows of B^{-1} alone takes two pivots to [2, 5, 3]
+    A = np.array(
+        [[2, -1, 2, 1, 0, 2], [-1, 2, -1, 0, 2, 1], [1, 0, 0, -2, -1, 2]], dtype=float
+    )
+    sol = solve_lp(A, [2, -1, 0], basis=[1, 0, 3])
+    assert sol.iterations == 1
+    assert sol.basis.tolist() == [1, 0, 2]
+    assert abs(sol.objective - 1.0) < 1e-12
+
+
 def test_lex_least_filters_column_by_column():
     # reference: keep the rows within a relative 1e-10 of each column's least
     # entry among the rows still tied, one column at a time

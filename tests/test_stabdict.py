@@ -269,19 +269,19 @@ def test_n5_batch_matches_single_targets(dict2_5):
 
 def _group_expectations(dic, V):
     """<v|g|v> for every element g of every run's stabilizer group, (runs,
-    d^n, targets), from PauliOperator products of the run's first tableau:
-    a path independent of stabdict._group_tables."""
+    d^n, targets), applying the powers of the run's first tableau's
+    generators to V one at a time: a path independent of
+    stabdict._group_tables."""
     dim = dic.d**dic.n
     out = np.empty((dic.size // dim, dim, V.shape[1]), dtype=complex)
-    identity = PauliOperator(dic.n, dic.d, (0,) * dic.n, (0,) * dic.n, 0)
     for b in range(len(out)):
         gens = dic.tableau(b * dim).generators
         for c, powers in enumerate(itertools.product(range(dic.d), repeat=dic.n)):
-            g = identity
+            gV = V
             for gen, p in zip(gens, powers):
                 for _ in range(p):
-                    g = g * gen
-            out[b, c] = np.sum(V.conj() * g.apply(V), axis=0)
+                    gV = gen.apply(gV)
+            out[b, c] = np.sum(V.conj() * gV, axis=0)
     return out
 
 

@@ -207,7 +207,7 @@ def test_negativity_below_robustness(dict3_1):
         assert neg <= free_robustness(psi, dict3_1).r + TOLERANCES["chain"]
 
 
-def test_mana_lr_check(dict2_1, dict3_1, dict3_2):
+def test_mana_lr_check(monkeypatch, dict2_1, dict3_1, dict3_2, dict3_3):
     rng = np.random.default_rng(3)
     for _ in range(4):
         ok, m, lr = mana_lr_check(random_state(3, rng), dict3_1)
@@ -219,6 +219,14 @@ def test_mana_lr_check(dict2_1, dict3_1, dict3_2):
     assert ok and m < 1e-10 and lr < 1e-9
     with pytest.raises(ValueError, match="needs a qutrit dictionary"):
         mana_lr_check(dict3_1.state(4), dict2_1)
+    # the robustness LP of three qutrits is past its cap, and it is refused
+    # before W is computed
+    def no_transform(state):
+        raise AssertionError("the Wigner function was computed")
+
+    monkeypatch.setattr(magiclab.wigner, "wigner_function", no_transform)
+    with pytest.raises(ResourceLimitError, match="robustness columns for n=3, d=3"):
+        mana_lr_check(dict3_3.state(0), dict3_3)
 
 
 def test_wigner_csv_shape():
