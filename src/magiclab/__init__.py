@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .binlin import IRREDUCIBLE_POLY, gf2_rank
+from .binlin import IRREDUCIBLE_POLY
 from .boolfn import (
     BooleanFunction,
     anf_string,

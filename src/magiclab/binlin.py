@@ -1,5 +1,9 @@
 """GF(2) linear algebra, prime-field (GF(p)) row reduction, and GF(2^m) log tables.
 
+One function per job, each with a library caller: ``gf2_row_rank`` (lattice),
+``gfp_rref_stack`` (the enumerator, and mbqc's independence check, by its
+pivot count) and ``field_log_tables`` (Welch).
+
 Bit convention used across the package: variable/site k (1-indexed in text
 formats) lives on bit k-1, least significant bit first.  This applies to
 packed truth tables, basis-state indices, and packed bit rows alike.
@@ -48,22 +52,7 @@ def gf2_row_rank(rows) -> int:
     return len(pivots)
 
 
-def gf2_rank(M) -> int:
-    """Rank over GF(2) of a 0/1 matrix (entries taken mod 2)."""
-    arr = np.asarray(M, dtype=np.uint8) % 2
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    return gf2_row_rank(int.from_bytes(r.tobytes(), "little") for r in packed)
-
-
-# --- dense row reduction over a prime field, used by stabilizer enumeration ---
-
-def gfp_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p).  Returns (rref, pivot columns)."""
-    rref, pivots = gfp_rref_stack(np.asarray(mat)[None], p)
-    return rref[0], np.flatnonzero(pivots[0]).tolist()
-
+# --- dense row reduction over a prime field ---------------------------------
 
 def gfp_rref_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms over GF(p) of a (count, m, n) stack of

@@ -89,7 +89,6 @@ def from_truth_table(n: int, table: int) -> BooleanFunction:
     for i in range(n):
         lo = ~variable_mask(n, i)
         tt ^= (tt & lo) << (1 << i)
-    tt &= (1 << (1 << n)) - 1
     monomials = set()
     while tt:
         m = (tt & -tt).bit_length() - 1

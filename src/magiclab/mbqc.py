@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binlin import gf2_rank
+from .binlin import gfp_rref_stack
 from .measures import _checked_pure_state
-from .pauli import PauliOperator, _commuting, is_hermitian_involution
-from .stabdict import _check_size
+from .pauli import PauliOperator, _check_size, _commuting, is_hermitian_involution
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,8 @@ class MeasurementLayout:
                 raise ValueError("observables must be Hermitian involutions")
             if P.is_identity_vector():
                 raise ValueError("identity is not a valid observable")
-        M = np.array(
-            [list(P.xvec) + list(P.zvec) for P in self.observables], dtype=np.int64
-        )
-        if gf2_rank(M) != k:
+        M = np.array([P.xvec + P.zvec for P in self.observables])
+        if gfp_rref_stack(M[None], 2)[1].sum() != k:
             raise ValueError("observables must be independent as a group")
 
     @property

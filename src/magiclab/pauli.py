@@ -31,6 +31,21 @@ _ZETA = {
 }
 
 
+MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operation allocates
+
+
+class ResourceLimitError(ValueError):
+    """An unsupported local dimension, or an array over MAX_ENTRIES entries."""
+
+
+def _check_size(n: int, entries, message: str) -> None:
+    """Raise ResourceLimitError(message) unless entries(), the size of an array
+    over n sites (at least 2^n), is at most MAX_ENTRIES; n is tested first, so
+    entries() is formed only at n <= 24."""
+    if not (n < MAX_ENTRIES.bit_length() and entries() <= MAX_ENTRIES):
+        raise ResourceLimitError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def _digits(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (d^n, n) little-endian digits of every basis index, and the place
@@ -63,8 +78,11 @@ class PauliOperator:
         return not any(self.xvec) and not any(self.zvec)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Dense action P @ psi; psi may be a vector or a matrix of columns."""
+        """Dense action P @ psi; psi may be a vector or a matrix of columns.
+        The digit table of ``_digits`` holds n d^n entries, at most
+        MAX_ENTRIES: qubits n <= 19, qutrits n <= 12."""
         d, n = self.d, self.n
+        _check_size(n, lambda: n * d**n, f"digit table of n={n}, d={d} exceeds 2^24 entries")
         dim = d**n
         if psi.shape[0] != dim:
             raise ValueError("state dimension mismatch")
@@ -192,13 +210,15 @@ def tableau_to_state(tab: StabilizerTableau) -> np.ndarray:
     Built as the product of the generators' projectors (1/d) sum_{k<d} g^k,
     which is |psi><psi| for an independent set whose group holds no scalar
     but I (Gottesman, quant-ph/9705052).  The projector is dense, d^n x d^n
-    (32 x 32 at n = 5, 64 x 64 at n = 6).  The global phase makes the first
-    nonzero amplitude real positive.  Raises InconsistentTableauError when
-    the generated group contains a nontrivial scalar (no common eigenstate
-    exists) or the generators are dependent.  The eigenvalue equation of
-    every generator is checked on the result.
+    (32 x 32 at n = 5, 64 x 64 at n = 6), and its d^2n entries are at most
+    MAX_ENTRIES: qubits n <= 12, qutrits n <= 7.  The global phase makes the
+    first nonzero amplitude real positive.  Raises InconsistentTableauError
+    when the generated group contains a nontrivial scalar (no common
+    eigenstate exists) or the generators are dependent.  The eigenvalue
+    equation of every generator is checked on the result.
     """
     n, d = tab.n, tab.d
+    _check_size(n, lambda: d ** (2 * n), f"projector of n={n}, d={d} exceeds 2^24 entries")
     for g in tab.generators:
         # g^d is the scalar zeta^(d t - d(d-1) x.z)
         xz = sum(a * b for a, b in zip(g.xvec, g.zvec))

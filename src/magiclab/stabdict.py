@@ -28,7 +28,7 @@ pauli.tableau_to_state builds the same vectors by a second path, the
 product of the generators' projectors, with no elimination.  The tables
 take well under a second at every supported size, so dictionaries are
 rebuilt on demand rather than stored.  One cap, MAX_ENTRIES, bounds each
-array that an operation allocates; ``_check_size`` tests it before allocating.
+array that an operation allocates; pauli's ``_check_size`` tests it first.
 
 Best overlaps go group by group: a target's fidelities over a group are a
 character sum of its Pauli expectations on the group's elements, so
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binlin import gfp_rref_stack
-from .pauli import _ZETA, PauliOperator, StabilizerTableau, _digits, _rephased
+from .pauli import _ZETA, MAX_ENTRIES, PauliOperator, ResourceLimitError, StabilizerTableau
+from .pauli import _check_size, _digits, _rephased
 
-MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operation allocates
 # most states in one read, and a table batch holds 8x as many entries (one
 # group always fits): reads of more states, and batches of fewer entries, ran
 # slower at n = 4 and 5
@@ -58,18 +58,6 @@ _BLOCK_STATES = 1024
 # most entries in one working array of best_overlaps, but for the float32
 # sums of a 16-target chunk, which hold 16 per group
 _TILE = 1 << 17
-
-
-class ResourceLimitError(ValueError):
-    """An unsupported local dimension, or an array over MAX_ENTRIES entries."""
-
-
-def _check_size(n: int, entries, message: str) -> None:
-    """Raise ResourceLimitError(message) unless entries(), the size of an array
-    over n sites (at least 2^n), is at most MAX_ENTRIES; n is tested first, so
-    entries() is formed only at n <= 24."""
-    if not (n < MAX_ENTRIES.bit_length() and entries() <= MAX_ENTRIES):
-        raise ResourceLimitError(message)
 
 
 def count_stabilizer_states(n: int, d: int = 2) -> int:
@@ -205,12 +193,14 @@ def _read_states(elements, phases, n: int, d: int) -> np.ndarray:
     return psi
 
 
-def _iter_blocks(n: int, d: int):
-    """Yield (elements, phases, psi): each batch of ``_iter_tables`` cut into
-    runs of at most max(1, _BLOCK_STATES / d^n) groups, and their states,
-    read off their tables by ``_read_states``."""
+def _iter_blocks(batches, n: int, d: int):
+    """Yield (elements, phases, psi): each (elements, phases) batch of group
+    tables (see ``_group_tables``), those of ``_iter_tables`` or a
+    dictionary's stored ones, cut into runs of at most max(1, _BLOCK_STATES /
+    d^n) groups, and their states, read off their tables by ``_read_states``.
+    The one place that cuts tables into runs."""
     run = max(1, _BLOCK_STATES // d**n)
-    for elements, phases in _iter_tables(n, d):
+    for elements, phases in batches:
         for g in range(0, len(elements), run):
             block = slice(g, g + run)
             yield elements[block], phases[block], _read_states(elements[block], phases[block], n, d)
@@ -228,32 +218,28 @@ def _tableaux(elements, phases, n: int, d: int, columns):
     in d.
 
     The columns share their X and Z rows, so every check runs once per
-    call, not once per column: each (generator, phase) PauliOperator is
-    built by its checked constructor the first time a column needs it and
-    reused after, and the first column's tableau is checked while the
-    others are ``_rephased`` from it."""
+    call, not once per column: each generator's d phased PauliOperators are
+    built by their checked constructor once, up front, and the first
+    column's tableau is checked while the others are ``_rephased`` from it."""
     dim = d**n
     steps = d ** np.arange(n)
     x, z = (code[:, None] // steps % d for code in divmod(elements[steps], dim))
     t = (phases[steps] - (x * z).sum(axis=1)) % (2 * d)
-    xs, zs, ts = x.tolist(), z.tolist(), t.tolist()
+    xs, zs, ts = [*map(tuple, x.tolist())], [*map(tuple, z.tolist())], t.tolist()
     k = sum(map(any, xs))
-    order = [*range(k), *range(n - 1, k - 1, -1)]
-    rows = [(tuple(xs[i]), tuple(zs[i]), ts[i], d**i) for i in order]
-    built = [[None] * d for _ in rows]  # each generator at each of its d phases
+    # per generator, canonical order: its place value in j, its operator at each digit v
+    phased = [
+        (d**i, [PauliOperator(n, d, xs[i], zs[i], (ts[i] + 2 * v) % (2 * d)) for v in range(d)])
+        for i in [*range(k), *range(n - 1, k - 1, -1)]
+    ]
     first = None
     for j in columns:
-        gens = []
-        for (x, z, t, s), ops in zip(rows, built):
-            digit = j // s % d
-            if ops[digit] is None:
-                ops[digit] = PauliOperator(n, d, x, z, (t + 2 * digit) % (2 * d))
-            gens.append(ops[digit])
+        gens = tuple(ops[j // s % d] for s, ops in phased)
         if first is None:
-            first = StabilizerTableau(n, d, tuple(gens))
+            first = StabilizerTableau(n, d, gens)
             yield first
         else:
-            yield _rephased(first, tuple(gens))
+            yield _rephased(first, gens)
 
 
 def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
@@ -447,17 +433,15 @@ class StabilizerDictionary:
     @functools.cached_property
     def states(self) -> np.ndarray:
         """(d^n, N) complex128, columns normalized: every state, read off the
-        tables on first use and kept, read-only; N d^n must be within
-        MAX_ENTRIES (qubits n <= 4, qutrits n <= 3)."""
+        tables on first use by ``_iter_blocks`` and kept, read-only; N d^n
+        must be within MAX_ENTRIES (qubits n <= 4, qutrits n <= 3)."""
         message = f"dense states of n={self.n}, d={self.d} exceed 2^24 amplitudes"
         _check_size(self.n, lambda: self.size * self.d**self.n, message)
-        dim = self.d**self.n
-        run = max(1, _BLOCK_STATES // dim)
-        states = np.empty((dim, self.size), dtype=complex)
-        for g in range(0, len(self.elements), run):
-            block = slice(g, g + run)
-            psi = _read_states(self.elements[block], self.phases[block], self.n, self.d)
-            states[:, g * dim : g * dim + len(psi)] = psi.T
+        states = np.empty((self.d**self.n, self.size), dtype=complex)
+        col = 0
+        for _, _, psi in _iter_blocks([(self.elements, self.phases)], self.n, self.d):
+            states[:, col : col + len(psi)] = psi.T
+            col += len(psi)
         states.flags.writeable = False
         return states
 
@@ -533,7 +517,7 @@ def iter_stabilizer_states(n: int, d: int = 2):
     dim = d**n
     return (
         pair
-        for elements, phases, psi in _iter_blocks(n, d)
+        for elements, phases, psi in _iter_blocks(_iter_tables(n, d), n, d)
         for row, phase_row, phis in zip(elements, phases, psi.reshape(-1, dim, dim))
         for pair in zip(_tableaux(row, phase_row, n, d, range(dim)), phis)
     )

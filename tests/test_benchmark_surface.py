@@ -107,6 +107,7 @@ def test_traced_targets_missing_from_the_package_are_the_known_ones():
         "solve_basis_pursuit",
         "get_dictionary",
         "load_dictionary",
+        "gfp_rref",
         "gfp_solve",
         "gfp_nullspace",
         "gfp_rank",

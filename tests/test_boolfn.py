@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magiclab.binlin import gfp_rref
+from magiclab.binlin import gfp_rref_stack
 from magiclab.boolfn import (
     BooleanFunction,
     anf_string,
@@ -87,6 +87,16 @@ def test_moebius_round_trip(n, seed):
     tt = np.random.default_rng(seed).integers(0, 1 << (1 << n))
     f = from_truth_table(n, int(tt))
     assert f.truth_table == int(tt)
+
+
+def test_moebius_round_trip_every_small_table():
+    # every table at n <= 3 and 4,096 seeded ones at n = 4: the Moebius steps
+    # set no bit at or above 2^n, so the ANF reads back to the same table
+    rng = np.random.default_rng(7)
+    cases = [(n, t) for n in (1, 2, 3) for t in range(1 << (1 << n))]
+    cases += [(4, int(t)) for t in rng.integers(0, 1 << 16, size=4096)]
+    for n, t in cases:
+        assert from_truth_table(n, t).truth_table == t
 
 
 def test_hex_dump_round_trip():
@@ -238,7 +248,7 @@ def test_nonquadraticity_affine_invariance():
         f = from_truth_table(n, _random_table(n, rng))
         while True:
             A = rng.integers(0, 2, size=(n, n))
-            if len(gfp_rref(A, 2)[1]) == n:
+            if gfp_rref_stack(A[None], 2)[1].sum() == n:
                 break
         b = rng.integers(0, 2, size=n)
         g = _compose_affine(f, A, b)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from magiclab.binlin import gf2_rank
+from magiclab.binlin import gfp_rref_stack
 from magiclab.boolfn import BooleanFunction, hypergraph_state, nonquadraticity, parse_anf
 from magiclab.lattice import (
     TRIANGULAR_BOUND_PER_QUBIT,
@@ -257,7 +257,8 @@ def test_h_invariants_on_paths_and_cycles():
 
 def test_h_invariants_match_dense_rank_on_random_graphs():
     # a second path to the packed rows: the dense adjacency matrix over all
-    # vertices, isolated ones included, through gf2_rank
+    # vertices, isolated ones included, eliminated by gfp_rref_stack, not by
+    # the packed-row gf2_row_rank that quadratic_h_invariants uses
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.integers(1, 11))
@@ -267,7 +268,8 @@ def test_h_invariants_match_dense_rank_on_random_graphs():
         monomials |= {frozenset({i}) for i in range(n) if rng.random() < 0.2}
         v = len(frozenset().union(*monomials))
         q = BooleanFunction(n, monomials)
-        assert quadratic_h_invariants(q) == (gf2_rank(adjacency) // 2, v // 2)
+        rank = int(gfp_rref_stack(adjacency[None], 2)[1].sum())
+        assert quadratic_h_invariants(q) == (rank // 2, v // 2)
 
 
 def test_verify_detects_broken_decompositions():

@@ -39,6 +39,10 @@ def test_layout_validation():
     [
         pytest.param(lambda: MeasurementLayout(2, ()), "between 1 and n", id="no-observables"),
         pytest.param(lambda: layout_of(1, "Z", "X"), "between 1 and n", id="past-n"),
+        # commuting Hermitian involutions that only the GF(2) rank refuses: YY = -XX ZZ
+        pytest.param(
+            lambda: layout_of(3, "XXI", "ZZI", "YYI"), "independent as a group", id="dependent-yy"
+        ),
         pytest.param(
             lambda: OutcomeDistribution(layout_of(1, "Z"), np.array([0.5, 0.4])),
             "sum to 0.9",

@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import magiclab
+from magiclab import pauli, stabdict
 from magiclab.binlin import field_log_tables
 from magiclab.pauli import (
     InconsistentTableauError,
     PauliOperator,
+    ResourceLimitError,
     StabilizerTableau,
     _commuting,
     hermitian_pauli,
@@ -281,3 +284,41 @@ def test_apply_matches_dense():
         P = PauliOperator(n, d, x, z, int(rng.integers(0, 2 * d)))
         v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
         assert np.allclose(P.apply(v), P.dense() @ v, atol=1e-12)
+
+
+class _Allocated(Exception):
+    """Raised by a patched allocation: the call got past its size check."""
+
+
+def _z_tableau(n, d):
+    """The tableau of Z on each site: its state is |0...0>."""
+    sites = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return StabilizerTableau(n, d, tuple(PauliOperator(n, d, (0,) * n, z, 0) for z in sites))
+
+
+def test_dense_pauli_arrays_follow_the_entry_cap(monkeypatch):
+    # tableau_to_state's projector holds d^2n entries and apply's digit table
+    # n d^n, each at most MAX_ENTRIES = 2^24: the largest n that fits reaches
+    # the allocation, patched to raise, and the next is refused before it
+    assert stabdict.MAX_ENTRIES == pauli.MAX_ENTRIES == 2**24
+    assert stabdict.ResourceLimitError is magiclab.ResourceLimitError is ResourceLimitError
+
+    def allocate(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(np, "eye", allocate)
+    monkeypatch.setattr(pauli, "_digits", allocate)
+    for d, fits in ((2, 12), (3, 7)):
+        with pytest.raises(_Allocated):
+            tableau_to_state(_z_tableau(fits, d))
+        message = rf"^projector of n={fits + 1}, d={d} exceeds 2\^24 entries$"
+        with pytest.raises(ResourceLimitError, match=message):
+            tableau_to_state(_z_tableau(fits + 1, d))
+    for d, fits in ((2, 19), (3, 12)):
+        # each state is a read-only view of one zero: it allocates nothing
+        fit, over = (PauliOperator(n, d, (0,) * n, (0,) * n, 0) for n in (fits, fits + 1))
+        with pytest.raises(_Allocated):
+            fit.apply(np.broadcast_to(0j, (d**fits,)))
+        message = rf"^digit table of n={fits + 1}, d={d} exceeds 2\^24 entries$"
+        with pytest.raises(ResourceLimitError, match=message):
+            over.apply(np.broadcast_to(0j, (d ** (fits + 1),)))

@@ -14,6 +14,7 @@ from magiclab.stabdict import (
     ResourceLimitError,
     StabilizerDictionary,
     _iter_blocks,
+    _iter_tables,
     count_stabilizer_states,
     enumerate_stabilizer_states,
     iter_stabilizer_states,
@@ -136,7 +137,7 @@ def test_blocks_cover(n, d):
     # tableaux, decoded from the table rows
     dim = d**n
     total = 0
-    for elements, phases, psi in _iter_blocks(n, d):
+    for elements, phases, psi in _iter_blocks(_iter_tables(n, d), n, d):
         size, groups = len(psi), len(elements)
         assert 0 < size <= _BLOCK_STATES and size == dim * groups
         assert elements.shape == phases.shape == (groups, dim)
@@ -363,7 +364,7 @@ def test_n5_best_overlaps_match_the_dense_stream(dict2_5):
     # and its overlaps taken densely; ties keep the lowest index
     V = haar_state_batch(32, 4, seed=55)
     best, arg, offset = np.zeros(4), np.zeros(4, dtype=np.int64), 0
-    for _, _, psi in _iter_blocks(5, 2):
+    for _, _, psi in _iter_blocks(_iter_tables(5, 2), 5, 2):
         f = np.abs(psi.conj() @ V) ** 2
         j = f.argmax(axis=0)
         better = f[j, np.arange(4)] > best
@@ -478,10 +479,13 @@ def _digest(gen_x, gen_z, gen_t, states):
         ("dict2_3", "f9d9af97ab86be462fa7abaf224ac20534e7cee3660548414e09feaf72d66c93"),
         ("dict3_2", "feab6d3adea0abcbffa1e9ad739e7514180ee3a1d2cd9b7253262d65bc518d6b"),
         ("dict2_4", "a04171a57d2eee2eee2ec46f0d5d3bb67a23be19b81f76fa31b1b2b5d6c596cf"),
+        ("dict3_3", "76a4f7273380e27628d8c5e606fbef93da2664ea98bf0f35d137f895b54039d8"),
     ],
 )
 def test_dictionary_digest(fixture, digest, request):
-    # digests taken from an earlier enumerator's step-by-step phase walk
+    # digests taken from an earlier enumerator's step-by-step phase walk;
+    # that of (3, 3), whose dense read cuts 31 runs of 37 groups across
+    # subspace dimensions, from the reader that cut its own runs in states
     dic = request.getfixturevalue(fixture)
     assert _digest(*_per_state(dic), dic.states) == digest
 
