@@ -255,11 +255,9 @@ def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
     return g
 
 
-def dmin_bound_from_chi(f: BooleanFunction, chi: int | None = None) -> float:
+def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:
     """Upper bound -2*log2(1 - 2^(1-n)*chi(f)) on the min-relative entropy of
     magic of the hypergraph state of f (quadratic states are stabilizer states)."""
-    if chi is None:
-        chi, _ = nonquadraticity(f)
     if chi >= 2 ** (f.n - 1):
         raise ValueError("bound undefined: chi >= 2^(n-1)")
     return 0.0 - 2.0 * math.log2(1.0 - 2.0 ** (1 - f.n) * chi)  # +0.0 at chi = 0

@@ -69,11 +69,13 @@ class OutcomeDistribution:
 
 def outcome_distribution(psi: np.ndarray, layout: MeasurementLayout) -> OutcomeDistribution:
     """Joint outcome probabilities of the layout on the pure state psi,
-    checked as ``measures._checked_pure_state`` describes.  Its 2^k branches
-    write 2^(n+k) amplitudes in all, at most MAX_ENTRIES."""
+    checked as ``measures._checked_pure_state`` describes.  Its 2^(n+k) branch
+    amplitudes and apply's n 2^n digit table are each at most MAX_ENTRIES."""
     n, k = layout.n, layout.k
     message = f"outcome branches of n={n}, k={k} exceed 2^24 amplitudes"
     _check_size(n + k, lambda: 2 ** (n + k), message)
+    message = f"outcome branches of n={n}, k={k} need a digit table over 2^24 entries"
+    _check_size(n, lambda: n * 2**n, message)
     psi = _checked_pure_state(psi, 2**n)
     probs = np.zeros(2**k)
 

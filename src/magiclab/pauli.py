@@ -96,8 +96,10 @@ class PauliOperator:
         return factors * psi[src]
 
     def dense(self) -> np.ndarray:
-        dim = self.d**self.n
-        return np.column_stack([self.apply(e) for e in np.eye(dim, dtype=complex)])
+        """The d^n x d^n matrix; its d^2n entries cap n at 12 qubits, 7 qutrits."""
+        d, n = self.d, self.n
+        _check_size(n, lambda: d ** (2 * n), f"matrix of n={n}, d={d} exceeds 2^24 entries")
+        return self.apply(np.eye(d**n, dtype=complex))
 
 
 def hermitian_pauli(n: int, xvec, zvec) -> PauliOperator:

@@ -258,7 +258,8 @@ def _build_tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     digits, place = _digits(n, d)
     weight = digits @ digits.T
     tables = (
-        ((digits[:, None] + digits) % d) @ place,
+        # one digit at a time: a (d^n, d^n, n) sum of digits would hold n times the table
+        sum((digits[:, i, None] + digits[:, i]) % d * place[i] for i in range(n)),
         (-digits % d) @ place,
         weight,
         _ZETA[d][2 * weight % (2 * d)],

@@ -4,16 +4,17 @@ Phase space is (Z_3 x Z_3)^n.  A point is a tuple (a1_1, a2_1, ..., a1_n,
 a2_n) of Z and X exponents per site; its flat index is
 sum_s (a1_s + 3 a2_s) * 9^s (site 1 least significant).
 
-W is the symplectic Fourier transform of the Weyl expectations
-c[x, z] = Tr(rho P_xz), P_xz = zeta^(-x.z) Z^z X^x, which
-``stabdict._pauli_coordinates`` reads from rho's entries rho[u - x, u]:
+W is one Fourier transform of rho's entries along its anti-diagonals
+(Gross, quant-ph/0602001):
 
-    W(a1, a2) = 9^-n sum_{x,z} omega^(a1.x - a2.z) (-1)^(x.z) c[x, z],
+    W(a1, a2) = 3^-n sum_x omega^(a1.x) rho[a2 + x, a2 - x],
 
-with x.z over the integers and a1, a2, x, z read as little-endian integers
-in base 3.  That is two 3^n x 3^n products with the character table, after
-which W(a1, a2) goes to flat index spread(a1) + 3 spread(a2), where
-spread(a) reads a's base-3 digits in base 9.  It equals Tr(A_u rho) / 3^n for the point operators of
+with a1, a2 and x read as little-endian integers in base 3 and vector
+arithmetic mod 3.  That is one gather of rho and one 3^n x 3^n product with
+the character table, after which W(a1, a2) goes to flat index
+spread(a1) + 3 spread(a2), where spread(a) reads a's base-3 digits in base
+9.  W is real: for Hermitian rho the terms of x and -x are complex
+conjugates.  It equals Tr(A_u rho) / 3^n for the point operators of
 the displacement operators T_u with the half-power phase convention
 (inverse of 2 mod 3): A_0 averages all T_u and A_u = T_u A_0 T_u^{-1}.  The
 map is a bijection onto normalized real functions, pure stabilizer states
@@ -30,7 +31,7 @@ import numpy as np
 
 from .measures import TOLERANCES, _checked_state, free_robustness
 from .pauli import _digits
-from .stabdict import StabilizerDictionary, _check_size, _pauli_coordinates, _tables
+from .stabdict import StabilizerDictionary, _check_size, _tables
 
 D = 3
 
@@ -54,10 +55,8 @@ class WignerFunction:
 
 
 def wigner_function(rho: np.ndarray) -> WignerFunction:
-    """W of a state vector or density matrix, by the transform in the module
-    docstring, with the Weyl expectations read from rho's entries (a vector
-    v is rho = |v><v|).  The state is checked as
-    ``measures._checked_state`` describes."""
+    """W of a state vector v (rho = |v><v|) or a density matrix rho, checked
+    as ``measures._checked_state`` describes."""
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0] if rho.ndim else 1
     if dim < D:
@@ -69,19 +68,16 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     rho = _checked_state(rho, dim)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    c = _pauli_coordinates(rho[:, :, None], n, D).reshape(dim, dim)  # c[x, z]
-    # after c, so that beyond four qutrits, where each call builds the
-    # tables, the two builds are never held at once
-    _, _, dot, char, _ = _tables(n, D)
-    c[dot % 2 == 1] *= -1
-    w = char @ c @ char.conj() / D ** (2 * n)  # w[a1, a2]
+    add, neg, _, char, _ = _tables(n, D)
+    # rho[add, add[neg]][x, a2] = rho[a2 + x, a2 - x]
+    w = char @ rho[add, add[neg]] / D**n  # w[a1, a2]
+    if not np.abs(w.imag).max() <= 1e-10:
+        raise ValueError("Wigner value acquired an imaginary part")
     digits, place = _digits(n, D)
     spread = digits @ place**2  # a's base-3 digits read in base 9
-    values = np.empty(dim * dim, dtype=complex)
-    values[spread[:, None] + D * spread] = w
-    if not np.abs(values.imag).max() <= 1e-10:
-        raise ValueError("Wigner value acquired an imaginary part")
-    return WignerFunction(n, values.real.copy())
+    values = np.empty(dim * dim)
+    values[spread[:, None] + D * spread] = w.real
+    return WignerFunction(n, values)
 
 
 def sum_negativity(W: WignerFunction) -> float:

@@ -346,9 +346,6 @@ def test_dmin_bound_examples():
     f = parse_anf("x1*x2*x3")
     assert dmin_bound_from_chi(f, 0) == 0.0
     assert abs(dmin_bound_from_chi(f, 1) - math.log2(16 / 9)) < 1e-12
-    # chi omitted: the bound computes it by nonquadraticity
-    h = parse_anf("x1*x2*x3 + x2*x4*x5 + x3*x4*x6")
-    assert dmin_bound_from_chi(h) == dmin_bound_from_chi(h, nonquadraticity(h)[0])
     # n=5, chi=4
     g = BooleanFunction(5, frozenset())
     assert abs(dmin_bound_from_chi(g, 4) - (-2 * math.log2(0.75))) < 1e-12

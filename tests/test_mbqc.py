@@ -95,6 +95,12 @@ def test_outcome_branches_follow_the_entry_cap(monkeypatch):
     message = r"^outcome branches of n=13, k=12 exceed 2\^24 amplitudes$"
     with pytest.raises(ResourceLimitError, match=message):
         outcome_distribution(e, layout)
+    # at n = 20 with k = 1 the 2^21 amplitudes fit, but apply's digit table
+    # of 20 * 2^20 entries does not; it too is refused before the state, a
+    # view of one zero that would fail the norm check
+    message = r"^outcome branches of n=20, k=1 need a digit table over 2\^24 entries$"
+    with pytest.raises(ResourceLimitError, match=message):
+        outcome_distribution(np.broadcast_to(0j, (2**20,)), layout_of(20, "Z" + "I" * 19))
 
 
 def test_uniform_distribution_on_plus_layouts():

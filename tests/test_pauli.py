@@ -297,9 +297,10 @@ def _z_tableau(n, d):
 
 
 def test_dense_pauli_arrays_follow_the_entry_cap(monkeypatch):
-    # tableau_to_state's projector holds d^2n entries and apply's digit table
-    # n d^n, each at most MAX_ENTRIES = 2^24: the largest n that fits reaches
-    # the allocation, patched to raise, and the next is refused before it
+    # tableau_to_state's projector and dense()'s matrix hold d^2n entries and
+    # apply's digit table n d^n, each at most MAX_ENTRIES = 2^24: the largest
+    # n that fits reaches the allocation, patched to raise, and the next is
+    # refused before it
     assert stabdict.MAX_ENTRIES == pauli.MAX_ENTRIES == 2**24
     assert stabdict.ResourceLimitError is magiclab.ResourceLimitError is ResourceLimitError
 
@@ -314,6 +315,12 @@ def test_dense_pauli_arrays_follow_the_entry_cap(monkeypatch):
         message = rf"^projector of n={fits + 1}, d={d} exceeds 2\^24 entries$"
         with pytest.raises(ResourceLimitError, match=message):
             tableau_to_state(_z_tableau(fits + 1, d))
+        fit, over = (PauliOperator(n, d, (0,) * n, (0,) * n, 0) for n in (fits, fits + 1))
+        with pytest.raises(_Allocated):
+            fit.dense()
+        message = rf"^matrix of n={fits + 1}, d={d} exceeds 2\^24 entries$"
+        with pytest.raises(ResourceLimitError, match=message):
+            over.dense()
     for d, fits in ((2, 19), (3, 12)):
         # each state is a read-only view of one zero: it allocates nothing
         fit, over = (PauliOperator(n, d, (0,) * n, (0,) * n, 0) for n in (fits, fits + 1))

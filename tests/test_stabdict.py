@@ -583,6 +583,23 @@ def test_four_qutrit_tables():
         assert wigner_function(psi).values.min() > -1e-12
 
 
+def test_six_qutrit_tables_build_without_a_digit_sum_array():
+    # the five tables of six qutrits hold 24 MiB; a (729, 729, 6) array of
+    # digit sums would add 25 MiB to the peak, and the sums table, 4 MiB, is
+    # built one digit at a time instead
+    digits, place = stabdict._digits(6, 3)
+    tracemalloc.start()
+    try:
+        tables = stabdict._build_tables(6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    add = tables[0]
+    assert peak - sum(table.nbytes for table in tables) <= 2 * add.nbytes
+    a, b = np.random.default_rng(6).integers(729, size=(2, 64))
+    assert np.array_equal(add[a, b], (digits[a] + digits[b]) % 3 @ place)
+
+
 def test_qutrit_dictionary_has_nonnegative_wigner(dict3_1):
     for i in range(dict3_1.size):
         W = wigner_function(dict3_1.state(i))

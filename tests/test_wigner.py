@@ -91,14 +91,17 @@ def test_wigner_matches_the_per_point_traces(n):
 
 
 def test_wigner_of_a_four_qutrit_product_is_the_product():
+    # two plus two qutrits, and three plus three: past four qutrits each
+    # call builds its own tables
     rng = np.random.default_rng(24)
-    a, b = random_state(9, rng), random_state(9, rng)
-    W_a, W_b = wigner_function(a).values, wigner_function(b).values
-    # a on sites 1, 2 and b on sites 3, 4: site 1 sits rightmost in kron
-    W = wigner_function(np.kron(b, a)).values
-    assert np.max(np.abs(W - np.outer(W_b, W_a).ravel())) < 1e-14
-    assert abs(np.sum(W) - 1) < 1e-14
-    assert abs(3**4 * np.sum(W**2) - 1) < 1e-14  # purity Tr rho^2 = 3^n sum W^2
+    for m in (2, 3):
+        a, b = random_state(3**m, rng), random_state(3**m, rng)
+        W_a, W_b = wigner_function(a).values, wigner_function(b).values
+        # a on sites 1..m and b on sites m+1..2m: site 1 sits rightmost in kron
+        W = wigner_function(np.kron(b, a)).values
+        assert np.max(np.abs(W - np.outer(W_b, W_a).ravel())) < 1e-14
+        assert abs(np.sum(W) - 1) < 1e-14
+        assert abs(3 ** (2 * m) * np.sum(W**2) - 1) < 1e-14  # purity Tr rho^2 = 3^n sum W^2
 
 
 def test_first_three_qutrit_wigner_stays_small():
