@@ -16,9 +16,10 @@ Measures computed here, all in bits (base-2 logs):
                 |Tr phi A| <= 1 on the dictionary and Tr rho A = 1 + 2s.
                 Both sides of sum_j c_j phi_j = rho are written in one real
                 basis per local dimension: Pauli expectations for qubits,
-                each phi_j's +-1 on its stabilizer group's elements and
-                read off the group tables, and density-matrix entries for
-                qutrits, taken from the dense projectors.
+                each phi_j's +-1 on its stabilizer group's elements, read
+                off the group tables and priced from them, and
+                density-matrix entries for qutrits, taken from the dense
+                projectors.
 
 Every report validates the sandwich dmin <= dmax <= log2(1 + R) within the
 stated tolerance before it is returned.
@@ -45,6 +46,7 @@ from .stabdict import (
     _check_size,
     _pauli_coordinates,
     _state_coordinates,
+    _state_pricer,
     count_stabilizer_states,
 )
 
@@ -213,22 +215,26 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
 
     The columns are the real coordinates of the dictionary's projectors, and
     b those of rho.  For qubits a column is the state's Pauli spectrum,
-    exactly +-1 on its group's elements and 0 elsewhere, read off the group
-    tables by ``_state_coordinates`` on every call; for qutrits it is the
-    entries of the dense projector.  The optimum splits as (1 + R) - R, so
-    ||c||_1 = 1 + 2R.  The dual vector defines a witness operator A
-    (returned in the constraint basis) with |Tr phi A| <= 1 for every
-    dictionary state and Tr rho A = ||c||_1; a witness above 1 + the
+    exactly +-1 on its group's elements and 0 elsewhere.  ``_state_pricer``
+    prices every column off the group tables, one 2^n x 2^n Hadamard
+    product per group, to pick each entering column; the dense matrix,
+    written by ``_state_coordinates`` on every call, gives the entering
+    column itself, ``solve_lp``'s final check and the witness check below.
+    For qutrits a column is the entries of the dense projector, priced by
+    one dense product.  A faulty pricer can cost pivots or raise
+    ``SolverError``, but cannot certify a wrong value.  The optimum splits
+    as (1 + R) - R, so ||c||_1 = 1 + 2R.  The dual vector defines a witness
+    operator A (returned in the constraint basis) with |Tr phi A| <= 1 for
+    every dictionary state and Tr rho A = ||c||_1; a witness above 1 + the
     ``lp`` tolerance anywhere on the dictionary raises ``SolverError``.
     This is ``solve_lp``'s one LP form, min ||c||_1 over coefficients free
     in sign, so each column enters the simplex once, as a_j or -a_j, and
     the solver reports the signed c; it raises instead of returning a
-    status.  It starts at ``solve_lp``'s crash
-    basis, taken in descending |a_j . b|, the overlap of each state's
-    constraint column with rho's (2^n Tr(phi_j rho) for qubits), whose
-    columns with a negative value the solver turns itself.  The state is
-    checked as ``_checked_state`` describes, and the sizes by
-    ``_check_robustness_size``.
+    status.  It starts at ``solve_lp``'s crash basis, taken in descending
+    |a_j . b|, the overlap of each state's constraint column with rho's
+    (2^n Tr(phi_j rho) for qubits), whose columns with a negative value the
+    solver turns itself.  The state is checked as ``_checked_state``
+    describes, and the sizes by ``_check_robustness_size``.
     """
     _check_robustness_size(dic.n, dic.d)
     state = _checked_state(state, dic.d**dic.n)
@@ -236,10 +242,12 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     if dic.d == 2:
         A = _state_coordinates(dic.elements, dic.phases, dic.n)
         b = _pauli_coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
+        price = _state_pricer(dic.elements, dic.phases, dic.n)
     else:
         A = _entry_coordinates(dic.states[:, None] * dic.states.conj())
         b = _entry_coordinates(rho[:, :, None])[:, 0]
-    sol = solve_lp(A, b)
+        price = None
+    sol = solve_lp(A, b, price=price)
     coeffs = sol.x
     l1 = sol.objective
     r = max((l1 - 1.0) / 2.0, 0.0)

@@ -344,6 +344,25 @@ def _state_coordinates(groups, phases, n: int) -> np.ndarray:
     return out
 
 
+def _state_pricer(groups, phases, n: int):
+    """The map y -> y @ ``_state_coordinates(groups, phases, n)``, which
+    never forms the matrix: for each group, y gathered at its elements times
+    their +-1 zeta^phases, then one product with the 2^n x 2^n Hadamard
+    table, in the same column order.  Each entry sums the same 2^n signed
+    terms as the dense product.  The gather index and the signs are made
+    once, here, for the many dual vectors of one LP."""
+    rows = groups.astype(np.intp)
+    signs = _ZETA[2].real[phases]
+    hadamard = np.ascontiguousarray(_tables(n, 2)[3].real)
+
+    def price(y):
+        u = y.take(rows)
+        u *= signs
+        return (u @ hadamard).ravel()
+
+    return price
+
+
 def _best_in_groups(groups, phases, coords, n: int, d: int):
     """max_j Tr(r phi_j), and the lowest j attaining it, for the Hermitian
     operators r whose ``_pauli_coordinates`` are the columns of coords, over

@@ -246,7 +246,7 @@ def test_extent_oracles(request, n, psi, reference):
 
 
 def test_extent_t4_pivot_budget(dict2_4):
-    # from the crash basis T^4 certifies in 2 rounds and 415 pivots; a
+    # from the crash basis T^4 certifies in 2 rounds and 406 pivots; a
     # first round over all four phases of every state took 2,429-2,590
     res = extent(_kron(T_STATE, T_STATE, T_STATE, T_STATE), dict2_4)
     assert abs(res.xi / XI_T**4 - 1) < 1e-8
@@ -270,8 +270,8 @@ def test_free_robustness_rejects_what_it_cannot_certify(monkeypatch, dict2_1, go
     # the solver's own checks pass; one support entry of x moved by 1e-6
     # no longer rebuilds rho, and a dual scaled by 1 + 1e-6 leaves the unit
     # ball on the dictionary columns it was tight on
-    def tampered(A, b):
-        sol = solvers.solve_lp(A, b)
+    def tampered(A, b, price=None):
+        sol = solvers.solve_lp(A, b, price=price)
         if tamper == "x":
             sol.x[np.flatnonzero(sol.x)[0]] += 1e-6
         else:
@@ -281,6 +281,17 @@ def test_free_robustness_rejects_what_it_cannot_certify(monkeypatch, dict2_1, go
     monkeypatch.setattr(measures, "solve_lp", tampered)
     with pytest.raises(SolverError, match=message):
         free_robustness(golden, dict2_1)
+
+
+def test_free_robustness_does_not_trust_its_pricer(monkeypatch, dict2_3):
+    # a pricer that returns zeros makes every reduced cost 1, so the simplex
+    # stops at the crash basis; the final check prices A densely and refuses
+    def zeros(groups, phases, n):
+        return lambda y: np.zeros(len(groups) * 2**n)
+
+    monkeypatch.setattr(measures, "_state_pricer", zeros)
+    with pytest.raises(SolverError, match="min reduced cost"):
+        free_robustness(CCZ, dict2_3)
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])

@@ -225,38 +225,79 @@ def test_lp_start_basis_must_be_feasible_and_nonsingular():
 
 
 @pytest.mark.parametrize(
-    "make", [_degenerate_matrix, _random_signs], ids=["degenerate-warm", "signs-warm"]
+    "make, pivots",
+    [(_degenerate_matrix, (16, 16)), (_random_signs, (3, 2))],
+    ids=["degenerate-warm", "signs-warm"],
 )
-def test_free_lp_is_the_lp_over_a_and_minus_a(make):
-    # solve_lp over M takes the pivots of the kernel on the nonnegative LP
-    # over [M, -M], each from the crash columns of M, whose columns with a
-    # negative value the split start replaces by their twins j + N
+def test_free_lp_is_the_lp_over_a_and_minus_a(make, pivots):
+    # solve_lp over M solves the kernel's nonnegative LP over [M, -M], each
+    # from the crash columns of M, whose columns with a negative value the
+    # split start replaces by their twins j + N.  The free solve takes long
+    # steps through sign changes, which the split kernel cannot, so the two
+    # paths part: on the sign fixture the free solve's first pivot is a
+    # long step where the kernel's is degenerate, and it takes one more
     M, b = make()
     N = M.shape[1]
     kept = crash_basis(M, np.argsort(-np.abs(b @ M), kind="stable"))
     twins = kept + N * (np.linalg.solve(M[:, kept], b) < 0)
     free = solve_lp(M, b, basis=kept)
     split = np.hstack([M, -M])
-    basis, x, pivots = _kernel(split, np.ones(2 * N), twins, b)
-    assert free.iterations == pivots > 0
+    basis, x, split_pivots = _kernel(split, np.ones(2 * N), twins, b)
+    assert (free.iterations, split_pivots) == pivots
     assert abs(free.objective - np.sum(x)) < 1e-12
-    assert np.array_equal(free.x, x[:N] - x[N:])
-    assert np.array_equal(free.dual, np.linalg.solve(split[:, basis].T, np.ones(basis.size)))
-    assert np.array_equal(free.basis, basis % N)
+    assert np.max(np.abs(M @ free.x - b)) < 1e-12
+    assert np.max(np.abs(split @ x - b)) < 1e-12
+    assert np.max(np.abs(M.T @ free.dual)) <= 1 + 1e-9
+    split_dual = np.linalg.solve(split[:, basis].T, np.ones(basis.size))
+    assert np.max(np.abs(split.T @ split_dual)) <= 1 + 1e-9
+
+
+def test_free_lp_long_step_turns_the_row_it_crosses():
+    # from the identity basis, x = (1, 6, 0) and column 2 = (1, 3) enters at
+    # slope 1 - 4 = -3.  Row 0 reaches zero at step 1 and row 1 at step 2;
+    # crossing row 0 raises the slope by 2 * 1 to -1, still falling, so the
+    # step goes on to 2, where row 1 leaves and row 0 has turned to
+    # 1 - 2 = -1: l1 falls from 7 to 3 in one pivot.  The split kernel stops
+    # at row 0 and needs a second pivot for -e_0
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 3.0]])
+    b = np.array([1.0, 6.0])
+    sol = solve_lp(A, b, basis=[0, 1])
+    assert sol.iterations == 1
+    assert sol.basis.tolist() == [0, 2]
+    assert sol.signs.tolist() == [-1.0, 1.0]
+    assert np.max(np.abs(sol.x - [-1.0, 0.0, 2.0])) < 1e-15
+    assert abs(sol.objective - 3.0) < 1e-15
+    _, x, split_pivots = _kernel(np.hstack([A, -A]), np.ones(6), [0, 1], b)
+    assert split_pivots == 2
+    assert abs(np.sum(x) - 3.0) < 1e-15
 
 
 @pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
 def test_lp_returned_basis_resolves_to_x(make):
-    # over [M, -M] the basis names the side of every basic column, zero
-    # values included, so it restarts without a pivot; over M a restart
-    # re-derives the sign of a zero basic value from round-off
+    # the returned signs name the side of every basic column, zero values
+    # included, so a restart from the returned basis takes no pivot; without
+    # them the restart would re-derive the sign of a zero value from
+    # round-off
     M, b = make()
-    A = np.hstack([M, -M])
-    sol = solve_lp(A, b)
-    again = solve_lp(A, b, basis=sol.basis)
+    sol = solve_lp(M, b)
+    again = solve_lp(M, b, basis=sol.basis, signs=sol.signs)
     assert again.iterations == 0
     assert np.array_equal(again.basis, sol.basis)
+    assert np.array_equal(again.signs, sol.signs)
     assert np.max(np.abs(again.x - sol.x)) < 1e-12
+
+
+def test_lp_start_signs_must_match_the_basis():
+    A, b = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]), np.array([1.0, 3.0])
+    # the basis [0, 1] has x = (2, -1): column 1 needs the sign -1
+    sol = solve_lp(A, b, basis=[0, 1], signs=[1.0, -1.0])
+    assert abs(sol.objective - 3.0) < 1e-12
+    with pytest.raises(ValueError, match="start signs do not match"):
+        solve_lp(A, b, basis=[0, 1], signs=[1.0, 1.0])
+    with pytest.raises(ValueError, match="start signs do not match"):
+        solve_lp(A, b, basis=[0, 1], signs=[1.0])
+    with pytest.raises(ValueError, match="start signs need a start basis"):
+        solve_lp(A, b, signs=[1.0, 1.0])
 
 
 def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch):
@@ -285,19 +326,23 @@ def test_extent_next_working_set():
     phases = np.array([1, 1j, 1, 1, -1])
     x = np.array([0.0, -1e-8, 0.0, 0.5, 0.0])
     b = solvers._phase_columns(D, idx, phases) @ x
-    sol = solvers.LPSolution(x, np.array([1.0, 0.0]), 0.5 + 1e-8, 0, 0.0, np.array([1, 3]))
-    idx, phases, basis = solvers._next_working_set(D.conj().T, idx, phases, sol)
+    sol = solvers.LPSolution(
+        x, np.array([1.0, 0.0]), 0.5 + 1e-8, 0, 0.0, np.array([1, 3]), np.array([-1.0, 1.0])
+    )
+    idx, phases, basis, signs = solvers._next_working_set(D.conj().T, idx, phases, sol)
     # state 1 is not basic and leaves; the basic states keep both columns at
     # their phases, the negative one included, and <phi_j|y> = (0.5, 2, 0.5, -3i)
     # appends states 1 and 3 at their exact phases
     assert idx.tolist() == [0, 0, 2, 2, 1, 3]
     assert np.allclose(phases, [1, 1j, 1, -1, 1, -1j])
-    # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2
+    # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2,
+    # and keep their signs
     assert basis.tolist() == [1, 2]
-    # the LP takes that basis as its warm start, turning the negative column,
-    # and puts Re t / 3 on state 3 at phase -i, while state 0's column at
-    # phase i keeps its value -1e-8 for Im t
-    sol = solve_lp(solvers._phase_columns(D, idx, phases), b, basis=basis)
+    assert signs.tolist() == [-1.0, 1.0]
+    # the LP takes that basis and those signs as its warm start, and puts
+    # Re t / 3 on state 3 at phase -i, while state 0's column at phase i
+    # keeps its value -1e-8 for Im t
+    sol = solve_lp(solvers._phase_columns(D, idx, phases), b, basis=basis, signs=signs)
     assert abs(sol.objective - (0.25 / 3 + 1e-8)) < 1e-12
 
 

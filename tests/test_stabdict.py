@@ -422,6 +422,22 @@ def test_state_coordinates_are_the_signed_group_elements(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4"])
+def test_state_pricer_is_y_times_the_state_coordinates(fixture, request):
+    dic = request.getfixturevalue(fixture)
+    n, dim = dic.n, 2**dic.n
+    A = stabdict._state_coordinates(dic.elements, dic.phases, n)
+    price = stabdict._state_pricer(dic.elements, dic.phases, n)
+    rng = np.random.default_rng(60 + n)
+    # integer y: every partial sum of both products is an integer below
+    # 2^53, so both are exact and equal byte for byte
+    y = rng.integers(-1000, 1001, size=dim * dim).astype(float)
+    assert price(y).tobytes() == (y @ A).tobytes()
+    # real y: the same 2^n signed terms, summed in another order
+    y = rng.normal(size=dim * dim)
+    assert np.max(np.abs(price(y) - y @ A)) <= 1e-14 * np.sum(np.abs(y))
+
+
+@pytest.mark.parametrize("fixture", ["dict2_1", "dict2_2", "dict2_3", "dict2_4"])
 def test_qubit_amplitudes_have_no_rounding_dust(fixture, request):
     # each real and imaginary part is 0 or +-2^(-k/2), taken from the exact
     # zeta table; a complex power of exp(i pi / 2) left ~6e-17 where 0 belongs
