@@ -21,6 +21,19 @@ Measures computed here, all in bits (base-2 logs):
                 density-matrix entries for qutrits, taken from the dense
                 projectors.
 
+A qubit rho fixed by an antiunitary Theta = P o K (complex conjugation, then
+a Pauli P; P = I for a real rho, XX..X for T^n) gets a smaller robustness
+LP.  Theta maps the dictionary onto itself and fixes rho, so averaging any
+pseudomixture with its image keeps it feasible at no larger l1: some optimum
+is Theta-invariant.  Such an optimum has one weight per orbit {phi, Theta phi}
+and lives on the rows that Theta fixes, where the two states of an orbit
+share their coordinates.  So the LP on those rows, one column per orbit,
+has the full optimum, and its dual, 0 on the dropped rows, is a full dual.
+The symmetry is read off rho's Pauli coordinates, with coordinates at most
+1e-12 counted as zero.  The answer is lifted back, half an orbit's weight on
+each state of a pair, and certified as every other: against rho, and by the
+witness over the full dictionary.
+
 Every report validates the sandwich dmin <= dmax <= log2(1 + R) within the
 stated tolerance before it is returned.
 """
@@ -47,6 +60,7 @@ from .stabdict import (
     _pauli_coordinates,
     _state_coordinates,
     _state_pricer,
+    _tables,
     count_stabilizer_states,
 )
 
@@ -210,6 +224,58 @@ def _check_robustness_size(n: int, d: int) -> None:
     _check_size(n, lambda: count_stabilizer_states(n, d) * d ** (2 * n), message)
 
 
+# |b_Q| at or below which a Pauli coordinate of rho counts as zero in the
+# search for a conjugation symmetry.  2^n rows touch an entry of rho, each by
+# |b_Q| / 2^n, so the rows dropped move no entry by more than this, far
+# below the reconstruction tolerance
+_SYMMETRY_ZERO = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugation_parity(n: int) -> np.ndarray:
+    """(4^n, 4^n) 0/1 table over Pauli pairs, both in the LP's row order (X
+    part major): entry [P, Q] is #Y(Q) + <P, Q> mod 2, with <P, Q> the
+    symplectic product, so row P is 1 exactly on the rows whose coordinate
+    Theta = P o K negates.  Float, for one matrix-vector product per search.
+    Read-only."""
+    w = _tables(n, 2)[2]  # |a & b|: #Y(Q) = w[x, z], <P, Q> = w[px, z] + w[pz, x]
+    parity = (w + w[:, None, None, :] + w[None, :, :, None]) & 1
+    parity = parity.reshape(4**n, 4**n).astype(float)
+    parity.flags.writeable = False
+    return parity
+
+
+def _conjugation_orbits(b: np.ndarray, groups: np.ndarray, n: int):
+    """The robustness LP that a conjugation symmetry of a qubit rho keeps,
+    or None when rho has none.
+
+    Theta(s) = P s* P, complex conjugation K followed by a Pauli P, maps a
+    coordinate b_Q to (-1)^(#Y(Q) + <P, Q>) b_Q, so rho* = P rho P when no Q
+    with |b_Q| above _SYMMETRY_ZERO has an odd parity in
+    ``_conjugation_parity``.  Every P is tested at once, and the first in
+    row order is taken (the identity for a real rho).  Theta maps each
+    stabilizer group onto itself: the parity is linear on the group's
+    elements c, tau.c with tau read off its generators (the elements 2^i),
+    so Theta takes the group's state sigma to sigma XOR tau.
+
+    Returns (P, rows, cols, partner): P's row index, the rows that Theta
+    fixes, one column per orbit {phi, Theta phi} (every state of a group
+    with tau = 0, else those with a 0 at tau's lowest set bit), and the
+    column of Theta phi for every column phi of the dictionary."""
+    parity = _conjugation_parity(n)
+    fixing = np.flatnonzero(parity @ (np.abs(b) > _SYMMETRY_ZERO) == 0)
+    if fixing.size == 0:
+        return None
+    P = int(fixing[0])
+    odd = parity[P] == 1
+    dim, steps = 2**n, 2 ** np.arange(n)
+    tau = odd[groups[:, steps]] @ steps
+    sigma = np.arange(dim)
+    keep = (sigma & (tau & -tau)[:, None]) == 0
+    partner = np.arange(0, len(groups) * dim, dim)[:, None] + (sigma ^ tau[:, None])
+    return P, np.flatnonzero(~odd), np.flatnonzero(keep), partner.ravel()
+
+
 def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessResult:
     """Free robustness via the pseudomixture LP min ||c||_1, sum c_phi phi = rho.
 
@@ -233,8 +299,22 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     status.  It starts at ``solve_lp``'s crash basis, taken in descending
     |a_j . b|, the overlap of each state's constraint column with rho's
     (2^n Tr(phi_j rho) for qubits), whose columns with a negative value the
-    solver turns itself.  The state is checked as ``_checked_state``
-    describes, and the sizes by ``_check_robustness_size``.
+    solver turns itself.
+
+    A qubit rho with a conjugation symmetry Theta = P o K, found by
+    ``_conjugation_orbits`` (every coordinate above _SYMMETRY_ZERO = 1e-12
+    must keep its sign under Theta), is solved on the rows Theta fixes and
+    one column per orbit {phi, Theta phi}, as the module docstring
+    explains: 36 x 660 at n = 3 and 136 x 20,520 at n = 4 for CCZ and T^n.
+    That LP is priced by ``_state_pricer`` on its dual lifted to every row,
+    with 0 on the dropped rows.  Each state of a conjugate pair gets half of
+    its orbit's weight, and the lifted pseudomixture and dual face the same
+    checks as the full LP's: the reconstruction against rho, and the
+    witness over the full dense matrix.  Without such a P the LP is the
+    full one.  The diagnostics give the shape of the LP solved
+    (``lp_rows``, ``lp_columns``) and P (``symmetry_pauli``, None without
+    one).  The state is checked as ``_checked_state`` describes, and the
+    sizes by ``_check_robustness_size``.
     """
     _check_robustness_size(dic.n, dic.d)
     state = _checked_state(state, dic.d**dic.n)
@@ -243,12 +323,28 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
         A = _state_coordinates(dic.elements, dic.phases, dic.n)
         b = _pauli_coordinates(rho[:, :, None], dic.n, dic.d)[:, 0]
         price = _state_pricer(dic.elements, dic.phases, dic.n)
+        symmetry = _conjugation_orbits(b, dic.elements, dic.n)
     else:
         A = _entry_coordinates(dic.states[:, None] * dic.states.conj())
         b = _entry_coordinates(rho[:, :, None])[:, 0]
-        price = None
-    sol = solve_lp(A, b, price=price)
-    coeffs = sol.x
+        price = symmetry = None
+    if symmetry is None:
+        sol = solve_lp(A, b, price=price)
+        coeffs, dual = sol.x, sol.dual
+    else:
+        _, rows, cols, partner = symmetry
+        lifted = np.zeros(len(b))
+
+        def price_orbits(y):
+            lifted[rows] = y
+            return price(lifted)[cols]
+
+        sol = solve_lp(A[np.ix_(rows, cols)], b[rows], price=price_orbits)
+        coeffs = np.zeros(A.shape[1])
+        coeffs[cols] = sol.x
+        coeffs = (coeffs + coeffs[partner]) / 2  # half an orbit's weight on each of a pair
+        dual = np.zeros(len(b))
+        dual[rows] = sol.dual
     l1 = sol.objective
     r = max((l1 - 1.0) / 2.0, 0.0)
     keep = np.nonzero(np.abs(coeffs) > 1e-12)[0]
@@ -257,14 +353,11 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
     rec_err = float(np.max(np.abs((phis * coeffs[keep]) @ phis.conj().T - rho)))
     if not rec_err <= TOLERANCES["reconstruction"]:
         raise SolverError(f"pseudomixture reconstruction error {rec_err:.2e}")
-    witness_feas = float(np.max(np.abs(A.T @ sol.dual)))
+    witness_feas = float(np.max(np.abs(A.T @ dual)))
     if not witness_feas <= 1.0 + TOLERANCES["lp"]:
         raise SolverError(f"witness exceeds 1 on the dictionary by {witness_feas - 1.0:.2e}")
     labels = _coordinate_labels(dic.n, dic.d)
-    witness = [
-        (labels[i], float(sol.dual[i]))
-        for i in np.nonzero(np.abs(sol.dual) > 1e-12)[0]
-    ]
+    witness = [(labels[i], float(dual[i])) for i in np.nonzero(np.abs(dual) > 1e-12)[0]]
     return RobustnessResult(
         r=r,
         lr=math.log2(1.0 + r),
@@ -275,8 +368,11 @@ def free_robustness(state: np.ndarray, dic: StabilizerDictionary) -> RobustnessR
             "iterations": sol.iterations,
             "duality_gap": sol.gap,
             "witness_max_abs": witness_feas,
-            "witness_value": float(b @ sol.dual),
+            "witness_value": float(b @ dual),
             "reconstruction_error": rec_err,
+            "lp_rows": len(sol.dual),
+            "lp_columns": len(sol.x),
+            "symmetry_pauli": None if symmetry is None else labels[symmetry[0]],
         },
     )
 

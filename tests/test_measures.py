@@ -24,9 +24,9 @@ from magiclab.measures import (
     golden_state,
     magic_report,
 )
-from magiclab.pauli import hermitian_pauli, pauli_to_string
+from magiclab.pauli import hermitian_pauli, pauli_from_string, pauli_to_string
 from magiclab.solvers import SolverError, solve_extent
-from magiclab.stabdict import ResourceLimitError, _pauli_coordinates
+from magiclab.stabdict import ResourceLimitError, _pauli_coordinates, _state_coordinates
 from conftest import operator_stack, random_state
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
@@ -668,6 +668,126 @@ def test_ccz_class_robustness_pivot_budget(dict2_3):
     assert pivots < CCZ_CLASS_COLD_PIVOTS
 
 
+def _depolarized(psi, p):
+    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(len(psi)) / len(psi)
+
+
+# 3-qubit states fixed by a conjugation symmetry Theta = P o K: the CCZ class
+# and three depolarized hypergraph states (P = I), and T^3 (P = XXX)
+SYMMETRIC_STATES = {
+    **{anf: hypergraph_state(parse_anf(anf)) for anf in CCZ_CLASS},
+    **{
+        f"{anf} at p={p}": _depolarized(hypergraph_state(parse_anf(anf)), p)
+        for anf, p in [
+            ("x1*x2*x3", 0.05),
+            ("x1*x2*x3 + x1*x3 + x2", 0.15),
+            ("x1*x2*x3 + x1*x2 + x2*x3", 0.25),
+        ]
+    },
+    "t3": _kron(T_STATE, T_STATE, T_STATE),
+}
+
+
+def _theta(label, M):
+    """P M* P for the Pauli of ``label``, densely."""
+    P = pauli_from_string(label).dense()
+    return P @ M.conj() @ P
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_STATES)
+def test_conjugation_symmetry_keeps_the_full_optimum(name, dict2_3):
+    # the oracle is the full 64 x 1,080 LP, solved without the symmetry
+    state = SYMMETRIC_STATES[name]
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    res = free_robustness(state, dict2_3)
+    A = _state_coordinates(dict2_3.elements, dict2_3.phases, 3)
+    b = _pauli_coordinates(rho[:, :, None], 3, 2)[:, 0]
+    assert abs(res.l1 - solvers.solve_lp(A, b).objective) < 1e-9
+    label = res.diagnostics["symmetry_pauli"]
+    assert np.max(np.abs(_theta(label, rho) - rho)) < 1e-12
+    # the two states of a conjugate pair carry equal weights
+    c = np.zeros(dict2_3.size)
+    for j, w in res.pseudomixture:
+        c[j] = w
+    D = dict2_3.states
+    images = np.abs(D.conj().T @ (pauli_from_string(label).dense() @ D.conj()))
+    partner = images.argmax(axis=0)
+    assert np.allclose(images[partner, np.arange(D.shape[1])], 1, atol=1e-12)
+    assert np.array_equal(c, c[partner])
+    rec = (D * c) @ D.conj().T
+    assert np.max(np.abs(rec - rho)) < 1e-8
+    assert abs(np.sum(np.abs(c)) - res.l1) < 1e-9
+    # the witness has no entry on a row that Theta negates
+    for row, _ in res.witness:
+        Q = pauli_from_string(row).dense()
+        assert np.max(np.abs(_theta(label, Q) - Q)) < 1e-12
+
+
+def test_conjugation_orbits_match_the_dense_symmetry(dict2_3):
+    # |+i> x T x |0>, site 1 leftmost in the label, has P = ZXI; CCZ and T^3
+    # have III and XXX
+    rng = np.random.default_rng(46)
+    plus_i = np.array([1, 1j]) / math.sqrt(2)
+    D = dict2_3.states
+    labels = measures._coordinate_labels(3, 2)
+    paulis = [pauli_from_string(q).dense() for q in labels]
+    for state, want in [(_kron(ZERO, T_STATE, plus_i), "+ZXI"), (CCZ, "+III"),
+                        (SYMMETRIC_STATES["t3"], "+XXX")]:
+        rho = np.outer(state, state.conj())
+        b = _pauli_coordinates(rho[:, :, None], 3, 2)[:, 0]
+        P, rows, cols, partner = measures._conjugation_orbits(b, dict2_3.elements, 3)
+        assert labels[P] == want
+        fixed = [np.allclose(_theta(want, Q), Q) for Q in paulis]
+        assert np.array_equal(rows, np.flatnonzero(fixed))
+        # partner[j] is Theta phi_j up to a phase, and cols keeps one state of each pair
+        theta_d = pauli_from_string(want).dense() @ D.conj()
+        assert np.allclose(np.abs(np.sum(D[:, partner].conj() * theta_d, axis=0)), 1)
+        assert np.array_equal(partner[partner], np.arange(D.shape[1]))
+        assert np.array_equal(np.union1d(cols, partner[cols]), np.arange(D.shape[1]))
+        assert np.intersect1d(cols, partner[cols]).size == np.sum(partner == np.arange(D.shape[1]))
+    # a Haar state has no such symmetry
+    v = random_state(8, rng)
+    b = _pauli_coordinates(np.outer(v, v.conj())[:, :, None], 3, 2)[:, 0]
+    assert measures._conjugation_orbits(b, dict2_3.elements, 3) is None
+
+
+def test_robustness_reports_the_lp_it_solved(dict2_3, dict3_2):
+    # a conjugation symmetry halves the qubit LP; a Haar state and qutrits
+    # keep the full one, so the reduction cannot switch off silently
+    v = random_state(8, np.random.default_rng(46))
+    w = random_state(9, np.random.default_rng(47))
+    # an imaginary part of 1e-14 is below the zero threshold, one of 1e-9 is not
+    tilted = [(CCZ + 1j * eps * v) / np.linalg.norm(CCZ + 1j * eps * v) for eps in (1e-14, 1e-9)]
+    for state, dic, want in [
+        (CCZ, dict2_3, (36, 660, "+III")),
+        (tilted[0], dict2_3, (36, 660, "+III")),
+        (tilted[1], dict2_3, (64, 1080, None)),
+        (SYMMETRIC_STATES["t3"], dict2_3, (36, 660, "+XXX")),
+        (v, dict2_3, (64, 1080, None)),
+        (w, dict3_2, (81, 360, None)),
+    ]:
+        diag = free_robustness(state, dic).diagnostics
+        assert (diag["lp_rows"], diag["lp_columns"], diag["symmetry_pauli"]) == want
+
+
+# n = 4 states that hit the 50,000-pivot cap on the full 256 x 36,720 LP; the
+# symmetric LP is 136 x 20,520 and certifies each in 3,700-4,600 pivots
+N4_ORACLES = {
+    "ccz-plus": (np.kron(np.ones(2) / np.sqrt(2), hypergraph_state(parse_anf("x1*x2*x3"))), 23 / 9),
+    "two-cubics": (hypergraph_state(parse_anf("x1*x2*x3 + x2*x3*x4")), 23 / 9),
+    "t4": (reduce(np.kron, [np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)] * 4), 2.862741700),
+}
+
+
+@pytest.mark.parametrize("name", N4_ORACLES)
+def test_free_robustness_n4_oracles(name, dict2_4):
+    state, want = N4_ORACLES[name]
+    res = free_robustness(state, dict2_4)
+    assert abs(res.l1 - want) < 1e-8
+    assert (res.diagnostics["lp_rows"], res.diagnostics["lp_columns"]) == (136, 20520)
+    assert res.diagnostics["iterations"] < 10_000
+
+
 def _random_mixed_state(n, seed):
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
@@ -687,15 +807,26 @@ def test_free_robustness_clifford_invariance(request, n, seed):
         assert abs(free_robustness(U @ rho @ U.conj().T, dic).l1 - want) < 1e-9
 
 
+def _full_lp_crash(psi, dic):
+    """``crash_basis`` on the full qubit robustness LP, started as
+    ``solve_lp`` starts it: the ``_state_coordinates`` columns in descending
+    |b.a_j|.  For CCZ and T^3, which a conjugation symmetry fixes,
+    ``free_robustness`` solves a smaller LP."""
+    A = _state_coordinates(dic.elements, dic.phases, dic.n)
+    b = _pauli_coordinates(np.outer(psi, psi.conj())[:, :, None], dic.n, dic.d)[:, 0]
+    solvers.crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
+
+
 def _crash_cases():
     """(measure, state, n, d) by name: cold robustness LPs of three 3-qubit
-    states and a 2-qutrit Haar state, and the extent's first crash on T^3."""
+    states, the first two on the full LP, and a 2-qutrit Haar state, and the
+    extent's first crash on T^3."""
     rng = np.random.default_rng(39)
     v = random_state(8, rng)
     t3 = _kron(T_STATE, T_STATE, T_STATE)
     return {
-        "ccz": (free_robustness, CCZ, 3, 2),
-        "t3": (free_robustness, t3, 3, 2),
+        "ccz": (_full_lp_crash, CCZ, 3, 2),
+        "t3": (_full_lp_crash, t3, 3, 2),
         "depolarized-haar": (
             free_robustness, 0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(8) / 8, 3, 2
         ),
