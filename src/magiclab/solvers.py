@@ -19,8 +19,7 @@ column comes from the pricer: the final check below prices A densely, so a
 faulty pricer can cost pivots or raise, but cannot certify a wrong value.
 Every nonsingular basis of free columns is primal feasible once the solver
 turns its columns with a negative value, so the simplex starts from any
-nonsingular B0 a caller passes, with the sign of each basic column given or
-else derived from its value, or from ``crash_basis`` over the columns in
+nonsingular B0 a caller passes, or from ``crash_basis`` over the columns in
 descending |b.a_j|.  A must have full row rank: there is no presolve, and
 ``crash_basis`` raises ``ValueError`` when A has fewer than m independent
 columns.  There are no statuses: an l1 LP is bounded below by 0, so a ratio
@@ -41,15 +40,16 @@ exact arithmetic are not ranked by round-off.  The final basis is re-solved
 against the original data so B^{-1} round-off never reaches the reported
 solution, and the re-solved pair must pass A x = b, x_B >= 0 on the signed
 columns and |A^T y| <= 1: since ||x||_1 = b.y holds for any basis, these are
-what certify optimality.
+what certify optimality.  A re-solved dual above 1 + LP_TOL resumes the
+simplex once from the final basis with a fresh inverse.
 
 The extent's complex l1 minimum subject to D c = t is a real l1 LP over the
 weights of phase-rotated dictionary columns, so a weight's sign is the
 simplex's to choose, as in the robustness LP.  Column generation starts from
 the crash basis over the phases 1 and i alone; every round solves warm from
-the last basis and its signs, keeps the states of its basis and adds the
-exact phase for every state the dual violates, until the primal l1 norm and
-the rescaled dual value agree to a relative BP_GAP_TOL.
+the last basis, keeps the states of its basis and adds the exact phase for
+every state the dual violates, until the primal l1 norm and the rescaled
+dual value agree to a relative BP_GAP_TOL.
 """
 
 from dataclasses import dataclass
@@ -77,7 +77,6 @@ class LPSolution:
     iterations: int
     gap: float
     basis: np.ndarray  # final basic columns, one per row
-    signs: np.ndarray  # +-1 of each basic column: x[basis] = signs * |x[basis]|
 
 
 def _pivot(T, basis, d, leave, enter):
@@ -212,25 +211,23 @@ def _long_step(ratios, rises, slope):
         start = end
 
 
-def solve_lp(A, b, basis=None, signs=None, price=None) -> LPSolution:
+def solve_lp(A, b, basis=None, price=None) -> LPSolution:
     """min ||x||_1 subject to A x = b over free x, with dual extraction.
 
     ``basis`` names m columns whose matrix B0 is nonsingular (a
     ``ValueError`` otherwise); None takes ``crash_basis`` over the columns in
     descending |b.a_j|, which raises ``ValueError`` unless A has full row
-    rank.  ``signs``, the +-1 of each basic column as ``LPSolution.signs``
-    returns them, goes with a ``basis``: the simplex starts from those
-    signed columns, and a value of the wrong sign beyond round-off is a
-    ``ValueError``.  Without it the simplex turns each column with a
-    negative value, and a zero value takes the sign of its round-off.
-    ``price``, if given, returns y @ A for a dual vector y (see
-    ``_revised_simplex``); it picks the entering columns only.
+    rank.  The simplex turns each start column with a negative value, and a
+    zero value takes the sign of its round-off.  ``price``, if given,
+    returns y @ A for a dual vector y (see ``_revised_simplex``); it picks
+    the entering columns only.
 
     The final basis is re-solved against the original data, so the reported
-    solution does not inherit the round-off of B^{-1}, and is then checked
-    against A itself: A x = b, x_B >= 0 on the signed columns and
-    |A^T y| <= 1, each within a tolerance above ``LP_TOL``.  A basis that
-    fails raises ``SolverError``.
+    solution does not inherit the round-off of B^{-1}.  A re-solved dual
+    with |A^T y| above 1 + ``LP_TOL`` resumes the simplex once from that
+    basis with a fresh inverse.  The pair is then checked against A itself:
+    A x = b, x_B >= 0 on the signed columns and |A^T y| <= 1, each within a
+    tolerance above ``LP_TOL``.  A basis that fails raises ``SolverError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -238,20 +235,13 @@ def solve_lp(A, b, basis=None, signs=None, price=None) -> LPSolution:
     c = np.ones(ncols)
 
     if basis is None:
-        if signs is not None:
-            raise ValueError("start signs need a start basis")
         basis = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
     basis = np.array(basis, dtype=np.intp)
     if basis.shape != (m,):
         raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
     try:
         xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
-        if signs is None:
-            sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
-        else:
-            sign = np.array(signs, dtype=float)  # a copy: the simplex updates it
-            if sign.shape != (m,) or not np.all(sign * xb >= -_FEAS_TOL):
-                raise ValueError("start signs do not match the start basis's values")
+        sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
         B0 = A[:, basis] * sign
         Binv = np.linalg.inv(B0)
     except np.linalg.LinAlgError:
@@ -262,21 +252,26 @@ def solve_lp(A, b, basis=None, signs=None, price=None) -> LPSolution:
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: ||x||_1 = b.y holds for any basis, so optimality
     # is x_B >= 0 on the signed columns and |A^T y| <= 1
-    B = A[:, basis] * sign
-    xb = np.linalg.solve(B, b)
+    for resume in (True, False):
+        B = A[:, basis] * sign
+        xb = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, c[basis])
+        reduced_min = float((c - np.abs(y @ A)).min(initial=0.0))
+        if not resume or reduced_min >= -LP_TOL:
+            break
+        T = np.column_stack([np.linalg.inv(B), np.maximum(xb, 0.0)])
+        iterations += _revised_simplex(A, c, basis, T, B, sign, True, price)
     x = np.zeros(ncols)
     x[basis] = sign * xb
-    y = np.linalg.solve(B.T, c[basis])
     obj = float(c @ np.abs(x))
     feas = float(np.max(np.abs(A @ x - b), initial=0.0))
     x_min = float(xb.min(initial=0.0))
-    reduced_min = float((c - np.abs(y @ A)).min(initial=0.0))
     if not (feas <= _FEAS_TOL and x_min >= -_FEAS_TOL and reduced_min >= -10 * LP_TOL):
         raise SolverError(
             f"simplex accuracy check failed: feas={feas:.2e} "
             f"min x={x_min:.2e} min reduced cost={reduced_min:.2e}"
         )
-    return LPSolution(x, y, obj, iterations, abs(obj - float(b @ y)), basis, sign)
+    return LPSolution(x, y, obj, iterations, abs(obj - float(b @ y)), basis)
 
 
 def crash_basis(A: np.ndarray, order) -> np.ndarray:
@@ -330,10 +325,9 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     phase-rotated columns.
     The first working set is the basis that ``crash_basis`` finds among
     the 2N columns of phases 1 and i, scanned in descending overlap
-    |<phi_j|t>|.  Every round solves warm from the last basis and its
-    signs, certifies, and moves on to ``_next_working_set``.  ||c||_1
-    bounds the optimum from above, and Re<y, t> / max_j |<phi_j|y>| bounds
-    it from below for any y.
+    |<phi_j|t>|.  Every round solves warm from the last basis, certifies,
+    and moves on to ``_next_working_set``.  ||c||_1 bounds the optimum from
+    above, and Re<y, t> / max_j |<phi_j|y>| bounds it from below for any y.
     The lower bound is taken at the least-norm y tight on the support of w,
     a_k.y = sign(w_k) on each column with w_k != 0: on a degenerate LP such
     as CCZ x |+> the simplex's vertex dual wanders over the optimal face and
@@ -353,10 +347,10 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
     A = _phase_columns(D, idx, phases)
     kept = crash_basis(A, np.arange(2 * N))
     idx, phases, A = idx[kept], phases[kept], A[:, kept]
-    basis, signs = np.arange(2 * m), None
+    basis = np.arange(2 * m)
     pivots = 0
     for rounds in range(1, _EXTENT_MAX_ROUNDS + 1):
-        sol = solve_lp(A, b, basis=basis, signs=signs)
+        sol = solve_lp(A, b, basis=basis)
         pivots += sol.iterations
         support = np.abs(sol.x) > 1e-12  # degenerate basics would pin y to a vertex
         c = np.zeros(N, dtype=complex)
@@ -367,7 +361,7 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
         lower = float(np.real(np.vdot(y, t))) / float(np.max(np.abs(Dh @ y)))
         if upper - lower <= BP_GAP_TOL * upper:
             return c, y, pivots, rounds
-        idx, phases, basis, signs = _next_working_set(Dh, idx, phases, sol)
+        idx, phases, basis = _next_working_set(Dh, idx, phases, sol)
         A = _phase_columns(D, idx, phases)
     raise SolverError(
         f"extent column generation stopped after {_EXTENT_MAX_ROUNDS} rounds "
@@ -376,12 +370,11 @@ def solve_extent(D: np.ndarray, t: np.ndarray):
 
 
 def _next_working_set(Dh, idx, phases, sol):
-    """The next extent round's working set (idx, phases), the positions of
-    ``sol``'s basis in it and their signs.  Keeps every column of a state
-    basic in ``sol`` at its phase (keeping only the basic columns cycles),
-    so the basis and its signs stay a start for the free LP, and appends the
-    column at phase arg <phi_j|y> for every j with |<phi_j|y>| > 1 under the
-    simplex dual y."""
+    """The next extent round's working set (idx, phases) and the positions of
+    ``sol``'s basis in it.  Keeps every column of a state basic in ``sol``
+    at its phase (keeping only the basic columns cycles), so the basis stays
+    a start for the free LP, and appends the column at phase arg <phi_j|y>
+    for every j with |<phi_j|y>| > 1 under the simplex dual y."""
     basic = np.zeros(Dh.shape[0], dtype=bool)  # a mask, not np.isin: no numpy.ma import
     basic[idx[sol.basis]] = True
     keep = basic[idx]
@@ -390,5 +383,5 @@ def _next_working_set(Dh, idx, phases, sol):
     new = np.nonzero(np.abs(corr) > 1.0)[0]
     idx = np.concatenate([idx[keep], new])
     phases = np.concatenate([phases[keep], np.exp(1j * np.angle(corr[new]))])
-    return idx, phases, np.cumsum(keep)[sol.basis] - 1, sol.signs
+    return idx, phases, np.cumsum(keep)[sol.basis] - 1
 

@@ -232,6 +232,8 @@ _HAAR4 = random_state(16, np.random.default_rng(41))
         pytest.param(3, _kron(T_STATE, golden_state(), T_STATE), XI_T**2 * XI_GOLDEN, id="T-G-T"),
         pytest.param(3, _kron(T_STATE, PLUS, ZERO), XI_T, id="T-plus-zero"),
         pytest.param(4, _kron(T_STATE, T_STATE, T_STATE, T_STATE), XI_T**4, id="T-T-T-T"),
+        # a degenerate LP whose simplex dual never certifies: the least-norm dual does
+        pytest.param(4, np.kron(PLUS, CCZ), 16 / 9, id="plus-ccz"),
         # Clifford invariance: the reference is the extent of the preimage
         pytest.param(2, _random_clifford(2, 1) @ _HAAR2, _HAAR2, id="clifford-haar-2"),
         pytest.param(3, _random_clifford(3, 2) @ _HAAR3, _HAAR3, id="clifford-haar-3"),

@@ -264,7 +264,7 @@ def test_free_lp_long_step_turns_the_row_it_crosses():
     sol = solve_lp(A, b, basis=[0, 1])
     assert sol.iterations == 1
     assert sol.basis.tolist() == [0, 2]
-    assert sol.signs.tolist() == [-1.0, 1.0]
+    assert np.sign(sol.x[sol.basis]).tolist() == [-1.0, 1.0]  # row 0 turned
     assert np.max(np.abs(sol.x - [-1.0, 0.0, 2.0])) < 1e-15
     assert abs(sol.objective - 3.0) < 1e-15
     _, x, split_pivots = _kernel(np.hstack([A, -A]), np.ones(6), [0, 1], b)
@@ -272,41 +272,52 @@ def test_free_lp_long_step_turns_the_row_it_crosses():
     assert abs(np.sum(x) - 3.0) < 1e-15
 
 
-@pytest.mark.parametrize("make", [_degenerate_matrix, _random_signs], ids=["degenerate", "signs"])
-def test_lp_returned_basis_resolves_to_x(make):
-    # the returned signs name the side of every basic column, zero values
-    # included, so a restart from the returned basis takes no pivot; without
-    # them the restart would re-derive the sign of a zero value from
-    # round-off
+@pytest.mark.parametrize(
+    "make, pivots",
+    [(_degenerate_matrix, 7), (_random_signs, 1)],
+    ids=["degenerate", "signs"],
+)
+def test_lp_returned_basis_resolves_to_x(make, pivots):
+    # a restart from the returned basis re-derives the sign of each basic
+    # column from its value, so a zero value takes the sign of its round-off
+    # and the restart may pivot through the optimal face, but it ends at the
+    # same x and objective
     M, b = make()
     sol = solve_lp(M, b)
-    again = solve_lp(M, b, basis=sol.basis, signs=sol.signs)
-    assert again.iterations == 0
-    assert np.array_equal(again.basis, sol.basis)
-    assert np.array_equal(again.signs, sol.signs)
+    again = solve_lp(M, b, basis=sol.basis)
+    assert again.iterations == pivots
+    assert abs(again.objective - sol.objective) < 1e-12
     assert np.max(np.abs(again.x - sol.x)) < 1e-12
 
 
-def test_lp_start_signs_must_match_the_basis():
-    A, b = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]), np.array([1.0, 3.0])
-    # the basis [0, 1] has x = (2, -1): column 1 needs the sign -1
-    sol = solve_lp(A, b, basis=[0, 1], signs=[1.0, -1.0])
-    assert abs(sol.objective - 3.0) < 1e-12
-    with pytest.raises(ValueError, match="start signs do not match"):
-        solve_lp(A, b, basis=[0, 1], signs=[1.0, 1.0])
-    with pytest.raises(ValueError, match="start signs do not match"):
-        solve_lp(A, b, basis=[0, 1], signs=[1.0])
-    with pytest.raises(ValueError, match="start signs need a start basis"):
-        solve_lp(A, b, signs=[1.0, 1.0])
-
-
 def test_lp_final_check_rejects_a_simplex_that_stops_early(monkeypatch):
-    # the simplex claims optimality before any pivot, so the returned basis,
-    # the crash start, is feasible but not optimal
+    # every simplex run, the resume included, claims optimality before any
+    # pivot, so the returned basis, the crash start, is feasible but not
+    # optimal
     M, b = _degenerate_matrix()
     monkeypatch.setattr(solvers, "_revised_simplex", lambda *args: 0)
     with pytest.raises(SolverError, match="min reduced cost"):
         solve_lp(M, b)
+
+
+def test_lp_resumes_a_simplex_that_stops_early(monkeypatch):
+    # the first simplex run claims optimality before any pivot; the re-solved
+    # dual of the crash start misses |A^T y| <= 1, so solve_lp resumes once
+    # from that basis with a fresh inverse and reaches the optimum
+    M, b = _degenerate_matrix()
+    run = solvers._revised_simplex
+    calls = []
+
+    def first_stops_early(*args):
+        calls.append(args)
+        return 0 if len(calls) == 1 else run(*args)
+
+    monkeypatch.setattr(solvers, "_revised_simplex", first_stops_early)
+    sol = solve_lp(M, b)
+    assert len(calls) == 2 and sol.iterations == 16
+    monkeypatch.undo()
+    assert abs(sol.objective - solve_lp(M, b).objective) < 1e-12
+    assert np.max(np.abs(M.T @ sol.dual)) <= 1 + solvers.LP_TOL
 
 
 def test_lp_refuses_past_the_pivot_cap(monkeypatch):
@@ -326,23 +337,19 @@ def test_extent_next_working_set():
     phases = np.array([1, 1j, 1, 1, -1])
     x = np.array([0.0, -1e-8, 0.0, 0.5, 0.0])
     b = solvers._phase_columns(D, idx, phases) @ x
-    sol = solvers.LPSolution(
-        x, np.array([1.0, 0.0]), 0.5 + 1e-8, 0, 0.0, np.array([1, 3]), np.array([-1.0, 1.0])
-    )
-    idx, phases, basis, signs = solvers._next_working_set(D.conj().T, idx, phases, sol)
+    sol = solvers.LPSolution(x, np.array([1.0, 0.0]), 0.5 + 1e-8, 0, 0.0, np.array([1, 3]))
+    idx, phases, basis = solvers._next_working_set(D.conj().T, idx, phases, sol)
     # state 1 is not basic and leaves; the basic states keep both columns at
     # their phases, the negative one included, and <phi_j|y> = (0.5, 2, 0.5, -3i)
     # appends states 1 and 3 at their exact phases
     assert idx.tolist() == [0, 0, 2, 2, 1, 3]
     assert np.allclose(phases, [1, 1j, 1, -1, 1, -1j])
-    # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2,
-    # and keep their signs
+    # the basic columns, 1 and 3 of the old set, sit at positions 1 and 2
     assert basis.tolist() == [1, 2]
-    assert signs.tolist() == [-1.0, 1.0]
-    # the LP takes that basis and those signs as its warm start, and puts
-    # Re t / 3 on state 3 at phase -i, while state 0's column at phase i
-    # keeps its value -1e-8 for Im t
-    sol = solve_lp(solvers._phase_columns(D, idx, phases), b, basis=basis, signs=signs)
+    # the LP takes that basis as its warm start, and puts Re t / 3 on state 3
+    # at phase -i, while state 0's column at phase i keeps its value -1e-8
+    # for Im t
+    sol = solve_lp(solvers._phase_columns(D, idx, phases), b, basis=basis)
     assert abs(sol.objective - (0.25 / 3 + 1e-8)) < 1e-12
 
 
