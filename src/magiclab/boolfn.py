@@ -7,6 +7,7 @@ second-order Reed-Muller code RM(2, n).
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,9 +258,14 @@ def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
 
 def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:
     """Upper bound -2*log2(1 - 2^(1-n)*chi(f)) on the min-relative entropy of
-    magic of the hypergraph state of f (quadratic states are stabilizer states)."""
-    if chi >= 2 ** (f.n - 1):
-        raise ValueError("bound undefined: chi >= 2^(n-1)")
+    magic of the hypergraph state of f (quadratic states are stabilizer states),
+    for an integer 0 <= chi < 2^(n-1)."""
+    try:
+        chi = operator.index(chi)
+    except TypeError:
+        raise ValueError(f"chi must be an integer, got {chi!r}") from None
+    if not 0 <= chi < 2 ** (f.n - 1):
+        raise ValueError(f"bound undefined: chi = {chi} is not in 0..2^(n-1) - 1")
     return 0.0 - 2.0 * math.log2(1.0 - 2.0 ** (1 - f.n) * chi)  # +0.0 at chi = 0
 
 

@@ -20,6 +20,7 @@ experiments are reproducible and parallelizable.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +210,12 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        """The batch's samples * 2^n amplitudes are held at once: at most MAX_ENTRIES."""
+        """n and samples are integers, and the batch's samples * 2^n amplitudes
+        are held at once: at most MAX_ENTRIES."""
+        try:
+            self.n, self.samples = operator.index(self.n), operator.index(self.samples)
+        except TypeError:
+            raise ValueError("n and samples must be integers") from None
         if self.n < 1 or self.samples < 1:
             raise ValueError("need n >= 1 and at least one sample")
         message = "need n <= 24 and at most 2^24 amplitudes (samples * 2^n)"

@@ -214,13 +214,13 @@ def _long_step(ratios, rises, slope):
 def solve_lp(A, b, basis=None, price=None) -> LPSolution:
     """min ||x||_1 subject to A x = b over free x, with dual extraction.
 
-    ``basis`` names m columns whose matrix B0 is nonsingular (a
-    ``ValueError`` otherwise); None takes ``crash_basis`` over the columns in
-    descending |b.a_j|, which raises ``ValueError`` unless A has full row
-    rank.  The simplex turns each start column with a negative value, and a
-    zero value takes the sign of its round-off.  ``price``, if given,
-    returns y @ A for a dual vector y (see ``_revised_simplex``); it picks
-    the entering columns only.
+    ``basis`` names m integer column indices in 0..ncols-1 whose matrix B0
+    is nonsingular (a ``ValueError`` otherwise); None takes ``crash_basis``
+    over the columns in descending |b.a_j|, which raises ``ValueError``
+    unless A has full row rank.  The simplex turns each start column with a
+    negative value, and a zero value takes the sign of its round-off.
+    ``price``, if given, returns y @ A for a dual vector y (see
+    ``_revised_simplex``); it picks the entering columns only.
 
     The final basis is re-solved against the original data, so the reported
     solution does not inherit the round-off of B^{-1}.  A re-solved dual
@@ -236,9 +236,12 @@ def solve_lp(A, b, basis=None, price=None) -> LPSolution:
 
     if basis is None:
         basis = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
-    basis = np.array(basis, dtype=np.intp)
+    basis = np.array(basis)
     if basis.shape != (m,):
         raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
+    if basis.dtype.kind not in "iu" or not np.all((basis >= 0) & (basis < ncols)):
+        raise ValueError(f"start basis indices must be integers in 0..{ncols - 1}")
+    basis = basis.astype(np.intp)
     try:
         xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
         sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value

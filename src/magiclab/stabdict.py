@@ -245,16 +245,17 @@ def _tableaux(elements, phases, n: int, d: int, columns):
 def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Lookup tables over Z_d^n, each element a little-endian integer in d:
     the sums a + b, the negations -a, the dot products a.b over the integers
-    (|a & b| for qubits), the characters omega^(a.b) and the phases
-    zeta^(-a.b).  Read-only.  Kept for the life of the process for the
-    (n, d) that ``_check_tables`` accepts (qubits n <= 5, qutrits n <= 4),
-    and built per call beyond: five 729 x 729 tables at six qutrits."""
+    (|a & b| for qubits) and the characters omega^(a.b).  Read-only.  Kept
+    for the life of the process for the (n, d) that ``_check_tables``
+    accepts (qubits n <= 5, qutrits n <= 4), and built per call beyond:
+    four 729 x 729 tables at six qutrits."""
     if count_stabilizer_states(n, d) <= MAX_ENTRIES:
         return _kept_tables(n, d)
     return _build_tables(n, d)
 
 
 def _build_tables(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """The four tables of ``_tables``, built afresh."""
     digits, place = _digits(n, d)
     weight = digits @ digits.T
     tables = (
@@ -263,7 +264,6 @@ def _build_tables(n: int, d: int) -> tuple[np.ndarray, ...]:
         (-digits % d) @ place,
         weight,
         _ZETA[d][2 * weight % (2 * d)],
-        _ZETA[d][-weight % (2 * d)],
     )
     for table in tables:
         table.flags.writeable = False
@@ -281,20 +281,15 @@ def _pauli_coordinates(R: np.ndarray, n: int, d: int) -> np.ndarray:
 
         Tr(r Z^z X^x) = sum_u omega^(z.u) r[u - x, u],
 
-    one gather and one Fourier transform (a Hadamard matrix product for
-    qubits) per X part x, as many X parts at a time as keep the temporaries
-    within _TILE / d^n entries: a whole target chunk of best_overlaps, or
-    a single state, at once.  ``_state_coordinates`` reads a qubit
-    dictionary's own coordinates off its group tables instead."""
+    one gather over all X parts x and one batched Fourier transform (a
+    Hadamard matrix product for qubits).  The callers bound R: one operator,
+    or a target chunk of best_overlaps.  ``_state_coordinates`` reads a
+    qubit dictionary's own coordinates off its group tables instead."""
     dim = d**n
-    add, neg, _, fourier, phase = _tables(n, d)
-    out = np.empty((dim, dim, R.shape[2]), dtype=float if d == 2 else complex)
-    step = max(1, _TILE // max(1, dim * dim * R.shape[2]))
-    for x in range(0, dim, step):
-        s = fourier @ R[add[neg[x : x + step]], np.arange(dim)]
-        s *= phase[x : x + step, :, None]
-        out[x : x + step] = s.real if d == 2 else s
-    return out.reshape(dim * dim, -1)
+    add, neg, dot, fourier = _tables(n, d)
+    s = fourier @ R[add[neg], np.arange(dim)]
+    s *= _ZETA[d][-dot % (2 * d)][:, :, None]
+    return np.ascontiguousarray(s.real if d == 2 else s).reshape(dim * dim, -1)
 
 
 def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:

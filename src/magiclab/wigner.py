@@ -68,7 +68,7 @@ def wigner_function(rho: np.ndarray) -> WignerFunction:
     rho = _checked_state(rho, dim)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    add, neg, _, char, _ = _tables(n, D)
+    add, neg, _, char = _tables(n, D)
     # rho[add, add[neg]][x, a2] = rho[a2 + x, a2 - x]
     w = char @ rho[add, add[neg]] / D**n  # w[a1, a2]
     if not np.abs(w.imag).max() <= 1e-10:

@@ -351,6 +351,11 @@ def test_dmin_bound_examples():
     assert abs(dmin_bound_from_chi(g, 4) - (-2 * math.log2(0.75))) < 1e-12
     with pytest.raises(ValueError):
         dmin_bound_from_chi(g, 16)
+    # a negative chi would give a negative bound, a fractional one a bound of nothing
+    for bad in (-1, 1.5, 2.0, "1"):
+        with pytest.raises(ValueError):
+            dmin_bound_from_chi(f, bad)
+    assert dmin_bound_from_chi(f, np.int64(1)) == dmin_bound_from_chi(f, 1)
 
 
 def test_dmin_bound_is_positive_zero_at_chi_zero():

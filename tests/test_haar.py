@@ -289,3 +289,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"2\^24 amplitudes"):
         ExperimentConfig(4, 10**9, seed=0)
     ExperimentConfig(4, 2**20, seed=0)  # exactly 2^24 amplitudes
+    # n and samples are integers, refused at construction, not inside numpy
+    for n, samples in ((3, 2.5), (2.0, 10), (3, "10"), (None, 10)):
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentConfig(n, samples, seed=0)
+    cfg = ExperimentConfig(np.int64(3), np.int32(10), seed=0)
+    assert type(cfg.n) is int and type(cfg.samples) is int

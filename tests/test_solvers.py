@@ -214,6 +214,12 @@ def test_lp_start_basis_must_be_feasible_and_nonsingular():
         solve_lp(A, b, basis=[0, 0])
     with pytest.raises(ValueError, match="needs 2 columns"):
         solve_lp(A, b, basis=[0])
+    # indices are integers within the columns: no wrap-around, truncation or bools
+    for bad in ([-1, 0], [0, 3], [0.7, 2], [True, False], [0.0, 2.0]):
+        with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+            solve_lp(A, b, basis=bad)
+    with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
+        solve_lp([[1.0, 2.0]], [1.0], basis=[5])
     assert abs(solve_lp(A, b, basis=[0, 2]).objective - 3.0) < 1e-12  # x = (1, 0, 2)
     # any nonsingular start is feasible: the solver turns column 1 of [0, 1]
     # itself; min |x_0| + |x_1| + |x_2| is 3 on the segment from (1, 0, 2)

@@ -385,6 +385,7 @@ def test_pauli_coordinates_match_dense_operators(n, d):
     R = operator_stack(np.random.default_rng(10 * d + n), n, d)
     got = stabdict._pauli_coordinates(R, n, d)
     assert got.dtype == (float if d == 2 else complex) and got.shape == (d ** (2 * n), 6)
+    assert got.flags.c_contiguous  # a strided view of complex sums moves later sums' last bits
     digits = list(itertools.product(range(d), repeat=n))
     for row, (x, z) in enumerate(itertools.product(digits, digits)):
         # itertools.product counts big-endian; indices are little-endian
@@ -600,7 +601,7 @@ def test_four_qutrit_tables():
 
 
 def test_six_qutrit_tables_build_without_a_digit_sum_array():
-    # the five tables of six qutrits hold 24 MiB; a (729, 729, 6) array of
+    # the four tables of six qutrits hold 16 MiB; a (729, 729, 6) array of
     # digit sums would add 25 MiB to the peak, and the sums table, 4 MiB, is
     # built one digit at a time instead
     digits, place = stabdict._digits(6, 3)

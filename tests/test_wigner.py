@@ -253,7 +253,7 @@ def test_wigner_csv_rows_follow_the_flat_index():
 
 
 def test_six_qutrit_tables_are_not_kept():
-    # the lookup tables of six qutrits, five 729 x 729 arrays (about 25 MB),
+    # the lookup tables of six qutrits, four 729 x 729 arrays (about 17 MB),
     # are built for the call and freed with it; those of four qutrits, which
     # the dictionaries use, stay cached
     psi = haar_state_batch(3**6, 1, seed=6)[:, 0]
