@@ -259,14 +259,20 @@ def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
 def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:
     """Upper bound -2*log2(1 - 2^(1-n)*chi(f)) on the min-relative entropy of
     magic of the hypergraph state of f (quadratic states are stabilizer states),
-    for an integer 0 <= chi < 2^(n-1)."""
+    for an integer 0 <= chi < 2^(n-1).  The ratio 1 - 2^(1-n)*chi is one
+    correctly rounded division of integers, and where it falls below the
+    normal floats (n > 1023 only) the bound takes the logs of the integers."""
     try:
         chi = operator.index(chi)
     except TypeError:
         raise ValueError(f"chi must be an integer, got {chi!r}") from None
     if not 0 <= chi < 2 ** (f.n - 1):
         raise ValueError(f"bound undefined: chi = {chi} is not in 0..2^(n-1) - 1")
-    return 0.0 - 2.0 * math.log2(1.0 - 2.0 ** (1 - f.n) * chi)  # +0.0 at chi = 0
+    half = 2 ** (f.n - 1)
+    ratio = (half - chi) / half
+    if ratio < 2.0**-1022:  # subnormal or 0
+        return -2.0 * (math.log2(half - chi) - (f.n - 1))
+    return 0.0 - 2.0 * math.log2(ratio)  # +0.0 at chi = 0
 
 
 def welch_function(n: int) -> BooleanFunction:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _checked_pure_state
+from .pauli import MAX_ENTRIES, ResourceLimitError
 from .stabdict import StabilizerDictionary, _check_size
 
 _RUN_ENTRIES = 1024  # most amplitudes haar_state_batch assembles at once
@@ -45,7 +46,13 @@ def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     Each sample keeps the bits ``haar_state`` gives it: its two Gaussian
     vectors are one ``normal(size=(2, dim))`` draw, the same stream, and
     runs of at most _RUN_ENTRIES amplitudes are assembled and divided by
-    their norms at once, each norm ``np.linalg.norm`` of its own row."""
+    their norms at once, each norm ``np.linalg.norm`` of its own row.
+    Refuses dim < 1 with ``ValueError``, and a batch of more than
+    MAX_ENTRIES amplitudes with ``ResourceLimitError`` before it is drawn."""
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
+    if dim * count > MAX_ENTRIES:
+        raise ResourceLimitError(f"{count} states of dim {dim} exceed 2^24 amplitudes")
     out = np.empty((dim, count), dtype=complex)
     seq = np.random.SeedSequence(seed)
     run = max(1, _RUN_ENTRIES // dim)
@@ -210,14 +217,17 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        """n and samples are integers, and the batch's samples * 2^n amplitudes
-        are held at once: at most MAX_ENTRIES."""
+        """n, samples and seed are integers, seed nonnegative, and the batch's
+        samples * 2^n amplitudes are held at once: at most MAX_ENTRIES."""
         try:
             self.n, self.samples = operator.index(self.n), operator.index(self.samples)
+            self.seed = operator.index(self.seed)
         except TypeError:
-            raise ValueError("n and samples must be integers") from None
+            raise ValueError("n, samples and seed must be integers") from None
         if self.n < 1 or self.samples < 1:
             raise ValueError("need n >= 1 and at least one sample")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         message = "need n <= 24 and at most 2^24 amplitudes (samples * 2^n)"
         _check_size(self.n, lambda: self.samples * 2**self.n, message)
 

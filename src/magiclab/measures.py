@@ -231,30 +231,19 @@ def _check_robustness_size(n: int, d: int) -> None:
 _SYMMETRY_ZERO = 1e-12
 
 
-@functools.lru_cache(maxsize=None)
-def _conjugation_parity(n: int) -> np.ndarray:
-    """(4^n, 4^n) 0/1 table over Pauli pairs, both in the LP's row order (X
-    part major): entry [P, Q] is #Y(Q) + <P, Q> mod 2, with <P, Q> the
-    symplectic product, so row P is 1 exactly on the rows whose coordinate
-    Theta = P o K negates.  Float, for one matrix-vector product per search.
-    Read-only."""
-    w = _tables(n, 2)[2]  # |a & b|: #Y(Q) = w[x, z], <P, Q> = w[px, z] + w[pz, x]
-    parity = (w + w[:, None, None, :] + w[None, :, :, None]) & 1
-    parity = parity.reshape(4**n, 4**n).astype(float)
-    parity.flags.writeable = False
-    return parity
-
-
 def _conjugation_orbits(b: np.ndarray, groups: np.ndarray, n: int):
     """The robustness LP that a conjugation symmetry of a qubit rho keeps,
     or None when rho has none.
 
     Theta(s) = P s* P, complex conjugation K followed by a Pauli P, maps a
-    coordinate b_Q to (-1)^(#Y(Q) + <P, Q>) b_Q, so rho* = P rho P when no Q
-    with |b_Q| above _SYMMETRY_ZERO has an odd parity in
-    ``_conjugation_parity``.  Every P is tested at once, and the first in
-    row order is taken (the identity for a real rho).  Theta maps each
-    stabilizer group onto itself: the parity is linear on the group's
+    coordinate b_Q to (-1)^(#Y(Q) + <P, Q>) b_Q, so rho* = P rho P when no
+    kept Q, |b_Q| above _SYMMETRY_ZERO, has an odd parity.  #Y(Q) = |qx & qz|
+    and <P, Q> = |px & qz| + |pz & qx|, so with the Hadamard table
+    H[a, b] = (-1)^|a & b| the sums of (-1)^parity over the kept Q are
+    (H (kept * H) H)[pz, px] for every P at once, integers exact in floats.
+    The first P in row order whose sum counts every kept Q is taken (the
+    identity for a real rho), and no 4^n x 4^n table is formed.  Theta maps
+    each stabilizer group onto itself: the parity is linear on the group's
     elements c, tau.c with tau read off its generators (the elements 2^i),
     so Theta takes the group's state sigma to sigma XOR tau.
 
@@ -262,13 +251,16 @@ def _conjugation_orbits(b: np.ndarray, groups: np.ndarray, n: int):
     fixes, one column per orbit {phi, Theta phi} (every state of a group
     with tau = 0, else those with a 0 at tau's lowest set bit), and the
     column of Theta phi for every column phi of the dictionary."""
-    parity = _conjugation_parity(n)
-    fixing = np.flatnonzero(parity @ (np.abs(b) > _SYMMETRY_ZERO) == 0)
+    dim, steps = 2**n, 2 ** np.arange(n)
+    w, H = _tables(n, 2)[2:]  # |a & b| and (-1)^|a & b|
+    H = H.real
+    kept = np.abs(b.reshape(dim, dim)) > _SYMMETRY_ZERO  # [qx, qz]
+    fixing = np.flatnonzero((H @ (kept * H) @ H).T == kept.sum())
     if fixing.size == 0:
         return None
     P = int(fixing[0])
-    odd = parity[P] == 1
-    dim, steps = 2**n, 2 ** np.arange(n)
+    px, pz = divmod(P, dim)
+    odd = ((w + w[px] + w[pz][:, None]) & 1).ravel() == 1
     tau = odd[groups[:, steps]] @ steps
     sigma = np.arange(dim)
     keep = (sigma & (tau & -tau)[:, None]) == 0

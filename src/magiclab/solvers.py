@@ -105,13 +105,14 @@ def _lex_least(rows, lex):
     return rows[keep]
 
 
-def _revised_simplex(cols, cost, basis, T, B0, sign, free, price=None):
+def _revised_simplex(cols, cost, basis, xb, sign, free, price=None):
     """Revised simplex with the lexicographic anti-cycling ratio test;
     returns the number of pivots.
 
-    ``T`` = [B^{-1} | x_B] (one row per basic position, B^{-1} with one
-    column per original row, x_B last) and the column sign ``sign`` of each
-    basic position are updated in place.  The flag ``free`` says whether
+    It forms T = [B^{-1} | x_B] (one row per basic position, B^{-1} with one
+    column per original row, x_B last) from the start B0 = cols[:, basis] *
+    sign and its values ``xb``, clamped at zero, and updates ``basis`` and
+    ``sign`` in place.  The flag ``free`` says whether
     every column is free in sign (then ``cost`` must be nonnegative) or
     every column is nonnegative.  ``price``, if given, maps y = c_B B^{-1}
     to y.cols without cols, to pick the entering column.  A free column j
@@ -146,6 +147,8 @@ def _revised_simplex(cols, cost, basis, T, B0, sign, free, price=None):
     degenerate pivots cannot cycle.
     """
     m = basis.size
+    B0 = cols[:, basis] * sign
+    T = np.column_stack([np.linalg.inv(B0), np.maximum(xb, 0.0)])
     Binv, xb = T[:, :m], T[:, m]  # views: every pivot updates both at once
     for it in range(_MAX_PIVOTS):
         cost_b = cost[basis]
@@ -214,18 +217,18 @@ def _long_step(ratios, rises, slope):
 def solve_lp(A, b, basis=None, price=None) -> LPSolution:
     """min ||x||_1 subject to A x = b over free x, with dual extraction.
 
-    ``basis`` names m integer column indices in 0..ncols-1 whose matrix B0
-    is nonsingular (a ``ValueError`` otherwise); None takes ``crash_basis``
-    over the columns in descending |b.a_j|, which raises ``ValueError``
-    unless A has full row rank.  The simplex turns each start column with a
-    negative value, and a zero value takes the sign of its round-off.
-    ``price``, if given, returns y @ A for a dual vector y (see
+    ``basis`` names m integer column indices in 0..ncols-1, none a bool,
+    whose matrix B0 is nonsingular (a ``ValueError`` otherwise); None takes
+    ``crash_basis`` over the columns in descending |b.a_j|, which raises
+    ``ValueError`` unless A has full row rank.  The simplex turns each start
+    column with a negative value, and a zero value takes the sign of its
+    round-off.  ``price``, if given, returns y @ A for a dual vector y (see
     ``_revised_simplex``); it picks the entering columns only.
 
-    The final basis is re-solved against the original data, so the reported
-    solution does not inherit the round-off of B^{-1}.  A re-solved dual
-    with |A^T y| above 1 + ``LP_TOL`` resumes the simplex once from that
-    basis with a fresh inverse.  The pair is then checked against A itself:
+    A pass runs the simplex and re-solves its final basis against the
+    original data, so the reported solution does not inherit the round-off
+    of B^{-1}.  A re-solved dual with |A^T y| above 1 + ``LP_TOL`` runs a
+    second pass, from that basis.  The pair is then checked against A itself:
     A x = b, x_B >= 0 on the signed columns and |A^T y| <= 1, each within a
     tolerance above ``LP_TOL``.  A basis that fails raises ``SolverError``.
     """
@@ -236,34 +239,33 @@ def solve_lp(A, b, basis=None, price=None) -> LPSolution:
 
     if basis is None:
         basis = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
+    given = np.array(basis, dtype=object)  # numpy would pass a bool among ints as an int
     basis = np.array(basis)
     if basis.shape != (m,):
         raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
-    if basis.dtype.kind not in "iu" or not np.all((basis >= 0) & (basis < ncols)):
+    bools = any(isinstance(j, (bool, np.bool_)) for j in given)
+    if bools or basis.dtype.kind not in "iu" or not np.all((basis >= 0) & (basis < ncols)):
         raise ValueError(f"start basis indices must be integers in 0..{ncols - 1}")
     basis = basis.astype(np.intp)
     try:
         xb = np.linalg.solve(A[:, basis], b)  # as the final re-solve computes x
-        sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
-        B0 = A[:, basis] * sign
-        Binv = np.linalg.inv(B0)
     except np.linalg.LinAlgError:
         raise ValueError("start basis is singular") from None
-    T = np.column_stack([Binv, np.maximum(sign * xb, 0.0)])
-    iterations = _revised_simplex(A, c, basis, T, B0, sign, True, price)
+    sign = np.where(xb < 0, -1.0, 1.0)  # turn each column with a negative value
+    xb *= sign
 
     # re-solve the final basis against the data, which the iterations never
     # modify, and check it: ||x||_1 = b.y holds for any basis, so optimality
     # is x_B >= 0 on the signed columns and |A^T y| <= 1
+    iterations = 0
     for resume in (True, False):
+        iterations += _revised_simplex(A, c, basis, xb, sign, True, price)
         B = A[:, basis] * sign
         xb = np.linalg.solve(B, b)
         y = np.linalg.solve(B.T, c[basis])
         reduced_min = float((c - np.abs(y @ A)).min(initial=0.0))
         if not resume or reduced_min >= -LP_TOL:
             break
-        T = np.column_stack([np.linalg.inv(B), np.maximum(xb, 0.0)])
-        iterations += _revised_simplex(A, c, basis, T, B, sign, True, price)
     x = np.zeros(ncols)
     x[basis] = sign * xb
     obj = float(c @ np.abs(x))

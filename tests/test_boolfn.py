@@ -356,6 +356,12 @@ def test_dmin_bound_examples():
         with pytest.raises(ValueError):
             dmin_bound_from_chi(f, bad)
     assert dmin_bound_from_chi(f, np.int64(1)) == dmin_bound_from_chi(f, 1)
+    # chi is never turned into a float: 2^1098 is past the floats' range, at
+    # (60, 2^59 - 1) the product 2^-59 chi rounds to 1, and at
+    # (1100, 2^1099 - 1) the ratio 2^-1099 underflows to 0
+    for n, chi, bound in ((1100, 2**1098, 2.0), (60, 2**59 - 1, 118.0),
+                          (1100, 2**1099 - 1, 2198.0)):
+        assert dmin_bound_from_chi(BooleanFunction(n, frozenset()), chi) == bound
 
 
 def test_dmin_bound_is_positive_zero_at_chi_zero():

@@ -23,6 +23,7 @@ from magiclab.haar import (
 )
 import magiclab
 from magiclab.measures import dmin
+from magiclab.pauli import ResourceLimitError
 
 GOLDEN_DMIN = math.log2(3 - math.sqrt(3))
 
@@ -181,6 +182,21 @@ def test_batch_memory_is_the_output():
     assert peak <= 2 * out.nbytes
 
 
+def test_batch_refuses_bad_dimensions_before_drawing():
+    with pytest.raises(ValueError, match="dim >= 1"):
+        haar_state_batch(0, 3, seed=1)
+    # 4,096 x 4,097 amplitudes are one sample past 2^24: refused before the
+    # 268 MB output is allocated or any sample drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"2\^24 amplitudes"):
+            haar_state_batch(4096, 4097, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_single_qubit_dmin_max_at_golden(dict2_1):
     values = sample_dmin(ExperimentConfig(1, 5000, seed=7), dict2_1)
     assert values.max() <= GOLDEN_DMIN + 1e-6
@@ -295,3 +311,10 @@ def test_config_validation():
             ExperimentConfig(n, samples, seed=0)
     cfg = ExperimentConfig(np.int64(3), np.int32(10), seed=0)
     assert type(cfg.n) is int and type(cfg.samples) is int
+    # so is the seed, and nonnegative, as SeedSequence needs
+    for seed in (1.5, "1", None):
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentConfig(3, 10, seed)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExperimentConfig(3, 10, -1)
+    assert type(ExperimentConfig(3, 10, np.uint8(7)).seed) is int

@@ -753,6 +753,69 @@ def test_conjugation_orbits_match_the_dense_symmetry(dict2_3):
     assert measures._conjugation_orbits(b, dict2_3.elements, 3) is None
 
 
+def _brute_conjugation_orbits(b, D, n):
+    """``_conjugation_orbits`` by brute force: the parity of every (P, Q)
+    pair from bit counts, the first P in row order that no Q with |b_Q| above
+    1e-12 has odd, and each state's partner found among its group's states
+    by its overlap with P phi*."""
+    dim = 2**n
+    pop = np.array([bin(a).count("1") for a in range(dim)])
+    q = np.arange(dim * dim)
+    qx, qz = q // dim, q % dim  # X part major, for P as for Q
+    parity = (pop[qx & qz] + pop[qx[:, None] & qz] + pop[qz[:, None] & qx]) % 2
+    kept = np.abs(b) > 1e-12
+    fixing = [p for p in q if not parity[p, kept].any()]
+    if not fixing:
+        return None, 0
+    P = fixing[0]
+    Pd = pauli_from_string(measures._coordinate_labels(n, 2)[P]).dense()
+    blocks = D.reshape(dim, -1, dim).transpose(1, 0, 2)  # [group, amplitude, state]
+    overlaps = np.abs(np.einsum("gak,gal->gkl", blocks.conj(), Pd @ blocks.conj()))
+    assert np.allclose(overlaps.max(axis=1), 1.0)  # Theta phi is a state of phi's group
+    partner = (np.arange(blocks.shape[0])[:, None] * dim + overlaps.argmax(axis=1)).ravel()
+    j = np.arange(D.shape[1])
+    tau = j ^ partner
+    cols = np.flatnonzero((tau & -tau & j) == 0)  # a 0 at tau's lowest set bit
+    return (P, np.flatnonzero(parity[P] == 0), cols, partner), len(fixing)
+
+
+def test_conjugation_orbits_match_a_brute_force_parity(dict2_1, dict2_2, dict2_4):
+    # random sparse coordinates, which several P fix, and Pauli images
+    # Q rho Q of states whose symmetry is known, which keep it: Q* P Q = +-P
+    rng = np.random.default_rng(49)
+    plus_i = np.array([1, 1j]) / math.sqrt(2)
+    known = {
+        1: [(T_STATE, "+X"), (plus_i, "+Z"), (PLUS, "+I")],
+        2: [(_kron(T_STATE, plus_i), "+ZX"), (_kron(T_STATE, T_STATE), "+XX")],
+        4: [(_kron(CCZ, T_STATE), "+XIII"), (_kron(*[T_STATE] * 4), "+XXXX")],
+    }
+    for n, dic in ((1, dict2_1), (2, dict2_2), (4, dict2_4)):
+        labels = measures._coordinate_labels(n, 2)
+        cases = []
+        for k in (1, 2, 3):
+            b = np.zeros(4**n)
+            b[rng.choice(4**n, size=k, replace=False)] = rng.normal(size=k)
+            cases.append((b, None))
+        for state, want in known[n]:
+            Q = pauli_from_string(labels[rng.integers(4**n)]).dense()
+            rho = Q @ np.outer(state, state.conj()) @ Q.conj().T
+            cases.append((_pauli_coordinates(rho[:, :, None], n, 2)[:, 0], want))
+        v = random_state(2**n, rng)
+        cases.append((_pauli_coordinates(np.outer(v, v.conj())[:, :, None], n, 2)[:, 0], None))
+        several = 0
+        for b, want in cases:
+            got = measures._conjugation_orbits(b, dic.elements, n)
+            ref, count = _brute_conjugation_orbits(b, dic.states, n)
+            several += count > 1
+            if ref is None:
+                assert got is None and want is None
+                continue
+            assert got[0] == ref[0] and want in (None, labels[got[0]])
+            for mine, theirs in zip(got[1:], ref[1:]):
+                assert np.array_equal(mine, theirs)
+        assert several >= 3
+
+
 def test_robustness_reports_the_lp_it_solved(dict2_3, dict3_2):
     # a conjugation symmetry halves the qubit LP; a Haar state and qutrits
     # keep the full one, so the reduction cannot switch off silently

@@ -13,13 +13,12 @@ def test_lp_trivial():
 
 def _kernel(A, c, basis, b):
     """Run the simplex kernel on the nonnegative LP min c.x, A x = b, x >= 0
-    from ``basis``, with T = [B0^{-1} | B0^{-1} b]; returns the final basis,
-    its re-solved x and the pivot count."""
+    from ``basis``, whose values are B0^{-1} b; returns the final basis, its
+    re-solved x and the pivot count."""
     A, c, b = (np.asarray(v, dtype=float) for v in (A, c, b))
     basis = np.array(basis)
-    B0 = A[:, basis]
-    T = np.column_stack([np.linalg.inv(B0), np.linalg.solve(B0, b)])
-    pivots = solvers._revised_simplex(A, c, basis, T, B0, np.ones(basis.size), 0)
+    xb = np.linalg.solve(A[:, basis], b)
+    pivots = solvers._revised_simplex(A, c, basis, xb, np.ones(basis.size), 0)
     x = np.zeros(A.shape[1])
     x[basis] = np.linalg.solve(A[:, basis], b)
     return basis, x, pivots
@@ -214,8 +213,10 @@ def test_lp_start_basis_must_be_feasible_and_nonsingular():
         solve_lp(A, b, basis=[0, 0])
     with pytest.raises(ValueError, match="needs 2 columns"):
         solve_lp(A, b, basis=[0])
-    # indices are integers within the columns: no wrap-around, truncation or bools
-    for bad in ([-1, 0], [0, 3], [0.7, 2], [True, False], [0.0, 2.0]):
+    # indices are integers within the columns: no wrap-around, truncation or
+    # bools, also one bool among ints, which numpy would promote to an int
+    for bad in ([-1, 0], [0, 3], [0.7, 2], [True, False], [0.0, 2.0], [True, 2],
+                [0, False], [np.True_, 2]):
         with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
             solve_lp(A, b, basis=bad)
     with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
