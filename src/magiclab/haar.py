@@ -16,9 +16,14 @@ Marsaglia, Tsang and Wang, "Evaluating Kolmogorov's Distribution"
 (J. Stat. Softw. 8(18), 2003); it agrees with scipy's ``kstwo.sf``.
 
 Per-sample randomness is split deterministically from the master seed, so
-experiments are reproducible and parallelizable.
+experiments are reproducible and parallelizable: sample i draws from the
+i-th ``SeedSequence`` child, whose seed words are computed here for a run of
+samples at once (O'Neill's seed_seq_fe hash, as numpy writes it; M. E.
+O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905).
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,6 +36,92 @@ from .stabdict import StabilizerDictionary, _check_size
 
 _RUN_ENTRIES = 1024  # most amplitudes haar_state_batch assembles at once
 
+# numpy's SeedSequence hash constants (numpy.random.bit_generator)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _index(value, name: str) -> int:
+    """``operator.index(value)``; a bool or a non-integer is a ValueError
+    naming the input."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} takes integers only, got {value!r}")
+    return operator.index(value)
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hashmix step on uint32 words, Python ints or arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words, Python ints or arrays."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _spawned_words(seed: int, i0: int, i1: int) -> np.ndarray:
+    """(i1 - i0, 4) uint64 array whose row k is
+    ``SeedSequence(seed).spawn(i1)[i0 + k].generate_state(4, np.uint64)``,
+    the words a ``PCG64`` seeded by that child is seeded from.
+
+    It is O'Neill's seed_seq_fe hash as numpy writes it.  A child's entropy
+    is the seed's 32-bit words, zero-padded to the pool of 4, then its spawn
+    index as one word (i1 <= 2^32).  Each word is hashed with the next of a
+    run of multipliers that steps on every use, whatever the word; the pool
+    words are mixed pairwise, then every word past the pool into each pool
+    word, and the pool is hashed out to 8 words.  Only the spawn index
+    differs between children, so everything before it is computed once, on
+    Python ints, and the index's four hashes on arrays."""
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    # one multiplier per hash: the 4 pool words, 12 pairwise mixes, 4 for
+    # each word past the pool and 4 for the spawn index
+    a = [_INIT_A]
+    for _ in range(4 + 12 + 4 * (len(entropy) - 4) + 4):
+        a.append(a[-1] * _MULT_A & _MASK32)
+    steps = zip(a, a[1:])
+    pool = [_hash(word, *next(steps)) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
+    xor, mult = (np.array(c, dtype=np.uint32) for c in zip(*steps))
+    index = np.arange(i0, i1, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(index, xor, mult))
+    b = [_INIT_B]  # generate_state's multipliers, one per 32-bit output word
+    for _ in range(8):
+        b.append(b[-1] * _MULT_B & _MASK32)
+    xor, mult = np.array(b[:-1], dtype=np.uint32), np.array(b[1:], dtype=np.uint32)
+    state = _hash(np.tile(pool, 2), xor, mult).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+@functools.cache
+def _seed_words_type():
+    """An ``ISeedSequence`` that hands ``PCG64`` fixed seed words.  Made on
+    first use, so that importing this module leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads the returned array's buffer as 4 uint64 words,
+            # whatever its strides
+            if n_words != 4 or dtype is not np.uint64 or not self.words.flags.c_contiguous:
+                raise ValueError("holds one contiguous run of PCG64's 4 uint64 seed words")
+            return self.words
+
+    return SeedWords
+
 
 def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-random unit vector via a normalized complex Gaussian."""
@@ -40,25 +131,38 @@ def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
 
 def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     """(dim, count) matrix of independent Haar states from one master seed:
-    sample i draws from the i-th child of ``SeedSequence(seed)``, spawned one
-    at a time, so the children are those of ``spawn(count)`` but never all held.
+    sample i draws from a ``Generator`` on the i-th child of
+    ``SeedSequence(seed).spawn(count)``, with the bits ``haar_state`` gives it.
 
-    Each sample keeps the bits ``haar_state`` gives it: its two Gaussian
-    vectors are one ``normal(size=(2, dim))`` draw, the same stream, and
-    runs of at most _RUN_ENTRIES amplitudes are assembled and divided by
-    their norms at once, each norm ``np.linalg.norm`` of its own row.
-    Refuses dim < 1 with ``ValueError``, and a batch of more than
-    MAX_ENTRIES amplitudes with ``ResourceLimitError`` before it is drawn."""
+    No ``SeedSequence`` is made: ``_spawned_words`` reproduces the children's
+    ``PCG64`` seed words, a run of samples at a time, and each sample's
+    ``PCG64`` is seeded from its own words through numpy's ``ISeedSequence``
+    interface.  Each sample keeps its own ``normal(size=(2, dim))`` draw, its
+    two Gaussian vectors, and its own norm: runs of at most _RUN_ENTRIES
+    amplitudes are assembled and divided by their norms at once, each norm
+    ``np.linalg.norm`` of its own row.
+
+    Refuses, with ``ValueError`` naming the input and before anything is
+    allocated or drawn, a bool or non-integer dim, count or seed, dim < 1,
+    count < 0 and seed < 0; and a batch of more than MAX_ENTRIES amplitudes
+    with ``ResourceLimitError``."""
+    dim, count, seed = _index(dim, "dim"), _index(count, "count"), _index(seed, "seed")
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if dim * count > MAX_ENTRIES:
         raise ResourceLimitError(f"{count} states of dim {dim} exceed 2^24 amplitudes")
+    from numpy.random import PCG64, Generator
+
+    seed_words = _seed_words_type()
     out = np.empty((dim, count), dtype=complex)
-    seq = np.random.SeedSequence(seed)
     run = max(1, _RUN_ENTRIES // dim)
     for i0 in range(0, count, run):
-        rngs = (np.random.default_rng(seq.spawn(1)[0]) for _ in range(min(run, count - i0)))
-        draws = np.array([rng.normal(size=(2, dim)) for rng in rngs])
+        words = _spawned_words(seed, i0, min(i0 + run, count))
+        draws = np.array([Generator(PCG64(seed_words(w))).normal(size=(2, dim)) for w in words])
         v = draws[:, 0] + 1j * draws[:, 1]
         norms = np.array([np.linalg.norm(row) for row in v])
         out[:, i0 : i0 + len(v)] = (v / norms[:, None]).T
@@ -217,13 +321,11 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        """n, samples and seed are integers, seed nonnegative, and the batch's
-        samples * 2^n amplitudes are held at once: at most MAX_ENTRIES."""
-        try:
-            self.n, self.samples = operator.index(self.n), operator.index(self.samples)
-            self.seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError("n, samples and seed must be integers") from None
+        """n, samples and seed are integers, not bools, seed nonnegative, and
+        the batch's samples * 2^n amplitudes are held at once: at most
+        MAX_ENTRIES."""
+        self.n, self.samples = _index(self.n, "n"), _index(self.samples, "samples")
+        self.seed = _index(self.seed, "seed")
         if self.n < 1 or self.samples < 1:
             raise ValueError("need n >= 1 and at least one sample")
         if self.seed < 0:

@@ -406,7 +406,9 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
         lower = np.maximum(top * (1 - 1e-9), trace / dim)
         need = dim * (lower**2 + (trace - lower) ** 2 / (dim - 1))
         keep = bound >= (need * (1 - 2 * (dim + 1) * 2.0**-24)).astype(np.float32)
-    g, t = np.nonzero(keep)
+    # the kept pairs in row order, as np.nonzero(keep) gives them, but
+    # from the flat indices: a tenth of the 2-D call's time on these shapes
+    g, t = np.divmod(np.flatnonzero(keep), m)
     best, arg = np.empty(len(g)), np.empty(len(g), dtype=np.int64)
     step = max(1, _TILE // dim)
     for s0 in range(0, len(g), step):

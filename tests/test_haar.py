@@ -12,7 +12,9 @@ from scipy import stats
 
 from magiclab.haar import (
     ExperimentConfig,
+    _RUN_ENTRIES,
     _kolmogorov_sf,
+    _spawned_words,
     dmin_bound_curve,
     dmin_distribution,
     experiment_csv,
@@ -169,6 +171,25 @@ def test_batch_bits_are_pinned(dim, count, seed, digest):
     assert hashlib.sha256(states.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed",
+    # 1 to 7 entropy words; from 5 on, the hash mixes entropy past the pool
+    [0, 1, 2**32 - 1, 2**32, 2**64, 2**127, 2**128 - 1, 2**128, 2**200 + 1],
+)
+def test_spawned_words_match_seed_sequence(seed):
+    # the PCG64 seed words of each SeedSequence child, for indices that cross
+    # the one-qubit runs of 512 samples
+    count = 1030
+    children = np.random.SeedSequence(seed).spawn(count)
+    expected = np.array([child.generate_state(4, np.uint64) for child in children])
+    run = _RUN_ENTRIES // 2
+    words = [_spawned_words(seed, i0, min(i0 + run, count)) for i0 in range(0, count, run)]
+    assert [len(w) for w in words] == [512, 512, 6]
+    assert all(w.dtype == np.uint64 for w in words)
+    assert np.array_equal(np.concatenate(words), expected)
+    assert np.array_equal(_spawned_words(seed, 500, 530), expected[500:530])
+
+
 def test_batch_memory_is_the_output():
     # no list of SeedSequence children (about 470 B each) next to the
     # 32 B of amplitudes a one-qubit sample takes
@@ -195,6 +216,39 @@ def test_batch_refuses_bad_dimensions_before_drawing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _refused_before_allocating(dim, count, seed, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            haar_state_batch(dim, count, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_batch_refuses_bad_dim():
+    for dim in (True, 2.0, "2", None):
+        _refused_before_allocating(dim, 3, 1, "dim takes integers only")
+    assert haar_state_batch(np.int64(2), 3, 1).shape == (2, 3)
+
+
+def test_batch_refuses_bad_count():
+    for count in (True, 3.0, "3", None):
+        _refused_before_allocating(2, count, 1, "count takes integers only")
+    _refused_before_allocating(2, -1, 1, r"count >= 0, got -1")
+    assert haar_state_batch(2, 0, 1).shape == (2, 0)
+
+
+def test_batch_refuses_bad_seed():
+    # SeedSequence takes nonnegative seeds only, so a negative one has no
+    # children whose words could be reproduced
+    for seed in (False, 1.0, "1", None):
+        _refused_before_allocating(2, 3, seed, "seed takes integers only")
+    _refused_before_allocating(2, 3, -1, "seed must be nonnegative")
+    assert np.array_equal(haar_state_batch(2, 3, np.uint8(1)), haar_state_batch(2, 3, 1))
 
 
 def test_single_qubit_dmin_max_at_golden(dict2_1):
@@ -318,3 +372,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         ExperimentConfig(3, 10, -1)
     assert type(ExperimentConfig(3, 10, np.uint8(7)).seed) is int
+    # nor is a bool, in any of the three
+    for args in ((True, 10, 0), (3, True, 0), (3, 10, False)):
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentConfig(*args)

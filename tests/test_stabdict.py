@@ -268,6 +268,24 @@ def test_n5_batch_matches_single_targets(dict2_5):
     assert np.max(np.abs(fid - [f[0] for f, _ in single])) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "n, count, seed, digest",
+    [
+        # 128 targets in eight 16-target chunks, each through the float32 screen
+        (4, 128, 7, "f82a75cb2370d73e63822ee836e513b85f8aed6390489cf83b78aa53ddc53e37"),
+        # one 16-target chunk of 75,735 groups
+        (5, 16, 58, "d36127d5aeb090106ea6c9f75d0b9f449249b4754798308cbf0dce473b11627d"),
+    ],
+)
+def test_best_overlaps_bits_are_pinned(request, n, count, seed, digest):
+    # the kept pairs, their exact sums and the pick keep every byte of the
+    # fidelities and indices, not just their values to 1e-15
+    dic = request.getfixturevalue(f"dict2_{n}")
+    fid, idx = dic.best_overlaps(haar_state_batch(2**n, count, seed))
+    assert (fid.dtype, idx.dtype) == (np.float64, np.int64)
+    assert hashlib.sha256(fid.tobytes() + idx.tobytes()).hexdigest() == digest
+
+
 def _group_expectations(dic, V):
     """<v|g|v> for every element g of every run's stabilizer group, (runs,
     d^n, targets), applying the powers of the run's first tableau's
