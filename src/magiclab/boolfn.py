@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .binlin import field_log_tables
-from .stabdict import _check_size
+from .stabdict import _check_size, _tables
 
 
 def variable_mask(n: int, i: int) -> int:
@@ -80,10 +80,12 @@ class BooleanFunction:
 def from_truth_table(n: int, table: int) -> BooleanFunction:
     """ANF via the Moebius transform of a packed truth table.
 
-    Raises ``ValueError`` if n < 1 or the table has a bit set at or above 2^n.
+    Raises ``ValueError`` if n < 1 or the table is negative or has a bit at or above 2^n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if table < 0:
+        raise ValueError(f"truth table must be nonnegative, got {table}")
     if table >> (1 << n):
         raise ValueError(f"truth table has bits beyond the 2^{n} inputs")
     tt = table
@@ -202,8 +204,8 @@ def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     L, b and c are free, so chi = (2^n - max_Q (max|W_0| + max|W_1|))/2 over
     2^C(n-1,2) pair parts Q.  Their +-1 rows (-1)^(f_h + Q) are built in int8
     by doubling one pair monomial at a time, and take one product with the
-    2^(n-1) Sylvester Hadamard matrix; |W| <= 32, so float32 is exact.  Zero
-    iff deg f <= 2.
+    2^(n-1) Hadamard block of stabdict's ``_tables``; |W| <= 32, so float32
+    is exact.  Zero iff deg f <= 2.
 
     Among tied minimizers the result is the one a Gray-code sweep over the
     `quadratic_basis` coefficients meets first: the least g whose subset
@@ -225,9 +227,7 @@ def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     for k, (i, j) in enumerate(map(sorted, pairs)):
         sign = (1 - 2 * ((y >> i) & (y >> j) & 1)).astype(np.int8)
         np.multiply(rows[:1 << k], sign, out=rows[1 << k:2 << k])
-    hadamard = np.ones((1, 1), dtype=np.float32)
-    for _ in range(n - 1):
-        hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=np.float32), hadamard)
+    hadamard = _tables(max(n - 1, 1), 2)[3][:half, :half].astype(np.float32)
     walsh = rows.astype(np.float32) @ hadamard
     magnitude = np.abs(walsh)
     peak = magnitude.max(axis=2)  # > 0 by Parseval, so the signs below are unique
@@ -262,10 +262,9 @@ def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:
     for an integer 0 <= chi < 2^(n-1).  The ratio 1 - 2^(1-n)*chi is one
     correctly rounded division of integers, and where it falls below the
     normal floats (n > 1023 only) the bound takes the logs of the integers."""
-    try:
-        chi = operator.index(chi)
-    except TypeError:
-        raise ValueError(f"chi must be an integer, got {chi!r}") from None
+    if isinstance(chi, bool) or not hasattr(type(chi), "__index__"):
+        raise ValueError(f"chi must be an integer, got {chi!r}")
+    chi = operator.index(chi)
     if not 0 <= chi < 2 ** (f.n - 1):
         raise ValueError(f"bound undefined: chi = {chi} is not in 0..2^(n-1) - 1")
     half = 2 ** (f.n - 1)

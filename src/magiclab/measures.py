@@ -253,7 +253,6 @@ def _conjugation_orbits(b: np.ndarray, groups: np.ndarray, n: int):
     column of Theta phi for every column phi of the dictionary."""
     dim, steps = 2**n, 2 ** np.arange(n)
     w, H = _tables(n, 2)[2:]  # |a & b| and (-1)^|a & b|
-    H = H.real
     kept = np.abs(b.reshape(dim, dim)) > _SYMMETRY_ZERO  # [qx, qz]
     fixing = np.flatnonzero((H @ (kept * H) @ H).T == kept.sum())
     if fixing.size == 0:

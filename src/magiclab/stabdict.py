@@ -245,10 +245,11 @@ def _tableaux(elements, phases, n: int, d: int, columns):
 def _tables(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Lookup tables over Z_d^n, each element a little-endian integer in d:
     the sums a + b, the negations -a, the dot products a.b over the integers
-    (|a & b| for qubits) and the characters omega^(a.b).  Read-only.  Kept
-    for the life of the process for the (n, d) that ``_check_tables``
-    accepts (qubits n <= 5, qutrits n <= 4), and built per call beyond:
-    four 729 x 729 tables at six qutrits."""
+    (|a & b| for qubits) and the characters omega^(a.b), for qubits the one real
+    C-contiguous +-1 table of every transform (a strided view reorders BLAS
+    sums).  Read-only.  Kept for the life of the process for the (n, d) that
+    ``_check_tables`` accepts (qubits n <= 5, qutrits n <= 4), and built per
+    call beyond: four 729 x 729 tables at six qutrits."""
     if count_stabilizer_states(n, d) <= MAX_ENTRIES:
         return _kept_tables(n, d)
     return _build_tables(n, d)
@@ -263,7 +264,7 @@ def _build_tables(n: int, d: int) -> tuple[np.ndarray, ...]:
         sum((digits[:, i, None] + digits[:, i]) % d * place[i] for i in range(n)),
         (-digits % d) @ place,
         weight,
-        _ZETA[d][2 * weight % (2 * d)],
+        (_ZETA[d].real if d == 2 else _ZETA[d])[2 * weight % (2 * d)],
     )
     for table in tables:
         table.flags.writeable = False
@@ -305,6 +306,8 @@ def _group_tables(gen_x, gen_z, gen_t, d: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (groups, d^n) int64 tables: each element's row x d^n + z of
     ``_pauli_coordinates``, and its zeta exponent relative to that row's
     P_xz.  ``StabilizerDictionary`` keeps them in the smallest integer types.
+    Every exponent is 0 or d, the element's sign on the group's first state,
+    so the tables' readers take that sign as ``_ZETA[d].real[phase]``.
     """
     count, n = gen_t.shape
     dim = d**n
@@ -334,8 +337,7 @@ def _state_coordinates(groups, phases, n: int) -> np.ndarray:
     dim = 2**n
     out = np.zeros((dim * dim, len(groups) * dim))
     columns = np.arange(out.shape[1]).reshape(-1, dim, 1)
-    signs = _tables(n, 2)[3].real
-    out[groups[:, None, :], columns] = _ZETA[2][phases].real[:, None, :] * signs
+    out[groups[:, None, :], columns] = _ZETA[2].real[phases][:, None, :] * _tables(n, 2)[3]
     return out
 
 
@@ -347,8 +349,7 @@ def _state_pricer(groups, phases, n: int):
     terms as the dense product.  The gather index and the signs are made
     once, here, for the many dual vectors of one LP."""
     rows = groups.astype(np.intp)
-    signs = _ZETA[2].real[phases]
-    hadamard = np.ascontiguousarray(_tables(n, 2)[3].real)
+    signs, hadamard = _ZETA[2].real[phases], _tables(n, 2)[3]
 
     def price(y):
         u = y.take(rows)
@@ -390,7 +391,7 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 
     def exact(g, t):
         """All d^n fidelities of the pairs (group g, target t), in column order."""
-        u = _ZETA[d][phases.take(g, axis=0)] * coords[groups.take(g, axis=0), t[:, None]]
+        u = _ZETA[d].real[phases.take(g, axis=0)] * coords[groups.take(g, axis=0), t[:, None]]
         return (u @ fourier).real / dim
 
     if groups.size * dim * m <= _TILE:  # so few sums that bounding them costs more

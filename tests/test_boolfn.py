@@ -22,7 +22,7 @@ from magiclab.boolfn import (
     variable_mask,
     welch_function,
 )
-from magiclab.stabdict import ResourceLimitError
+from magiclab.stabdict import ResourceLimitError, _tables
 from conftest import gf_pow, gf_trace, quadratic_states
 
 
@@ -110,8 +110,10 @@ def test_truth_table_bits_beyond_inputs_rejected():
         from_truth_table(3, int.from_bytes(bytes.fromhex("ff01"), "little"))
     with pytest.raises(ValueError):
         from_truth_table(2, 1 << 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         from_truth_table(2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_truth_table(3, -1)
     assert from_truth_table(3, 0xFF).weight() == 8
 
 
@@ -337,6 +339,18 @@ def test_nonquadraticity_tie_heavy_functions_match_gray_code_sweep(f, ties):
     assert _assert_matches_sweep(f) == ties
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nonquadraticity_hadamard_block_is_sylvester(n):
+    # nonquadraticity reads this block of the kept qubit character table,
+    # built once per process, in place of a per-call Sylvester kron
+    half = 1 << (n - 1)
+    sylvester = np.ones((1, 1), dtype=np.float32)
+    for _ in range(n - 1):
+        sylvester = np.kron(np.array([[1, 1], [1, -1]], dtype=np.float32), sylvester)
+    block = _tables(max(n - 1, 1), 2)[3][:half, :half].astype(np.float32)
+    assert block.dtype == np.float32 and np.array_equal(block, sylvester)
+
+
 def test_nonquadraticity_size_guard():
     with pytest.raises(ValueError):
         nonquadraticity(BooleanFunction(7, frozenset()))
@@ -356,6 +370,10 @@ def test_dmin_bound_examples():
         with pytest.raises(ValueError):
             dmin_bound_from_chi(f, bad)
     assert dmin_bound_from_chi(f, np.int64(1)) == dmin_bound_from_chi(f, 1)
+    # a bool is not a count: True would pass as chi = 1
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="chi must be an integer"):
+            dmin_bound_from_chi(f, bad)
     # chi is never turned into a float: 2^1098 is past the floats' range, at
     # (60, 2^59 - 1) the product 2^-59 chi rounds to 1, and at
     # (1100, 2^1099 - 1) the ratio 2^-1099 underflows to 0

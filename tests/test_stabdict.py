@@ -286,6 +286,35 @@ def test_best_overlaps_bits_are_pinned(request, n, count, seed, digest):
     assert hashlib.sha256(fid.tobytes() + idx.tobytes()).hexdigest() == digest
 
 
+def test_best_overlaps_last_bit_with_a_contiguous_table(dict2_4):
+    # the qubit character table must be C-contiguous: matmul sums a strided
+    # operand (a .real view of a complex table) in another order, and this
+    # fidelity then reads 0.5814158557811168
+    fid, idx = dict2_4.best_overlaps(haar_state_batch(16, 1, 104))
+    assert (float(fid[0]), int(idx[0])) == (0.5814158557811167, 26164)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_qubit_character_table_is_real_and_contiguous(n):
+    chars = stabdict._tables(n, 2)[3]
+    assert chars.dtype == np.float64
+    assert chars.flags.c_contiguous and not chars.flags.writeable
+    a = np.arange(2**n)
+    parity = np.array([bin(v).count("1") for v in (a[:, None] & a).ravel()]).reshape(chars.shape)
+    assert np.array_equal(chars, (-1.0) ** parity)
+    if n <= 4:  # the qutrit characters stay complex
+        assert stabdict._tables(n, 3)[3].dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", ["dict2_1", "dict2_2", "dict2_3", "dict2_4", "dict2_5",
+                                  "dict3_1", "dict3_2", "dict3_3"])
+def test_table_exponents_are_signs(request, name):
+    # every stored exponent is 0 or d, so zeta^phase is a real +-1: the
+    # readers of the tables take it as _ZETA[d].real[phase]
+    dic = request.getfixturevalue(name)
+    assert set(np.unique(dic.phases).tolist()) <= {0, dic.d}
+
+
 def _group_expectations(dic, V):
     """<v|g|v> for every element g of every run's stabilizer group, (runs,
     d^n, targets), applying the powers of the run's first tableau's
@@ -612,6 +641,7 @@ def test_three_qutrit_columns_are_stabilizer_states(dict3_3):
 def test_four_qutrit_tables():
     dic = enumerate_stabilizer_states(4, 3)
     assert dic.size == count_stabilizer_states(4, 3) == 7_439_040
+    assert set(np.unique(dic.phases).tolist()) <= {0, 3}
     for i in (0, 81 * 12_345 + 17, dic.size // 2 + 40, dic.size - 1):
         psi = dic.state(i)
         assert np.max(np.abs(tableau_to_state(dic.tableau(i)) - psi)) < 1e-12
