@@ -7,7 +7,6 @@ second-order Reed-Muller code RM(2, n).
 """
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .binlin import field_log_tables
+from .pauli import _index
 from .stabdict import _check_size, _tables
 
 
@@ -42,14 +42,14 @@ def monomial_table(n: int, monomial: frozenset[int]) -> int:
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """Boolean function given by its ANF monomial set (0-indexed variables)."""
+    """Boolean function given by its ANF monomial set (0-indexed variables);
+    n is an integer >= 1, not a bool (``pauli._index``), stored as an int."""
 
     n: int
     monomials: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _index(self.n, "n", 1))
         monomials = frozenset(map(frozenset, self.monomials))
         object.__setattr__(self, "monomials", monomials)
         used = frozenset().union(*monomials)
@@ -80,12 +80,10 @@ class BooleanFunction:
 def from_truth_table(n: int, table: int) -> BooleanFunction:
     """ANF via the Moebius transform of a packed truth table.
 
-    Raises ``ValueError`` if n < 1 or the table is negative or has a bit at or above 2^n.
+    Raises ``ValueError`` if n or the table is not an integer (``pauli._index``),
+    n < 1, or the table is negative or has a bit at or above 2^n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if table < 0:
-        raise ValueError(f"truth table must be nonnegative, got {table}")
+    n, table = _index(n, "n", 1), _index(table, "table", 0)
     if table >> (1 << n):
         raise ValueError(f"truth table has bits beyond the 2^{n} inputs")
     tt = table
@@ -128,7 +126,7 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         max_var = max(max_var, max((i + 1 for i in mono), default=0))
     if n is None:
         n = max(max_var, 1)
-    elif 0 < n < max_var:  # n < 1 is BooleanFunction's to refuse
+    elif _index(n, "n", 1) < max_var:
         raise ValueError("declared variable count too small for expression")
     return BooleanFunction(n, frozenset(monomials))
 
@@ -259,12 +257,11 @@ def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
 def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:
     """Upper bound -2*log2(1 - 2^(1-n)*chi(f)) on the min-relative entropy of
     magic of the hypergraph state of f (quadratic states are stabilizer states),
-    for an integer 0 <= chi < 2^(n-1).  The ratio 1 - 2^(1-n)*chi is one
-    correctly rounded division of integers, and where it falls below the
-    normal floats (n > 1023 only) the bound takes the logs of the integers."""
-    if isinstance(chi, bool) or not hasattr(type(chi), "__index__"):
-        raise ValueError(f"chi must be an integer, got {chi!r}")
-    chi = operator.index(chi)
+    for an integer 0 <= chi < 2^(n-1), not a bool (``pauli._index``).  The
+    ratio 1 - 2^(1-n)*chi is one correctly rounded division of integers, and
+    where it falls below the normal floats (n > 1023 only) the bound takes the
+    logs of the integers."""
+    chi = _index(chi, "chi")
     if not 0 <= chi < 2 ** (f.n - 1):
         raise ValueError(f"bound undefined: chi = {chi} is not in 0..2^(n-1) - 1")
     half = 2 ** (f.n - 1)
@@ -281,8 +278,10 @@ def welch_function(n: int) -> BooleanFunction:
     degree 3 (the exponent has binary weight 3).  The table is array
     arithmetic on discrete logs: with x = alpha^k for the primitive alpha,
     x^e = alpha^(k e mod 2^n - 1), and tr(alpha^j) is the XOR of the
-    Frobenius orbit alpha^(j 2^i), i < n.  0^e = 0 has trace 0.
+    Frobenius orbit alpha^(j 2^i), i < n.  0^e = 0 has trace 0.  A bool or
+    non-integer n is refused first (``pauli._index``).
     """
+    n = _index(n, "n")
     if n % 2 == 0:
         raise ValueError("n must be odd")
     if not 3 <= n <= 15:

@@ -25,13 +25,12 @@ Algorithms for Random Number Generation", HMC-CS-2014-0905).
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import _checked_pure_state
-from .pauli import MAX_ENTRIES, ResourceLimitError
+from .pauli import MAX_ENTRIES, ResourceLimitError, _index
 from .stabdict import StabilizerDictionary, _check_size
 
 _RUN_ENTRIES = 1024  # most amplitudes haar_state_batch assembles at once
@@ -41,14 +40,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _index(value, name: str) -> int:
-    """``operator.index(value)``; a bool or a non-integer is a ValueError
-    naming the input."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} takes integers only, got {value!r}")
-    return operator.index(value)
 
 
 def _hash(value, xor, mult):
@@ -124,7 +115,8 @@ def _seed_words_type():
 
 
 def haar_state(dim: int, rng: "np.random.Generator") -> np.ndarray:
-    """Haar-random unit vector via a normalized complex Gaussian."""
+    """Haar-random unit vector via a normalized complex Gaussian, dim an integer >= 1."""
+    dim = _index(dim, "dim", 1)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
@@ -146,13 +138,7 @@ def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     allocated or drawn, a bool or non-integer dim, count or seed, dim < 1,
     count < 0 and seed < 0; and a batch of more than MAX_ENTRIES amplitudes
     with ``ResourceLimitError``."""
-    dim, count, seed = _index(dim, "dim"), _index(count, "count"), _index(seed, "seed")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    if count < 0:
-        raise ValueError(f"need count >= 0, got {count}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    dim, count, seed = _index(dim, "dim", 1), _index(count, "count", 0), _index(seed, "seed", 0)
     if dim * count > MAX_ENTRIES:
         raise ResourceLimitError(f"{count} states of dim {dim} exceed 2^24 amplitudes")
     from numpy.random import PCG64, Generator
@@ -321,15 +307,11 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        """n, samples and seed are integers, not bools, seed nonnegative, and
-        the batch's samples * 2^n amplitudes are held at once: at most
-        MAX_ENTRIES."""
-        self.n, self.samples = _index(self.n, "n"), _index(self.samples, "samples")
-        self.seed = _index(self.seed, "seed")
-        if self.n < 1 or self.samples < 1:
-            raise ValueError("need n >= 1 and at least one sample")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        """n >= 1, samples >= 1 and seed >= 0 are integers, not bools
+        (``pauli._index``), and the batch's samples * 2^n amplitudes are held
+        at once: at most MAX_ENTRIES."""
+        self.n, self.samples = _index(self.n, "n", 1), _index(self.samples, "samples", 1)
+        self.seed = _index(self.seed, "seed", 0)
         message = "need n <= 24 and at most 2^24 amplitudes (samples * 2^n)"
         _check_size(self.n, lambda: self.samples * 2**self.n, message)
 

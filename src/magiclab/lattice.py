@@ -47,6 +47,7 @@ from fractions import Fraction
 
 from .binlin import gf2_row_rank
 from .boolfn import BooleanFunction
+from .pauli import _index
 
 TRIANGULAR_BOUND_PER_QUBIT = 2 / 3 - (2 / 3) * math.log2(9 / 8)
 UNION_JACK_BOUND_PER_QUBIT = 1 / 2 - (1 / 2) * math.log2(17 / 16)
@@ -64,11 +65,12 @@ class Lattice:
     edges: tuple[tuple[int, int], ...]
 
 
-def _check_grid(rows: int, cols: int, boundary: str) -> None:
-    if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must be at least 2")
+def _check_grid(rows: int, cols: int, boundary: str) -> tuple[int, int]:
+    """rows and cols as ints, each an integer >= 2, not a bool (``pauli._index``)."""
+    rows, cols = _index(rows, "rows", 2), _index(cols, "cols", 2)
     if boundary not in ("periodic", "open"):
         raise ValueError("boundary must be 'periodic' or 'open'")
+    return rows, cols
 
 
 def _corners(index, tag, r, c, grid_rows, grid_cols):
@@ -78,7 +80,7 @@ def _corners(index, tag, r, c, grid_rows, grid_cols):
 
 
 def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
-    _check_grid(rows, cols, boundary)
+    rows, cols = _check_grid(rows, cols, boundary)
     labels = tuple(("v", r, c) for r in range(rows) for c in range(cols))
     index = {lab: i for i, lab in enumerate(labels)}
     short = boundary == "open"  # so no corner of an open cell leaves the grid
@@ -92,7 +94,7 @@ def triangular_lattice(rows: int, cols: int, boundary: str = "periodic") -> Latt
 
 def union_jack_lattice(rows: int, cols: int, boundary: str = "periodic") -> Lattice:
     """rows x cols faces; grid vertices plus one face-center vertex per face."""
-    _check_grid(rows, cols, boundary)
+    rows, cols = _check_grid(rows, cols, boundary)
     grid_rows, grid_cols = (rows, cols) if boundary == "periodic" else (rows + 1, cols + 1)
     labels = [("g", r, c) for r in range(grid_rows) for c in range(grid_cols)]
     labels += [("c", r, c) for r in range(rows) for c in range(cols)]

@@ -17,6 +17,7 @@ inverse of 2 mod 3).
 """
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -36,6 +37,18 @@ MAX_ENTRIES = 2**24  # the most entries of any one array a size-checked operatio
 
 class ResourceLimitError(ValueError):
     """An unsupported local dimension, or an array over MAX_ENTRIES entries."""
+
+
+def _index(value, name: str, least: int | None = None) -> int:
+    """``operator.index(value)`` as a Python int, the package's one integer
+    rule: a bool, a ``np.bool_`` or a non-integer, and a value below
+    ``least``, is a ValueError naming the input."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} takes integers only, got {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def _check_size(n: int, entries, message: str) -> None:

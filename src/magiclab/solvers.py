@@ -56,6 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import _index
+
 LP_TOL = 1e-9
 BP_GAP_TOL = 1e-9
 _MAX_PIVOTS = 50_000  # most pivots one solve_lp call may take
@@ -239,12 +241,11 @@ def solve_lp(A, b, basis=None, price=None) -> LPSolution:
 
     if basis is None:
         basis = crash_basis(A, np.argsort(-np.abs(b @ A), kind="stable"))
-    given = np.array(basis, dtype=object)  # numpy would pass a bool among ints as an int
-    basis = np.array(basis)
-    if basis.shape != (m,):
-        raise ValueError(f"a start basis needs {m} columns, got {basis.shape}")
-    bools = any(isinstance(j, (bool, np.bool_)) for j in given)
-    if bools or basis.dtype.kind not in "iu" or not np.all((basis >= 0) & (basis < ncols)):
+    if np.shape(basis) != (m,):
+        raise ValueError(f"a start basis needs {m} columns, got {np.shape(basis)}")
+    # entry by entry: numpy would pass a bool among ints as an int
+    basis = np.array([_index(j, "start basis index", 0) for j in basis])
+    if not np.all(basis < ncols):
         raise ValueError(f"start basis indices must be integers in 0..{ncols - 1}")
     basis = basis.astype(np.intp)
     try:

@@ -42,14 +42,13 @@ most _TILE (group, target) pairs, or of 16 targets where that is more.
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binlin import gfp_rref_stack
 from .pauli import _ZETA, MAX_ENTRIES, PauliOperator, ResourceLimitError, StabilizerTableau
-from .pauli import _check_size, _digits, _rephased
+from .pauli import _check_size, _digits, _index, _rephased
 
 # most states in one read, and a table batch holds 8x as many entries (one
 # group always fits): reads of more states, and batches of fewer entries, ran
@@ -61,9 +60,8 @@ _TILE = 1 << 17
 
 
 def count_stabilizer_states(n: int, d: int = 2) -> int:
-    """Closed-form count d^n * prod_{k=0}^{n-1} (d^{n-k} + 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Closed-form count d^n * prod_{k=0}^{n-1} (d^{n-k} + 1), n an integer >= 1."""
+    n = _index(n, "n", 1)
     count = d**n
     for k in range(n):
         count *= d ** (n - k) + 1
@@ -463,14 +461,25 @@ class StabilizerDictionary:
         states.flags.writeable = False
         return states
 
+    def _column(self, i: int) -> tuple[int, int]:
+        """The group of column i and i's place in it.  i is an integer, not a
+        bool (``pauli._index``); a negative i counts from the end, and one
+        out of range is an IndexError naming it and the size."""
+        i = _index(i, "column")
+        if not -self.size <= i < self.size:
+            raise IndexError(f"column {i} is out of range for a dictionary of {self.size} states")
+        return divmod(i % self.size, self.d**self.n)
+
     def tableau(self, i: int) -> StabilizerTableau:
-        """Canonical tableau of column i, decoded from its group's table row."""
-        g, j = divmod(operator.index(i), self.d**self.n)
+        """Canonical tableau of column i, decoded from its group's table row
+        (column i as ``_column`` reads it)."""
+        g, j = self._column(i)
         return next(_tableaux(self.elements[g], self.phases[g], self.n, self.d, [j]))
 
     def state(self, i: int) -> np.ndarray:
-        """Column i, read off its group's table row alone."""
-        g, j = divmod(operator.index(i), self.d**self.n)
+        """Column i, read off its group's table row alone (column i as
+        ``_column`` reads it)."""
+        g, j = self._column(i)
         return _read_states(self.elements[[g]], self.phases[[g]], self.n, self.d)[j]
 
     def best_overlaps(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,8 +510,10 @@ class StabilizerDictionary:
         n = 5 qubits, four qutrits) would make them smaller: each gather
         streams one column of the group tables, and 16 targets make each
         group's row of float32 sums 64 bytes.  Chunks of two targets cost
-        more a target than single calls at n = 5.
+        more a target than single calls at n = 5.  A real V is taken as its
+        complex cast, and a complex V as it is.
         """
+        V = np.asarray(V, dtype=np.result_type(V, 1j))
         if V.ndim != 2 or V.shape[0] != self.d**self.n:
             raise ValueError("state dimension mismatch")
         m = V.shape[1]
@@ -519,8 +530,9 @@ class StabilizerDictionary:
 
 
 def _check_tables(n: int, d: int) -> None:
-    """Refuse, at the call, d outside {2, 3}, n < 1 (by the count) and more than
-    MAX_ENTRIES states: the tables reach qubits n <= 5 and qutrits n <= 4."""
+    """Refuse, at the call, d outside {2, 3}, a bool, non-integer or n < 1 (by
+    the count) and more than MAX_ENTRIES states: the tables reach qubits
+    n <= 5 and qutrits n <= 4."""
     if d not in (2, 3):
         raise ResourceLimitError(f"unsupported local dimension d={d}")
     message = f"stabilizer tables for n={n}, d={d} exceed 2^24 states"

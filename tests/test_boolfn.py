@@ -51,18 +51,33 @@ def test_boolfn_refusals(call, message):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        pytest.param(lambda: BooleanFunction(0, frozenset()), id="zero"),
-        pytest.param(lambda: BooleanFunction(-1, frozenset()), id="negative"),
-        pytest.param(lambda: parse_anf("1", n=0), id="parse"),
-        pytest.param(lambda: from_truth_table(0, 1), id="table"),
-        pytest.param(lambda: parse_anf("1", n=-1), id="parse-negative"),
-        pytest.param(lambda: from_truth_table(-1, 0), id="table-negative"),
+        pytest.param(lambda: BooleanFunction(0, frozenset()), "need n >= 1, got 0", id="zero"),
+        pytest.param(
+            lambda: BooleanFunction(-1, frozenset()), "need n >= 1, got -1", id="negative"
+        ),
+        pytest.param(lambda: parse_anf("1", n=0), "need n >= 1, got 0", id="parse"),
+        pytest.param(lambda: from_truth_table(0, 1), "need n >= 1, got 0", id="table"),
+        pytest.param(lambda: parse_anf("1", n=-1), "need n >= 1, got -1", id="parse-negative"),
+        pytest.param(lambda: from_truth_table(-1, 0), "need n >= 1, got -1", id="table-negative"),
+        # a bool is not a count, and a float n is not stored as it comes
+        pytest.param(
+            lambda: BooleanFunction(True, frozenset()), "n takes integers only, got True", id="bool"
+        ),
+        pytest.param(
+            lambda: BooleanFunction(2.5, frozenset()), "n takes integers only, got 2.5", id="float"
+        ),
+        pytest.param(
+            lambda: from_truth_table(True, 1), "n takes integers only, got True", id="table-bool"
+        ),
+        pytest.param(
+            lambda: from_truth_table(2.0, 1), "n takes integers only, got 2.0", id="table-float"
+        ),
     ],
 )
-def test_boolean_function_needs_one_variable(call):
-    with pytest.raises(ValueError, match="^n must be at least 1$"):
+def test_boolean_function_needs_one_variable(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 
@@ -110,10 +125,14 @@ def test_truth_table_bits_beyond_inputs_rejected():
         from_truth_table(3, int.from_bytes(bytes.fromhex("ff01"), "little"))
     with pytest.raises(ValueError):
         from_truth_table(2, 1 << 4)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="need table >= 0, got -1"):
         from_truth_table(2, -1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="need table >= 0, got -1"):
         from_truth_table(3, -1)
+    # True would read as the table 1, and a float table has no bits to shift
+    for table in (True, np.True_, 1.0):
+        with pytest.raises(ValueError, match="table takes integers only"):
+            from_truth_table(2, table)
     assert from_truth_table(3, 0xFF).weight() == 8
 
 
@@ -372,7 +391,7 @@ def test_dmin_bound_examples():
     assert dmin_bound_from_chi(f, np.int64(1)) == dmin_bound_from_chi(f, 1)
     # a bool is not a count: True would pass as chi = 1
     for bad in (True, False, np.True_):
-        with pytest.raises(ValueError, match="chi must be an integer"):
+        with pytest.raises(ValueError, match="chi takes integers only"):
             dmin_bound_from_chi(f, bad)
     # chi is never turned into a float: 2^1098 is past the floats' range, at
     # (60, 2^59 - 1) the product 2^-59 chi rounds to 1, and at
@@ -416,6 +435,10 @@ def test_welch_rejects_even_or_large():
         welch_function(4)
     with pytest.raises(ValueError):
         welch_function(17)
+    # refused before the field tables, where True would read as n = 1
+    for n in (True, 5.0):
+        with pytest.raises(ValueError, match=f"n takes integers only, got {n!r}"):
+            welch_function(n)
 
 
 # SHA-256 of the little-endian packed truth table, pinned from the scalar

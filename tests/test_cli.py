@@ -174,7 +174,7 @@ def test_chi_command_reads_the_zero_function(capsys):
 def test_chi_command_refuses_zero_variables(capsys):
     code, out = run_cli(capsys, "chi", "--anf", "1", "--n", "0")
     assert code == 1
-    assert (out["error"], out["message"]) == ("ValueError", "n must be at least 1")
+    assert (out["error"], out["message"]) == ("ValueError", "need n >= 1, got 0")
 
 
 def test_lattice_command(capsys, tmp_path):

@@ -133,7 +133,7 @@ def test_overlap_pvalue_matches_scipy_kstest(n, samples, seed, phi):
     "n, samples, phi, message",
     [
         (0, 10, None, "n >= 1"),
-        (2, 0, None, "at least one sample"),
+        (2, 0, None, "need samples >= 1, got 0"),
         (2, 10, np.ones(4), "unit norm"),
         (2, 10, np.eye(8)[0], r"shape \(4,\)"),
         (40, 10, None, "n <= 24"),
@@ -247,7 +247,7 @@ def test_batch_refuses_bad_seed():
     # children whose words could be reproduced
     for seed in (False, 1.0, "1", None):
         _refused_before_allocating(2, 3, seed, "seed takes integers only")
-    _refused_before_allocating(2, 3, -1, "seed must be nonnegative")
+    _refused_before_allocating(2, 3, -1, "need seed >= 0, got -1")
     assert np.array_equal(haar_state_batch(2, 3, np.uint8(1)), haar_state_batch(2, 3, 1))
 
 
@@ -369,7 +369,7 @@ def test_config_validation():
     for seed in (1.5, "1", None):
         with pytest.raises(ValueError, match="integers"):
             ExperimentConfig(3, 10, seed)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="need seed >= 0, got -1"):
         ExperimentConfig(3, 10, -1)
     assert type(ExperimentConfig(3, 10, np.uint8(7)).seed) is int
     # nor is a bool, in any of the three

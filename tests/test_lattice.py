@@ -70,7 +70,16 @@ def _repeat_a_triangle():
         pytest.param(
             lambda: union_jack_lattice(2, 2, "closed"), "boundary must be", id="union-jack-closed"
         ),
-        pytest.param(lambda: union_jack_lattice(1, 3), "at least 2", id="union-jack-1x3"),
+        pytest.param(
+            lambda: union_jack_lattice(1, 3), "need rows >= 2, got 1", id="union-jack-1x3"
+        ),
+        # refused before the vertex map, where True would read as 1
+        pytest.param(
+            lambda: make_lattice("triangular", 3.0, 3), "rows takes integers only", id="float-rows"
+        ),
+        pytest.param(
+            lambda: make_lattice("union-jack", 2, True), "cols takes integers only", id="bool-cols"
+        ),
         pytest.param(
             lambda: build_lattice_state(triangular_lattice(3, 3), "toric"),
             "phase must be",

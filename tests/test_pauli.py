@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from magiclab.pauli import (
     ResourceLimitError,
     StabilizerTableau,
     _commuting,
+    _index,
     hermitian_pauli,
     is_hermitian_involution,
     pauli_from_string,
@@ -19,6 +21,24 @@ from magiclab.pauli import (
     tableau_to_state,
     weyl_operator,
 )
+
+
+def test_index_is_the_one_integer_rule():
+    # integers come back as Python ints, however large, at or above least
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert type(_index(value, "k")) is int and _index(value, "k") == 3
+    assert _index(2**200, "k", 0) == 2**200
+    assert _index(2, "k", 2) == 2 and _index(-5, "k") == -5
+    # a bool is not a count, and no float or string is read as one
+    for value, shown in ((True, "True"), (np.True_, "np.True_"), (2.0, "2.0"), ("2", "'2'"),
+                         (None, "None"), (np.float64(1.0), "np.float64(1.0)")):
+        with pytest.raises(ValueError, match=rf"^k takes integers only, got {re.escape(shown)}$"):
+            _index(value, "k", 0)
+    # one message below least, the value as a Python int
+    with pytest.raises(ValueError, match=r"^need k >= 2, got 1$"):
+        _index(np.int64(1), "k", 2)
+    with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
+        _index(-1, "k", 0)
 
 
 def test_commutation_examples():

@@ -215,9 +215,17 @@ def test_lp_start_basis_must_be_feasible_and_nonsingular():
         solve_lp(A, b, basis=[0])
     # indices are integers within the columns: no wrap-around, truncation or
     # bools, also one bool among ints, which numpy would promote to an int
-    for bad in ([-1, 0], [0, 3], [0.7, 2], [True, False], [0.0, 2.0], [True, 2],
-                [0, False], [np.True_, 2]):
-        with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+    for bad, message in (
+        ([-1, 0], "need start basis index >= 0, got -1"),
+        ([0, 3], r"integers in 0\.\.2"),
+        ([0.7, 2], "start basis index takes integers only, got 0.7"),
+        ([True, False], "start basis index takes integers only, got True"),
+        ([0.0, 2.0], "start basis index takes integers only, got 0.0"),
+        ([True, 2], "start basis index takes integers only, got True"),
+        ([0, False], "start basis index takes integers only, got False"),
+        ([np.True_, 2], "start basis index takes integers only, got np.True_"),
+    ):
+        with pytest.raises(ValueError, match=message):
             solve_lp(A, b, basis=bad)
     with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
         solve_lp([[1.0, 2.0]], [1.0], basis=[5])

@@ -71,6 +71,33 @@ def test_entries_match_object_builder(dict2_1, dict2_2, dict2_3, dict3_1, dict3_
         assert all(type(g.phase) is int for g in last.generators)
 
 
+def test_column_index_refusals(dict2_2):
+    # a negative column counts from the end, as a Python index does
+    assert dict2_2.tableau(-1) == dict2_2.tableau(59)
+    assert np.array_equal(dict2_2.state(-60), dict2_2.state(0))
+    # past either end the error names the column, not a group
+    for read in (dict2_2.tableau, dict2_2.state):
+        for i in (60, -61, 2**70):
+            message = f"^column {i} is out of range for a dictionary of 60 states$"
+            with pytest.raises(IndexError, match=message):
+                read(i)
+        # True would read as column 1
+        for i in (True, np.True_, 1.0):
+            with pytest.raises(ValueError, match="column takes integers only"):
+                read(i)
+
+
+def test_best_overlaps_takes_real_targets(dict2_1, dict2_2, dict2_3, dict2_4):
+    # a real V is read as its complex cast: the qubit transform multiplies
+    # its Hadamard product by complex phases in place
+    rng = np.random.default_rng(7)
+    for dic in (dict2_1, dict2_2, dict2_3, dict2_4):
+        for V in (rng.normal(size=(2**dic.n, 5)), rng.integers(-3, 4, size=(2**dic.n, 5))):
+            V[0] = 5  # no zero column
+            got, want = dic.best_overlaps(V), dic.best_overlaps(V.astype(complex))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_dense_limits(monkeypatch, dict2_5, dict3_3):
     # one cap of 2^24 entries: the tables reach qubits n <= 5 and qutrits
     # n <= 4, refused at the call, and n = 10^9 before any count is formed
@@ -99,10 +126,20 @@ def test_dense_limits(monkeypatch, dict2_5, dict3_3):
     assert dict3_3.states.shape == (27, 30240)
 
 
-@pytest.mark.parametrize("n", [0, -1])
-def test_dense_needs_positive_n(n):
-    with pytest.raises(ValueError, match="n must be positive"):
-        enumerate_stabilizer_states(n, 2)
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        pytest.param(0, "need n >= 1, got 0", id="0"),
+        pytest.param(-1, "need n >= 1, got -1", id="-1"),
+        # True would count as n = 1 (6 states), and 2.0 reach the build
+        pytest.param(True, "n takes integers only, got True", id="bool"),
+        pytest.param(2.0, "n takes integers only, got 2.0", id="float"),
+    ],
+)
+def test_dense_needs_positive_n(n, message):
+    for call in (count_stabilizer_states, enumerate_stabilizer_states):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(n, 2)
 
 
 def test_streaming_prefix_n5():
