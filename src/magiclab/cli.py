@@ -30,7 +30,7 @@ from .lattice import lattice_bound, make_lattice
 from .measures import _check_robustness_size, _checked_state, magic_report
 from .measures import dmin as dmin_measure
 from .mbqc import MeasurementLayout, outcome_distribution
-from .pauli import pauli_from_string
+from .pauli import _sites, pauli_from_string
 from .solvers import SolverError
 from .stabdict import _check_size, count_stabilizer_states, enumerate_stabilizer_states
 from .wigner import mana, mana_lr_check, sum_negativity, wigner_csv, wigner_function
@@ -42,16 +42,10 @@ def load_state_file(path: str) -> tuple[int, int, np.ndarray]:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        n, d = payload["n"], payload.get("d", 2)
+        n, d = _sites(payload["n"], payload.get("d", 2))
         amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc!r}") from exc
-    if type(n) is not int or type(d) is not int:
-        raise ValueError(f"n and d must be JSON integers, found n={n!r}, d={d!r}")
-    if d not in (2, 3):
-        raise ValueError(f"state file {path}: d must be 2 or 3, found {d}")
-    if n < 1:
-        raise ValueError(f"state file {path}: n must be at least 1, found {n}")
     _check_size(n, lambda: d**n, f"state file {path}: n={n} needs more than 2^24 amplitudes")
     if amps.shape[0] != d**n:
         raise ValueError(f"expected {d**n} amplitudes, found {amps.shape[0]}")

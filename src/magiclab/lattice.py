@@ -306,6 +306,4 @@ def lattice_bound(L: Lattice, phase: str = "ccz-only") -> tuple[CellDecompositio
 def separable_bound(n: int) -> float:
     """Reference magic bound (2 - (2/3) log2 6) * n for separable cubic
     functions, attained by disjoint CCZ triples."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return (2.0 - (2.0 / 3.0) * math.log2(6.0)) * n
+    return (2.0 - (2.0 / 3.0) * math.log2(6.0)) * _index(n, "n", 3)

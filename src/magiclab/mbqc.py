@@ -20,7 +20,7 @@ import numpy as np
 
 from .binlin import gfp_rref_stack
 from .measures import _checked_pure_state
-from .pauli import PauliOperator, _check_size, _commuting, is_hermitian_involution
+from .pauli import PauliOperator, _check_size, _commuting, _index, _sites, is_hermitian_involution
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class MeasurementLayout:
     observables: tuple[PauliOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _sites(self.n, 2)[0])
         k = len(self.observables)
         if not 1 <= k <= self.n:
             raise ValueError("need between 1 and n observables")
@@ -113,8 +114,7 @@ class SearchResult:
 
 def randomized_search(verifier, k: int, budget: int, rng: "np.random.Generator") -> SearchResult:
     """Draw uniform k-bit strings until the verifier accepts or budget runs out."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _index(budget, "budget", 1)
     for t in range(1, budget + 1):
         y = int(rng.integers(0, 2**k))
         if verifier(y):

@@ -51,6 +51,15 @@ def _index(value, name: str, least: int | None = None) -> int:
     return value
 
 
+def _sites(n, d) -> tuple[int, int]:
+    """(n, d) as Python ints, the package's one rule for a system's shape: both
+    integers by ``_index``, n >= 1, and a d outside {2, 3} a ResourceLimitError."""
+    n, d = _index(n, "n", 1), _index(d, "d")
+    if d not in (2, 3):
+        raise ResourceLimitError(f"unsupported local dimension d={d}")
+    return n, d
+
+
 def _check_size(n: int, entries, message: str) -> None:
     """Raise ResourceLimitError(message) unless entries(), the size of an array
     over n sites (at least 2^n), is at most MAX_ENTRIES; n is tested first, so
@@ -78,8 +87,9 @@ class PauliOperator:
     phase: int  # exponent t of zeta = exp(i*pi/d), mod 2d
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValueError("only d=2 and d=3 are supported")
+        n, d = _sites(self.n, self.d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         if len(self.xvec) != self.n or len(self.zvec) != self.n:
             raise ValueError("xvec and zvec must have length n")
         if any(not 0 <= v < self.d for v in self.xvec + self.zvec):
@@ -117,7 +127,7 @@ class PauliOperator:
 
 def hermitian_pauli(n: int, xvec, zvec) -> PauliOperator:
     """Qubit Pauli string with the standard Hermitian phase (Y = i X Z)."""
-    xvec, zvec = tuple(int(v) % 2 for v in xvec), tuple(int(v) % 2 for v in zvec)
+    xvec, zvec = tuple(_index(v, "xvec") % 2 for v in xvec), tuple(_index(v, "zvec") % 2 for v in zvec)
     t = (-sum(a * b for a, b in zip(xvec, zvec))) % 4
     return PauliOperator(n, 2, xvec, zvec, t)
 
@@ -127,7 +137,7 @@ def weyl_operator(n: int, a1, a2) -> PauliOperator:
 
     a1 is the Z exponent vector, a2 the X exponent vector.
     """
-    a1, a2 = tuple(int(v) % 3 for v in a1), tuple(int(v) % 3 for v in a2)
+    a1, a2 = tuple(_index(v, "a1") % 3 for v in a1), tuple(_index(v, "a2") % 3 for v in a2)
     t = (2 * sum(p * q for p, q in zip(a1, a2))) % 6
     return PauliOperator(n, 3, a2, a1, t)
 
@@ -200,6 +210,9 @@ class StabilizerTableau:
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self):
+        n, d = _sites(self.n, self.d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         if len(self.generators) != self.n:
             raise ValueError("a full tableau needs exactly n generators")
         if not _commuting(self.generators, self.n, self.d):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .binlin import gfp_rref_stack
 from .pauli import _ZETA, MAX_ENTRIES, PauliOperator, ResourceLimitError, StabilizerTableau
-from .pauli import _check_size, _digits, _index, _rephased
+from .pauli import _check_size, _digits, _index, _rephased, _sites
 
 # most states in one read, and a table batch holds 8x as many entries (one
 # group always fits): reads of more states, and batches of fewer entries, ran
@@ -60,8 +60,8 @@ _TILE = 1 << 17
 
 
 def count_stabilizer_states(n: int, d: int = 2) -> int:
-    """Closed-form count d^n * prod_{k=0}^{n-1} (d^{n-k} + 1), n an integer >= 1."""
-    n = _index(n, "n", 1)
+    """Closed-form count d^n * prod_{k=0}^{n-1} (d^{n-k} + 1), (n, d) by ``pauli._sites``."""
+    n, d = _sites(n, d)
     count = d**n
     for k in range(n):
         count *= d ** (n - k) + 1
@@ -529,21 +529,20 @@ class StabilizerDictionary:
         return fidelities, indices
 
 
-def _check_tables(n: int, d: int) -> None:
-    """Refuse, at the call, d outside {2, 3}, a bool, non-integer or n < 1 (by
-    the count) and more than MAX_ENTRIES states: the tables reach qubits
-    n <= 5 and qutrits n <= 4."""
-    if d not in (2, 3):
-        raise ResourceLimitError(f"unsupported local dimension d={d}")
+def _check_tables(n: int, d: int) -> tuple[int, int]:
+    """(n, d) as ``pauli._sites`` returns them, or refused at the call over
+    MAX_ENTRIES states: the tables reach qubits n <= 5 and qutrits n <= 4."""
+    n, d = _sites(n, d)
     message = f"stabilizer tables for n={n}, d={d} exceed 2^24 states"
     _check_size(n, lambda: count_stabilizer_states(n, d), message)
+    return n, d
 
 
 def iter_stabilizer_states(n: int, d: int = 2):
     """Stream (tableau, state) pairs without materializing the dictionary,
     its sizes checked at the call by ``_check_tables``; the tableaux are
     checked once per stabilizer group, on its first state (see ``_tableaux``)."""
-    _check_tables(n, d)
+    n, d = _check_tables(n, d)
     dim = d**n
     return (
         pair
@@ -558,7 +557,7 @@ def enumerate_stabilizer_states(n: int, d: int = 2) -> StabilizerDictionary:
     group tables are built eagerly by ``_iter_tables``, and the dense columns
     are read off them on demand (``StabilizerDictionary.states`` and
     ``state``).  ``_check_tables`` bounds the sizes at the call."""
-    _check_tables(n, d)
+    n, d = _check_tables(n, d)
     dim = d**n
     total = count_stabilizer_states(n, d)
     # allocated first, so that they sit below the build's temporaries in the heap

@@ -65,7 +65,8 @@ def test_state_file_sizes_are_json_integers(capsys, tmp_path, sizes):
     code, out = run_cli(capsys, "measures", "--state", str(path))
     assert code == 1
     assert out["error"] == "ValueError"
-    assert out["message"].startswith("n and d must be JSON integers")
+    assert out["message"].startswith(f"malformed state file {path}: ValueError(")
+    assert "takes integers only" in out["message"]
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -77,7 +78,7 @@ def test_state_file_needs_a_positive_n(capsys, tmp_path, n):
     code, out = run_cli(capsys, "measures", "--state", str(path))
     assert code == 1
     assert out["error"] == "ValueError"
-    assert out["message"] == f"state file {path}: n must be at least 1, found {n}"
+    assert out["message"] == f"malformed state file {path}: ValueError('need n >= 1, got {n}')"
 
 
 @pytest.mark.parametrize("n, d", [(3_000_000, 3), (25, 2)])
@@ -125,7 +126,8 @@ def test_state_file_needs_d_2_or_3(capsys, tmp_path, d):
     code, out = run_cli(capsys, "measures", "--state", str(path))
     assert code == 1
     assert out["error"] == "ValueError"
-    assert out["message"] == f"state file {path}: d must be 2 or 3, found {d}"
+    message = f"malformed state file {path}: ResourceLimitError('unsupported local dimension d={d}')"
+    assert out["message"] == message
 
 
 def test_measures_command(capsys, tmp_path, golden_file):

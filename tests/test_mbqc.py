@@ -55,7 +55,7 @@ def test_layout_validation():
         ),
         pytest.param(
             lambda: randomized_search(lambda y: True, 2, 0, np.random.default_rng(0)),
-            "budget must be at least 1",
+            "need budget >= 1, got 0",
             id="budget",
         ),
         pytest.param(lambda: planted_verifier(2, {4}), "must be k-bit", id="planted"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import magiclab
-from magiclab import pauli, stabdict
+from magiclab import lattice, mbqc, pauli, stabdict
 from magiclab.binlin import field_log_tables
 from magiclab.pauli import (
     InconsistentTableauError,
@@ -39,6 +39,58 @@ def test_index_is_the_one_integer_rule():
         _index(np.int64(1), "k", 2)
     with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
         _index(-1, "k", 0)
+
+
+ZI_IZ = (pauli_from_string("ZI"), pauli_from_string("IZ"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # a str n reached _check_size's n < 24 (TypeError), and 30.0 was
+        # refused as 2^24 states; a float d reached gfp_rref_stack's pow
+        pytest.param(lambda: stabdict.enumerate_stabilizer_states("3"), ValueError,
+                     "n takes integers only, got '3'", id="enumerate-str"),
+        pytest.param(lambda: stabdict.iter_stabilizer_states("3"), ValueError,
+                     "n takes integers only, got '3'", id="iter-str"),
+        pytest.param(lambda: stabdict.enumerate_stabilizer_states(30.0), ValueError,
+                     "n takes integers only, got 30.0", id="enumerate-float-n"),
+        pytest.param(lambda: stabdict.enumerate_stabilizer_states(2, 2.0), ValueError,
+                     "d takes integers only, got 2.0", id="enumerate-float-d"),
+        # the count returned 60.0, and 1,360 for d = 4 from the prime-d closed form
+        pytest.param(lambda: stabdict.count_stabilizer_states(2, 2.0), ValueError,
+                     "d takes integers only, got 2.0", id="count-float-d"),
+        pytest.param(lambda: stabdict.count_stabilizer_states(2, 4), ResourceLimitError,
+                     "unsupported local dimension d=4", id="count-d4"),
+        pytest.param(lambda: PauliOperator(1.0, 2, (1,), (0,), 0), ValueError,
+                     "n takes integers only, got 1.0", id="pauli-float-n"),
+        pytest.param(lambda: PauliOperator(True, 2, (1,), (0,), 0), ValueError,
+                     "n takes integers only, got True", id="pauli-bool-n"),
+        pytest.param(lambda: PauliOperator(1, 2.0, (1,), (0,), 0), ValueError,
+                     "d takes integers only, got 2.0", id="pauli-float-d"),
+        # int(v) % 2 read 1.7 and True as 1
+        pytest.param(lambda: hermitian_pauli(1, [1.7], [0]), ValueError,
+                     "xvec takes integers only, got 1.7", id="hermitian-float"),
+        pytest.param(lambda: weyl_operator(1, [True], [0]), ValueError,
+                     "a1 takes integers only, got True", id="weyl-bool"),
+        pytest.param(lambda: StabilizerTableau(2.0, 2, ZI_IZ), ValueError,
+                     "n takes integers only, got 2.0", id="tableau-float-n"),
+        pytest.param(lambda: mbqc.MeasurementLayout(2.0, ZI_IZ[:1]), ValueError,
+                     "n takes integers only, got 2.0", id="layout-float-n"),
+        # 3.5 gave a bound of 0.968
+        pytest.param(lambda: lattice.separable_bound(3.5), ValueError,
+                     "n takes integers only, got 3.5", id="separable-float"),
+        # True ran one draw, and 2.5 reached range()
+        pytest.param(lambda: mbqc.randomized_search(lambda y: True, 2, True, None), ValueError,
+                     "budget takes integers only, got True", id="budget-bool"),
+        pytest.param(lambda: mbqc.randomized_search(lambda y: True, 2, 2.5, None), ValueError,
+                     "budget takes integers only, got 2.5", id="budget-float"),
+    ],
+)
+def test_sites_and_integer_refusals(call, error, message):
+    # (n, d) pass one gate, pauli._sites, and every other integer pauli._index
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_commutation_examples():
@@ -116,7 +168,7 @@ def test_hermitian_involution_flags():
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda: PauliOperator(1, 5, (0,), (0,), 0), "only d=2 and d=3", id="d5"),
+        pytest.param(lambda: PauliOperator(1, 5, (0,), (0,), 0), "local dimension d=5", id="d5"),
         pytest.param(lambda: PauliOperator(2, 2, (0,), (0, 0), 0), "must have length n", id="length"),
         pytest.param(lambda: PauliOperator(1, 2, (2,), (0,), 0), "lie in 0..d-1", id="exponent"),
         pytest.param(lambda: PauliOperator(1, 2, (0,), (0,), 4), "phase exponent", id="phase"),
