@@ -205,10 +205,9 @@ def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     2^(n-1) Hadamard block of stabdict's ``_tables``; |W| <= 32, so float32
     is exact.  Zero iff deg f <= 2.
 
-    Among tied minimizers the result is the one a Gray-code sweep over the
-    `quadratic_basis` coefficients meets first: the least g whose subset
-    g ^ (g >> 1) spells it.  The tied minimizers are the tied Q with peaks
-    a_0 of |W_0| and a_1 of |W_1|: a = a_0, L = a_0 + a_1, signs fix b, c.
+    The minimizer is the first in pair-part order: the lowest best Q, with
+    the lowest peaks a_0 of |W_0| and a_1 of |W_1|, a = a_0, L = a_0 + a_1,
+    and the signs of W there fixing b and c.
     """
     n = f.n
     if n > NONQUADRATICITY_LIMIT:
@@ -230,28 +229,15 @@ def nonquadraticity(f: BooleanFunction) -> tuple[int, BooleanFunction]:
     magnitude = np.abs(walsh)
     peak = magnitude.max(axis=2)  # > 0 by Parseval, so the signs below are unique
     total = peak.sum(axis=1)
-    p = np.flatnonzero(total == total.max())
-    is_peak = magnitude[p] == peak[p, :, None]
-    t, a0, a1 = np.nonzero(is_peak[:, 0, :, None] & is_peak[:, 1, None, :])
-    p = p[t]
-    c = (walsh[p, 0, a0] < 0).astype(np.int64)
-    b = c ^ (walsh[p, 1, a1] < 0)
+    p = int(total.argmax())
+    a0, a1 = (int(w.argmax()) for w in magnitude[p])
+    c = int(walsh[p, 0, a0] < 0)
+    b = c ^ int(walsh[p, 1, a1] < 0)
     # basis order: 1, x_1, x_2 .. x_n, the n - 1 pairs x_1 x_j, then Q's pairs
     subset = c | (b << 1) | (a0 << 2) | ((a0 ^ a1) << (n + 1)) | (p << (2 * n))
     basis = quadratic_basis(n)
-    best = int(subset[np.argmin(_gray_rank(subset, len(basis)))])
-    argmin = BooleanFunction(n, frozenset(m for i, m in enumerate(basis) if (best >> i) & 1))
-    return ((1 << n) - int(total.max())) // 2, argmin
-
-
-def _gray_rank(subset: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse Gray code: the g with g ^ (g >> 1) == subset, elementwise."""
-    g = subset.copy()
-    shift = 1
-    while shift < bits:
-        g ^= g >> shift
-        shift <<= 1
-    return g
+    argmin = BooleanFunction(n, frozenset(m for i, m in enumerate(basis) if (subset >> i) & 1))
+    return ((1 << n) - int(total[p])) // 2, argmin
 
 
 def dmin_bound_from_chi(f: BooleanFunction, chi: int) -> float:

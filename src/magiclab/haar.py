@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _checked_pure_state
 from .pauli import MAX_ENTRIES, ResourceLimitError, _index
 from .stabdict import StabilizerDictionary, _check_size
 
@@ -155,23 +154,20 @@ def haar_state_batch(dim: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def overlap_cdf_pvalue(n: int, samples: int, seed: int, phi: np.ndarray | None = None) -> float:
-    """KS test of the fixed-reference overlap law; returns the p-value.
+def overlap_cdf_pvalue(n: int, samples: int, seed: int) -> float:
+    """KS test of the overlap law with |0...0>; returns the p-value.
 
-    ``phi`` defaults to |0...0> and must be a pure state of length 2^n, as
-    ``measures._checked_pure_state`` describes.  The samples' amplitudes are
-    held at once, so their number is checked by ``ExperimentConfig`` before
-    any allocation.  The statistic is D = max(D+, D-) over the sorted
-    overlaps' CDF values, and the p-value is Pr(D_samples >= D).
+    The law is the same for every fixed reference state, by the unitary
+    invariance of the Haar measure, so the overlaps are |psi_0|^2.  The
+    samples' amplitudes are held at once, so their number is checked by
+    ``ExperimentConfig`` before any allocation.  The statistic is
+    D = max(D+, D-) over the sorted overlaps' CDF values, and the p-value is
+    Pr(D_samples >= D).
     """
     ExperimentConfig(n, samples, seed)
     dim = 2**n
-    if phi is None:
-        phi = np.zeros(dim, dtype=complex)
-        phi[0] = 1.0
-    phi = _checked_pure_state(phi, dim)
     states = haar_state_batch(dim, samples, seed)
-    cdf = 1.0 - (1.0 - np.sort(np.abs(phi.conj() @ states) ** 2)) ** (dim - 1)
+    cdf = 1.0 - (1.0 - np.sort(np.abs(states[0]) ** 2)) ** (dim - 1)
     steps = np.arange(samples + 1.0) / samples
     d = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
     return _kolmogorov_sf(samples, float(d))

@@ -113,8 +113,9 @@ class SearchResult:
 
 
 def randomized_search(verifier, k: int, budget: int, rng: "np.random.Generator") -> SearchResult:
-    """Draw uniform k-bit strings until the verifier accepts or budget runs out."""
-    budget = _index(budget, "budget", 1)
+    """Draw uniform k-bit strings until the verifier accepts or budget runs out;
+    k and budget are integers >= 1, not bools (``pauli._index``)."""
+    k, budget = _index(k, "k", 1), _index(budget, "budget", 1)
     for t in range(1, budget + 1):
         y = int(rng.integers(0, 2**k))
         if verifier(y):
@@ -123,7 +124,9 @@ def randomized_search(verifier, k: int, budget: int, rng: "np.random.Generator")
 
 
 def planted_verifier(k: int, good: set[int]):
-    """Toy verifier accepting a planted solution set of k-bit strings."""
+    """Toy verifier accepting a planted solution set of k-bit strings, for an
+    integer k >= 1, not a bool (``pauli._index``)."""
+    k = _index(k, "k", 1)
     if any(not 0 <= y < 2**k for y in good):
         raise ValueError("planted strings must be k-bit")
     return lambda y: y in good

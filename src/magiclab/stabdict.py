@@ -424,7 +424,8 @@ def _best_in_groups(groups, phases, coords, n: int, d: int):
 class StabilizerDictionary:
     """All pure stabilizer states for (n, d), held as the element table of
     each group of d^n consecutive columns (see ``_group_tables``); dense
-    columns are read off the tables on first use (see ``_read_states``)."""
+    columns are read off the tables on first use (see ``_read_states``).
+    (n, d) pass ``pauli._sites`` and are stored as the ints it returns."""
 
     n: int
     d: int
@@ -435,6 +436,7 @@ class StabilizerDictionary:
     phases: np.ndarray
 
     def __post_init__(self):
+        self.n, self.d = _sites(self.n, self.d)
         dim = self.d**self.n
         shapes = self.elements.shape, self.phases.shape
         if len(shapes[0]) != 2 or shapes[0][1] != dim or shapes[1] != shapes[0]:

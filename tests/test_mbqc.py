@@ -59,6 +59,30 @@ def test_layout_validation():
             id="budget",
         ),
         pytest.param(lambda: planted_verifier(2, {4}), "must be k-bit", id="planted"),
+        # k went unchecked: 2.5 drew from 0..5, True drew one-bit strings
+        pytest.param(
+            lambda: randomized_search(lambda y: True, 2.5, 50, np.random.default_rng(0)),
+            r"k takes integers only, got 2\.5",
+            id="search-k-float",
+        ),
+        pytest.param(
+            lambda: randomized_search(lambda y: True, True, 50, np.random.default_rng(0)),
+            "k takes integers only, got True",
+            id="search-k-bool",
+        ),
+        pytest.param(
+            lambda: randomized_search(lambda y: True, 0, 50, np.random.default_rng(0)),
+            "need k >= 1, got 0",
+            id="search-k0",
+        ),
+        pytest.param(
+            lambda: planted_verifier(2.5, {5}),
+            r"k takes integers only, got 2\.5",
+            id="planted-k-float",
+        ),
+        pytest.param(
+            lambda: planted_verifier(-1, set()), "need k >= 1, got -1", id="planted-k-negative"
+        ),
     ],
 )
 def test_mbqc_refusals(call, message):

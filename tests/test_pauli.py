@@ -44,6 +44,12 @@ def test_index_is_the_one_integer_rule():
 ZI_IZ = (pauli_from_string("ZI"), pauli_from_string("IZ"))
 
 
+def _dictionary_of(n, d):
+    """A dictionary built on the n = 2 qubit tables with the given (n, d)."""
+    tables = stabdict.enumerate_stabilizer_states(2)
+    return stabdict.StabilizerDictionary(n, d, tables.elements, tables.phases)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -77,6 +83,13 @@ ZI_IZ = (pauli_from_string("ZI"), pauli_from_string("IZ"))
                      "n takes integers only, got 2.0", id="tableau-float-n"),
         pytest.param(lambda: mbqc.MeasurementLayout(2.0, ZI_IZ[:1]), ValueError,
                      "n takes integers only, got 2.0", id="layout-float-n"),
+        # 2.0 made a dictionary of size 60.0 whose state(3) was an IndexError
+        pytest.param(lambda: _dictionary_of(2.0, 2), ValueError,
+                     "n takes integers only, got 2.0", id="dictionary-float-n"),
+        pytest.param(lambda: _dictionary_of(True, 2), ValueError,
+                     "n takes integers only, got True", id="dictionary-bool-n"),
+        pytest.param(lambda: _dictionary_of(2, 5), ResourceLimitError,
+                     "unsupported local dimension d=5", id="dictionary-d5"),
         # 3.5 gave a bound of 0.968
         pytest.param(lambda: lattice.separable_bound(3.5), ValueError,
                      "n takes integers only, got 3.5", id="separable-float"),

@@ -145,11 +145,13 @@ def test_dense_needs_positive_n(n, message):
 @pytest.mark.parametrize("n, d", [(2, np.int64(3)), (np.int64(2), 2)], ids=["int64-d", "int64-n"])
 def test_numpy_integer_sizes_build_the_same_dictionary(n, d):
     # a numpy d reached gfp_rref_stack's pow (TypeError), and a numpy n made
-    # dic.n and dic.size numpy integers
+    # dic.n and dic.size numpy integers, as the constructor itself did
     dic, want = enumerate_stabilizer_states(n, d), enumerate_stabilizer_states(int(n), int(d))
     assert dic.elements.tobytes() == want.elements.tobytes()
     assert dic.phases.tobytes() == want.phases.tobytes()
-    assert [type(v) for v in (dic.n, dic.d, dic.size)] == [int, int, int]
+    again = StabilizerDictionary(n, d, want.elements, want.phases)
+    for built in (dic, again):
+        assert [type(v) for v in (built.n, built.d, built.size)] == [int, int, int]
 
 
 def test_streaming_prefix_n5():
