@@ -18,25 +18,21 @@ from .pauli import _index
 from .stabdict import _check_size, _tables
 
 
-def variable_mask(n: int, i: int) -> int:
-    """Packed table of the coordinate function x -> x_i (bit i of the input).
-
-    The pattern is 2^i zeros then 2^i ones, repeated; built with a repunit
-    multiply so large n stay cheap.
-    """
-    if not 0 <= i < n:
-        raise ValueError("variable index out of range")
-    block = ((1 << (1 << i)) - 1) << (1 << i)
-    period = 1 << (i + 1)
-    reps = 1 << (n - i - 1)
-    repunit = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
-    return block * repunit
-
-
-def monomial_table(n: int, monomial: frozenset[int]) -> int:
-    table = (1 << (1 << n)) - 1  # empty product = constant 1
-    for i in monomial:
-        table &= variable_mask(n, i)
+def _moebius(n: int, table: int) -> int:
+    """GF(2) Moebius transform of a packed 2^n-bit table, its own inverse: bit x
+    of the result is the XOR of the table's bits at the subsets of x, so it
+    takes an ANF indicator (bit m for each monomial, m its variable mask) to
+    the truth table and back.  For each variable i, the bits of the inputs
+    without x_i (2^i ones then 2^i zeros, repeated) are XORed up by 2^i; their
+    mask is built by doubling."""
+    size = 1 << n
+    for i in range(n):
+        step = 1 << i
+        low, width = (1 << step) - 1, step << 1
+        while width < size:
+            low |= low << width
+            width <<= 1
+        table ^= (table & low) << step
     return table
 
 
@@ -59,10 +55,10 @@ class BooleanFunction:
     @cached_property
     def truth_table(self) -> int:
         _check_size(self.n, lambda: 2**self.n, f"truth table of n={self.n} exceeds 2^24 bits")
-        out = 0
+        anf = 0
         for m in self.monomials:
-            out ^= monomial_table(self.n, m)
-        return out
+            anf |= 1 << sum(1 << i for i in m)
+        return _moebius(self.n, anf)
 
     @property
     def degree(self) -> int:
@@ -78,18 +74,17 @@ class BooleanFunction:
 
 
 def from_truth_table(n: int, table: int) -> BooleanFunction:
-    """ANF via the Moebius transform of a packed truth table.
+    """ANF of a packed truth table, by ``_moebius``.
 
     Raises ``ValueError`` if n or the table is not an integer (``pauli._index``),
-    n < 1, or the table is negative or has a bit at or above 2^n.
+    n < 1, or the table is negative or has a bit at or above 2^n, and
+    ``ResourceLimitError`` at n > 24, as ``truth_table`` does.
     """
     n, table = _index(n, "n", 1), _index(table, "table", 0)
+    _check_size(n, lambda: 2**n, f"truth table of n={n} exceeds 2^24 bits")
     if table >> (1 << n):
         raise ValueError(f"truth table has bits beyond the 2^{n} inputs")
-    tt = table
-    for i in range(n):
-        lo = ~variable_mask(n, i)
-        tt ^= (tt & lo) << (1 << i)
+    tt = _moebius(n, table)
     monomials = set()
     while tt:
         m = (tt & -tt).bit_length() - 1

@@ -125,8 +125,9 @@ def randomized_search(verifier, k: int, budget: int, rng: "np.random.Generator")
 
 def planted_verifier(k: int, good: set[int]):
     """Toy verifier accepting a planted solution set of k-bit strings, for an
-    integer k >= 1, not a bool (``pauli._index``)."""
+    integer k >= 1; k and each planted string are integers, not bools
+    (``pauli._index``)."""
     k = _index(k, "k", 1)
-    if any(not 0 <= y < 2**k for y in good):
+    if any(_index(y, "planted string", 0) >= 2**k for y in good):
         raise ValueError("planted strings must be k-bit")
     return lambda y: y in good

@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 from magiclab.binlin import gfp_rref_stack
 from magiclab.boolfn import (
     BooleanFunction,
+    _moebius,
     anf_string,
     dmin_bound_from_chi,
     from_truth_table,
     hypergraph_state,
-    monomial_table,
     nonquadraticity,
     overlap_from_weight,
     parse_anf,
     quadratic_basis,
     truth_table_hex,
-    variable_mask,
     welch_function,
 )
+from magiclab.lattice import build_lattice_state, make_lattice
 from magiclab.stabdict import ResourceLimitError, _tables
 from conftest import gf_pow, gf_trace, quadratic_states
 
@@ -42,7 +42,6 @@ def test_parse_rejects_malformed():
     "call, message",
     [
         pytest.param(lambda: parse_anf("x3", n=2), "variable count too small", id="parse-n"),
-        pytest.param(lambda: variable_mask(2, 2), "variable index out of range", id="mask"),
     ],
 )
 def test_boolfn_refusals(call, message):
@@ -114,6 +113,43 @@ def test_moebius_round_trip_every_small_table():
         assert from_truth_table(n, t).truth_table == t
 
 
+def test_moebius_is_an_involution():
+    rng = np.random.default_rng(17)
+    for n in range(1, 11):
+        for _ in range(20):
+            t = _random_table(n, rng)
+            assert _moebius(n, _moebius(n, t)) == t
+
+
+def test_moebius_matches_its_definition():
+    # bit x of the transform is the parity of the input's bits at the subsets of x
+    rng = np.random.default_rng(18)
+    for n in range(1, 7):
+        for _ in range(10):
+            a = _random_table(n, rng)
+            want = 0
+            for x in range(1 << n):
+                parity = sum((a >> s) & 1 for s in range(x + 1) if s & x == s) & 1
+                want |= parity << x
+            assert _moebius(n, a) == want
+
+
+def test_open_triangular_4x5_lattice_table():
+    # n = 20: the table against a numpy evaluation of each monomial over every
+    # input, and the ANF read back from it
+    f = build_lattice_state(make_lattice("triangular", 4, 5, "open"))
+    assert (f.n, len(f.monomials)) == (20, 24)
+    x = np.arange(1 << 20)
+    bits = np.zeros(1 << 20, dtype=bool)
+    for m in f.monomials:
+        mask = sum(1 << i for i in m)
+        bits ^= (x & mask) == mask
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    assert f.truth_table == int.from_bytes(packed, "little")
+    assert f.weight() == 482560
+    assert from_truth_table(20, f.truth_table).monomials == f.monomials
+
+
 def test_hex_dump_round_trip():
     f = parse_anf("x1*x2 + x3")
     table = int.from_bytes(bytes.fromhex(truth_table_hex(f)), "little")
@@ -157,6 +193,10 @@ def test_dense_sizes_follow_the_entry_cap():
         hypergraph_state(parse_anf("x1*x25"))
     with pytest.raises(ResourceLimitError, match=r"^truth table of n=25 exceeds 2\^24 bits$"):
         BooleanFunction(25, frozenset({frozenset({0})})).truth_table
+    # and the way back, refused before the 2^25-bit transform
+    for table in (0, 1):
+        with pytest.raises(ResourceLimitError, match=r"^truth table of n=25 exceeds 2\^24 bits$"):
+            from_truth_table(25, table)
 
 
 def test_hypergraph_state_equals_gate_circuit():
@@ -294,7 +334,9 @@ def _gray_code_sweep(f):
     basis flip a step; returns the least distance and how many quadratics
     tie at it."""
     n = f.n
-    tables = [monomial_table(n, m) for m in quadratic_basis(n)]
+    # basis tables from their definition: bit x is set iff x contains the monomial
+    masks = [sum(1 << i for i in m) for m in quadratic_basis(n)]
+    tables = [sum(1 << x for x in range(1 << n) if x & v == v) for v in masks]
     cur = f.truth_table
     best_w, ties = cur.bit_count(), 1
     for g in range(1, 1 << len(tables)):

@@ -59,6 +59,22 @@ def test_layout_validation():
             id="budget",
         ),
         pytest.param(lambda: planted_verifier(2, {4}), "must be k-bit", id="planted"),
+        # a planted string went unchecked but for its range: 1.5 and True were planted
+        pytest.param(
+            lambda: planted_verifier(2, {1.5}),
+            r"planted string takes integers only, got 1\.5",
+            id="planted-float",
+        ),
+        pytest.param(
+            lambda: planted_verifier(2, {True}),
+            "planted string takes integers only, got True",
+            id="planted-bool",
+        ),
+        pytest.param(
+            lambda: planted_verifier(2, {-1}),
+            "need planted string >= 0, got -1",
+            id="planted-negative",
+        ),
         # k went unchecked: 2.5 drew from 0..5, True drew one-bit strings
         pytest.param(
             lambda: randomized_search(lambda y: True, 2.5, 50, np.random.default_rng(0)),
